@@ -80,7 +80,7 @@ func Ablations(o Options) *AblationResult {
 	a2aOuts := runpool.MapNamed(pool, res.Variants, a2aName, func(v AblationVariant) *runOutcome {
 		oo := o
 		oo.pointKey = a2aName(v)
-		return oo.runFlowBenderAllToAllRaw(v.Cfg, res.Load)
+		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: v.Cfg, rawFB: true, load: res.Load})
 	})
 	valName := func(v AblationVariant) string {
 		return o.pointLabel("ablations/val/%s/seed=%d", v.Name, o.Seed)
@@ -88,13 +88,16 @@ func Ablations(o Options) *AblationResult {
 	valOuts := runpool.MapNamed(pool, res.Variants, valName, func(v AblationVariant) valOut {
 		oo := o
 		oo.pointKey = valName(v)
-		rng := sim.NewRNG(o.Seed)
+		// The controller draws from the "flowbender" fork of the root
+		// stream here, not of the scheme stream as everywhere else; the
+		// goldens pin that.
 		fb := v.Cfg
 		if fb.RNG == nil {
-			fb.RNG = rng.Fork("flowbender")
+			fb.RNG = sim.NewRNG(o.Seed).Fork("flowbender")
 		}
-		set := FlowBender.setupRaw(rng.Fork("scheme"), fb, true)
-		mean, max := oo.runValidationSetup(set, res.ValFlows, size)
+		mean, max := oo.runValidation(FlowBender, func(rng *sim.RNG) schemeSetup {
+			return FlowBender.setupRaw(rng, fb, true)
+		}, res.ValFlows, size)
 		return valOut{mean: mean, max: max}
 	})
 

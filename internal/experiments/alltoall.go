@@ -6,8 +6,13 @@ import (
 	"text/tabwriter"
 
 	"flowbender/internal/core"
+	"flowbender/internal/fluid"
 	"flowbender/internal/runpool"
+	"flowbender/internal/sim"
 	"flowbender/internal/stats"
+	"flowbender/internal/tcp"
+	"flowbender/internal/topo"
+	"flowbender/internal/workload"
 )
 
 // DefaultLoads are the paper's evaluated network loads (Figures 3, 4, 8).
@@ -45,6 +50,86 @@ type AllToAllResult struct {
 	Incomplete int
 	// Seeds is the replication count the cells were aggregated over.
 	Seeds int
+}
+
+// allToAllSpec parameterizes one all-to-all run.
+type allToAllSpec struct {
+	scheme Scheme
+	fb     core.Config // FlowBender overrides (zero = paper defaults)
+	rawFB  bool        // take fb verbatim, without the evaluation defaults
+	load   float64
+	flows  int // 0 = the scale's default (Options.flowCount)
+	// params overrides the Options-derived fat-tree parameters.
+	params *topo.Params
+	// setupFn, when non-nil, replaces the scheme's standard setup (the
+	// degenerate-config differential tests inject edge-case parameters
+	// through it). Such runs keep one packet engine whatever Options says.
+	setupFn func(rng *sim.RNG) schemeSetup
+}
+
+// runAllToAll executes one all-to-all point and returns its measurements,
+// read off the flows at the end of the run (the goldens pin that: counters
+// can keep moving after a flow completes while retransmits drain). On the
+// fluid engine the completion times stream in as flows finish.
+func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
+	if spec.flows == 0 {
+		spec.flows = o.flowCount()
+	}
+	fluidEng := o.fluidPoint(spec.setupFn)
+	out := &runOutcome{}
+	res := o.runPoint(point{
+		scheme: spec.scheme, fb: spec.fb, rawFB: spec.rawFB, setupFn: spec.setupFn, params: spec.params,
+		flows:    spec.flows,
+		armFirst: fluidEng,
+		workload: func(rng *sim.RNG, p topo.Params) (schedule, sim.Time) {
+			cdf := o.CDF
+			if cdf == nil {
+				cdf = workload.WebSearchCDF()
+			}
+			gen := &workload.AllToAll{
+				RNG:      rng,
+				NumHosts: p.NumHosts(),
+				CDF:      cdf,
+				MeanInterarrival: workload.AggregateInterarrival(
+					spec.load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
+			}
+			// The packet point's live generator used to schedule one more
+			// arrival after its last flow, which fired and returned; drawing
+			// one arrival past the count keeps that event at its instant.
+			n := spec.flows
+			if !fluidEng {
+				n++
+			}
+			arrivals := gen.PredrawIdx(n)
+			specs := make(batchOnce, len(arrivals))
+			for i, a := range arrivals {
+				specs[i] = workload.FlowSpec{At: a.At, SrcIdx: a.Src, DstIdx: a.Dst, Size: a.Size}
+			}
+			return &specs, o.maxWait()
+		},
+		onFlow:  func(f *tcp.Flow) { out.Flows = append(out.Flows, f) },
+		onFluid: func(d fluid.Done) { out.FCT.Add(d.Size, d.FCT.Seconds()) },
+	})
+	// On several engines every flow is planned up front; the arrivals the
+	// run reached are a prefix of the schedule.
+	if int64(len(out.Flows)) > res.started {
+		out.Flows = out.Flows[:res.started]
+	}
+	out.SimTime, out.Engines = res.simTime, res.engines
+	out.collect()
+	if fluidEng {
+		out.Reroutes = res.reroutes
+		out.Incomplete = spec.flows - int(res.completed)
+	}
+	o.recordFlows(res.completed)
+	return out
+}
+
+// ShardBench runs one ECMP all-to-all point of the given size and discards
+// the tables; the benchmarks wall-clock it at different Options.Shards and
+// read event counts from o.Perf.
+func ShardBench(o Options, load float64, flows int) {
+	o.runAllToAll(allToAllSpec{scheme: ECMP, load: load, flows: flows})
 }
 
 // a2aPoint identifies one independent simulation point of the sweep.
@@ -94,7 +179,7 @@ func AllToAll(o Options) *AllToAllResult {
 		oo.Seed = o.seedAt(pt.rep)
 		oo.execPool = pl
 		oo.pointKey = name(pt)
-		return oo.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load, flows: o.flowCount(), srcTor: -1})
+		return oo.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
 	})
 	idx := func(li, si, rep int) int { return (li*len(res.Schemes)+si)*reps + rep }
 
@@ -202,15 +287,4 @@ func (r *AllToAllResult) printFigure(w io.Writer, title string, get func(AllToAl
 		}
 	}
 	tw.Flush()
-}
-
-// runFlowBenderAllToAll shares the all-to-all machinery for Figures 6 and 7
-// (evaluation defaults applied on top of fb).
-func (o Options) runFlowBenderAllToAll(fb core.Config, load float64) *runOutcome {
-	return o.runAllToAll(allToAllSpec{scheme: FlowBender, fb: fb, load: load, flows: o.flowCount(), srcTor: -1})
-}
-
-// runFlowBenderAllToAllRaw is the same but takes fb verbatim (ablations).
-func (o Options) runFlowBenderAllToAllRaw(fb core.Config, load float64) *runOutcome {
-	return o.runAllToAll(allToAllSpec{scheme: FlowBender, fb: fb, load: load, flows: o.flowCount(), srcTor: -1, rawFB: true})
 }

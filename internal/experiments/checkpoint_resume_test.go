@@ -320,7 +320,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		o := Options{Seed: seed % 10_000, Scale: ScaleTiny,
 			CheckpointEvery: sim.Time(cadence)}
 		o.pointKey = fmt.Sprintf("fuzz/%s", scheme)
-		spec := allToAllSpec{scheme: scheme, load: 0.4, flows: 30, srcTor: -1}
+		spec := allToAllSpec{scheme: scheme, load: 0.4, flows: 30}
 
 		path := filepath.Join(t.TempDir(), "run.ckpt")
 		desc := ckptDesc(o)

@@ -18,7 +18,7 @@ import (
 // full per-flow fingerprints.
 
 func diffSpec(scheme Scheme) allToAllSpec {
-	return allToAllSpec{scheme: scheme, load: 0.6, flows: 150, srcTor: -1}
+	return allToAllSpec{scheme: scheme, load: 0.6, flows: 150}
 }
 
 func diffOpts() Options {

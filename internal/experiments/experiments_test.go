@@ -201,8 +201,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	o := tinyOpts()
 	o.FlowCount = 40
-	a := o.runAllToAll(allToAllSpec{scheme: FlowBender, load: 0.4, flows: o.FlowCount, srcTor: -1})
-	b := o.runAllToAll(allToAllSpec{scheme: FlowBender, load: 0.4, flows: o.FlowCount, srcTor: -1})
+	a := o.runAllToAll(allToAllSpec{scheme: FlowBender, load: 0.4, flows: o.FlowCount})
+	b := o.runAllToAll(allToAllSpec{scheme: FlowBender, load: 0.4, flows: o.FlowCount})
 	if a.FCT.All().Mean() != b.FCT.All().Mean() || a.OutOfOrder != b.OutOfOrder || a.Reroutes != b.Reroutes {
 		t.Fatal("identically seeded runs diverged")
 	}

@@ -5,13 +5,11 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/core"
 	"flowbender/internal/faults"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
-	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
 
@@ -192,16 +190,11 @@ func selectScenarios(names []string) []faultScenario {
 // runOne simulates one (scenario, scheme) point. It reads only the result's
 // scenario constants, never writes, so parallel calls are safe.
 func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	set := pt.scheme.setup(rng.Fork("scheme"), core.Config{})
-
+	b := o.newBed(pt.scheme)
 	p := o.params()
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
+	ft := b.set.fatTree(b.eng, p)
 
-	if _, err := faults.Apply(eng, rng.Fork("faults"), faults.FatTreeFabric{FT: ft},
+	if _, err := faults.Apply(b.eng, b.rng.Fork("faults"), faults.FatTreeFabric{FT: ft},
 		pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
 		return FaultCell{Err: err.Error()}
 	}
@@ -213,12 +206,10 @@ func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	var flows []*tcp.Flow
 	perPod := p.TorsPerPod * p.ServersPerTor
 	for i := 0; i < perPod; i++ {
-		flows = append(flows, tcp.StartFlow(eng, set.cfg, ids.Next(),
-			ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes))
+		flows = append(flows, b.start(ids.Next(), ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes))
 	}
 
-	o.drain(eng, r.Deadline, allFlowsDone(flows))
-	o.recordPerf(eng)
+	b.drain(r.Deadline, len(flows))
 
 	cell := FaultCell{Total: len(flows)}
 	var affected stats.Sketch

@@ -118,7 +118,7 @@ func FidelityMatrix(o Options) *FidelityResult {
 		// reports aggregate throughput.
 		perf := &PerfStats{}
 		oo.Perf = perf
-		out := oo.runAllToAllParams(oo.params(), pt.scheme, load)
+		out := oo.runAllToAll(allToAllSpec{scheme: pt.scheme, load: load})
 		if o.Perf != nil {
 			o.Perf.Events.Add(perf.Events.Load())
 			o.Perf.SimNanos.Add(perf.SimNanos.Load())

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"testing"
+
+	"flowbender/internal/workload"
 )
 
 // TestFidelityMatrixBounds is the fidelity-smoke assertion: at tiny scale
@@ -39,27 +41,36 @@ func TestFidelityMatrixBounds(t *testing.T) {
 // TestFluidEngineParallelismInvariance pins the fluid engine's experiment
 // output as byte-identical across Options.Parallelism values, exactly like
 // the packet engine's equivalent guarantee: every point is an isolated
-// engine, so the pool's scheduling must never leak into results.
+// engine, so the pool's scheduling must never leak into results. Options.Shards
+// must be equally invisible: a fluid point always runs on one engine.
 func TestFluidEngineParallelismInvariance(t *testing.T) {
-	render := func(parallel int) string {
+	render := func(parallel, shards int) string {
 		o := DefaultOptions()
 		o.Scale = ScaleTiny
 		o.Engine = EngineFluid
 		o.Parallelism = parallel
+		o.Shards = shards
 		var buf bytes.Buffer
 		AllToAll(o).Print(&buf)
 		Table1(o).Print(&buf)
 		ProductionMix(o).Print(&buf)
 		return buf.String()
 	}
-	ref := render(1)
+	ref := render(1, 1)
 	if ref == "" {
 		t.Fatal("empty render")
 	}
-	for _, par := range []int{4, 8} {
-		if got := render(par); got != ref {
-			t.Errorf("fluid output differs between -parallel 1 and -parallel %d", par)
+	for _, tc := range []struct{ parallel, shards int }{{4, 1}, {8, 1}, {1, 4}, {4, 4}} {
+		if got := render(tc.parallel, tc.shards); got != ref {
+			t.Errorf("fluid output differs between -parallel 1 -shards 1 and -parallel %d -shards %d", tc.parallel, tc.shards)
 		}
+	}
+	o := Options{Seed: 1, Scale: ScaleTiny, Engine: EngineFluid, Shards: 4}
+	if n := o.runAllToAll(allToAllSpec{scheme: ECMP, load: 0.4, flows: 50}).Engines; n != 1 {
+		t.Errorf("fluid all-to-all point with Shards=4 ran on %d engines, want 1", n)
+	}
+	if n := o.runProduction(ECMP, workload.WebSearchCDF(), 50).engines; n != 1 {
+		t.Errorf("fluid production point with Shards=4 ran on %d engines, want 1", n)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
-	"flowbender/internal/topo"
-	"flowbender/internal/workload"
 )
 
 func sprintfLn(format string, args ...any) string {
@@ -22,8 +20,9 @@ func sprintfLn(format string, args ...any) string {
 
 // runOutcome aggregates one simulation run's measurements.
 type runOutcome struct {
+	// Flows holds the packet-engine flows whose arrival the run reached, in
+	// arrival order.
 	Flows []*tcp.Flow
-	Jobs  []*workload.Job
 
 	// Binned receiver-side flow completion times, in seconds. The sketch
 	// stays exact (bit-identical to the historical BinnedSample) below its
@@ -38,6 +37,8 @@ type runOutcome struct {
 	Reroutes    int64
 	Incomplete  int
 	SimTime     sim.Time
+	// Engines is how many engines the point ran on (1 = serial).
+	Engines int
 }
 
 func (r *runOutcome) collect() {
@@ -64,15 +65,17 @@ func (r *runOutcome) OOOFraction() float64 {
 	return float64(r.OutOfOrder) / float64(r.DataPackets)
 }
 
+// drainChunk is the barrier grid every drain loop stops on.
+const drainChunk = 5 * sim.Millisecond
+
 // drain advances the engine in chunks until done() or the deadline,
 // servicing the point's checkpoint obligations at every chunk boundary:
 // the engine is quiescent there (Run leaves now == the boundary), making
 // it a safe — and deterministically reproducible — watermark instant.
 func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool) {
-	const chunk = 5 * sim.Millisecond
 	ck := o.ckptTracker()
 	for eng.Now() < deadline && !done() {
-		next := eng.Now() + chunk
+		next := eng.Now() + drainChunk
 		if next > deadline {
 			next = deadline
 		}
@@ -84,127 +87,47 @@ func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool) {
 	}
 }
 
-func allFlowsDone(flows []*tcp.Flow) func() bool {
-	return func() bool {
-		for _, f := range flows {
-			if !f.Done() {
-				return false
-			}
-		}
-		return true
-	}
+// bed is the one-engine packet substrate the drain-to-completion experiments
+// outside the point runner (leaf-spine fabrics, fault plans, job workloads)
+// build on: the engine, the root RNG their workload/fault streams fork from,
+// the scheme setup, and the arrival/completion counters the drain predicate
+// reads.
+type bed struct {
+	o   Options
+	eng *sim.Engine
+	rng *sim.RNG
+	set schemeSetup
+
+	started, completed int
 }
 
-// allToAllSpec parameterizes one all-to-all run.
-type allToAllSpec struct {
-	scheme Scheme
-	fb     core.Config // FlowBender overrides (zero = paper defaults)
-	load   float64
-	flows  int
-	cdf    workload.CDF
-	// srcTor, when >= 0, restricts senders to that ToR of pod 0 (Figure 8's
-	// testbed pattern); -1 = every host sends.
-	srcTor int
-	// rawFB takes the fb config verbatim, without evaluation defaults.
-	rawFB bool
-	// params overrides the Options-derived fat-tree parameters.
-	params *topo.Params
-	// setupFn, when non-nil, replaces the scheme's standard setup (the
-	// degenerate-config differential tests inject edge-case parameters
-	// through it). Such runs always take the serial path.
-	setupFn func(rng *sim.RNG) schemeSetup
+// newBed sets scheme up exactly as §4.2 describes (see Scheme.setup).
+func (o Options) newBed(scheme Scheme) *bed {
+	b := &bed{o: o, eng: sim.NewEngine(), rng: sim.NewRNG(o.Seed)}
+	b.set = scheme.setup(b.rng.Fork("scheme"), core.Config{})
+	return b
 }
 
-// runAllToAllParams runs the all-to-all workload on an explicit fat-tree.
-func (o Options) runAllToAllParams(p topo.Params, scheme Scheme, load float64) *runOutcome {
-	return o.runAllToAll(allToAllSpec{scheme: scheme, load: load, flows: o.flowCount(), srcTor: -1, params: &p})
+// start is the bed's workload.FlowFactory: it starts one flow under the
+// scheme's transport configuration and counts its arrival and completion.
+func (b *bed) start(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
+	f := tcp.StartFlow(b.eng, b.set.cfg, id, src, dst, size)
+	b.started++
+	f.OnComplete = func(*tcp.Flow) { b.completed++ }
+	return f
 }
 
-// runAllToAll executes one all-to-all run on a fat-tree at the given options
-// and returns its measurements. The workload RNG stream is independent of
-// the scheme, so every scheme sees the identical arrival sequence.
-func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
-	// The fluid engine covers the standard all-to-all shape; points with an
-	// injected setup or a restricted sender set (packet-only features) keep
-	// the packet engine regardless of Options.Engine.
-	if o.Engine == EngineFluid && spec.setupFn == nil && spec.srcTor < 0 {
-		return o.runAllToAllFluid(spec)
-	}
-	if out, ok := o.tryRunAllToAllSharded(spec); ok {
-		return out
-	}
-	eng := sim.NewEngine()
-	rootRNG := sim.NewRNG(o.Seed)
-	schemeRNG := rootRNG.Fork("scheme")
-	var set schemeSetup
-	if spec.setupFn != nil {
-		set = spec.setupFn(schemeRNG)
-	} else {
-		set = spec.scheme.setupRaw(schemeRNG, spec.fb, spec.rawFB)
-	}
-
-	p := o.params()
-	if spec.params != nil {
-		p = *spec.params
-	}
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
-
-	cdf := spec.cdf
-	if cdf == nil {
-		cdf = o.CDF
-	}
-	if cdf == nil {
-		cdf = workload.WebSearchCDF()
-	}
-	gen := &workload.AllToAll{
-		Eng:   eng,
-		RNG:   rootRNG.Fork("workload"),
-		Hosts: ft.Hosts,
-		CDF:   cdf,
-		IDs:   &workload.IDAllocator{},
-		Start: func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-			return tcp.StartFlow(eng, set.cfg, id, src, dst, size)
-		},
-		MeanInterarrival: workload.AggregateInterarrival(
-			spec.load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
-		MaxFlows: spec.flows,
-	}
-	if spec.srcTor >= 0 {
-		gen.SrcHosts = hostsOf(ft, 0, spec.srcTor)
-	}
-	gen.Run()
-	o.drain(eng, o.maxWait(), allFlowsDone2(gen))
-	o.recordPerf(eng)
-
-	out := &runOutcome{Flows: gen.Flows, SimTime: eng.Now()}
-	out.collect()
-	o.recordFlows(int64(len(out.Flows) - out.Incomplete))
-	return out
+// drain runs until `planned` flows have started and every started flow has
+// completed (or the deadline), then records the engine's perf totals.
+func (b *bed) drain(deadline sim.Time, planned int) {
+	b.o.drain(b.eng, deadline, func() bool { return b.started == planned && b.completed == b.started })
+	b.o.recordPerf(b.eng)
 }
 
-func hostsOf(ft *topo.FatTree, pod, tor int) []*netsim.Host {
-	idx := ft.TorHosts(pod, tor)
+func hostsAt(hosts []*netsim.Host, idx []int) []*netsim.Host {
 	out := make([]*netsim.Host, len(idx))
 	for i, h := range idx {
-		out[i] = ft.Hosts[h]
+		out[i] = hosts[h]
 	}
 	return out
-}
-
-// allFlowsDone2 is the drain predicate for a generator: all arrivals issued
-// and all issued flows complete.
-func allFlowsDone2(gen *workload.AllToAll) func() bool {
-	return func() bool {
-		if gen.MaxFlows > 0 && len(gen.Flows) < gen.MaxFlows {
-			return false
-		}
-		for _, f := range gen.Flows {
-			if !f.Done() {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"flowbender/internal/core"
 	"flowbender/internal/netsim"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
-	"flowbender/internal/tcp"
 	"flowbender/internal/topo"
 	"flowbender/internal/udp"
 	"flowbender/internal/workload"
@@ -71,14 +69,10 @@ func Hotspot(o Options) *HotspotResult {
 }
 
 func (o Options) runHotspot(scheme Scheme) hotspotOut {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	set := scheme.setup(rng.Fork("scheme"), core.Config{})
-
+	b := o.newBed(scheme)
+	eng := b.eng
 	lp := topo.SmallTestbed()
-	lp.PFC = set.pfc
-	ls := topo.NewLeafSpine(eng, lp)
-	ls.SetSelector(set.sel)
+	ls := b.set.leafSpine(eng, lp)
 	out := hotspotOut{paths: lp.Spines}
 
 	srcIdx := ls.TorHosts(0)
@@ -94,24 +88,14 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	// TCP shuffle: 1 MB flows ToR0 -> ToR1 at an aggregate 14 Gbps.
 	const flowBytes = 1_000_000
 	flowsPerSec := 14 * float64(topo.Gbps) / (flowBytes * 8)
-	srcHosts := make([]*netsim.Host, len(srcIdx))
-	dstHosts := make([]*netsim.Host, len(dstIdx))
-	for i := range srcIdx {
-		srcHosts[i] = ls.Hosts[srcIdx[i]]
-	}
-	for i := range dstIdx {
-		dstHosts[i] = ls.Hosts[dstIdx[i]]
-	}
 	gen := &workload.AllToAll{
-		Eng:      eng,
-		RNG:      rng.Fork("workload"),
-		Hosts:    dstHosts,
-		SrcHosts: srcHosts,
-		CDF:      workload.Fixed(flowBytes),
-		IDs:      &workload.IDAllocator{},
-		Start: func(id netsim.FlowID, src, dst *netsim.Host, sz int64) *tcp.Flow {
-			return tcp.StartFlow(eng, set.cfg, id, src, dst, sz)
-		},
+		Eng:              eng,
+		RNG:              b.rng.Fork("workload"),
+		Hosts:            hostsAt(ls.Hosts, dstIdx),
+		SrcHosts:         hostsAt(ls.Hosts, srcIdx),
+		CDF:              workload.Fixed(flowBytes),
+		IDs:              &workload.IDAllocator{},
+		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
 	}
 	gen.Run()

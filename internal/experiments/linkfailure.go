@@ -5,12 +5,10 @@ import (
 	"io"
 	"math"
 
-	"flowbender/internal/core"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
-	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
 
@@ -86,14 +84,9 @@ func LinkFailure(o Options) *LinkFailureResult {
 // runOne runs one scheme; it only reads the result's scenario constants
 // (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
 func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	set := scheme.setup(rng.Fork("scheme"), core.Config{})
-
+	b := o.newBed(scheme)
 	p := o.params()
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
+	ft := b.set.fatTree(b.eng, p)
 
 	// One flow per pod-0 host, each to the corresponding pod-1 host, so the
 	// up-paths carry several flows and at least some hash across the link
@@ -102,17 +95,14 @@ func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
 	var flows []*tcp.Flow
 	perPod := p.TorsPerPod * p.ServersPerTor
 	for i := 0; i < perPod; i++ {
-		src := ft.Hosts[i]
-		dst := ft.Hosts[perPod+i]
-		flows = append(flows, tcp.StartFlow(eng, set.cfg, ids.Next(), src, dst, r.FlowBytes))
+		flows = append(flows, b.start(ids.Next(), ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes))
 	}
 	out := linkFailureOut{total: len(flows)}
 
 	// Cut the first aggregation switch's first core uplink in pod 0.
-	eng.At(r.FailAt, func() { ft.AggCoreLinks[0][0][0].Fail() })
+	b.eng.At(r.FailAt, func() { ft.AggCoreLinks[0][0][0].Fail() })
 
-	o.drain(eng, r.Deadline, allFlowsDone(flows))
-	o.recordPerf(eng)
+	b.drain(r.Deadline, len(flows))
 
 	var affected, unaffected stats.Sketch
 	for _, f := range flows {

@@ -120,14 +120,11 @@ type Options struct {
 	// Shards splits each fat-tree simulation point across this many
 	// conservatively synchronized engine shards (bounded-lag windows, see
 	// sim.ShardSet). 0 or 1 runs serial. Results are byte-identical at any
-	// value: points that cannot shard safely — schemes with shared mid-run
-	// randomness (FlowBender's desync draws, RPS's and DiffFlow's spray
-	// selectors), host-side replica planning (RepFlow), or synchronous
-	// fabric back-pressure (DeTail's PFC) — automatically fall back to
-	// serial execution; ECMP, Flowlet, and FlowDyn points shard (see
-	// Scheme.shardable). Shards composes with Parallelism: the
-	// shard workers borrow CPU tokens from the same pool that admits
-	// sibling points, so `-parallel N -shards M` never oversubscribes.
+	// value: points that cannot shard safely run on one engine (shardPlan
+	// lists every reason; ECMP, Flowlet, and FlowDyn points shard). Shards
+	// composes with Parallelism: the shard workers borrow CPU tokens from
+	// the same pool that admits sibling points, so `-parallel N -shards M`
+	// never oversubscribes.
 	Shards int
 
 	// SolverShards bounds how many workers the fluid engine's incremental
@@ -169,13 +166,6 @@ type Options struct {
 	// designs target production flow-size mixes).
 	MixSchemes []Scheme
 
-	// FullSampleStats switches the production experiment's FCT accounting
-	// from the streaming sketch to the legacy hold-every-sample path. Used
-	// by the differential test proving the two render identical output at
-	// small scale; memory grows with flow count, so never use it at
-	// production sizes.
-	FullSampleStats bool
-
 	// Perf, when non-nil, accumulates simulator throughput (events
 	// executed, virtual time advanced) across every simulation point the
 	// experiment runs. Purely observational: it never alters scheduling,
@@ -214,7 +204,7 @@ type Options struct {
 	sharedPool *runpool.Pool
 
 	// execPool is the pool whose slot the current simulation point is
-	// running under; the sharded runner borrows extra worker tokens from
+	// running under; a sharded point borrows extra worker tokens from
 	// it (see Pool.TryAcquire) so shard workers and sibling points share
 	// one CPU budget. Set by the Map call sites that fan points out.
 	execPool *runpool.Pool

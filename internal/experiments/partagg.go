@@ -5,13 +5,8 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/core"
-	"flowbender/internal/netsim"
 	"flowbender/internal/runpool"
-	"flowbender/internal/sim"
 	"flowbender/internal/stats"
-	"flowbender/internal/tcp"
-	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
 
@@ -103,23 +98,16 @@ func PartitionAggregate(o Options) *PartAggResult {
 }
 
 func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int64) float64 {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	set := scheme.setup(rng.Fork("scheme"), core.Config{})
-
+	b := o.newBed(scheme)
 	p := o.params()
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
+	ft := b.set.fatTree(b.eng, p)
 
 	gen := &workload.PartitionAggregate{
-		Eng:   eng,
-		RNG:   rng.Fork("workload"),
-		Hosts: ft.Hosts,
-		IDs:   &workload.IDAllocator{},
-		Start: func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-			return tcp.StartFlow(eng, set.cfg, id, src, dst, size)
-		},
+		Eng:      b.eng,
+		RNG:      b.rng.Fork("workload"),
+		Hosts:    ft.Hosts,
+		IDs:      &workload.IDAllocator{},
+		Start:    b.start,
 		JobBytes: jobBytes,
 		FanIn:    fanIn,
 		MeanInterarrival: workload.JobInterarrival(
@@ -127,18 +115,7 @@ func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int
 		MaxJobs: o.jobCount(),
 	}
 	gen.Run()
-	o.drain(eng, o.maxWait(), func() bool {
-		if len(gen.Jobs) < gen.MaxJobs {
-			return false
-		}
-		for _, j := range gen.Jobs {
-			if !j.Done() {
-				return false
-			}
-		}
-		return true
-	})
-	o.recordPerf(eng)
+	b.drain(o.maxWait(), gen.MaxJobs*fanIn) // every job starts fanIn flows at once
 
 	var s stats.Sketch
 	for _, j := range gen.Jobs {

@@ -89,21 +89,11 @@ func (o Options) recordFlows(n int64) {
 	o.Perf.FlowsCompleted.Add(n)
 }
 
-// recordPerf folds one finished simulation point's engine totals into the
-// attached PerfStats, if any. Every experiment calls it right after its
-// engine drains.
-func (o Options) recordPerf(eng *sim.Engine) {
-	if o.Perf == nil {
-		return
-	}
-	o.Perf.Events.Add(int64(eng.Executed))
-	o.Perf.SimNanos.Add(int64(eng.Now()))
-}
-
-// recordPerfShards folds one finished sharded point into the attached
-// PerfStats: total events across shards, the furthest virtual time any shard
-// reached, and a per-shard event breakdown.
-func (o Options) recordPerfShards(engs []*sim.Engine) {
+// recordPerf folds one finished simulation point into the attached
+// PerfStats, if any: total events across its engines, the furthest virtual
+// time any of them reached, and — for a sharded point — the per-shard event
+// breakdown. Every experiment calls it right after its engines drain.
+func (o Options) recordPerf(engs ...*sim.Engine) {
 	if o.Perf == nil {
 		return
 	}
@@ -114,7 +104,9 @@ func (o Options) recordPerfShards(engs []*sim.Engine) {
 		if eng.Now() > maxNow {
 			maxNow = eng.Now()
 		}
-		o.Perf.addShard(i, int64(eng.Executed))
+		if len(engs) > 1 {
+			o.Perf.addShard(i, int64(eng.Executed))
+		}
 	}
 	o.Perf.Events.Add(total)
 	o.Perf.SimNanos.Add(int64(maxNow))

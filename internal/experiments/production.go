@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"text/tabwriter"
 
-	"flowbender/internal/core"
-	"flowbender/internal/netsim"
+	"flowbender/internal/fluid"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
@@ -62,13 +60,13 @@ func (o Options) load() float64 {
 // newMix builds the production workload generator for one simulation point.
 // Everything — the size CDF, the arrival process and its diurnal shape, the
 // deadline — is a pure function of (options, topology, flow count), so the
-// serial and sharded runners draw byte-identical schedules. The returned
-// deadline covers the expected makespan with 50% slack plus the usual
-// post-arrival drain budget, so it too is deterministic.
-func (o Options) newMix(rng *sim.RNG, hosts []*netsim.Host, p topo.Params, cdf workload.CDF, flows int) (*workload.Mix, sim.Time) {
+// schedule is byte-identical on every engine and engine count. Endpoints are
+// drawn as host indices (no hosts need exist). The returned deadline covers
+// the expected makespan with 50% slack plus the usual post-arrival drain
+// budget, so it too is deterministic.
+func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int) (*workload.Mix, sim.Time) {
 	m := &workload.Mix{
 		RNG:         rng,
-		Hosts:       hosts,
 		NumHosts:    p.NumHosts(),
 		CDF:         cdf,
 		IncastFrac:  MixIncastFrac,
@@ -102,74 +100,14 @@ func (o Options) newMix(rng *sim.RNG, hosts []*netsim.Host, p topo.Params, cdf w
 	return m, makespan + makespan/2 + o.maxWait()
 }
 
-// mixRecorder accumulates completed-flow FCTs for one simulation point (or
-// one shard of it), on either the streaming-sketch path (default: flat
-// memory at any flow count) or the legacy hold-every-sample path (the
-// differential test proving both render identical output at small scale).
-// Rendering reads only counts and quantiles — both order-independent given
-// the same observation multiset — which is what makes the sharded runner's
-// shard-order merge bit-identical to the serial run.
-type mixRecorder struct {
-	sketch stats.BinnedSketch
-	sample *stats.BinnedSample
-}
-
-func newMixRecorder(fullSample bool) *mixRecorder {
-	r := &mixRecorder{}
-	if fullSample {
-		r.sample = &stats.BinnedSample{}
-	}
-	return r
-}
-
-func (r *mixRecorder) add(size int64, fct float64) {
-	if r.sample != nil {
-		r.sample.Add(size, fct)
-		return
-	}
-	r.sketch.Add(size, fct)
-}
-
-// merge folds o into r (bin by bin, in o's insertion order).
-func (r *mixRecorder) merge(o *mixRecorder) {
-	if r.sample != nil {
-		for b := range r.sample.Bins {
-			for _, x := range o.sample.Bins[b].Values() {
-				r.sample.Bins[b].Add(x)
-			}
-		}
-		return
-	}
-	for b := range r.sketch.Bins {
-		r.sketch.Bins[b].Merge(&o.sketch.Bins[b])
-	}
-}
-
-// bin returns one size bin's count and {p50, p99, p99.9} in seconds.
-func (r *mixRecorder) bin(b int) (n int64, p50, p99, p999 float64) {
-	if r.sample != nil {
-		s := &r.sample.Bins[b]
-		return int64(s.N()), s.Percentile(50), s.Percentile(99), s.Percentile(99.9)
-	}
-	s := &r.sketch.Bins[b]
-	return s.N(), s.Percentile(50), s.Percentile(99), s.Percentile(99.9)
-}
-
-// all returns the same over every bin combined.
-func (r *mixRecorder) all() (n int64, p50, p99, p999 float64) {
-	if r.sample != nil {
-		s := r.sample.All()
-		return int64(s.N()), s.Percentile(50), s.Percentile(99), s.Percentile(99.9)
-	}
-	s := r.sketch.All()
-	return s.N(), s.Percentile(50), s.Percentile(99), s.Percentile(99.9)
-}
-
-// mixOutcome aggregates one production point's measurements. Unlike
-// runOutcome it holds no per-flow state: every field is updated streamingly
-// from OnComplete, so memory stays flat at million-flow counts.
+// mixOutcome aggregates one production point's measurements (or one shard's
+// share of them). Unlike runOutcome it holds no per-flow state: every field
+// is updated streamingly at completion instants, so memory stays flat at
+// million-flow counts. Rendering reads only counts and quantiles — both
+// order-independent given the same observation multiset — which is what
+// makes the shard-order fold bit-identical to the one-engine run.
 type mixOutcome struct {
-	rec *mixRecorder
+	fct stats.BinnedSketch
 
 	planned   int64 // flows the schedule holds
 	started   int64 // arrival events that ran
@@ -183,18 +121,17 @@ type mixOutcome struct {
 	retransmits int64
 	reroutes    int64
 
-	simTime sim.Time
+	engines int // engines the point ran on (1 = serial)
 }
 
-// record is the per-flow OnComplete accounting. It runs at the completion
-// instant — the same virtual time on the serial and sharded schedules — so
-// every counter it reads has the identical value on both paths (counters
-// can keep moving after completion while retransmits drain, so end-of-run
-// reads would not be shard-stable).
+// record is the per-flow completion accounting. It runs at the completion
+// instant — the same virtual time on one engine and on several — so every
+// counter it reads has the identical value either way (counters can keep
+// moving after completion while retransmits drain, so end-of-run reads
+// would not be shard-stable).
 func (m *mixOutcome) record(kind workload.PatternKind, f *tcp.Flow) {
-	m.completed++
 	m.kinds[kind]++
-	m.rec.add(f.Size, f.FCT().Seconds())
+	m.fct.Add(f.Size, f.FCT().Seconds())
 	m.dataPackets += f.DataPackets()
 	m.outOfOrder += f.OutOfOrder()
 	m.timeouts += f.Sender().Timeouts
@@ -202,12 +139,21 @@ func (m *mixOutcome) record(kind workload.PatternKind, f *tcp.Flow) {
 	m.reroutes += f.FlowBenderStats().Reroutes
 }
 
+// recordFluid is record for a fluid completion: the same streaming
+// accounting, minus the packet-only counters (the fluid engine has no
+// timeouts, retransmits, or reordering to count).
+func (m *mixOutcome) recordFluid(d fluid.Done) {
+	m.kinds[workload.PatternKind(d.UserTag)]++
+	m.fct.Add(d.Size, d.FCT.Seconds())
+	m.reroutes += d.Reroutes
+}
+
 // fold merges a shard's outcome into the point total (called in shard-index
 // order, once per shard, after the run).
 func (m *mixOutcome) fold(o *mixOutcome) {
-	m.rec.merge(o.rec)
-	m.started += o.started
-	m.completed += o.completed
+	for b := range m.fct.Bins {
+		m.fct.Bins[b].Merge(&o.fct.Bins[b])
+	}
 	for k := range m.kinds {
 		m.kinds[k] += o.kinds[k]
 	}
@@ -219,200 +165,28 @@ func (m *mixOutcome) fold(o *mixOutcome) {
 }
 
 // runProduction executes one (scheme) point of the production experiment.
+// Each flow records into its destination shard's private outcome
+// (completions on different shards run concurrently); the per-shard outcomes
+// fold in shard-index order after the run.
 func (o Options) runProduction(scheme Scheme, cdf workload.CDF, flows int) *mixOutcome {
-	if o.Engine == EngineFluid {
-		return o.runProductionFluid(scheme, cdf, flows)
-	}
-	if out, ok := o.tryRunProductionSharded(scheme, cdf, flows); ok {
-		return out
-	}
-	eng := sim.NewEngine()
-	rootRNG := sim.NewRNG(o.Seed)
-	set := scheme.setup(rootRNG.Fork("scheme"), core.Config{})
-
-	p := o.params()
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
-
-	mix, deadline := o.newMix(rootRNG.Fork("workload"), ft.Hosts, p, cdf, flows)
-	out := &mixOutcome{planned: int64(flows), rec: newMixRecorder(o.FullSampleStats)}
-
-	// Beacon chain mirroring the sharded planner: exactly one flow starts
-	// per beacon event and the next beacon is scheduled from inside it, so
-	// the event-insertion order — receiver, sender, next arrival — matches
-	// the sharded replay. Batches are pulled from the mix lazily and flow
-	// references are dropped at start (OnComplete owns all accounting; the
-	// hosts tear endpoints down after close), so memory is flat in the flow
-	// count.
-	var pending []workload.FlowSpec
-	var beacon func()
-	beacon = func() {
-		spec := pending[0]
-		pending = pending[1:]
-		out.started++
-		f := tcp.StartFlow(eng, set.cfg, netsim.FlowID(out.started), spec.Src, spec.Dst, spec.Size)
-		kind := spec.Kind
-		f.OnComplete = func(f *tcp.Flow) { out.record(kind, f) }
-		if len(pending) == 0 {
-			pending = mix.NextBatch()
-		}
-		if len(pending) > 0 {
-			eng.At(pending[0].At, beacon)
-		}
-	}
-	pending = mix.NextBatch()
-	if len(pending) > 0 {
-		beacon() // the first arrival is at time zero, handled at setup
-	}
-
-	done := func() bool {
-		return mix.Done() && len(pending) == 0 && out.completed == out.started
-	}
-	o.drain(eng, deadline, done)
-	o.recordPerf(eng)
-	o.recordFlows(out.completed)
-	out.simTime = eng.Now()
-	return out
-}
-
-// tryRunProductionSharded is the production analogue of
-// tryRunAllToAllSharded: the same guards, the same pre-drawn schedule
-// replayed through per-shard beacon chains, the same bounded-lag execution.
-// Per-shard accounting is the one addition: each flow's OnComplete records
-// into its destination shard's private recorder (completions on different
-// shards run concurrently), and the per-shard outcomes fold in shard-index
-// order after the run. The rendered output reads only counts and quantiles,
-// both order-independent, so the fold is bit-identical to the serial path.
-// Unlike the serial runner this plans all flows up front — O(flows) plan
-// memory; the flat-memory guarantee belongs to the serial path.
-func (o Options) tryRunProductionSharded(scheme Scheme, cdf workload.CDF, flows int) (*mixOutcome, bool) {
-	if o.Shards <= 1 || !scheme.shardable() || flows <= 0 {
-		return nil, false
-	}
-	p := o.params()
-	part := topo.PartitionFatTree(p, o.Shards)
-	if part.Shards < 2 {
-		return nil, false
-	}
-	if w, ok := part.Lookahead(p); !ok || w <= 0 {
-		return nil, false
-	}
-
-	rootRNG := sim.NewRNG(o.Seed)
-	set := scheme.setup(rootRNG.Fork("scheme"), core.Config{})
-	if set.pfc != nil {
-		return nil, false
-	}
-	p.PFC = set.pfc
-
-	engines := make([]*sim.Engine, part.Shards)
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-	}
-	sft := topo.NewShardedFatTree(engines, p, part)
-	sft.SetSelector(set.sel)
-
-	mix, deadline := o.newMix(rootRNG.Fork("workload"), sft.Hosts, p, cdf, flows)
-	arrivals := mix.PredrawFlows()
-
-	shardOf := make(map[*netsim.Host]int, len(sft.Hosts))
-	for h, host := range sft.Hosts {
-		shardOf[host] = part.HostShard[h]
-	}
-	outs := make([]*mixOutcome, part.Shards)
-	for i := range outs {
-		outs[i] = &mixOutcome{rec: newMixRecorder(o.FullSampleStats)}
-	}
-	pending := make([]*tcp.PendingFlow, len(arrivals))
-	srcShard := make([]int, len(arrivals))
-	dstShard := make([]int, len(arrivals))
-	for i, a := range arrivals {
-		pending[i] = tcp.PlanFlow(set.cfg, netsim.FlowID(i+1), a.Src, a.Dst, a.Size)
-		srcShard[i] = shardOf[a.Src]
-		dstShard[i] = shardOf[a.Dst]
-		kind := a.Kind
-		dst := outs[dstShard[i]]
-		pending[i].Flow().OnComplete = func(f *tcp.Flow) { dst.record(kind, f) }
-	}
-
-	// One beacon chain per shard, as in the all-to-all runner; the start
-	// counter lives on the source shard, where the sender event runs.
-	for s := range engines {
-		s, eng := s, engines[s]
-		next := 0
-		var beacon func()
-		beacon = func() {
-			i := next
-			next++
-			if dstShard[i] == s {
-				pending[i].StartReceiver()
-			}
-			if srcShard[i] == s {
-				pending[i].StartSender()
-				outs[s].started++
-			}
-			if next < len(arrivals) {
-				eng.At(arrivals[next].At, beacon)
-			}
-		}
-		beacon()
-	}
-
-	window := sft.Window
-	workers := part.Shards
-	borrowed := 0
-	switch {
-	case o.debugShardWindow > 0:
-		window = o.debugShardWindow
-		workers = 1
-	case o.execPool != nil:
-		borrowed = o.execPool.TryAcquire(part.Shards - 1)
-		defer o.execPool.Release(borrowed)
-		workers = 1 + borrowed
-	default:
-		if mp := runtime.GOMAXPROCS(0); workers > mp {
-			workers = mp
-		}
-	}
-
-	scratch := make([][]netsim.CrossMsg, part.Shards)
-	ss := &sim.ShardSet{
-		Engines: engines,
-		Window:  window,
-		Merge: func(shard int, windowEnd sim.Time) {
-			buf := sft.DrainInbox(shard, scratch[shard][:0])
-			netsim.MergeCross(buf, windowEnd)
-			scratch[shard] = buf
+	outs := make([]mixOutcome, max(o.Shards, 1))
+	res := o.runPoint(point{
+		scheme: scheme,
+		flows:  flows,
+		workload: func(rng *sim.RNG, p topo.Params) (schedule, sim.Time) {
+			return o.newMix(rng, p, cdf, flows)
 		},
+		onDone:  func(shard int, kind workload.PatternKind, f *tcp.Flow) { outs[shard].record(kind, f) },
+		onFluid: func(d fluid.Done) { outs[0].recordFluid(d) },
+	})
+	out := &outs[0]
+	for i := 1; i < res.engines; i++ {
+		out.fold(&outs[i])
 	}
-	// Shard counters are written on their own shard's events and read by
-	// worker zero at window barriers, where ShardSet already synchronizes.
-	done := func() bool {
-		var started, completed int64
-		for _, so := range outs {
-			started += so.started
-			completed += so.completed
-		}
-		return started == int64(len(arrivals)) && completed == started
-	}
-	if ck := o.ckptTracker(); ck != nil {
-		ss.Tick = func(boundary sim.Time) { ck.tick(boundary, engines...) }
-	}
-	ss.Run(deadline, 5*sim.Millisecond, done, workers)
-	o.recordPerfShards(engines)
-
-	out := &mixOutcome{planned: int64(len(arrivals)), rec: newMixRecorder(o.FullSampleStats)}
-	for _, so := range outs {
-		out.fold(so)
-	}
-	for _, eng := range engines {
-		if eng.Now() > out.simTime {
-			out.simTime = eng.Now()
-		}
-	}
+	out.planned, out.started, out.completed = int64(flows), res.started, res.completed
+	out.engines = res.engines
 	o.recordFlows(out.completed)
-	return out, true
+	return out
 }
 
 // MixBinCell is one (scheme, size-bin) cell: completed-flow count and FCT
@@ -460,13 +234,13 @@ func (m *mixOutcome) cell() MixCell {
 	if m.dataPackets > 0 {
 		c.OOOFrac = float64(m.outOfOrder) / float64(m.dataPackets)
 	}
-	toCell := func(n int64, p50, p99, p999 float64) MixBinCell {
-		return MixBinCell{N: n, P50ms: p50 * 1000, P99ms: p99 * 1000, P999ms: p999 * 1000}
+	toCell := func(s *stats.Sketch) MixBinCell {
+		return MixBinCell{N: s.N(), P50ms: s.Percentile(50) * 1000, P99ms: s.Percentile(99) * 1000, P999ms: s.Percentile(99.9) * 1000}
 	}
-	for b := 0; b < int(stats.NumBins); b++ {
-		c.Bins[b] = toCell(m.rec.bin(b))
+	for b := range c.Bins {
+		c.Bins[b] = toCell(&m.fct.Bins[b])
 	}
-	c.All = toCell(m.rec.all())
+	c.All = toCell(m.fct.All())
 	return c
 }
 
@@ -490,8 +264,7 @@ type ProductionMixResult struct {
 // load spike (websearch), for every scheme in the comparison set. FCTs
 // stream into mergeable quantile sketches, so the experiment runs at
 // million-flow counts with memory independent of the flow count; at small
-// counts the sketches are exact and Options.FullSampleStats pins the
-// rendered output bit-for-bit against the legacy hold-every-sample path.
+// counts the sketches are exact.
 func ProductionMix(o Options) *ProductionMixResult {
 	cdf, err := workload.NamedCDF(o.workloadName())
 	if err != nil {

@@ -114,34 +114,6 @@ func TestByteIdentityShardedProduction(t *testing.T) {
 	}
 }
 
-// TestProductionSketchDifferential is the satellite differential test: below
-// the sketch's exact cap, the streaming-sketch path and the legacy
-// hold-every-sample path must render byte-identical output, at every
-// parallelism and shard count. This is the end-to-end proof that swapping
-// the FCT accounting to sketches changed nothing observable at table scale.
-func TestProductionSketchDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := byteIdentOpts()
-	o.FlowCount = 200
-	o.Parallelism = 1
-	base := renderProduction(o)
-	for _, tc := range []struct{ parallel, shards int }{
-		{1, 1}, {4, 1}, {8, 1}, {1, 2}, {1, 4}, {1, 8},
-	} {
-		for _, full := range []bool{false, true} {
-			oo := o
-			oo.Parallelism, oo.Shards = tc.parallel, tc.shards
-			oo.FullSampleStats = full
-			if got := renderProduction(oo); got != base {
-				t.Errorf("production output (parallel=%d shards=%d fullSample=%v) differs from baseline",
-					tc.parallel, tc.shards, full)
-			}
-		}
-	}
-}
-
 // TestProductionPerfCounters checks the FlowsCompleted telemetry the cmd
 // tools report: every completed flow of every scheme point is counted.
 func TestProductionPerfCounters(t *testing.T) {

@@ -15,9 +15,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"flowbender/internal/core"
+	"flowbender/internal/fluid"
 	"flowbender/internal/netsim"
 	"flowbender/internal/routing"
 	"flowbender/internal/sim"
@@ -131,22 +133,7 @@ func (s Scheme) setupRaw(rng *sim.RNG, fb core.Config, raw bool) schemeSetup {
 	switch s {
 	case ECMP:
 	case FlowBender:
-		if fb.RNG == nil {
-			fb.RNG = rng.Fork("flowbender")
-		}
-		if !raw {
-			if fb.MinEpochGap == 0 {
-				fb.MinEpochGap = StabilityGap
-			}
-			if !fb.DesyncN {
-				// Randomized reroute desynchronization (§3.4.2): without
-				// it, flows sharing a congested link observe the marks in
-				// the same RTT and all reroute together, cascading into
-				// rerouting waves.
-				fb.DesyncN = true
-			}
-		}
-		out.cfg.FlowBender = &fb
+		out.cfg.FlowBender = flowBenderConfig(rng, fb, raw)
 	case RPS:
 		out.sel = &routing.RPS{RNG: rng.Fork("rps")}
 	case DeTail:
@@ -169,6 +156,74 @@ func (s Scheme) setupRaw(rng *sim.RNG, fb core.Config, raw bool) schemeSetup {
 		panic("experiments: unknown scheme")
 	}
 	return out
+}
+
+// flowBenderConfig resolves the controller configuration both engines run:
+// fb's overrides on the paper defaults, drawing from the "flowbender" fork
+// of the scheme stream, plus — unless raw — the evaluation defaults.
+func flowBenderConfig(rng *sim.RNG, fb core.Config, raw bool) *core.Config {
+	if fb.RNG == nil {
+		fb.RNG = rng.Fork("flowbender")
+	}
+	if !raw {
+		if fb.MinEpochGap == 0 {
+			fb.MinEpochGap = StabilityGap
+		}
+		// Randomized reroute desynchronization (§3.4.2): without it, flows
+		// sharing a congested link observe the marks in the same RTT and
+		// all reroute together, cascading into rerouting waves.
+		fb.DesyncN = true
+	}
+	return &fb
+}
+
+// fluidConfig maps a scheme onto the fluid engine's knobs, making setupRaw's
+// decisions for the flow-level model so the two engines run the same policy:
+//
+//   - ECMP, Flowlet, FlowDyn: per-flow hashed paths. The fluid model has no
+//     packet gaps, so flowlet switching degrades to plain ECMP — a
+//     documented fidelity limit, not a wiring accident.
+//   - FlowBender: the real core.FlowBender controller per flow, fed from
+//     the fluid marking estimate once per RTT epoch.
+//   - RPS, DeTail: every flow sprayed over all paths (DeTail's PFC
+//     back-pressure is not modeled; its spray half is).
+//   - RepFlow: short flows replicated, first copy wins.
+//   - DiffFlow: short flows sprayed, long flows on per-flow paths.
+func fluidConfig(p topo.Params, scheme Scheme, fb core.Config, raw bool, rng *sim.RNG) fluid.Config {
+	cfg := fluid.Config{Params: p}
+	switch scheme {
+	case ECMP, Flowlet, FlowDyn:
+	case FlowBender:
+		cfg.FlowBender = flowBenderConfig(rng, fb, raw)
+	case RPS, DeTail:
+		cfg.Spray = true
+		cfg.ShortCutoff = math.MaxInt64
+	case RepFlow:
+		cfg.Replicate = true
+		cfg.ShortCutoff = RepFlowCutoff
+	case DiffFlow:
+		cfg.Spray = true
+		cfg.ShortCutoff = DiffFlowCutoff
+	default:
+		panic("experiments: unknown scheme")
+	}
+	return cfg
+}
+
+// fatTree builds the fabric the setup describes on one engine.
+func (set schemeSetup) fatTree(eng *sim.Engine, p topo.Params) *topo.FatTree {
+	p.PFC = set.pfc
+	ft := topo.NewFatTree(eng, p)
+	ft.SetSelector(set.sel)
+	return ft
+}
+
+// leafSpine is fatTree for the testbed-style fabrics.
+func (set schemeSetup) leafSpine(eng *sim.Engine, lp topo.LeafSpineParams) *topo.LeafSpine {
+	lp.PFC = set.pfc
+	ls := topo.NewLeafSpine(eng, lp)
+	ls.SetSelector(set.sel)
+	return ls
 }
 
 // shardable reports whether an all-to-all point of this scheme may split

@@ -66,7 +66,7 @@ func (r *SensitivityResult) run(o Options, cfgOf func(v float64) core.Config) {
 		oo := o
 		oo.Seed = o.seedAt(pt.rep)
 		oo.pointKey = name(pt)
-		return oo.runFlowBenderAllToAll(cfgOf(r.Values[pt.vi]), r.Load).FCT.All().Mean()
+		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: cfgOf(r.Values[pt.vi]), load: r.Load}).FCT.All().Mean()
 	})
 
 	abs := make([]float64, len(r.Values))

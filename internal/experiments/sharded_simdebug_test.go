@@ -27,5 +27,5 @@ func TestSimdebugShardLookaheadTripwire(t *testing.T) {
 	o := Options{Seed: 7, Scale: ScaleTiny, Shards: 2}
 	// TinyScale's true lookahead is the 1µs switch forwarding delay; claim 4x.
 	o.debugShardWindow = 4 * sim.Microsecond
-	o.tryRunAllToAllSharded(allToAllSpec{scheme: ECMP, load: 0.6, flows: 50, srcTor: -1})
+	o.runAllToAll(allToAllSpec{scheme: ECMP, load: 0.6, flows: 50})
 }

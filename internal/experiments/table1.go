@@ -5,7 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/core"
+	"flowbender/internal/fluid"
 	"flowbender/internal/netsim"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
@@ -99,7 +99,7 @@ func Table1(o Options) *Table1Result {
 		oo := o
 		oo.Seed = o.seedAt(pt.rep)
 		oo.pointKey = name(pt)
-		m, x := oo.runValidation(pt.scheme, pt.k, size)
+		m, x := oo.runValidation(pt.scheme, nil, pt.k, size)
 		return t1Out{meanMs: m, maxMs: x}
 	})
 	idx := func(ki, si, rep int) int { return (ki*len(schemes)+si)*reps + rep }
@@ -134,41 +134,40 @@ func Table1(o Options) *Table1Result {
 	return res
 }
 
-func (o Options) runValidation(scheme Scheme, k int, size int64) (meanMs, maxMs float64) {
-	if o.Engine == EngineFluid {
-		return o.runValidationFluid(scheme, k, size)
-	}
-	rng := sim.NewRNG(o.Seed)
-	return o.runValidationSetup(scheme.setup(rng.Fork("scheme"), core.Config{}), k, size)
-}
-
-// runValidationSetup runs the ToR-to-ToR microbenchmark with an explicit
-// scheme setup (the ablation experiment passes raw FlowBender configs).
-func (o Options) runValidationSetup(set schemeSetup, k int, size int64) (meanMs, maxMs float64) {
-	eng := sim.NewEngine()
-
-	p := o.params()
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
-
-	ids := workload.NewIDAllocator(netsim.FlowID(o.Seed * 131))
-	flows := workload.Validation(ids,
-		func(id netsim.FlowID, src, dst *netsim.Host, sz int64) *tcp.Flow {
-			return tcp.StartFlow(eng, set.cfg, id, src, dst, sz)
+// runValidation runs the ToR-to-ToR microbenchmark: k simultaneous equal
+// flows from the hosts of ToR 0 / pod 0 to the hosts of ToR 0 / pod 1, flow i
+// between the i-th servers (mod the ToR size) of the two. The flow IDs — and
+// with them the port draws feeding the ECMP hashes, so the hash-collision
+// luck being measured — vary with the seed and are shared by both engines.
+// setupFn, when non-nil, replaces the scheme's standard setup (the ablation
+// experiment passes raw FlowBender configs).
+func (o Options) runValidation(scheme Scheme, setupFn func(*sim.RNG) schemeSetup, k int, size int64) (meanMs, maxMs float64) {
+	var fct stats.Sketch
+	var flows []*tcp.Flow
+	o.runPoint(point{
+		scheme:  scheme,
+		setupFn: setupFn,
+		flows:   k,
+		burst:   true,
+		idBase:  netsim.FlowID(o.Seed * 131),
+		workload: func(_ *sim.RNG, p topo.Params) (schedule, sim.Time) {
+			// Host index (pod, tor, srv) = (pod*Tors+tor)*Servers+srv.
+			specs := make(batchOnce, k)
+			for i := range specs {
+				srv := int32(i % p.ServersPerTor)
+				specs[i] = workload.FlowSpec{SrcIdx: srv, DstIdx: int32(p.TorsPerPod*p.ServersPerTor) + srv, Size: size}
+			}
+			return &specs, 60 * sim.Second
 		},
-		hostsOf(ft, 0, 0), hostsOf(ft, 1, 0), k, size)
-
-	o.drain(eng, 60*sim.Second, allFlowsDone(flows))
-	o.recordPerf(eng)
-
-	var s stats.Sketch
+		onFlow:  func(f *tcp.Flow) { flows = append(flows, f) },
+		onFluid: func(d fluid.Done) { fct.Add(d.FCT.Seconds() * 1000) },
+	})
 	for _, f := range flows {
 		if f.Done() {
-			s.Add(f.FCT().Seconds() * 1000)
+			fct.Add(f.FCT().Seconds() * 1000)
 		}
 	}
-	return s.Mean(), s.Max()
+	return fct.Mean(), fct.Max()
 }
 
 // Print writes the table in the paper's layout, one line per (k, scheme)

@@ -5,12 +5,9 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/core"
-	"flowbender/internal/netsim"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
-	"flowbender/internal/tcp"
 	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
@@ -86,38 +83,25 @@ func Testbed(o Options) *TestbedResult {
 }
 
 func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	set := scheme.setup(rng.Fork("scheme"), core.Config{})
-
-	lp.PFC = set.pfc
-	ls := topo.NewLeafSpine(eng, lp)
-	ls.SetSelector(set.sel)
-
-	srcHosts := make([]*netsim.Host, 0, lp.ServersPerTor)
-	for _, h := range ls.TorHosts(0) {
-		srcHosts = append(srcHosts, ls.Hosts[h])
-	}
+	b := o.newBed(scheme)
+	ls := b.set.leafSpine(b.eng, lp)
 
 	// Load is relative to the source ToR's bisection slice: its uplinks.
 	bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)
 	flowsPerSec := load * bisectionBps / (float64(size) * 8)
 	gen := &workload.AllToAll{
-		Eng:      eng,
-		RNG:      rng.Fork("workload"),
-		Hosts:    ls.Hosts,
-		SrcHosts: srcHosts,
-		CDF:      workload.Fixed(size),
-		IDs:      &workload.IDAllocator{},
-		Start: func(id netsim.FlowID, src, dst *netsim.Host, sz int64) *tcp.Flow {
-			return tcp.StartFlow(eng, set.cfg, id, src, dst, sz)
-		},
+		Eng:              b.eng,
+		RNG:              b.rng.Fork("workload"),
+		Hosts:            ls.Hosts,
+		SrcHosts:         hostsAt(ls.Hosts, ls.TorHosts(0)),
+		CDF:              workload.Fixed(size),
+		IDs:              &workload.IDAllocator{},
+		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
 		MaxFlows:         flows,
 	}
 	gen.Run()
-	o.drain(eng, o.maxWait(), allFlowsDone2(gen))
-	o.recordPerf(eng)
+	b.drain(o.maxWait(), flows)
 
 	var s stats.Sketch
 	for _, f := range gen.Flows {

@@ -67,7 +67,7 @@ func TopoDependence(o Options) *TopoDepResult {
 		opt.Scale = configs[pt.ci].scale
 		opt.execPool = pl
 		opt.pointKey = name(pt)
-		return opt.runAllToAllOn(configs[pt.ci].p, pt.scheme, res.Load)
+		return opt.runAllToAll(allToAllSpec{scheme: pt.scheme, load: res.Load, params: &configs[pt.ci].p}).FCT.All().Mean()
 	})
 	for ci, c := range configs {
 		ecmp, fb := outs[2*ci], outs[2*ci+1]
@@ -79,13 +79,6 @@ func TopoDependence(o Options) *TopoDepResult {
 		o.logf("topodep: P=%d ecmp=%.3gms fb=%.3gms improvement=%.2fx", paths, ecmp*1000, fb*1000, imp)
 	}
 	return res
-}
-
-// runAllToAllOn is runAllToAll with an explicit topology (mean FCT seconds).
-func (o Options) runAllToAllOn(p topo.Params, scheme Scheme, load float64) float64 {
-	saved := o
-	out := saved.runAllToAllParams(p, scheme, load)
-	return out.FCT.All().Mean()
 }
 
 // Print writes the path-diversity comparison.

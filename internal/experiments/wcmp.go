@@ -74,14 +74,14 @@ func WCMP(o Options) *WCMPResult {
 }
 
 func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
+	b := &bed{o: o, eng: sim.NewEngine(), rng: sim.NewRNG(o.Seed),
+		set: schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}}}
 
 	lp := topo.SmallTestbed()
 	if o.Scale == ScalePaper {
 		lp = topo.TestbedScale()
 	}
-	ls := topo.NewLeafSpine(eng, lp)
+	ls := topo.NewLeafSpine(b.eng, lp)
 
 	// Make spine path 0 half-rate in both directions between ToR 0 and 1
 	// (an incremental-deployment asymmetry).
@@ -90,46 +90,34 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 		ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
 	}
 
-	var sel netsim.Selector = routing.ECMP{}
 	if v.Weights != nil {
 		w := make(map[int32]int, len(v.Weights))
 		for k, wt := range v.Weights {
 			w[int32(lp.ServersPerTor)+k] = wt // uplink ports follow server ports
 		}
-		sel = &routing.WCMP{Weights: w}
+		b.set.sel = &routing.WCMP{Weights: w}
 	}
-	ls.SetSelector(sel)
+	ls.SetSelector(b.set.sel)
 
-	cfg := tcp.DefaultConfig()
 	if v.FlowBender {
-		cfg.FlowBender = &core.Config{
-			MinEpochGap: StabilityGap, DesyncN: true, RNG: rng.Fork("fb"),
+		b.set.cfg.FlowBender = &core.Config{
+			MinEpochGap: StabilityGap, DesyncN: true, RNG: b.rng.Fork("fb"),
 		}
-	}
-
-	srcs, dsts := ls.TorHosts(0), ls.TorHosts(1)
-	srcHosts := make([]*netsim.Host, len(srcs))
-	dstHosts := make([]*netsim.Host, len(dsts))
-	for i := range srcs {
-		srcHosts[i], dstHosts[i] = ls.Hosts[srcs[i]], ls.Hosts[dsts[i]]
 	}
 	// Offered load: 60% of the asymmetric ToR-pair capacity (3.5 links).
 	capBps := float64(lp.LinkRateBps) * (float64(lp.Spines) - 0.5)
 	const flowBytes = 1_000_000
 	gen := &workload.AllToAll{
-		Eng: eng, RNG: rng.Fork("workload"),
-		Hosts: dstHosts, SrcHosts: srcHosts,
-		CDF: workload.Fixed(flowBytes),
-		IDs: &workload.IDAllocator{},
-		Start: func(id netsim.FlowID, src, dst *netsim.Host, sz int64) *tcp.Flow {
-			return tcp.StartFlow(eng, cfg, id, src, dst, sz)
-		},
+		Eng: b.eng, RNG: b.rng.Fork("workload"),
+		Hosts: hostsAt(ls.Hosts, ls.TorHosts(1)), SrcHosts: hostsAt(ls.Hosts, ls.TorHosts(0)),
+		CDF:              workload.Fixed(flowBytes),
+		IDs:              &workload.IDAllocator{},
+		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) * flowBytes * 8 / (0.6 * capBps)),
 		MaxFlows:         o.flowCount() / 2,
 	}
 	gen.Run()
-	o.drain(eng, o.maxWait(), allFlowsDone2(gen))
-	o.recordPerf(eng)
+	b.drain(o.maxWait(), gen.MaxFlows)
 
 	var s stats.Sketch
 	for _, f := range gen.Flows {

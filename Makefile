@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare results results-paper examples clean
+.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare benchmark benchmark-compare results results-paper examples clean
 
 all: build vet test
 
@@ -46,6 +46,18 @@ bench-json:
 # smoke-runs the benchmarks.
 bench-compare:
 	$(GO) run ./cmd/fbbench -compare
+
+# The repository benchmark declared in BENCHMARK.json (bench/README.md): one
+# record per workload on stdout, end-to-end metrics with output checks. Keep
+# the records (`make benchmark > new.jsonl`) to compare two commits.
+benchmark:
+	$(GO) run ./bench -all
+
+# Verdict per workload and metric between two recorded runs; exits nonzero
+# on a regression beyond a metric's bound. make benchmark-compare OLD=old.jsonl NEW=new.jsonl
+benchmark-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.jsonl NEW=new.jsonl" >&2; exit 2; }
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # Regenerate the paper's tables/figures at the 64-server scale. Simulation
 # points fan out across all cores (-parallel 0 = GOMAXPROCS); output is

@@ -233,6 +233,11 @@ func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine exp
 	fmt.Fprintln(os.Stderr, "fbbench: measuring fluid_a2a_flowbender ...")
 	snap.Measure(fmt.Sprintf("fluid_a2a_flowbender_%d", fluidBenchFlows),
 		func(b *testing.B) { benchkit.FluidAllToAllFlowBender(b, fluidBenchFlows) })
+	// Every flow sprayed: commits take the solver's general component loop,
+	// which the entries above (single-session shortcuts) never enter.
+	fmt.Fprintln(os.Stderr, "fbbench: measuring fluid_a2a_spray ...")
+	snap.Measure(fmt.Sprintf("fluid_a2a_spray_%d", fluidBenchFlows),
+		func(b *testing.B) { benchkit.FluidAllToAllSpray(b, fluidBenchFlows) })
 	// Solver-shards sweep: the same fluid point with the component-parallel
 	// solve engaged. Results are bit-identical to serial at any count; the
 	// sweep prices the dispatch (a win only materializes on a multi-core

@@ -20,6 +20,7 @@ func BenchmarkTCPTransfer10MB(b *testing.B) { TCPTransfer(b, 10_000_000) }
 // extras are flows/sec and allocs/op (the fluid engine's per-run footprint).
 func BenchmarkFluidAllToAll(b *testing.B)           { FluidAllToAll(b, 2000) }
 func BenchmarkFluidAllToAllFlowBender(b *testing.B) { FluidAllToAllFlowBender(b, 2000) }
+func BenchmarkFluidAllToAllSpray(b *testing.B)      { FluidAllToAllSpray(b, 2000) }
 func BenchmarkFluidAllToAllShards2(b *testing.B)    { FluidAllToAllShards(b, 2000, 2) }
 func BenchmarkFluidAllToAllShards8(b *testing.B)    { FluidAllToAllShards(b, 2000, 8) }
 

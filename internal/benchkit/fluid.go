@@ -1,6 +1,7 @@
 package benchkit
 
 import (
+	"math"
 	"testing"
 
 	"flowbender/internal/core"
@@ -63,6 +64,18 @@ func FluidAllToAllFlowBender(b *testing.B, flows int) {
 // dispatch costs (or wins) on the current box.
 func FluidAllToAllShards(b *testing.B, flows, shards int) {
 	cfg := fluid.Config{Params: topo.TinyScale(), SolverShards: shards}
+	fluidSteadyState(b, cfg, flows)
+}
+
+// FluidAllToAllSpray is FluidAllToAll with every flow sprayed over all of
+// its paths (the RPS/DeTail image: the cutoff is above any flow size). One
+// flow becomes one solver session per path, sharing its first and last link,
+// so arrivals couple into multi-session max-min components and commits take
+// the solver's general loop, which the other fluid_a2a entries, whose
+// components stay at one or two sessions, never enter. The tiny fabric has
+// at most four paths a flow, so components stay far smaller than at scale.
+func FluidAllToAllSpray(b *testing.B, flows int) {
+	cfg := fluid.Config{Params: topo.TinyScale(), Spray: true, ShortCutoff: math.MaxInt64}
 	fluidSteadyState(b, cfg, flows)
 }
 

@@ -51,6 +51,7 @@ type Snapshot struct {
 	//   exp_<name>_<scale>_simsec_per_wallsec    simulated s per wall second
 	//   exp_<name>_<scale>_flows_per_sec         completed flows per wall second
 	//   fluid_a2a_<flows>_flows_per_sec          fluid-engine all-to-all throughput
+	//   fluid_a2a_spray_<flows>_flows_per_sec    the same with every flow sprayed
 	Metrics map[string]float64 `json:"metrics"`
 }
 

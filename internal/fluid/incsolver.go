@@ -60,6 +60,15 @@ const parThreshDefault = 256
 // in sequence — results are bit-identical at any shard count, which the
 // solver-shards digest test pins the way byteident pins the packet engine.
 //
+// A component is progressive-filled over live sets (solveComp): the members
+// still unfrozen and the links that still carry one, compacted in place and
+// in order after every bottleneck iteration, each live link's share divided
+// out once per iteration. An iteration therefore costs what is still live,
+// not the component — sprayed transfers weld hundreds of sessions into one
+// component that freezes over dozens of iterations — and the rates are bit
+// for bit those of rescanning the whole component every time, which the
+// oracle in incsolver_oracle_test.go keeps doing.
+//
 // The steady-state Commit path performs zero heap allocations: all
 // link/session/scratch state lives in reusable arenas that only grow on
 // first use. (The parallel dispatch path, when a large multi-component
@@ -110,7 +119,6 @@ type IncSolver struct {
 	considered []int32
 	inA        []int32 // affected sessions, in staging/join order
 	aRate      []float64
-	aFrozen    []bool
 
 	// Component-split scratch (per solve round).
 	ufParent []int32
@@ -121,6 +129,10 @@ type IncSolver struct {
 	compOffs []int32
 	compLOff []int32
 	compLink []int32
+	// compShare caches each live link's fair share for one bottleneck
+	// iteration. Positional, parallel to compLink: it scales with the affected
+	// set, not the fabric, and components keep disjoint regions of it.
+	compShare []float64
 
 	iterCtr atomic.Uint64 // globally unique bottleneck-iteration tags
 
@@ -527,6 +539,33 @@ func (is *IncSolver) solveRound() {
 		}
 	}
 
+	ncomp := is.splitComps()
+
+	// Solve the components — serial, or on a small worker pool when the
+	// affected set is large. Components are link-disjoint, so both paths
+	// perform the identical arithmetic and produce bit-identical rates.
+	thresh := is.parThresh
+	if thresh == 0 {
+		thresh = parThreshDefault
+	}
+	if is.shards > 1 && ncomp > 1 && n >= thresh {
+		is.solveCompsParallel(ncomp)
+	} else {
+		for c := 0; c < ncomp; c++ {
+			is.solveComp(c)
+		}
+	}
+
+	is.applyRates(rg)
+}
+
+// splitComps groups the affected set into link-connected components,
+// numbered by first appearance in A order, and sizes the per-component
+// regions of the solve arenas. It returns the component count.
+func (is *IncSolver) splitComps() int {
+	n := len(is.inA)
+	rg := is.roundGen
+
 	// Union-find the affected sessions into link-connected components.
 	is.ufParent = grown(is.ufParent, n)
 	for i := 0; i < n; i++ {
@@ -584,6 +623,7 @@ func (is *IncSolver) solveRound() {
 	}
 	is.compSess = grown(is.compSess, n)
 	is.compLink = grown(is.compLink, n*sessBlock)
+	is.compShare = grown(is.compShare, n*sessBlock)
 	for c := 0; c < ncomp; c++ {
 		is.compCnt[c] = is.compOffs[c] // reuse as fill cursor
 	}
@@ -594,24 +634,7 @@ func (is *IncSolver) solveRound() {
 	}
 
 	is.aRate = grown(is.aRate, n)
-	is.aFrozen = grown(is.aFrozen, n)
-
-	// Solve the components — serial, or on a small worker pool when the
-	// affected set is large. Components are link-disjoint, so both paths
-	// perform the identical arithmetic and produce bit-identical rates.
-	thresh := is.parThresh
-	if thresh == 0 {
-		thresh = parThreshDefault
-	}
-	if is.shards > 1 && ncomp > 1 && n >= thresh {
-		is.solveCompsParallel(ncomp)
-	} else {
-		for c := 0; c < ncomp; c++ {
-			is.solveComp(c)
-		}
-	}
-
-	is.applyRates(rg)
+	return ncomp
 }
 
 // applyRates folds the round's new rates into the shared link loads and
@@ -677,22 +700,29 @@ func ufFind(p []int32, x int32) int32 {
 }
 
 // solveComp progressive-fills one affected component against the residual
-// capacity its links have left after the untouched outsiders. The loop body
-// mirrors waterfiller.solve exactly — same level construction, same epsilon
-// policy, same numerical backstop — so the incremental solver inherits the
-// reference solver's arithmetic.
+// capacity its links have left after the untouched outsiders. Level
+// construction, epsilon policy and numerical backstop are waterfiller.solve's,
+// so the incremental solver inherits the reference solver's arithmetic.
+//
+// sess and links are the live sets of the type comment. Compaction keeps
+// their order because sessions must freeze in A order: only then does every
+// wRem[l] -= freezeAt land in the order a full rescan applies it, and two
+// members freezing in one iteration on caps that tie within eps, not
+// exactly, make that order visible in the result bits.
 func (is *IncSolver) solveComp(c int) {
 	rg := is.roundGen
 	sess := is.compSess[is.compOffs[c]:is.compOffs[c+1]]
 	// Three-index slice: the append below must stay inside this component's
-	// region of the shared arena — components solve concurrently.
-	links := is.compLink[is.compLOff[c]:is.compLOff[c]:is.compLOff[c+1]]
+	// region of the shared arenas — components solve concurrently.
+	lo, hi := is.compLOff[c], is.compLOff[c+1]
+	links := is.compLink[lo:lo:hi]
+	share := is.compShare[lo:hi]
 
-	unfrozen := 0
+	live := 0
 	for _, ai := range sess {
 		s := is.inA[ai]
 		if is.sN[s] == 0 {
-			is.aFrozen[ai] = true
+			// Linkless: rate is the cap alone, never enters the loop.
 			if is.sCap[s] >= hugeCap {
 				is.aRate[ai] = 0
 			} else {
@@ -700,10 +730,10 @@ func (is *IncSolver) solveComp(c int) {
 			}
 			continue
 		}
-		is.aFrozen[ai] = false
+		sess[live] = ai
+		live++
 		is.aRate[ai] = 0
-		unfrozen++
-		base := int32(is.inA[ai]) * sessBlock
+		base := int32(s) * sessBlock
 		for j := int8(0); j < is.sN[s]; j++ {
 			l := is.sLink[base+int32(j)]
 			if is.wSeen[l] != rg {
@@ -718,6 +748,7 @@ func (is *IncSolver) solveComp(c int) {
 			is.wAct[l]++
 		}
 	}
+	sess = sess[:live]
 
 	// Single-session shortcut for the dominant steady-state component. With
 	// one member, every member link has wAct == 1 (wRem/1 is IEEE-exact), the
@@ -728,7 +759,7 @@ func (is *IncSolver) solveComp(c int) {
 	// A path that crosses the same link twice (possible through the raw Add
 	// API, never from the path builder) would need the wAct bookkeeping, so
 	// it takes the general loop; len(links) < sN detects exactly that.
-	if unfrozen == 1 && len(sess) == 1 && len(links) == int(is.sN[is.inA[sess[0]]]) {
+	if len(sess) == 1 && len(links) == int(is.sN[is.inA[sess[0]]]) {
 		ai := sess[0]
 		cp := is.sCap[is.inA[ai]]
 		level := math.Inf(1)
@@ -749,39 +780,42 @@ func (is *IncSolver) solveComp(c int) {
 		} else {
 			is.aRate[ai] = level
 		}
-		is.aFrozen[ai] = true
 		return
 	}
 
-	for unfrozen > 0 {
+	for len(sess) > 0 {
 		tag := is.iterCtr.Add(1)
 		level := math.Inf(1)
+		// One pass drops the links whose last member froze, computes each
+		// survivor's fair share once, and takes the minimum.
+		w := 0
 		for _, l := range links {
 			if is.wAct[l] > 0 {
-				if v := is.wRem[l] / float64(is.wAct[l]); v < level {
+				v := is.wRem[l] / float64(is.wAct[l])
+				links[w], share[w] = l, v
+				w++
+				if v < level {
 					level = v
 				}
 			}
 		}
+		links = links[:w]
 		for _, ai := range sess {
-			if !is.aFrozen[ai] && is.sCap[is.inA[ai]] < level {
-				level = is.sCap[is.inA[ai]]
+			if cp := is.sCap[is.inA[ai]]; cp < level {
+				level = cp
 			}
 		}
 		if level < 0 {
 			level = 0
 		}
 		eps := level*1e-9 + 1e-15
-		for _, l := range links {
-			if is.wAct[l] > 0 && is.wRem[l]/float64(is.wAct[l]) <= level+eps {
+		for i, l := range links {
+			if share[i] <= level+eps {
 				is.wBneck[l] = tag
 			}
 		}
-		froze := false
+		w = 0
 		for _, ai := range sess {
-			if is.aFrozen[ai] {
-				continue
-			}
 			s := is.inA[ai]
 			base := int32(s) * sessBlock
 			freezeAt := -1.0
@@ -796,12 +830,11 @@ func (is *IncSolver) solveComp(c int) {
 				}
 			}
 			if freezeAt < 0 {
+				sess[w] = ai
+				w++
 				continue
 			}
-			is.aFrozen[ai] = true
 			is.aRate[ai] = freezeAt
-			unfrozen--
-			froze = true
 			for j := int8(0); j < is.sN[s]; j++ {
 				l := is.sLink[base+int32(j)]
 				is.wRem[l] -= freezeAt
@@ -811,16 +844,14 @@ func (is *IncSolver) solveComp(c int) {
 				is.wAct[l]--
 			}
 		}
-		if !froze {
+		if w == len(sess) {
 			// Numerical backstop, as in the reference solver.
 			for _, ai := range sess {
-				if !is.aFrozen[ai] {
-					is.aFrozen[ai] = true
-					is.aRate[ai] = level
-				}
+				is.aRate[ai] = level
 			}
 			return
 		}
+		sess = sess[:w]
 	}
 }
 

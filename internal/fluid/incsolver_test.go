@@ -269,7 +269,8 @@ func TestSolverShardsBitIdentical(t *testing.T) {
 // TestIncrementalZeroAllocSteadyState is the allocation-regression gate's
 // solver half: once the arenas are warm, a full churn cycle — add, cap
 // change, reroute, remove, with a commit after each — performs zero heap
-// allocations. CI fails on any nonzero count; "almost zero" is how arena
+// allocations, and so does a session joining and leaving a warm 200-member
+// component. CI fails on any nonzero count; "almost zero" is how arena
 // disciplines rot.
 func TestIncrementalZeroAllocSteadyState(t *testing.T) {
 	caps := []float64{10e9, 10e9, 10e9, 10e9, 40e9, 40e9}
@@ -295,6 +296,38 @@ func TestIncrementalZeroAllocSteadyState(t *testing.T) {
 	}
 	is.Remove(a)
 	is.Commit()
+
+	// The coupled regime: a session joining a warm component of 200 members
+	// drags every one of them through the general solve loop (J1 on the way
+	// in, J2 on the way out) — live-set compaction, share scratch and all —
+	// and that must be as allocation-free as the lone-session cycle above.
+	const members = 200
+	wide := make([]float64, 1+8)
+	wide[0] = 100e9
+	for i := 1; i < len(wide); i++ {
+		wide[i] = float64(i) * 4e9 // unequal side links: the component freezes over several iterations
+	}
+	is.Reset(wide, nil)
+	for i := 0; i < members; i++ {
+		is.Add([]int32{0, int32(1 + i%8)}, 0)
+	}
+	is.Commit()
+	joiner := []int32{0}
+	resolved := 0
+	coupled := func() {
+		j := is.Add(joiner, 0)
+		is.Commit()
+		resolved = len(is.Affected())
+		is.Remove(j)
+		is.Commit()
+	}
+	coupled()
+	if resolved <= members {
+		t.Fatalf("joining session re-solved %d sessions, want the whole %d-member component and itself", resolved, members)
+	}
+	if n := testing.AllocsPerRun(100, coupled); n != 0 {
+		t.Fatalf("coupled add/commit/remove/commit cycle allocates %v times per run, want 0", n)
+	}
 }
 
 // FuzzIncrementalSolver decodes a byte string into a fabric plus a mutation
@@ -307,8 +340,11 @@ func TestIncrementalZeroAllocSteadyState(t *testing.T) {
 // Encoding: [nLinks u8] then nLinks f32 capacity scales, then op codes:
 // u8 % 6 selects add/add/remove/setcap/setlinks/commit, each consuming its
 // operands from the stream (truncated input pads with zeros). The seed
-// corpus in testdata/fuzz covers every op, hostile capacities, and the
-// duplicate-link fast-path guards.
+// corpus in testdata/fuzz covers every op, hostile capacities, the
+// duplicate-link fast-path guards, and (the seed_spray_* entries) sprayed
+// transfers whose components freeze over several iterations. Alongside the
+// waterfill tolerance check, every commit must reproduce the full-rescan
+// loop of incsolver_oracle_test.go bit for bit.
 func FuzzIncrementalSolver(f *testing.F) {
 	f.Add([]byte{3, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40, 0x40,
 		0, 2, 0, 0, 0, 0, 1, 2, 5})
@@ -322,16 +358,17 @@ func FuzzIncrementalSolver(f *testing.F) {
 		for i := range caps {
 			caps[i] = float64(rd.f32()) * 1e6
 		}
-		var is IncSolver
-		is.Reset(caps, nil)
-		var live []modelSess
+		// One shipped solver, serial, in lockstep with the full-rescan oracle:
+		// ls.commit requires the two to agree bit for bit.
+		ls := newLockstep(t, caps, 1)
+		is := ls.subj[0]
 		verify := func() {
-			sessions := make([]Session, len(live))
-			for i, m := range live {
+			sessions := make([]Session, len(ls.live))
+			for i, m := range ls.live {
 				sessions[i] = Session{Links: effectiveLinks(nLinks, m.links), Cap: m.cap}
 			}
 			want := Waterfill(caps, sessions)
-			for i, m := range live {
+			for i, m := range ls.live {
 				got := is.Rate(m.id)
 				if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
 					t.Fatalf("session %d: invalid rate %v", i, got)
@@ -342,47 +379,44 @@ func FuzzIncrementalSolver(f *testing.F) {
 				}
 			}
 		}
+		path := func() []int32 {
+			links := make([]int32, rd.u8()%9)
+			for j := range links {
+				links[j] = int32(rd.u8()) - 4
+			}
+			return links
+		}
 		steps := int(rd.u8()%28) + 2
 		for i := 0; i < steps; i++ {
 			switch rd.u8() % 6 {
 			case 0, 1: // add
-				np := int(rd.u8() % 9)
+				np := rd.u8() % 9
 				cap := float64(rd.f32())
 				links := make([]int32, np)
 				for j := range links {
 					links[j] = int32(rd.u8()) - 4
 				}
-				id := is.Add(links, cap)
-				live = append(live, modelSess{id: id, links: links, cap: cap})
+				ls.add(links, cap)
 			case 2: // remove
-				if len(live) > 0 {
-					k := int(rd.u8()) % len(live)
-					is.Remove(live[k].id)
-					live = append(live[:k], live[k+1:]...)
+				if len(ls.live) > 0 {
+					ls.remove(int(rd.u8()) % len(ls.live))
 				}
 			case 3: // set cap
-				if len(live) > 0 {
-					k := int(rd.u8()) % len(live)
-					live[k].cap = float64(rd.f32())
-					is.SetCap(live[k].id, live[k].cap)
+				if len(ls.live) > 0 {
+					k := int(rd.u8()) % len(ls.live)
+					ls.setCap(k, float64(rd.f32()))
 				}
 			case 4: // reroute
-				if len(live) > 0 {
-					k := int(rd.u8()) % len(live)
-					np := int(rd.u8() % 9)
-					links := make([]int32, np)
-					for j := range links {
-						links[j] = int32(rd.u8()) - 4
-					}
-					live[k].links = links
-					is.SetLinks(live[k].id, links)
+				if len(ls.live) > 0 {
+					k := int(rd.u8()) % len(ls.live)
+					ls.setLinks(k, path())
 				}
 			case 5: // commit + oracle check
-				is.Commit()
+				ls.commit()
 				verify()
 			}
 		}
-		is.Commit()
+		ls.commit()
 		verify()
 	})
 }

@@ -165,7 +165,7 @@ const compactMin = 64
 // busy tick's event burst (TCP windows serialize ~2 packets per tick but
 // cluster several fabric steps each). The cursor rotates through all buckets
 // every lap, so every touched bucket's backing array is long-lived: carving
-// them all from one arena up front (256 × 32 × 24 B ≈ 200 KB per engine)
+// them all from one arena up front (256 × 32 × 32 B = 256 KB per engine)
 // makes steady-state scheduling allocation-free instead of re-growing cold
 // buckets from nil each lap. A bucket that outgrows its slice falls back to
 // append's normal reallocation and keeps the larger array.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare benchmark benchmark-compare results results-paper examples clean
+.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare benchmark benchmark-compare benchmark-pair results results-paper examples clean
 
 all: build vet test
 
@@ -58,6 +58,14 @@ benchmark:
 benchmark-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchmark-compare OLD=old.jsonl NEW=new.jsonl" >&2; exit 2; }
 	$(GO) run ./bench -compare $(OLD) $(NEW)
+
+# The measurement a perf change's claim rests on: ./bench built at PARENT (in
+# a temporary git worktree) and in the working tree, ten alternating pairs per
+# workload, then benchmark-compare over the two record files (ci/benchpair.sh
+# documents PAIRS, RUN_SECONDS and OUT). make benchmark-pair PARENT=HEAD~1 [WORKLOADS="fluid-a2a fluid-mix"]
+benchmark-pair:
+	@test -n "$(PARENT)" || { echo "usage: make benchmark-pair PARENT=<ref> [WORKLOADS=\"...\"]" >&2; exit 2; }
+	./ci/benchpair.sh $(PARENT) $(WORKLOADS)
 
 # Regenerate the paper's tables/figures at the 64-server scale. Simulation
 # points fan out across all cores (-parallel 0 = GOMAXPROCS); output is

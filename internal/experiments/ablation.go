@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"flowbender/internal/core"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 )
@@ -72,22 +71,17 @@ func Ablations(o Options) *AblationResult {
 	}
 	res.ValIdealMs = 3 * float64(size) * 8 / float64(p.LinkRateBps) * 1000
 
-	pool := o.pool()
 	type valOut struct{ mean, max float64 }
 	a2aName := func(v AblationVariant) string {
 		return o.pointLabel("ablations/a2a/%s/seed=%d", v.Name, o.Seed)
 	}
-	a2aOuts := runpool.MapNamed(pool, res.Variants, a2aName, func(v AblationVariant) *runOutcome {
-		oo := o
-		oo.pointKey = a2aName(v)
+	a2aOuts := fanOut(o, res.Variants, a2aName, func(oo Options, v AblationVariant) *runOutcome {
 		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: v.Cfg, rawFB: true, load: res.Load})
 	})
 	valName := func(v AblationVariant) string {
 		return o.pointLabel("ablations/val/%s/seed=%d", v.Name, o.Seed)
 	}
-	valOuts := runpool.MapNamed(pool, res.Variants, valName, func(v AblationVariant) valOut {
-		oo := o
-		oo.pointKey = valName(v)
+	valOuts := fanOut(o, res.Variants, valName, func(oo Options, v AblationVariant) valOut {
 		// The controller draws from the "flowbender" fork of the root
 		// stream here, not of the scheme stream as everywhere else; the
 		// goldens pin that.

@@ -7,7 +7,6 @@ import (
 
 	"flowbender/internal/core"
 	"flowbender/internal/fluid"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -139,13 +138,47 @@ type a2aPoint struct {
 	rep    int
 }
 
+func (pt a2aPoint) model() (Scheme, any) {
+	return pt.scheme, a2aPoint{load: pt.load, rep: pt.rep}
+}
+
 // AllToAll runs the §4.2.2 workload: heavy-tailed flow sizes, Poisson
 // arrivals, uniform random all-to-all traffic at each load, for every
 // scheme. Every scheme sees the identical flow arrival sequence. The
 // (load, scheme, seed) points are independent simulations, so they fan out
 // across Options.Parallelism workers; outcomes are collected in submission
-// order, keeping the tables byte-identical at any parallelism.
+// order, keeping the tables byte-identical at any parallelism. On the fluid
+// engine, schemes with identical fluid models share one simulation (see sweep).
 func AllToAll(o Options) *AllToAllResult {
+	name := func(pt a2aPoint) string {
+		return o.pointLabel("alltoall/load=%g/%s/seed=%d", pt.load, pt.scheme, o.seedAt(pt.rep))
+	}
+	return o.assembleAllToAll(sweep(o, "alltoall", o.a2aPoints(), name, Options.runA2APoint))
+}
+
+// a2aPoints lists the sweep in table order: by load, then scheme, then
+// replicate seed.
+func (o Options) a2aPoints() []a2aPoint {
+	var points []a2aPoint
+	for _, load := range DefaultLoads {
+		for _, s := range AllSchemes {
+			for rep := 0; rep < o.seeds(); rep++ {
+				points = append(points, a2aPoint{load: load, scheme: s, rep: rep})
+			}
+		}
+	}
+	return points
+}
+
+// runA2APoint simulates one point of the sweep.
+func (o Options) runA2APoint(pt a2aPoint) *runOutcome {
+	o.Seed = o.seedAt(pt.rep)
+	return o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
+}
+
+// assembleAllToAll builds the figures from the sweep's outcomes, in
+// a2aPoints order.
+func (o Options) assembleAllToAll(outs []*runOutcome) *AllToAllResult {
 	reps := o.seeds()
 	res := &AllToAllResult{
 		Loads:    DefaultLoads,
@@ -161,26 +194,6 @@ func AllToAll(o Options) *AllToAllResult {
 			ecmpIdx = i
 		}
 	}
-
-	var points []a2aPoint
-	for _, load := range res.Loads {
-		for _, s := range res.Schemes {
-			for rep := 0; rep < reps; rep++ {
-				points = append(points, a2aPoint{load: load, scheme: s, rep: rep})
-			}
-		}
-	}
-	pl := o.pool()
-	name := func(pt a2aPoint) string {
-		return o.pointLabel("alltoall/load=%g/%s/seed=%d", pt.load, pt.scheme, o.seedAt(pt.rep))
-	}
-	outs := runpool.MapNamed(pl, points, name, func(pt a2aPoint) *runOutcome {
-		oo := o
-		oo.Seed = o.seedAt(pt.rep)
-		oo.execPool = pl
-		oo.pointKey = name(pt)
-		return oo.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
-	})
 	idx := func(li, si, rep int) int { return (li*len(res.Schemes)+si)*reps + rep }
 
 	for li, load := range res.Loads {

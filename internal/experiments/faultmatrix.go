@@ -139,11 +139,8 @@ func FaultMatrix(o Options) *FaultMatrixResult {
 	name := func(pt faultPoint) string {
 		return o.pointLabel("faults/%s/%s/seed=%d", pt.scenario.name, pt.scheme, o.Seed)
 	}
-	outs := runpool.MapResultsNamed(o.pool(), points, name, func(pt faultPoint) FaultCell {
-		oo := o
-		oo.pointKey = name(pt)
-		return res.runOne(oo, pt)
-	})
+	pl := o.pool()
+	outs := runpool.MapResultsNamed(pl, points, name, onPool(o, pl, name, res.runOne))
 	for i, pt := range points {
 		cell := outs[i].Val
 		if outs[i].Err != nil {
@@ -191,6 +188,7 @@ func selectScenarios(names []string) []faultScenario {
 // scenario constants, never writes, so parallel calls are safe.
 func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	b := o.newBed(pt.scheme)
+	defer b.release()
 	p := o.params()
 	ft := b.set.fatTree(b.eng, p)
 

@@ -5,8 +5,6 @@ import (
 	"io"
 	"math"
 	"text/tabwriter"
-
-	"flowbender/internal/runpool"
 )
 
 // Fidelity divergence bounds: the documented contract between the two
@@ -108,11 +106,9 @@ func FidelityMatrix(o Options) *FidelityResult {
 		oo.Scale = sc
 		res.Flows[sc] = oo.flowCount()
 	}
-	outs := runpool.MapNamed(o.pool(), points, name, func(pt fPoint) fOut {
-		oo := o
+	outs := fanOut(o, points, name, func(oo Options, pt fPoint) fOut {
 		oo.Scale = pt.scale
 		oo.Engine = pt.engine
-		oo.pointKey = name(pt)
 		// A private PerfStats isolates this point's event count; fold it
 		// into the caller's collector afterwards so -exp fidelity still
 		// reports aggregate throughput.

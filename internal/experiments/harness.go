@@ -94,6 +94,7 @@ func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool) {
 // reads.
 type bed struct {
 	o   Options
+	ar  *arena
 	eng *sim.Engine
 	rng *sim.RNG
 	set schemeSetup
@@ -103,10 +104,21 @@ type bed struct {
 
 // newBed sets scheme up exactly as §4.2 describes (see Scheme.setup).
 func (o Options) newBed(scheme Scheme) *bed {
-	b := &bed{o: o, eng: sim.NewEngine(), rng: sim.NewRNG(o.Seed)}
+	b := o.newBedWith(schemeSetup{})
 	b.set = scheme.setup(b.rng.Fork("scheme"), core.Config{})
 	return b
 }
+
+// newBedWith builds a bed around a given setup, on an engine from the
+// worker's arena; the experiment hands it back with release.
+func (o Options) newBedWith(set schemeSetup) *bed {
+	ar := o.takeArena()
+	return &bed{o: o, ar: ar, eng: ar.engine(0), rng: sim.NewRNG(o.Seed), set: set}
+}
+
+// release returns the bed's engine to the worker's arena. Nothing may read
+// the engine afterwards.
+func (b *bed) release() { b.o.releaseArena(b.ar) }
 
 // start is the bed's workload.FlowFactory: it starts one flow under the
 // scheme's transport configuration and counts its arrival and completion.

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flowbender/internal/netsim"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/topo"
 	"flowbender/internal/udp"
@@ -51,11 +50,7 @@ func Hotspot(o Options) *HotspotResult {
 	name := func(s Scheme) string {
 		return o.pointLabel("hotspot/%s/seed=%d", s, o.Seed)
 	}
-	outs := runpool.MapNamed(o.pool(), schemes, name, func(s Scheme) hotspotOut {
-		oo := o
-		oo.pointKey = name(s)
-		return oo.runHotspot(s)
-	})
+	outs := fanOut(o, schemes, name, Options.runHotspot)
 	for i, scheme := range schemes {
 		out := outs[i]
 		res.Paths = out.paths
@@ -70,6 +65,7 @@ func Hotspot(o Options) *HotspotResult {
 
 func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	b := o.newBed(scheme)
+	defer b.release()
 	eng := b.eng
 	lp := topo.SmallTestbed()
 	ls := b.set.leafSpine(eng, lp)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -63,11 +62,7 @@ func LinkFailure(o Options) *LinkFailureResult {
 	name := func(s Scheme) string {
 		return o.pointLabel("linkfailure/%s/seed=%d", s, o.Seed)
 	}
-	outs := runpool.MapNamed(o.pool(), schemes, name, func(s Scheme) linkFailureOut {
-		oo := o
-		oo.pointKey = name(s)
-		return res.runOne(oo, s)
-	})
+	outs := fanOut(o, schemes, name, res.runOne)
 	for i, scheme := range schemes {
 		out := outs[i]
 		res.Total = out.total
@@ -85,6 +80,7 @@ func LinkFailure(o Options) *LinkFailureResult {
 // (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
 func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
 	b := o.newBed(scheme)
+	defer b.release()
 	p := o.params()
 	ft := b.set.fatTree(b.eng, p)
 

@@ -206,7 +206,8 @@ type Options struct {
 	// execPool is the pool whose slot the current simulation point is
 	// running under; a sharded point borrows extra worker tokens from
 	// it (see Pool.TryAcquire) so shard workers and sibling points share
-	// one CPU budget. Set by the Map call sites that fan points out.
+	// one CPU budget, and every point draws its engine arena from it (see
+	// arena). Set by onPool, through which every experiment fans out.
 	execPool *runpool.Pool
 
 	// debugShardWindow (simdebug tripwire tests only) overrides the

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/runpool"
 	"flowbender/internal/stats"
 	"flowbender/internal/workload"
 )
@@ -65,10 +64,8 @@ func PartitionAggregate(o Options) *PartAggResult {
 	name := func(pt point) string {
 		return o.pointLabel("partagg/fanin=%d/%s/seed=%d", pt.fanIn, pt.scheme, o.seedAt(pt.rep))
 	}
-	outs := runpool.MapNamed(o.pool(), points, name, func(pt point) float64 {
-		oo := o
+	outs := fanOut(o, points, name, func(oo Options, pt point) float64 {
 		oo.Seed = o.seedAt(pt.rep)
-		oo.pointKey = name(pt)
 		return oo.runPartAgg(pt.scheme, pt.fanIn, res.Load, res.JobBytes)
 	})
 	idx := func(fi, si, rep int) int { return (fi*len(res.Schemes)+si)*reps + rep }
@@ -99,6 +96,7 @@ func PartitionAggregate(o Options) *PartAggResult {
 
 func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int64) float64 {
 	b := o.newBed(scheme)
+	defer b.release()
 	p := o.params()
 	ft := b.set.fatTree(b.eng, p)
 

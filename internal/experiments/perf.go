@@ -14,17 +14,21 @@ import (
 // throughput figures — events per wall second and simulated seconds per wall
 // second — that the benchmark snapshots track alongside latency metrics.
 //
+// The counters are books of work executed, not of results reported: a
+// fluid-engine sweep simulates schemes with identical fluid models once (see
+// sweep), and a point that receives another's outcome adds nothing here.
+//
 // Points run concurrently on the experiment pool, so the counters are
 // atomic; attach one PerfStats via Options.Perf and read it after the
 // experiment returns.
 type PerfStats struct {
-	// Events counts engine events executed across all points.
+	// Events counts engine events executed across all simulated points.
 	Events atomic.Int64
-	// SimNanos sums the virtual time each point's engine reached.
+	// SimNanos sums the virtual time each simulated point's engine reached.
 	SimNanos atomic.Int64
 	// FlowsCompleted counts transport flows that delivered their full
-	// payload, across all points of the experiments that report it (the
-	// production mix and the all-to-all family).
+	// payload, across all simulated points of the experiments that report
+	// it (the production mix and the all-to-all family).
 	FlowsCompleted atomic.Int64
 
 	mu sync.Mutex

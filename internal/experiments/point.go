@@ -197,9 +197,13 @@ func (o Options) runPoint(pt point) pointResult {
 		}
 		part, n = o.shardPlan(&pt, p, set)
 	}
+	// The engines (and the fluid simulation) come from the worker's arena
+	// and go back when the point has read its last from them.
+	ar := o.takeArena()
+	defer o.releaseArena(ar)
 	engines := make([]*sim.Engine, n)
 	for i := range engines {
-		engines[i] = sim.NewEngine()
+		engines[i] = ar.engine(i)
 	}
 	// Arrival and completion events bump the counters of the engine they run
 	// on; the drain predicate sums them at barriers.
@@ -245,7 +249,7 @@ func (o Options) runPoint(pt point) pointResult {
 	case fluidEng:
 		cfg := fluidConfig(p, pt.scheme, pt.fb, pt.rawFB, schemeRNG)
 		cfg.SolverShards = o.SolverShards
-		fs = fluid.NewSim(engines[0], cfg)
+		fs = ar.fluidSim(engines[0], cfg)
 		fs.OnDone = func(d fluid.Done) {
 			count[0].completed++
 			pt.onFluid(d)

@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 
 	"flowbender/internal/fluid"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -289,14 +288,10 @@ func ProductionMix(o Options) *ProductionMixResult {
 		Schemes:     schemes,
 		Cells:       make(map[Scheme]MixCell),
 	}
-	pl := o.pool()
 	name := func(s Scheme) string {
 		return o.pointLabel("production/%s/%s/seed=%d", res.Workload, s, o.Seed)
 	}
-	outs := runpool.MapNamed(pl, schemes, name, func(s Scheme) *mixOutcome {
-		oo := o
-		oo.execPool = pl
-		oo.pointKey = name(s)
+	outs := fanOut(o, schemes, name, func(oo Options, s Scheme) *mixOutcome {
 		return oo.runProduction(s, cdf, flows)
 	})
 	for i, s := range schemes {

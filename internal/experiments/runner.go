@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -120,10 +121,15 @@ func runExperiments(o Options, w io.Writer, reg []RegistryEntry) {
 					// the experiment, scheme, seed, and shard that died.
 					bufs[i].Reset()
 					fmt.Fprintf(&bufs[i], "FAILED: %v\n", r)
-					if pe, ok := r.(*runpool.PanicError); ok {
-						o.logf("%s FAILED: %v\n%s", name, pe, pe.Stack)
+					// (errors.As: a point that stood for others arrives wrapped
+					// with the schemes it stood for, see sweep.)
+					err, _ := r.(error)
+					var pe *runpool.PanicError
+					if errors.As(err, &pe) {
+						o.logf("%s FAILED: %v\n%s", name, err, pe.Stack)
 					}
-					if we, ok := r.(*runpool.WatchdogError); ok && o.Ckpt != nil && we.Point != "" {
+					var we *runpool.WatchdogError
+					if errors.As(err, &we) && o.Ckpt != nil && we.Point != "" {
 						// Preserve the wedged point's last barrier state for
 						// post-mortem inspection of the checkpoint file.
 						o.Ckpt.FlagWedged(we.Point)

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"flowbender/internal/core"
-	"flowbender/internal/runpool"
 	"flowbender/internal/stats"
 )
 
@@ -62,10 +61,8 @@ func (r *SensitivityResult) run(o Options, cfgOf func(v float64) core.Config) {
 	name := func(pt point) string {
 		return o.pointLabel("sensitivity/%s=%g/FlowBender/seed=%d", r.Param, r.Values[pt.vi], o.seedAt(pt.rep))
 	}
-	outs := runpool.MapNamed(o.pool(), points, name, func(pt point) float64 {
-		oo := o
+	outs := fanOut(o, points, name, func(oo Options, pt point) float64 {
 		oo.Seed = o.seedAt(pt.rep)
-		oo.pointKey = name(pt)
 		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: cfgOf(r.Values[pt.vi]), load: r.Load}).FCT.All().Mean()
 	})
 

@@ -7,7 +7,6 @@ import (
 
 	"flowbender/internal/fluid"
 	"flowbender/internal/netsim"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -59,49 +58,74 @@ func (r *Table1Result) Cell(ri int, s Scheme) (meanMs, maxMs float64) {
 // 25 MB (one decade smaller, preserving many-RTT flows and the flows-per-
 // path ratios 1, 2, 3 x paths).
 func Table1(o Options) *Table1Result {
-	p := o.params()
-	paths := p.PathsBetweenPods()
-	// The paper uses 250 MB flows; reduced scales use 50 MB (still
-	// thousands of RTTs per flow, so rerouting has room to converge).
-	var size int64 = 50_000_000
-	if o.Scale == ScalePaper {
-		size = 250_000_000
+	name := func(pt t1Point) string {
+		return o.pointLabel("table1/k=%d/%s/seed=%d", pt.k, pt.scheme, o.seedAt(pt.rep))
 	}
-	if o.Scale == ScaleTiny {
-		size = 25_000_000
-	}
-	counts := []int{1 * paths, 2 * paths, 3 * paths}
+	return o.assembleTable1(sweep(o, "table1", o.t1Points(), name, Options.runT1Point))
+}
 
-	// Micro-benchmarks with a handful of flows are dominated by the luck
-	// of the hash draw, so average the mean and max over several seeds
-	// below paper scale. Every (k, scheme, seed) triple is an isolated
-	// simulation; fan them all out on the pool and aggregate in order.
-	type t1Point struct {
-		k      int
-		scheme Scheme
-		rep    int
+// t1Point is one (k, scheme, seed) point of the Table 1 sweep, t1Out its
+// measurement.
+type t1Point struct {
+	k      int
+	scheme Scheme
+	rep    int
+}
+
+func (pt t1Point) model() (Scheme, any) {
+	return pt.scheme, t1Point{k: pt.k, rep: pt.rep}
+}
+
+type t1Out struct{ meanMs, maxMs float64 }
+
+// t1FlowBytes is the flow size: the paper uses 250 MB flows; reduced scales
+// use 50 MB (still thousands of RTTs per flow, so rerouting has room to
+// converge).
+func (o Options) t1FlowBytes() int64 {
+	switch o.Scale {
+	case ScalePaper:
+		return 250_000_000
+	case ScaleTiny:
+		return 25_000_000
 	}
-	reps := o.repeats()
-	schemes := AllSchemes
+	return 50_000_000
+}
+
+// t1Counts are the flow counts k: one, two and three flows per path.
+func (o Options) t1Counts() []int {
+	paths := o.params().PathsBetweenPods()
+	return []int{1 * paths, 2 * paths, 3 * paths}
+}
+
+// t1Points lists the sweep in table order: by k, then scheme, then replicate
+// seed. Micro-benchmarks with a handful of flows are dominated by the luck
+// of the hash draw, so the mean and max are averaged over several seeds
+// below paper scale; every (k, scheme, seed) triple is an isolated simulation.
+func (o Options) t1Points() []t1Point {
 	var points []t1Point
-	for _, k := range counts {
-		for _, scheme := range schemes {
-			for r := 0; r < reps; r++ {
+	for _, k := range o.t1Counts() {
+		for _, scheme := range AllSchemes {
+			for r := 0; r < o.repeats(); r++ {
 				points = append(points, t1Point{k: k, scheme: scheme, rep: r})
 			}
 		}
 	}
-	type t1Out struct{ meanMs, maxMs float64 }
-	name := func(pt t1Point) string {
-		return o.pointLabel("table1/k=%d/%s/seed=%d", pt.k, pt.scheme, o.seedAt(pt.rep))
-	}
-	outs := runpool.MapNamed(o.pool(), points, name, func(pt t1Point) t1Out {
-		oo := o
-		oo.Seed = o.seedAt(pt.rep)
-		oo.pointKey = name(pt)
-		m, x := oo.runValidation(pt.scheme, nil, pt.k, size)
-		return t1Out{meanMs: m, maxMs: x}
-	})
+	return points
+}
+
+// runT1Point simulates one point of the sweep.
+func (o Options) runT1Point(pt t1Point) t1Out {
+	o.Seed = o.seedAt(pt.rep)
+	m, x := o.runValidation(pt.scheme, nil, pt.k, o.t1FlowBytes())
+	return t1Out{meanMs: m, maxMs: x}
+}
+
+// assembleTable1 builds the table from the sweep's outcomes, in t1Points
+// order.
+func (o Options) assembleTable1(outs []t1Out) *Table1Result {
+	p := o.params()
+	paths := p.PathsBetweenPods()
+	size, counts, reps, schemes := o.t1FlowBytes(), o.t1Counts(), o.repeats(), AllSchemes
 	idx := func(ki, si, rep int) int { return (ki*len(schemes)+si)*reps + rep }
 
 	res := &Table1Result{FlowBytes: size, Paths: paths, Schemes: schemes, Seeds: o.Seeds}

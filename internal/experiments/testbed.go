@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/topo"
@@ -59,9 +58,7 @@ func Testbed(o Options) *TestbedResult {
 	name := func(pt point) string {
 		return o.pointLabel("testbed/load=%g/%s/seed=%d", pt.load, pt.scheme, o.Seed)
 	}
-	outs := runpool.MapNamed(o.pool(), points, name, func(pt point) [3]float64 {
-		oo := o
-		oo.pointKey = name(pt)
+	outs := fanOut(o, points, name, func(oo Options, pt point) [3]float64 {
 		s := oo.runTestbed(lp, pt.scheme, pt.load, flows, res.FlowBytes)
 		return [3]float64{s.Mean(), s.Percentile(99), s.Percentile(99.9)}
 	})
@@ -84,6 +81,7 @@ func Testbed(o Options) *TestbedResult {
 
 func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
 	b := o.newBed(scheme)
+	defer b.release()
 	ls := b.set.leafSpine(b.eng, lp)
 
 	// Load is relative to the source ToR's bisection slice: its uplinks.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"flowbender/internal/runpool"
 	"flowbender/internal/stats"
 	"flowbender/internal/topo"
 )
@@ -58,15 +57,11 @@ func TopoDependence(o Options) *TopoDepResult {
 	for ci := range configs {
 		points = append(points, point{ci, ECMP}, point{ci, FlowBender})
 	}
-	pl := o.pool()
 	name := func(pt point) string {
 		return o.pointLabel("topodep/fabric=%d/%s/seed=%d", pt.ci, pt.scheme, o.Seed)
 	}
-	outs := runpool.MapNamed(pl, points, name, func(pt point) float64 {
-		opt := o
+	outs := fanOut(o, points, name, func(opt Options, pt point) float64 {
 		opt.Scale = configs[pt.ci].scale
-		opt.execPool = pl
-		opt.pointKey = name(pt)
 		return opt.runAllToAll(allToAllSpec{scheme: pt.scheme, load: res.Load, params: &configs[pt.ci].p}).FCT.All().Mean()
 	})
 	for ci, c := range configs {

@@ -8,7 +8,6 @@ import (
 	"flowbender/internal/core"
 	"flowbender/internal/netsim"
 	"flowbender/internal/routing"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/topo"
 	"flowbender/internal/udp"
@@ -47,9 +46,7 @@ func UDPSpray(o Options) *UDPSprayResult {
 	name := func(v variant) string {
 		return o.pointLabel("udpspray/%s/seed=%d", v.name, o.Seed)
 	}
-	outs := runpool.MapNamed(o.pool(), variants, name, func(v variant) [2]float64 {
-		oo := o
-		oo.pointKey = name(v)
+	outs := fanOut(o, variants, name, func(oo Options, v variant) [2]float64 {
 		maxShare, ooo := oo.runUDPSpray(v.burst)
 		return [2]float64{maxShare, ooo}
 	})

@@ -8,7 +8,6 @@ import (
 	"flowbender/internal/core"
 	"flowbender/internal/netsim"
 	"flowbender/internal/routing"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -57,9 +56,7 @@ func WCMP(o Options) *WCMPResult {
 	name := func(v WCMPVariant) string {
 		return o.pointLabel("wcmp/%s/seed=%d", v.Name, o.Seed)
 	}
-	outs := runpool.MapNamed(o.pool(), res.Variants, name, func(v WCMPVariant) [3]float64 {
-		oo := o
-		oo.pointKey = name(v)
+	outs := fanOut(o, res.Variants, name, func(oo Options, v WCMPVariant) [3]float64 {
 		mean, p99, share := oo.runWCMP(v)
 		return [3]float64{mean, p99, share}
 	})
@@ -74,8 +71,8 @@ func WCMP(o Options) *WCMPResult {
 }
 
 func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
-	b := &bed{o: o, eng: sim.NewEngine(), rng: sim.NewRNG(o.Seed),
-		set: schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}}}
+	b := o.newBedWith(schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}})
+	defer b.release()
 
 	lp := topo.SmallTestbed()
 	if o.Scale == ScalePaper {

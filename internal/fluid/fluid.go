@@ -202,8 +202,32 @@ type Sim struct {
 
 // NewSim builds a fluid simulation on eng.
 func NewSim(eng *sim.Engine, cfg Config) *Sim {
+	s := &Sim{}
+	s.flushFn = s.onFlush
+	s.wakeFn = s.onWake
+	s.epochFn = s.epochTick
+	s.Reset(eng, cfg)
+	return s
+}
+
+// Reset re-initializes the simulation for a new run on eng (an engine with
+// nothing of the previous run pending), keeping what the previous run
+// allocated: the link model when the fabric shape is unchanged, the solver's
+// arenas, and the transfer, group and heap slots. A reset Sim behaves exactly
+// as a new one.
+func (s *Sim) Reset(eng *sim.Engine, cfg Config) {
 	cfg = cfg.withDefaults()
-	s := &Sim{eng: eng, cfg: cfg, net: NewNet(cfg.Params)}
+	if s.net == nil || s.net.p != cfg.Params {
+		s.net = NewNet(cfg.Params)
+	}
+	s.OnDone, s.Completed, s.Reroutes = nil, 0, 0
+	s.eng, s.cfg = eng, cfg
+	s.xfers, s.fbs, s.freeX = s.xfers[:0], s.fbs[:0], s.freeX[:0]
+	s.groups, s.freeG = s.groups[:0], s.freeG[:0]
+	s.active, s.owner = s.active[:0], s.owner[:0]
+	s.heap.es, s.heap.pos = s.heap.es[:0], s.heap.pos[:0]
+	s.flushPend, s.wake, s.wakeAt, s.epochEv, s.nFB = false, nil, 0, nil, 0
+
 	wirePkt := float64(cfg.MSS + cfg.HeaderBytes)
 	s.segWire = wirePkt * 8
 	s.ackWire = float64(cfg.HeaderBytes) * 8
@@ -211,10 +235,6 @@ func NewSim(eng *sim.Engine, cfg Config) *Sim {
 	s.rttEpoch = s.pathRTT(maxPathLinks)
 	s.inc.Reset(s.net.caps, s.net.marking)
 	s.inc.SetShards(cfg.SolverShards)
-	s.flushFn = s.onFlush
-	s.wakeFn = s.onWake
-	s.epochFn = s.epochTick
-	return s
 }
 
 // Engine returns the hosting event engine.
@@ -698,7 +718,13 @@ func (s *Sim) allocXfer() int32 {
 		s.freeX = s.freeX[:n-1]
 		return xi
 	}
-	s.xfers = append(s.xfers, xfer{})
+	// A slot within capacity is a previous run's (see Reset): reslice rather
+	// than append, so addXfer finds its path and session slices to reuse.
+	if n := len(s.xfers); n < cap(s.xfers) {
+		s.xfers = s.xfers[:n+1]
+	} else {
+		s.xfers = append(s.xfers, xfer{})
+	}
 	s.fbs = append(s.fbs, core.FlowBender{})
 	xi := int32(len(s.xfers) - 1)
 	s.heap.ensure(len(s.xfers))

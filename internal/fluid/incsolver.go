@@ -982,15 +982,17 @@ func (is *IncSolver) allocSession() int32 {
 	return s
 }
 
-// grown returns s extended to length n, reusing capacity.
+// grown returns s extended to length n, reusing capacity. Growth is one
+// allocation — appending element by element would reallocate and copy a
+// fabric-sized slice a dozen times on the way up — of exactly n on a cold
+// slice (Reset's per-link arrays), and of at least twice the old capacity on
+// a warm one, so the per-commit scratch that creeps up with the affected set
+// still grows amortized.
 func grown[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	var zero T
-	s = s[:cap(s)]
-	for len(s) < n {
-		s = append(s, zero)
-	}
-	return s
+	g := make([]T, n, max(n, 2*cap(s)))
+	copy(g, s[:cap(s)])
+	return g
 }

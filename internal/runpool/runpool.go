@@ -73,6 +73,9 @@ func (e *WatchdogError) Error() string {
 type Pool struct {
 	sem      chan struct{}
 	watchdog time.Duration
+
+	mu      sync.Mutex
+	scratch []any // see TakeScratch
 }
 
 // New returns a pool that runs at most parallelism tasks at once.
@@ -115,6 +118,47 @@ func (p *Pool) Release(n int) {
 	for i := 0; i < n; i++ {
 		<-p.sem
 	}
+}
+
+// TakeScratch hands the caller one value a finished task left with
+// PutScratch, or nil when there is none. It lets consecutive tasks on the
+// pool pass expensive reusable state (a simulation engine and its arenas)
+// from one to the next: a task takes a value at its start — building a new
+// one on nil — owns it exclusively while it runs, and puts it back when it
+// no longer reads it. The values are opaque to the pool and live exactly as
+// long as it does; unlike a sync.Pool's, they are never dropped behind the
+// tasks' back, so what a sweep allocates does not depend on when the
+// collector ran.
+func (p *Pool) TakeScratch() any {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.scratch)
+	if n == 0 {
+		return nil
+	}
+	v := p.scratch[n-1]
+	p.scratch[n-1] = nil
+	p.scratch = p.scratch[:n-1]
+	return v
+}
+
+// PutScratch leaves v for a later task's TakeScratch. The list never holds
+// more values than the pool runs tasks at once — no more can be in use
+// together, so a value beyond that (put by a task the watchdog abandoned, or
+// by a caller outside the pool's slots) is dropped.
+func (p *Pool) PutScratch(v any) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.scratch) < cap(p.sem) {
+		p.scratch = append(p.scratch, v)
+	}
+}
+
+// ScratchHeld returns how many values PutScratch is currently holding.
+func (p *Pool) ScratchHeld() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.scratch)
 }
 
 // SetWatchdog arms a wall-clock watchdog on every subsequently submitted

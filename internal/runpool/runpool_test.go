@@ -191,3 +191,49 @@ func TestPanicPropagates(t *testing.T) {
 	}()
 	f.Wait()
 }
+
+// The scratch free list passes each task's reusable state to a later task:
+// values are built only while fewer exist than tasks run at once, every task
+// owns its value exclusively, and the list never holds more than the pool's
+// parallelism — not even when values are put from outside the pool's slots.
+func TestScratchBoundedByParallelism(t *testing.T) {
+	const bound = 3
+	p := New(bound)
+	type scratch struct{ inUse atomic.Bool }
+	var built, shared, overfull atomic.Int64
+	MapN(p, 200, func(int) struct{} {
+		s, _ := p.TakeScratch().(*scratch)
+		if s == nil {
+			s = &scratch{}
+			built.Add(1)
+		}
+		if !s.inUse.CompareAndSwap(false, true) {
+			shared.Add(1)
+		}
+		time.Sleep(50 * time.Microsecond)
+		s.inUse.Store(false)
+		p.PutScratch(s)
+		if p.ScratchHeld() > bound {
+			overfull.Add(1)
+		}
+		return struct{}{}
+	})
+	if n := built.Load(); n < 1 || n > bound {
+		t.Errorf("built %d scratch values for %d workers", n, bound)
+	}
+	if shared.Load() > 0 {
+		t.Errorf("%d tasks were handed a value another task was using", shared.Load())
+	}
+	if overfull.Load() > 0 || p.ScratchHeld() > bound {
+		t.Errorf("free list exceeded the pool's parallelism (%d held at the end)", p.ScratchHeld())
+	}
+	for i := 0; i < 2*bound; i++ {
+		p.PutScratch(&scratch{})
+	}
+	if p.ScratchHeld() != bound {
+		t.Errorf("free list holds %d values after %d extra puts, want the bound %d", p.ScratchHeld(), 2*bound, bound)
+	}
+	if New(1).TakeScratch() != nil {
+		t.Error("TakeScratch on an empty list returned a value")
+	}
+}

@@ -181,6 +181,37 @@ func NewEngine() *Engine {
 	return e
 }
 
+// Reset returns the engine to time zero with nothing pending, keeping what it
+// has allocated: the wheel arena, every bucket that outgrew its share of it,
+// the overflow array and the event free list. A reset engine is
+// indistinguishable from a new one — same snapshots, same pop order for the
+// same schedule — so a worker can run its next simulation on it instead of
+// paying for a fresh arena.
+//
+// Whatever was still pending is cancelled and recycled, which ends every
+// handle's lifetime: a handle kept across Reset is stale in the sense of the
+// package comment (Cancel on it is a no-op; `-tags simdebug` panics).
+func (e *Engine) Reset() {
+	for i := range e.buckets {
+		e.buckets[i] = e.drop(e.buckets[i])
+	}
+	e.overflow = e.drop(e.overflow)
+	e.now, e.seq, e.Executed = 0, 0, 0
+	e.curTick, e.nWheel, e.nCancel = 0, 0, 0
+	e.occ = [len(e.occ)]uint64{}
+	e.stopped = false
+}
+
+// drop empties one mini-heap, recycling its events as cancelled.
+func (e *Engine) drop(h []heapEntry) []heapEntry {
+	for i, en := range h {
+		en.ev.cancel = true
+		e.release(en.ev)
+		h[i] = heapEntry{}
+	}
+	return h[:0]
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -77,15 +77,69 @@ func (m *refModel) run(until Time) {
 	}
 }
 
-// runEngineModel interprets data as an operation sequence over both the real
-// engine and the reference model and returns an error on any divergence.
-// The interpreter respects the handle-lifetime contract: a handle is only
-// cancelled while its callback has not run (the `done` flag is set by the
-// callback itself, exactly how transports drop their timer handles).
+// modelRun is what one interpreted sequence left behind on the real engine:
+// the firing order and the engine's snapshot after every operation.
+type modelRun struct {
+	order []int
+	trace []EngineState
+}
+
+// runEngineModel interprets data on a new engine, and then again on an engine
+// recycled from a run of the reversed sequence — abandoned mid-flight with
+// whatever it had pending, cancelled and in the overflow heap — which must
+// match the new engine step for step.
 func runEngineModel(data []byte) error {
+	fresh, err := interpretModel(NewEngine(), data, true)
+	if err != nil {
+		return err
+	}
+	prior := make([]byte, len(data))
+	for i, b := range data {
+		prior[len(data)-1-i] = b
+	}
 	eng := NewEngine()
+	if _, err := interpretModel(eng, prior, false); err != nil {
+		return fmt.Errorf("prior run: %v", err)
+	}
+	eng.Reset()
+	recycled, err := interpretModel(eng, data, true)
+	if err != nil {
+		return fmt.Errorf("on a recycled engine: %v", err)
+	}
+	return fresh.diff(recycled)
+}
+
+// diff reports the first step at which a recycled engine's run left the new
+// engine's.
+func (a modelRun) diff(b modelRun) error {
+	if len(a.trace) != len(b.trace) || len(a.order) != len(b.order) {
+		return fmt.Errorf("recycled engine: %d steps and %d firings, new engine %d and %d",
+			len(b.trace), len(b.order), len(a.trace), len(a.order))
+	}
+	for k := range a.trace {
+		if a.trace[k] != b.trace[k] {
+			return fmt.Errorf("recycled engine diverges at step %d: %+v, new engine %+v", k, b.trace[k], a.trace[k])
+		}
+	}
+	for k := range a.order {
+		if a.order[k] != b.order[k] {
+			return fmt.Errorf("recycled engine pops id %d at position %d, new engine id %d", b.order[k], k, a.order[k])
+		}
+	}
+	return nil
+}
+
+// interpretModel interprets data as an operation sequence over both eng (at
+// time zero, nothing pending) and the reference model and returns an error on
+// any divergence. With drain false it stops after the last operation, leaving
+// the engine however the sequence left it. The interpreter respects the
+// handle-lifetime contract: a handle is only cancelled while its callback has
+// not run (the `done` flag is set by the callback itself, exactly how
+// transports drop their timer handles).
+func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 	ref := &refModel{}
 	var got []int
+	var trace []EngineState
 
 	type handle struct {
 		ev   *Event
@@ -110,6 +164,7 @@ func runEngineModel(data []byte) error {
 		if !ok {
 			break
 		}
+		trace = append(trace, eng.Snapshot())
 		switch op % 8 {
 		case 0, 1, 2, 3: // schedule (half of all ops)
 			db, _ := nextByte()
@@ -165,7 +220,7 @@ func runEngineModel(data []byte) error {
 			eng.Run(until)
 			ref.run(until)
 			if eng.Now() != ref.now {
-				return fmt.Errorf("op %d: Run(%d): clock %d, reference %d", i, until, eng.Now(), ref.now)
+				return modelRun{}, fmt.Errorf("op %d: Run(%d): clock %d, reference %d", i, until, eng.Now(), ref.now)
 			}
 		case 7: // single steps
 			nb, _ := nextByte()
@@ -173,38 +228,42 @@ func runEngineModel(data []byte) error {
 				a := eng.Step()
 				b := ref.step()
 				if a != b {
-					return fmt.Errorf("op %d: Step() = %v, reference %v", i, a, b)
+					return modelRun{}, fmt.Errorf("op %d: Step() = %v, reference %v", i, a, b)
 				}
 				if a && eng.Now() != ref.now {
-					return fmt.Errorf("op %d: Step clock %d, reference %d", i, eng.Now(), ref.now)
+					return modelRun{}, fmt.Errorf("op %d: Step clock %d, reference %d", i, eng.Now(), ref.now)
 				}
 			}
 		}
 	}
 
+	trace = append(trace, eng.Snapshot())
+	if !drain {
+		return modelRun{order: got, trace: trace}, nil
+	}
 	eng.RunUntilIdle()
 	for ref.step() {
 	}
 
 	if len(got) != len(ref.order) {
-		return fmt.Errorf("fired %d events, reference fired %d", len(got), len(ref.order))
+		return modelRun{}, fmt.Errorf("fired %d events, reference fired %d", len(got), len(ref.order))
 	}
 	for k := range got {
 		if got[k] != ref.order[k] {
-			return fmt.Errorf("firing order diverges at %d: got id %d, reference id %d (got %v, want %v)",
+			return modelRun{}, fmt.Errorf("firing order diverges at %d: got id %d, reference id %d (got %v, want %v)",
 				k, got[k], ref.order[k], got, ref.order)
 		}
 	}
 	if eng.Now() != ref.now {
-		return fmt.Errorf("final clock %d, reference %d", eng.Now(), ref.now)
+		return modelRun{}, fmt.Errorf("final clock %d, reference %d", eng.Now(), ref.now)
 	}
 	if eng.Executed != uint64(len(got)) {
-		return fmt.Errorf("Executed = %d, fired %d", eng.Executed, len(got))
+		return modelRun{}, fmt.Errorf("Executed = %d, fired %d", eng.Executed, len(got))
 	}
 	if eng.Pending() != 0 {
-		return fmt.Errorf("Pending = %d after drain", eng.Pending())
+		return modelRun{}, fmt.Errorf("Pending = %d after drain", eng.Pending())
 	}
-	return nil
+	return modelRun{order: got, trace: append(trace, eng.Snapshot())}, nil
 }
 
 func TestEngineModelQuick(t *testing.T) {

@@ -146,3 +146,102 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state scheduling allocates %.1f times per batch", allocs)
 	}
 }
+
+// dirtyEngine returns an engine abandoned mid-run in every state Reset has to
+// clear: live and cancelled entries on the wheel, live and cancelled entries
+// in the overflow heap, a bucket grown past its arena share, a cursor far from
+// zero. It also returns one live and one cancelled handle still in the queue.
+func dirtyEngine(t *testing.T) (eng *Engine, live, cancelled *Event) {
+	t.Helper()
+	eng = NewEngine()
+	fn := func() {}
+	for i := 0; i < 3*bucketCap; i++ { // one bucket outgrows bucketCap
+		eng.Schedule(700*Microsecond, fn)
+	}
+	eng.Run(650 * Microsecond) // the cursor leaves tick zero; the burst is now on the wheel
+	live = eng.Schedule(10*Microsecond, fn)
+	cancelled = eng.Schedule(20*Microsecond, fn)
+	eng.Cancel(cancelled)
+	far := eng.Schedule(50*Millisecond, fn) // overflow
+	eng.Schedule(60*Millisecond, fn)
+	eng.Cancel(far)
+	if eng.nWheel == 0 || len(eng.overflow) != 2 || eng.nCancel != 2 || eng.curTick == 0 {
+		t.Fatalf("engine not dirty as intended: wheel=%d overflow=%d cancelled=%d tick=%d",
+			eng.nWheel, len(eng.overflow), eng.nCancel, eng.curTick)
+	}
+	return eng, live, cancelled
+}
+
+// A reset engine is a new engine — same snapshot, same pop order — that kept
+// its allocations.
+func TestResetMatchesNewEngine(t *testing.T) {
+	eng, _, _ := dirtyEngine(t)
+	eng.Reset()
+	if got, want := eng.Snapshot(), NewEngine().Snapshot(); got != want {
+		t.Fatalf("snapshot after Reset %+v, new engine %+v", got, want)
+	}
+	if eng.Pending() != 0 || eng.Executed != 0 || eng.Now() != 0 {
+		t.Fatalf("after Reset: pending=%d executed=%d now=%v", eng.Pending(), eng.Executed, eng.Now())
+	}
+
+	// The same schedule pops identically on both, snapshots equal throughout.
+	run := func(e *Engine) (order []int, trace []EngineState) {
+		for i := 0; i < 200; i++ {
+			i := i
+			e.Schedule(Time(i%13)*300*Microsecond+Time(i%5), func() { order = append(order, i) })
+		}
+		for e.Step() {
+			trace = append(trace, e.Snapshot())
+		}
+		return
+	}
+	gotOrder, gotTrace := run(eng)
+	wantOrder, wantTrace := run(NewEngine())
+	for k := range wantOrder {
+		if gotOrder[k] != wantOrder[k] || gotTrace[k] != wantTrace[k] {
+			t.Fatalf("step %d: recycled engine popped %d in state %+v, new engine %d in %+v",
+				k, gotOrder[k], gotTrace[k], wantOrder[k], wantTrace[k])
+		}
+	}
+
+	// Everything the abandoned run held went back to the free list: the next
+	// run of the same size schedules without allocating.
+	eng, _, _ = dirtyEngine(t)
+	fn := func() {}
+	allocs := testing.AllocsPerRun(20, func() {
+		eng.Reset()
+		for i := 0; i < 3*bucketCap; i++ {
+			eng.Schedule(700*Microsecond, fn)
+		}
+		eng.Schedule(50*Millisecond, fn)
+	})
+	if allocs > 0 {
+		t.Fatalf("a run on a recycled engine allocates %.1f times", allocs)
+	}
+}
+
+// Reset ends every handle's lifetime. In release builds a handle kept across
+// it is harmless — it reads as cancelled and Cancel on it is a no-op, so the
+// recycled engine's books stay straight; simdebug panics on any access.
+func TestHandleKeptAcrossReset(t *testing.T) {
+	eng, live, cancelled := dirtyEngine(t)
+	eng.Reset()
+	if Debug {
+		mustPanic(t, "Cancelled on a handle kept across Reset", func() { live.Cancelled() })
+		mustPanic(t, "Cancel on a handle kept across Reset", func() { eng.Cancel(live) })
+		mustPanic(t, "Cancel on a cancelled handle kept across Reset", func() { eng.Cancel(cancelled) })
+		return
+	}
+	if !live.Cancelled() || live.Fired() {
+		t.Fatalf("handle kept across Reset: cancelled=%v fired=%v, want cancelled and never fired", live.Cancelled(), live.Fired())
+	}
+	eng.Cancel(live)
+	eng.Cancel(cancelled)
+	ran := false
+	eng.Schedule(1, func() { ran = true })
+	eng.RunUntilIdle()
+	if !ran || eng.Executed != 1 || eng.Pending() != 0 || eng.nCancel != 0 {
+		t.Fatalf("recycled engine inconsistent after stale Cancel: ran=%v executed=%d pending=%d nCancel=%d",
+			ran, eng.Executed, eng.Pending(), eng.nCancel)
+	}
+}

@@ -18,8 +18,10 @@
 #                   (default: a fresh directory under ${TMPDIR:-/tmp}, printed)
 #
 # Records are appended run by run, so an interrupted session still leaves
-# two comparable files. Exits with -compare's status: nonzero on a regression
-# beyond a metric's bound.
+# two comparable files. Exits nonzero on a regression beyond a metric's bound
+# (-compare's status) and, after the -compare table, when any workload's
+# result_digest differs between the two sides: a change that moves the output
+# has no speed to compare.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo=$PWD
@@ -63,6 +65,7 @@ one() {
 
 : > "$out/old.jsonl"
 : > "$out/new.jsonl"
+mismatch=0
 for w in "${workloads[@]}"; do
   for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
@@ -74,7 +77,14 @@ for w in "${workloads[@]}"; do
   if [ "$(grep "\"$w\"" "$out/old.jsonl" | sed 's/.*"result_digest":"\([0-9a-f]*\)".*/\1/' | sort -u)" != \
        "$(grep "\"$w\"" "$out/new.jsonl" | sed 's/.*"result_digest":"\([0-9a-f]*\)".*/\1/' | sort -u)" ]; then
     echo "benchpair: $w: result_digest differs between the two sides" >&2
+    mismatch=1
   fi
 done
 
-go run ./bench -compare "$out/old.jsonl" "$out/new.jsonl"
+status=0
+go run ./bench -compare "$out/old.jsonl" "$out/new.jsonl" || status=$?
+if ((mismatch)); then
+  echo "benchpair: failing: result_digest differed between the two sides (see above)" >&2
+  ((status)) || status=1
+fi
+exit "$status"

@@ -141,6 +141,7 @@ type xfer struct {
 	settled    sim.Time // instant remain/budget are exact at (lazy settling)
 	rtt        sim.Time // base round-trip of the path class
 	rate       float64  // total allocated rate from the last solve
+	folded     uint32   // == Sim.foldGen: commitApply has folded this commit's rates
 
 	paths []pathRef // 1 entry normally; one per path when sprayed
 	sess  []int32   // solver session per path (empty while paused)
@@ -183,7 +184,8 @@ type Sim struct {
 	inc   IncSolver
 	owner []int32 // solver session -> owning xfer, -1 when free
 
-	heap etaHeap
+	heap    etaHeap
+	foldGen uint32 // commitApply generation, see xfer.folded
 
 	flushPend bool
 	flushFn   func() // prebuilt closures: the steady-state loop never allocates
@@ -226,7 +228,7 @@ func (s *Sim) Reset(eng *sim.Engine, cfg Config) {
 	s.groups, s.freeG = s.groups[:0], s.freeG[:0]
 	s.active, s.owner = s.active[:0], s.owner[:0]
 	s.heap.es, s.heap.pos = s.heap.es[:0], s.heap.pos[:0]
-	s.flushPend, s.wake, s.wakeAt, s.epochEv, s.nFB = false, nil, 0, nil, 0
+	s.flushPend, s.wake, s.wakeAt, s.epochEv, s.nFB, s.foldGen = false, nil, 0, nil, 0, 0
 
 	wirePkt := float64(cfg.MSS + cfg.HeaderBytes)
 	s.segWire = wirePkt * 8
@@ -426,10 +428,19 @@ func (s *Sim) onFlush() {
 
 // commitApply commits any staged solver work, folds re-solved rates into
 // their transfers (settling each to the current instant first), and re-aims
-// the wake event at the earliest crossing.
+// the wake event at the earliest crossing. A sprayed transfer has one
+// re-solved session per path and is folded at the first: the rates are final
+// once Commit returns, so its siblings would only sum them again.
 func (s *Sim) commitApply() {
 	if s.inc.Pending() {
 		s.inc.Commit()
+		s.foldGen++
+		if s.foldGen == 0 { // uint32 wrap: invalidate every fold stamp
+			for i := range s.xfers {
+				s.xfers[i].folded = 0
+			}
+			s.foldGen = 1
+		}
 		now := s.eng.Now()
 		for _, sid := range s.inc.Affected() {
 			xi := s.owner[sid]
@@ -437,6 +448,10 @@ func (s *Sim) commitApply() {
 				continue
 			}
 			x := &s.xfers[xi]
+			if x.folded == s.foldGen {
+				continue
+			}
+			x.folded = s.foldGen
 			s.settleTo(x, now)
 			var r float64
 			for _, id := range x.sess {

@@ -259,12 +259,19 @@ func fluidScenario(t *testing.T) uint64 { return fluidScenarioShards(t, 0) }
 // threshold forced to 1 so even the steady state's small rounds go through
 // the worker pool).
 func fluidScenarioShards(t *testing.T, shards int) uint64 {
-	p := topo.SmallScale()
 	fb := &core.Config{T: 0.05, N: 1, RNG: sim.NewRNG(7)}
+	s := NewSim(sim.NewEngine(), Config{Params: topo.SmallScale(), FlowBender: fb, SolverShards: shards})
+	return scenarioDigest(t, s, nil)
+}
+
+// scenarioDigest runs the scenario's 200 arrivals through s (a new or a
+// Reset Sim) and returns the digest of its completions. midRun, when given,
+// is called between two events about a third of the way through the run.
+func scenarioDigest(t *testing.T, s *Sim, midRun func()) uint64 {
+	p := s.cfg.Params
+	eng := s.Engine()
 	rng := sim.NewRNG(1234).Fork("arrivals")
-	eng := sim.NewEngine()
-	s := NewSim(eng, Config{Params: p, FlowBender: fb, SolverShards: shards})
-	if shards > 1 {
+	if s.cfg.SolverShards > 1 {
 		s.inc.parThresh = 1
 	}
 	var dones []Done
@@ -278,6 +285,10 @@ func fluidScenarioShards(t *testing.T, shards int) uint64 {
 		size := int64(1000 + rng.Intn(500_000))
 		at, src, dst, size := at, src, dst, size
 		eng.At(at, func() { s.Arrive(id, src, dst, size, int32(i%3)) })
+	}
+	if midRun != nil {
+		eng.Run(at / 3)
+		midRun()
 	}
 	eng.Run(10 * sim.Second)
 	if len(dones) != 200 {
@@ -323,6 +334,71 @@ func TestFluidDeterminismSolverShards(t *testing.T) {
 				t.Fatalf("shards=%d digest %#x != pinned %#x", shards, got, fluidScenarioDigest)
 			}
 		})
+	}
+}
+
+// The scenario again with spraying on — every flow over every path (RPS,
+// DeTail), and only the flows under 100 KB (DiffFlow) — pinned like
+// fluidScenarioDigest: a sprayed transfer is one session per path, so these
+// are the runs whose commits re-solve coupled components, bucket several of
+// them, and fold many sessions into one transfer. The constants were computed
+// at 9a6d17d, the parent of the fused solver round.
+const (
+	fluidSprayAllDigest   uint64 = 0x8b45986614919061
+	fluidSprayShortDigest uint64 = 0x9c955d8c99ca060d
+)
+
+func sprayScenarioCfg(cutoff int64, shards int) Config {
+	return Config{Params: topo.SmallScale(), Spray: true, ShortCutoff: cutoff, SolverShards: shards}
+}
+
+func TestFluidDeterminismSpray(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cutoff int64
+		want   uint64
+	}{
+		{"all", math.MaxInt64, fluidSprayAllDigest},
+		{"short", 100_000, fluidSprayShortDigest},
+	} {
+		for _, shards := range []int{0, 2, 4} {
+			tc, shards := tc, shards
+			t.Run(fmt.Sprintf("%s/shards%d", tc.name, shards), func(t *testing.T) {
+				t.Parallel()
+				s := NewSim(sim.NewEngine(), sprayScenarioCfg(tc.cutoff, shards))
+				if got := scenarioDigest(t, s, nil); got != tc.want {
+					t.Fatalf("digest %#x != pinned %#x", got, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestFoldStampWraparound takes the sprayed scenario across MaxUint32 on all
+// three generation counters a sprayed commit leans on — the solver's commit
+// and round generations (ageStamps) and the engine's per-transfer fold stamp
+// — a third of the way in, when transfers, sessions and links are live and
+// every one of them carries a stamp the new cycle reuses at once; then again
+// on the same Sim after a Reset. A stale stamp read as current would skip a
+// fold, a staging or a link's set-up, and move the digest.
+func TestFoldStampWraparound(t *testing.T) {
+	cfg := sprayScenarioCfg(100_000, 0)
+	s := NewSim(sim.NewEngine(), cfg)
+	age := func() {
+		ageStamps(&s.inc)
+		for i := range s.xfers {
+			s.xfers[i].folded = uint32(1 + i%2)
+		}
+		s.foldGen = math.MaxUint32
+	}
+	for _, run := range []string{"new", "reset"} {
+		if got := scenarioDigest(t, s, age); got != fluidSprayShortDigest {
+			t.Fatalf("%s Sim: digest %#x != pinned %#x", run, got, fluidSprayShortDigest)
+		}
+		if s.foldGen > 1<<20 || s.inc.gen > 1<<20 || s.inc.roundGen > 1<<20 {
+			t.Fatalf("%s Sim: generations %d / %d / %d never wrapped", run, s.foldGen, s.inc.gen, s.inc.roundGen)
+		}
+		s.Reset(sim.NewEngine(), cfg)
 	}
 }
 

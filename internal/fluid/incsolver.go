@@ -31,8 +31,13 @@ const parThreshDefault = 256
 // flow add/remove/reroute only re-solves the bottleneck-connected component
 // reachable from the touched links instead of the whole fabric.
 //
-// Sessions are slot-allocated structure-of-arrays records; each link keeps
-// an intrusive doubly-linked list of the session entries crossing it.
+// Layout. Everything the solver knows about a link is one linkRec — capacity,
+// load, intrusive session list, commit stamps and round scratch side by side
+// — so a pass that visits a link touches one record, not one fabric-sized
+// array per field. Sessions are slot-allocated structure-of-arrays records
+// (most passes read two or three session fields and skip the rest); each
+// link's list threads through the session entries crossing it.
+//
 // Mutations (Add/Remove/SetCap/SetLinks) are staged: they seed a dirty set
 // and record, per touched link, whether it was saturated before the event.
 // Commit then runs the dirty-set propagation:
@@ -53,50 +58,44 @@ const parThreshDefault = 256
 //     undisturbed, which is exactly why the incremental answer equals a
 //     from-scratch Waterfill (the property and fuzz tests pin this).
 //
-// Within a Commit, A splits into connected components (sessions joined by
-// shared links); components are solved independently in first-appearance
-// order. Because components are link-disjoint, solving them on parallel
-// workers performs the identical floating-point arithmetic as solving them
-// in sequence — results are bit-identical at any shard count, which the
-// solver-shards digest test pins the way byteident pins the packet engine.
+// A round walks A's (session, link) pairs three times, and a pair costs one
+// link record each time:
 //
-// A component is progressive-filled over live sets (solveComp): the members
-// still unfrozen and the links that still carry one, compacted in place and
-// in order after every bottleneck iteration, each live link's share divided
-// out once per iteration. An iteration therefore costs what is still live,
-// not the component — sprayed transfers weld hundreds of sessions into one
-// component that freezes over dozens of iterations — and the rates are bit
-// for bit those of rescanning the whole component every time, which the
-// oracle in incsolver_oracle_test.go keeps doing.
+//   - splitComps, in A order, opens every link it meets for the first time
+//     this round (residual = capacity net of load), folds each member's
+//     current holding back into its links' residuals and counts it active
+//     there — the component solves against capacity net of outsiders only —
+//     and unions the members that share a link. A link lies in exactly one
+//     component, so the holdings reach each link in the order a
+//     per-component pass would add them. When the union-find ends in one
+//     component (every sprayed commit) A is the member list and the
+//     first-seen links are the link list as they stand; otherwise both are
+//     bucketed by component, numbered by first appearance, at exact size.
+//   - solveComp progressive-fills each component over live sets: the members
+//     still unfrozen and the links that still carry one, compacted in place
+//     and in order after every bottleneck iteration, each live link's share
+//     divided out once per iteration. An iteration decides who freezes
+//     before it touches a link, so the one that freezes every live member —
+//     most of them — ends the solve without the residual updates nobody
+//     would read. Components are link-disjoint, so solving them on parallel
+//     workers performs the identical floating-point arithmetic as solving
+//     them in sequence: results are bit-identical at any shard count, which
+//     the solver-shards digest test pins the way byteident pins the packet
+//     engine.
+//   - applyRates moves the loads and leaves each link's largest new A-rate
+//     for the join scan.
+//
+// The rates are bit for bit those of the set-up-pass, rescan-everything loop
+// this replaced, which the oracle in incsolver_oracle_test.go keeps running
+// on scratch of its own.
 //
 // The steady-state Commit path performs zero heap allocations: all
 // link/session/scratch state lives in reusable arenas that only grow on
 // first use. (The parallel dispatch path, when a large multi-component
 // affected set engages it, spends a few allocations on goroutine bring-up.)
 type IncSolver struct {
-	// Link state.
-	caps    []float64 // sanitized capacities: 0 <= c <= hugeCap
-	rawCaps []float64 // caller capacities (serialization math wants them raw)
-	marking []bool    // link can hold a visible standing queue; nil = none
-	load    []float64 // sum of session rates crossing the link
-	nOn     []int32   // entry count on the link (occurrences)
-	head    []int32   // first intrusive-list entry, -1 when empty
-	qCnt    []int32   // sessions whose standing-queue mark is this link
-
-	// Per-commit link stamps.
-	tStamp []uint32 // link touched (considered) this commit
-	satB   []bool   // strictly saturated at first touch, before any mutation
-	qSatB  []bool   // standing-queue-saturated (satMark) at first touch
-
-	// Per-round link scratch, stamped by roundGen.
-	wSeen  []uint32
-	wRem   []float64
-	wAct   []int32
-	wBneck []uint64
-	lmaxS  []uint32
-	lmaxV  []float64
-	compS  []uint32
-	compOf []int32
+	links   []linkRec
+	marking []bool // link can hold a visible standing queue; nil = none
 
 	// Session state (slot-allocated; sLink holds sessBlock entries each).
 	sCap   []float64
@@ -120,7 +119,10 @@ type IncSolver struct {
 	inA        []int32 // affected sessions, in staging/join order
 	aRate      []float64
 
-	// Component-split scratch (per solve round).
+	// Round scratch, all of it scaling with the affected set, not the fabric.
+	// seenLink lists the round's links in first-seen order; the comp* arrays
+	// bucket A positions and links by component when there is more than one.
+	seenLink []int32
 	ufParent []int32
 	posComp  []int32
 	rootComp []int32
@@ -130,57 +132,57 @@ type IncSolver struct {
 	compLOff []int32
 	compLink []int32
 	// compShare caches each live link's fair share for one bottleneck
-	// iteration. Positional, parallel to compLink: it scales with the affected
-	// set, not the fabric, and components keep disjoint regions of it.
+	// iteration, positional and parallel to the component's link list;
+	// components keep disjoint regions of it.
 	compShare []float64
 
 	iterCtr atomic.Uint64 // globally unique bottleneck-iteration tags
 
 	shards    int // max parallel workers for the component solve; <=1 serial
 	parThresh int // test override for parThreshDefault; 0 = default
+}
 
+// linkRec is one link's whole state. The stamps make the scratch fields
+// self-invalidating: a field group is live only while its stamp equals the
+// current commit (gen) or round (roundGen) generation.
+type linkRec struct {
+	cap  float64 // sanitized capacity: 0 <= cap <= hugeCap
+	load float64 // sum of session rates crossing the link
+
+	// Round scratch. wRem, wAct, first and wBneck are live while round ==
+	// roundGen, lmaxV while lmaxS == roundGen.
+	wRem   float64 // capacity left to the component's unfrozen members
+	lmaxV  float64 // largest new A-rate on the link
+	wBneck uint64  // tag of the bottleneck iteration that saturated the link
+	wAct   int32   // unfrozen member entries on the link
+	first  int32   // A position of the first member that crossed it
+	round  uint32  // == roundGen: opened by this round's splitComps
+	lmaxS  uint32  // == roundGen: an A-session's new rate was applied here
+
+	nOn  int32 // entry count on the link (occurrences)
+	head int32 // first intrusive-list entry, -1 when empty
+	qCnt int32 // sessions whose standing-queue mark is this link
+
+	// Commit stamp, and the saturation it captured at first touch, before
+	// any mutation (live while tStamp == gen).
+	tStamp uint32 // == gen: touched (considered) this commit
+	satB   bool   // strictly saturated
+	qSatB  bool   // standing-queue-saturated (satMark)
 }
 
 // Reset initializes the solver for the given link capacities, dropping any
 // previous sessions. marking flags the links that can hold a visible
 // standing queue (nil for none). Arenas are retained across Resets.
 func (is *IncSolver) Reset(capacity []float64, marking []bool) {
-	n := len(capacity)
-	is.rawCaps = capacity
 	is.marking = marking
-	is.caps = grown(is.caps, n)
+	is.links = grown(is.links, len(capacity))
 	for i, c := range capacity {
 		if c < 0 || math.IsNaN(c) {
 			c = 0
 		} else if math.IsInf(c, 1) || c > hugeCap {
 			c = hugeCap
 		}
-		is.caps[i] = c
-	}
-	is.load = grown(is.load, n)
-	is.nOn = grown(is.nOn, n)
-	is.head = grown(is.head, n)
-	is.qCnt = grown(is.qCnt, n)
-	is.tStamp = grown(is.tStamp, n)
-	is.satB = grown(is.satB, n)
-	is.qSatB = grown(is.qSatB, n)
-	is.wSeen = grown(is.wSeen, n)
-	is.wRem = grown(is.wRem, n)
-	is.wAct = grown(is.wAct, n)
-	is.wBneck = grown(is.wBneck, n)
-	is.lmaxS = grown(is.lmaxS, n)
-	is.lmaxV = grown(is.lmaxV, n)
-	is.compS = grown(is.compS, n)
-	is.compOf = grown(is.compOf, n)
-	for i := 0; i < n; i++ {
-		is.load[i] = 0
-		is.nOn[i] = 0
-		is.head[i] = -1
-		is.qCnt[i] = 0
-		is.tStamp[i] = 0
-		is.wSeen[i] = 0
-		is.lmaxS[i] = 0
-		is.compS[i] = 0
+		is.links[i] = linkRec{cap: c, head: -1}
 	}
 	is.sCap = is.sCap[:0]
 	is.sRate = is.sRate[:0]
@@ -215,7 +217,7 @@ func (is *IncSolver) SetShards(n int) {
 }
 
 // Links returns the number of links the solver was Reset with.
-func (is *IncSolver) Links() int { return len(is.caps) }
+func (is *IncSolver) Links() int { return len(is.links) }
 
 // Sessions returns the session slot count (high-water, including free slots).
 func (is *IncSolver) Sessions() int { return len(is.sCap) }
@@ -229,10 +231,10 @@ func (is *IncSolver) Rate(s int32) float64 { return is.sRate[s] }
 // Queued reports whether link l holds a standing queue as of the last
 // Commit: at least one session's first saturated link is l and l is a
 // marking (switch-egress) queue.
-func (is *IncSolver) Queued(l int32) bool { return is.qCnt[l] > 0 }
+func (is *IncSolver) Queued(l int32) bool { return is.links[l].qCnt > 0 }
 
 // Load returns the total allocated rate crossing link l.
-func (is *IncSolver) Load(l int32) float64 { return is.load[l] }
+func (is *IncSolver) Load(l int32) float64 { return is.links[l].load }
 
 // Affected returns the sessions whose rates the last Commit re-solved, in
 // deterministic staging/join order. Valid until the next staged mutation.
@@ -246,9 +248,9 @@ func (is *IncSolver) stage() {
 	}
 	is.pending = true
 	is.gen++
-	if is.gen == 0 { // uint32 wrap: invalidate every stamped array
-		for i := range is.tStamp {
-			is.tStamp[i] = 0
+	if is.gen == 0 { // uint32 wrap: invalidate every commit stamp
+		for i := range is.links {
+			is.links[i].tStamp = 0
 		}
 		for i := range is.sStamp {
 			is.sStamp[i] = 0
@@ -265,14 +267,13 @@ func (is *IncSolver) stage() {
 // saturation state the first time. Loads only ever change on touched links,
 // so a first touch always observes the pre-commit load.
 func (is *IncSolver) touchLink(l int32) {
-	if is.tStamp[l] == is.gen {
+	lk := &is.links[l]
+	if lk.tStamp == is.gen {
 		return
 	}
-	is.tStamp[l] = is.gen
-	c := is.caps[l]
-	ld := is.load[l]
-	is.satB[l] = ld >= c-(c*1e-9+1e-6)
-	is.qSatB[l] = c <= 0 || ld >= markSatThresh*c
+	lk.tStamp = is.gen
+	lk.satB = lk.strictSat()
+	lk.qSatB = lk.satMark()
 	is.considered = append(is.considered, l)
 }
 
@@ -286,19 +287,14 @@ func (is *IncSolver) stageSession(s int32) {
 }
 
 // strictSat is the solver-tolerance saturation test driving the join rules.
-func (is *IncSolver) strictSat(l int32) bool {
-	c := is.caps[l]
-	return is.load[l] >= c-(c*1e-9+1e-6)
+func (lk *linkRec) strictSat() bool {
+	return lk.load >= lk.cap-(lk.cap*1e-9+1e-6)
 }
 
 // satMark is the looser standing-queue saturation test (same threshold the
 // full re-solve engine used for its first-saturated-link rule).
-func (is *IncSolver) satMark(l int32) bool {
-	c := is.caps[l]
-	if c <= 0 {
-		return true
-	}
-	return is.load[l] >= markSatThresh*c
+func (lk *linkRec) satMark() bool {
+	return lk.cap <= 0 || lk.load >= markSatThresh*lk.cap
 }
 
 // rateEps is the join-rule comparison slack: strict inequalities on rates
@@ -331,23 +327,24 @@ func (is *IncSolver) linkAll(s int32, links []int32) {
 	is.lStamp[s] = is.gen
 	base := int32(s) * sessBlock
 	for _, l := range links {
-		if l < 0 || int(l) >= len(is.caps) {
+		if l < 0 || int(l) >= len(is.links) {
 			continue
 		}
 		if is.sN[s] == sessBlock {
 			break
 		}
+		is.touchLink(l)
+		lk := &is.links[l]
 		e := base + int32(is.sN[s])
 		is.sLink[e] = l
-		is.eNext[e] = is.head[l]
+		is.eNext[e] = lk.head
 		is.ePrev[e] = -1
-		if is.head[l] >= 0 {
-			is.ePrev[is.head[l]] = e
+		if lk.head >= 0 {
+			is.ePrev[lk.head] = e
 		}
-		is.head[l] = e
-		is.nOn[l]++
+		lk.head = e
+		lk.nOn++
 		is.sN[s]++
-		is.touchLink(l)
 	}
 }
 
@@ -361,19 +358,20 @@ func (is *IncSolver) unlinkAll(s int32) {
 		e := base + int32(j)
 		l := is.sLink[e]
 		is.touchLink(l)
+		lk := &is.links[l]
 		if is.ePrev[e] >= 0 {
 			is.eNext[is.ePrev[e]] = is.eNext[e]
 		} else {
-			is.head[l] = is.eNext[e]
+			lk.head = is.eNext[e]
 		}
 		if is.eNext[e] >= 0 {
 			is.ePrev[is.eNext[e]] = is.ePrev[e]
 		}
-		is.nOn[l]--
-		if is.nOn[l] == 0 {
-			is.load[l] = 0 // empty link: kill accumulated float drift exactly
-		} else if is.load[l] -= r; is.load[l] < 0 {
-			is.load[l] = 0
+		lk.nOn--
+		if lk.nOn == 0 {
+			lk.load = 0 // empty link: kill accumulated float drift exactly
+		} else if lk.load -= r; lk.load < 0 {
+			lk.load = 0
 		}
 	}
 	is.sN[s] = 0
@@ -385,7 +383,7 @@ func (is *IncSolver) Remove(s int32) {
 	is.stage()
 	is.unlinkAll(s)
 	if is.sMark[s] >= 0 {
-		is.qCnt[is.sMark[s]]--
+		is.links[is.sMark[s]].qCnt--
 		is.sMark[s] = -1
 	}
 	is.sAlive[s] = false
@@ -421,7 +419,7 @@ func (is *IncSolver) SetLinks(s int32, links []int32) {
 	if is.sN[s] == 0 && is.sMark[s] >= 0 {
 		// No surviving in-range links: the mark pass will never visit the
 		// session again, so clear its standing-queue mark now.
-		is.qCnt[is.sMark[s]]--
+		is.links[is.sMark[s]].qCnt--
 		is.sMark[s] = -1
 	}
 	is.stageSession(s)
@@ -459,11 +457,10 @@ func (is *IncSolver) Commit() {
 // bumpRound advances the per-round link-scratch generation.
 func (is *IncSolver) bumpRound() {
 	is.roundGen++
-	if is.roundGen == 0 {
-		for i := range is.wSeen {
-			is.wSeen[i] = 0
-			is.lmaxS[i] = 0
-			is.compS[i] = 0
+	if is.roundGen == 0 { // uint32 wrap: invalidate every round stamp
+		for i := range is.links {
+			is.links[i].round = 0
+			is.links[i].lmaxS = 0
 		}
 		is.roundGen = 1
 	}
@@ -480,7 +477,7 @@ func (is *IncSolver) solveRound() {
 	// session is trivially one component, so the whole union-find, component
 	// numbering, and per-link scratch machinery reduces to "take the minimum
 	// residual over the session's links". The arithmetic below replays the
-	// general path's exactly — wRem[l] = (caps-load)+sRate built in the same
+	// general path's exactly — wRem = (cap-load)+sRate built in the same
 	// association, wRem/1 skipped as IEEE-exact, the same eps policy, the
 	// same apply — so every digest is bit-identical to the scaffolded route.
 	// A duplicated link on the path (raw Add API only) needs wAct and falls
@@ -508,8 +505,8 @@ func (is *IncSolver) solveRound() {
 			} else {
 				level := math.Inf(1)
 				for j := int32(0); j < nl; j++ {
-					l := is.sLink[base+j]
-					if rem := is.caps[l] - is.load[l] + r0; rem < level {
+					lk := &is.links[is.sLink[base+j]]
+					if rem := lk.cap - lk.load + r0; rem < level {
 						level = rem
 					}
 				}
@@ -527,19 +524,17 @@ func (is *IncSolver) solveRound() {
 				}
 			}
 			for j := int32(0); j < nl; j++ {
-				l := is.sLink[base+j]
-				if is.load[l] += nr - r0; is.load[l] < 0 {
-					is.load[l] = 0
+				lk := &is.links[is.sLink[base+j]]
+				if lk.load += nr - r0; lk.load < 0 {
+					lk.load = 0
 				}
-				is.lmaxS[l] = rg
-				is.lmaxV[l] = nr
+				lk.lmaxS = rg
+				lk.lmaxV = nr
 			}
 			is.sRate[s] = nr
 			return
 		}
 	}
-
-	ncomp := is.splitComps()
 
 	// Solve the components — serial, or on a small worker pool when the
 	// affected set is large. Components are link-disjoint, so both paths
@@ -548,92 +543,128 @@ func (is *IncSolver) solveRound() {
 	if thresh == 0 {
 		thresh = parThreshDefault
 	}
-	if is.shards > 1 && ncomp > 1 && n >= thresh {
+	if ncomp := is.splitComps(); ncomp == 1 {
+		is.solveComp(is.compSess[:n], is.seenLink, is.compShare)
+	} else if is.shards > 1 && n >= thresh {
 		is.solveCompsParallel(ncomp)
 	} else {
 		for c := 0; c < ncomp; c++ {
-			is.solveComp(c)
+			is.solveCompAt(c)
 		}
 	}
 
 	is.applyRates(rg)
 }
 
-// splitComps groups the affected set into link-connected components,
-// numbered by first appearance in A order, and sizes the per-component
-// regions of the solve arenas. It returns the component count.
+// splitComps is the round's one set-up walk over the affected set, in A
+// order: it opens each link on first sight, folds every member's current
+// holding back into its links' residuals (the components solve against
+// capacity net of outsiders only), and union-finds the members into
+// link-connected components. It returns the component count. With one
+// component, compSess[:n], seenLink and compShare are its members (A
+// positions), links and share scratch; with more, solveCompAt(c) slices
+// component c's out of the bucketed arenas, components numbered by first
+// appearance in A order and every list in the order the walk met it.
 func (is *IncSolver) splitComps() int {
 	n := len(is.inA)
 	rg := is.roundGen
 
-	// Union-find the affected sessions into link-connected components.
+	is.aRate = grown(is.aRate, n)
+	is.compSess = grown(is.compSess, n)
 	is.ufParent = grown(is.ufParent, n)
 	for i := 0; i < n; i++ {
 		is.ufParent[i] = int32(i)
 	}
+	seen := grown(is.seenLink, n*sessBlock)
+	nl := 0
+	ncomp := n
 	for i := 0; i < n; i++ {
 		s := is.inA[i]
+		r := is.sRate[s]
 		base := int32(s) * sessBlock
 		for j := int8(0); j < is.sN[s]; j++ {
 			l := is.sLink[base+int32(j)]
-			if is.compS[l] != rg {
-				is.compS[l] = rg
-				is.compOf[l] = int32(i)
+			lk := &is.links[l]
+			if lk.round != rg {
+				lk.round = rg
+				lk.first = int32(i)
+				lk.wRem = lk.cap - lk.load + r
+				lk.wAct = 1
+				seen[nl] = l
+				nl++
 				continue
 			}
-			ra, rb := ufFind(is.ufParent, int32(i)), ufFind(is.ufParent, is.compOf[l])
+			lk.wRem += r
+			lk.wAct++
+			ra, rb := ufFind(is.ufParent, int32(i)), ufFind(is.ufParent, lk.first)
 			if ra != rb {
 				if ra < rb {
 					is.ufParent[rb] = ra
 				} else {
 					is.ufParent[ra] = rb
 				}
+				ncomp--
 			}
 		}
 	}
+	seen = seen[:nl]
+	is.seenLink = seen
+	is.compShare = grown(is.compShare, nl)
 
-	// Number components by first appearance in A order; group A positions.
+	if ncomp == 1 {
+		for i := 0; i < n; i++ {
+			is.compSess[i] = int32(i)
+		}
+		return 1
+	}
+
+	// Number components by first appearance in A order.
 	is.posComp = grown(is.posComp, n)
 	is.rootComp = grown(is.rootComp, n)
 	for i := 0; i < n; i++ {
 		is.rootComp[i] = -1
 	}
-	ncomp := 0
+	next := int32(0)
 	for i := 0; i < n; i++ {
 		r := ufFind(is.ufParent, int32(i))
 		if is.rootComp[r] < 0 {
-			is.rootComp[r] = int32(ncomp)
-			ncomp++
+			is.rootComp[r] = next
+			next++
 		}
 		is.posComp[i] = is.rootComp[r]
 	}
-	is.compCnt = grown(is.compCnt, ncomp)
-	for c := 0; c < ncomp; c++ {
-		is.compCnt[c] = 0
-	}
-	for i := 0; i < n; i++ {
-		is.compCnt[is.posComp[i]]++
-	}
+
+	// Bucket A positions and first-seen links by component, each at its exact
+	// size: count, prefix-sum, fill with compCnt as the cursor.
 	is.compOffs = grown(is.compOffs, ncomp+1)
 	is.compLOff = grown(is.compLOff, ncomp+1)
-	is.compOffs[0], is.compLOff[0] = 0, 0
-	for c := 0; c < ncomp; c++ {
-		is.compOffs[c+1] = is.compOffs[c] + is.compCnt[c]
-		is.compLOff[c+1] = is.compLOff[c] + is.compCnt[c]*sessBlock
+	is.compCnt = grown(is.compCnt, ncomp)
+	is.compLink = grown(is.compLink, nl)
+	for c := 0; c <= ncomp; c++ {
+		is.compOffs[c], is.compLOff[c] = 0, 0
 	}
-	is.compSess = grown(is.compSess, n)
-	is.compLink = grown(is.compLink, n*sessBlock)
-	is.compShare = grown(is.compShare, n*sessBlock)
-	for c := 0; c < ncomp; c++ {
-		is.compCnt[c] = is.compOffs[c] // reuse as fill cursor
+	for i := 0; i < n; i++ {
+		is.compOffs[is.posComp[i]+1]++
 	}
+	for _, l := range seen {
+		is.compLOff[is.posComp[is.links[l].first]+1]++
+	}
+	for c := 0; c < ncomp; c++ {
+		is.compOffs[c+1] += is.compOffs[c]
+		is.compLOff[c+1] += is.compLOff[c]
+	}
+	copy(is.compCnt, is.compOffs[:ncomp])
 	for i := 0; i < n; i++ {
 		c := is.posComp[i]
 		is.compSess[is.compCnt[c]] = int32(i)
 		is.compCnt[c]++
 	}
-
-	is.aRate = grown(is.aRate, n)
+	copy(is.compCnt, is.compLOff[:ncomp])
+	for _, l := range seen {
+		c := is.posComp[is.links[l].first]
+		is.compLink[is.compCnt[c]] = l
+		is.compCnt[c]++
+	}
 	return ncomp
 }
 
@@ -647,16 +678,16 @@ func (is *IncSolver) applyRates(rg uint32) {
 		or := is.sRate[s]
 		base := int32(s) * sessBlock
 		for j := int8(0); j < is.sN[s]; j++ {
-			l := is.sLink[base+int32(j)]
-			is.load[l] += nr - or
-			if is.load[l] < 0 {
-				is.load[l] = 0
+			lk := &is.links[is.sLink[base+int32(j)]]
+			lk.load += nr - or
+			if lk.load < 0 {
+				lk.load = 0
 			}
-			if is.lmaxS[l] != rg {
-				is.lmaxS[l] = rg
-				is.lmaxV[l] = nr
-			} else if nr > is.lmaxV[l] {
-				is.lmaxV[l] = nr
+			if lk.lmaxS != rg {
+				lk.lmaxS = rg
+				lk.lmaxV = nr
+			} else if nr > lk.lmaxV {
+				lk.lmaxV = nr
 			}
 		}
 		is.sRate[s] = nr
@@ -683,7 +714,7 @@ func (is *IncSolver) solveCompsParallel(ncomp int) {
 				if c >= ncomp {
 					return
 				}
-				is.solveComp(c)
+				is.solveCompAt(c)
 			}
 		}()
 	}
@@ -699,99 +730,79 @@ func ufFind(p []int32, x int32) int32 {
 	return x
 }
 
-// solveComp progressive-fills one affected component against the residual
-// capacity its links have left after the untouched outsiders. Level
-// construction, epsilon policy and numerical backstop are waterfiller.solve's,
-// so the incremental solver inherits the reference solver's arithmetic.
-//
-// sess and links are the live sets of the type comment. Compaction keeps
-// their order because sessions must freeze in A order: only then does every
-// wRem[l] -= freezeAt land in the order a full rescan applies it, and two
-// members freezing in one iteration on caps that tie within eps, not
-// exactly, make that order visible in the result bits.
-func (is *IncSolver) solveComp(c int) {
-	rg := is.roundGen
-	sess := is.compSess[is.compOffs[c]:is.compOffs[c+1]]
-	// Three-index slice: the append below must stay inside this component's
-	// region of the shared arenas — components solve concurrently.
+// solveCompAt solves component c of a multi-component round on its own
+// regions of the bucketed arenas — components solve concurrently.
+func (is *IncSolver) solveCompAt(c int) {
 	lo, hi := is.compLOff[c], is.compLOff[c+1]
-	links := is.compLink[lo:lo:hi]
-	share := is.compShare[lo:hi]
+	is.solveComp(is.compSess[is.compOffs[c]:is.compOffs[c+1]], is.compLink[lo:hi], is.compShare[lo:hi])
+}
 
-	live := 0
-	for _, ai := range sess {
-		s := is.inA[ai]
-		if is.sN[s] == 0 {
-			// Linkless: rate is the cap alone, never enters the loop.
-			if is.sCap[s] >= hugeCap {
-				is.aRate[ai] = 0
-			} else {
-				is.aRate[ai] = is.sCap[s]
-			}
-			continue
-		}
-		sess[live] = ai
-		live++
-		is.aRate[ai] = 0
-		base := int32(s) * sessBlock
-		for j := int8(0); j < is.sN[s]; j++ {
-			l := is.sLink[base+int32(j)]
-			if is.wSeen[l] != rg {
-				is.wSeen[l] = rg
-				is.wRem[l] = is.caps[l] - is.load[l]
-				is.wAct[l] = 0
-				links = append(links, l)
-			}
-			// Give this member's current holding back: the component solves
-			// against capacity net of outsiders only.
-			is.wRem[l] += is.sRate[s]
-			is.wAct[l]++
-		}
-	}
-	sess = sess[:live]
-
-	// Single-session shortcut for the dominant steady-state component. With
-	// one member, every member link has wAct == 1 (wRem/1 is IEEE-exact), the
-	// minimum link always satisfies the bottleneck test, and the freeze rule
-	// collapses to "cap if within eps of the level, else the level" — the
-	// identical arithmetic as one iteration of the general loop below, minus
-	// the tagging scaffolding (the skipped iterCtr draw is value-independent).
-	// A path that crosses the same link twice (possible through the raw Add
-	// API, never from the path builder) would need the wAct bookkeeping, so
-	// it takes the general loop; len(links) < sN detects exactly that.
-	if len(sess) == 1 && len(links) == int(is.sN[is.inA[sess[0]]]) {
+// solveComp progressive-fills one affected component against the residual
+// capacity splitComps left on its links. Level construction, epsilon policy
+// and numerical backstop are waterfiller.solve's, so the incremental solver
+// inherits the reference solver's arithmetic.
+//
+// sess (A positions) and links are the live sets of the type comment, share
+// the per-link scratch parallel to links. Compaction keeps their order
+// because sessions must freeze in A order: only then does every wRem -=
+// freezeAt land in the order a full rescan applies it, and two members
+// freezing in one iteration on caps that tie within eps, not exactly, make
+// that order visible in the result bits.
+func (is *IncSolver) solveComp(sess, links []int32, share []float64) {
+	if len(sess) == 1 {
 		ai := sess[0]
-		cp := is.sCap[is.inA[ai]]
-		level := math.Inf(1)
-		for _, l := range links {
-			if is.wRem[l] < level {
-				level = is.wRem[l]
+		s := is.inA[ai]
+		cp := is.sCap[s]
+		if is.sN[s] == 0 {
+			// Linkless (always a component of its own): the cap alone.
+			if cp >= hugeCap {
+				cp = 0
 			}
-		}
-		if cp < level {
-			level = cp
-		}
-		if level < 0 {
-			level = 0
-		}
-		eps := level*1e-9 + 1e-15
-		if cp <= level+eps {
 			is.aRate[ai] = cp
-		} else {
-			is.aRate[ai] = level
+			return
 		}
-		return
+		// Single-session shortcut for the dominant steady-state component.
+		// With one member, every member link has wAct == 1 (wRem/1 is
+		// IEEE-exact), the minimum link always satisfies the bottleneck test,
+		// and the freeze rule collapses to "cap if within eps of the level,
+		// else the level" — the identical arithmetic as one iteration of the
+		// general loop below, minus the tagging scaffolding (the skipped
+		// iterCtr draw is value-independent). A path that crosses the same
+		// link twice (possible through the raw Add API, never from the path
+		// builder) would need the wAct bookkeeping, so it takes the general
+		// loop; len(links) < sN detects exactly that.
+		if len(links) == int(is.sN[s]) {
+			level := math.Inf(1)
+			for _, l := range links {
+				if rem := is.links[l].wRem; rem < level {
+					level = rem
+				}
+			}
+			if cp < level {
+				level = cp
+			}
+			if level < 0 {
+				level = 0
+			}
+			eps := level*1e-9 + 1e-15
+			if cp <= level+eps {
+				is.aRate[ai] = cp
+			} else {
+				is.aRate[ai] = level
+			}
+			return
+		}
 	}
 
-	for len(sess) > 0 {
+	for {
 		tag := is.iterCtr.Add(1)
 		level := math.Inf(1)
 		// One pass drops the links whose last member froze, computes each
 		// survivor's fair share once, and takes the minimum.
 		w := 0
 		for _, l := range links {
-			if is.wAct[l] > 0 {
-				v := is.wRem[l] / float64(is.wAct[l])
+			if lk := &is.links[l]; lk.wAct > 0 {
+				v := lk.wRem / float64(lk.wAct)
 				links[w], share[w] = l, v
 				w++
 				if v < level {
@@ -811,45 +822,60 @@ func (is *IncSolver) solveComp(c int) {
 		eps := level*1e-9 + 1e-15
 		for i, l := range links {
 			if share[i] <= level+eps {
-				is.wBneck[l] = tag
+				is.links[l].wBneck = tag
 			}
 		}
-		w = 0
+		// Decide every live member's fate before touching a link: aRate takes
+		// the freezing rate, or -1 (no rate is negative) to stay live.
+		frozen := 0
 		for _, ai := range sess {
 			s := is.inA[ai]
-			base := int32(s) * sessBlock
 			freezeAt := -1.0
-			if is.sCap[s] <= level+eps {
-				freezeAt = is.sCap[s]
+			if cp := is.sCap[s]; cp <= level+eps {
+				freezeAt = cp
 			} else {
+				base := int32(s) * sessBlock
 				for j := int8(0); j < is.sN[s]; j++ {
-					if is.wBneck[is.sLink[base+int32(j)]] == tag {
+					if is.links[is.sLink[base+int32(j)]].wBneck == tag {
 						freezeAt = level
 						break
 					}
 				}
 			}
-			if freezeAt < 0 {
-				sess[w] = ai
-				w++
-				continue
-			}
 			is.aRate[ai] = freezeAt
-			for j := int8(0); j < is.sN[s]; j++ {
-				l := is.sLink[base+int32(j)]
-				is.wRem[l] -= freezeAt
-				if is.wRem[l] < 0 {
-					is.wRem[l] = 0
-				}
-				is.wAct[l]--
+			if freezeAt >= 0 {
+				frozen++
 			}
 		}
-		if w == len(sess) {
+		if frozen == len(sess) {
+			// Everyone froze: nobody is left to read the residuals.
+			return
+		}
+		if frozen == 0 {
 			// Numerical backstop, as in the reference solver.
 			for _, ai := range sess {
 				is.aRate[ai] = level
 			}
 			return
+		}
+		w = 0
+		for _, ai := range sess {
+			freezeAt := is.aRate[ai]
+			if freezeAt < 0 {
+				sess[w] = ai
+				w++
+				continue
+			}
+			s := is.inA[ai]
+			base := int32(s) * sessBlock
+			for j := int8(0); j < is.sN[s]; j++ {
+				lk := &is.links[is.sLink[base+int32(j)]]
+				lk.wRem -= freezeAt
+				if lk.wRem < 0 {
+					lk.wRem = 0
+				}
+				lk.wAct--
+			}
 		}
 		sess = sess[:w]
 	}
@@ -862,13 +888,15 @@ func (is *IncSolver) joinScan() bool {
 	rg := is.roundGen
 	joined := false
 	for _, l := range is.considered {
-		satA := is.strictSat(l)
-		hasA := is.lmaxS[l] == rg
-		lm := is.lmaxV[l]
-		if !satA && !is.satB[l] {
+		lk := &is.links[l]
+		satA := lk.strictSat()
+		satB := lk.satB
+		if !satA && !satB {
 			continue // link constrains nobody, before or after
 		}
-		for e := is.head[l]; e >= 0; e = is.eNext[e] {
+		hasA := lk.lmaxS == rg
+		lm := lk.lmaxV
+		for e := lk.head; e >= 0; e = is.eNext[e] {
 			s := e / sessBlock
 			if is.sStamp[s] == is.gen {
 				continue // already affected
@@ -877,7 +905,7 @@ func (is *IncSolver) joinScan() bool {
 			join := false
 			if hasA && satA && r > lm+rateEps(r) {
 				join = true // J1: outsider holds more than the new fair share
-			} else if is.satB[l] && r < is.sCap[s]-rateEps(is.sCap[s]) &&
+			} else if satB && r < is.sCap[s]-rateEps(is.sCap[s]) &&
 				(!satA || (hasA && lm > r+rateEps(r))) {
 				join = true // J2: capacity freed (or share grew) under the outsider
 			}
@@ -912,10 +940,11 @@ func (is *IncSolver) markPass() {
 		}
 	}
 	for _, l := range is.considered {
-		if is.satMark(l) == is.qSatB[l] {
+		lk := &is.links[l]
+		if lk.satMark() == lk.qSatB {
 			continue
 		}
-		for e := is.head[l]; e >= 0; e = is.eNext[e] {
+		for e := lk.head; e >= 0; e = is.eNext[e] {
 			is.remark(e / sessBlock)
 		}
 	}
@@ -930,10 +959,10 @@ func (is *IncSolver) remark(s int32) {
 	m := is.firstSatMark(s)
 	if m != is.sMark[s] {
 		if is.sMark[s] >= 0 {
-			is.qCnt[is.sMark[s]]--
+			is.links[is.sMark[s]].qCnt--
 		}
 		if m >= 0 {
-			is.qCnt[m]++
+			is.links[m].qCnt++
 		}
 		is.sMark[s] = m
 	}
@@ -948,7 +977,7 @@ func (is *IncSolver) firstSatMark(s int32) int32 {
 	base := int32(s) * sessBlock
 	for j := int8(0); j < is.sN[s]; j++ {
 		l := is.sLink[base+int32(j)]
-		if is.satMark(l) {
+		if is.links[l].satMark() {
 			if is.marking != nil && is.marking[l] {
 				return l
 			}

@@ -7,17 +7,76 @@ import (
 	"flowbender/internal/sim"
 )
 
-// oracleSolver is an IncSolver whose components are solved by the
-// full-rescan progressive-filling loop the live-set loop replaced. It exists
-// to pin the replacement bit for bit: same mutation history in, the same
-// float64 out for every session after every commit.
+// oracleSolver is an IncSolver whose rounds are solved the way this package
+// solved them before the live-set loop and the fused set-up walk: split into
+// components, then per component a set-up pass that opens the links and folds
+// the members' holdings back, then a progressive-filling loop that rescans the
+// whole component every iteration. It exists to pin the replacements bit for
+// bit: same mutation history in, the same float64 out for every session after
+// every commit.
+//
+// It shares the staging, the join scan, the mark pass and applyRates with the
+// solver it embeds, and nothing of the round: the residuals, active counts,
+// bottleneck tags, first-seen stamps and component arenas below are its own,
+// stamped by its own 64-bit round counter (which never wraps), so it cannot
+// pick up anything the shipped splitComps wrote into the link records.
 type oracleSolver struct {
 	IncSolver
-	aFrozen []bool
+
+	round  uint64
+	iters  uint64 // bottleneck iterations so far, also the bottleneck tag
+	wSeen  []uint64
+	wRem   []float64
+	wAct   []int32
+	wBneck []uint64
+	compS  []uint64
+	compOf []int32
+
+	ufParent []int32
+	posComp  []int32
+	rootComp []int32
+	compCnt  []int32
+	compSess []int32
+	compOffs []int32
+	compLOff []int32
+	compLink []int32
+	aFrozen  []bool
+
+	firstSeen []int32 // the round's links in first-seen order, for shapes only
+	shapes    roundShapes
 }
 
-// Commit is IncSolver.Commit with every round routed through the component
-// machinery (no lone-session round shortcut) and solveCompRescan.
+// roundShapes counts what the oracle's rounds and iterations looked like, so
+// a history can prove it reached the regimes the shipped solver special-cases.
+type roundShapes struct {
+	oneComp     int // rounds of several sessions that are one component
+	multiComp   int // rounds of several components
+	interleaved int // ... whose first-seen link order mixes the components
+	allFreeze   int // iterations that froze every unfrozen member
+	partial     int // iterations that froze some and left some
+	backstop    int // iterations that froze nobody
+}
+
+func (a roundShapes) minus(b roundShapes) roundShapes {
+	return roundShapes{a.oneComp - b.oneComp, a.multiComp - b.multiComp, a.interleaved - b.interleaved,
+		a.allFreeze - b.allFreeze, a.partial - b.partial, a.backstop - b.backstop}
+}
+
+// Reset sizes the oracle's own per-link scratch beside the embedded solver's.
+func (o *oracleSolver) Reset(capacity []float64, marking []bool) {
+	o.IncSolver.Reset(capacity, marking)
+	n := len(capacity)
+	o.round = 0
+	o.wSeen = make([]uint64, n)
+	o.wRem = make([]float64, n)
+	o.wAct = make([]int32, n)
+	o.wBneck = make([]uint64, n)
+	o.compS = make([]uint64, n)
+	o.compOf = make([]int32, n)
+}
+
+// Commit is IncSolver.Commit with every round routed through the oracle's own
+// split and solveCompRescan (no lone-session round shortcut either).
 func (o *oracleSolver) Commit() {
 	is := &o.IncSolver
 	if !is.pending {
@@ -33,9 +92,9 @@ func (o *oracleSolver) Commit() {
 	is.inA = is.inA[:w]
 	for {
 		is.bumpRound()
+		o.round++
 		if len(is.inA) > 0 {
-			ncomp := is.splitComps()
-			o.aFrozen = grown(o.aFrozen, len(is.inA))
+			ncomp := o.splitComps()
 			for c := 0; c < ncomp; c++ {
 				o.solveCompRescan(c)
 			}
@@ -49,15 +108,110 @@ func (o *oracleSolver) Commit() {
 	is.pending = false
 }
 
+// splitComps is the splitComps this package shipped before the fused walk,
+// on the oracle's arrays: union-find over shared links, components numbered by
+// first appearance in A order, regions of sessBlock link slots per member.
+func (o *oracleSolver) splitComps() int {
+	is := &o.IncSolver
+	n := len(is.inA)
+	rg := o.round
+
+	o.ufParent = grown(o.ufParent, n)
+	for i := 0; i < n; i++ {
+		o.ufParent[i] = int32(i)
+	}
+	o.firstSeen = o.firstSeen[:0]
+	for i := 0; i < n; i++ {
+		s := is.inA[i]
+		base := int32(s) * sessBlock
+		for j := int8(0); j < is.sN[s]; j++ {
+			l := is.sLink[base+int32(j)]
+			if o.compS[l] != rg {
+				o.compS[l] = rg
+				o.compOf[l] = int32(i)
+				o.firstSeen = append(o.firstSeen, l)
+				continue
+			}
+			ra, rb := ufFind(o.ufParent, int32(i)), ufFind(o.ufParent, o.compOf[l])
+			if ra != rb {
+				if ra < rb {
+					o.ufParent[rb] = ra
+				} else {
+					o.ufParent[ra] = rb
+				}
+			}
+		}
+	}
+
+	o.posComp = grown(o.posComp, n)
+	o.rootComp = grown(o.rootComp, n)
+	for i := 0; i < n; i++ {
+		o.rootComp[i] = -1
+	}
+	ncomp := 0
+	for i := 0; i < n; i++ {
+		r := ufFind(o.ufParent, int32(i))
+		if o.rootComp[r] < 0 {
+			o.rootComp[r] = int32(ncomp)
+			ncomp++
+		}
+		o.posComp[i] = o.rootComp[r]
+	}
+	o.compCnt = grown(o.compCnt, ncomp)
+	for c := 0; c < ncomp; c++ {
+		o.compCnt[c] = 0
+	}
+	for i := 0; i < n; i++ {
+		o.compCnt[o.posComp[i]]++
+	}
+	o.compOffs = grown(o.compOffs, ncomp+1)
+	o.compLOff = grown(o.compLOff, ncomp+1)
+	o.compOffs[0], o.compLOff[0] = 0, 0
+	for c := 0; c < ncomp; c++ {
+		o.compOffs[c+1] = o.compOffs[c] + o.compCnt[c]
+		o.compLOff[c+1] = o.compLOff[c] + o.compCnt[c]*sessBlock
+	}
+	o.compSess = grown(o.compSess, n)
+	o.compLink = grown(o.compLink, n*sessBlock)
+	for c := 0; c < ncomp; c++ {
+		o.compCnt[c] = o.compOffs[c]
+	}
+	for i := 0; i < n; i++ {
+		c := o.posComp[i]
+		o.compSess[o.compCnt[c]] = int32(i)
+		o.compCnt[c]++
+	}
+	is.aRate = grown(is.aRate, n)
+	o.aFrozen = grown(o.aFrozen, n)
+
+	switch {
+	case ncomp > 1:
+		o.shapes.multiComp++
+		last := int32(0)
+		for _, l := range o.firstSeen {
+			c := o.posComp[o.compOf[l]]
+			if c < last {
+				o.shapes.interleaved++
+				break
+			}
+			last = c
+		}
+	case n > 1:
+		o.shapes.oneComp++
+	}
+	return ncomp
+}
+
 // solveCompRescan is the solveComp this package shipped before the live-set
-// loop, verbatim but for where aFrozen lives: every bottleneck iteration
-// rescans the component's whole link list (dividing twice per link) and its
-// whole session list, skipping what is already frozen.
+// loop, verbatim but for whose arrays it works on: a set-up pass over the
+// component's members, then bottleneck iterations that each rescan its whole
+// link list (dividing twice per link) and its whole session list, skipping
+// what is already frozen, and update the residuals of everything they freeze.
 func (o *oracleSolver) solveCompRescan(c int) {
 	is := &o.IncSolver
-	rg := is.roundGen
-	sess := is.compSess[is.compOffs[c]:is.compOffs[c+1]]
-	links := is.compLink[is.compLOff[c]:is.compLOff[c]:is.compLOff[c+1]]
+	rg := o.round
+	sess := o.compSess[o.compOffs[c]:o.compOffs[c+1]]
+	links := o.compLink[o.compLOff[c]:o.compLOff[c]:o.compLOff[c+1]]
 
 	unfrozen := 0
 	for _, ai := range sess {
@@ -77,14 +231,14 @@ func (o *oracleSolver) solveCompRescan(c int) {
 		base := int32(is.inA[ai]) * sessBlock
 		for j := int8(0); j < is.sN[s]; j++ {
 			l := is.sLink[base+int32(j)]
-			if is.wSeen[l] != rg {
-				is.wSeen[l] = rg
-				is.wRem[l] = is.caps[l] - is.load[l]
-				is.wAct[l] = 0
+			if o.wSeen[l] != rg {
+				o.wSeen[l] = rg
+				o.wRem[l] = is.links[l].cap - is.links[l].load
+				o.wAct[l] = 0
 				links = append(links, l)
 			}
-			is.wRem[l] += is.sRate[s]
-			is.wAct[l]++
+			o.wRem[l] += is.sRate[s]
+			o.wAct[l]++
 		}
 	}
 
@@ -93,8 +247,8 @@ func (o *oracleSolver) solveCompRescan(c int) {
 		cp := is.sCap[is.inA[ai]]
 		level := math.Inf(1)
 		for _, l := range links {
-			if is.wRem[l] < level {
-				level = is.wRem[l]
+			if o.wRem[l] < level {
+				level = o.wRem[l]
 			}
 		}
 		if cp < level {
@@ -114,11 +268,12 @@ func (o *oracleSolver) solveCompRescan(c int) {
 	}
 
 	for unfrozen > 0 {
-		tag := is.iterCtr.Add(1)
+		o.iters++
+		tag := o.iters
 		level := math.Inf(1)
 		for _, l := range links {
-			if is.wAct[l] > 0 {
-				if v := is.wRem[l] / float64(is.wAct[l]); v < level {
+			if o.wAct[l] > 0 {
+				if v := o.wRem[l] / float64(o.wAct[l]); v < level {
 					level = v
 				}
 			}
@@ -133,11 +288,11 @@ func (o *oracleSolver) solveCompRescan(c int) {
 		}
 		eps := level*1e-9 + 1e-15
 		for _, l := range links {
-			if is.wAct[l] > 0 && is.wRem[l]/float64(is.wAct[l]) <= level+eps {
-				is.wBneck[l] = tag
+			if o.wAct[l] > 0 && o.wRem[l]/float64(o.wAct[l]) <= level+eps {
+				o.wBneck[l] = tag
 			}
 		}
-		froze := false
+		froze := 0
 		for _, ai := range sess {
 			if o.aFrozen[ai] {
 				continue
@@ -149,7 +304,7 @@ func (o *oracleSolver) solveCompRescan(c int) {
 				freezeAt = is.sCap[s]
 			} else {
 				for j := int8(0); j < is.sN[s]; j++ {
-					if is.wBneck[is.sLink[base+int32(j)]] == tag {
+					if o.wBneck[is.sLink[base+int32(j)]] == tag {
 						freezeAt = level
 						break
 					}
@@ -160,18 +315,19 @@ func (o *oracleSolver) solveCompRescan(c int) {
 			}
 			o.aFrozen[ai] = true
 			is.aRate[ai] = freezeAt
-			unfrozen--
-			froze = true
+			froze++
 			for j := int8(0); j < is.sN[s]; j++ {
 				l := is.sLink[base+int32(j)]
-				is.wRem[l] -= freezeAt
-				if is.wRem[l] < 0 {
-					is.wRem[l] = 0
+				o.wRem[l] -= freezeAt
+				if o.wRem[l] < 0 {
+					o.wRem[l] = 0
 				}
-				is.wAct[l]--
+				o.wAct[l]--
 			}
 		}
-		if !froze {
+		switch {
+		case froze == 0:
+			o.shapes.backstop++
 			for _, ai := range sess {
 				if !o.aFrozen[ai] {
 					o.aFrozen[ai] = true
@@ -179,7 +335,12 @@ func (o *oracleSolver) solveCompRescan(c int) {
 				}
 			}
 			return
+		case froze == unfrozen:
+			o.shapes.allFreeze++
+		default:
+			o.shapes.partial++
 		}
+		unfrozen -= froze
 	}
 }
 
@@ -199,14 +360,18 @@ type lockstep struct {
 
 func newLockstep(t *testing.T, caps []float64, shards ...int) *lockstep {
 	ls := &lockstep{t: t}
+	marking := make([]bool, len(caps)) // every link a marking queue
+	for i := range marking {
+		marking[i] = true
+	}
 	for _, shards := range shards {
 		is := &IncSolver{}
 		is.SetShards(shards)
 		is.parThresh = 1
-		is.Reset(caps, nil)
+		is.Reset(caps, marking)
 		ls.subj = append(ls.subj, is)
 	}
-	ls.oracle.Reset(caps, nil)
+	ls.oracle.Reset(caps, marking)
 	return ls
 }
 
@@ -247,12 +412,13 @@ func (ls *lockstep) setLinks(k int, links []int32) {
 }
 
 // commit commits everywhere and requires every live session's rate to be
-// the oracle's float64, bit for bit, at every shard count.
+// the oracle's float64, bit for bit, and every link's standing queue the
+// oracle's, at every shard count.
 func (ls *lockstep) commit() {
 	ls.t.Helper()
-	before := ls.oracle.iterCtr.Load()
+	before := ls.oracle.iters
 	ls.oracle.Commit()
-	if n := ls.oracle.iterCtr.Load() - before; n > ls.maxIters {
+	if n := ls.oracle.iters - before; n > ls.maxIters {
 		ls.maxIters = n
 	}
 	for _, is := range ls.subj {
@@ -262,6 +428,11 @@ func (ls *lockstep) commit() {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				ls.t.Fatalf("shards=%d session %d (slot %d, links %v cap %v): rate %v, rescan oracle %v (bitwise)",
 					is.shards, i, m.id, m.links, m.cap, got, want)
+			}
+		}
+		for l := int32(0); int(l) < is.Links(); l++ {
+			if got, want := is.Queued(l), ls.oracle.Queued(l); got != want {
+				ls.t.Fatalf("shards=%d link %d: standing queue %v, rescan oracle %v", is.shards, l, got, want)
 			}
 		}
 	}
@@ -371,27 +542,133 @@ func sprayHistory(rng *sim.RNG, f sprayFabric, ls *lockstep, steps int, check fu
 	}
 }
 
-// TestLiveSetMatchesRescanBitExact is the live-set loop's contract: on
-// spray-shaped histories — large coupled components that freeze over many
-// iterations — the shipped solver at solver shards 1/2/4 reproduces the
-// full-rescan loop it replaced exactly, every rate of every commit, and the
-// result is still the unique max-min allocation.
+// commitShaped commits and requires the oracle's rounds and iterations of
+// that commit to have had exactly the given shapes: a directed history must
+// reach the regime it was written for.
+func (ls *lockstep) commitShaped(what string, want roundShapes) {
+	ls.t.Helper()
+	before := ls.oracle.shapes
+	ls.commit()
+	if got := ls.oracle.shapes.minus(before); got != want {
+		ls.t.Fatalf("%s: commit had shapes %+v, want %+v", what, got, want)
+	}
+}
+
+// shapesHistory walks the shipped round's special cases one commit at a
+// time, on a fabric of eight equal links: a one-component round that freezes
+// in one iteration, one that freezes over two, a round of two components
+// whose links the set-up walk meets alternately (so bucketing the first-seen
+// list has to pull them apart), and the join rounds each of those sets off.
+func shapesHistory(t *testing.T, shards ...int) {
+	caps := []float64{1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9}
+	ls := newLockstep(t, caps, shards...)
+	check := func() { checkAgainstWaterfill(t, ls.subj[0], caps, ls.live) }
+
+	// Three uncapped sessions over link 0: one component, everyone freezes at
+	// a third of it in the first iteration.
+	ls.add([]int32{0, 1}, 0)
+	ls.add([]int32{0, 2}, 0)
+	ls.add([]int32{0, 3}, 0)
+	ls.commitShaped("all-freeze", roundShapes{oneComp: 1, allFreeze: 1})
+	check()
+
+	// Two more, one capped far below the share. The first round holds the
+	// two newcomers on a link with nothing left (both freeze at 0); J1 pulls
+	// the three residents in for a second, where the capped member freezes
+	// first and the rest an iteration later.
+	ls.add([]int32{0, 4}, 1e8)
+	ls.add([]int32{0, 5}, 0)
+	ls.commitShaped("partial freeze", roundShapes{oneComp: 2, allFreeze: 2, partial: 1})
+	check()
+
+	// Two disjoint pairs staged alternately: a and c meet on link 6, b and d
+	// on link 7, and the walk first sees 6, 7, 1, 2 — component 0, 1, 0, 1.
+	// The first pair splits link 6 in one iteration; d's cap takes two.
+	for len(ls.live) > 0 {
+		ls.remove(0)
+	}
+	ls.commit()
+	ls.add([]int32{6}, 0)
+	ls.add([]int32{7}, 0)
+	ls.add([]int32{6, 1}, 0)
+	ls.add([]int32{7, 2}, 3e8)
+	ls.commitShaped("interleaved components", roundShapes{multiComp: 1, interleaved: 1, allFreeze: 2, partial: 1})
+	check()
+}
+
+// TestLiveSetMatchesRescanBitExact is the contract of the shipped round —
+// the fused set-up walk, the decide-then-apply live-set loop, the
+// one-component route: on the directed shapes above and on spray-shaped
+// histories — large coupled components that freeze over many iterations — the
+// shipped solver at solver shards 1/2/4 reproduces the loop it replaced
+// exactly, every rate of every commit, and the result is still the unique
+// max-min allocation. The random histories must between them reach every
+// shape too (but the backstop, which no input reaches).
 func TestLiveSetMatchesRescanBitExact(t *testing.T) {
+	shapesHistory(t, 1, 2, 4)
+
 	root := sim.NewRNG(20260929)
 	var maxIters uint64
+	var shapes roundShapes
 	for trial := 0; trial < 12; trial++ {
 		rng := root.Fork(string(rune('a' + trial)))
 		f := newSprayFabric(rng, 3+rng.Intn(6), 6+rng.Intn(30))
 		ls := newLockstep(t, f.caps, 1, 2, 4)
+		ls.oracle.shapes = shapes // keep counting across the trials
 		sprayHistory(rng, f, ls, 40, func() {
 			checkAgainstWaterfill(t, ls.subj[0], f.caps, ls.live)
 		})
 		if ls.maxIters > maxIters {
 			maxIters = ls.maxIters
 		}
+		shapes = ls.oracle.shapes
 	}
 	if maxIters < 8 {
 		t.Fatalf("histories never left the shallow regime: at most %d bottleneck iterations in a commit", maxIters)
+	}
+	if shapes.oneComp == 0 || shapes.multiComp == 0 || shapes.interleaved == 0 ||
+		shapes.allFreeze == 0 || shapes.partial == 0 {
+		t.Fatalf("histories missed a round shape: %+v", shapes)
+	}
+}
+
+// ageStamps puts a solver between commits where four billion of them would
+// have left it: both generations one step from wrapping, and every stamp
+// holding a small value from the cycle that is ending — exactly the values
+// the new cycle's first commits are about to hand out again.
+func ageStamps(is *IncSolver) {
+	for i := range is.links {
+		lk, old := &is.links[i], uint32(1+i%2)
+		lk.tStamp, lk.round, lk.lmaxS = old, old, old
+	}
+	for s := range is.sStamp {
+		old := uint32(1 + s%2)
+		is.sStamp[s], is.mStamp[s], is.lStamp[s] = old, old, old
+	}
+	is.gen, is.roundGen = math.MaxUint32, math.MaxUint32
+}
+
+// TestStampWraparound drives the solver's commit and round generations
+// across MaxUint32 in the middle of a spray-shaped history, with every
+// session and link still carrying a stamp the new cycle reuses at once: one
+// read as current would skip a staging, a join, a remark or a link's set-up.
+// The oracle is left alone (its round stamps are 64-bit and its commit
+// generation stays in the hundreds), and every commit is checked against it
+// bit for bit, standing queues included, and against Waterfill.
+func TestStampWraparound(t *testing.T) {
+	rng := sim.NewRNG(20261003)
+	f := newSprayFabric(rng, 5, 12)
+	ls := newLockstep(t, f.caps, 1, 2, 4)
+	check := func() { checkAgainstWaterfill(t, ls.subj[0], f.caps, ls.live) }
+	sprayHistory(rng, f, ls, 12, check)
+	for _, is := range ls.subj {
+		ageStamps(is)
+	}
+	sprayHistory(rng, f, ls, 30, check)
+	for _, is := range ls.subj {
+		if is.gen > 1000 || is.roundGen > 1000 {
+			t.Fatalf("shards=%d: generations %d / %d never wrapped", is.shards, is.gen, is.roundGen)
+		}
 	}
 }
 
@@ -402,6 +679,7 @@ func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 // holds a NaN load. A healthy third member freezes first, so the backstop
 // fires on an already-compacted live set. Both loops must hand the stranded
 // members the level (+Inf here) and stop.
+// The commit's shapes are asserted: a partial freeze, then the backstop.
 func TestLiveSetBackstopMatchesRescan(t *testing.T) {
 	caps := []float64{1e9, 1e9, 1e9}
 	ls := newLockstep(t, caps, 1, 2, 4)
@@ -414,13 +692,13 @@ func TestLiveSetBackstopMatchesRescan(t *testing.T) {
 	poison := func(is *IncSolver) {
 		is.sCap[ls.live[a].id] = math.NaN()
 		is.sCap[ls.live[b].id] = math.NaN()
-		is.load[0] = math.NaN()
+		is.links[0].load = math.NaN()
 	}
 	poison(&ls.oracle.IncSolver)
 	for _, is := range ls.subj {
 		poison(is)
 	}
-	ls.commit()
+	ls.commitShaped("poisoned component", roundShapes{oneComp: 1, partial: 1, backstop: 1})
 	for _, is := range ls.subj {
 		if ra, rb := is.Rate(ls.live[a].id), is.Rate(ls.live[b].id); !math.IsInf(ra, 1) || !math.IsInf(rb, 1) {
 			t.Fatalf("shards=%d: stranded sessions got %v and %v, want the backstop's +Inf level", is.shards, ra, rb)

@@ -114,3 +114,53 @@ func TestMapNamedPanicsWithLabeledError(t *testing.T) {
 		})
 	t.Fatal("MapNamed did not panic")
 }
+
+// TestMapNamedWaitsForInFlightOnFailure: a failed point must not unwind the
+// caller while a sibling is still running — the sibling writes the caller's
+// checkpoint and holds its arenas — and with two failures it is the first in
+// item order that is raised, not the first in time. Map shares the collection
+// and is held to the same.
+func TestMapNamedWaitsForInFlightOnFailure(t *testing.T) {
+	name := func(i int) string { return fmt.Sprintf("pt%d", i) }
+	for _, tc := range []struct {
+		api  string
+		call func(p *Pool, fn func(int) int)
+		want func(r any) bool
+	}{
+		{"MapNamed", func(p *Pool, fn func(int) int) { MapNamed(p, []int{0, 1, 2}, name, fn) },
+			func(r any) bool { pe, ok := r.(*PanicError); return ok && pe.Point == "pt0" }},
+		{"Map", func(p *Pool, fn func(int) int) { Map(p, []int{0, 1, 2}, fn) },
+			func(r any) bool { return r == "pt0 fails" }},
+	} {
+		t.Run(tc.api, func(t *testing.T) {
+			lastFailed, firstFailing := make(chan struct{}), make(chan struct{})
+			var siblingDone atomic.Bool
+			defer func() {
+				r := recover()
+				if !tc.want(r) {
+					t.Errorf("recovered %v (%T), want pt0's failure", r, r)
+				}
+				if !siblingDone.Load() {
+					t.Error("unwound while pt1 was still running")
+				}
+			}()
+			tc.call(New(3), func(i int) int {
+				switch i {
+				case 2: // fails first in time
+					defer close(lastFailed)
+					panic("pt2 fails")
+				case 0: // fails second, first in item order
+					<-lastFailed
+					defer close(firstFailing)
+					panic("pt0 fails")
+				default: // still in flight after both failures have resolved
+					<-firstFailing
+					time.Sleep(50 * time.Millisecond)
+					siblingDone.Store(true)
+				}
+				return i
+			})
+			t.Error("did not panic")
+		})
+	}
+}

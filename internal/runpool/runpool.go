@@ -244,28 +244,39 @@ func (f *Future[T]) Result() (T, error) {
 }
 
 // Map runs fn over every item concurrently (bounded by the pool) and
-// returns the results in item order, independent of scheduling.
+// returns the results in item order, independent of scheduling. A failed
+// item fails the call as Future.Wait would — a task's panic re-panics with
+// its value, a watchdog timeout with the WatchdogError — but only once every
+// item's future has resolved, and it is the first failure in item order that
+// is raised: the caller never unwinds while sibling tasks are still running
+// on state it is about to tear down.
 func Map[In, Out any](p *Pool, items []In, fn func(In) Out) []Out {
 	futs := make([]*Future[Out], len(items))
 	for i := range items {
 		it := items[i]
 		futs[i] = Submit(p, func() Out { return fn(it) })
 	}
-	out := make([]Out, len(items))
-	for i, f := range futs {
-		out[i] = f.Wait()
-	}
-	return out
+	return waitAll(futs)
 }
 
-// MapN runs fn(0..n-1) concurrently and returns the results in index order.
+// MapN runs fn(0..n-1) concurrently and returns the results in index order,
+// failing as Map does.
 func MapN[Out any](p *Pool, n int, fn func(int) Out) []Out {
 	futs := make([]*Future[Out], n)
 	for i := 0; i < n; i++ {
 		i := i
 		futs[i] = Submit(p, func() Out { return fn(i) })
 	}
-	out := make([]Out, n)
+	return waitAll(futs)
+}
+
+// waitAll resolves every future, then returns the values or raises the first
+// failure in submission order through Wait.
+func waitAll[T any](futs []*Future[T]) []T {
+	for _, f := range futs {
+		f.Result()
+	}
+	out := make([]T, len(futs))
 	for i, f := range futs {
 		out[i] = f.Wait()
 	}
@@ -320,23 +331,20 @@ func resultRetryWatchdog[T any](p *Pool, point string, fn func() T, f *Future[T]
 
 // MapNamed is Map with a per-item point label (used for failure
 // identification and checkpoint keys) and a bounded single retry of
-// watchdog-timed-out points. Like Map it panics on the first failed item —
-// with the labeled *PanicError or *WatchdogError itself, so the caller's
-// FAILED report identifies the point — and returns results in item order.
+// watchdog-timed-out points. Like Map it waits for every item, then panics on
+// the first failed one in item order — with the labeled *PanicError or
+// *WatchdogError itself, so the caller's FAILED report identifies the point —
+// and returns results in item order. Sibling points write the caller's
+// checkpoint and hold its arenas while they run, so the panic must not
+// overtake them.
 func MapNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []Out {
-	futs := make([]*Future[Out], len(items))
-	for i := range items {
-		it := items[i]
-		futs[i] = SubmitNamed(p, name(it), func() Out { return fn(it) })
-	}
-	out := make([]Out, len(items))
-	for i, f := range futs {
-		it := items[i]
-		v, err := resultRetryWatchdog(p, name(it), func() Out { return fn(it) }, f)
-		if err != nil {
-			panic(err)
+	res := MapResultsNamed(p, items, name, fn)
+	out := make([]Out, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			panic(r.Err)
 		}
-		out[i] = v
+		out[i] = r.Val
 	}
 	return out
 }

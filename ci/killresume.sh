@@ -83,3 +83,25 @@ if ! cmp -s "$workdir/pfull.txt" "$workdir/presumed.txt"; then
   exit 1
 fi
 echo "OK: production kill-and-resume output byte-identical to the uninterrupted run"
+
+# Version skew: a checkpoint written for an older simulation state (before
+# the port hand-off its watermarks count more events) must be refused by the
+# envelope check — one line, before any point replays — not die mid-replay
+# in VerifyRestore. The envelope's state field precedes the payload, so the
+# first match on the line is the envelope's.
+echo "== version skew: the production checkpoint relabelled fb-state-1 must be refused up front"
+sed -E 's/"state":"fb-state-[0-9]+"/"state":"fb-state-1"/' "$workdir/prod.ckpt" > "$workdir/old.ckpt"
+if cmp -s "$workdir/prod.ckpt" "$workdir/old.ckpt"; then
+  echo "FAIL: could not relabel the checkpoint envelope (already fb-state-1?)" >&2
+  exit 1
+fi
+if "$workdir/fbsim" "${pargs[@]}" -resume "$workdir/old.ckpt" > "$workdir/skew.out" 2> "$workdir/skew.err"; then
+  echo "FAIL: -resume accepted a checkpoint written for fb-state-1" >&2
+  exit 1
+fi
+if [ "$(wc -l < "$workdir/skew.err")" -ne 1 ] || ! grep -q 'was written for simulation state "fb-state-1"' "$workdir/skew.err" || [ -s "$workdir/skew.out" ]; then
+  echo "FAIL: version-skew refusal is not the one version line:" >&2
+  cat "$workdir/skew.out" "$workdir/skew.err" >&2
+  exit 1
+fi
+echo "OK: fb-state-1 checkpoint refused: $(cat "$workdir/skew.err")"

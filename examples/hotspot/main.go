@@ -64,8 +64,8 @@ func main() {
 		base := make([]int64, lp.Spines)
 		baseUDP := make([]int64, lp.Spines)
 		for i, l := range ls.UpLinks[0] {
-			base[i] = l.AtoB.TxBytes[netsim.ProtoTCP]
-			baseUDP[i] = l.AtoB.TxBytes[netsim.ProtoUDP]
+			base[i] = l.AtoB.TxBytes(netsim.ProtoTCP)
+			baseUDP[i] = l.AtoB.TxBytes(netsim.ProtoUDP)
 		}
 		const window = 80 * sim.Millisecond
 		eng.Run(20*sim.Millisecond + window)
@@ -74,9 +74,9 @@ func main() {
 
 		fmt.Printf("%-11s per-path TCP Gbps:", scheme)
 		for i, l := range ls.UpLinks[0] {
-			gbps := float64(l.AtoB.TxBytes[netsim.ProtoTCP]-base[i]) * 8 / window.Seconds() / 1e9
+			gbps := float64(l.AtoB.TxBytes(netsim.ProtoTCP)-base[i]) * 8 / window.Seconds() / 1e9
 			tag := " "
-			if l.AtoB.TxBytes[netsim.ProtoUDP]-baseUDP[i] > 0 {
+			if l.AtoB.TxBytes(netsim.ProtoUDP)-baseUDP[i] > 0 {
 				tag = "*" // the hotspot path carrying the UDP flow
 			}
 			fmt.Printf("  %5.2f%s", gbps, tag)

@@ -82,7 +82,7 @@ func aimAtFlow(ls *topo.LeafSpine, flow *tcp.Flow, hot *udp.Sender) uint32 {
 	ls.Eng.Run(1 * sim.Millisecond)
 	target := -1
 	for i, l := range ls.UpLinks[0] {
-		if l.AtoB.TxBytes[netsim.ProtoTCP] > 0 {
+		if l.AtoB.TxBytes(netsim.ProtoTCP) > 0 {
 			target = i
 			break
 		}

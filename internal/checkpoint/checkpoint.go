@@ -55,7 +55,12 @@ const (
 	// layout, or scheduling semantics change: watermarks from an older
 	// state cannot verify against the new engine and must be rejected up
 	// front rather than failing mid-replay.
-	StateVersion = "fb-state-1"
+	//
+	// fb-state-2: a port hands an unwaited-for packet to its peer when
+	// serialization starts (netsim.Port), so the packet engine executes fewer
+	// events and every packet watermark's Seq, Executed and QueueDigest
+	// differ from fb-state-1's.
+	StateVersion = "fb-state-2"
 )
 
 // Descriptor pins the run configuration a checkpoint belongs to. Resuming

@@ -73,6 +73,9 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		{"magic", func(e map[string]any) { e["magic"] = "something-else" }, "not a checkpoint file"},
 		{"format", func(e map[string]any) { e["format"] = FormatVersion + 1 }, "format version"},
 		{"state", func(e map[string]any) { e["state"] = "fb-state-0" }, "simulation state"},
+		// The version before the port hand-off: same schema, different
+		// event counts, so only this check can refuse it before a replay.
+		{"state-1", func(e map[string]any) { e["state"] = "fb-state-1" }, `simulation state "fb-state-1"; this binary is "fb-state-2"`},
 		{"crc", func(e map[string]any) { e["crc32"] = float64(12345) }, "checksum mismatch"},
 	}
 	for _, tc := range cases {

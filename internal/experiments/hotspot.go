@@ -107,8 +107,8 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	startTCP := make([]int64, len(uplinks))
 	startUDP := make([]int64, len(uplinks))
 	for i, l := range uplinks {
-		startTCP[i] = l.AtoB.TxBytes[netsim.ProtoTCP]
-		startUDP[i] = l.AtoB.TxBytes[netsim.ProtoUDP]
+		startTCP[i] = l.AtoB.TxBytes(netsim.ProtoTCP)
+		startUDP[i] = l.AtoB.TxBytes(netsim.ProtoUDP)
 	}
 	eng.Run(warm + meas)
 	o.recordPerf(eng)
@@ -118,8 +118,8 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	perLink := make([]float64, len(uplinks))
 	uIdx, uBytes := 0, int64(-1)
 	for i, l := range uplinks {
-		dTCP := l.AtoB.TxBytes[netsim.ProtoTCP] - startTCP[i]
-		dUDP := l.AtoB.TxBytes[netsim.ProtoUDP] - startUDP[i]
+		dTCP := l.AtoB.TxBytes(netsim.ProtoTCP) - startTCP[i]
+		dUDP := l.AtoB.TxBytes(netsim.ProtoUDP) - startUDP[i]
 		perLink[i] = float64(dTCP) * 8 / meas.Seconds() / float64(topo.Gbps)
 		if dUDP > uBytes {
 			uBytes, uIdx = dUDP, i

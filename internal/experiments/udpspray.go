@@ -93,7 +93,7 @@ func (o Options) runUDPSpray(burst int64) (maxShare, oooFrac float64) {
 
 	var total, max int64
 	for _, l := range ls.UpLinks[0] {
-		b := l.AtoB.TxBytes[netsim.ProtoUDP]
+		b := l.AtoB.TxBytes(netsim.ProtoUDP)
 		total += b
 		if b > max {
 			max = b

@@ -124,7 +124,7 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 	}
 	var thin, total int64
 	for i, l := range ls.UpLinks[0] {
-		b := l.AtoB.TxBytes[netsim.ProtoTCP]
+		b := l.AtoB.TxBytes(netsim.ProtoTCP)
 		total += b
 		if i == 0 {
 			thin = b

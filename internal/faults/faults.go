@@ -45,18 +45,6 @@ func (d Dir) String() string {
 	return fmt.Sprintf("dir(%d)", uint8(d))
 }
 
-// links returns the unidirectional links of dx the direction selects.
-func (d Dir) links(dx *netsim.Duplex) []*netsim.Link {
-	switch d {
-	case AtoB:
-		return []*netsim.Link{&dx.AtoB.Link}
-	case BtoA:
-		return []*netsim.Link{&dx.BtoA.Link}
-	default:
-		return []*netsim.Link{&dx.AtoB.Link, &dx.BtoA.Link}
-	}
-}
-
 // ports returns the egress ports of dx the direction selects.
 func (d Dir) ports(dx *netsim.Duplex) []*netsim.Port {
 	switch d {
@@ -280,25 +268,25 @@ func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 	switch ev.Kind {
 	case LinkDown, LinkUp:
 		down := ev.Kind == LinkDown
-		links := ev.Dir.links(dx)
+		ports := ev.Dir.ports(dx)
 		inj.eng.At(ev.At, func() {
-			for _, l := range links {
-				l.SetDown(down)
+			for _, port := range ports {
+				port.SetLinkDown(down)
 			}
 		})
 	case Flap:
 		inj.eng.At(ev.At, func() { inj.flap(ev, dx, evRNG, true) })
 	case GrayDrop:
-		links := ev.Dir.links(dx)
+		ports := ev.Dir.ports(dx)
 		p := ev.DropProb
 		inj.eng.At(ev.At, func() {
-			for _, l := range links {
+			for _, port := range ports {
 				if p <= 0 {
-					l.DropFn = nil
+					port.SetLinkDropFn(nil)
 					continue
 				}
 				rng := evRNG // one stream per event; draws interleave in engine order
-				l.DropFn = func(*netsim.Packet) bool { return rng.Float64() < p }
+				port.SetLinkDropFn(func(*netsim.Packet) bool { return rng.Float64() < p })
 			}
 		})
 	case Degrade:
@@ -332,13 +320,13 @@ func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 func (inj *Injector) flap(ev Event, dx *netsim.Duplex, evRNG *sim.RNG, goDown bool) {
 	now := inj.eng.Now()
 	if ev.Until > 0 && now >= ev.Until {
-		for _, l := range ev.Dir.links(dx) {
-			l.SetDown(false)
+		for _, port := range ev.Dir.ports(dx) {
+			port.SetLinkDown(false)
 		}
 		return
 	}
-	for _, l := range ev.Dir.links(dx) {
-		l.SetDown(goDown)
+	for _, port := range ev.Dir.ports(dx) {
+		port.SetLinkDown(goDown)
 	}
 	d := ev.UpFor
 	if goDown {

@@ -22,3 +22,9 @@ func (s *Switch) debugCheckSelect(*Packet, []int32, int32) {}
 // cross-shard merge verifies the lookahead bound and the mailbox merge
 // order.
 func debugCheckCross([]CrossMsg, int, sim.Time) {}
+
+// debugCheckBook and debugCheckRecall are no-ops in release builds; with
+// -tags simdebug a hand-off booked before its transmission ends, or recalled
+// after the peer's event may have fired, panics.
+func (p *Port) debugCheckBook()   {}
+func (p *Port) debugCheckRecall() {}

@@ -86,10 +86,10 @@ func TestLinkGrayDrop(t *testing.T) {
 	eng, d, _, b := duplexFixture()
 	// Deterministic 1-in-3 drop pattern.
 	n := 0
-	d.AtoB.Link.DropFn = func(*Packet) bool {
+	d.AtoB.SetLinkDropFn(func(*Packet) bool {
 		n++
 		return n%3 == 0
-	}
+	})
 	for i := 0; i < 9; i++ {
 		d.AtoB.Enqueue(&Packet{Size: 100})
 	}
@@ -112,7 +112,7 @@ func TestLinkGrayDrop(t *testing.T) {
 
 func TestTracePathNamesDownDirection(t *testing.T) {
 	h0, _, swA, _ := traceFixture(t)
-	swA.Ports[1].Link.Down = true
+	swA.Ports[1].SetLinkDown(true)
 	_, err := TracePath(h0, &Packet{Src: 0, Dst: 1}, 0)
 	if err == nil {
 		t.Fatal("trace crossed a failed link")

@@ -1,0 +1,541 @@
+package netsim
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+
+	"flowbender/internal/sim"
+)
+
+// The differential proof of the port hand-off. A port with an onSent hook
+// never hands off, so a fabric with a no-op hook on every port runs the
+// completion event for every transmission — the code path every run took
+// before the hand-off existed — and is the oracle here. A scenario (random
+// two-tier fabric, traffic, faults) is built twice, with and without the
+// hooks, and everything the simulation can observe must come out equal.
+
+type hoHostSpec struct {
+	rate  int64
+	delay sim.Time
+}
+
+type hoSwitchSpec struct {
+	id     NodeID
+	nPorts int
+	rate   int64
+	cfg    SwitchConfig
+}
+
+// hoSend is one packet: seq doubles as its identity in the logs.
+type hoSend struct {
+	at       sim.Time
+	src, dst int
+	size     int
+	proto    Proto
+	flow     FlowID
+	seq      int64
+}
+
+const (
+	hoDown = iota
+	hoGray
+	hoDegrade
+	hoPause
+	hoFaultKinds
+)
+
+// hoFault changes a port at `at` and changes it back at `until`.
+type hoFault struct {
+	at, until sim.Time
+	kind      int
+	port      int // index into hoFabric.ports
+	arg       int64
+}
+
+type hoScenario struct {
+	hostsPerLeaf int
+	hosts        []hoHostSpec
+	leaves       []hoSwitchSpec
+	spines       []hoSwitchSpec
+	portRates    map[int]int64 // per-port overrides of a switch's rate, by ports index
+	hostCable    []sim.Time    // propagation delay per host cable
+	upCable      [][]sim.Time  // [leaf][spine]
+	sends        []hoSend
+	flows        int
+	faults       []hoFault
+	chunks       []sim.Time // Run boundaries, ascending
+}
+
+func hoPick[T any](rng *sim.RNG, vs ...T) T { return vs[rng.Intn(len(vs))] }
+
+func newHoScenario(rng *sim.RNG) *hoScenario {
+	sc := &hoScenario{hostsPerLeaf: 1 + rng.Intn(3), portRates: map[int]int64{}}
+	nLeaves, nSpines := 1+rng.Intn(3), 1+rng.Intn(3)
+	if nLeaves == 1 && sc.hostsPerLeaf == 1 {
+		sc.hostsPerLeaf = 2 // traffic needs two hosts
+	}
+	// Switch IDs share the hosts' number space (as in internal/topo), or
+	// start high enough that some of them are beyond what orderTag encodes.
+	base := hoPick(rng, NodeID(0), 0, 0, 0, 509)
+	swSpec := func(id NodeID, used int) hoSwitchSpec {
+		s := hoSwitchSpec{
+			id:     id,
+			nPorts: used + hoPick(rng, 0, 0, 0, 0, 0, 0, 0, 15), // 17+ ports: tags degrade from port 16 up
+			rate:   hoPick[int64](rng, 10e9, 10e9, 10e9, 1e9, 40e9),
+			cfg: SwitchConfig{
+				QueueCap: hoPick(rng, 4000, 30000, 200000),
+				MarkK:    hoPick(rng, 0, 3000, 20000),
+				FwdDelay: hoPick(rng, 0, 300*sim.Nanosecond, 300*sim.Nanosecond, sim.Microsecond, sim.Microsecond, sim.Microsecond, sim.Microsecond),
+			},
+		}
+		switch rng.Intn(12) {
+		case 0:
+			s.cfg.PFC = &PFCConfig{Pause: 4000, Unpause: 2000}
+		case 1:
+			s.cfg.SharedBuffer = 20000
+		}
+		return s
+	}
+	for l := 0; l < nLeaves; l++ {
+		sc.leaves = append(sc.leaves, swSpec(base+NodeID(l), sc.hostsPerLeaf+nSpines))
+		sc.upCable = append(sc.upCable, nil)
+		for s := 0; s < nSpines; s++ {
+			sc.upCable[l] = append(sc.upCable[l], hoPick(rng, 0, 0, 500*sim.Nanosecond))
+		}
+		for h := 0; h < sc.hostsPerLeaf; h++ {
+			sc.hosts = append(sc.hosts, hoHostSpec{
+				rate:  hoPick[int64](rng, 10e9, 10e9, 10e9, 1e9, 40e9),
+				delay: hoPick(rng, 0, 700*sim.Nanosecond, 700*sim.Nanosecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond),
+			})
+			sc.hostCable = append(sc.hostCable, hoPick(rng, 0, 0, 500*sim.Nanosecond))
+		}
+	}
+	for s := 0; s < nSpines; s++ {
+		sc.spines = append(sc.spines, swSpec(base+NodeID(nLeaves+s), nLeaves))
+	}
+	nPorts := len(sc.hosts)
+	for _, s := range slices.Concat(sc.leaves, sc.spines) {
+		nPorts += s.nPorts
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		// At 400G a 40-byte packet serializes in under a nanosecond: zero.
+		sc.portRates[rng.Intn(nPorts)] = hoPick[int64](rng, 1e9, 10e9, 40e9, 400e9)
+	}
+
+	// Traffic: bursts of packets from one host to another, spaced so that
+	// they queue (same instant), chase each other at exactly line rate (one
+	// serialization time apart), or arrive loosely. Half the scenarios start
+	// their bursts on a few dozen slots of one MSS serialization time, so
+	// that packets from different inputs meet on the same nanosecond at one
+	// egress port, and transmissions on different ports end together.
+	grid, slots := sim.Nanosecond, int64(300*sim.Microsecond)
+	if rng.Intn(2) == 0 {
+		grid, slots = 1200*sim.Nanosecond, 8+rng.Int63n(56)
+	}
+	seq := int64(0)
+	sc.flows = 5 + rng.Intn(36)
+	for b := 0; b < sc.flows; b++ {
+		at := sim.Time(rng.Int63n(slots)) * grid
+		src := rng.Intn(len(sc.hosts))
+		dst := rng.IntnExcept(len(sc.hosts), src)
+		size := hoPick(rng, 1500, 1500, 40, 41+rng.Intn(1459))
+		proto := hoPick(rng, ProtoTCP, ProtoTCP, ProtoUDP)
+		gap := hoPick(rng, 0, sim.Time(int64(size)*8*int64(sim.Second)/sc.hosts[src].rate), sim.Time(rng.Int63n(3000)))
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			sc.sends = append(sc.sends, hoSend{at: at, src: src, dst: dst, size: size, proto: proto, flow: FlowID(b), seq: seq})
+			seq++
+			at += gap
+		}
+	}
+	for i := rng.Intn(7); i > 0; i-- {
+		sc.addFault(rng, sim.Time(rng.Int63n(int64(350*sim.Microsecond))), rng.Intn(nPorts))
+	}
+	return sc
+}
+
+func (sc *hoScenario) addFault(rng *sim.RNG, at sim.Time, port int) {
+	sc.faults = append(sc.faults, hoFault{
+		at:    at,
+		until: at + sim.Time(1+rng.Int63n(int64(40*sim.Microsecond))),
+		kind:  rng.Intn(hoFaultKinds),
+		port:  port,
+		arg:   int64(2 + rng.Intn(4)),
+	})
+}
+
+// hoTx is one completed transmission as the oracle saw it.
+type hoTx struct {
+	port       int
+	start, end sim.Time
+}
+
+type hoFabric struct {
+	eng      *sim.Engine
+	pool     *PacketPool
+	hosts    []*Host
+	switches []*Switch
+	ports    []*Port // host NICs, then every switch's ports
+	log      []string
+
+	txs     []hoTx // oracle: every transmission
+	recalls int    // hand-off side: link changes that found a hand-off on the wire
+	ties    int    // hand-off side: LastTxEnd reads on the nanosecond a hand-off ends
+}
+
+// hoSelector sprays per packet and, for every port it could pick, logs what
+// FlowDyn would read: how long the port has been idle.
+type hoSelector struct{ f *hoFabric }
+
+func (s hoSelector) Select(sw *Switch, pkt *Packet, eligible []int32) int32 {
+	now := sw.Now()
+	for _, e := range eligible {
+		if p := sw.Ports[e]; p.busy && !p.armed && p.txEnd == now {
+			s.f.ties++
+		}
+		s.f.log = append(s.f.log, fmt.Sprintf("t=%d select sw=%d seq=%d port=%d lastTxEnd=%d", now, sw.ID(), pkt.Seq, e, sw.LastTxEnd(e)))
+	}
+	return eligible[int(pkt.Seq)%len(eligible)]
+}
+
+func (sc *hoScenario) build(oracle bool) *hoFabric {
+	f := &hoFabric{eng: sim.NewEngine(), pool: NewPacketPool()}
+	eng := f.eng
+	for i, hs := range sc.hosts {
+		h := NewHost(eng, NodeID(i), hs.rate, hs.delay)
+		h.UsePool(f.pool)
+		for fl := 0; fl < sc.flows; fl++ {
+			h.Register(FlowID(fl), handlerFunc(func(pkt *Packet) {
+				f.log = append(f.log, fmt.Sprintf("t=%d deliver host=%d seq=%d ce=%v hops=%d", eng.Now(), h.ID(), pkt.Seq, pkt.CE, pkt.Hops))
+			}))
+		}
+		f.hosts = append(f.hosts, h)
+		f.ports = append(f.ports, h.NIC)
+	}
+	nLeaves, nSpines := len(sc.leaves), len(sc.spines)
+	for _, ss := range slices.Concat(sc.leaves, sc.spines) {
+		sw := NewSwitch(eng, ss.id, ss.nPorts, ss.rate, ss.cfg)
+		sw.UsePool(f.pool)
+		sw.SetSelector(hoSelector{f})
+		f.switches = append(f.switches, sw)
+		f.ports = append(f.ports, sw.Ports...)
+	}
+	for i, r := range sc.portRates {
+		f.ports[i].RateBps = r
+	}
+	for l, leaf := range f.switches[:nLeaves] {
+		routes := make([][]int32, len(sc.hosts))
+		var ups []int32
+		for s, spine := range f.switches[nLeaves:] {
+			WireSwitches(leaf, sc.hostsPerLeaf+s, spine, l, sc.upCable[l][s])
+			ups = append(ups, int32(sc.hostsPerLeaf+s))
+		}
+		for h := range sc.hosts {
+			if h/sc.hostsPerLeaf == l {
+				WireHost(f.hosts[h], leaf, h%sc.hostsPerLeaf, sc.hostCable[h])
+				routes[h] = []int32{int32(h % sc.hostsPerLeaf)}
+			} else {
+				routes[h] = ups
+			}
+		}
+		leaf.SetRoutes(routes)
+	}
+	for s := 0; s < nSpines; s++ {
+		routes := make([][]int32, len(sc.hosts))
+		for h := range sc.hosts {
+			routes[h] = []int32{int32(h / sc.hostsPerLeaf)}
+		}
+		f.switches[nLeaves+s].SetRoutes(routes)
+	}
+	if oracle {
+		for i, p := range f.ports {
+			hook := p.onSent
+			p.onSent = func(pkt *Packet) {
+				f.txs = append(f.txs, hoTx{port: i, start: p.txStart, end: eng.Now()})
+				if hook != nil {
+					hook(pkt)
+				}
+			}
+		}
+	}
+
+	// Everything below is scheduled before the run starts, in scenario
+	// order, so both fabrics file it under the same keys.
+	for _, s := range sc.sends {
+		eng.At(s.at, func() {
+			pkt := f.hosts[s.src].NewPacket()
+			pkt.Flow, pkt.Seq = s.flow, s.seq
+			pkt.Src, pkt.Dst = NodeID(s.src), NodeID(s.dst)
+			pkt.Proto, pkt.Size, pkt.ECT = s.proto, s.size, true
+			f.hosts[s.src].Send(pkt)
+		})
+	}
+	for _, ft := range sc.faults {
+		p, k := f.ports[ft.port], ft.arg
+		onWire := func() {
+			if p.txEv != nil && p.txEnd >= eng.Now() {
+				f.recalls++
+			}
+		}
+		var apply, revert func()
+		switch ft.kind {
+		case hoDown:
+			apply = func() { onWire(); p.SetLinkDown(true) }
+			revert = func() { p.SetLinkDown(false) }
+		case hoGray:
+			n := int64(0) // per installation, so a port's draws depend on its own history only
+			apply = func() {
+				onWire()
+				p.SetLinkDropFn(func(*Packet) bool { n++; return n%k == 0 })
+			}
+			revert = func() { p.SetLinkDropFn(nil) }
+		case hoDegrade:
+			rate := p.RateBps
+			apply = func() { p.RateBps = rate / k }
+			revert = func() { p.RateBps = rate }
+		case hoPause:
+			apply = func() { p.SetPaused(true) }
+			revert = func() { p.SetPaused(false) }
+		}
+		eng.At(ft.at, apply)
+		eng.At(ft.until, revert)
+	}
+	return f
+}
+
+// sample logs every counter a caller can read between two Run calls.
+func (f *hoFabric) sample() {
+	now := f.eng.Now()
+	for i, p := range f.ports {
+		f.log = append(f.log, fmt.Sprintf("t=%d port=%d tx tcp=%d udp=%d pkts=%d queue bytes=%d enq=%d drop=%d mark=%d max=%d link down=%d gray=%d flips=%d paused=%v",
+			now, i, p.TxBytes(ProtoTCP), p.TxBytes(ProtoUDP), p.TxPackets(),
+			p.QueuedBytes(), p.Q.Enqueued, p.Q.Dropped, p.Q.Marked, p.Q.MaxBytes,
+			p.Link.DroppedDown, p.Link.DroppedGray, p.Link.Transitions, p.Paused()))
+	}
+	for _, sw := range f.switches {
+		line := fmt.Sprintf("t=%d sw=%d noroute=%d nobuf=%d pauses=%d buffered=%d lastTxEnd", now, sw.ID(), sw.NoRoute, sw.DropsNoBuf, sw.PauseEvents, sw.BufferedBytes())
+		for i := range sw.Ports {
+			// Read after TxPackets above, which settled the port by the
+			// outside caller's rule; inside Select the forwarding event's
+			// own rule applies, and hoSelector logs that.
+			line += fmt.Sprintf(" %d", sw.LastTxEnd(int32(i)))
+		}
+		f.log = append(f.log, line)
+	}
+}
+
+// run executes the scenario in its chunks and returns the observation log.
+func (f *hoFabric) run(sc *hoScenario) []string {
+	for _, until := range sc.chunks {
+		f.eng.Run(until)
+		f.sample()
+	}
+	f.eng.RunUntilIdle()
+	f.sample()
+	// Arrival counters are booked early by a hand-off (and late by the
+	// sharded merge), so they are compared only once nothing is in flight.
+	for _, h := range f.hosts {
+		f.log = append(f.log, fmt.Sprintf("end host=%d rx=%d bytes=%d unclaimed=%d", h.ID(), h.RxPackets, h.RxBytes, h.Unclaimed))
+	}
+	for _, sw := range f.switches {
+		f.log = append(f.log, fmt.Sprintf("end sw=%d rx=%d", sw.ID(), sw.RxPackets))
+	}
+	f.log = append(f.log, fmt.Sprintf("end pool live=%d gets=%d", f.pool.Live(), f.pool.Gets))
+	return f.log
+}
+
+// hoStats is what one case contributed, for the test's power check.
+type hoStats struct {
+	oracleEvents, events uint64
+	recalls, ties        int
+}
+
+func checkHandOffCase(t *testing.T, seed int64) hoStats {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	sc := newHoScenario(rng.Fork("scenario"))
+
+	// Faults and chunk boundaries on a transmission's exact first and last
+	// nanosecond. A fault changes what happens after it, so each aligned
+	// fault is picked from an oracle run that already has the earlier ones.
+	align := rng.Fork("align")
+	oracleTxs := func() []hoTx {
+		f := sc.build(true)
+		f.run(sc)
+		return f.txs
+	}
+	floor := sim.Time(0)
+	for i := align.Intn(6); i > 0; i-- {
+		var later []hoTx
+		for _, tx := range oracleTxs() {
+			if tx.start > floor {
+				later = append(later, tx)
+			}
+		}
+		if len(later) == 0 {
+			break
+		}
+		tx := later[align.Intn(len(later))]
+		floor = hoPick(align, tx.start, tx.end, tx.end)
+		sc.addFault(align, floor, tx.port)
+	}
+	txs := oracleTxs()
+	for i := align.Intn(8); i > 0 && len(txs) > 0; i-- {
+		sc.chunks = append(sc.chunks, hoPick(align, txs[align.Intn(len(txs))].end, sim.Time(align.Int63n(int64(400*sim.Microsecond)))))
+	}
+	sort.Slice(sc.chunks, func(i, j int) bool { return sc.chunks[i] < sc.chunks[j] })
+
+	oracle, change := sc.build(true), sc.build(false)
+	want, got := oracle.run(sc), change.run(sc)
+	for i := 0; i < len(want) || i < len(got); i++ {
+		if i >= len(want) || i >= len(got) || want[i] != got[i] {
+			w, g := "<end of log>", "<end of log>"
+			if i < len(want) {
+				w = want[i]
+			}
+			if i < len(got) {
+				g = got[i]
+			}
+			t.Fatalf("seed %d: observation %d differs\n completion events: %s\n hand-off:          %s", seed, i, w, g)
+		}
+	}
+	if live := change.pool.Live(); live != 0 {
+		t.Fatalf("seed %d: %d packets never recycled (or recycled twice)", seed, live)
+	}
+	if change.eng.Executed > oracle.eng.Executed {
+		t.Fatalf("seed %d: hand-off executed %d events, completion events %d", seed, change.eng.Executed, oracle.eng.Executed)
+	}
+	return hoStats{oracle.eng.Executed, change.eng.Executed, change.recalls, change.ties}
+}
+
+// TestHandOffMatchesCompletionEvent runs the differential check over a fixed
+// range of seeds and requires that, between them, the cases reached what the
+// hand-off adds: transmissions that never got an event, link changes that
+// recalled a packet from the wire, and idle-time reads on the nanosecond a
+// hand-off ended.
+func TestHandOffMatchesCompletionEvent(t *testing.T) {
+	n := int64(300)
+	if testing.Short() {
+		n = 60
+	}
+	var total hoStats
+	for seed := int64(1); seed <= n; seed++ {
+		s := checkHandOffCase(t, seed)
+		total.oracleEvents += s.oracleEvents
+		total.events += s.events
+		total.recalls += s.recalls
+		total.ties += s.ties
+	}
+	t.Logf("%d cases: %d events with a completion per transmission, %d with the hand-off; %d recalls, %d same-nanosecond reads",
+		n, total.oracleEvents, total.events, total.recalls, total.ties)
+	if total.events*20 > total.oracleEvents*19 || total.recalls == 0 || total.ties == 0 {
+		t.Fatalf("the cases no longer exercise the hand-off: %+v", total)
+	}
+}
+
+// FuzzHandOff is the same check on fuzzer-chosen seeds. The checked-in corpus
+// (testdata/fuzz/FuzzHandOff) holds, for each of seventeen ways of getting
+// the hand-off wrong — no recall, either tie rule off by one or constant, no
+// counter undo, own or peer keyedness ignored, a stamp replaced by now, a
+// hand-off despite a queue, a gray or down link, a PFC peer, an onSent hook
+// or a zero-length transmission — the first seed whose case catches it.
+func FuzzHandOff(f *testing.F) {
+	f.Add(int64(1))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkHandOffCase(t, seed)
+	})
+}
+
+// hoChain wires src — switches — dst in a line, as one inter-pod path of the
+// fat-tree: 10G everywhere, no propagation delay, 20 µs hosts. Port 0 of a
+// switch faces src and port 1 faces dst.
+func hoChain(eng *sim.Engine, cfg SwitchConfig, ids ...NodeID) (src, dst *Host, ports []*Port) {
+	src = NewHost(eng, 0, 10e9, 20*sim.Microsecond)
+	dst = NewHost(eng, 1, 10e9, 20*sim.Microsecond)
+	ports = []*Port{src.NIC, dst.NIC}
+	var prev *Switch
+	for i, id := range ids {
+		sw := NewSwitch(eng, id, 2, 10e9, cfg)
+		sw.SetRoutes([][]int32{{0}, {1}})
+		if i == 0 {
+			WireHost(src, sw, 0, 0)
+		} else {
+			WireSwitches(prev, 1, sw, 0, 0)
+		}
+		ports = append(ports, sw.Ports...)
+		prev = sw
+	}
+	WireHost(dst, prev, 1, 0)
+	return src, dst, ports
+}
+
+// TestUncontendedPathEvents pins which events the packet engine executes: a
+// hop nobody queues at costs its forwarding event and nothing else, and a
+// completion event appears exactly where a packet came to wait — or where
+// the hand-off's conditions exclude the port.
+func TestUncontendedPathEvents(t *testing.T) {
+	five := []NodeID{2, 3, 4, 5, 6}
+	plain := SwitchConfig{QueueCap: 200000, MarkK: 30000, FwdDelay: sim.Microsecond}
+	pfc := plain
+	pfc.PFC = &PFCConfig{Pause: 100000, Unpause: 50000}
+	cases := []struct {
+		name      string
+		cfg       SwitchConfig
+		ids       []NodeID
+		n, size   int
+		events    uint64 // executed with the hand-off
+		completed uint64 // executed with a completion event per transmission
+	}{
+		// Host egress delay, five forwarding pipelines, host ingress delay.
+		{"one packet", plain, five, 1, 1500, 7, 13},
+		// The second waits behind the first in the NIC, and nowhere else: at
+		// each switch port it arrives on the nanosecond the first one's
+		// transmission ends, filed after that transmission started (1.2 µs of
+		// serialization against a 1 µs pipeline), so the port is idle again.
+		{"two at one instant", plain, five, 2, 1500, 7*2 + 1, 13 * 2},
+		{"MSS train", plain, five, 4, 1500, 7*4 + 3, 13 * 4},
+		// A 40-byte packet serializes in 32 ns, inside the follower's
+		// pipeline delay: the follower's forwarding event was filed before
+		// the leader's transmission started, sorts before its end, finds the
+		// port busy, and waits for zero nanoseconds behind a real event — at
+		// the NIC and at all five switch ports.
+		{"ACK pair", plain, five, 2, 40, 7*2 + 6, 13 * 2},
+		// PFC needs the completion instant on both sides of every link.
+		{"PFC fabric", pfc, five, 1, 1500, 13, 13},
+		// Switch 600's tags degrade to TagNone, so its arrivals cannot be
+		// filed ahead of time (the port feeding it keeps its completion) nor
+		// ordered against a completion that never ran (so does its own).
+		{"TagNone device", plain, []NodeID{2, 3, 600, 5, 6}, 1, 1500, 7 + 2, 13},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(completions bool) (uint64, []sim.Time) {
+				eng := sim.NewEngine()
+				src, dst, ports := hoChain(eng, tc.cfg, tc.ids...)
+				if completions {
+					for _, p := range ports {
+						if p.onSent == nil {
+							p.onSent = func(*Packet) {}
+						}
+					}
+				}
+				var at []sim.Time
+				dst.Register(1, handlerFunc(func(*Packet) { at = append(at, eng.Now()) }))
+				for i := 0; i < tc.n; i++ {
+					src.Send(&Packet{Flow: 1, Src: 0, Dst: 1, Size: tc.size})
+				}
+				eng.RunUntilIdle()
+				return eng.Executed, at
+			}
+			events, at := run(false)
+			completed, wantAt := run(true)
+			if events != tc.events || completed != tc.completed {
+				t.Errorf("executed %d events (%d with every completion), want %d (%d)", events, completed, tc.events, tc.completed)
+			}
+			if len(at) != tc.n || fmt.Sprint(at) != fmt.Sprint(wantAt) {
+				t.Errorf("deliveries at %v, want %v", at, wantAt)
+			}
+		})
+	}
+}

@@ -24,9 +24,12 @@ type Handler interface {
 type Host struct {
 	eng *sim.Engine
 	id  NodeID
+	// keyed is Switch.keyed for a host: a positive processing delay when it
+	// was built, and an ID orderTag can encode.
+	keyed bool
 	// NIC is the host's egress port.
 	NIC *Port
-	// Delay is the per-direction host processing delay.
+	// Delay is the per-direction host processing delay; fixed at NewHost.
 	Delay sim.Time
 
 	handlers handlerTable
@@ -51,6 +54,8 @@ func NewHost(eng *sim.Engine, id NodeID, rateBps int64, delay sim.Time) *Host {
 	}
 	h.NIC.Q.Presize(256)
 	h.NIC.tag = orderTag(tagKindTx, id, 0)
+	h.keyed = delay > 0 && h.NIC.tag != sim.TagNone
+	h.NIC.keyed = h.keyed
 	return h
 }
 

@@ -129,8 +129,8 @@ func TestPortSerialization(t *testing.T) {
 	if sink.at[1] != 18*sim.Microsecond {
 		t.Fatalf("second arrival at %v, want 18us", sink.at[1])
 	}
-	if p.TxPackets != 2 || p.TxBytes[ProtoTCP] != 2000 {
-		t.Fatalf("counters: pkts=%d bytes=%d", p.TxPackets, p.TxBytes[ProtoTCP])
+	if p.TxPackets() != 2 || p.TxBytes(ProtoTCP) != 2000 {
+		t.Fatalf("counters: pkts=%d bytes=%d", p.TxPackets(), p.TxBytes(ProtoTCP))
 	}
 }
 
@@ -172,7 +172,7 @@ func TestLinkDownDropsPackets(t *testing.T) {
 	sink := &sinkDevice{id: 1, eng: eng}
 	p := NewPort(eng, 1_000_000_000)
 	p.Link = Link{To: sink}
-	p.Link.Down = true
+	p.SetLinkDown(true)
 	p.Enqueue(&Packet{Size: 1000})
 	eng.RunUntilIdle()
 	if len(sink.got) != 0 {

@@ -200,17 +200,21 @@ func (p *Packet) scheduleStep(eng *sim.Engine, d sim.Time, step uint8, dev Devic
 }
 
 // scheduleStepAt is scheduleStep with an absolute due time and insertion
-// stamp, used when a packet is injected across a shard boundary: the arrival
-// happened at a past instant `stamp` of the producing shard's clock, so its
-// effect must land at arrival-time-plus-delay rather than now-plus-delay,
-// and must tie-break against same-due-time events exactly as a serial run
-// would — same insertion instant, same (step, device, port) tag.
-func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) {
+// stamp, used when the arrival it follows is not happening now: a packet
+// injected across a shard boundary arrived at a past instant `stamp` of the
+// producing shard's clock, and a packet a port hands off early (Port.handOff)
+// arrives at the future instant `stamp` its serialization ends. Either way
+// the effect must land at arrival-time-plus-delay rather than
+// now-plus-delay, and must tie-break against same-due-time events exactly as
+// if scheduled at the arrival — same insertion instant, same (step, device,
+// port) tag. The handle is returned for the hand-off, which may have to
+// cancel it.
+func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) *sim.Event {
 	p.step, p.stepDev, p.stepPort = step, dev, int32(port)
 	if p.stepFn == nil {
 		p.stepFn = p.runStep
 	}
-	eng.AtTagged(at, stamp, orderTag(step, dev.ID(), port), p.stepFn)
+	return eng.AtTagged(at, stamp, orderTag(step, dev.ID(), port), p.stepFn)
 }
 
 func (p *Packet) runStep() {
@@ -226,7 +230,8 @@ func (p *Packet) runStep() {
 	case stepDeliver:
 		dev.(*Host).deliver(p)
 	case stepEnqueue:
-		dev.(*Host).NIC.Enqueue(p)
+		h := dev.(*Host)
+		h.NIC.enqueue(p, h.eng.Now()-h.Delay)
 	}
 }
 

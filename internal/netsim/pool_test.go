@@ -153,7 +153,7 @@ func TestDropSitesRecyclePackets(t *testing.T) {
 	}
 
 	// Down link.
-	sw.Ports[1].Link.SetDown(true)
+	sw.Ports[1].SetLinkDown(true)
 	pkt := src.NewPacket()
 	pkt.Flow = 7
 	pkt.Dst = 1
@@ -164,10 +164,10 @@ func TestDropSitesRecyclePackets(t *testing.T) {
 		t.Fatalf("down-link drop leaked (droppedDown=%d live=%d)",
 			sw.Ports[1].Link.DroppedDown, pl.Live())
 	}
-	sw.Ports[1].Link.SetDown(false)
+	sw.Ports[1].SetLinkDown(false)
 
 	// Gray link.
-	sw.Ports[1].Link.DropFn = func(*Packet) bool { return true }
+	sw.Ports[1].SetLinkDropFn(func(*Packet) bool { return true })
 	pkt = src.NewPacket()
 	pkt.Flow = 7
 	pkt.Dst = 1
@@ -178,7 +178,7 @@ func TestDropSitesRecyclePackets(t *testing.T) {
 		t.Fatalf("gray drop leaked (droppedGray=%d live=%d)",
 			sw.Ports[1].Link.DroppedGray, pl.Live())
 	}
-	sw.Ports[1].Link.DropFn = nil
+	sw.Ports[1].SetLinkDropFn(nil)
 
 	// No route.
 	sw.SetRoutes([][]int32{{0}, {}})
@@ -213,6 +213,36 @@ func TestSimdebugPacketTripwires(t *testing.T) {
 	mustPanicNetsim(t, "Receive of recycled packet", func() { h.Receive(pkt, 0) })
 	mustPanicNetsim(t, "Enqueue of recycled packet", func() { h.NIC.Enqueue(pkt) })
 	mustPanicNetsim(t, "double free", func() { pl.Put(pkt) })
+}
+
+// Under -tags simdebug, settling a hand-off at the wrong time panics: booking
+// it while it is still on the wire would free the transmitter and count the
+// packet early, and recalling it once its end has passed would take back a
+// packet the peer may already have forwarded.
+func TestSimdebugHandOffTripwires(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
+	eng := sim.NewEngine()
+	src, dst, _ := hoChain(eng, SwitchConfig{FwdDelay: sim.Microsecond}, 2)
+	delivered := 0
+	dst.Register(1, handlerFunc(func(*Packet) { delivered++ }))
+	src.Send(&Packet{Flow: 1, Src: 0, Dst: 1, Size: 1500})
+
+	nic := src.NIC
+	eng.Run(20*sim.Microsecond + 600*sim.Nanosecond) // halfway through the NIC's serialization
+	if !nic.busy || nic.armed || nic.txEv == nil {
+		t.Fatalf("NIC did not hand off: busy=%v armed=%v", nic.busy, nic.armed)
+	}
+	mustPanicNetsim(t, "booking a hand-off before its end", nic.book)
+	eng.RunUntilIdle()
+	if delivered != 1 || !nic.busy {
+		t.Fatalf("delivered %d; NIC settled by nobody yet busy=%v", delivered, nic.busy)
+	}
+	mustPanicNetsim(t, "recalling a hand-off after the peer's event fired", nic.recall)
+	if nic.TxPackets() != 1 {
+		t.Fatalf("TxPackets = %d after the tripwires", nic.TxPackets())
+	}
 }
 
 func mustPanicNetsim(t *testing.T, what string, fn func()) {

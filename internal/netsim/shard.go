@@ -123,29 +123,46 @@ func applyCross(msgs []CrossMsg, windowEnd sim.Time) {
 	}
 }
 
-// receiveAt is Receive for a packet that crossed a shard boundary: the
-// arrival's immediate effects are commutative counters, applied here at the
-// merge barrier instead of the arrival instant, and the forwarding pipeline
-// is scheduled at the absolute arrival time plus the forwarding delay, which
-// the bounded-lag window guarantees has not yet passed on this shard.
-func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) {
+// receiveAt is Receive for an arrival at instant `at` that is not now: a
+// packet that crossed a shard boundary (at is past, applied at the merge
+// barrier) or one its upstream port handed off when serialization began (at
+// is still to come, see Port.handOff). The arrival's immediate effects are
+// commutative counters, applied here instead of at the arrival instant, and
+// the forwarding pipeline is scheduled at the absolute arrival time plus the
+// forwarding delay — which the bounded-lag window guarantees has not yet
+// passed on this shard — under the key Receive would have given it.
+func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) *sim.Event {
 	pkt.debugCheckLive("Switch.receiveAt")
 	if s.cfg.PFC != nil {
 		// PFC pause state is read synchronously by upstream ports; it
-		// cannot be deferred to a barrier. The partitioner refuses to
-		// shard PFC fabrics, so this is unreachable on supported paths.
-		panic("netsim: cross-shard delivery to a PFC-enabled switch")
+		// cannot be applied at a barrier or ahead of the arrival. The
+		// partitioner refuses to shard PFC fabrics and Port.handOff keeps
+		// the completion event toward a PFC receiver, so this is
+		// unreachable on supported paths.
+		panic("netsim: arrival at a PFC-enabled switch applied off its instant (cross-shard merge or port hand-off)")
 	}
 	s.RxPackets++
 	pkt.Hops++
-	pkt.scheduleStepAt(s.eng, at+s.cfg.FwdDelay, at, stepForward, s, inPort)
+	return pkt.scheduleStepAt(s.eng, at+s.cfg.FwdDelay, at, stepForward, s, inPort)
 }
 
-func (h *Host) receiveAt(pkt *Packet, at sim.Time) {
+// unreceive takes back receiveAt's counters for a recalled hand-off.
+func (s *Switch) unreceive(pkt *Packet) {
+	s.RxPackets--
+	pkt.Hops--
+}
+
+func (h *Host) receiveAt(pkt *Packet, at sim.Time) *sim.Event {
 	pkt.debugCheckLive("Host.receiveAt")
 	h.RxPackets++
 	h.RxBytes += int64(pkt.Size)
-	pkt.scheduleStepAt(h.eng, at+h.Delay, at, stepDeliver, h, 0)
+	return pkt.scheduleStepAt(h.eng, at+h.Delay, at, stepDeliver, h, 0)
+}
+
+// unreceive takes back receiveAt's counters for a recalled hand-off.
+func (h *Host) unreceive(pkt *Packet) {
+	h.RxPackets--
+	h.RxBytes -= int64(pkt.Size)
 }
 
 // Engine returns the engine (shard) this host executes on.

@@ -82,7 +82,12 @@ type SwitchConfig struct {
 type Switch struct {
 	eng *sim.Engine
 	id  NodeID
-	cfg SwitchConfig
+	// keyed: every packet crosses this switch through a pipeline event filed
+	// under a real ordering tag — a positive forwarding delay, and an
+	// identity orderTag can encode (it degrades all-or-nothing in the device
+	// ID, and from port 16 up). Port.handOff needs it on both ends of a link.
+	keyed bool
+	cfg   SwitchConfig
 
 	// Ports are the egress ports, indexed by port number.
 	Ports []*Port
@@ -133,6 +138,7 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 		ingressBytes: make([]int, nPorts),
 		pausedUp:     make([]bool, nPorts),
 	}
+	s.keyed = cfg.FwdDelay > 0 && orderTag(tagKindTx, id, nPorts-1) != sim.TagNone
 	// Pre-size the egress queues so steady-state enqueues rarely grow the
 	// backing array: capacity for a queue full of MSS-sized packets (ACK
 	// bursts can still exceed this and fall back to amortized append).
@@ -145,6 +151,7 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 	for i := range s.Ports {
 		p := NewPort(eng, rateBps)
 		p.tag = orderTag(tagKindTx, id, i)
+		p.keyed = s.keyed
 		p.Q.MarkK = cfg.MarkK
 		if cfg.PFC == nil {
 			p.Q.Cap = cfg.QueueCap
@@ -229,6 +236,19 @@ func (s *Switch) Routes() [][]int32 { return s.table }
 // adaptive selectors such as DeTail.
 func (s *Switch) QueueBytes(port int32) int { return s.Ports[port].Q.Bytes() }
 
+// LastTxEnd returns the engine time the given egress port last finished
+// serializing a packet, or -1 before any transmission. Flowlet-style
+// selectors (routing.FlowDyn) read it from inside Select to judge how long
+// an egress has been idle — an idle port has drained whatever queue the
+// estimate saw. A transmission that ends on the very nanosecond of the call
+// counts exactly when its completion sorts before the forwarding event the
+// selector is running in.
+func (s *Switch) LastTxEnd(port int32) sim.Time {
+	p := s.Ports[port]
+	p.settle(s.eng.Now() - s.cfg.FwdDelay)
+	return p.lastTxEnd
+}
+
 // SetMarking enables or disables ECN marking on every egress queue. A muted
 // switch keeps forwarding but stops setting CE — the gray failure mode where
 // a congestion signal silently disappears (fault injection's EcnMute).
@@ -289,7 +309,7 @@ func (s *Switch) forward(pkt *Packet) {
 		s.pool.Put(pkt)
 		return
 	}
-	if !s.Ports[out].Enqueue(pkt) {
+	if !s.Ports[out].enqueue(pkt, s.eng.Now()-s.cfg.FwdDelay) {
 		s.DropsNoBuf++
 		s.dropPFC(pkt)
 		s.pool.Put(pkt)
@@ -389,13 +409,8 @@ func (s *Switch) checkPause(in int) {
 // as out-of-band (they do not occupy queue space), which is how PFC frames
 // bypass data queuing in real NICs.
 func (s *Switch) sendPFC(up *Port, pause bool) {
-	d := up.Link.Delay
-	if d > 0 {
-		fn := up.resumeFn
-		if pause {
-			fn = up.pauseFn
-		}
-		s.eng.Schedule(d, fn)
+	if d := up.Link.Delay; d > 0 {
+		s.eng.Schedule(d, up.pfcFrame(pause))
 	} else {
 		up.SetPaused(pause)
 	}

@@ -44,8 +44,8 @@ func TestPortProtoCounters(t *testing.T) {
 	p.Enqueue(&Packet{Proto: ProtoUDP, Size: 500})
 	p.Enqueue(&Packet{Proto: ProtoTCP, Size: 200})
 	eng.RunUntilIdle()
-	if p.TxBytes[ProtoTCP] != 1200 || p.TxBytes[ProtoUDP] != 500 {
-		t.Fatalf("proto counters: tcp=%d udp=%d", p.TxBytes[ProtoTCP], p.TxBytes[ProtoUDP])
+	if p.TxBytes(ProtoTCP) != 1200 || p.TxBytes(ProtoUDP) != 500 {
+		t.Fatalf("proto counters: tcp=%d udp=%d", p.TxBytes(ProtoTCP), p.TxBytes(ProtoUDP))
 	}
 }
 

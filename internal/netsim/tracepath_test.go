@@ -43,7 +43,7 @@ func TestTracePathLinear(t *testing.T) {
 
 func TestTracePathFailedLink(t *testing.T) {
 	h0, _, swA, _ := traceFixture(t)
-	swA.Ports[1].Link.Down = true
+	swA.Ports[1].SetLinkDown(true)
 	if _, err := TracePath(h0, &Packet{Src: 0, Dst: 1}, 0); err == nil {
 		t.Fatal("trace crossed a failed link")
 	}

@@ -14,22 +14,22 @@ type Duplex struct {
 // O(seconds) routing reconvergence the paper contrasts against FlowBender's
 // O(RTO) end-to-end recovery.
 func (d *Duplex) Fail() {
-	d.AtoB.Link.SetDown(true)
-	d.BtoA.Link.SetDown(true)
+	d.AtoB.SetLinkDown(true)
+	d.BtoA.SetLinkDown(true)
 }
 
 // Restore brings the cable back up (both directions).
 func (d *Duplex) Restore() {
-	d.AtoB.Link.SetDown(false)
-	d.BtoA.Link.SetDown(false)
+	d.AtoB.SetLinkDown(false)
+	d.BtoA.SetLinkDown(false)
 }
 
 // FailAtoB cuts only the A-to-B direction (a half-open failure: traffic
 // still flows B-to-A). FailBtoA is its mirror.
-func (d *Duplex) FailAtoB() { d.AtoB.Link.SetDown(true) }
+func (d *Duplex) FailAtoB() { d.AtoB.SetLinkDown(true) }
 
 // FailBtoA cuts only the B-to-A direction.
-func (d *Duplex) FailBtoA() { d.BtoA.Link.SetDown(true) }
+func (d *Duplex) FailBtoA() { d.BtoA.SetLinkDown(true) }
 
 // Failed reports whether the cable is fully down: both directions cut. A
 // half-open cable (one direction down) is NOT Failed — use HalfOpen to

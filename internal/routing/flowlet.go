@@ -242,7 +242,7 @@ func (f *FlowDyn) gapFor(sw *netsim.Switch, st *flowletState, p int32) sim.Time 
 	if gap < f.MinGap || gap > f.MaxGap { // < MinGap catches overflow too
 		gap = f.MaxGap
 	}
-	if last := sw.Ports[p].LastTxEnd; last >= 0 {
+	if last := sw.LastTxEnd(p); last >= 0 {
 		if idle := sw.Now() - last; idle > 0 {
 			gap -= idle
 		}

@@ -163,17 +163,11 @@ func QueueBytes(p *netsim.Port) func() float64 {
 // ThroughputBps probes a port's transmit rate, averaged since the previous
 // sample (stateful: create one probe per port per sampler).
 func ThroughputBps(eng *sim.Engine, p *netsim.Port) func() float64 {
-	var lastBytes int64
-	var lastT sim.Time
-	for _, b := range p.TxBytes {
-		lastBytes += b
-	}
-	lastT = eng.Now()
+	txBytes := func() int64 { return p.TxBytes(netsim.ProtoTCP) + p.TxBytes(netsim.ProtoUDP) }
+	lastBytes := txBytes()
+	lastT := eng.Now()
 	return func() float64 {
-		var cur int64
-		for _, b := range p.TxBytes {
-			cur += b
-		}
+		cur := txBytes()
 		now := eng.Now()
 		dt := now - lastT
 		if dt <= 0 {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-simdebug bench bench-json bench-compare benchmark benchmark-compare benchmark-pair results results-paper examples clean
+.PHONY: all build vet test test-short test-race test-simdebug reach-audit bench bench-json bench-compare benchmark benchmark-compare benchmark-pair results results-paper examples clean
 
 all: build vet test
 
@@ -32,6 +32,13 @@ test-race:
 test-simdebug:
 	$(GO) test -tags simdebug ./internal/...
 
+# Which shipped internal/ functions does no binary ever execute? Builds every
+# binary and example with coverage, drives the runs a user makes into one
+# GOCOVERDIR and lists the functions left at 0% (ci/reachaudit.sh). A report
+# for the deletion audit, not a gate.
+reach-audit:
+	./ci/reachaudit.sh
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -42,8 +49,8 @@ bench-json:
 	$(GO) run ./cmd/fbbench -json
 
 # Diff the two newest BENCH_*.json snapshots; exits nonzero if any headline
-# metric regressed by more than 10%. This is the local perf gate — CI only
-# smoke-runs the benchmarks.
+# metric regressed by more than 10%. A local trajectory check — the perf gate
+# is CI's bench-pair job (ci/benchpair.sh, `make benchmark-pair`).
 bench-compare:
 	$(GO) run ./cmd/fbbench -compare
 

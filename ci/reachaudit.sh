@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Reach audit: which shipped internal/ functions does no binary ever execute?
+#
+# Builds the four binaries (fbsim, fbbench, fbtopo, bench) and the six
+# examples with coverage over every package, drives them through the runs a
+# user makes — the tiny suite on both engines, single experiments across
+# engines, scales up to mega, shards, seeds, checkpoint and resume, the path
+# listing, every example, every benchmark workload traced and untraced — into
+# one GOCOVERDIR, and prints each non-test internal/ function left at 0%.
+#
+# A report, not a gate: a function listed here is reached by tests at most.
+# That is right for an error path or a debug hook and wrong for a feature, so
+# each line wants a reason or a deletion (ROADMAP item 6). About eight minutes
+# on two cores.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+export GOCOVERDIR="$work/cov"
+mkdir -p "$GOCOVERDIR" "$work/bin"
+
+for pkg in ./cmd/fbsim ./cmd/fbbench ./cmd/fbtopo ./bench ./examples/*/; do
+  go build -cover -coverpkg=./... -o "$work/bin/$(basename "$pkg")" "$pkg"
+done
+
+failed=0
+run() { # run <binary> [args...]: output dropped, a failing run named
+  local bin=$1
+  shift
+  echo "== $bin $*" >&2
+  if ! "$work/bin/$bin" "$@" >/dev/null 2>"$work/err"; then
+    echo "   exited non-zero: $(tail -n 1 "$work/err")" >&2
+    failed=$((failed + 1))
+  fi
+}
+
+run fbbench -scale tiny
+run fbbench -scale tiny -engine fluid
+
+printf '300 0\n600 0.5\n1200 1.0\n' >"$work/mice.cdf"
+run fbsim -list
+run fbsim -list-schemes
+run fbsim -list-faults
+run fbsim -exp alltoall -scale tiny -flows 60 -shards 4
+run fbsim -exp alltoall -scale tiny -flows 60 -seeds 2 -parallel 1
+run fbsim -exp alltoall -scale small -flows 200 -engine fluid -v
+run fbsim -exp table1 -scale paper -engine fluid
+run fbsim -exp production -scale tiny -flows 300 -shards 2 -workload datamining
+run fbsim -exp production -scale tiny -flows 300 -schemes ECMP -cdf "$work/mice.cdf" -load 0.1
+run fbsim -exp production -scale hyper -engine fluid -flows 3000 -solver-shards 2
+run fbsim -exp production -scale mega -engine fluid -schemes ECMP -load 0.2 -flows 5000
+run fbsim -exp faults -scale tiny -faults cut,gray1 -json
+run fbsim -exp fidelity -scale tiny -watchdog 5m
+run fbsim -exp production -scale tiny -flows 300 -checkpoint "$work/run.ckpt" -checkpoint-every 20ms
+run fbsim -exp production -scale tiny -flows 300 -resume "$work/run.ckpt" -checkpoint-every 20ms
+
+# An interrupted run: SIGINT mid-flight (flush, save, exit 130), then a resume
+# that replays through the recorded watermarks. If the box is fast enough that
+# the run finishes first, the resume is served from the journal instead.
+echo "== fbsim -exp alltoall -scale tiny -checkpoint ..., SIGINT after 2 s" >&2
+"$work/bin/fbsim" -exp alltoall -scale tiny -checkpoint "$work/int.ckpt" -checkpoint-every 5ms >/dev/null 2>&1 &
+pid=$!
+sleep 2
+kill -INT "$pid" 2>/dev/null || true
+wait "$pid" || true
+run fbsim -exp alltoall -scale tiny -resume "$work/int.ckpt" -checkpoint-every 5ms
+
+run fbtopo -scale tiny
+run fbtopo -scale small -src 0 -dst 40
+
+run quickstart
+run websearch -flows 400
+run incast -jobs 40
+run hotspot
+run linkfailure
+run trace
+
+for w in packet-a2a packet-mix fluid-a2a fluid-mix suite-tiny; do
+  for trace in 0 1; do
+    run bench -workload "$w" -seconds 2 -trace "$trace" -out "$work/bench_out"
+  done
+done
+
+go tool covdata textfmt -i="$GOCOVERDIR" -o "$work/cover.out"
+echo
+echo "non-test internal/ functions no run above executed:"
+go tool cover -func="$work/cover.out" |
+  awk '$1 ~ /\/internal\// && $NF == "0.0%" { printf "  %-48s %s\n", $1, $2; n++ }
+       END { printf "%d function(s) at 0%%\n", n }'
+if [ "$failed" -gt 0 ]; then
+  echo "($failed run(s) exited non-zero; their coverage is still counted)" >&2
+fi

@@ -21,7 +21,9 @@
 //	                                      to a specific snapshot instead
 //
 // Profiling: -cpuprofile / -memprofile write pprof profiles covering the
-// whole run, in any mode (see EXPERIMENTS.md for the workflow).
+// whole run, in any mode (see EXPERIMENTS.md for the workflow). The
+// run-shaping flags are fbsim's: both tools bind them through
+// experiments.BindRunFlags, so `fbbench -h` lists them all.
 package main
 
 import (
@@ -29,50 +31,27 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 
 	"flowbender/internal/benchkit"
-	"flowbender/internal/checkpoint"
 	"flowbender/internal/experiments"
-	"flowbender/internal/sim"
 )
-
-// ckptSettle is how long the signal handler waits after requesting a flush
-// before saving and exiting: long enough for running points to reach their
-// next quiescent barrier and mark, short enough that ^C still feels prompt.
-const ckptSettle = 1500 * time.Millisecond
 
 func main() {
 	var (
-		seed     = flag.Int64("seed", 1, "random seed")
-		scale    = flag.String("scale", "small", "fabric scale: tiny, small, paper")
-		engineF  = flag.String("engine", "packet", "simulation engine for the evaluation run and -json experiment timings: packet or fluid (experiments without a fluid path run packet regardless)")
-		parallel = flag.Int("parallel", 0, "max concurrent simulation points (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
-		shards   = flag.Int("shards", 0, "split each ECMP simulation point across this many engine shards (0/1 = serial; output is identical at any count)")
-		seeds    = flag.Int("seeds", 0, "replicate each point over this many seeds and report mean ± stddev")
-		watchdog = flag.Duration("watchdog", 0, "wall-clock limit per simulation point; exceeding points report FAILED instead of hanging the run (0 = off)")
-		verb     = flag.Bool("v", false, "log per-run progress to stderr")
-
-		ckptPath  = flag.String("checkpoint", "", "make the run crash-safe: journal completed experiments and record progress watermarks to this file (refuses an existing file; SIGINT/SIGTERM checkpoint and exit 130)")
-		ckptEvery = flag.Duration("checkpoint-every", 0, "virtual-time cadence between checkpoint watermarks (simulated time, not wall clock; 0 = 500ms; must match across -resume)")
-		resumeP   = flag.String("resume", "", "resume an interrupted run from this checkpoint file: completed experiments are served from its journal, in-flight points replay and verify their recorded watermarks")
-
 		jsonMode = flag.Bool("json", false, "write a BENCH_<timestamp>.json benchmark snapshot instead of printing tables")
 		compare  = flag.Bool("compare", false, "compare the two newest BENCH_*.json snapshots and exit 1 on regression")
 		baseline = flag.String("baseline", "", "with -compare: compare the newest snapshot against this file instead of the second-newest")
 		scales   = flag.String("scales", "tiny", "comma-separated experiment scales to wall-clock in -json mode")
 		outDir   = flag.String("o", ".", "directory for -json output / -compare input")
 		tol      = flag.Float64("tol", 0.10, "fractional regression tolerance for -compare")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
+	rf := experiments.BindRunFlags(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := rf.StartProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fbbench:", err)
 		os.Exit(1)
@@ -81,119 +60,54 @@ func main() {
 		stopProf()
 		os.Exit(code)
 	}
-
-	if (*ckptPath != "" || *resumeP != "") && (*jsonMode || *compare) {
-		fmt.Fprintln(os.Stderr, "fbbench: -checkpoint/-resume apply to the evaluation run, not -json/-compare modes")
+	// refuse ends the run on a setting no run accepts: one line, exit 2.
+	refuse := func(err error) {
+		fmt.Fprintln(os.Stderr, "fbbench:", err)
 		exit(2)
 	}
-	engine, ok := experiments.EngineByName(*engineF)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "fbbench: engine must be packet or fluid")
-		exit(2)
+
+	if rf.Checkpointing() && (*jsonMode || *compare) {
+		refuse(fmt.Errorf("-checkpoint/-resume apply to the evaluation run, not -json/-compare modes"))
+	}
+	o, err := rf.Options()
+	if err != nil {
+		refuse(err)
 	}
 	switch {
 	case *compare:
 		exit(runCompare(*outDir, *baseline, *tol))
 	case *jsonMode:
-		exit(runJSON(*outDir, *scales, *seed, *parallel, *shards, engine))
+		exit(runJSON(*outDir, *scales, o))
 	}
 
-	o := experiments.Options{Seed: *seed, Parallelism: *parallel, Shards: *shards, Seeds: *seeds, Watchdog: *watchdog, Engine: engine}
-	sc, ok := parseScale(*scale)
-	if !ok {
-		fmt.Fprintln(os.Stderr, "fbbench: scale must be tiny, small, or paper")
-		exit(2)
+	if err := checkScale(o); err != nil {
+		refuse(err)
 	}
-	o.Scale = sc
-	if *verb {
-		o.Log = os.Stderr
-	}
-
-	desc := checkpoint.Descriptor{
-		Tool:            "fbbench",
-		Seed:            *seed,
-		Scale:           *scale,
-		Shards:          *shards,
-		Seeds:           *seeds,
-		CheckpointEvery: int64(*ckptEvery),
-	}
-	// Legacy checkpoints carry no engine tag and mean the packet engine.
-	if engine != experiments.EnginePacket {
-		desc.Extra = "engine=" + engine.String()
-	}
-	mgr, err := checkpoint.FromFlags(*ckptPath, *resumeP, desc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fbbench:", err)
-		exit(2)
-	}
-	if mgr != nil {
-		o.Ckpt = mgr
-		o.CheckpointEvery = sim.Time(*ckptEvery)
-		stop := checkpoint.HandleSignals(mgr, os.Stderr, ckptSettle)
-		defer stop()
+	if err := rf.OpenCheckpoint("fbbench", &o); err != nil {
+		refuse(err)
 	}
 
 	start := time.Now()
-	fmt.Printf("FlowBender reproduction — full evaluation (scale=%s seed=%d)\n\n", *scale, *seed)
+	fmt.Printf("FlowBender reproduction — full evaluation (scale=%s seed=%d)\n\n", o.Scale, o.Seed)
 	experiments.RunAll(o, os.Stdout)
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Second))
-	if mgr != nil {
-		if err := mgr.SaveErr(); err != nil {
+	if o.Ckpt != nil {
+		if err := o.Ckpt.SaveErr(); err != nil {
 			fmt.Fprintln(os.Stderr, "fbbench: checkpoint:", err)
 		}
 	}
 	exit(0)
 }
 
-// startProfiles arms the requested pprof outputs and returns a function that
-// flushes them; it is safe to call the stop function multiple times.
-func startProfiles(cpu, mem string) (stop func(), err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		cpuFile, err = os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, err
+// checkScale asks every registered experiment whether it can run at o.Scale;
+// the suite runs them all, so the first refusal refuses the run.
+func checkScale(o experiments.Options) error {
+	for _, e := range experiments.Registry {
+		if err := e.CheckScale(o); err != nil {
+			return err
 		}
 	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			cpuFile.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fbbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "fbbench:", err)
-			}
-		}
-	}, nil
-}
-
-func parseScale(s string) (experiments.ScaleLevel, bool) {
-	switch s {
-	case "tiny":
-		return experiments.ScaleTiny, true
-	case "small":
-		return experiments.ScaleSmall, true
-	case "paper":
-		return experiments.ScalePaper, true
-	}
-	return 0, false
+	return nil
 }
 
 // expRounds is how many times each experiment is wall-clocked in -json mode;
@@ -213,13 +127,33 @@ const fluidBenchFlows = 2000
 
 // runJSON measures the hot-path micro-benchmarks and the wall clock plus
 // simulator throughput of every registered experiment at each requested
-// scale, then writes the snapshot. The experiment timings run under the given
-// engine and the snapshot records which, so -compare can refuse cross-engine
-// diffs; the micro-benchmarks are engine-independent and always included.
-func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine experiments.EngineKind) int {
-	snap := benchkit.NewSnapshot(runtime.Version(), seed)
-	snap.Shards = shards
-	snap.Engine = engine.String()
+// scale, then writes the snapshot. The experiment timings run under o — its
+// scale replaced by each listed one — and the snapshot records the engine, so
+// -compare can refuse cross-engine diffs; the micro-benchmarks are
+// engine-independent and always included.
+func runJSON(dir, scaleList string, o experiments.Options) int {
+	snap := benchkit.NewSnapshot(runtime.Version(), o.Seed)
+	snap.Shards = o.Shards
+	snap.Engine = o.Engine.String()
+
+	var levels []experiments.ScaleLevel
+	for _, sc := range strings.Split(scaleList, ",") {
+		if sc = strings.TrimSpace(sc); sc == "" {
+			continue
+		}
+		level, ok := experiments.ScaleByName(sc)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "fbbench: -scales %s: unknown scale\n", sc)
+			return 2
+		}
+		o.Scale = level
+		if err := checkScale(o); err != nil {
+			fmt.Fprintln(os.Stderr, "fbbench:", err)
+			return 2
+		}
+		levels = append(levels, level)
+		snap.Scales = append(snap.Scales, sc)
+	}
 
 	fmt.Fprintln(os.Stderr, "fbbench: measuring engine_schedule ...")
 	snap.Measure("engine_schedule", benchkit.EngineSchedule)
@@ -250,17 +184,9 @@ func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine exp
 			func(b *testing.B) { benchkit.FluidAllToAllShards(b, fluidBenchFlows, s) })
 	}
 
-	for _, sc := range strings.Split(scaleList, ",") {
-		sc = strings.TrimSpace(sc)
-		if sc == "" {
-			continue
-		}
-		level, ok := parseScale(sc)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fbbench: unknown scale %q in -scales\n", sc)
-			return 2
-		}
-		snap.Scales = append(snap.Scales, sc)
+	for _, level := range levels {
+		o.Scale = level
+		sc := level.String()
 		for _, e := range experiments.Registry {
 			fmt.Fprintf(os.Stderr, "fbbench: timing %s at %s ...\n", e.Name, sc)
 			prefix := fmt.Sprintf("exp_%s_%s", e.Name, sc)
@@ -268,7 +194,7 @@ func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine exp
 			// wall clock is hostage to whatever else the machine is doing.
 			for round := 0; round < expRounds; round++ {
 				var perf experiments.PerfStats
-				o := experiments.Options{Seed: seed, Scale: level, Parallelism: parallel, Shards: shards, Perf: &perf, Engine: engine}
+				o.Perf = &perf
 				start := time.Now()
 				e.Run(o)
 				wall := time.Since(start)
@@ -287,7 +213,7 @@ func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine exp
 	// gomaxprocs/cpu metadata for what this run actually had). Sharding is a
 	// packet-engine mechanism, so a fluid snapshot skips the sweep.
 	shardCounts := []int{1, 4, 8}
-	if engine != experiments.EnginePacket {
+	if o.Engine != experiments.EnginePacket {
 		shardCounts = nil
 	}
 	for _, s := range shardCounts {
@@ -295,9 +221,9 @@ func runJSON(dir, scaleList string, seed int64, parallel, shards int, engine exp
 		prefix := fmt.Sprintf("exp_paper_a2a_ecmp_shards%d", s)
 		for round := 0; round < expRounds; round++ {
 			var perf experiments.PerfStats
-			o := experiments.Options{Seed: seed, Scale: experiments.ScalePaper, Shards: s, Perf: &perf}
+			so := experiments.Options{Seed: o.Seed, Scale: experiments.ScalePaper, Shards: s, Perf: &perf}
 			start := time.Now()
-			experiments.ShardBench(o, 0.6, shardBenchFlows)
+			experiments.ShardBench(so, 0.6, shardBenchFlows)
 			wall := time.Since(start)
 			snap.Fold(prefix+"_wall_ms", float64(wall.Microseconds())/1000)
 			snap.Fold(prefix+"_events_per_sec", perf.EventsPerSec(wall))

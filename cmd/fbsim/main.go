@@ -7,7 +7,9 @@
 //	fbsim -list
 //
 // Each experiment regenerates one table or figure of the paper (see
-// DESIGN.md for the experiment index).
+// DESIGN.md for the experiment index). The run-shaping flags (-scale,
+// -engine, -seed, -checkpoint, ...) are the ones fbbench takes too: both
+// bind them through experiments.BindRunFlags.
 package main
 
 import (
@@ -16,89 +18,35 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"strings"
 	"time"
 
-	"flowbender/internal/checkpoint"
 	"flowbender/internal/experiments"
-	"flowbender/internal/sim"
-	"flowbender/internal/workload"
 )
-
-// ckptSettle is how long the signal handler waits after requesting a flush
-// before saving and exiting: long enough for running points to reach their
-// next quiescent barrier and mark, short enough that ^C still feels prompt.
-const ckptSettle = 1500 * time.Millisecond
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment name (see -list)")
-		list     = flag.Bool("list", false, "list available experiments")
-		seed     = flag.Int64("seed", 1, "random seed")
-		scale    = flag.String("scale", "small", "fabric scale: tiny, small, paper, hyper (10k hosts), or mega (102k hosts); hyper and mega need -engine fluid")
-		engineF  = flag.String("engine", "packet", "simulation engine: packet (per-packet, reference fidelity) or fluid (flow-level fast path; honored by alltoall, table1, production, and fidelity — other experiments keep the packet engine)")
-		flows    = flag.Int("flows", 0, "override per-run flow count")
-		jobs     = flag.Int("jobs", 0, "override partition-aggregate job count")
-		parallel = flag.Int("parallel", 0, "max concurrent simulation points (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
-		shards   = flag.Int("shards", 0, "split each shardable simulation point (ECMP/Flowlet/FlowDyn, see -list-schemes) across this many engine shards (0/1 = serial; output is identical at any count)")
-		solverSh = flag.Int("solver-shards", 0, "max parallel workers for the fluid engine's incremental rate solver (0/1 = serial; output is bit-identical at any count; -engine fluid only)")
-		seeds    = flag.Int("seeds", 0, "replicate each point over this many seeds and report mean ± stddev")
-		cdfPath  = flag.String("cdf", "", "flow-size CDF file for all-to-all workloads (lines of \"<bytes> <cumulative-prob>\")")
-		workld   = flag.String("workload", "", "production-mix workload for -exp production: websearch (diurnal arrivals with a load spike) or datamining (Poisson); empty = websearch")
-		loadFrac = flag.Float64("load", 0, "production-mix offered load as a fraction of bisection bandwidth (0 = 0.5)")
-		schemesF = flag.String("schemes", "", "comma-separated schemes for -exp production (see -list-schemes; empty = ECMP,FlowBender,RepFlow,DiffFlow)")
-		faultSel = flag.String("faults", "", "comma-separated fault scenarios for -exp faults (empty = all; see -list-faults)")
-		listF    = flag.Bool("list-faults", false, "list available fault scenarios")
-		listS    = flag.Bool("list-schemes", false, "list the load-balancing schemes experiments compare")
-		watchdog = flag.Duration("watchdog", 0, "wall-clock limit per simulation point; exceeding points report FAILED instead of hanging the run (0 = off)")
-		verb     = flag.Bool("v", false, "log per-run progress (and simulator throughput) to stderr")
-		asJSON   = flag.Bool("json", false, "emit the result as JSON instead of a table")
-
-		ckptPath  = flag.String("checkpoint", "", "make the run crash-safe: record progress watermarks and the completed result to this file (refuses an existing file; SIGINT/SIGTERM checkpoint and exit 130)")
-		ckptEvery = flag.Duration("checkpoint-every", 0, "virtual-time cadence between checkpoint watermarks (simulated time, not wall clock; 0 = 500ms; must match across -resume)")
-		resumeP   = flag.String("resume", "", "resume an interrupted run from this checkpoint file: completed work is served from its journal, in-flight points replay and verify their recorded watermarks")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		exp    = flag.String("exp", "", "experiment name (see -list)")
+		list   = flag.Bool("list", false, "list available experiments")
+		listF  = flag.Bool("list-faults", false, "list available fault scenarios")
+		listS  = flag.Bool("list-schemes", false, "list the load-balancing schemes experiments compare")
+		asJSON = flag.Bool("json", false, "emit the result as JSON instead of a table")
 	)
+	rf := experiments.BindRunFlags(flag.CommandLine)
 	flag.Parse()
 
-	stopProf := func() {}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-			os.Exit(1)
-		}
-		stopProf = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	writeMemProfile := func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-		}
+	stopProf, err := rf.StartProfiles()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fbsim:", err)
+		os.Exit(1)
 	}
 	exit := func(code int) {
 		stopProf()
-		writeMemProfile()
 		os.Exit(code)
+	}
+	// refuse ends the run on a setting no run accepts: one line, exit 2.
+	refuse := func(err error) {
+		fmt.Fprintln(os.Stderr, "fbsim:", err)
+		exit(2)
 	}
 
 	if *listF {
@@ -123,136 +71,27 @@ func main() {
 		exit(0)
 	}
 
-	run, ok := experiments.Lookup(*exp)
+	entry, ok := experiments.Lookup(*exp)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "fbsim: unknown experiment %q (use -list)\n", *exp)
-		exit(2)
+		refuse(fmt.Errorf("unknown experiment %q (use -list)", *exp))
 	}
-	o := experiments.Options{
-		Seed:         *seed,
-		FlowCount:    *flows,
-		JobCount:     *jobs,
-		Parallelism:  *parallel,
-		Shards:       *shards,
-		SolverShards: *solverSh,
-		Seeds:        *seeds,
-		Watchdog:     *watchdog,
+	o, err := rf.Options()
+	if err == nil {
+		err = entry.CheckScale(o)
 	}
-	if *faultSel != "" {
-		for _, name := range strings.Split(*faultSel, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				o.FaultScenarios = append(o.FaultScenarios, name)
-			}
-		}
-	}
-	if *workld != "" {
-		if _, err := workload.NamedCDF(*workld); err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-			exit(2)
-		}
-		o.Workload = *workld
-	}
-	o.Load = *loadFrac
-	if *schemesF != "" {
-		for _, name := range strings.Split(*schemesF, ",") {
-			if name = strings.TrimSpace(name); name == "" {
-				continue
-			}
-			s, ok := experiments.SchemeByName(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "fbsim: unknown scheme %q (use -list-schemes)\n", name)
-				exit(2)
-			}
-			o.MixSchemes = append(o.MixSchemes, s)
-		}
-	}
-	if *cdfPath != "" {
-		f, err := os.Open(*cdfPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsim:", err)
-			exit(2)
-		}
-		cdf, err := workload.ParseCDF(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fbsim: %s: %v\n", *cdfPath, err)
-			exit(2)
-		}
-		o.CDF = cdf
-	}
-	switch *scale {
-	case "tiny":
-		o.Scale = experiments.ScaleTiny
-	case "small":
-		o.Scale = experiments.ScaleSmall
-	case "paper":
-		o.Scale = experiments.ScalePaper
-	case "hyper":
-		o.Scale = experiments.ScaleHyper
-	case "mega":
-		o.Scale = experiments.ScaleMega
-	default:
-		fmt.Fprintf(os.Stderr, "fbsim: unknown scale %q\n", *scale)
-		exit(2)
-	}
-	engine, ok := experiments.EngineByName(*engineF)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "fbsim: unknown engine %q (want packet or fluid)\n", *engineF)
-		exit(2)
-	}
-	o.Engine = engine
-	if o.Scale >= experiments.ScaleHyper && engine != experiments.EngineFluid {
-		// A 10k-host (let alone 102k-host) packet run would need days and
-		// tens of GB; refuse rather than wedge.
-		fmt.Fprintf(os.Stderr, "fbsim: -scale %s requires -engine fluid\n", *scale)
-		exit(2)
-	}
-	if *verb {
-		o.Log = os.Stderr
-	}
-
-	if (*ckptPath != "" || *resumeP != "") && *asJSON {
+	if err == nil && rf.Checkpointing() && *asJSON {
 		// The journal records rendered tables; serving them as JSON would
 		// silently change the output format, so the modes don't combine.
-		fmt.Fprintln(os.Stderr, "fbsim: -checkpoint/-resume and -json are mutually exclusive")
-		exit(2)
+		err = fmt.Errorf("-checkpoint/-resume and -json are mutually exclusive")
 	}
-	desc := checkpoint.Descriptor{
-		Tool:            "fbsim:" + *exp,
-		Seed:            *seed,
-		Scale:           *scale,
-		FlowCount:       *flows,
-		JobCount:        *jobs,
-		Shards:          *shards,
-		Seeds:           *seeds,
-		CheckpointEvery: int64(*ckptEvery),
-	}
-	var extra []string
-	if engine != experiments.EnginePacket {
-		// The engine is part of the run's identity (legacy checkpoints carry
-		// no engine tag and are all packet runs, so the default stays out).
-		extra = append(extra, "engine="+engine.String())
-	}
-	if *faultSel != "" || *cdfPath != "" {
-		extra = append(extra, fmt.Sprintf("faults=%s cdf=%s", *faultSel, *cdfPath))
-	}
-	if *workld != "" || *loadFrac != 0 || *schemesF != "" {
-		// Workload shape is part of the run's identity: a resume under a
-		// different production configuration must be refused.
-		extra = append(extra, fmt.Sprintf("workload=%s load=%g schemes=%s", *workld, *loadFrac, *schemesF))
-	}
-	desc.Extra = strings.Join(extra, " ")
-	mgr, err := checkpoint.FromFlags(*ckptPath, *resumeP, desc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fbsim:", err)
-		exit(2)
+		refuse(err)
 	}
+	if err := rf.OpenCheckpoint("fbsim:"+*exp, &o); err != nil {
+		refuse(err)
+	}
+	mgr := o.Ckpt
 	if mgr != nil {
-		o.Ckpt = mgr
-		o.CheckpointEvery = sim.Time(*ckptEvery)
-		stop := checkpoint.HandleSignals(mgr, os.Stderr, ckptSettle)
-		defer stop()
-
 		// Journal hit: the resumed file already holds this experiment's
 		// completed output — serve it without simulating anything.
 		if ent, ok := mgr.Done(*exp); ok {
@@ -265,13 +104,13 @@ func main() {
 	var perf experiments.PerfStats
 	o.Perf = &perf
 	start := time.Now()
-	res, err := runProtected(run, o)
+	res, err := runProtected(entry.Run, o)
 	wall := time.Since(start)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fbsim: experiment %s failed: %v\n", *exp, err)
 		exit(1)
 	}
-	if *verb {
+	if o.Log != nil {
 		fmt.Fprintf(os.Stderr, "fbsim: %d events in %v (%.3g events/sec, %.3g sim-sec/wall-sec)\n",
 			perf.Events.Load(), wall.Round(time.Millisecond),
 			perf.EventsPerSec(wall), perf.SimSecPerWallSec(wall))
@@ -287,19 +126,17 @@ func main() {
 		}
 		exit(0)
 	}
+	// Render to a buffer so the journal records exactly the bytes the user
+	// sees; a rerun with -resume then serves them verbatim.
+	var buf bytes.Buffer
+	res.Print(&buf)
 	if mgr != nil {
-		// Render to a buffer so the journal records exactly the bytes the
-		// user saw; a rerun with -resume then serves them verbatim.
-		var buf bytes.Buffer
-		res.Print(&buf)
 		mgr.RecordDone(*exp, buf.String())
 		if err := mgr.SaveErr(); err != nil {
 			fmt.Fprintln(os.Stderr, "fbsim: checkpoint:", err)
 		}
-		os.Stdout.WriteString(buf.String())
-		exit(0)
 	}
-	res.Print(os.Stdout)
+	os.Stdout.Write(buf.Bytes())
 	exit(0)
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"flowbender/internal/experiments"
 	"flowbender/internal/routing"
 	"flowbender/internal/sim"
 	"flowbender/internal/topo"
@@ -20,23 +21,20 @@ import (
 
 func main() {
 	var (
-		scale = flag.String("scale", "small", "fabric scale: tiny, small, paper")
-		src   = flag.Int("src", -1, "source host for a V->path listing")
-		dst   = flag.Int("dst", -1, "destination host for a V->path listing")
-		tags  = flag.Uint("tags", 8, "size of the path-tag range to enumerate")
+		src  = flag.Int("src", -1, "source host for a V->path listing")
+		dst  = flag.Int("dst", -1, "destination host for a V->path listing")
+		tags = flag.Uint("tags", 8, "size of the path-tag range to enumerate")
 	)
+	rf := experiments.BindScaleFlag(flag.CommandLine)
 	flag.Parse()
 
+	scale, err := rf.Scale()
 	var p topo.Params
-	switch *scale {
-	case "tiny":
-		p = topo.TinyScale()
-	case "small":
-		p = topo.SmallScale()
-	case "paper":
-		p = topo.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "fbtopo: unknown scale %q\n", *scale)
+	if err == nil {
+		p, err = scale.PacketParams("fbtopo")
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fbtopo:", err)
 		os.Exit(2)
 	}
 
@@ -45,7 +43,7 @@ func main() {
 	ft.SetSelector(routing.ECMP{})
 
 	fmt.Printf("fat-tree %s: %d pods x (%d ToR + %d agg), %d cores, %d servers\n",
-		*scale, p.Pods, p.TorsPerPod, p.AggsPerPod, p.NumCores(), p.NumHosts())
+		scale, p.Pods, p.TorsPerPod, p.AggsPerPod, p.NumCores(), p.NumHosts())
 	fmt.Printf("rates: access %d Gbps, tor-agg %d Gbps; oversubscription %.0fx; %d inter-pod paths\n\n",
 		p.LinkRateBps/topo.Gbps, p.TorAggRateBps()/topo.Gbps, p.Oversubscription(), p.PathsBetweenPods())
 

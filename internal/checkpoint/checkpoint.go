@@ -66,10 +66,11 @@ const (
 // Descriptor pins the run configuration a checkpoint belongs to. Resuming
 // under a different configuration is refused: the journal outputs and the
 // watermarks are only valid for the exact deterministic run they came
-// from. Parallelism and the watchdog are deliberately absent — the repo's
-// determinism contract makes output independent of both, so a run may be
+// from. The front-ends build it with experiments.Options.Descriptor, which
+// lists the settings it pins next to those it leaves out because the repo's
+// determinism contract makes output independent of them (a run may be
 // resumed at a different -parallel setting; -shards changes the per-shard
-// engine states and so must match.
+// engine states and so must match).
 type Descriptor struct {
 	// Tool names the producing command and mode, e.g. "fbbench" or
 	// "fbsim:alltoall".

@@ -13,27 +13,21 @@ import (
 // checkpoint-and-exit (128 + SIGINT, the shell convention).
 const ExitCodeInterrupted = 130
 
-// HandleSignals arms graceful shutdown for a checkpointed run. The first
-// SIGINT/SIGTERM requests an immediate watermark from every running point,
-// waits `settle` wall-clock for those marks to land, saves the file, prints
-// a resume hint, and exits with status 130; a second signal during the
-// settle window hard-exits immediately. It returns a stop function that
-// disarms the handler (call it once the run has completed normally, so a
-// late ^C behaves like a plain interrupt again).
-func HandleSignals(m *Manager, w io.Writer, settle time.Duration) (stop func()) {
-	ch := make(chan os.Signal, 2)
+// HandleSignals arms graceful shutdown for a checkpointed run, for the rest
+// of the process. The first SIGINT/SIGTERM requests an immediate watermark
+// from every running point, waits `settle` wall-clock for those marks to
+// land, saves the file, prints a resume hint, and exits with status 130; a
+// second signal during the settle window hard-exits immediately.
+func HandleSignals(m *Manager, w io.Writer, settle time.Duration) {
+	ch := make(chan os.Signal, 2) // the first signal and the impatient second
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		sig, ok := <-ch
-		if !ok {
-			return
-		}
+		sig := <-ch
 		fmt.Fprintf(w, "\n%v: checkpointing to %s (send again to exit immediately) ...\n", sig, m.Path())
 		m.RequestFlush()
 		go func() {
-			if _, ok := <-ch; ok {
-				os.Exit(ExitCodeInterrupted)
-			}
+			<-ch
+			os.Exit(ExitCodeInterrupted)
 		}()
 		time.Sleep(settle)
 		if err := m.Save(); err != nil {
@@ -43,8 +37,4 @@ func HandleSignals(m *Manager, w io.Writer, settle time.Duration) (stop func()) 
 		fmt.Fprintf(w, "checkpoint saved; resume with -resume %s\n", m.Path())
 		os.Exit(ExitCodeInterrupted)
 	}()
-	return func() {
-		signal.Stop(ch)
-		close(ch)
-	}
 }

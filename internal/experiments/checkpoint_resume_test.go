@@ -29,10 +29,7 @@ func ckptOpts() Options {
 		CheckpointEvery: 10 * sim.Millisecond}
 }
 
-func ckptDesc(o Options) checkpoint.Descriptor {
-	return checkpoint.Descriptor{Tool: "test", Seed: o.Seed, Scale: o.Scale.String(),
-		FlowCount: o.FlowCount, Shards: o.Shards, CheckpointEvery: int64(o.CheckpointEvery)}
-}
+func ckptDesc(o Options) checkpoint.Descriptor { return o.Descriptor("test") }
 
 func renderRegistry(o Options, reg []RegistryEntry) string {
 	var buf bytes.Buffer
@@ -234,10 +231,10 @@ func (s staticPrintable) Print(w io.Writer) { fmt.Fprintln(w, string(s)) }
 func TestRunAllJournalSkipsCompleted(t *testing.T) {
 	var runs atomic.Int32
 	reg := []RegistryEntry{
-		{"t1", "counted healthy experiment",
-			func(o Options) Printable { runs.Add(1); return staticPrintable("table one") }},
-		{"boom", "always panics",
-			func(Options) Printable { panic("experiment exploded") }},
+		{Name: "t1", Desc: "counted healthy experiment",
+			Run: func(o Options) Printable { runs.Add(1); return staticPrintable("table one") }},
+		{Name: "boom", Desc: "always panics",
+			Run: func(Options) Printable { panic("experiment exploded") }},
 	}
 	o := ckptOpts()
 	o.Parallelism = 2

@@ -146,10 +146,10 @@ func TestFaultCellJSONHandlesNaN(t *testing.T) {
 // experiment panicking mid-run must not take down the others.
 func TestRunAllSurvivesPanickingExperiment(t *testing.T) {
 	reg := []RegistryEntry{
-		{"boom", "always panics",
-			func(Options) Printable { panic("experiment exploded") }},
-		{"faults-subset", "healthy fault run",
-			func(o Options) Printable {
+		{Name: "boom", Desc: "always panics",
+			Run: func(Options) Printable { panic("experiment exploded") }},
+		{Name: "faults-subset", Desc: "healthy fault run",
+			Run: func(o Options) Printable {
 				o.FaultScenarios = []string{"cut"}
 				return FaultMatrix(o)
 			}},

@@ -26,7 +26,8 @@ const (
 	ScalePaper
 	// ScaleHyper is a 10k-host fabric (16 pods × 16 ToRs × 40 servers)
 	// far beyond what the packet engine can execute; it exists for the
-	// fluid engine's scaling runs and refuses to run under EnginePacket.
+	// fluid engine's scaling runs (RegistryEntry.CheckScale refuses a
+	// packet-level fabric there).
 	ScaleHyper
 	// ScaleMega is a 102,400-host fabric (32 pods × 32 ToRs × 100
 	// servers), the incremental fluid solver's headline rung. Like hyper
@@ -35,20 +36,51 @@ const (
 	ScaleMega
 )
 
-func (s ScaleLevel) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleSmall:
-		return "small"
-	case ScalePaper:
-		return "paper"
-	case ScaleHyper:
-		return "hyper"
-	case ScaleMega:
-		return "mega"
+// scales is the one table of fabric scales, indexed by ScaleLevel: the name
+// -scale accepts, the fat-tree it builds, the default sample counts, and
+// whether only the fluid engine can execute it (a packet run there would
+// need days and tens of GB).
+var scales = [...]struct {
+	name      string
+	params    topo.Params
+	flows     int
+	jobs      int
+	fluidOnly bool
+}{
+	ScaleTiny:  {"tiny", topo.TinyScale(), 200, 30, false},
+	ScaleSmall: {"small", topo.SmallScale(), 1500, 150, false},
+	ScalePaper: {"paper", topo.PaperScale(), 4000, 300, false},
+	ScaleHyper: {"hyper", topo.HyperScale(), 100000, 150, true},
+	ScaleMega:  {"mega", topo.MegaScale(), 250000, 150, true},
+}
+
+// ScaleByName parses a -scale flag value.
+func ScaleByName(name string) (ScaleLevel, bool) {
+	for s, row := range scales {
+		if row.name == name {
+			return ScaleLevel(s), true
+		}
 	}
-	return "scale?"
+	return 0, false
+}
+
+// scaleNames lists the scales a packet-level fabric can be built at, or
+// those only the fluid engine executes, in table order.
+func scaleNames(fluidOnly bool) []string {
+	var names []string
+	for _, row := range scales {
+		if row.fluidOnly == fluidOnly {
+			names = append(names, row.name)
+		}
+	}
+	return names
+}
+
+func (s ScaleLevel) String() string {
+	if s < 0 || int(s) >= len(scales) {
+		return "scale?"
+	}
+	return scales[s].name
 }
 
 // EngineKind selects the simulation fidelity tier experiments run on.
@@ -60,8 +92,9 @@ const (
 	EnginePacket EngineKind = iota
 	// EngineFluid is the flow-level engine (internal/fluid): flows are rate
 	// allocations re-solved on arrival/finish/reroute events. Orders of
-	// magnitude faster; congestion signals are modeled, not emergent. Only
-	// the alltoall, table1, and production experiments support it.
+	// magnitude faster; congestion signals are modeled, not emergent. The
+	// experiments whose points all have a fluid form are marked Fluid in
+	// the Registry; the others keep the packet engine.
 	EngineFluid
 )
 
@@ -221,51 +254,20 @@ func DefaultOptions() Options {
 	return Options{Seed: 1, Scale: ScaleSmall}
 }
 
-func (o Options) params() topo.Params {
-	switch o.Scale {
-	case ScaleTiny:
-		return topo.TinyScale()
-	case ScalePaper:
-		return topo.PaperScale()
-	case ScaleHyper:
-		return topo.HyperScale()
-	case ScaleMega:
-		return topo.MegaScale()
-	default:
-		return topo.SmallScale()
-	}
-}
+func (o Options) params() topo.Params { return scales[o.Scale].params }
 
 func (o Options) flowCount() int {
 	if o.FlowCount > 0 {
 		return o.FlowCount
 	}
-	switch o.Scale {
-	case ScaleTiny:
-		return 200
-	case ScalePaper:
-		return 4000
-	case ScaleHyper:
-		return 100000
-	case ScaleMega:
-		return 250000
-	default:
-		return 1500
-	}
+	return scales[o.Scale].flows
 }
 
 func (o Options) jobCount() int {
 	if o.JobCount > 0 {
 		return o.JobCount
 	}
-	switch o.Scale {
-	case ScaleTiny:
-		return 30
-	case ScalePaper:
-		return 300
-	default:
-		return 150
-	}
+	return scales[o.Scale].jobs
 }
 
 func (o Options) repeats() int {

@@ -13,6 +13,8 @@ func TestScaleParams(t *testing.T) {
 		ScaleTiny:  16,
 		ScaleSmall: 64,
 		ScalePaper: 128,
+		ScaleHyper: 10240,
+		ScaleMega:  102400,
 	}
 	for scale, hosts := range cases {
 		o := Options{Scale: scale}
@@ -23,10 +25,16 @@ func TestScaleParams(t *testing.T) {
 }
 
 func TestScaleStrings(t *testing.T) {
-	for _, s := range []ScaleLevel{ScaleTiny, ScaleSmall, ScalePaper} {
+	for s := ScaleTiny; s <= ScaleMega; s++ {
 		if strings.Contains(s.String(), "?") {
 			t.Errorf("scale %d has no name", int(s))
 		}
+		if got, ok := ScaleByName(s.String()); !ok || got != s {
+			t.Errorf("ScaleByName(%q) = %v, %v", s.String(), got, ok)
+		}
+	}
+	if _, ok := ScaleByName((ScaleMega + 1).String()); ok {
+		t.Error("ScaleByName accepts the name of an out-of-range scale")
 	}
 }
 
@@ -38,6 +46,13 @@ func TestFlowCountOverride(t *testing.T) {
 	o.FlowCount = 7
 	if o.flowCount() != 7 {
 		t.Error("override ignored")
+	}
+	// A fluid-only scale has no job default of its own and takes small's.
+	if got := (Options{Scale: ScaleMega}).jobCount(); got != 150 {
+		t.Errorf("default mega job count = %d", got)
+	}
+	if got := (Options{Scale: ScaleMega, JobCount: 7}).jobCount(); got != 7 {
+		t.Errorf("job override ignored: %d", got)
 	}
 }
 

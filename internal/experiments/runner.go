@@ -19,51 +19,83 @@ type Printable interface {
 type RegistryEntry struct {
 	Name string
 	Desc string
-	Run  func(Options) Printable
+	// Fluid reports that under EngineFluid the experiment builds no
+	// packet-level fabric at Options.Scale: every point goes through the
+	// point runner with the scheme's own setup (fidelity instead caps its
+	// packet side at paper scale). Only such experiments run at the
+	// fluid-only scales; see CheckScale.
+	Fluid bool
+	Run   func(Options) Printable
 }
 
 // Registry maps experiment names (as used by cmd/fbsim -exp) to runners.
 var Registry = []RegistryEntry{
-	{"table1", "Table 1: validation, equal elephant flows ToR-to-ToR, ECMP vs FlowBender",
-		func(o Options) Printable { return Table1(o) }},
-	{"alltoall", "Figures 3+4 and §4.2.3: all-to-all latency and out-of-order accounting",
-		func(o Options) Printable { return AllToAll(o) }},
-	{"partagg", "Figure 5: partition-aggregate job completion vs fan-in",
-		func(o Options) Printable { return PartitionAggregate(o) }},
-	{"sens-n", "Figure 6: sensitivity to N",
-		func(o Options) Printable { return SensitivityN(o) }},
-	{"sens-t", "Figure 7: sensitivity to T",
-		func(o Options) Printable { return SensitivityT(o) }},
-	{"testbed", "Figure 8: leaf-spine testbed latency reduction",
-		func(o Options) Printable { return Testbed(o) }},
-	{"hotspot", "§4.3.1: decongesting a pinned-UDP hotspot",
-		func(o Options) Printable { return Hotspot(o) }},
-	{"topodep", "§4.3.2: dependence on path diversity",
-		func(o Options) Printable { return TopoDependence(o) }},
-	{"linkfailure", "§3.3.2: recovery from a link failure within ~RTO",
-		func(o Options) Printable { return LinkFailure(o) }},
-	{"faults", "chaos suite: cuts, flaps, gray drops, degraded links x scheme",
-		func(o Options) Printable { return FaultMatrix(o) }},
-	{"wcmp", "§4.3.1: asymmetric fabric, WCMP weights, and FlowBender robustness",
-		func(o Options) Printable { return WCMP(o) }},
-	{"production", "production workloads: empirical size mixes, diurnal arrivals, incast and storage patterns, streaming FCT quantiles",
-		func(o Options) Printable { return ProductionMix(o) }},
-	{"fidelity", "engine cross-validation: packet vs fluid FCT divergence at overlapping scales",
-		func(o Options) Printable { return FidelityMatrix(o) }},
-	{"udpspray", "§3.4.3: burst-level path spraying for unreliable transports",
-		func(o Options) Printable { return UDPSpray(o) }},
-	{"ablations", "§3.4/§5: FlowBender design-option ablations",
-		func(o Options) Printable { return Ablations(o) }},
+	{Name: "table1", Fluid: true,
+		Desc: "Table 1: validation, equal elephant flows ToR-to-ToR, ECMP vs FlowBender",
+		Run:  func(o Options) Printable { return Table1(o) }},
+	{Name: "alltoall", Fluid: true,
+		Desc: "Figures 3+4 and §4.2.3: all-to-all latency and out-of-order accounting",
+		Run:  func(o Options) Printable { return AllToAll(o) }},
+	{Name: "partagg",
+		Desc: "Figure 5: partition-aggregate job completion vs fan-in",
+		Run:  func(o Options) Printable { return PartitionAggregate(o) }},
+	{Name: "sens-n", Fluid: true,
+		Desc: "Figure 6: sensitivity to N",
+		Run:  func(o Options) Printable { return SensitivityN(o) }},
+	{Name: "sens-t", Fluid: true,
+		Desc: "Figure 7: sensitivity to T",
+		Run:  func(o Options) Printable { return SensitivityT(o) }},
+	{Name: "testbed",
+		Desc: "Figure 8: leaf-spine testbed latency reduction",
+		Run:  func(o Options) Printable { return Testbed(o) }},
+	{Name: "hotspot",
+		Desc: "§4.3.1: decongesting a pinned-UDP hotspot",
+		Run:  func(o Options) Printable { return Hotspot(o) }},
+	{Name: "topodep",
+		Desc: "§4.3.2: dependence on path diversity",
+		Run:  func(o Options) Printable { return TopoDependence(o) }},
+	{Name: "linkfailure",
+		Desc: "§3.3.2: recovery from a link failure within ~RTO",
+		Run:  func(o Options) Printable { return LinkFailure(o) }},
+	{Name: "faults",
+		Desc: "chaos suite: cuts, flaps, gray drops, degraded links x scheme",
+		Run:  func(o Options) Printable { return FaultMatrix(o) }},
+	{Name: "wcmp",
+		Desc: "§4.3.1: asymmetric fabric, WCMP weights, and FlowBender robustness",
+		Run:  func(o Options) Printable { return WCMP(o) }},
+	{Name: "production", Fluid: true,
+		Desc: "production workloads: empirical size mixes, diurnal arrivals, incast and storage patterns, streaming FCT quantiles",
+		Run:  func(o Options) Printable { return ProductionMix(o) }},
+	{Name: "fidelity", Fluid: true,
+		Desc: "engine cross-validation: packet vs fluid FCT divergence at overlapping scales",
+		Run:  func(o Options) Printable { return FidelityMatrix(o) }},
+	{Name: "udpspray",
+		Desc: "§3.4.3: burst-level path spraying for unreliable transports",
+		Run:  func(o Options) Printable { return UDPSpray(o) }},
+	{Name: "ablations",
+		Desc: "§3.4/§5: FlowBender design-option ablations",
+		Run:  func(o Options) Printable { return Ablations(o) }},
 }
 
 // Lookup finds a registered experiment by name.
-func Lookup(name string) (func(Options) Printable, bool) {
+func Lookup(name string) (RegistryEntry, bool) {
 	for _, e := range Registry {
 		if e.Name == name {
-			return e.Run, true
+			return e, true
 		}
 	}
-	return nil, false
+	return RegistryEntry{}, false
+}
+
+// fluidExperiments names the registered experiments with a fluid path.
+func fluidExperiments() []string {
+	var names []string
+	for _, e := range Registry {
+		if e.Fluid {
+			names = append(names, e.Name)
+		}
+	}
+	return names
 }
 
 // syncWriter serializes concurrent writes to one underlying writer, so

@@ -26,10 +26,16 @@ const markSatThresh = 0.999
 // stay bit-identical.
 const parThreshDefault = 256
 
+// hugeCap stands in for an unbounded capacity or session cap: large enough
+// to never bind in any realistic fabric, small enough to stay well inside
+// float64 range under arithmetic.
+const hugeCap = 1e30
+
 // IncSolver is the incremental max-min rate solver: the same progressive
-// waterfilling as Waterfill, but maintained as persistent state so that a
-// flow add/remove/reroute only re-solves the bottleneck-connected component
-// reachable from the touched links instead of the whole fabric.
+// waterfilling as the tests' from-scratch Waterfill oracle, but maintained
+// as persistent state so that a flow add/remove/reroute only re-solves the
+// bottleneck-connected component reachable from the touched links instead
+// of the whole fabric.
 //
 // Layout. Everything the solver knows about a link is one linkRec — capacity,
 // load, intrusive session list, commit stamps and round scratch side by side

@@ -27,8 +27,8 @@ type Session struct {
 // uncapped: nothing constrains them, nothing carries them). The computation
 // is deterministic: pure index-order arithmetic, no maps, no randomness.
 //
-// This convenience wrapper allocates; the engine drives the underlying
-// waterfiller with reused arenas on every arrival/finish/reroute event.
+// It is the from-scratch reference the incremental solver (IncSolver) is
+// checked against; no shipped code calls it.
 func Waterfill(capacity []float64, sessions []Session) []float64 {
 	var w waterfiller
 	w.begin(capacity)
@@ -40,11 +40,6 @@ func Waterfill(capacity []float64, sessions []Session) []float64 {
 	copy(out, w.rate)
 	return out
 }
-
-// hugeCap stands in for an unbounded capacity or session cap: large enough
-// to never bind in any realistic fabric, small enough to stay well inside
-// float64 range under arithmetic.
-const hugeCap = 1e30
 
 // waterfiller is the reusable progressive-filling solver. Link-indexed
 // state is generation-stamped so a solve touches only the links its

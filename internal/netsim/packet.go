@@ -52,10 +52,6 @@ const (
 	KindData Kind = iota
 	// KindAck is a (payload-free) TCP acknowledgment.
 	KindAck
-	// KindSyn opens a connection (only when handshake modeling is enabled).
-	KindSyn
-	// KindSynAck completes the handshake.
-	KindSynAck
 )
 
 // HeaderBytes is the modeled wire overhead per packet (Ethernet + IP + TCP).

@@ -118,8 +118,7 @@ func TestMapNamedPanicsWithLabeledError(t *testing.T) {
 // TestMapNamedWaitsForInFlightOnFailure: a failed point must not unwind the
 // caller while a sibling is still running — the sibling writes the caller's
 // checkpoint and holds its arenas — and with two failures it is the first in
-// item order that is raised, not the first in time. Map shares the collection
-// and is held to the same.
+// item order that is raised, not the first in time. MapN is held to the same.
 func TestMapNamedWaitsForInFlightOnFailure(t *testing.T) {
 	name := func(i int) string { return fmt.Sprintf("pt%d", i) }
 	for _, tc := range []struct {
@@ -129,7 +128,7 @@ func TestMapNamedWaitsForInFlightOnFailure(t *testing.T) {
 	}{
 		{"MapNamed", func(p *Pool, fn func(int) int) { MapNamed(p, []int{0, 1, 2}, name, fn) },
 			func(r any) bool { pe, ok := r.(*PanicError); return ok && pe.Point == "pt0" }},
-		{"Map", func(p *Pool, fn func(int) int) { Map(p, []int{0, 1, 2}, fn) },
+		{"MapN", func(p *Pool, fn func(int) int) { MapN(p, 3, fn) },
 			func(r any) bool { return r == "pt0 fails" }},
 	} {
 		t.Run(tc.api, func(t *testing.T) {

@@ -10,8 +10,8 @@
 // Tasks submitted to a pool must not block waiting on other tasks in the
 // same pool: a task holds one of the pool's slots for its whole run, so
 // parent tasks waiting on children can exhaust the slots and deadlock.
-// Orchestration code that only submits and waits (like Map callers) runs
-// outside the pool and is safe.
+// Orchestration code that only submits and waits (like MapNamed callers)
+// runs outside the pool and is safe.
 package runpool
 
 import (
@@ -23,8 +23,8 @@ import (
 )
 
 // PanicError is the per-point error a recovered task panic is converted to
-// by Result/MapResults: the sweep keeps going and the failed point carries
-// the panic value and stack instead of crashing the process.
+// by Result/MapResultsNamed: the sweep keeps going and the failed point
+// carries the panic value and stack instead of crashing the process.
 type PanicError struct {
 	// Value is what the task panicked with.
 	Value any
@@ -185,15 +185,11 @@ type Future[T any] struct {
 	res  result[T]
 }
 
-// Submit schedules fn on the pool and returns a Future for its result. The
-// task starts as soon as a slot frees up; Submit itself never blocks.
-func Submit[T any](p *Pool, fn func() T) *Future[T] {
-	return SubmitNamed(p, "", fn)
-}
-
-// SubmitNamed is Submit with a point label: any PanicError or
-// WatchdogError the task resolves with carries the label, so failures are
-// identifiable (and reproducible) from the error alone.
+// SubmitNamed schedules fn on the pool and returns a Future for its result.
+// The task starts as soon as a slot frees up; SubmitNamed itself never
+// blocks. Any PanicError or WatchdogError the task resolves with carries the
+// point label, so failures are identifiable (and reproducible) from the
+// error alone.
 func SubmitNamed[T any](p *Pool, point string, fn func() T) *Future[T] {
 	// Capacity 2: with a watchdog armed, both the timeout and the (late)
 	// task result may be sent; the Future keeps whichever arrives first and
@@ -243,68 +239,34 @@ func (f *Future[T]) Result() (T, error) {
 	return f.res.val, f.res.err
 }
 
-// Map runs fn over every item concurrently (bounded by the pool) and
-// returns the results in item order, independent of scheduling. A failed
-// item fails the call as Future.Wait would — a task's panic re-panics with
-// its value, a watchdog timeout with the WatchdogError — but only once every
-// item's future has resolved, and it is the first failure in item order that
-// is raised: the caller never unwinds while sibling tasks are still running
-// on state it is about to tear down.
-func Map[In, Out any](p *Pool, items []In, fn func(In) Out) []Out {
-	futs := make([]*Future[Out], len(items))
-	for i := range items {
-		it := items[i]
-		futs[i] = Submit(p, func() Out { return fn(it) })
-	}
-	return waitAll(futs)
-}
-
-// MapN runs fn(0..n-1) concurrently and returns the results in index order,
-// failing as Map does.
+// MapN runs fn(0..n-1) concurrently (bounded by the pool) and returns the
+// results in index order, independent of scheduling. A failed index fails the
+// call as Future.Wait would — a task's panic re-panics with its value, a
+// watchdog timeout with the WatchdogError — but only once every future has
+// resolved, and it is the first failure in index order that is raised: the
+// caller never unwinds while sibling tasks are still running on state it is
+// about to tear down.
 func MapN[Out any](p *Pool, n int, fn func(int) Out) []Out {
 	futs := make([]*Future[Out], n)
 	for i := 0; i < n; i++ {
 		i := i
-		futs[i] = Submit(p, func() Out { return fn(i) })
+		futs[i] = SubmitNamed(p, "", func() Out { return fn(i) })
 	}
-	return waitAll(futs)
-}
-
-// waitAll resolves every future, then returns the values or raises the first
-// failure in submission order through Wait.
-func waitAll[T any](futs []*Future[T]) []T {
 	for _, f := range futs {
 		f.Result()
 	}
-	out := make([]T, len(futs))
+	out := make([]Out, n)
 	for i, f := range futs {
 		out[i] = f.Wait()
 	}
 	return out
 }
 
-// TaskResult is one MapResults outcome: the task's value, or the error it
-// failed with (Err non-nil means Val is the zero value).
+// TaskResult is one MapResultsNamed outcome: the task's value, or the error
+// it failed with (Err non-nil means Val is the zero value).
 type TaskResult[T any] struct {
 	Val T
 	Err error
-}
-
-// MapResults runs fn over every item concurrently (bounded by the pool) and
-// returns per-item results in item order. Unlike Map, a panicking or
-// watchdog-timed-out item does not abort the sweep: its slot carries the
-// error and every other item still completes and reports.
-func MapResults[In, Out any](p *Pool, items []In, fn func(In) Out) []TaskResult[Out] {
-	futs := make([]*Future[Out], len(items))
-	for i := range items {
-		it := items[i]
-		futs[i] = Submit(p, func() Out { return fn(it) })
-	}
-	out := make([]TaskResult[Out], len(items))
-	for i, f := range futs {
-		out[i].Val, out[i].Err = f.Result()
-	}
-	return out
 }
 
 // resultRetryWatchdog collects a named task's result, retrying a
@@ -329,14 +291,14 @@ func resultRetryWatchdog[T any](p *Pool, point string, fn func() T, f *Future[T]
 	return v2, err2
 }
 
-// MapNamed is Map with a per-item point label (used for failure
-// identification and checkpoint keys) and a bounded single retry of
-// watchdog-timed-out points. Like Map it waits for every item, then panics on
-// the first failed one in item order — with the labeled *PanicError or
-// *WatchdogError itself, so the caller's FAILED report identifies the point —
-// and returns results in item order. Sibling points write the caller's
-// checkpoint and hold its arenas while they run, so the panic must not
-// overtake them.
+// MapNamed runs fn over every item concurrently (bounded by the pool) with a
+// per-item point label (used for failure identification and checkpoint keys)
+// and a bounded single retry of watchdog-timed-out points. Like MapN it waits
+// for every item, then panics on the first failed one in item order — with
+// the labeled *PanicError or *WatchdogError itself, so the caller's FAILED
+// report identifies the point — and returns results in item order. Sibling
+// points write the caller's checkpoint and hold its arenas while they run, so
+// the panic must not overtake them.
 func MapNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []Out {
 	res := MapResultsNamed(p, items, name, fn)
 	out := make([]Out, len(res))
@@ -349,10 +311,11 @@ func MapNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In
 	return out
 }
 
-// MapResultsNamed is MapResults with per-item point labels and the same
-// bounded single watchdog retry as MapNamed: errors carry the point
-// identification, and a point is reported failed only after its one retry
-// also failed.
+// MapResultsNamed runs fn over every item concurrently (bounded by the pool)
+// and returns per-item results in item order. Unlike MapNamed, a panicking or
+// watchdog-timed-out item does not abort the sweep: its slot carries the
+// error — labeled with the item's point, after the same bounded single
+// watchdog retry — and every other item still completes and reports.
 func MapResultsNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []TaskResult[Out] {
 	futs := make([]*Future[Out], len(items))
 	for i := range items {

@@ -1,11 +1,15 @@
 package runpool
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// pointName labels item i for the named fan-out APIs.
+func pointName(i int) string { return fmt.Sprintf("pt%d", i) }
 
 func TestMapPreservesOrder(t *testing.T) {
 	p := New(8)
@@ -15,7 +19,7 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 	// Earlier items sleep longer, so completion order is roughly reversed;
 	// the results must still come back in submission order.
-	out := Map(p, items, func(i int) int {
+	out := MapNamed(p, items, pointName, func(i int) int {
 		time.Sleep(time.Duration(len(items)-i) * 10 * time.Microsecond)
 		return i * i
 	})
@@ -83,7 +87,7 @@ func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
 
 func TestWaitIsIdempotent(t *testing.T) {
 	p := New(2)
-	f := Submit(p, func() int { return 42 })
+	f := SubmitNamed(p, "", func() int { return 42 })
 	if f.Wait() != 42 || f.Wait() != 42 {
 		t.Fatal("repeated Wait changed the result")
 	}
@@ -91,7 +95,7 @@ func TestWaitIsIdempotent(t *testing.T) {
 
 func TestResultRecoversPanicIntoError(t *testing.T) {
 	p := New(2)
-	f := Submit(p, func() int { panic("boom") })
+	f := SubmitNamed(p, "", func() int { panic("boom") })
 	v, err := f.Result()
 	if v != 0 {
 		t.Fatalf("value = %d, want zero", v)
@@ -121,7 +125,7 @@ func TestMapResultsSweepSurvivesPanics(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	out := MapResults(p, items, func(i int) int {
+	out := MapResultsNamed(p, items, pointName, func(i int) int {
 		if i == 7 {
 			panic("point 7 exploded")
 		}
@@ -142,7 +146,7 @@ func TestMapResultsSweepSurvivesPanics(t *testing.T) {
 		}
 	}
 	// The pool is still fully usable afterwards.
-	if got := Submit(p, func() int { return 7 }).Wait(); got != 7 {
+	if got := SubmitNamed(p, "", func() int { return 7 }).Wait(); got != 7 {
 		t.Fatalf("pool unusable after recovered panics: %d", got)
 	}
 }
@@ -151,7 +155,7 @@ func TestWatchdogResolvesStuckPoint(t *testing.T) {
 	p := New(4)
 	p.SetWatchdog(20 * time.Millisecond)
 	release := make(chan struct{})
-	stuck := Submit(p, func() int { <-release; return 1 })
+	stuck := SubmitNamed(p, "", func() int { <-release; return 1 })
 	_, err := stuck.Result()
 	we, ok := err.(*WatchdogError)
 	if !ok {
@@ -161,7 +165,7 @@ func TestWatchdogResolvesStuckPoint(t *testing.T) {
 		t.Fatalf("Limit = %v", we.Limit)
 	}
 	// Healthy points on the same pool still complete.
-	if v, err := Submit(p, func() int { return 9 }).Result(); err != nil || v != 9 {
+	if v, err := SubmitNamed(p, "", func() int { return 9 }).Result(); err != nil || v != 9 {
 		t.Fatalf("healthy point after timeout: v=%d err=%v", v, err)
 	}
 	close(release) // let the stuck goroutine finish and release its slot
@@ -169,7 +173,7 @@ func TestWatchdogResolvesStuckPoint(t *testing.T) {
 
 func TestWatchdogOffByDefault(t *testing.T) {
 	p := New(1)
-	if v, err := Submit(p, func() int {
+	if v, err := SubmitNamed(p, "", func() int {
 		time.Sleep(5 * time.Millisecond)
 		return 3
 	}).Result(); err != nil || v != 3 {
@@ -179,13 +183,13 @@ func TestWatchdogOffByDefault(t *testing.T) {
 
 func TestPanicPropagates(t *testing.T) {
 	p := New(2)
-	f := Submit(p, func() int { panic("boom") })
+	f := SubmitNamed(p, "", func() int { panic("boom") })
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want boom", r)
 		}
 		// The slot must have been released despite the panic.
-		if got := Submit(p, func() int { return 7 }).Wait(); got != 7 {
+		if got := SubmitNamed(p, "", func() int { return 7 }).Wait(); got != 7 {
 			t.Fatalf("pool unusable after panic: %d", got)
 		}
 	}()

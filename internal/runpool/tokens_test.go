@@ -27,8 +27,8 @@ func TestTryAcquireSharesBudgetWithTasks(t *testing.T) {
 	p := New(2)
 	block := make(chan struct{})
 	started := make(chan struct{}, 2)
-	f1 := Submit(p, func() int { started <- struct{}{}; <-block; return 1 })
-	f2 := Submit(p, func() int { started <- struct{}{}; <-block; return 2 })
+	f1 := SubmitNamed(p, "", func() int { started <- struct{}{}; <-block; return 1 })
+	f2 := SubmitNamed(p, "", func() int { started <- struct{}{}; <-block; return 2 })
 	<-started
 	<-started
 	if got := p.TryAcquire(1); got != 0 {

@@ -42,27 +42,9 @@ type Config struct {
 	MaxCwnd int
 	// DCTCPg is the marked-fraction EWMA gain. Default 1/16.
 	DCTCPg float64
-	// DelayedAckCount is the receiver's ACK coalescing factor m: one ACK
-	// per m in-order data packets, with DCTCP's two-state ECE machine
-	// (RFC 3168 + DCTCP §3.2) emitting an immediate ACK whenever the CE
-	// state of arriving packets flips, so the sender's marked-byte estimate
-	// stays exact. Out-of-order arrivals are always ACKed immediately.
-	// Default 1 (per-packet ACKs, the configuration used for the paper's
-	// headline results); set 2 for the stock Linux behaviour.
-	DelayedAckCount int
-	// DelayedAckTimeout flushes a pending coalesced ACK at this deadline.
-	// Default 500 us.
-	DelayedAckTimeout sim.Time
 	// DisableDCTCP falls back to plain NewReno+ECN halving (not used by the
 	// paper's evaluation, available for ablation).
 	DisableDCTCP bool
-	// Handshake, when true, models connection establishment: the sender
-	// transmits data only after a SYN/SYN-ACK exchange (one extra RTT per
-	// flow, retried on RTO if lost). Off by default — the paper's
-	// evaluation measures data-transfer latency on pre-established
-	// connections, and "datacenter operators run the transport they
-	// desire" (§3.3.1 footnote).
-	Handshake bool
 	// FlowBender, when non-nil, attaches a FlowBender controller with this
 	// configuration to every flow.
 	FlowBender *core.Config
@@ -128,12 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DCTCPg == 0 {
 		c.DCTCPg = 1.0 / 16.0
-	}
-	if c.DelayedAckCount == 0 {
-		c.DelayedAckCount = 1
-	}
-	if c.DelayedAckTimeout == 0 {
-		c.DelayedAckTimeout = 500 * sim.Microsecond
 	}
 	return c
 }

@@ -7,17 +7,9 @@ import (
 )
 
 // Receiver is the data sink of a flow. It reassembles the byte stream,
-// acknowledges data per the configured delayed-ACK policy, and accounts
-// out-of-order arrivals.
-//
-// With DelayedAckCount = 1 (the default) every data packet is ACKed
-// immediately and each ACK's ECE echoes that packet's CE bit exactly. With
-// m > 1 the receiver coalesces in-order arrivals but runs DCTCP's two-state
-// ECE machine: a change in the arriving CE state immediately flushes the
-// pending ACK with the old state, so the sender's marked-byte accounting
-// stays exact (DCTCP §3.2). Out-of-order data, duplicates, and
-// retransmissions always trigger an immediate ACK (they carry loss-recovery
-// signals the sender needs now).
+// acknowledges every data packet as it arrives — each ACK's ECE echoes that
+// packet's CE bit exactly, so the sender's marked-byte accounting is exact —
+// and accounts out-of-order arrivals.
 type Receiver struct {
 	eng  *sim.Engine
 	cfg  Config
@@ -35,68 +27,27 @@ type Receiver struct {
 	maxSeqSeen int64
 	sacked     intervalSet
 
-	// Delayed-ACK state. ackTimer is non-nil exactly while a delayed-ACK
-	// timer is pending: it is cleared both when the timer fires and when
-	// flushAck cancels it, so the handle is never read after the engine has
-	// recycled the event (the handle-lifetime contract in internal/sim).
-	ceState     bool   // CE bit of the most recent data packet
-	lastTag     uint32 // path tag of the most recent data packet (echoed)
-	pending     int    // in-order packets not yet acknowledged
-	pendingEcho sim.Time
-	ackTimer    *sim.Event
-	delackFn    func() // prebuilt timer callback
-
 	// Counters.
 	DataPackets int64
 	OutOfOrder  int64
 	DupData     int64 // data entirely below rcvNxt (spurious retransmissions)
 	AcksSent    int64
 	MarkedData  int64 // CE-marked data packets received
-	FlushedByCE int64 // pending ACKs flushed by a CE state change
 }
 
 func newReceiver(eng *sim.Engine, cfg Config, flow *Flow, srcPort, dstPort uint16) *Receiver {
 	r := &Receiver{
 		eng: eng, cfg: cfg, flow: flow,
 		srcPort: srcPort, dstPort: dstPort,
-		maxSeqSeen: -1, pendingEcho: -1,
+		maxSeqSeen: -1,
 	}
-	r.delackFn = r.onDelackTimer
 	r.hashPrefix = routing.FlowHashPrefix(flow.Dst.ID(), flow.Src.ID(), srcPort, dstPort, netsim.ProtoTCP)
 	r.spray = cfg.SprayShortCutoff > 0 && flow.Size < cfg.SprayShortCutoff
 	return r
 }
 
-// onDelackTimer fires the delayed-ACK timeout: flush whatever is pending.
-func (r *Receiver) onDelackTimer() {
-	r.ackTimer = nil
-	if r.pending > 0 {
-		r.flushAck(false, 0)
-	}
-}
-
 // Deliver implements netsim.Handler for the receiving host.
 func (r *Receiver) Deliver(pkt *netsim.Packet) {
-	if pkt.Kind == netsim.KindSyn {
-		sa := r.flow.Dst.NewPacket()
-		sa.Flow = r.flow.ID
-		sa.Src = r.flow.Dst.ID()
-		sa.Dst = r.flow.Src.ID()
-		sa.SrcPort = r.srcPort
-		sa.DstPort = r.dstPort
-		sa.Proto = netsim.ProtoTCP
-		sa.Kind = netsim.KindSynAck
-		sa.HashPrefix = r.hashPrefix
-		sa.HashPrefixOK = true
-		sa.PathTag = pkt.PathTag
-		sa.Spray = r.spray
-		sa.Size = netsim.HeaderBytes
-		sa.ECT = true
-		sa.SentAt = r.eng.Now()
-		sa.EchoTS = pkt.SentAt
-		r.flow.Dst.Send(sa)
-		return
-	}
 	if pkt.Kind != netsim.KindData {
 		return
 	}
@@ -104,15 +55,6 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 	if pkt.CE {
 		r.MarkedData++
 	}
-
-	// DCTCP ECE state machine: a CE transition flushes the coalesced ACK
-	// under the old state before this packet is incorporated.
-	if pkt.CE != r.ceState && r.pending > 0 {
-		r.FlushedByCE++
-		r.flushAck(false, 0)
-	}
-	r.ceState = pkt.CE
-	r.lastTag = pkt.PathTag
 
 	// Out-of-order accounting (§4.2.3): an original (non-retransmitted)
 	// packet arriving below the highest sequence already seen was passed in
@@ -142,8 +84,7 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 		r.sacked.add(pkt.Seq, end)
 	}
 
-	done := r.rcvNxt >= r.flow.Size && r.flow.RecvDone < 0
-	if done {
+	if r.rcvNxt >= r.flow.Size && r.flow.RecvDone < 0 {
 		r.flow.RecvDone = r.eng.Now()
 		if r.flow.OnComplete != nil {
 			r.flow.OnComplete(r.flow)
@@ -157,23 +98,7 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 		}
 	}
 
-	// Fold this packet into the pending-ACK state. Karn's rule: only
-	// original segments contribute an RTT timestamp, and a coalesced ACK
-	// echoes its earliest unacked one.
-	r.pending++
-	if r.pendingEcho < 0 && !pkt.Retx {
-		r.pendingEcho = pkt.SentAt
-	}
-
-	immediate := dup || reorderDist > 0 || pkt.Retx || r.sacked.Len() > 0 ||
-		done || r.pending >= r.cfg.DelayedAckCount
-	if immediate {
-		r.flushAck(dup, reorderDist)
-		return
-	}
-	if r.ackTimer == nil {
-		r.ackTimer = r.eng.Schedule(r.cfg.DelayedAckTimeout, r.delackFn)
-	}
+	r.sendAck(pkt, dup, reorderDist)
 }
 
 // teardown releases the receiver's dispatch slot on its own shard; used
@@ -183,8 +108,10 @@ func (r *Receiver) teardown() {
 	r.flow.Dst.Unregister(r.flow.ID)
 }
 
-// flushAck emits the cumulative acknowledgment covering all pending data.
-func (r *Receiver) flushAck(dsack bool, reorderDist int64) {
+// sendAck emits the cumulative acknowledgment for pkt, echoing its CE bit
+// and path tag. Karn's rule: only an original segment's timestamp is echoed
+// for an RTT sample.
+func (r *Receiver) sendAck(pkt *netsim.Packet, dsack bool, reorderDist int64) {
 	ack := r.flow.Dst.NewPacket()
 	ack.Flow = r.flow.ID
 	ack.Src = r.flow.Dst.ID()
@@ -198,20 +125,17 @@ func (r *Receiver) flushAck(dsack bool, reorderDist int64) {
 	ack.Seq = r.rcvNxt
 	ack.Size = netsim.HeaderBytes
 	ack.ECT = true
-	ack.ECE = r.ceState
+	ack.ECE = pkt.CE
 	ack.SentAt = r.eng.Now()
-	ack.EchoTS = r.pendingEcho
+	ack.EchoTS = -1
+	if !pkt.Retx {
+		ack.EchoTS = pkt.SentAt
+	}
 	ack.Sacks = r.sacked.appendBlocks(ack.Sacks[:0], maxSackBlocks)
 	ack.DSACK = dsack
 	ack.ReorderDist = reorderDist
-	ack.PathTag = r.lastTag
+	ack.PathTag = pkt.PathTag
 	ack.Spray = r.spray
-	r.pending = 0
-	r.pendingEcho = -1
-	if r.ackTimer != nil {
-		r.eng.Cancel(r.ackTimer)
-		r.ackTimer = nil
-	}
 	r.AcksSent++
 	r.flow.Dst.Send(ack)
 }

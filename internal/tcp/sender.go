@@ -53,22 +53,18 @@ type Sender struct {
 	rto     sim.Time
 	backoff int
 	timer   *sim.Event
-	// Prebuilt timer callbacks, so (re)arming the RTO on every ACK does not
+	// Prebuilt timer callback, so (re)arming the RTO on every ACK does not
 	// allocate a closure.
-	timeoutFn, synFn func()
+	timeoutFn func()
 
 	// DCTCP state. Alpha is estimated over BYTES acknowledged per RTT
-	// epoch, which stays exact under delayed ACKs because the receiver's
-	// ECE state machine guarantees each cumulative ACK's ECE applies to
-	// every byte it covers.
+	// epoch; the receiver ACKs every data packet with that packet's CE bit,
+	// so each ACK's ECE applies to every byte it newly covers.
 	alpha       float64
 	ackedBytes  int64 // bytes acked this RTT epoch
 	markedBytes int64 // of which were acked with ECE set
 	epochEnd    int64 // sequence closing the current epoch
 	cwrEnd      int64 // one-reduction-per-window guard
-
-	// Handshake state (only used when cfg.Handshake is set).
-	established bool
 
 	// spray marks every emitted packet for per-packet selection (short
 	// flows under Config.SprayShortCutoff; see routing.DiffFlow).
@@ -83,7 +79,6 @@ type Sender struct {
 	Timeouts     int64
 	AcksReceived int64
 	SpuriousUndo int64
-	SynRetries   int64
 
 	// Outage/recovery tracking (§3.3.2's time-to-recover): outageStart is
 	// the virtual time of the first RTO of the current outage episode, or -1
@@ -135,7 +130,6 @@ func newSender(eng *sim.Engine, cfg Config, flow *Flow, srcPort, dstPort uint16)
 	s.dynDupThresh = cfg.DupThresh
 	s.outageStart = -1
 	s.timeoutFn = s.onTimeout
-	s.synFn = s.onSynTimeout
 	return s
 }
 
@@ -148,57 +142,7 @@ func (s *Sender) InOutage() bool { return s.outageStart >= 0 }
 
 func (s *Sender) start() {
 	s.epochEnd = 0
-	s.established = !s.cfg.Handshake
-	if !s.established {
-		s.sendSyn()
-		return
-	}
 	s.trySend()
-}
-
-// sendSyn (re)transmits the connection-opening segment and arms the RTO.
-func (s *Sender) sendSyn() {
-	syn := s.flow.Src.NewPacket()
-	syn.Flow = s.flow.ID
-	syn.Src = s.flow.Src.ID()
-	syn.Dst = s.flow.Dst.ID()
-	syn.SrcPort = s.srcPort
-	syn.DstPort = s.dstPort
-	syn.Proto = netsim.ProtoTCP
-	syn.Kind = netsim.KindSyn
-	syn.HashPrefix = s.hashPrefix
-	syn.HashPrefixOK = true
-	syn.PathTag = s.PathTag()
-	syn.Spray = s.spray
-	syn.Size = netsim.HeaderBytes
-	syn.ECT = true
-	syn.SentAt = s.eng.Now()
-	syn.EchoTS = -1
-	s.flow.Src.Send(syn)
-	s.cancelTimer()
-	d := s.rto << s.backoff
-	if d > s.cfg.RTOMax {
-		d = s.cfg.RTOMax
-	}
-	s.timer = s.eng.Schedule(d, s.synFn)
-}
-
-// onSynTimeout retransmits a lost SYN with exponential backoff.
-func (s *Sender) onSynTimeout() {
-	s.timer = nil
-	if s.established || s.aborted {
-		return
-	}
-	s.SynRetries++
-	if s.backoff < 16 {
-		s.backoff++
-	}
-	// A lost SYN is indistinguishable from a broken path: re-draw V,
-	// exactly as data RTOs do (§3.3.2).
-	if s.fb != nil {
-		s.fb.OnTimeout()
-	}
-	s.sendSyn()
 }
 
 // Cwnd returns the current congestion window in bytes.
@@ -218,7 +162,7 @@ func (s *Sender) PathTag() uint32 {
 // trySend emits new segments while the window allows. When re-walking
 // previously sent data (after an RTO), SACKed ranges are skipped.
 func (s *Sender) trySend() {
-	if !s.established || s.aborted {
+	if s.aborted {
 		return
 	}
 	if max := float64(s.cfg.MaxCwnd); s.cwnd > max {
@@ -273,18 +217,6 @@ func (s *Sender) emit(seq int64, payload int, retx bool) {
 // Deliver implements netsim.Handler for the sending host (ACK arrival).
 func (s *Sender) Deliver(pkt *netsim.Packet) {
 	if s.aborted {
-		return
-	}
-	if pkt.Kind == netsim.KindSynAck {
-		if !s.established {
-			s.established = true
-			s.backoff = 0
-			if pkt.EchoTS >= 0 {
-				s.sampleRTT(s.eng.Now() - pkt.EchoTS)
-			}
-			s.cancelTimer()
-			s.trySend()
-		}
 		return
 	}
 	if pkt.Kind != netsim.KindAck {
@@ -454,8 +386,8 @@ func (s *Sender) onNewAck(ack int64, _ bool) {
 	s.dupAcks = 0
 	if s.cwnd < s.ssthresh {
 		// Slow start with Appropriate Byte Counting (RFC 3465, L=2): grow
-		// by the bytes acknowledged, capped at 2 MSS per ACK, so coalesced
-		// (delayed) or lost ACKs do not slow the exponential ramp.
+		// by the bytes acknowledged, capped at 2 MSS per ACK, so lost ACKs
+		// do not slow the exponential ramp.
 		inc := float64(newly)
 		if max := 2 * float64(s.mss); inc > max {
 			inc = max

@@ -341,17 +341,3 @@ func (m *Mix) NextBatch() []FlowSpec {
 	m.emitted += len(batch)
 	return batch
 }
-
-// PredrawFlows consumes the generator exactly as repeated NextBatch calls
-// would and returns the flattened schedule — the sharded runner's planning
-// path. Call it instead of NextBatch, never in addition.
-func (m *Mix) PredrawFlows() []FlowSpec {
-	out := make([]FlowSpec, 0, m.MaxFlows-m.emitted)
-	for {
-		b := m.NextBatch()
-		if b == nil {
-			return out
-		}
-		out = append(out, b...)
-	}
-}

@@ -178,6 +178,19 @@ func testMix(seed int64, hosts []*netsim.Host, maxFlows int) *Mix {
 	}
 }
 
+// PredrawFlows (test helper) consumes the generator exactly as repeated
+// NextBatch calls would and returns the flattened schedule.
+func (m *Mix) PredrawFlows() []FlowSpec {
+	out := make([]FlowSpec, 0, m.MaxFlows-m.emitted)
+	for {
+		b := m.NextBatch()
+		if b == nil {
+			return out
+		}
+		out = append(out, b...)
+	}
+}
+
 // TestMixPredrawDeterminism: the same seed must yield the identical spec
 // sequence whether batches are consumed lazily one at a time or pre-drawn
 // flat up front — the property the sharded runner depends on.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race test-simdebug reach-audit bench bench-json bench-compare benchmark benchmark-compare benchmark-pair results results-paper examples clean
+.PHONY: all build vet test test-short test-race test-simdebug reach-audit bench benchmark benchmark-compare benchmark-pair results results-paper examples clean
 
 all: build vet test
 
@@ -34,25 +34,16 @@ test-simdebug:
 
 # Which shipped internal/ functions does no binary ever execute? Builds every
 # binary and example with coverage, drives the runs a user makes into one
-# GOCOVERDIR and lists the functions left at 0% (ci/reachaudit.sh). A report
-# for the deletion audit, not a gate.
+# GOCOVERDIR and fails unless the functions left at 0% are exactly the ones
+# ci/reach-allow.txt gives a reason for (ci/reachaudit.sh; about eight
+# minutes, so CI runs it weekly and on request, not on every push).
 reach-audit:
 	./ci/reachaudit.sh
 
+# The packages' own micro-benchmarks (go test -bench), for interactive work on
+# one hot path. The measurement a claim rests on is `make benchmark-pair`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Write a BENCH_<timestamp>.json snapshot of the hot-path metrics (ns/event,
-# ns/packet-hop, allocs, per-experiment wall-clock and events/sec) into the
-# repo root.
-bench-json:
-	$(GO) run ./cmd/fbbench -json
-
-# Diff the two newest BENCH_*.json snapshots; exits nonzero if any headline
-# metric regressed by more than 10%. A local trajectory check — the perf gate
-# is CI's bench-pair job (ci/benchpair.sh, `make benchmark-pair`).
-bench-compare:
-	$(GO) run ./cmd/fbbench -compare
 
 # The repository benchmark declared in BENCHMARK.json (bench/README.md): one
 # record per workload on stdout, end-to-end metrics with output checks. Keep

@@ -1,17 +1,21 @@
 #!/usr/bin/env bash
-# Reach audit: which shipped internal/ functions does no binary ever execute?
+# Reach audit: every shipped internal/ function is executed by some binary, or
+# ci/reach-allow.txt says why not.
 #
 # Builds the four binaries (fbsim, fbbench, fbtopo, bench) and the six
 # examples with coverage over every package, drives them through the runs a
 # user makes — the tiny suite on both engines, single experiments across
 # engines, scales up to mega, shards, seeds, checkpoint and resume, the path
 # listing, every example, every benchmark workload traced and untraced — into
-# one GOCOVERDIR, and prints each non-test internal/ function left at 0%.
+# one GOCOVERDIR, and compares the non-test internal/ functions left at 0%
+# with ci/reach-allow.txt ("<file> <function> <reason>" a line).
 #
-# A report, not a gate: a function listed here is reached by tests at most.
-# That is right for an error path or a debug hook and wrong for a feature, so
-# each line wants a reason or a deletion (ROADMAP item 6). About eight minutes
-# on two cores.
+# A gate: a function at 0% is reached by tests at most, which is right for an
+# error path or a debug hook and wrong for a feature, so it needs a reason on
+# the list or a deletion. Exits non-zero on a 0% function the list does not
+# carry, on a listed function that is gone or is now reached, on a line with
+# no reason, and when one of the runs fails (its coverage would be missing).
+# About eight minutes on two cores; `make reach-audit`, weekly in CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,7 +40,7 @@ run() { # run <binary> [args...]: output dropped, a failing run named
 }
 
 run fbbench -scale tiny
-run fbbench -scale tiny -engine fluid
+run fbbench -scale tiny -engine fluid -v
 
 printf '300 0\n600 0.5\n1200 1.0\n' >"$work/mice.cdf"
 run fbsim -list
@@ -83,11 +87,29 @@ for w in packet-a2a packet-mix fluid-a2a fluid-mix suite-tiny; do
 done
 
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$work/cover.out"
-echo
-echo "non-test internal/ functions no run above executed:"
 go tool cover -func="$work/cover.out" |
-  awk '$1 ~ /\/internal\// && $NF == "0.0%" { printf "  %-48s %s\n", $1, $2; n++ }
-       END { printf "%d function(s) at 0%%\n", n }'
-if [ "$failed" -gt 0 ]; then
-  echo "($failed run(s) exited non-zero; their coverage is still counted)" >&2
+  awk '$1 ~ /\/internal\// && $NF == "0.0%" {
+         sub(/^flowbender\//, "", $1); sub(/:[0-9]+:$/, "", $1); print $1, $2 }' |
+  sort >"$work/unreached"
+# Both sides keep duplicates (two String methods in one file are two lines),
+# and comm pairs them off one for one.
+awk '!/^#/ && NF { if (NF < 3) { print "reach-allow.txt: no reason given: " $0 > "/dev/stderr"; bad = 1 }
+                   print $1, $2 }
+     END { exit bad }' ci/reach-allow.txt | sort >"$work/allowed" || failed=$((failed + 1))
+
+echo
+echo "$(wc -l <"$work/unreached") non-test internal/ function(s) at 0%, $(wc -l <"$work/allowed") on ci/reach-allow.txt"
+unlisted=$(comm -23 "$work/unreached" "$work/allowed")
+stale=$(comm -13 "$work/unreached" "$work/allowed")
+if [ -n "$unlisted" ]; then
+  echo "no run above executes these and ci/reach-allow.txt gives no reason — delete them, or list them with one:"
+  sed 's/^/  /' <<<"$unlisted"
 fi
+if [ -n "$stale" ]; then
+  echo "listed in ci/reach-allow.txt but gone or now reached — drop the lines:"
+  sed 's/^/  /' <<<"$stale"
+fi
+if [ "$failed" -gt 0 ]; then
+  echo "$failed run(s) or check(s) above failed" >&2
+fi
+[ -z "$unlisted" ] && [ -z "$stale" ] && [ "$failed" -eq 0 ]

@@ -11,7 +11,5 @@
 // (internal/experiments, cmd/fbsim, cmd/fbbench).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// root-level benchmarks (bench_test.go) run a reduced-scale version of each
-// experiment.
+// experiment index, and EXPERIMENTS.md for paper-vs-measured results.
 package flowbender

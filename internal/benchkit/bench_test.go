@@ -8,21 +8,14 @@ import (
 	"flowbender/internal/sim"
 )
 
-// go test -bench wrappers around the snapshot benchmark bodies, so the same
-// code paths fbbench -json persists can be profiled interactively.
+// go test -bench wrappers around the benchmark bodies the repository
+// benchmark's probes run, so the same code paths can be profiled
+// interactively.
 
 func BenchmarkEngineSchedule(b *testing.B)  { EngineSchedule(b) }
 func BenchmarkPacketHop(b *testing.B)       { PacketHop(b) }
 func BenchmarkTCPTransfer1MB(b *testing.B)  { TCPTransfer(b, 1_000_000) }
 func BenchmarkTCPTransfer10MB(b *testing.B) { TCPTransfer(b, 10_000_000) }
-
-// Fluid-engine throughput: one op is a full all-to-all run; the headline
-// extras are flows/sec and allocs/op (the fluid engine's per-run footprint).
-func BenchmarkFluidAllToAll(b *testing.B)           { FluidAllToAll(b, 2000) }
-func BenchmarkFluidAllToAllFlowBender(b *testing.B) { FluidAllToAllFlowBender(b, 2000) }
-func BenchmarkFluidAllToAllSpray(b *testing.B)      { FluidAllToAllSpray(b, 2000) }
-func BenchmarkFluidAllToAllShards2(b *testing.B)    { FluidAllToAllShards(b, 2000, 2) }
-func BenchmarkFluidAllToAllShards8(b *testing.B)    { FluidAllToAllShards(b, 2000, 8) }
 
 // benchSwitch builds an 8-port switch with an 8-way ECMP route for every
 // destination, mirroring a core switch's forwarding state.

@@ -1,13 +1,11 @@
-// Package benchkit holds the micro-benchmark bodies and snapshot machinery
-// behind the repository's persisted benchmark trajectory.
+// Package benchkit holds the micro-benchmark bodies of the three hot paths
+// the packet engine is made of: scheduling an event, moving a packet one
+// switch hop, and completing a TCP transfer.
 //
-// The same benchmark functions are driven two ways: `go test -bench` (via
-// the wrappers in bench_test.go) for interactive work, and cmd/fbbench's
-// -json mode (via testing.Benchmark) to write a BENCH_<timestamp>.json
-// snapshot. `fbbench -compare` (wired as `make bench-compare`) diffs the two
-// newest snapshots and fails on >10% regression of any headline metric, so
-// the hot-path cost of the simulator is guarded the same way its output
-// bytes are guarded by golden files.
+// The same functions are driven two ways: `go test -bench` (the wrappers in
+// bench_test.go) for interactive work, and the repository benchmark's probes
+// (bench/probes.go, via testing.Benchmark), which report them as
+// sim.schedule_*, netsim.hop_* and tcp.transfer10mb_*.
 package benchkit
 
 import (
@@ -25,13 +23,7 @@ import (
 // schedules one event; batches of 1024 are then drained so the heap stays at
 // a realistic occupancy. ns/op and allocs/op are therefore per event.
 func EngineSchedule(b *testing.B) {
-	EngineScheduleN(b, 1024)
-}
-
-// EngineScheduleN is EngineSchedule with a configurable batch size: larger
-// batches mean a deeper heap when events fire, exposing the sift cost's
-// dependence on occupancy.
-func EngineScheduleN(b *testing.B, batch int) {
+	const batch = 1024
 	eng := sim.NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,111 +1,130 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"sort"
+	"strconv"
 )
 
-// MarshalText makes Scheme usable as a JSON map key.
+// MarshalText renders a Scheme by name wherever JSON holds one, as a value
+// or as a map key.
 func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // loadKey renders a load fraction as a stable JSON key ("20%", "40%", ...).
 func loadKey(load float64) string { return fmt.Sprintf("%g%%", load*100) }
 
-// MarshalJSON flattens the float-keyed maps into string-keyed objects.
-func (r *AllToAllResult) MarshalJSON() ([]byte, error) {
-	type cellRow map[Scheme][]AllToAllCell
-	out := struct {
-		Loads      []float64
-		Schemes    []string
-		Cells      map[string]cellRow
-		OOO        map[Scheme]float64
-		Reroutes   map[string]int64
-		Incomplete int
-	}{
-		Loads:      r.Loads,
-		Cells:      map[string]cellRow{},
-		OOO:        r.OOO,
-		Reroutes:   map[string]int64{},
-		Incomplete: r.Incomplete,
+// WriteJSON encodes any experiment result as indented JSON. The layout is
+// encoding/json's — exported fields in declaration order, map keys sorted —
+// with two rules for the two things a result holds that encoding/json
+// refuses: a NaN (no sample: an empty size bin, a mean over flows none of
+// which completed) is written as null, and a float-keyed map, which in a
+// result is always keyed by offered load, gets loadKey's keys.
+func WriteJSON(w io.Writer, res Printable) error {
+	var raw, out bytes.Buffer
+	if err := encodeJSON(&raw, reflect.ValueOf(res)); err != nil {
+		return err
 	}
-	for _, s := range r.Schemes {
-		out.Schemes = append(out.Schemes, s.String())
+	if err := json.Indent(&out, raw.Bytes(), "", "  "); err != nil {
+		return err
 	}
-	for load, per := range r.Cells {
-		row := cellRow{}
-		for s, cells := range per {
-			row[s] = cells[:]
-		}
-		out.Cells[loadKey(load)] = row
-	}
-	for load, n := range r.Reroutes {
-		out.Reroutes[loadKey(load)] = n
-	}
-	return json.Marshal(out)
+	out.WriteByte('\n')
+	_, err := w.Write(out.Bytes())
+	return err
 }
 
-// MarshalJSON flattens the float-keyed maps into string-keyed objects.
-func (r *TestbedResult) MarshalJSON() ([]byte, error) {
-	out := struct {
-		Loads     []float64
-		Norm      map[string][3]float64
-		ECMPAbsMs map[string][3]float64
-		FlowBytes int64
-		Tors      int
-		Spines    int
-	}{
-		Loads:     r.Loads,
-		Norm:      map[string][3]float64{},
-		ECMPAbsMs: map[string][3]float64{},
-		FlowBytes: r.FlowBytes,
-		Tors:      r.Tors,
-		Spines:    r.Spines,
-	}
-	for load, v := range r.Norm {
-		out.Norm[loadKey(load)] = v
-	}
-	for load, v := range r.ECMPAbsMs {
-		out.ECMPAbsMs[loadKey(load)] = v
-	}
-	return json.Marshal(out)
-}
-
-// MarshalJSON renders the NaN mean (no affected flow completed) as null,
-// which encoding/json otherwise rejects.
-func (c FaultCell) MarshalJSON() ([]byte, error) {
-	type alias FaultCell // drop the method to avoid recursion
-	out := struct {
-		alias
-		MeanAffectedFCTms *float64
-	}{alias: alias(c)}
-	if !math.IsNaN(c.MeanAffectedFCTms) {
-		out.MeanAffectedFCTms = &c.MeanAffectedFCTms
-	}
-	return json.Marshal(out)
-}
-
-// MarshalJSON renders empty-bin NaN quantiles as null, which encoding/json
-// otherwise rejects.
-func (c MixBinCell) MarshalJSON() ([]byte, error) {
-	q := func(v float64) *float64 {
-		if math.IsNaN(v) {
+// encodeJSON writes v compactly, descending through containers itself so
+// that WriteJSON's two rules reach every float and map; everything else is
+// encoding/json's.
+func encodeJSON(b *bytes.Buffer, v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Slice:
+		if v.IsNil() {
+			b.WriteString("null")
 			return nil
 		}
-		return &v
 	}
-	return json.Marshal(struct {
-		N      int64
-		P50ms  *float64
-		P99ms  *float64
-		P999ms *float64
-	}{c.N, q(c.P50ms), q(c.P99ms), q(c.P999ms)})
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if math.IsNaN(v.Float()) {
+			b.WriteString("null")
+			return nil
+		}
+	case reflect.Pointer, reflect.Interface:
+		return encodeJSON(b, v.Elem())
+	case reflect.Struct:
+		var ms []jsonMember
+		for i, t := 0, v.Type(); i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				ms = append(ms, jsonMember{f.Name, v.Field(i)})
+			}
+		}
+		return encodeJSONObject(b, ms)
+	case reflect.Map:
+		ms := make([]jsonMember, 0, v.Len())
+		for it := v.MapRange(); it.Next(); {
+			ms = append(ms, jsonMember{jsonKey(it.Key()), it.Value()})
+		}
+		sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+		return encodeJSONObject(b, ms)
+	case reflect.Slice, reflect.Array:
+		b.WriteByte('[')
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if err := encodeJSON(b, v.Index(i)); err != nil {
+				return err
+			}
+		}
+		b.WriteByte(']')
+		return nil
+	}
+	leaf, err := json.Marshal(v.Interface())
+	b.Write(leaf)
+	return err
 }
 
-// WriteJSON encodes any experiment result as indented JSON.
-func WriteJSON(w io.Writer, res Printable) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
+// jsonMember is one name-value pair of an object: a struct field or a map
+// entry.
+type jsonMember struct {
+	name string
+	v    reflect.Value
+}
+
+// encodeJSONObject writes the members in the order given.
+func encodeJSONObject(b *bytes.Buffer, ms []jsonMember) error {
+	b.WriteByte('{')
+	for i, m := range ms {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		name, _ := json.Marshal(m.name) // a string always marshals
+		b.Write(name)
+		b.WriteByte(':')
+		if err := encodeJSON(b, m.v); err != nil {
+			return err
+		}
+	}
+	b.WriteByte('}')
+	return nil
+}
+
+// jsonKey renders a map key: the name for a Scheme, a load for a float, and
+// otherwise what encoding/json writes for the string or integer it is.
+func jsonKey(k reflect.Value) string {
+	if s, ok := k.Interface().(Scheme); ok {
+		return s.String()
+	}
+	switch k.Kind() {
+	case reflect.Float64:
+		return loadKey(k.Float())
+	case reflect.String:
+		return k.String()
+	}
+	return strconv.FormatInt(k.Int(), 10)
 }

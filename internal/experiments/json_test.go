@@ -70,8 +70,8 @@ func TestEveryResultTypeMarshals(t *testing.T) {
 		&WCMPResult{},
 		&UDPSprayResult{},
 		&AblationResult{},
-		// Empty bins carry NaN quantiles; the cell marshaler must render
-		// them as null instead of failing the whole encode.
+		// Empty bins carry NaN quantiles; they must come out as null
+		// instead of failing the whole encode.
 		&ProductionMixResult{Schemes: DefaultMixSchemes,
 			Cells: map[Scheme]MixCell{ECMP: {All: MixBinCell{P50ms: math.NaN()}}}},
 	}
@@ -79,6 +79,36 @@ func TestEveryResultTypeMarshals(t *testing.T) {
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, r); err != nil {
 			t.Errorf("result %d (%T): %v", i, r, err)
+		}
+	}
+}
+
+// TestEveryExperimentSerialises: whatever a registered experiment returns at
+// tiny scale, fbsim -json must be able to write it — valid JSON, with a null
+// for each mean the table prints as "n/a (none completed)". Link failure is
+// the case that needs the rule: ECMP's affected flows never finish, which is
+// the paper's point, so their mean FCT is NaN on every run.
+func TestEveryExperimentSerialises(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, e := range Registry {
+		res := e.Run(tinyOpts())
+		var out, table bytes.Buffer
+		if err := WriteJSON(&out, res); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if !json.Valid(out.Bytes()) {
+			t.Errorf("%s: invalid JSON:\n%s", e.Name, out.String())
+		}
+		res.Print(&table)
+		noSample := strings.Count(table.String(), "n/a (none completed)")
+		if nulls := strings.Count(out.String(), ": null"); nulls < noSample {
+			t.Errorf("%s: table has %d means without a sample, JSON only %d nulls:\n%s", e.Name, noSample, nulls, out.String())
+		}
+		if e.Name == "linkfailure" && noSample == 0 {
+			t.Errorf("linkfailure: every mean has a sample, so no NaN was serialised:\n%s", table.String())
 		}
 	}
 }

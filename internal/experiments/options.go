@@ -249,11 +249,6 @@ type Options struct {
 	debugShardWindow sim.Time
 }
 
-// DefaultOptions returns the defaults used by the benchmark harness.
-func DefaultOptions() Options {
-	return Options{Seed: 1, Scale: ScaleSmall}
-}
-
 func (o Options) params() topo.Params { return scales[o.Scale].params }
 
 func (o Options) flowCount() int {

@@ -68,6 +68,12 @@ func TestRepeats(t *testing.T) {
 	}
 }
 
+// DefaultOptions is what the CLIs run when no flag is given;
+// TestRunFlagsResolve holds the flag binder's defaults to it.
+func DefaultOptions() Options {
+	return Options{Seed: 1, Scale: ScaleSmall}
+}
+
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.Scale != ScaleSmall || o.Seed != 1 {

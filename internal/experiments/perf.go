@@ -12,7 +12,7 @@ import (
 // experiment runs: total events executed and total virtual time simulated.
 // Combined with the wall-clock time of the run it yields the two headline
 // throughput figures — events per wall second and simulated seconds per wall
-// second — that the benchmark snapshots track alongside latency metrics.
+// second — that `fbsim -v` prints and the repository benchmark reports.
 //
 // The counters are books of work executed, not of results reported: a
 // fluid-engine sweep simulates schemes with identical fluid models once (see

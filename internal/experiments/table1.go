@@ -41,17 +41,6 @@ type Table1Result struct {
 	Seeds int
 }
 
-// Cell returns scheme s's mean and max completion time (ms) in row ri. It
-// panics if s is not in Schemes.
-func (r *Table1Result) Cell(ri int, s Scheme) (meanMs, maxMs float64) {
-	for si, sc := range r.Schemes {
-		if sc == s {
-			return r.Rows[ri].MeanMs[si], r.Rows[ri].MaxMs[si]
-		}
-	}
-	panic(fmt.Sprintf("experiments: scheme %v not in Table1 result", s))
-}
-
 // Table1 runs the validation microbenchmark: k ∈ FlowCounts simultaneous
 // flows of FlowBytes each from the hosts of one ToR in pod 0 to the hosts of
 // one ToR in pod 1. The paper uses 250 MB flows; the scaled default is

@@ -33,18 +33,6 @@ const (
 	BtoA
 )
 
-func (d Dir) String() string {
-	switch d {
-	case Both:
-		return "both"
-	case AtoB:
-		return "a->b"
-	case BtoA:
-		return "b->a"
-	}
-	return fmt.Sprintf("dir(%d)", uint8(d))
-}
-
 // ports returns the egress ports of dx the direction selects.
 func (d Dir) ports(dx *netsim.Duplex) []*netsim.Port {
 	switch d {

@@ -225,9 +225,6 @@ func (is *IncSolver) SetShards(n int) {
 // Links returns the number of links the solver was Reset with.
 func (is *IncSolver) Links() int { return len(is.links) }
 
-// Sessions returns the session slot count (high-water, including free slots).
-func (is *IncSolver) Sessions() int { return len(is.sCap) }
-
 // Pending reports whether staged mutations await a Commit.
 func (is *IncSolver) Pending() bool { return is.pending }
 

@@ -104,15 +104,6 @@ func NewNet(p topo.Params) *Net {
 	return n
 }
 
-// Params returns the topology the net was built for.
-func (n *Net) Params() topo.Params { return n.p }
-
-// Hosts returns the number of servers.
-func (n *Net) Hosts() int { return n.hosts }
-
-// Links returns the number of directed links.
-func (n *Net) Links() int { return n.nLinks }
-
 func (n *Net) hostUp(h int32) int32   { return h }
 func (n *Net) hostDown(h int32) int32 { return int32(n.hosts) + h }
 func (n *Net) torUp(tor, a int32) int32 {

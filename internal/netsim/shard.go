@@ -55,9 +55,6 @@ type CrossBox struct {
 	msgs []CrossMsg
 }
 
-// Len reports the number of undelivered messages (for tests and tripwires).
-func (b *CrossBox) Len() int { return len(b.msgs) }
-
 // Drain appends the box's messages to dst and empties it, dropping packet
 // references so recycled packets are not retained.
 func (b *CrossBox) Drain(dst []CrossMsg) []CrossMsg {
@@ -86,9 +83,6 @@ func NewCrossLink(eng *sim.Engine, box *CrossBox, dst Device) *CrossLink {
 
 // ID implements Device, impersonating the remote endpoint.
 func (c *CrossLink) ID() NodeID { return c.dst.ID() }
-
-// Target returns the device the proxy stands in for.
-func (c *CrossLink) Target() Device { return c.dst }
 
 // Receive implements Device: the packet has finished link propagation on the
 // producer's clock; park it for the consumer's next merge.
@@ -167,6 +161,3 @@ func (h *Host) unreceive(pkt *Packet) {
 
 // Engine returns the engine (shard) this host executes on.
 func (h *Host) Engine() *sim.Engine { return h.eng }
-
-// Engine returns the engine (shard) this switch executes on.
-func (s *Switch) Engine() *sim.Engine { return s.eng }

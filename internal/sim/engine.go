@@ -61,9 +61,6 @@ const (
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Duration converts to a time.Duration for printing.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a handle to a scheduled callback. It can be cancelled before it

@@ -35,9 +35,6 @@ func (r *RNG) Fork(name string) *RNG {
 	return NewRNG(child)
 }
 
-// Seed returns the seed this stream was created with.
-func (r *RNG) Seed() int64 { return r.seed }
-
 // Exp draws an exponentially distributed duration with the given mean.
 func (r *RNG) Exp(mean Time) Time {
 	if mean <= 0 {

@@ -85,18 +85,18 @@ func TestIntervalBlocksCapped(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		s.add(i*100, i*100+50)
 	}
-	blocks := s.blocks(4)
+	blocks := s.appendBlocks(nil, 4)
 	if len(blocks) != 4 {
 		t.Fatalf("blocks = %d", len(blocks))
 	}
 	if blocks[0].Start != 0 || blocks[0].End != 50 {
 		t.Fatalf("first block %+v", blocks[0])
 	}
-	if s.blocks(20) == nil || len(s.blocks(20)) != 10 {
+	if s.appendBlocks(nil, 20) == nil || len(s.appendBlocks(nil, 20)) != 10 {
 		t.Fatal("uncapped blocks wrong")
 	}
 	var empty intervalSet
-	if empty.blocks(4) != nil {
+	if empty.appendBlocks(nil, 4) != nil {
 		t.Fatal("empty set should return nil blocks")
 	}
 }

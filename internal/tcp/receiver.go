@@ -192,15 +192,11 @@ func (x *intervalSet) Len() int { return len(x.iv) }
 // maxSackBlocks bounds the SACK option size, as the TCP option space does.
 const maxSackBlocks = 4
 
-// blocks returns up to max buffered ranges as SACK blocks, nearest the
-// cumulative ACK point first (nil when empty).
-func (x *intervalSet) blocks(max int) []netsim.SackBlock {
-	return x.appendBlocks(nil, max)
-}
-
-// appendBlocks appends up to max buffered ranges to dst and returns the
-// extended slice. Reusing dst's backing array is what keeps SACK-carrying
-// ACKs allocation-free on pooled packets (the array survives recycling).
+// appendBlocks appends up to max buffered ranges to dst as SACK blocks,
+// nearest the cumulative ACK point first, and returns the extended slice
+// (dst itself when the set is empty). Reusing dst's backing array is what
+// keeps SACK-carrying ACKs allocation-free on pooled packets (the array
+// survives recycling).
 func (x *intervalSet) appendBlocks(dst []netsim.SackBlock, max int) []netsim.SackBlock {
 	n := len(x.iv)
 	if n > max {

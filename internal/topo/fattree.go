@@ -248,9 +248,6 @@ func (ft *FatTree) HostLoc(h int) (pod, tor, server int) {
 	return
 }
 
-// PodOf returns the pod a host belongs to.
-func (ft *FatTree) PodOf(h int) int { pod, _, _ := ft.HostLoc(h); return pod }
-
 // TorHosts returns the host indices attached to (pod, tor).
 func (ft *FatTree) TorHosts(pod, tor int) []int {
 	out := make([]int, ft.P.ServersPerTor)

@@ -157,9 +157,6 @@ func (ls *LeafSpine) SetSelector(sel netsim.Selector) {
 	}
 }
 
-// TorOf returns the ToR index a host is attached to.
-func (ls *LeafSpine) TorOf(h int) int { return h / ls.P.ServersPerTor }
-
 // TorHosts returns the host indices attached to ToR t.
 func (ls *LeafSpine) TorHosts(t int) []int {
 	out := make([]int, ls.P.ServersPerTor)

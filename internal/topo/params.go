@@ -123,9 +123,6 @@ func TinyScale() Params {
 // NumHosts returns the total number of servers.
 func (p Params) NumHosts() int { return p.Pods * p.TorsPerPod * p.ServersPerTor }
 
-// TorUplinks returns the number of uplinks each ToR has (one per agg).
-func (p Params) TorUplinks() int { return p.AggsPerPod }
-
 // TorAggRateBps returns the rate of each ToR-to-aggregation link, scaled so
 // the ToR is non-oversubscribed: ServersPerTor/AggsPerPod times the access
 // rate (20 Gbps in the paper-scale instance).

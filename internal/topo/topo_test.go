@@ -22,9 +22,9 @@ func TestPaperScaleShape(t *testing.T) {
 		t.Fatalf("oversub = %v, want 4", got)
 	}
 	// Non-oversubscribed ToRs: uplink capacity equals server capacity.
-	if int64(p.TorUplinks())*p.TorAggRateBps() != int64(p.ServersPerTor)*p.LinkRateBps {
+	if int64(p.AggsPerPod)*p.TorAggRateBps() != int64(p.ServersPerTor)*p.LinkRateBps {
 		t.Fatalf("ToR oversubscribed: %d x %d up vs %d x %d down",
-			p.TorUplinks(), p.TorAggRateBps(), p.ServersPerTor, p.LinkRateBps)
+			p.AggsPerPod, p.TorAggRateBps(), p.ServersPerTor, p.LinkRateBps)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestScalesKeepOversubscription(t *testing.T) {
 		if got := p.Oversubscription(); got != 4 {
 			t.Errorf("%s: oversub = %v, want 4", name, got)
 		}
-		if int64(p.TorUplinks())*p.TorAggRateBps() != int64(p.ServersPerTor)*p.LinkRateBps {
+		if int64(p.AggsPerPod)*p.TorAggRateBps() != int64(p.ServersPerTor)*p.LinkRateBps {
 			t.Errorf("%s: ToR oversubscribed", name)
 		}
 	}
@@ -134,9 +134,6 @@ func TestLeafSpineShape(t *testing.T) {
 	ls := NewLeafSpine(eng, p)
 	if len(ls.Hosts) != 15*12 {
 		t.Fatalf("hosts = %d", len(ls.Hosts))
-	}
-	if ls.TorOf(13) != 1 {
-		t.Fatalf("TorOf(13) = %d", ls.TorOf(13))
 	}
 	if h := ls.TorHosts(2); len(h) != 12 || h[0] != 24 {
 		t.Fatalf("TorHosts(2) = %v", h)

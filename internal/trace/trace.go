@@ -30,37 +30,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.V) }
 
-// Last returns the most recent sample (NaN semantics avoided: 0 when empty).
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
-// Max returns the largest sample (0 when empty).
-func (s *Series) Max() float64 {
-	var m float64
-	for i, v := range s.V {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the average sample (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
-}
-
 // Sampler drives a set of probes at a fixed virtual-time interval.
 type Sampler struct {
 	eng      *sim.Engine
@@ -103,9 +72,6 @@ func (s *Sampler) Start() {
 
 // Stop halts sampling after the current tick.
 func (s *Sampler) Stop() { s.stopped = true }
-
-// Series returns the recorded series in registration order.
-func (s *Sampler) Series() []*Series { return s.series }
 
 func (s *Sampler) tick() {
 	if s.stopped {
@@ -158,23 +124,4 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 // QueueBytes probes an egress port's queue occupancy.
 func QueueBytes(p *netsim.Port) func() float64 {
 	return func() float64 { return float64(p.QueuedBytes()) }
-}
-
-// ThroughputBps probes a port's transmit rate, averaged since the previous
-// sample (stateful: create one probe per port per sampler).
-func ThroughputBps(eng *sim.Engine, p *netsim.Port) func() float64 {
-	txBytes := func() int64 { return p.TxBytes(netsim.ProtoTCP) + p.TxBytes(netsim.ProtoUDP) }
-	lastBytes := txBytes()
-	lastT := eng.Now()
-	return func() float64 {
-		cur := txBytes()
-		now := eng.Now()
-		dt := now - lastT
-		if dt <= 0 {
-			return 0
-		}
-		bps := float64(cur-lastBytes) * 8 / dt.Seconds()
-		lastBytes, lastT = cur, now
-		return bps
-	}
 }

@@ -21,8 +21,8 @@ func TestSamplerTicks(t *testing.T) {
 	if series.T[0] != sim.Millisecond || series.V[0] != 1 {
 		t.Fatalf("first sample (%v, %v)", series.T[0], series.V[0])
 	}
-	if series.Last() != 10 || series.Max() != 10 || series.Mean() != 5.5 {
-		t.Fatalf("stats wrong: last=%v max=%v mean=%v", series.Last(), series.Max(), series.Mean())
+	if series.T[9] != 10*sim.Millisecond || series.V[9] != 10 {
+		t.Fatalf("last sample (%v, %v)", series.T[9], series.V[9])
 	}
 }
 
@@ -98,27 +98,6 @@ func TestQueueBytesProbe(t *testing.T) {
 	// First packet is serializing (left the queue); the second waits.
 	if got := probe(); got != 300 {
 		t.Fatalf("queue probe = %v, want 300", got)
-	}
-}
-
-func TestThroughputProbe(t *testing.T) {
-	eng := sim.NewEngine()
-	p := netsim.NewPort(eng, 8_000_000) // 1 byte/us
-	p.Link = netsim.Link{To: devNull{}}
-	probe := ThroughputBps(eng, p)
-	for i := 0; i < 10; i++ {
-		p.Enqueue(&netsim.Packet{Size: 1000})
-	}
-	eng.Run(10 * sim.Millisecond) // all 10 KB transmitted in 10 ms
-	got := probe()
-	want := 8_000_000.0 // line rate for the busy period... averaged over 10 ms
-	if got < want*0.9 || got > want*1.1 {
-		t.Fatalf("throughput probe = %v, want ~%v", got, want)
-	}
-	// A second probe over an idle period reads ~0.
-	eng.Run(20 * sim.Millisecond)
-	if got := probe(); got != 0 {
-		t.Fatalf("idle throughput = %v", got)
 	}
 }
 

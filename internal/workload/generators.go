@@ -13,13 +13,6 @@ type FlowFactory func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.
 // IDAllocator hands out unique flow IDs for one simulation run.
 type IDAllocator struct{ next netsim.FlowID }
 
-// NewIDAllocator returns an allocator starting above base. Varying the base
-// across repeated runs varies the flows' port numbers (which are derived
-// from the IDs) and therefore their ECMP hash draws.
-func NewIDAllocator(base netsim.FlowID) *IDAllocator {
-	return &IDAllocator{next: base}
-}
-
 // Next returns a fresh flow ID.
 func (a *IDAllocator) Next() netsim.FlowID {
 	a.next++
@@ -219,8 +212,7 @@ type PartitionAggregate struct {
 	MeanInterarrival sim.Time
 	MaxJobs          int
 
-	Jobs    []*Job
-	stopped bool
+	Jobs []*Job
 }
 
 // JobInterarrival computes the Poisson interarrival for partition-aggregate
@@ -234,11 +226,8 @@ func JobInterarrival(load float64, bisectionBps int64, interPodFrac float64, job
 // Run begins the arrival process.
 func (g *PartitionAggregate) Run() { g.arrive() }
 
-// Stop halts new arrivals.
-func (g *PartitionAggregate) Stop() { g.stopped = true }
-
 func (g *PartitionAggregate) arrive() {
-	if g.stopped || (g.MaxJobs > 0 && len(g.Jobs) >= g.MaxJobs) {
+	if g.MaxJobs > 0 && len(g.Jobs) >= g.MaxJobs {
 		return
 	}
 	agg := g.RNG.Intn(len(g.Hosts))
@@ -261,18 +250,4 @@ func (g *PartitionAggregate) arrive() {
 	}
 	g.Jobs = append(g.Jobs, job)
 	g.Eng.Schedule(g.RNG.Exp(g.MeanInterarrival), g.arrive)
-}
-
-// Validation starts k equal-size flows from the hosts of one ToR to the
-// hosts of another ToR simultaneously (Table 1's microbenchmark). srcHosts
-// and dstHosts are the two ToRs' host sets; flow i runs from
-// srcHosts[i mod len] to dstHosts[i mod len].
-func Validation(ids *IDAllocator, start FlowFactory, srcHosts, dstHosts []*netsim.Host, k int, size int64) []*tcp.Flow {
-	flows := make([]*tcp.Flow, 0, k)
-	for i := 0; i < k; i++ {
-		src := srcHosts[i%len(srcHosts)]
-		dst := dstHosts[i%len(dstHosts)]
-		flows = append(flows, start(ids.Next(), src, dst, size))
-	}
-	return flows
 }

@@ -32,7 +32,7 @@ func TestPredrawMatchesLiveArrivals(t *testing.T) {
 		var live []rec
 		gen := &AllToAll{
 			Eng: eng, RNG: sim.NewRNG(42).Fork("workload"), Hosts: hosts,
-			CDF: WebSearchCDF(), IDs: NewIDAllocator(0),
+			CDF: WebSearchCDF(), IDs: &IDAllocator{},
 			MeanInterarrival: 50 * sim.Microsecond, MaxFlows: n,
 			Start: func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
 				live = append(live, rec{at: eng.Now(), src: src.ID(), dst: dst.ID(), size: size})

@@ -150,18 +150,6 @@ const (
 	numPatternKinds
 )
 
-func (k PatternKind) String() string {
-	switch k {
-	case KindPlain:
-		return "plain"
-	case KindIncast:
-		return "incast"
-	case KindStorage:
-		return "storage"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
 // FlowSpec is one pre-determined flow of a production workload: who sends
 // how much to whom, when, and as part of what pattern. Flow IDs are
 // positional — the i-th spec a Mix emits is flow ID i+1.

@@ -271,24 +271,6 @@ func TestPartitionAggregateJobs(t *testing.T) {
 	}
 }
 
-func TestValidationFlows(t *testing.T) {
-	eng := sim.NewEngine()
-	hosts := testHosts(eng, 8)
-	ff := &fakeFactory{eng: eng}
-	flows := Validation(&IDAllocator{}, ff.start, hosts[:4], hosts[4:], 10, 777)
-	if len(flows) != 10 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	for i, f := range flows {
-		if f.Size != 777 {
-			t.Fatal("wrong size")
-		}
-		if f.Src != hosts[i%4] || f.Dst != hosts[4+i%4] {
-			t.Fatalf("flow %d endpoints wrong", i)
-		}
-	}
-}
-
 func TestIDAllocatorUnique(t *testing.T) {
 	var a IDAllocator
 	seen := map[netsim.FlowID]bool{}

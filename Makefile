@@ -7,8 +7,10 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, then gofmt as a gate: a file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:" >&2; echo "$$out" >&2; exit 1; }
 
 test:
 	$(GO) test ./...

@@ -44,9 +44,9 @@ func (m *propModel) minRequiredN() int {
 func randomConfig(r *rand.Rand, trial int) Config {
 	cfg := Config{
 		T:           []float64{0, 0.01, 0.05, 0.2, 0.5}[r.Intn(5)],
-		N:           r.Intn(4),                          // 0 = DefaultN
+		N:           r.Intn(4),                           // 0 = DefaultN
 		NumValues:   []uint32{0, 1, 2, 8, 16}[r.Intn(5)], // 0 = DefaultNumValues
-		MinEpochGap: r.Intn(8) - 1,                      // -1 = explicitly off
+		MinEpochGap: r.Intn(8) - 1,                       // -1 = explicitly off
 		DesyncN:     r.Intn(2) == 0,
 		EWMAGamma:   []float64{0, 0, 0.5, 1}[r.Intn(4)],
 	}

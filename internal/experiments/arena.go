@@ -6,8 +6,8 @@ import (
 )
 
 // arena is the simulator state a pool worker carries from one simulation
-// point to its next: event engines (wheel arena, grown buckets, event free
-// list) and the fluid simulation with its link model and solver arenas. A
+// point to its next: event engines (event free list, due and overflow heap
+// arrays) and the fluid simulation with its link model and solver arenas. A
 // sweep's points are the same size, so after a worker's first point the rest
 // run without rebuilding any of it. The pool the points run under owns the
 // free list (runpool.Pool.TakeScratch): at most one arena per worker, gone

@@ -300,12 +300,12 @@ func TestFailedPointCarriesLabel(t *testing.T) {
 // replica-completion races, Flowlet's inter-burst gap boundaries, FlowDyn's
 // load-refresh epochs, and FlowBender's congestion-driven reroute epochs.
 func FuzzCheckpointResume(f *testing.F) {
-	f.Add(int64(7), int64(5*sim.Millisecond), int64(6))    // RepFlow: marks between replica race arrivals
-	f.Add(int64(3), int64(1*sim.Millisecond), int64(4))    // Flowlet: every engine chunk, inside flowlet gaps
-	f.Add(int64(11), int64(25*sim.Millisecond), int64(5))  // FlowDyn: across load-refresh epochs
-	f.Add(int64(1), int64(2*sim.Millisecond), int64(1))    // FlowBender: inside reroute epochs
-	f.Add(int64(42), int64(50*sim.Millisecond), int64(0))  // ECMP baseline, sparse marks
-	f.Add(int64(13), int64(10*sim.Millisecond), int64(7))  // DiffFlow spray selection
+	f.Add(int64(7), int64(5*sim.Millisecond), int64(6))   // RepFlow: marks between replica race arrivals
+	f.Add(int64(3), int64(1*sim.Millisecond), int64(4))   // Flowlet: every engine chunk, inside flowlet gaps
+	f.Add(int64(11), int64(25*sim.Millisecond), int64(5)) // FlowDyn: across load-refresh epochs
+	f.Add(int64(1), int64(2*sim.Millisecond), int64(1))   // FlowBender: inside reroute epochs
+	f.Add(int64(42), int64(50*sim.Millisecond), int64(0)) // ECMP baseline, sparse marks
+	f.Add(int64(13), int64(10*sim.Millisecond), int64(7)) // DiffFlow spray selection
 	f.Fuzz(func(t *testing.T, seed, cadence, si int64) {
 		// Normalize fuzz inputs to a valid configuration: positive cadence
 		// no coarser than the tiny run's duration, a registered scheme.

@@ -38,9 +38,9 @@ func checkGolden(t *testing.T, name, got string) {
 // recognizable values: cell (load, scheme, bin) encodes its coordinates.
 func fixedAllToAll(seeds int) *AllToAllResult {
 	res := &AllToAllResult{
-		Loads:    DefaultLoads,
-		Schemes:  AllSchemes,
-		Cells:    make(map[float64]map[Scheme][stats.NumBins]AllToAllCell),
+		Loads:   DefaultLoads,
+		Schemes: AllSchemes,
+		Cells:   make(map[float64]map[Scheme][stats.NumBins]AllToAllCell),
 		OOO: map[Scheme]float64{
 			ECMP: 0.0000123, FlowBender: 0.000345, RPS: 0.0456, DeTail: 0.0078,
 			Flowlet: 0.0011, FlowDyn: 0.0022, RepFlow: 0.0000456, DiffFlow: 0.0234,

@@ -407,7 +407,7 @@ const doneEps = 0.5
 // scheduleFlush commits the staged solver work — immediately when this is
 // the instant's last event, through a same-instant flush event otherwise, so
 // an incast batch (or an arrival sharing its instant with a wake) still
-// folds into a single re-solve. The peek costs one bucket access; the usual
+// folds into a single re-solve. The peek reads the root of a small heap; the usual
 // lone arrival commits inline and schedules nothing.
 func (s *Sim) scheduleFlush() {
 	if s.flushPend {

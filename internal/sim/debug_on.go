@@ -46,7 +46,7 @@ func (e *Engine) debugRelease(ev *Event) {
 // restored heads shows exactly which scheduled instant first went wrong.
 func (e *Engine) debugQueueDump(n int) string {
 	live := e.liveEntries(nil)
-	sort.Slice(live, func(i, j int) bool { return live[i].less(live[j]) })
+	sort.Slice(live, func(i, j int) bool { return live[i].before(live[j]) })
 	if len(live) > n {
 		live = live[:n]
 	}

@@ -9,22 +9,31 @@
 // # Hot-path design
 //
 // Schedule/Step are the innermost loop of every experiment, so the engine
-// avoids allocation, interface dispatch, and pointer chasing there. Pending
-// events live in a calendar queue: a timing wheel of power-of-two-width time
-// buckets for the near future, backed by a single overflow heap for events
+// avoids allocation and interface dispatch there and orders as little as it
+// can. Pending events live in a calendar queue: a timing wheel of 64 ns
+// ticks for the near future, backed by a single overflow heap for events
 // beyond the wheel's horizon (retransmission timers, teardown). Fabric
 // events — switch pipeline delays, serialization, host processing — are all
-// microsecond-scale, so the hot path degenerates to "append to a nearly
-// empty bucket, pop it a few ticks later": O(1) amortized, instead of the
-// O(log n) sift of a global heap whose comparisons dominated profiles.
+// microsecond-scale, so nearly every event is filed on the wheel, and filing
+// is two pointer writes: an Event carries its own sort key and a link, and a
+// wheel bucket is the head of an unordered list of the events of one tick.
 //
-// Each bucket (and the overflow) is itself a tiny 4-ary min-heap of entries
-// carrying the (time, insertion-order) sort key inline next to the *Event
-// pointer, so ordering within a tick never dereferences the events
-// themselves, and a pathological workload that piles thousands of events
-// into one bucket degrades to exactly the global-heap behavior rather than
-// anything quadratic. Fired or reclaimed-cancelled events are recycled
-// through a per-engine free list, making steady-state scheduling
+// Order is established late and on few events. When the cursor reaches a
+// tick, that bucket's list becomes the due heap, a 4-ary min-heap over
+// (time, insertion-order); events cancelled while they waited are dropped
+// at that point and never sifted. An event scheduled into the cursor's own
+// tick is pushed onto the due heap directly. Buckets are not nearly empty —
+// on the all-to-all sweep a 2 µs bucket held 33.7 entries on average when
+// it was popped, which is why a tick is 64 ns: the due heap there holds 2.3
+// events on average and 40% of pops find it holding one (PERF_LEDGER.md
+// L8) — and a pathological workload that piles thousands of events onto one
+// instant degrades to exactly the global-heap behavior rather than anything
+// quadratic. Two levels of occupancy bitmap find the next busy tick in two
+// TrailingZeros however sparse the schedule, which is what a fluid run's
+// handful of events spread over milliseconds needs.
+//
+// Fired or reclaimed-cancelled events are recycled through a per-engine
+// free list threaded through the same link, making steady-state scheduling
 // allocation-free.
 //
 // # Event handle lifetime
@@ -43,6 +52,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -67,12 +77,33 @@ func (t Time) String() string { return time.Duration(t).String() }
 // fires; cancelling an already-fired or already-cancelled event is a no-op.
 // See the package comment for the handle-lifetime contract under event
 // recycling.
+//
+// The event carries its own (at, ins, seq) sort key and the link of the
+// wheel bucket it waits on, so filing it costs no memory beyond the object.
+//
+// `ins` is the virtual instant the event was inserted at. For events
+// scheduled through At/Schedule, seq order already implies ins order (the
+// clock never moves backwards between insertions), so the middle field
+// changes nothing for them; it exists so AtTagged can file an event as if
+// it had been inserted at an earlier instant, which is how the sharded
+// runtime makes deferred cross-shard deliveries land in the same relative
+// position they would have occupied serially.
+//
+// `seq` packs a 16-bit ordering tag above a 48-bit insertion counter (see
+// AtTagged), so the effective total order is (at, ins, tag, counter).
+// Untagged events carry tag 0xFFFF and therefore keep pure insertion order
+// among themselves while sorting after any tagged event that shares their
+// (at, ins).
 type Event struct {
 	at     Time
+	ins    Time
+	seq    uint64
+	next   *Event // the rest of the bucket list or of the free list it is on
 	fn     func()
 	fired  bool
 	cancel bool
 	pooled bool   // in the engine's free list awaiting reuse
+	far    bool   // in the overflow heap
 	gen    uint32 // incremented each time the object is recycled (simdebug)
 }
 
@@ -85,31 +116,8 @@ func (e *Event) Fired() bool { e.debugAccess("Fired"); return e.fired }
 // Time returns the virtual time at which the event fires or fired.
 func (e *Event) Time() Time { e.debugAccess("Time"); return e.at }
 
-// heapEntry is one pending-event slot: the (at, ins, seq) sort key stored
-// inline so ordering comparisons touch only the containing array, plus the
-// event it schedules.
-//
-// `ins` is the virtual instant the event was inserted at. For events
-// scheduled through At/Schedule, seq order already implies ins order (the
-// clock never moves backwards between insertions), so the middle field
-// changes nothing for them; it exists so AtTagged can file an event as if
-// it had been inserted at an earlier instant, which is how the sharded
-// runtime makes deferred cross-shard deliveries land in the same relative
-// position they would have occupied serially.
-//
-// `seq` packs a 16-bit ordering tag above a 48-bit insertion counter (see
-// AtTagged), so the effective total order is (at, ins, tag, counter).
-// Untagged events carry tag 0xFFFF and therefore keep today's pure
-// insertion order among themselves while sorting after any tagged event
-// that shares their (at, ins).
-type heapEntry struct {
-	at  Time
-	ins Time
-	seq uint64
-	ev  *Event
-}
-
-func (a heapEntry) less(b heapEntry) bool {
+// before is the engine's total order: (at, ins, seq).
+func (a *Event) before(b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -119,16 +127,22 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// Timing-wheel geometry. A bucket spans 2^wheelLogW ns (~2 µs), and the
-// wheel covers wheelBuckets of them (~524 µs) ahead of the cursor — wide
+// Timing-wheel geometry. A bucket spans 2^wheelLogW ns (64 ns, under one
+// MSS serialization time at 10 Gb/s, so a tick holds a couple of events) and
+// the wheel covers wheelBuckets of them (~524 µs) ahead of the cursor — wide
 // enough that switch pipeline (1 µs), serialization (µs-scale), host
 // processing (20 µs), and paper-scale RTTs (~90 µs) all schedule within the
 // wheel, while RTO and teardown timers (≥10 ms) take the overflow path.
+// PERF_LEDGER.md L8 has the sweep that chose the tick.
 const (
-	wheelLogW    = 11
-	wheelBuckets = 256
+	wheelLogW    = 6
+	wheelBuckets = 8192
 	wheelMask    = wheelBuckets - 1
+	occWords     = wheelBuckets / 64
+	sumWords     = (occWords + 63) / 64
 )
+
+func tickOf(t Time) int64 { return int64(t) >> wheelLogW }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine.
@@ -136,77 +150,90 @@ type Engine struct {
 	now Time
 	seq uint64
 
-	// The calendar queue. curTick is the wheel cursor: no pending wheel
-	// entry has a tick (at >> wheelLogW) below it. An entry whose tick is
-	// within wheelBuckets of the cursor lives in buckets[tick & wheelMask];
-	// anything further out waits in overflow (a 4-ary min-heap) and is
-	// migrated onto the wheel when the cursor approaches (see findMin).
+	// The calendar queue. curTick is the wheel cursor: no pending event has
+	// a tick (at >> wheelLogW) below it, and the pending events of exactly
+	// that tick are the due heap, a 4-ary min-heap and the only place the
+	// engine orders anything it is about to run. An event between one and
+	// wheelBuckets-1 ticks ahead of the cursor waits on the unordered list
+	// buckets[tick & wheelMask] — every tick in that window has a bucket of
+	// its own, so a list holds one tick's events and becomes the due heap
+	// when the cursor reaches it (see advance). Anything further out waits
+	// in overflow, a 4-ary min-heap consulted on every advance.
 	curTick  int64
-	nWheel   int // entries across all buckets, including cancelled ones
-	buckets  [wheelBuckets][]heapEntry
-	occ      [wheelBuckets / 64]uint64 // bit b set <=> buckets[b] nonempty
-	overflow []heapEntry
+	due      []*Event
+	nWheel   int // events on bucket lists, including cancelled ones
+	buckets  [wheelBuckets]*Event
+	occ      [occWords]uint64 // bit b set <=> buckets[b] != nil
+	sum      [sumWords]uint64 // bit w set <=> occ[w] != 0
+	overflow []*Event
 
-	free    []*Event // recycled Event objects
-	nCancel int      // cancelled events still occupying queue slots
+	free    *Event // recycled Event objects, linked through next
+	nCancel int    // cancelled events still in the overflow heap
 	stopped bool
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
 }
 
-// compactMin is the pending-event count below which lazy-deleted (cancelled)
-// events are never compacted — popping drains small queues quickly anyway.
+// compactMin is the overflow size below which lazy-deleted (cancelled)
+// timers are never compacted — popping drains a small heap quickly anyway.
 const compactMin = 64
-
-// bucketCap is each wheel bucket's pre-allocated capacity, sized to hold a
-// busy tick's event burst (TCP windows serialize ~2 packets per tick but
-// cluster several fabric steps each). The cursor rotates through all buckets
-// every lap, so every touched bucket's backing array is long-lived: carving
-// them all from one arena up front (256 × 32 × 32 B = 256 KB per engine)
-// makes steady-state scheduling allocation-free instead of re-growing cold
-// buckets from nil each lap. A bucket that outgrows its slice falls back to
-// append's normal reallocation and keeps the larger array.
-const bucketCap = 32
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{overflow: make([]heapEntry, 0, 64)}
-	arena := make([]heapEntry, wheelBuckets*bucketCap)
-	for i := range e.buckets {
-		e.buckets[i] = arena[i*bucketCap : i*bucketCap : (i+1)*bucketCap][:0]
-	}
-	return e
+	return &Engine{due: make([]*Event, 0, 16), overflow: make([]*Event, 0, 64)}
 }
 
 // Reset returns the engine to time zero with nothing pending, keeping what it
-// has allocated: the wheel arena, every bucket that outgrew its share of it,
-// the overflow array and the event free list. A reset engine is
-// indistinguishable from a new one — same snapshots, same pop order for the
-// same schedule — so a worker can run its next simulation on it instead of
-// paying for a fresh arena.
+// has allocated: the due and overflow arrays and the event free list. A reset
+// engine is indistinguishable from a new one — same snapshots, same pop order
+// for the same schedule — so a worker can run its next simulation on it
+// instead of growing a free list from nothing.
 //
 // Whatever was still pending is cancelled and recycled, which ends every
 // handle's lifetime: a handle kept across Reset is stale in the sense of the
 // package comment (Cancel on it is a no-op; `-tags simdebug` panics).
 func (e *Engine) Reset() {
-	for i := range e.buckets {
-		e.buckets[i] = e.drop(e.buckets[i])
-	}
-	e.overflow = e.drop(e.overflow)
+	e.eachList(func(i int) {
+		for ev := e.take(i); ev != nil; {
+			next := ev.next // release relinks the event
+			e.drop(ev)
+			ev = next
+		}
+	})
+	e.due = e.dropAll(e.due)
+	e.overflow = e.dropAll(e.overflow)
 	e.now, e.seq, e.Executed = 0, 0, 0
 	e.curTick, e.nWheel, e.nCancel = 0, 0, 0
-	e.occ = [len(e.occ)]uint64{}
 	e.stopped = false
 }
 
-// drop empties one mini-heap, recycling its events as cancelled.
-func (e *Engine) drop(h []heapEntry) []heapEntry {
-	for i, en := range h {
-		en.ev.cancel = true
-		e.release(en.ev)
-		h[i] = heapEntry{}
+// drop recycles a pending event as cancelled.
+func (e *Engine) drop(ev *Event) {
+	ev.cancel = true
+	ev.far = false
+	e.release(ev)
+}
+
+// dropAll empties one heap, dropping its events.
+func (e *Engine) dropAll(h []*Event) []*Event {
+	for i, ev := range h {
+		e.drop(ev)
+		h[i] = nil
 	}
 	return h[:0]
+}
+
+// eachList calls f with the index of every occupied bucket. f may empty the
+// bucket it is called for.
+func (e *Engine) eachList(f func(i int)) {
+	for sw, s := range e.sum {
+		for ; s != 0; s &= s - 1 {
+			w := sw<<6 + bits.TrailingZeros64(s)
+			for m := e.occ[w]; m != 0; m &= m - 1 {
+				f(w<<6 + bits.TrailingZeros64(m))
+			}
+		}
+	}
 }
 
 // Now returns the current virtual time.
@@ -230,8 +257,8 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // themselves purely by insertion sequence.
 const TagNone uint16 = 0xFFFF
 
-// seqCounterBits is how much of heapEntry.seq holds the insertion counter;
-// the 16 bits above it hold the ordering tag.
+// seqCounterBits is how much of Event.seq holds the insertion counter; the
+// 16 bits above it hold the ordering tag.
 const seqCounterBits = 48
 
 // AtTagged runs fn at absolute virtual time t, ordered against other events
@@ -256,150 +283,196 @@ func (e *Engine) AtTagged(t, stamp Time, tag uint16, fn func()) *Event {
 		panic(fmt.Sprintf("sim: insertion stamp after due time: %d > %d", stamp, t))
 	}
 	ev := e.alloc()
-	ev.at = t
-	ev.fn = fn
-	e.push(heapEntry{at: t, ins: stamp, seq: uint64(tag)<<seqCounterBits | e.seq, ev: ev})
+	ev.at, ev.ins, ev.seq, ev.fn = t, stamp, uint64(tag)<<seqCounterBits|e.seq, fn
 	e.seq++
+	e.push(ev)
 	return ev
 }
 
-// push files an entry into its wheel bucket, or into the overflow heap when
-// its tick lies beyond the wheel horizon. The cursor moves back when the new
-// entry precedes it (possible after Run jumped the clock past pending
-// events), preserving the invariant that no wheel entry's tick is below
-// curTick.
-func (e *Engine) push(en heapEntry) {
-	tick := int64(en.at) >> wheelLogW
-	if tick < e.curTick {
-		e.curTick = tick
-	} else if e.nWheel == 0 && len(e.overflow) == 0 {
+// push files a new event: onto its tick's bucket list (two pointer writes
+// and two bitmap bits, nearly every event of a packet run), into the due
+// heap when it lands in the cursor's own tick, or into the overflow heap
+// when its tick lies beyond the wheel horizon.
+func (e *Engine) push(ev *Event) {
+	tick := tickOf(ev.at)
+	switch d := tick - e.curTick; {
+	case uint64(d-1) < wheelBuckets-1: // 0 < d < wheelBuckets
+		e.link(ev, tick)
+	case d == 0:
+		heapPush(&e.due, ev)
+	case d < 0:
+		// Possible once a peek has taken the cursor to the next pending
+		// event while the clock stays short of it (Run(until), NextAt).
+		e.moveBack(tick)
+		heapPush(&e.due, ev)
+	case e.Pending() == 0:
 		// Empty engine: snap the cursor forward so an idle gap does not
 		// banish near-future work to the overflow heap.
 		e.curTick = tick
-	}
-	if tick-e.curTick < wheelBuckets {
-		i := tick & wheelMask
-		entryHeapPush(&e.buckets[i], en)
-		e.occ[i>>6] |= 1 << uint(i&63)
-		e.nWheel++
-	} else {
-		entryHeapPush(&e.overflow, en)
+		heapPush(&e.due, ev)
+	default:
+		e.pushFar(ev)
 	}
 }
 
-// nextOcc returns the smallest offset k in [from, wheelBuckets) such that
-// bucket (start+k)&wheelMask is nonempty, or -1. The occupancy bitmap makes
-// the circular scan O(words) instead of O(buckets) — the difference between
-// packet workloads (every bucket busy, scan finds a hit immediately) and
-// fluid workloads (a handful of events spread over milliseconds, where the
-// old per-bucket lap scan dominated profiles).
-func (e *Engine) nextOcc(start, from int64) int64 {
-	for from < wheelBuckets {
-		j := (start + from) & wheelMask
-		w := e.occ[j>>6] >> uint(j&63)
-		if w != 0 {
-			if k := from + int64(bits.TrailingZeros64(w)); k < wheelBuckets {
-				return k
-			}
-			return -1
-		}
-		from += 64 - (j & 63) // next bitmap word boundary
-	}
-	return -1
+// pushFar files ev, due beyond the wheel's horizon, in the overflow heap.
+func (e *Engine) pushFar(ev *Event) {
+	ev.far = true
+	heapPush(&e.overflow, ev)
 }
 
-// findMin locates the earliest pending entry and returns the bucket whose
-// root it is, positioning the cursor on that bucket's tick. It returns nil
-// when nothing is pending. Overflow entries whose tick has come within the
-// wheel window are migrated onto the wheel first, so the earliest entry is
-// always a bucket root and same-time entries always meet in one bucket,
-// where their mini-heap orders them by insertion seq.
-func (e *Engine) findMin() *[]heapEntry {
-	for {
-		if len(e.overflow) > 0 {
-			rt := int64(e.overflow[0].at) >> wheelLogW
-			if rt < e.curTick || e.nWheel == 0 {
-				e.curTick = rt
-			}
-			for rt-e.curTick < wheelBuckets {
-				i := rt & wheelMask
-				entryHeapPush(&e.buckets[i], entryHeapPop(&e.overflow))
-				e.occ[i>>6] |= 1 << uint(i&63)
-				e.nWheel++
-				if len(e.overflow) == 0 {
-					break
-				}
-				rt = int64(e.overflow[0].at) >> wheelLogW
-			}
+// link puts ev, whose tick is inside the wheel window and not the cursor's,
+// at the head of its bucket list.
+func (e *Engine) link(ev *Event, tick int64) {
+	i := tick & wheelMask
+	ev.next = e.buckets[i]
+	e.buckets[i] = ev
+	e.occ[i>>6] |= 1 << uint(i&63)
+	e.sum[i>>12] |= 1 << uint(i>>6&63)
+	e.nWheel++
+}
+
+// take empties bucket i and returns the list it held, which the caller
+// takes off nWheel as it walks it.
+func (e *Engine) take(i int) *Event {
+	head := e.buckets[i]
+	e.buckets[i] = nil
+	w := i >> 6
+	if e.occ[w] &^= 1 << uint(i&63); e.occ[w] == 0 {
+		e.sum[w>>6] &^= 1 << uint(w&63)
+	}
+	return head
+}
+
+// nextOcc returns how many buckets past index p the first occupied bucket
+// lies, scanning circularly; the wheel must not be empty. The word p sits in
+// answers for a packet run, where most ticks are busy; the summary finds the
+// word for a fluid run's handful of events spread over milliseconds, so the
+// sparse case costs two TrailingZeros, not a walk over occWords.
+func (e *Engine) nextOcc(p int64) int64 {
+	if m := e.occ[p>>6] >> uint(p&63); m != 0 {
+		return int64(bits.TrailingZeros64(m))
+	}
+	// The next nonzero word after p's, p's own coming last: only its bits
+	// below p can be set, and those are the far end of the lap.
+	from := (p>>6 + 1) % occWords
+	s := from >> 6
+	m := e.sum[s] &^ (1<<uint(from&63) - 1)
+	for n := 0; m == 0; n++ {
+		if n == sumWords {
+			panic("sim: wheel count and occupancy bitmap disagree")
 		}
-		if e.nWheel == 0 {
-			return nil
-		}
-		// Scan one lap from the cursor for a bucket whose root belongs to
-		// the scanned position, visiting only occupied buckets via the
-		// bitmap. A nonempty bucket whose root tick differs holds only later
-		// laps' entries; anything in this lap would sort before such a root,
-		// so skipping it cannot lose order.
-		start := e.curTick & wheelMask
-		for k := e.nextOcc(start, 0); k >= 0; k = e.nextOcc(start, k+1) {
-			pos := e.curTick + k
-			b := &e.buckets[pos&wheelMask]
-			if int64((*b)[0].at)>>wheelLogW == pos {
-				e.curTick = pos
-				return b
-			}
-		}
-		// No root within one lap: every wheel entry sits beyond the horizon
-		// (possible after the cursor moved back). Jump to the earliest root
-		// tick — distinct buckets always hold distinct ticks, so comparing
-		// ticks alone is unambiguous — unless the overflow root now ties or
-		// precedes it, in which case the jump lets the migration loop pull
-		// it in first; then rescan.
-		best := int64(-1)
-		for w := range e.occ {
-			for m := e.occ[w]; m != 0; m &= m - 1 {
-				i := w<<6 + bits.TrailingZeros64(m)
-				if t := int64(e.buckets[i][0].at) >> wheelLogW; best < 0 || t < best {
-					best = t
-				}
-			}
+		s = (s + 1) % sumWords
+		m = e.sum[s]
+	}
+	w := s<<6 + int64(bits.TrailingZeros64(m))
+	return (w<<6 + int64(bits.TrailingZeros64(e.occ[w])) - p) & wheelMask
+}
+
+// advance moves the cursor to the earliest tick that holds pending events
+// and makes them the due heap, which must be empty. Events cancelled while
+// they waited are dropped here and never sifted. It returns false when
+// nothing is pending.
+func (e *Engine) advance() bool {
+	for len(e.due) == 0 {
+		tick := int64(math.MaxInt64)
+		if e.nWheel > 0 {
+			tick = e.curTick + 1 + e.nextOcc((e.curTick+1)&wheelMask)
 		}
 		if len(e.overflow) > 0 {
-			if t := int64(e.overflow[0].at) >> wheelLogW; t <= best {
-				best = t
+			if t := tickOf(e.overflow[0].at); t < tick {
+				tick = t
+			}
+		} else if e.nWheel == 0 {
+			return false
+		}
+		// Every list is later than tick and within wheelBuckets of the old
+		// cursor, so the jump keeps all of them inside the window.
+		e.curTick = tick
+		if i := int(tick & wheelMask); e.buckets[i] != nil {
+			for ev := e.take(i); ev != nil; {
+				next := ev.next
+				e.nWheel--
+				if ev.cancel {
+					e.release(ev)
+				} else {
+					e.due = append(e.due, ev)
+				}
+				ev = next
+			}
+			heapify(e.due)
+		}
+		for len(e.overflow) > 0 && tickOf(e.overflow[0].at) == tick {
+			ev := heapPop(&e.overflow)
+			ev.far = false
+			if ev.cancel {
+				e.nCancel--
+				e.release(ev)
+			} else {
+				heapPush(&e.due, ev)
 			}
 		}
-		e.curTick = best
 	}
+	return true
 }
 
-// popBucket removes and returns b's root entry. b must be the cursor's wheel
-// bucket — the one minBucket/findMin returned, with curTick positioned on it
-// (findMin never returns the overflow heap: due overflow entries are migrated
-// onto the wheel before being popped) — so emptying it clears its bitmap bit.
-func (e *Engine) popBucket(b *[]heapEntry) heapEntry {
-	e.nWheel--
-	en := entryHeapPop(b)
-	if len(*b) == 0 {
-		i := e.curTick & wheelMask
-		e.occ[i>>6] &^= 1 << uint(i&63)
+// moveBack takes the cursor back to tick, which a new event is about to
+// occupy. The due events return to the wheel as ordinary pending events of
+// the tick the cursor leaves, and the lists the shorter horizon no longer
+// covers — ticks in [tick+wheelBuckets, old+wheelBuckets), which wait in
+// the buckets the cursor moves back over — are evicted to the overflow
+// heap, so that a list still never mixes two laps' ticks.
+func (e *Engine) moveBack(tick int64) {
+	n := e.curTick - tick
+	if n > wheelBuckets {
+		n = wheelBuckets
 	}
-	return en
+	e.curTick = tick
+	for k := int64(0); e.nWheel > 0; k++ {
+		// nextOcc scans circularly: a hit behind tick+k reads as a step of
+		// nearly a lap, which also ends the loop.
+		if k += e.nextOcc((tick + k) & wheelMask); k >= n {
+			break
+		}
+		for ev := e.take(int((tick + k) & wheelMask)); ev != nil; {
+			next := ev.next
+			e.nWheel--
+			e.refile(ev)
+			ev = next
+		}
+	}
+	for i, ev := range e.due {
+		e.due[i] = nil
+		e.refile(ev)
+	}
+	e.due = e.due[:0]
+}
+
+// refile files an event moveBack took off a list or out of the due heap,
+// which is therefore later than the cursor's tick.
+func (e *Engine) refile(ev *Event) {
+	switch tick := tickOf(ev.at); {
+	case ev.cancel:
+		e.release(ev)
+	case tick-e.curTick < wheelBuckets:
+		e.link(ev, tick)
+	default:
+		e.pushFar(ev)
+	}
 }
 
 // alloc takes an Event from the free list, or heap-allocates the first time.
 func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		e.debugAlloc(ev)
-		ev.fired = false
-		ev.cancel = false
-		ev.pooled = false
-		return ev
+	ev := e.free
+	if ev == nil {
+		return &Event{}
 	}
-	return &Event{}
+	e.free = ev.next
+	e.debugAlloc(ev)
+	ev.fired = false
+	ev.cancel = false
+	ev.pooled = false
+	return ev
 }
 
 // release returns a dead event (fired, or cancelled and reclaimed) to the
@@ -410,7 +483,8 @@ func (e *Engine) release(ev *Event) {
 	ev.pooled = true
 	ev.gen++
 	e.debugRelease(ev)
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // Cancel prevents a pending event from firing.
@@ -422,126 +496,105 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev.fired || ev.cancel {
 		return
 	}
+	// The event stays where it is filed and is dropped when the cursor
+	// reaches it: Cancel is O(1). On the wheel that is at most one horizon
+	// away. The overflow heap is where cancelled events would pile up —
+	// retransmission timers are re-armed on every ACK and fire tens of
+	// milliseconds out — so it is compacted in one pass whenever they
+	// outnumber its live ones.
 	ev.cancel = true
-	// The event stays in its queue slot and is skipped when popped: Cancel
-	// is O(1). When cancelled events outnumber live ones the queue is
-	// compacted in one pass, so cancel-heavy workloads (retransmission
-	// timers are re-armed on every ACK) cannot grow it without bound.
-	e.nCancel++
-	if p := e.Pending(); e.nCancel*2 > p && p >= compactMin {
-		e.compact()
+	if ev.far {
+		e.nCancel++
+		if n := len(e.overflow); e.nCancel*2 > n && n >= compactMin {
+			e.compact()
+		}
 	}
 }
 
-// compact removes every cancelled event from the wheel and overflow in one
-// pass and re-establishes each mini-heap's property. Relative order of live
-// events is irrelevant for correctness: the (at, seq) key is a total order,
-// so the rebuilt queue pops in exactly the same sequence.
+// compact removes every cancelled event from the overflow heap in one pass
+// and re-establishes the heap property. Relative order of live events is
+// irrelevant for correctness: the (at, ins, seq) key is a total order, so
+// the rebuilt heap pops in exactly the same sequence.
 func (e *Engine) compact() {
-	e.overflow = e.compactHeap(e.overflow)
-	n := 0
-	for i := range e.buckets {
-		if len(e.buckets[i]) > 0 {
-			e.buckets[i] = e.compactHeap(e.buckets[i])
-			n += len(e.buckets[i])
-		}
-		if len(e.buckets[i]) == 0 {
-			e.occ[i>>6] &^= 1 << uint(i&63)
-		}
-	}
-	e.nWheel = n
-	e.nCancel = 0
-}
-
-// compactHeap filters cancelled entries out of one mini-heap in place,
-// releasing their events, and re-heapifies the survivors.
-func (e *Engine) compactHeap(h []heapEntry) []heapEntry {
+	h := e.overflow
 	keep := h[:0]
-	for _, en := range h {
-		if en.ev.cancel {
-			e.release(en.ev)
+	for _, ev := range h {
+		if ev.cancel {
+			ev.far = false
+			e.release(ev)
 		} else {
-			keep = append(keep, en)
+			keep = append(keep, ev)
 		}
 	}
 	for i := len(keep); i < len(h); i++ {
-		h[i] = heapEntry{}
+		h[i] = nil
 	}
-	for i := (len(keep) - 2) >> 2; i >= 0; i-- {
-		entrySiftDown(keep, i)
-	}
-	return keep
+	heapify(keep)
+	e.overflow = keep
+	e.nCancel = 0
 }
 
-// minBucket is findMin with its fast path peeled for inlining into the
-// Run/Step loops: when the cursor bucket's root is due at the cursor tick
-// and the overflow heap holds nothing inside the wheel window, that root is
-// the global minimum by the cursor invariant — no scan needed.
-func (e *Engine) minBucket() *[]heapEntry {
-	b := &e.buckets[e.curTick&wheelMask]
-	if len(*b) > 0 && int64((*b)[0].at)>>wheelLogW == e.curTick &&
-		(len(e.overflow) == 0 || int64(e.overflow[0].at)>>wheelLogW-e.curTick >= wheelBuckets) {
-		return b
+// peek returns the earliest live pending event, which it leaves at the root
+// of the due heap, or nil when none remains. Cancelled roots are popped and
+// recycled on the way. The first line is all a busy tick needs and inlines
+// into the Run/Step loops.
+func (e *Engine) peek() *Event {
+	if len(e.due) > 0 && !e.due[0].cancel {
+		return e.due[0]
 	}
-	return e.findMin()
+	return e.peekSlow()
+}
+
+func (e *Engine) peekSlow() *Event {
+	for len(e.due) > 0 || e.advance() {
+		ev := e.due[0]
+		if !ev.cancel {
+			return ev
+		}
+		heapPop(&e.due)
+		e.release(ev)
+	}
+	return nil
+}
+
+// fire runs ev, the live root of the due heap.
+func (e *Engine) fire(ev *Event) {
+	e.now = ev.at
+	heapPop(&e.due)
+	ev.fired = true
+	fn := ev.fn
+	fn()
+	e.Executed++
+	e.release(ev)
 }
 
 // Step executes the single next event. It returns false when no runnable
 // events remain.
 func (e *Engine) Step() bool {
-	for {
-		b := e.minBucket()
-		if b == nil {
-			return false
-		}
-		en := e.popBucket(b)
-		ev := en.ev
-		if ev.cancel {
-			e.nCancel--
-			e.release(ev)
-			continue
-		}
-		e.now = en.at
-		ev.fired = true
-		fn := ev.fn
-		fn()
-		e.Executed++
-		e.release(ev)
-		return true
+	ev := e.peek()
+	if ev == nil {
+		return false
 	}
+	e.fire(ev)
+	return true
 }
 
 // Run executes events until the queue is empty or the virtual clock would
-// pass `until`. The clock is left at min(until, time of last event). Events
-// scheduled exactly at `until` are executed.
-//
-// The body is Step with the root peeked before popping (findMin leaves the
-// cursor on the due bucket, so the peek is one bucket access), since this
-// loop moves every packet of every experiment.
+// pass `until`, and then leaves the clock at `until`. Events scheduled
+// exactly at `until` are executed. A Run that Stop ended leaves the clock at
+// the event that called it, since later events at or before `until` may
+// still be pending.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
-	for !e.stopped {
-		b := e.minBucket()
-		if b == nil {
+	for {
+		if e.stopped {
+			return
+		}
+		ev := e.peek()
+		if ev == nil || ev.at > until {
 			break
 		}
-		ev := (*b)[0].ev
-		if ev.cancel {
-			e.popBucket(b)
-			e.nCancel--
-			e.release(ev)
-			continue
-		}
-		if (*b)[0].at > until {
-			break
-		}
-		e.now = (*b)[0].at
-		e.popBucket(b)
-		ev.fired = true
-		fn := ev.fn
-		fn()
-		e.Executed++
-		e.release(ev)
+		e.fire(ev)
 	}
 	if e.now < until {
 		e.now = until
@@ -560,92 +613,88 @@ func (e *Engine) RunUntilIdle() {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled (possibly cancelled) events.
-func (e *Engine) Pending() int { return e.nWheel + len(e.overflow) }
+func (e *Engine) Pending() int { return e.nWheel + len(e.due) + len(e.overflow) }
 
 // NextAt peeks at the due time of the next runnable event without executing
-// it or advancing the clock. Cancelled roots are popped and recycled on the
-// way — exactly the events Run would discard next — so the peek stays O(1)
-// amortized. The second result is false when no runnable event remains.
+// it or advancing the clock. Cancelled events ahead of it are recycled on
+// the way — exactly the events Run would discard next — so the peek stays
+// O(1) amortized. The second result is false when no runnable event remains.
 func (e *Engine) NextAt() (Time, bool) {
-	for {
-		b := e.minBucket()
-		if b == nil {
-			return 0, false
-		}
-		ev := (*b)[0].ev
-		if ev.cancel {
-			e.popBucket(b)
-			e.nCancel--
-			e.release(ev)
-			continue
-		}
-		return (*b)[0].at, true
+	ev := e.peek()
+	if ev == nil {
+		return 0, false
 	}
+	return ev.at, true
 }
 
-// --- 4-ary min-heap over []heapEntry, ordered by (at, ins, seq) ---
+// --- 4-ary min-heap over []*Event, ordered by (at, ins, seq) ---
 //
-// Shared by the overflow heap and every wheel bucket. The sort key is
-// duplicated into each entry so sifting never dereferences an *Event: all
-// comparisons and moves stay within the containing backing array (four
-// words per entry, two entries per 64-byte cache line).
+// Shared by the due heap and the overflow heap.
 
-func entryHeapPush(hp *[]heapEntry, en heapEntry) {
-	h := append(*hp, en)
+func heapPush(hp *[]*Event, ev *Event) {
+	h := append(*hp, ev)
 	*hp = h
-	// Sift up without writing en into each visited slot.
+	// Sift up without writing ev into each visited slot.
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !en.less(h[p]) {
+		if !ev.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = en
+	h[i] = ev
 }
 
-func entryHeapPop(hp *[]heapEntry) heapEntry {
+// heapify orders h, whatever order it was in.
+func heapify(h []*Event) {
+	for i := (len(h) - 2) >> 2; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+func heapPop(hp *[]*Event) *Event {
 	h := *hp
 	root := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = heapEntry{} // drop the *Event reference for GC
+	h[n] = nil // drop the *Event reference for GC
 	h = h[:n]
 	*hp = h
 	if n > 0 {
 		h[0] = last
-		entrySiftDown(h, 0)
+		if n > 1 {
+			siftDown(h, 0)
+		}
 	}
 	return root
 }
 
-func entrySiftDown(h []heapEntry, i int) {
+func siftDown(h []*Event, i int) {
 	n := len(h)
-	en := h[i]
+	ev := h[i]
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		// Minimum of up to four children. The running minimum's index is
-		// tracked so the scan compares in place and never re-copies entries.
+		// Minimum of up to four children.
 		m := c
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for k := c + 1; k < end; k++ {
-			if h[k].less(h[m]) {
+			if h[k].before(h[m]) {
 				m = k
 			}
 		}
-		if en.less(h[m]) {
+		if ev.before(h[m]) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = en
+	h[i] = ev
 }

@@ -10,11 +10,12 @@ import "testing"
 // to explore beyond the checked-in corpus (testdata/fuzz/FuzzEngine); in CI
 // the corpus and these seeds run as ordinary tests.
 func FuzzEngine(f *testing.F) {
-	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 7, 3})
 	f.Add([]byte{0, 5, 4, 0, 6, 63})
-	f.Add([]byte{3, 31, 2, 31, 1, 31, 0, 31, 5, 2, 5, 1, 5, 0, 6, 63, 6, 63})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 4, 0, 4, 0, 4, 0, 7, 255})
+	for _, s := range directedSeqs {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("bounded sequence length")

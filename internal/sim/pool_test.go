@@ -68,22 +68,29 @@ func TestSimdebugTripwires(t *testing.T) {
 }
 
 // Cancel/reschedule churn — the retransmission-timer pattern, where every
-// ACK cancels and re-arms an RTO — must not grow the heap without bound:
-// compaction reclaims lazily-deleted events once they outnumber live ones.
+// ACK cancels and re-arms an RTO tens of milliseconds out — must not grow the
+// overflow heap without bound: compaction reclaims lazily-deleted timers once
+// they outnumber its live ones.
 func TestCancelChurnBounded(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
-	// A population of live far-future events keeps the heap non-trivial.
+	// A population of live far-future events keeps the heap non-trivial; the
+	// first event keeps the cursor at the clock, so the timers are filed as
+	// they are in a run: beyond the horizon.
 	const liveN = 40
-	for i := 0; i < liveN; i++ {
-		eng.Schedule(1_000_000+Time(i), fn)
+	eng.Schedule(0, fn)
+	for i := 1; i < liveN; i++ {
+		eng.Schedule(20*Millisecond+Time(i), fn)
 	}
 	maxPending := 0
 	for i := 0; i < 200_000; i++ {
-		ev := eng.Schedule(500_000+Time(i%97), fn)
+		ev := eng.Schedule(10*Millisecond+Time(i%97), fn)
 		eng.Cancel(ev)
 		if p := eng.Pending(); p > maxPending {
 			maxPending = p
+		}
+		if !ev.pooled && !ev.far {
+			t.Fatalf("timer %d was not filed in the overflow heap", i)
 		}
 	}
 	// Bound: live events + at most ~one compaction's worth of cancelled
@@ -98,23 +105,59 @@ func TestCancelChurnBounded(t *testing.T) {
 	}
 }
 
+// On the wheel a cancelled event is not compacted: it waits at most one
+// horizon for the cursor to reach its bucket and is dropped there. Churn
+// against a running clock therefore holds at most a horizon's worth of them.
+func TestCancelChurnOnWheelBoundedByHorizon(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	const every = 100 * Nanosecond
+	horizon := Time(wheelBuckets) << wheelLogW
+	maxPending := 0
+	var tick func()
+	n := 0
+	tick = func() {
+		eng.Cancel(eng.Schedule(horizon/2, fn))
+		if p := eng.Pending(); p > maxPending {
+			maxPending = p
+		}
+		if n++; n < 50_000 {
+			eng.Schedule(every, tick)
+		}
+	}
+	eng.Schedule(0, tick)
+	eng.RunUntilIdle()
+	if limit := int(horizon/2/every) + 2; maxPending > limit {
+		t.Fatalf("%d events pending under on-wheel cancel churn (limit %d)", maxPending, limit)
+	}
+	if eng.Executed != 50_000 || eng.Pending() != 0 {
+		t.Fatalf("executed %d, pending %d after the drain", eng.Executed, eng.Pending())
+	}
+}
+
 // Compaction must preserve the exact (time, seq) pop order of the surviving
-// events.
+// events. The timers sit beyond the horizon, where compaction happens; the
+// event at the clock keeps the cursor from snapping out to them.
 func TestCompactionPreservesOrder(t *testing.T) {
 	eng := NewEngine()
+	eng.Schedule(0, func() {})
+	const base = 10 * Millisecond
 	var got []int
 	var cancels []*Event
 	for i := 0; i < 300; i++ {
 		i := i
 		if i%3 == 0 {
 			// Live events at descending times, so heap order is nontrivial.
-			eng.At(Time(1000-i), func() { got = append(got, 1000-i) })
+			eng.At(base+Time(1000-i), func() { got = append(got, 1000-i) })
 		} else {
-			cancels = append(cancels, eng.At(Time(2000+i), func() { t.Error("cancelled event ran") }))
+			cancels = append(cancels, eng.At(base+Time(2000+i), func() { t.Error("cancelled event ran") }))
 		}
 	}
 	for _, ev := range cancels {
-		eng.Cancel(ev) // triggers at least one compaction along the way
+		eng.Cancel(ev)
+	}
+	if len(eng.overflow) >= 200 {
+		t.Fatalf("overflow heap still holds %d of 300 after 200 cancels: no compaction ran", len(eng.overflow))
 	}
 	eng.RunUntilIdle()
 	if len(got) != 100 {
@@ -147,27 +190,31 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// dirtyBurst is how many events dirtyEngine piles onto one instant.
+const dirtyBurst = 96
+
 // dirtyEngine returns an engine abandoned mid-run in every state Reset has to
-// clear: live and cancelled entries on the wheel, live and cancelled entries
-// in the overflow heap, a bucket grown past its arena share, a cursor far from
-// zero. It also returns one live and one cancelled handle still in the queue.
+// clear: live and cancelled events on the wheel, in the due heap and in the
+// overflow heap, a cursor far from zero. It also returns one live and one
+// cancelled handle still in the queue.
 func dirtyEngine(t *testing.T) (eng *Engine, live, cancelled *Event) {
 	t.Helper()
 	eng = NewEngine()
 	fn := func() {}
-	for i := 0; i < 3*bucketCap; i++ { // one bucket outgrows bucketCap
+	for i := 0; i < dirtyBurst; i++ {
 		eng.Schedule(700*Microsecond, fn)
 	}
-	eng.Run(650 * Microsecond) // the cursor leaves tick zero; the burst is now on the wheel
-	live = eng.Schedule(10*Microsecond, fn)
-	cancelled = eng.Schedule(20*Microsecond, fn)
+	eng.Run(650 * Microsecond) // the cursor leaves tick zero and the burst becomes the due heap
+	eng.Cancel(eng.due[len(eng.due)-1])
+	live = eng.Schedule(60*Microsecond, fn)
+	cancelled = eng.Schedule(70*Microsecond, fn)
 	eng.Cancel(cancelled)
 	far := eng.Schedule(50*Millisecond, fn) // overflow
 	eng.Schedule(60*Millisecond, fn)
 	eng.Cancel(far)
-	if eng.nWheel == 0 || len(eng.overflow) != 2 || eng.nCancel != 2 || eng.curTick == 0 {
-		t.Fatalf("engine not dirty as intended: wheel=%d overflow=%d cancelled=%d tick=%d",
-			eng.nWheel, len(eng.overflow), eng.nCancel, eng.curTick)
+	if eng.nWheel != 2 || len(eng.due) != dirtyBurst || len(eng.overflow) != 2 || eng.nCancel != 1 || eng.curTick == 0 {
+		t.Fatalf("engine not dirty as intended: wheel=%d due=%d overflow=%d cancelled=%d tick=%d",
+			eng.nWheel, len(eng.due), len(eng.overflow), eng.nCancel, eng.curTick)
 	}
 	return eng, live, cancelled
 }
@@ -210,7 +257,7 @@ func TestResetMatchesNewEngine(t *testing.T) {
 	fn := func() {}
 	allocs := testing.AllocsPerRun(20, func() {
 		eng.Reset()
-		for i := 0; i < 3*bucketCap; i++ {
+		for i := 0; i < dirtyBurst; i++ {
 			eng.Schedule(700*Microsecond, fn)
 		}
 		eng.Schedule(50*Millisecond, fn)

@@ -44,7 +44,7 @@ type EngineState struct {
 // shard-window boundaries where the engine is quiescent.
 func (e *Engine) Snapshot() EngineState {
 	live := e.liveEntries(nil)
-	sort.Slice(live, func(i, j int) bool { return live[i].less(live[j]) })
+	sort.Slice(live, func(i, j int) bool { return live[i].before(live[j]) })
 	h := fnv.New64a()
 	var b [24]byte
 	for _, en := range live {
@@ -62,19 +62,23 @@ func (e *Engine) Snapshot() EngineState {
 	}
 }
 
-// liveEntries appends every non-cancelled pending entry to dst.
-func (e *Engine) liveEntries(dst []heapEntry) []heapEntry {
-	for i := range e.buckets {
-		for _, en := range e.buckets[i] {
-			if !en.ev.cancel {
-				dst = append(dst, en)
-			}
+// liveEntries appends every non-cancelled pending event to dst.
+func (e *Engine) liveEntries(dst []*Event) []*Event {
+	keep := func(ev *Event) {
+		if !ev.cancel {
+			dst = append(dst, ev)
 		}
 	}
-	for _, en := range e.overflow {
-		if !en.ev.cancel {
-			dst = append(dst, en)
+	e.eachList(func(i int) {
+		for ev := e.buckets[i]; ev != nil; ev = ev.next {
+			keep(ev)
 		}
+	})
+	for _, ev := range e.due {
+		keep(ev)
+	}
+	for _, ev := range e.overflow {
+		keep(ev)
 	}
 	return dst
 }

@@ -18,7 +18,7 @@ func buildWorkload(cancel bool) *Engine {
 		}
 	}
 	e.Schedule(0, chain)
-	e.At(2*Millisecond, func() {})       // overflow path
+	e.At(2*Millisecond, func() {})             // overflow path
 	e.AtTagged(5*Microsecond, 0, 7, func() {}) // explicit ordering tag
 	ev := e.Schedule(90*Microsecond, func() {})
 	if cancel {

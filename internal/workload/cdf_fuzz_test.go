@@ -18,14 +18,14 @@ func FuzzCDF(f *testing.F) {
 	f.Add("# web search, truncated\n1000 0.15\n\n1333000 0.9\n3333000 1.0\n")
 	f.Add("500 1\n")
 	f.Add("1000 nan\n2000 1\n")
-	f.Add("1000 0\n2000 0.5\n1500 1\n")   // sizes not increasing
-	f.Add("1000 0.9\n2000 0.2\n")         // probabilities not monotone
-	f.Add("1000 0\n2000 0.5\n")           // does not end at 1
-	f.Add("-5 0.5\n10 1\n")               // negative size
+	f.Add("1000 0\n2000 0.5\n1500 1\n")                       // sizes not increasing
+	f.Add("1000 0.9\n2000 0.2\n")                             // probabilities not monotone
+	f.Add("1000 0\n2000 0.5\n")                               // does not end at 1
+	f.Add("-5 0.5\n10 1\n")                                   // negative size
 	f.Add("9223372036854775806 0.5\n9223372036854775807 1\n") // near-max sizes
-	f.Add("1000\n")                       // wrong field count
+	f.Add("1000\n")                                           // wrong field count
 	f.Add("abc def\n")
-	f.Add("1e3 1\n")                      // float size is rejected
+	f.Add("1e3 1\n") // float size is rejected
 	f.Add("1000 1 # trailing comment\n")
 
 	f.Fuzz(func(t *testing.T, data string) {

@@ -60,7 +60,11 @@ const (
 	// serialization starts (netsim.Port), so the packet engine executes fewer
 	// events and every packet watermark's Seq, Executed and QueueDigest
 	// differ from fb-state-1's.
-	StateVersion = "fb-state-2"
+	//
+	// fb-state-3: a port times a transmission when its packet is offered and
+	// a host when it is sent (the ledger of netsim.Port): no completion or
+	// egress event where nobody needs the instant, so the counts moved again.
+	StateVersion = "fb-state-3"
 )
 
 // Descriptor pins the run configuration a checkpoint belongs to. Resuming

@@ -75,7 +75,9 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		{"state", func(e map[string]any) { e["state"] = "fb-state-0" }, "simulation state"},
 		// The version before the port hand-off: same schema, different
 		// event counts, so only this check can refuse it before a replay.
-		{"state-1", func(e map[string]any) { e["state"] = "fb-state-1" }, `simulation state "fb-state-1"; this binary is "fb-state-2"`},
+		{"state-1", func(e map[string]any) { e["state"] = "fb-state-1" }, `simulation state "fb-state-1"; this binary is "fb-state-3"`},
+		// The hand-off without the ledger: again only the event counts moved.
+		{"state-2", func(e map[string]any) { e["state"] = "fb-state-2" }, `simulation state "fb-state-2"; this binary is "fb-state-3"`},
 		{"crc", func(e map[string]any) { e["crc32"] = float64(12345) }, "checksum mismatch"},
 	}
 	for _, tc := range cases {

@@ -288,7 +288,7 @@ func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 					inj.origRates[port] = orig
 				}
 				if frac >= 1 {
-					port.RateBps = orig
+					port.SetRate(orig)
 					delete(inj.origRates, port)
 					continue
 				}
@@ -296,7 +296,7 @@ func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 				if rate < 1 {
 					rate = 1
 				}
-				port.RateBps = rate
+				port.SetRate(rate)
 			}
 		})
 	}

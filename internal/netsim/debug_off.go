@@ -24,7 +24,7 @@ func (s *Switch) debugCheckSelect(*Packet, []int32, int32) {}
 func debugCheckCross([]CrossMsg, int, sim.Time) {}
 
 // debugCheckBook and debugCheckRecall are no-ops in release builds; with
-// -tags simdebug a hand-off booked before its transmission ends, or recalled
-// after the peer's event may have fired, panics.
-func (p *Port) debugCheckBook()   {}
-func (p *Port) debugCheckRecall() {}
+// -tags simdebug a transmission booked before it ends, or a ledger record
+// recalled after the peer's event may have fired, panics.
+func (p *Port) debugCheckBook()         {}
+func (p *Port) debugCheckRecall(*txRec) {}

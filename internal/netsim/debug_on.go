@@ -104,25 +104,26 @@ func (s *Switch) DebugPokeSelectCache(pkt *Packet, port int32) {
 	*sl = selSlot{prefix: pkt.HashPrefix, dst: pkt.Dst, tag: pkt.PathTag, gen: s.selGen, port: port}
 }
 
-// debugCheckBook panics when a transmission is booked before its end: the
-// counters and the free transmitter would be visible to the simulation
-// earlier than the completion event would have shown them. Only a settle
-// with a wrong clock or tie rule can do it.
+// debugCheckBook panics when the transmission on the wire is booked before
+// its end: the counters, the free transmitter and the next record's bytes
+// leaving the queue would be visible to the simulation earlier than the
+// completion event would have shown them. Only a settle with a wrong clock or
+// tie rule can do it.
 func (p *Port) debugCheckBook() {
-	if now := p.eng.Now(); now < p.txEnd {
-		panic(fmt.Sprintf("netsim: transmission booked at %d, before its end at %d (start %d)", now, p.txEnd, p.txStart))
+	if now := p.eng.Now(); now < p.cur.end {
+		panic(fmt.Sprintf("netsim: transmission booked at %d, before its end at %d (start %d)", now, p.cur.end, p.cur.start))
 	}
 }
 
-// debugCheckRecall panics when a hand-off is recalled after its transmission
-// ended: the peer's event is due from then on and may have run, so the
-// packet may be queued downstream, delivered, or recycled — taking it back
-// would duplicate or corrupt it in release builds.
-func (p *Port) debugCheckRecall() {
-	if p.txEv == nil {
+// debugCheckRecall panics when a ledger record is recalled after its
+// transmission ended: the peer's event is due from then on and may have run,
+// so the packet may be queued downstream, delivered, or recycled — taking it
+// back would duplicate or corrupt it in release builds.
+func (p *Port) debugCheckRecall(r *txRec) {
+	if r.ev == nil {
 		panic("netsim: recall of a transmission that was not handed off")
 	}
-	if now := p.eng.Now(); now > p.txEnd {
-		panic(fmt.Sprintf("netsim: hand-off recalled at %d, after its end at %d: the peer's event may have fired", now, p.txEnd))
+	if now := p.eng.Now(); now > r.end {
+		panic(fmt.Sprintf("netsim: hand-off recalled at %d, after its end at %d: the peer's event may have fired", now, r.end))
 	}
 }

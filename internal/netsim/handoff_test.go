@@ -9,16 +9,18 @@ import (
 	"flowbender/internal/sim"
 )
 
-// The differential proof of the port hand-off. A port with an onSent hook
-// never hands off, so a fabric with a no-op hook on every port runs the
-// completion event for every transmission — the code path every run took
-// before the hand-off existed — and is the oracle here. A scenario (random
-// two-tier fabric, traffic, faults) is built twice, with and without the
-// hooks, and everything the simulation can observe must come out equal.
+// The differential proof of the port ledger. A port with an onSent hook
+// keeps none, so a fabric with a no-op hook on every port runs the egress
+// event for every Send and the completion event for every transmission — the
+// code path every run took before the hand-off existed — and is the oracle
+// here. A scenario (random two-tier fabric, traffic, faults) is built twice,
+// with and without the hooks, and everything the simulation can observe must
+// come out equal.
 
 type hoHostSpec struct {
 	rate  int64
 	delay sim.Time
+	markK int // a marking NIC queue: Send must not time it ahead
 }
 
 type hoSwitchSpec struct {
@@ -106,8 +108,10 @@ func newHoScenario(rng *sim.RNG) *hoScenario {
 		}
 		for h := 0; h < sc.hostsPerLeaf; h++ {
 			sc.hosts = append(sc.hosts, hoHostSpec{
-				rate:  hoPick[int64](rng, 10e9, 10e9, 10e9, 1e9, 40e9),
-				delay: hoPick(rng, 0, 700*sim.Nanosecond, 700*sim.Nanosecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond),
+				rate: hoPick[int64](rng, 10e9, 10e9, 10e9, 1e9, 40e9),
+				// 1.2 µs is one MSS at 10G: a packet sent as a transmission starts arrives as it ends.
+				delay: hoPick(rng, 0, 700*sim.Nanosecond, 1200*sim.Nanosecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond, 20*sim.Microsecond),
+				markK: hoPick(rng, 0, 0, 0, 0, 0, 0, 0, 2000),
 			})
 			sc.hostCable = append(sc.hostCable, hoPick(rng, 0, 0, 500*sim.Nanosecond))
 		}
@@ -179,24 +183,102 @@ type hoFabric struct {
 	ports    []*Port // host NICs, then every switch's ports
 	log      []string
 
-	txs     []hoTx // oracle: every transmission
-	recalls int    // hand-off side: link changes that found a hand-off on the wire
-	ties    int    // hand-off side: LastTxEnd reads on the nanosecond a hand-off ends
+	txs []hoTx // oracle: every transmission
+	hoReach
+}
+
+// hoReach counts, on the ledger side, how often a case got to what the
+// ledger adds to a port.
+type hoReach struct {
+	recalls    int // changes that found a record on the wire
+	takeBacks  int // changes that found two or more records to take back
+	refiled    int // sent-ahead packets put back behind the egress delay
+	tiedSends  int // packets sent ahead to arrive on the nanosecond an earlier record ends
+	ties       int // selector reads on the nanosecond a record ends
+	multiReads int // selector reads that booked more than one record
+}
+
+func (a *hoReach) add(b hoReach) {
+	a.recalls += b.recalls
+	a.takeBacks += b.takeBacks
+	a.refiled += b.refiled
+	a.tiedSends += b.tiedSends
+	a.ties += b.ties
+	a.multiReads += b.multiReads
 }
 
 // hoSelector sprays per packet and, for every port it could pick, logs what
-// FlowDyn would read: how long the port has been idle.
+// FlowDyn would read: the queue, and how long the port has been idle.
 type hoSelector struct{ f *hoFabric }
 
 func (s hoSelector) Select(sw *Switch, pkt *Packet, eligible []int32) int32 {
 	now := sw.Now()
 	for _, e := range eligible {
-		if p := sw.Ports[e]; p.busy && !p.armed && p.txEnd == now {
+		p := sw.Ports[e]
+		if p.busy && !p.armed && p.cur.end == now {
 			s.f.ties++
 		}
-		s.f.log = append(s.f.log, fmt.Sprintf("t=%d select sw=%d seq=%d port=%d lastTxEnd=%d", now, sw.ID(), pkt.Seq, e, sw.LastTxEnd(e)))
+		booked := p.txPackets
+		queued := sw.QueueBytes(e)
+		if p.txPackets-booked > 1 {
+			s.f.multiReads++
+		}
+		s.f.log = append(s.f.log, fmt.Sprintf("t=%d select sw=%d seq=%d port=%d queued=%d lastTxEnd=%d", now, sw.ID(), pkt.Seq, e, queued, sw.LastTxEnd(e)))
 	}
 	return eligible[int(pkt.Seq)%len(eligible)]
+}
+
+// ledger lists the port's records, oldest first.
+func (p *Port) ledger() []*txRec {
+	if !p.busy || p.armed {
+		return nil
+	}
+	recs := []*txRec{&p.cur}
+	for i := 0; i < p.n; i++ {
+		recs = append(recs, &p.ring[(p.head+i)&(len(p.ring)-1)])
+	}
+	return recs
+}
+
+// sent notes a Send the NIC timed ahead whose packet will reach it on the
+// very nanosecond an earlier record of the ledger ends.
+func (f *hoFabric) sent(nic *Port, pkt *Packet) {
+	recs := nic.ledger()
+	if len(recs) == 0 {
+		return
+	}
+	newest := recs[len(recs)-1]
+	if newest.pkt != pkt || newest.arr == arrived {
+		return
+	}
+	for _, r := range recs[:len(recs)-1] {
+		if r.end == newest.arr {
+			f.tiedSends++
+		}
+	}
+}
+
+// change wraps a fault's setter call with the reach counters.
+func (f *hoFabric) change(p *Port, set func()) func() {
+	return func() {
+		p.settle(unstamped) // what takeBack itself does first
+		if p.busy && !p.armed {
+			if p.cur.arr == arrived {
+				f.recalls++
+			}
+			if p.n > 0 {
+				f.takeBacks++
+			}
+		}
+		crossing := 0
+		if p.host != nil {
+			crossing = p.host.crossing
+		}
+		set()
+		if p.host != nil {
+			f.refiled += p.host.crossing - crossing
+		}
+	}
 }
 
 func (sc *hoScenario) build(oracle bool) *hoFabric {
@@ -205,6 +287,7 @@ func (sc *hoScenario) build(oracle bool) *hoFabric {
 	for i, hs := range sc.hosts {
 		h := NewHost(eng, NodeID(i), hs.rate, hs.delay)
 		h.UsePool(f.pool)
+		h.NIC.Q.MarkK = hs.markK
 		for fl := 0; fl < sc.flows; fl++ {
 			h.Register(FlowID(fl), handlerFunc(func(pkt *Packet) {
 				f.log = append(f.log, fmt.Sprintf("t=%d deliver host=%d seq=%d ce=%v hops=%d", eng.Now(), h.ID(), pkt.Seq, pkt.CE, pkt.Hops))
@@ -252,7 +335,7 @@ func (sc *hoScenario) build(oracle bool) *hoFabric {
 		for i, p := range f.ports {
 			hook := p.onSent
 			p.onSent = func(pkt *Packet) {
-				f.txs = append(f.txs, hoTx{port: i, start: p.txStart, end: eng.Now()})
+				f.txs = append(f.txs, hoTx{port: i, start: p.cur.start, end: eng.Now()})
 				if hook != nil {
 					hook(pkt)
 				}
@@ -269,37 +352,30 @@ func (sc *hoScenario) build(oracle bool) *hoFabric {
 			pkt.Src, pkt.Dst = NodeID(s.src), NodeID(s.dst)
 			pkt.Proto, pkt.Size, pkt.ECT = s.proto, s.size, true
 			f.hosts[s.src].Send(pkt)
+			f.sent(f.hosts[s.src].NIC, pkt)
 		})
 	}
 	for _, ft := range sc.faults {
 		p, k := f.ports[ft.port], ft.arg
-		onWire := func() {
-			if p.txEv != nil && p.txEnd >= eng.Now() {
-				f.recalls++
-			}
-		}
 		var apply, revert func()
 		switch ft.kind {
 		case hoDown:
-			apply = func() { onWire(); p.SetLinkDown(true) }
+			apply = func() { p.SetLinkDown(true) }
 			revert = func() { p.SetLinkDown(false) }
 		case hoGray:
 			n := int64(0) // per installation, so a port's draws depend on its own history only
-			apply = func() {
-				onWire()
-				p.SetLinkDropFn(func(*Packet) bool { n++; return n%k == 0 })
-			}
+			apply = func() { p.SetLinkDropFn(func(*Packet) bool { n++; return n%k == 0 }) }
 			revert = func() { p.SetLinkDropFn(nil) }
 		case hoDegrade:
 			rate := p.RateBps
-			apply = func() { p.RateBps = rate / k }
-			revert = func() { p.RateBps = rate }
+			apply = func() { p.SetRate(rate / k) }
+			revert = func() { p.SetRate(rate) }
 		case hoPause:
 			apply = func() { p.SetPaused(true) }
 			revert = func() { p.SetPaused(false) }
 		}
-		eng.At(ft.at, apply)
-		eng.At(ft.until, revert)
+		eng.At(ft.at, f.change(p, apply))
+		eng.At(ft.until, f.change(p, revert))
 	}
 	return f
 }
@@ -345,10 +421,35 @@ func (f *hoFabric) run(sc *hoScenario) []string {
 	return f.log
 }
 
+// checkIdle requires that an idle fabric whose counters have been read holds
+// nothing in its ledgers: no record, and no packet or event reference in the
+// storage the records used.
+func (f *hoFabric) checkIdle(t *testing.T) {
+	t.Helper()
+	for i, p := range f.ports {
+		if p.busy || p.armed || p.n != 0 || p.unarrived != 0 || !p.Q.Empty() || p.Q.Bytes() != 0 {
+			t.Fatalf("port %d idle with busy=%v armed=%v %d records in the ring, %d sent ahead, %d bytes queued", i, p.busy, p.armed, p.n, p.unarrived, p.Q.Bytes())
+		}
+		for _, r := range append(p.ring, p.cur) {
+			if r.pkt != nil || r.ev != nil {
+				t.Fatalf("port %d idle with a record still holding packet %p, event %p", i, r.pkt, r.ev)
+			}
+		}
+	}
+	for _, h := range f.hosts {
+		if h.crossing != 0 {
+			t.Fatalf("host %d idle with %d packets crossing the egress delay", h.ID(), h.crossing)
+		}
+	}
+	if live := f.pool.Live(); live != 0 {
+		t.Fatalf("%d packets never recycled (or recycled twice)", live)
+	}
+}
+
 // hoStats is what one case contributed, for the test's power check.
 type hoStats struct {
 	oracleEvents, events uint64
-	recalls, ties        int
+	hoReach
 }
 
 func checkHandOffCase(t *testing.T, seed int64) hoStats {
@@ -400,20 +501,20 @@ func checkHandOffCase(t *testing.T, seed int64) hoStats {
 			t.Fatalf("seed %d: observation %d differs\n completion events: %s\n hand-off:          %s", seed, i, w, g)
 		}
 	}
-	if live := change.pool.Live(); live != 0 {
-		t.Fatalf("seed %d: %d packets never recycled (or recycled twice)", seed, live)
-	}
+	change.checkIdle(t)
 	if change.eng.Executed > oracle.eng.Executed {
-		t.Fatalf("seed %d: hand-off executed %d events, completion events %d", seed, change.eng.Executed, oracle.eng.Executed)
+		t.Fatalf("seed %d: the ledger executed %d events, completion events %d", seed, change.eng.Executed, oracle.eng.Executed)
 	}
-	return hoStats{oracle.eng.Executed, change.eng.Executed, change.recalls, change.ties}
+	return hoStats{oracle.eng.Executed, change.eng.Executed, change.hoReach}
 }
 
 // TestHandOffMatchesCompletionEvent runs the differential check over a fixed
 // range of seeds and requires that, between them, the cases reached what the
-// hand-off adds: transmissions that never got an event, link changes that
-// recalled a packet from the wire, and idle-time reads on the nanosecond a
-// hand-off ended.
+// ledger adds: hops and sends that never got an event, changes that recalled
+// a packet from the wire and took followers back with it, sent-ahead packets
+// put back behind the egress delay, arrivals replayed on the nanosecond a
+// transmission ends, and selector reads on such a nanosecond or across more
+// than one record.
 func TestHandOffMatchesCompletionEvent(t *testing.T) {
 	n := int64(300)
 	if testing.Short() {
@@ -424,22 +525,35 @@ func TestHandOffMatchesCompletionEvent(t *testing.T) {
 		s := checkHandOffCase(t, seed)
 		total.oracleEvents += s.oracleEvents
 		total.events += s.events
-		total.recalls += s.recalls
-		total.ties += s.ties
+		total.add(s.hoReach)
 	}
-	t.Logf("%d cases: %d events with a completion per transmission, %d with the hand-off; %d recalls, %d same-nanosecond reads",
-		n, total.oracleEvents, total.events, total.recalls, total.ties)
-	if total.events*20 > total.oracleEvents*19 || total.recalls == 0 || total.ties == 0 {
-		t.Fatalf("the cases no longer exercise the hand-off: %+v", total)
+	t.Logf("%d cases: %d events with one per send and transmission, %d with the ledger; %+v", n, total.oracleEvents, total.events, total.hoReach)
+	r := total.hoReach
+	if total.events*5 > total.oracleEvents*4 || r.recalls == 0 || r.takeBacks == 0 || r.refiled == 0 || r.tiedSends == 0 || r.ties == 0 || r.multiReads == 0 {
+		t.Fatalf("the cases no longer exercise the ledger: %+v", total)
 	}
 }
 
 // FuzzHandOff is the same check on fuzzer-chosen seeds. The checked-in corpus
-// (testdata/fuzz/FuzzHandOff) holds, for each of seventeen ways of getting
-// the hand-off wrong — no recall, either tie rule off by one or constant, no
-// counter undo, own or peer keyedness ignored, a stamp replaced by now, a
-// hand-off despite a queue, a gray or down link, a PFC peer, an onSent hook
-// or a zero-length transmission — the first seed whose case catches it.
+// (testdata/fuzz/FuzzHandOff) holds, for each of some forty ways of getting
+// the ledger wrong, the first seed whose case catches it. Of the hand-off: no
+// recall, either tie rule off by one or constant, no counter undo, own or
+// peer keyedness ignored, a stamp replaced by now, a hand-off despite a
+// queue, a gray or down link, a PFC peer, an onSent hook or a zero-length
+// transmission. Of the ledger proper: no take-back of followers, or out of
+// order; followers kept at the old rate or timed through a pause, or started
+// at their arrival; an arrival replayed before a completion that sorts first
+// or after one that sorts second, never or always on its own nanosecond;
+// Send settling as if its event were stamped, or a setter one nanosecond
+// early (seed 11721: a packet sent at time zero); egress order broken across
+// a switch between events and the ledger, either way; a packet re-filed
+// under the wrong stamp; a marking NIC queue timed ahead; a follower's or an
+// idle arrival's bytes left in the queue; QueueBytes unsettled or settled to
+// now; counters or queue bytes taken from a packet that has been recycled; a
+// ring grown out of order, a stale tail, and ring slots left holding their
+// packet. (Seeds 21, 66, 75, 638 and 1280 caught five of the first group
+// before the scenarios gained marking NICs and the 1.2 µs host; they stay
+// as plain cases.)
 func FuzzHandOff(f *testing.F) {
 	f.Add(int64(1))
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -471,9 +585,9 @@ func hoChain(eng *sim.Engine, cfg SwitchConfig, ids ...NodeID) (src, dst *Host, 
 }
 
 // TestUncontendedPathEvents pins which events the packet engine executes: a
-// hop nobody queues at costs its forwarding event and nothing else, and a
-// completion event appears exactly where a packet came to wait — or where
-// the hand-off's conditions exclude the port.
+// hop costs its forwarding event and nothing else, whether or not the packet
+// queues there; a Send costs nothing; and egress and completion events appear
+// exactly where the ledger's conditions exclude the port.
 func TestUncontendedPathEvents(t *testing.T) {
 	five := []NodeID{2, 3, 4, 5, 6}
 	plain := SwitchConfig{QueueCap: 200000, MarkK: 30000, FwdDelay: sim.Microsecond}
@@ -484,29 +598,33 @@ func TestUncontendedPathEvents(t *testing.T) {
 		cfg       SwitchConfig
 		ids       []NodeID
 		n, size   int
-		events    uint64 // executed with the hand-off
-		completed uint64 // executed with a completion event per transmission
+		events    uint64 // executed with the ledger
+		completed uint64 // executed with an event per Send and per transmission
 	}{
-		// Host egress delay, five forwarding pipelines, host ingress delay.
-		{"one packet", plain, five, 1, 1500, 7, 13},
-		// The second waits behind the first in the NIC, and nowhere else: at
-		// each switch port it arrives on the nanosecond the first one's
-		// transmission ends, filed after that transmission started (1.2 µs of
-		// serialization against a 1 µs pipeline), so the port is idle again.
-		{"two at one instant", plain, five, 2, 1500, 7*2 + 1, 13 * 2},
-		{"MSS train", plain, five, 4, 1500, 7*4 + 3, 13 * 4},
+		// Five forwarding pipelines and the host ingress delay. The egress
+		// delay is no event: the NIC timed the transmission inside Send.
+		{"one packet", plain, five, 1, 1500, 6, 13},
+		// The second follows the first in the NIC's ledger, both timed at
+		// Send. At each switch port it arrives on the nanosecond the first
+		// one's transmission ends, filed after that transmission started
+		// (1.2 µs of serialization against a 1 µs pipeline): the arrival
+		// books the first and goes onto the wire itself.
+		{"two at one instant", plain, five, 2, 1500, 6 * 2, 13 * 2},
+		{"MSS train", plain, five, 4, 1500, 6 * 4, 13 * 4},
 		// A 40-byte packet serializes in 32 ns, inside the follower's
 		// pipeline delay: the follower's forwarding event was filed before
-		// the leader's transmission started, sorts before its end, finds the
-		// port busy, and waits for zero nanoseconds behind a real event — at
-		// the NIC and at all five switch ports.
-		{"ACK pair", plain, five, 2, 40, 7*2 + 6, 13 * 2},
-		// PFC needs the completion instant on both sides of every link.
+		// the leader's transmission started, sorts before its end and finds
+		// the port busy. It used to wait zero nanoseconds behind a real
+		// completion event, at the NIC and at all five switch ports; now it
+		// is timed to start at that end, a follower record in each ledger.
+		{"ACK pair", plain, five, 2, 40, 6 * 2, 13 * 2},
+		// PFC needs the completion instant on both sides of every link, and
+		// a NIC that cannot time ahead keeps the egress event too.
 		{"PFC fabric", pfc, five, 1, 1500, 13, 13},
 		// Switch 600's tags degrade to TagNone, so its arrivals cannot be
 		// filed ahead of time (the port feeding it keeps its completion) nor
 		// ordered against a completion that never ran (so does its own).
-		{"TagNone device", plain, []NodeID{2, 3, 600, 5, 6}, 1, 1500, 7 + 2, 13},
+		{"TagNone device", plain, []NodeID{2, 3, 600, 5, 6}, 1, 1500, 6 + 2, 13},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -535,6 +653,78 @@ func TestUncontendedPathEvents(t *testing.T) {
 			}
 			if len(at) != tc.n || fmt.Sprint(at) != fmt.Sprint(wantAt) {
 				t.Errorf("deliveries at %v, want %v", at, wantAt)
+			}
+		})
+	}
+}
+
+// TestLedgerTakeBack halves a NIC's rate at three points in the life of a
+// burst of four MSS packets sent at time zero through one switch — 10G,
+// 1.2 µs a packet, 20 µs hosts, a 1 µs pipeline — and checks the deliveries
+// against times worked out by hand and against the same fabric on completion
+// events, the events executed, and that the ledgers end up empty.
+func TestLedgerTakeBack(t *testing.T) {
+	const ns = sim.Nanosecond
+	cases := []struct {
+		name    string
+		at      sim.Time // of the SetRate
+		want    []sim.Time
+		refiled int    // packets put back behind the egress delay
+		events  uint64 // four forwards and four deliveries, plus
+	}{
+		// All four are records sent ahead. They go back behind the egress
+		// delay as events, and each is timed at 5G when its event offers it
+		// to the NIC: 2.4 µs apart from 22.4 µs, a pipeline, an idle switch
+		// port (1.2 µs), the ingress delay.
+		{"before the burst arrives", 10000 * ns, []sim.Time{44600 * ns, 47000 * ns, 49400 * ns, 51800 * ns}, 4, 8 + 4},
+		// The first is over (21.2 µs). The second is on the wire and keeps
+		// its end (22.4 µs) behind a completion event now; the third waits in
+		// the real queue with the fourth behind it, so it gets a completion
+		// event too when it starts (22.4 to 24.8 µs); the fourth starts with
+		// nothing behind it and opens a new ledger (24.8 to 27.2 µs).
+		{"with the second on the wire", 21800 * ns, []sim.Time{43400 * ns, 44600 * ns, 47000 * ns, 49400 * ns}, 0, 8 + 2},
+		// Everything was transmitted at 10G: 21.2 to 24.8 µs off the NIC,
+		// back to back through the switch port.
+		{"after the burst", 30000 * ns, []sim.Time{43400 * ns, 44600 * ns, 45800 * ns, 47000 * ns}, 0, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(completions bool) (uint64, []sim.Time, int) {
+				eng := sim.NewEngine()
+				src, dst, ports := hoChain(eng, SwitchConfig{QueueCap: 200000, FwdDelay: sim.Microsecond}, 2)
+				if completions {
+					for _, p := range ports {
+						p.onSent = func(*Packet) {}
+					}
+				}
+				var at []sim.Time
+				dst.Register(1, handlerFunc(func(*Packet) { at = append(at, eng.Now()) }))
+				for i := 0; i < 4; i++ {
+					src.Send(&Packet{Flow: 1, Src: 0, Dst: 1, Size: 1500})
+				}
+				sentAhead, refiled := src.NIC.unarrived, 0
+				eng.At(tc.at, func() {
+					crossing := src.crossing
+					src.NIC.SetRate(5e9)
+					refiled = src.crossing - crossing
+				})
+				eng.RunUntilIdle()
+				if nic, sw := src.NIC.TxPackets(), ports[3].TxPackets(); nic != 4 || sw != 4 {
+					t.Errorf("the NIC transmitted %d packets and the switch port %d, want 4 and 4", nic, sw)
+				}
+				(&hoFabric{ports: ports, hosts: []*Host{src, dst}}).checkIdle(t)
+				if !completions && sentAhead != 4 {
+					t.Errorf("%d of the four packets were sent ahead", sentAhead)
+				}
+				return eng.Executed, at, refiled
+			}
+			events, at, refiled := run(false)
+			_, wantAt, _ := run(true)
+			if fmt.Sprint(at) != fmt.Sprint(tc.want) || fmt.Sprint(wantAt) != fmt.Sprint(tc.want) {
+				t.Errorf("deliveries at %v (%v on completion events), want %v", at, wantAt, tc.want)
+			}
+			if events != tc.events+1 || refiled != tc.refiled { // +1: the SetRate itself
+				t.Errorf("executed %d events and re-filed %d packets, want %d and %d", events, refiled, tc.events+1, tc.refiled)
 			}
 		})
 	}

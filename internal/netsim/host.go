@@ -35,11 +35,15 @@ type Host struct {
 	handlers handlerTable
 	pool     *PacketPool
 
+	// crossing counts the packets crossing the egress delay as events. While
+	// there are any, Send files an event too: a packet sent ahead would reach
+	// the NIC's ledger before them.
+	crossing int
+
 	// Counters.
-	RxPackets  int64
-	RxBytes    int64
-	Unclaimed  int64 // packets with no registered handler
-	SentwArmed int64
+	RxPackets int64
+	RxBytes   int64
+	Unclaimed int64 // packets with no registered handler
 }
 
 // NewHost creates a host whose NIC transmits at rateBps. The NIC queue is
@@ -52,7 +56,7 @@ func NewHost(eng *sim.Engine, id NodeID, rateBps int64, delay sim.Time) *Host {
 		NIC:   NewPort(eng, rateBps),
 		Delay: delay,
 	}
-	h.NIC.Q.Presize(256)
+	h.NIC.host = h
 	h.NIC.tag = orderTag(tagKindTx, id, 0)
 	h.keyed = delay > 0 && h.NIC.tag != sim.TagNone
 	h.NIC.keyed = h.keyed
@@ -100,14 +104,28 @@ func (h *Host) Handler(flow FlowID) Handler { return h.handlers.get(flow) }
 // HandlerCount returns the number of currently registered flow handlers.
 func (h *Host) HandlerCount() int { return h.handlers.n }
 
-// Send emits a packet from this host after the host processing delay.
+// Send emits a packet from this host after the host processing delay. The
+// NIC queue is unbounded and packets reach it in the order they were sent,
+// so a NIC that keeps a ledger (see Port) times the transmission now and the
+// delay costs no event; otherwise the packet crosses it as one.
 func (h *Host) Send(pkt *Packet) {
 	pkt.debugCheckLive("Host.Send")
-	if h.Delay > 0 {
-		pkt.scheduleStep(h.eng, h.Delay, stepEnqueue, h, 0)
-	} else {
+	if h.Delay == 0 {
 		h.NIC.Enqueue(pkt)
+		return
 	}
+	if h.crossing == 0 && h.NIC.sendAhead(pkt, h.eng.Now()+h.Delay) {
+		return
+	}
+	h.crossing++
+	pkt.scheduleStep(h.eng, h.Delay, stepEnqueue, h, 0)
+}
+
+// resend puts a packet the NIC had taken ahead of time back behind the egress
+// delay, as the event Send would have filed for it.
+func (h *Host) resend(pkt *Packet, arr sim.Time) {
+	h.crossing++
+	pkt.scheduleStepAt(h.eng, arr, arr-h.Delay, stepEnqueue, h, 0)
 }
 
 // Receive implements Device.

@@ -203,8 +203,9 @@ func (p *Packet) scheduleStep(eng *sim.Engine, d sim.Time, step uint8, dev Devic
 // the effect must land at arrival-time-plus-delay rather than
 // now-plus-delay, and must tie-break against same-due-time events exactly as
 // if scheduled at the arrival — same insertion instant, same (step, device,
-// port) tag. The handle is returned for the hand-off, which may have to
-// cancel it.
+// port) tag. Host.resend files the egress step a Send skipped the same way,
+// after the fact: due when the packet reaches the NIC, stamped when it was
+// sent. The handle is returned for the hand-off, which may have to cancel it.
 func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) *sim.Event {
 	p.step, p.stepDev, p.stepPort = step, dev, int32(port)
 	if p.stepFn == nil {
@@ -227,6 +228,7 @@ func (p *Packet) runStep() {
 		dev.(*Host).deliver(p)
 	case stepEnqueue:
 		h := dev.(*Host)
+		h.crossing--
 		h.NIC.enqueue(p, h.eng.Now()-h.Delay)
 	}
 }

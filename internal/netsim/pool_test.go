@@ -215,10 +215,10 @@ func TestSimdebugPacketTripwires(t *testing.T) {
 	mustPanicNetsim(t, "double free", func() { pl.Put(pkt) })
 }
 
-// Under -tags simdebug, settling a hand-off at the wrong time panics: booking
-// it while it is still on the wire would free the transmitter and count the
-// packet early, and recalling it once its end has passed would take back a
-// packet the peer may already have forwarded.
+// Under -tags simdebug, settling the ledger at the wrong time panics: booking
+// the record on the wire before its end would free the transmitter and count
+// the packet early, and recalling a record once its end has passed would take
+// back a packet the peer may already have forwarded.
 func TestSimdebugHandOffTripwires(t *testing.T) {
 	if !sim.Debug {
 		t.Skip("requires -tags simdebug")
@@ -228,19 +228,22 @@ func TestSimdebugHandOffTripwires(t *testing.T) {
 	delivered := 0
 	dst.Register(1, handlerFunc(func(*Packet) { delivered++ }))
 	src.Send(&Packet{Flow: 1, Src: 0, Dst: 1, Size: 1500})
+	src.Send(&Packet{Flow: 1, Src: 0, Dst: 1, Size: 1500})
 
 	nic := src.NIC
-	eng.Run(20*sim.Microsecond + 600*sim.Nanosecond) // halfway through the NIC's serialization
-	if !nic.busy || nic.armed || nic.txEv == nil {
-		t.Fatalf("NIC did not hand off: busy=%v armed=%v", nic.busy, nic.armed)
+	eng.Run(20*sim.Microsecond + 600*sim.Nanosecond) // halfway through the first serialization
+	if nic.TxPackets() != 0 || len(nic.ledger()) != 2 {
+		t.Fatalf("NIC's ledger holds %d records (busy=%v armed=%v), want one on the wire and a follower", len(nic.ledger()), nic.busy, nic.armed)
 	}
-	mustPanicNetsim(t, "booking a hand-off before its end", nic.book)
+	mustPanicNetsim(t, "booking a record before its end", nic.book)
 	eng.RunUntilIdle()
-	if delivered != 1 || !nic.busy {
-		t.Fatalf("delivered %d; NIC settled by nobody yet busy=%v", delivered, nic.busy)
+	if delivered != 2 || len(nic.ledger()) != 2 {
+		t.Fatalf("delivered %d; NIC settled by nobody yet holds %d records", delivered, len(nic.ledger()))
 	}
-	mustPanicNetsim(t, "recalling a hand-off after the peer's event fired", nic.recall)
-	if nic.TxPackets() != 1 {
+	for _, r := range nic.ledger() {
+		mustPanicNetsim(t, "recalling a record after the peer's event fired", func() { nic.recall(r) })
+	}
+	if nic.TxPackets() != 2 {
 		t.Fatalf("TxPackets = %d after the tripwires", nic.TxPackets())
 	}
 }

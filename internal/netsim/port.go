@@ -33,103 +33,172 @@ type Link struct {
 	Transitions int64
 }
 
-// Port is an egress port: a queue draining into a serializing transmitter at
-// a fixed rate onto a Link. A Port may be paused by downstream PFC.
+// Port is an egress port: a FIFO queue draining into a serializing
+// transmitter at a fixed rate onto a Link. A Port may be paused by downstream
+// PFC.
 //
-// A transmission ends in its completion event (finishTx), due when
-// serialization ends and keyed (end, start, tag): it books the counters, runs
-// the onSent hook, decides the link outcome, gives the packet to the peer
-// and starts the next one. Most transmissions, though, end with nobody
-// waiting behind them and nothing to decide, and those never get the event:
-// when one starts with the queue empty behind it, no onSent hook, a healthy
-// link and both ends of the link keyed (see handOff), the port gives the
-// packet to the peer there and then — the peer's own event, filed under
-// exactly the key finishTx would file it under at the end — and keeps only
-// (start, end). Whoever touches the port next settles that:
+// The reference behaviour is the completion event. A packet offered to the
+// port is admitted to the queue (drop-tail, ECN mark, the queue's counters);
+// an idle transmitter pops the head and serializes it from start to
+// end = start + size/rate; at end the completion event (finishTx, keyed
+// (end, start, tag)) books the counters, runs the onSent hook, decides the
+// link outcome, gives the packet to the peer — whose own pipeline event is
+// filed there under (end + peer delay, end, peer tag) — and pops the next.
 //
-//   - an arrival (enqueue) or a counter read (TxBytes, TxPackets,
-//     Switch.LastTxEnd) past the end books the transmission on the spot;
-//     an arrival before the end arms the completion event after all, under
-//     the key it always had, and waits for it; on the very nanosecond of the
-//     end, done tells which of the two applies from where the caller's own
-//     event sorts against that key;
-//   - a link change (SetLinkDown, SetLinkDropFn) recalls a packet still on
-//     the wire — cancels the peer's event, takes its arrival counters back —
-//     and arms finishTx to decide the packet's fate at the end, under the
-//     new state.
+// A FIFO port at a fixed rate knows all of that the moment the packet is
+// offered, so most ports never run the event. Such a port keeps a ledger of
+// transmissions timed ahead: when everything ahead of an arriving packet is
+// already in the ledger, the packet is timed on the spot
+// (start = max(arrival, the previous record's end)), the peer's event is
+// filed at once under the key finishTx would give it at end, and a record
+// (start, end, size, proto, packet, peer event) joins the ledger — the oldest
+// one inline in the Port (cur), followers in a ring that grows on demand. A
+// record is in one of three states:
 //
-// Every observable — delivery times, marks, drops, counters, what a selector
-// reads — is what the completion event alone produces
-// (TestHandOffMatchesCompletionEvent runs the two side by side); what
-// differs is the number of events executed, a third fewer on the paper's
-// all-to-all, and the engine's insertion sequence.
+//   - sent ahead: Host.Send timed it an egress delay before the packet
+//     reaches the NIC (sendAhead); the queue's counters have not seen it;
+//   - waiting: the packet has arrived, its bytes are in Q.bytes, an earlier
+//     record is on the wire;
+//   - on the wire: always cur; its bytes have left Q.bytes.
+//
+// Nothing happens at a record's end. Whoever touches the port next settles
+// the ledger up to its own place in the schedule (settle): every arrival and
+// completion that sorts before the caller is replayed in key order — an
+// arrival adds its size to the queue's counters, a completion books the
+// transmit counters and lastTxEnd and puts the next record on the wire — so
+// marks, drops, MaxBytes, TxBytes/TxPackets, Switch.LastTxEnd and
+// Switch.QueueBytes are what completion events produce. A record is booked
+// from its own copy of size and proto: its packet may have been delivered
+// and recycled long before.
+//
+// Anything that changes when the port transmits — SetLinkDown,
+// SetLinkDropFn, SetRate, SetPaused(true), a packet that cannot join the
+// ledger — first takes the ledger back (takeBack): what is over is booked;
+// every other record has its peer event cancelled and the peer's arrival
+// counters undone; the record on the wire stays cur, now the port's own,
+// with finishTx armed at its end; waiting packets go into the real queue,
+// to be timed when they start; packets sent ahead go back behind the host's
+// egress delay as the events Send would have filed (Host.resend).
+//
+// Which ports keep a ledger follows from what the port can observe, packet
+// by packet (handOff): no onSent hook (PFC and shared-buffer switches need
+// the completion instant), an up, non-gray link, both ends keyed, the peer a
+// Switch without PFC or a Host on the same engine, a transmission longer
+// than zero nanoseconds, and — once something waits in the real queue or an
+// armed completion owns the wire — not until the queue has drained through
+// completion events. Every other port runs the reference path untouched.
+//
+// Ties. An arrival, a LastTxEnd or a QueueBytes read on the nanosecond a
+// record ends is ordered exactly: the caller passes the instant its own
+// event was filed at (stamp), and the completion sorts first iff
+// start < stamp (done) — tx tags sort after every packet-step tag. A
+// sent-ahead arrival (arr, arr-Delay, egress tag) sorts before a completion
+// on its nanosecond iff arr-Delay <= start. A change through the setters
+// above is pinned, not ordered: it applies to a transmission ending, and
+// precedes a packet arriving, on that very nanosecond, unless that
+// transmission started or that packet was sent at time zero (unstamped) —
+// what the events did for every change filed at set-up. Outside callers
+// (Enqueue, TxBytes, TxPackets, QueuedBytes) see a transmission ending or a
+// packet arriving on the nanosecond of the call as done.
+//
+// TestHandOffMatchesCompletionEvent runs random fabrics both ways and
+// compares every observable; what differs is the number of events executed
+// (one per hop where nobody needs the completion instant) and the engine's
+// insertion sequence.
 type Port struct {
 	eng *sim.Engine
-	// RateBps is the line rate in bits per second.
-	RateBps int64
-	Q       Queue
-	Link    Link
 
-	// busy: a transmission has started and is not yet booked. armed: its
-	// completion event is scheduled. busy && !armed is a hand-off nobody has
-	// needed to wait behind so far; the queue is empty whenever that holds.
+	// cur is the oldest unbooked transmission while busy — on the wire, or
+	// sent ahead toward an idle port. armed: cur is the port's own (ev nil)
+	// and finishTx is scheduled at its end; the ring is empty then. Not
+	// armed, cur and the ring are the ledger, and the real queue is empty.
+	cur    txRec
 	busy   bool
-	paused bool
 	armed  bool
+	paused bool
 	// keyed copies the owning Switch's or Host's keyed: every packet reaches
 	// this port from one of the owner's pipeline events, filed under a real
-	// tag, so an arrival on the nanosecond a hand-off ends can be ordered
+	// tag, so an arrival on the nanosecond a record ends can be ordered
 	// against the completion that was never scheduled. Ports without it
 	// (bare ones included) always schedule completions.
-	keyed   bool
-	txProto Proto
+	keyed bool
 	// tag is the port's intrinsic ordering identity for serialization-
 	// complete events (orderTag of tagKindTx, owning device, port index),
 	// set when the owning switch or host is built. Bare ports default to
 	// TagNone, i.e. plain insertion order.
-	tag    uint16
-	txSize int32
+	tag uint16
 
-	// The transmission in progress (or the last one, once booked): when it
-	// started and ends, and — together with txProto and txSize above, copied
-	// because a handed-off packet may be delivered and recycled before the
-	// port books it — what it adds to the counters.
-	txStart, txEnd sim.Time
-	// txPkt is the packet currently serializing; txDone is the prebuilt
-	// completion callback, so starting a transmission allocates nothing.
-	txPkt  *Packet
-	txDone func()
-	// txEv is non-nil while txPkt is handed off and unbooked: the peer's
-	// pending event, cancellable until txEnd.
-	txEv *sim.Event
-
+	// tail is the end of the ledger's newest record while busy.
+	tail sim.Time
 	// lastTxEnd is the engine time this port last finished serializing a
 	// packet, or -1 before any transmission (see Switch.LastTxEnd).
 	lastTxEnd sim.Time
+	// Transmitted wire bytes per protocol and packets, as of the last booked
+	// transmission; read them through TxBytes and TxPackets.
+	txBytes   [numProtos]int64
+	txPackets int64
 
+	// RateBps is the line rate in bits per second. Write it directly only
+	// while a fabric is being built; a running port changes rate through
+	// SetRate, which takes back the transmissions timed at the old one.
+	RateBps int64
 	// Serialization-delay memo: steady-state traffic on one port repeats a
 	// single packet size, so the division in SerializationDelay is paid once
-	// per (size, rate) change. The rate is part of the key because fault
-	// injection degrades RateBps in place mid-run.
-	memoSize  int
+	// per (size, rate) change.
 	memoRate  int64
 	memoDelay sim.Time
+	memoSize  int
 
+	// unarrived counts the records sent ahead, always the ledger's newest.
+	unarrived int
+	// ring holds the ledger's records behind cur, oldest at head; its length
+	// is a power of two (or zero before the first follower).
+	head, n int
+	ring    []txRec
+	// host is the owner of a NIC (nil on a switch port): its Delay separates
+	// a sent-ahead record's filing stamp from its arrival.
+	host *Host
+
+	Link Link
+	// onSent, if set, runs when a packet's serialization completes (used by
+	// PFC switches to release ingress accounting).
+	onSent func(pkt *Packet)
+
+	Q Queue
+
+	// txDone is the prebuilt completion callback, so arming allocates nothing.
+	txDone func()
 	// pool, when set, recycles packets this port's link drops.
 	pool *PacketPool
 	// pauseFn/resumeFn are the PFC control-frame callbacks, built the first
 	// time a frame has a propagation delay to cross (see pfcFrame).
 	pauseFn, resumeFn func()
-
-	// onSent, if set, runs when a packet's serialization completes (used by
-	// PFC switches to release ingress accounting).
-	onSent func(pkt *Packet)
-
-	// Transmitted wire bytes per protocol and packets, as of the last booked
-	// transmission; read them through TxBytes and TxPackets.
-	txBytes   [numProtos]int64
-	txPackets int64
 }
+
+// txRec is one transmission: the armed one, or a record of the ledger.
+type txRec struct {
+	start, end sim.Time
+	// arr is when a sent-ahead packet reaches the port, and arrived once the
+	// queue's counters have seen the packet.
+	arr sim.Time
+	// pkt and ev (the peer's pending event, nil on an armed transmission)
+	// are for takeBack alone, and only while end has not passed.
+	pkt   *Packet
+	ev    *sim.Event
+	size  int32
+	proto Proto
+}
+
+// arrived is txRec.arr for a packet that has reached the port.
+const arrived sim.Time = -1
+
+// unstamped is the settle stamp of a caller that cannot say where its own
+// event sorts within the nanosecond — a setter, Host.Send. It stands for an
+// untagged event filed at time zero, which is how every fault plan is filed:
+// of what falls on the caller's nanosecond, only a transmission started or a
+// packet sent at time zero precedes it (stamp 1 makes done's strict
+// comparison read "at zero").
+const unstamped sim.Time = 1
 
 // NewPort returns a port transmitting at rateBps driven by eng.
 func NewPort(eng *sim.Engine, rateBps int64) *Port {
@@ -152,25 +221,102 @@ func (p *Port) SerializationDelay(size int) sim.Time {
 // the packet (the caller owns a rejected packet and is responsible for
 // recycling it). A call on the very nanosecond a transmission ends is
 // ordered after that end; the owning device's pipeline events, which know
-// where they sort, use enqueue.
+// where they sort, use enqueue. A host with a processing delay feeds its NIC
+// itself (Host.Send), in an order a direct call would break.
 func (p *Port) Enqueue(pkt *Packet) bool { return p.enqueue(pkt, p.eng.Now()) }
 
 // enqueue is Enqueue from an event filed at instant stamp under a packet-step
 // tag — Switch.forward at now-FwdDelay, the host egress step at now-Delay.
 func (p *Port) enqueue(pkt *Packet, stamp sim.Time) bool {
 	pkt.debugCheckLive("Port.Enqueue")
-	if !p.Q.Push(pkt) {
+	p.settle(stamp)
+	if !p.Q.admit(pkt) {
 		return false
 	}
-	if p.busy && !p.armed {
-		if p.done(stamp) {
-			p.book()
-		} else {
-			p.arm()
-		}
+	if p.timeAhead(pkt, p.eng.Now(), false) {
+		return true
 	}
+	p.takeBack()
+	p.Q.append(pkt)
 	p.kick()
 	return true
+}
+
+// sendAhead is enqueue for a packet that will reach this NIC at arr, an
+// egress delay from now: the same timing, with the queue's counters left for
+// settle to apply when it replays the arrival. That needs a queue that never
+// drops or marks, and — checked by Host.Send — arrivals in the order of the
+// calls. It reports whether the NIC took the packet; when it did not, the
+// ledger is taken back so that the caller's egress event cannot overtake a
+// packet sent ahead. Where the caller's event sorts within this nanosecond
+// is unknown, and the timing does not depend on it: the ledger is settled
+// as for a setter.
+func (p *Port) sendAhead(pkt *Packet, arr sim.Time) bool {
+	p.settle(unstamped)
+	if p.Q.Cap == 0 && p.Q.MarkK == 0 && p.timeAhead(pkt, arr, true) {
+		return true
+	}
+	p.takeBack()
+	return false
+}
+
+// timeAhead times the transmission of a packet that reaches the port at arr —
+// now and admitted, or, sent, an egress delay from now with the queue's
+// counters still to see it — and files the peer's event, when everything
+// ahead of the packet is in the ledger and handOff agrees. It reports whether
+// it did.
+func (p *Port) timeAhead(pkt *Packet, arr sim.Time, sent bool) bool {
+	if p.paused || p.busy && p.armed || !p.Q.Empty() {
+		return false
+	}
+	start := arr
+	if p.busy && p.tail > start {
+		start = p.tail
+	}
+	end := start + p.SerializationDelay(pkt.Size)
+	ev := p.handOff(pkt, start, end)
+	if ev == nil {
+		return false
+	}
+	p.tail = end
+	rec := txRec{start: start, end: end, arr: arrived, pkt: pkt, ev: ev, size: int32(pkt.Size), proto: pkt.Proto}
+	if sent {
+		rec.arr = arr
+		p.unarrived++
+	}
+	if p.busy {
+		p.pushRec(rec)
+		return true
+	}
+	p.busy = true
+	p.cur = rec
+	if !sent {
+		p.Q.bytes -= pkt.Size
+	}
+	return true
+}
+
+// pushRec appends a record to the ring, doubling it when full.
+func (p *Port) pushRec(rec txRec) {
+	if p.n == len(p.ring) {
+		grown := make([]txRec, max(8, 2*len(p.ring)))
+		for i := 0; i < p.n; i++ {
+			grown[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+		}
+		p.ring, p.head = grown, 0
+	}
+	p.ring[(p.head+p.n)&(len(p.ring)-1)] = rec
+	p.n++
+}
+
+// popRec removes the ring's oldest record, leaving its slot holding nothing.
+func (p *Port) popRec() txRec {
+	r := &p.ring[p.head]
+	rec := *r
+	*r = txRec{}
+	p.head = (p.head + 1) & (len(p.ring) - 1)
+	p.n--
+	return rec
 }
 
 // SetPaused pauses or resumes the transmitter (PFC). A packet already being
@@ -178,6 +324,9 @@ func (p *Port) enqueue(pkt *Packet, stamp sim.Time) bool {
 func (p *Port) SetPaused(v bool) {
 	if p.paused == v {
 		return
+	}
+	if v {
+		p.takeBack()
 	}
 	p.paused = v
 	if !v {
@@ -202,7 +351,10 @@ func (p *Port) pfcFrame(pause bool) func() {
 }
 
 // QueuedBytes returns the occupancy of the egress queue.
-func (p *Port) QueuedBytes() int { return p.Q.Bytes() }
+func (p *Port) QueuedBytes() int {
+	p.settle(p.eng.Now())
+	return p.Q.Bytes()
+}
 
 // TxBytes returns the wire bytes of proto this port has finished
 // transmitting. Like TxPackets it counts a transmission that ends on the
@@ -238,145 +390,223 @@ func (p *Port) SetLinkDropFn(fn func(pkt *Packet) bool) {
 	p.Link.DropFn = fn
 }
 
+// SetRate changes the line rate, with SetLinkDown's timing: the packet on
+// the wire keeps its end, everything behind it is serialized at bps.
+func (p *Port) SetRate(bps int64) {
+	p.takeBack()
+	p.RateBps = bps
+}
+
+// kick starts the real queue's head on an idle transmitter: as the first
+// record of a new ledger when nothing waits behind it, else as the port's
+// own, with a completion event to start the next.
 func (p *Port) kick() {
 	if p.busy || p.paused || p.Q.Empty() {
 		return
 	}
 	pkt := p.Q.Pop()
 	now := p.eng.Now()
-	p.busy = true
-	p.txPkt = pkt
-	p.txStart, p.txEnd = now, now+p.SerializationDelay(pkt.Size)
-	p.txProto, p.txSize = pkt.Proto, int32(pkt.Size)
-	if !p.handOff(pkt) {
+	end := now + p.SerializationDelay(pkt.Size)
+	p.busy, p.tail = true, end
+	p.cur = txRec{start: now, end: end, arr: arrived, pkt: pkt, size: int32(pkt.Size), proto: pkt.Proto}
+	if p.Q.Empty() {
+		p.cur.ev = p.handOff(pkt, now, end)
+	}
+	if p.cur.ev == nil {
 		p.arm()
 	}
 }
 
-// arm schedules the current transmission's completion event, under the key
-// it has always had: due at the end, filed at the start, the port's tag.
+// arm schedules cur's completion event, under the key it has always had: due
+// at the end, filed at the start, the port's tag.
 func (p *Port) arm() {
 	p.armed = true
-	p.eng.AtTagged(p.txEnd, p.txStart, p.tag, p.txDone)
+	p.eng.AtTagged(p.cur.end, p.cur.start, p.tag, p.txDone)
 }
 
-// handOff gives the packet whose transmission just started to the peer ahead
-// of time, when nothing needs to witness the transmission's end: no packet
-// waits behind it, no onSent hook, the link is up and not gray, and the
-// peer's side of the arrival is commutative counters plus one event that can
-// be filed now under the key it would get at the end — a keyed Switch or
-// Host (its pipeline event is later than the arrival and carries a real tag,
-// so its place in the schedule does not depend on when it was inserted) on
-// this engine, with no PFC accounting to do at the arrival instant. A
-// transmission of zero duration keeps its event: it starts and ends on one
-// nanosecond, where done's rule (a strictly earlier start) has nothing to
-// compare. It reports whether it did.
-func (p *Port) handOff(pkt *Packet) bool {
+// handOff gives a packet whose transmission has been timed to the peer ahead
+// of time, when nothing needs to witness the transmission's end: no onSent
+// hook, the link is up and not gray, and the peer's side of the arrival is
+// commutative counters plus one event that can be filed now under the key it
+// would get at the end — a keyed Switch or Host (its pipeline event is later
+// than the arrival and carries a real tag, so its place in the schedule does
+// not depend on when it was inserted) on this engine, with no PFC accounting
+// to do at the arrival instant. A transmission of zero duration keeps its
+// event: it starts and ends on one nanosecond, where done's rule (a strictly
+// earlier start) has nothing to compare. It returns the peer's event, or nil.
+func (p *Port) handOff(pkt *Packet, start, end sim.Time) *sim.Event {
 	l := &p.Link
-	if !p.keyed || !p.Q.Empty() || p.onSent != nil || l.Down || l.DropFn != nil || p.txEnd == p.txStart {
-		return false
+	if !p.keyed || p.onSent != nil || l.Down || l.DropFn != nil || end == start {
+		return nil
 	}
 	switch d := l.To.(type) {
 	case *Switch:
 		if d.eng != p.eng || d.cfg.PFC != nil || !d.keyed {
-			return false
+			return nil
 		}
 		if l.Delay == 0 {
-			p.txEv = d.receiveAt(pkt, l.ToPort, p.txEnd)
-			return true
+			return d.receiveAt(pkt, l.ToPort, end)
 		}
 	case *Host:
 		if d.eng != p.eng || !d.keyed {
-			return false
+			return nil
 		}
 		if l.Delay == 0 {
-			p.txEv = d.receiveAt(pkt, p.txEnd)
-			return true
+			return d.receiveAt(pkt, end)
 		}
 	default:
-		return false
+		return nil
 	}
-	p.txEv = pkt.scheduleStepAt(p.eng, p.txEnd+l.Delay, p.txEnd, stepReceive, l.To, l.ToPort)
-	return true
+	return pkt.scheduleStepAt(p.eng, end+l.Delay, end, stepReceive, l.To, l.ToPort)
 }
 
-// done reports whether an unarmed hand-off's completion would already have
-// run, seen from an event filed at instant stamp under a packet-step tag:
-// past its end, or on its end with the completion's key (end, start, tx tag)
-// sorting first — tx tags sort after every packet-step tag, so only a
-// strictly earlier start does.
+// done reports whether the completion of the ledger's record on the wire
+// would already have run, seen from an event filed at instant stamp under a
+// packet-step tag: past its end, or on its end with the completion's key
+// (end, start, tx tag) sorting first — tx tags sort after every packet-step
+// tag, so only a strictly earlier start does.
 func (p *Port) done(stamp sim.Time) bool {
 	now := p.eng.Now()
-	return p.txEnd < now || p.txEnd == now && p.txStart < stamp
+	return p.cur.end < now || p.cur.end == now && p.cur.start < stamp
 }
 
-// settle books a hand-off that done says is over.
+// settle brings the ledger up to the caller's place in the schedule: it
+// books every record whose completion done says is over, each booking putting
+// the next record on the wire.
 func (p *Port) settle(stamp sim.Time) {
-	if p.busy && !p.armed && p.done(stamp) {
+	if !p.busy || p.armed {
+		return
+	}
+	if p.unarrived > 0 {
+		p.replay(stamp)
+		return
+	}
+	for p.busy && p.done(stamp) {
 		p.book()
 	}
 }
 
-// book records the end of the current transmission: the transmitter is free
-// and the counters include the packet.
+// replay is settle on a NIC with records sent ahead: their arrivals are
+// replayed too, merged with the completions in the order of the events they
+// stand for. An arrival — key (arr, arr-Delay, egress tag), which sorts
+// before every tx tag — precedes cur's completion when cur itself is what
+// arrives, or by that key; it counts the packet into the queue, and straight
+// out again when it is cur and so finds the transmitter idle.
+func (p *Port) replay(stamp sim.Time) {
+	now, delay := p.eng.Now(), p.host.Delay
+	for p.busy {
+		c := &p.cur
+		if p.unarrived > 0 {
+			a := c
+			if i := p.n - p.unarrived; i >= 0 {
+				a = &p.ring[(p.head+i)&(len(p.ring)-1)]
+			}
+			if a == c || a.arr < c.end || a.arr == c.end && a.arr-delay <= c.start {
+				if a.arr > now || a.arr == now && a.arr-delay >= stamp {
+					return
+				}
+				p.Q.arrive(int(a.size))
+				if a == c {
+					p.Q.bytes -= int(a.size)
+				}
+				a.arr = arrived
+				p.unarrived--
+				continue
+			}
+		}
+		if !p.done(stamp) {
+			return
+		}
+		p.book()
+	}
+}
+
+// book records the end of the transmission on the wire — the counters
+// include the packet — and puts the ledger's next record there, taking a
+// packet that has arrived out of the queue's bytes; with none the
+// transmitter is free.
 func (p *Port) book() {
 	p.debugCheckBook()
-	p.busy, p.armed = false, false
-	p.txPkt, p.txEv = nil, nil
-	p.lastTxEnd = p.txEnd
-	p.txBytes[p.txProto] += int64(p.txSize)
+	c := &p.cur
+	p.armed = false
+	p.lastTxEnd = c.end
+	p.txBytes[c.proto] += int64(c.size)
 	p.txPackets++
+	if p.n == 0 {
+		p.busy = false
+		c.pkt, c.ev = nil, nil
+		return
+	}
+	*c = p.popRec()
+	if c.arr == arrived {
+		p.Q.bytes -= int(c.size)
+	}
 }
 
-// takeBack makes the port own its current transmission again ahead of a link
-// change: a hand-off already over is booked under the old state; one still
-// on the wire is recalled so that finishTx decides its fate at the end.
+// takeBack makes the port own what it has yet to transmit again, ahead of a
+// change to when or whether it transmits: records already over are booked
+// under the old state; the record on the wire is recalled so that finishTx
+// decides its fate at the end; waiting packets go to the real queue and
+// packets sent ahead back behind the host's egress delay, all in order.
 func (p *Port) takeBack() {
-	if p.txEv == nil {
+	if !p.busy || p.armed {
 		return
 	}
-	if p.txEnd < p.eng.Now() {
-		p.book()
+	p.settle(unstamped)
+	if !p.busy {
 		return
 	}
-	p.recall()
+	c := &p.cur
+	p.recall(c)
+	if c.arr == arrived {
+		p.arm()
+	} else {
+		p.busy = false
+		p.unsend(c)
+	}
+	for p.n > 0 {
+		r := p.popRec()
+		p.recall(&r)
+		if r.arr == arrived {
+			p.Q.append(r.pkt)
+		} else {
+			p.unsend(&r)
+		}
+	}
 }
 
-// recall undoes a hand-off whose peer event has not fired: the event is
-// cancelled, the peer's arrival counters are taken back, and the completion
-// event is armed (if no waiter armed it already) to run finishTx in full.
-func (p *Port) recall() {
-	p.debugCheckRecall()
-	pkt := p.txPkt
-	p.eng.Cancel(p.txEv)
-	p.txEv = nil
+// recall undoes a record's hand-off, whose peer event has not fired: the
+// event is cancelled and the peer's arrival counters are taken back.
+func (p *Port) recall(r *txRec) {
+	p.debugCheckRecall(r)
+	p.eng.Cancel(r.ev)
+	r.ev = nil
 	if p.Link.Delay == 0 {
 		switch d := p.Link.To.(type) {
 		case *Switch:
-			d.unreceive(pkt)
+			d.unreceive(r.pkt)
 		case *Host:
-			d.unreceive(pkt)
+			d.unreceive(r.pkt)
 		}
-	}
-	if !p.armed {
-		p.arm()
 	}
 }
 
-// finishTx completes the current packet's serialization: counters, and —
-// unless the packet went to the peer when the transmission started — the
-// onSent hook (PFC/shared-buffer release), then the link outcome: loss on a
-// down or gray link (recycling the packet) or handoff to the peer device.
-// Statement order matters: events scheduled here (PFC control frames,
-// propagation) must be created in exactly the order the pre-pooling closure
-// produced, so runs stay bit-identical.
+// unsend gives a recalled sent-ahead packet back to the host.
+func (p *Port) unsend(r *txRec) {
+	p.unarrived--
+	p.host.resend(r.pkt, r.arr)
+	r.pkt = nil
+}
+
+// finishTx completes the port's own transmission: counters, the onSent hook
+// (PFC/shared-buffer release), then the link outcome: loss on a down or gray
+// link (recycling the packet) or handoff to the peer device. Statement order
+// matters: events scheduled here (PFC control frames, propagation) must be
+// created in exactly the order the pre-pooling closure produced, so runs
+// stay bit-identical.
 func (p *Port) finishTx() {
-	pkt, handed := p.txPkt, p.txEv != nil
+	pkt := p.cur.pkt
 	p.book()
-	if handed {
-		p.kick()
-		return
-	}
 	if p.onSent != nil {
 		p.onSent(pkt)
 	}

@@ -25,24 +25,43 @@ type Queue struct {
 // Push appends pkt, marking its CE bit if the queue exceeds MarkK. It
 // returns false (and counts a drop) if the packet does not fit.
 func (q *Queue) Push(pkt *Packet) bool {
+	if !q.admit(pkt) {
+		return false
+	}
+	q.append(pkt)
+	return true
+}
+
+// admit is Push without the FIFO slot: the drop decision, the mark and the
+// counters. A port that times the packet's transmission on arrival keeps it
+// in its ledger instead, and takes the bytes out again when it starts.
+func (q *Queue) admit(pkt *Packet) bool {
 	if q.Cap > 0 && q.bytes+pkt.Size > q.Cap {
 		q.Dropped++
 		return false
 	}
-	q.bytes += pkt.Size
-	if q.bytes > q.MaxBytes {
-		q.MaxBytes = q.bytes
-	}
-	if q.MarkK > 0 && pkt.ECT && q.bytes > q.MarkK {
+	if q.MarkK > 0 && pkt.ECT && q.bytes+pkt.Size > q.MarkK {
 		if !pkt.CE {
 			q.Marked++
 		}
 		pkt.CE = true
 	}
-	q.buf = append(q.buf, pkt)
-	q.Enqueued++
+	q.arrive(pkt.Size)
 	return true
 }
+
+// arrive counts size admitted bytes: all of admit on a queue that neither
+// drops nor marks, where the packet itself need not be at hand.
+func (q *Queue) arrive(size int) {
+	q.bytes += size
+	if q.bytes > q.MaxBytes {
+		q.MaxBytes = q.bytes
+	}
+	q.Enqueued++
+}
+
+// append gives an admitted packet its FIFO slot.
+func (q *Queue) append(pkt *Packet) { q.buf = append(q.buf, pkt) }
 
 // Pop removes and returns the oldest packet, or nil when empty.
 func (q *Queue) Pop() *Packet {
@@ -66,7 +85,9 @@ func (q *Queue) Pop() *Packet {
 }
 
 // Presize reserves capacity for n queued packets so early enqueues do not
-// repeatedly grow the backing array. It applies only to an empty queue.
+// repeatedly grow the backing array. It applies only to an empty queue, and
+// pays only where packets wait in the FIFO itself: a port that keeps a
+// ledger (see Port) seldom puts one there.
 func (q *Queue) Presize(n int) {
 	if q.Len() == 0 && cap(q.buf) < n {
 		q.buf = make([]*Packet, 0, n)

@@ -119,8 +119,8 @@ func applyCross(msgs []CrossMsg, windowEnd sim.Time) {
 
 // receiveAt is Receive for an arrival at instant `at` that is not now: a
 // packet that crossed a shard boundary (at is past, applied at the merge
-// barrier) or one its upstream port handed off when serialization began (at
-// is still to come, see Port.handOff). The arrival's immediate effects are
+// barrier) or one its upstream port handed off when it timed the
+// transmission (at is still to come, see Port.handOff). The arrival's immediate effects are
 // commutative counters, applied here instead of at the arrival instant, and
 // the forwarding pipeline is scheduled at the absolute arrival time plus the
 // forwarding delay — which the bounded-lag window guarantees has not yet

@@ -23,8 +23,9 @@ type Selector interface {
 // cache keyed by the exact (HashPrefix, Dst, PathTag) triple, so
 // steady-state packets of a flow skip hashing entirely. SetSelector and
 // SetRoutes invalidate the cache by bumping its generation, which is
-// sufficient: fault injection mutates links and rates in place but the
-// forwarding table and selector only ever change through those two setters.
+// sufficient: fault injection changes links and rates (through the Port's
+// setters) but the forwarding table and selector only ever change through
+// those two.
 type CacheableSelector interface {
 	Selector
 	// Cacheable reports whether Select's choices may be memoized.
@@ -139,9 +140,11 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 		pausedUp:     make([]bool, nPorts),
 	}
 	s.keyed = cfg.FwdDelay > 0 && orderTag(tagKindTx, id, nPorts-1) != sim.TagNone
-	// Pre-size the egress queues so steady-state enqueues rarely grow the
-	// backing array: capacity for a queue full of MSS-sized packets (ACK
-	// bursts can still exceed this and fall back to amortized append).
+	// Pre-size the egress queues where packets wait in them (a hook or an
+	// unkeyed switch rules the ports' ledgers out) so steady-state enqueues
+	// rarely grow the backing array: capacity for a queue full of MSS-sized
+	// packets (ACK bursts can still exceed this and fall back to amortized
+	// append).
 	slots := 256
 	if cfg.PFC == nil && cfg.QueueCap > 0 {
 		if slots = cfg.QueueCap/1500 + 16; slots > 4096 {
@@ -156,9 +159,11 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 		if cfg.PFC == nil {
 			p.Q.Cap = cfg.QueueCap
 		}
-		p.Q.Presize(slots)
 		if cfg.PFC != nil || cfg.SharedBuffer > 0 {
 			p.onSent = s.onPortSent
+		}
+		if p.onSent != nil || !s.keyed {
+			p.Q.Presize(slots)
 		}
 		s.Ports[i] = p
 	}
@@ -233,8 +238,15 @@ func (s *Switch) SetRoutes(routes [][]int32) {
 func (s *Switch) Routes() [][]int32 { return s.table }
 
 // QueueBytes returns the egress occupancy of the given port, used by
-// adaptive selectors such as DeTail.
-func (s *Switch) QueueBytes(port int32) int { return s.Ports[port].Q.Bytes() }
+// adaptive selectors such as DeTail from inside Select. A packet whose
+// transmission starts on the very nanosecond of the call has left the queue
+// exactly when the completion before it sorts before the forwarding event
+// the selector is running in.
+func (s *Switch) QueueBytes(port int32) int {
+	p := s.Ports[port]
+	p.settle(s.eng.Now() - s.cfg.FwdDelay)
+	return p.Q.Bytes()
+}
 
 // LastTxEnd returns the engine time the given egress port last finished
 // serializing a packet, or -1 before any transmission. Flowlet-style
@@ -242,7 +254,7 @@ func (s *Switch) QueueBytes(port int32) int { return s.Ports[port].Q.Bytes() }
 // an egress has been idle — an idle port has drained whatever queue the
 // estimate saw. A transmission that ends on the very nanosecond of the call
 // counts exactly when its completion sorts before the forwarding event the
-// selector is running in.
+// selector is running in, as for QueueBytes.
 func (s *Switch) LastTxEnd(port int32) sim.Time {
 	p := s.Ports[port]
 	p.settle(s.eng.Now() - s.cfg.FwdDelay)

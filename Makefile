@@ -21,12 +21,14 @@ test-short:
 
 # Race-detector pass over the parallel experiment runner and everything else,
 # plus the sharded-engine bit-identity proofs (serial vs sharded at several
-# shard counts, randomized-topology model check, runpool token sharing).
+# shard counts, randomized-topology model check, runpool token sharing) and
+# the arena-history test (points on fabrics other points left, four workers).
 # ci/gotest-run.sh fails a name selection that matches no test.
 test-race:
 	$(GO) test -race -short ./...
 	./ci/gotest-run.sh 'TestParallelDeterminism' -race ./internal/experiments/
 	./ci/gotest-run.sh 'TestShard|TestByteIdentitySharded' -race ./internal/experiments/
+	./ci/gotest-run.sh 'TestWarmPacketPointMatchesCold' -race ./internal/experiments/
 
 # The simulator suites again with use-after-free tripwires armed: recycled
 # events/packets are poisoned and any stale access panics with generation

@@ -190,7 +190,7 @@ func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	b := o.newBed(pt.scheme)
 	defer b.release()
 	p := o.params()
-	ft := b.set.fatTree(b.eng, p)
+	ft := b.ar.fatTree(b.set, b.eng, p)
 
 	if _, err := faults.Apply(b.eng, b.rng.Fork("faults"), faults.FatTreeFabric{FT: ft},
 		pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {

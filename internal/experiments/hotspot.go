@@ -68,7 +68,7 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	defer b.release()
 	eng := b.eng
 	lp := topo.SmallTestbed()
-	ls := b.set.leafSpine(eng, lp)
+	ls := b.ar.leafSpine(b.set, eng, lp)
 	out := hotspotOut{paths: lp.Spines}
 
 	srcIdx := ls.TorHosts(0)

@@ -82,7 +82,7 @@ func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
 	b := o.newBed(scheme)
 	defer b.release()
 	p := o.params()
-	ft := b.set.fatTree(b.eng, p)
+	ft := b.ar.fatTree(b.set, b.eng, p)
 
 	// One flow per pod-0 host, each to the corresponding pod-1 host, so the
 	// up-paths carry several flows and at least some hash across the link

@@ -98,7 +98,7 @@ func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int
 	b := o.newBed(scheme)
 	defer b.release()
 	p := o.params()
-	ft := b.set.fatTree(b.eng, p)
+	ft := b.ar.fatTree(b.set, b.eng, p)
 
 	gen := &workload.PartitionAggregate{
 		Eng:      b.eng,

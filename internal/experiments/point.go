@@ -258,7 +258,7 @@ func (o Options) runPoint(pt point) pointResult {
 			fs.Arrive(id, s.SrcIdx, s.DstIdx, s.Size, int32(s.Kind))
 		})
 	case n == 1:
-		ft := set.fatTree(engines[0], p)
+		ft := ar.fatTree(set, engines[0], p)
 		inject(func(id netsim.FlowID, s workload.FlowSpec) {
 			track(0, s.Kind, tcp.StartFlow(engines[0], set.cfg, id, ft.Hosts[s.SrcIdx], ft.Hosts[s.DstIdx], s.Size))
 		})

@@ -210,22 +210,6 @@ func fluidConfig(p topo.Params, scheme Scheme, fb core.Config, raw bool, rng *si
 	return cfg
 }
 
-// fatTree builds the fabric the setup describes on one engine.
-func (set schemeSetup) fatTree(eng *sim.Engine, p topo.Params) *topo.FatTree {
-	p.PFC = set.pfc
-	ft := topo.NewFatTree(eng, p)
-	ft.SetSelector(set.sel)
-	return ft
-}
-
-// leafSpine is fatTree for the testbed-style fabrics.
-func (set schemeSetup) leafSpine(eng *sim.Engine, lp topo.LeafSpineParams) *topo.LeafSpine {
-	lp.PFC = set.pfc
-	ls := topo.NewLeafSpine(eng, lp)
-	ls.SetSelector(set.sel)
-	return ls
-}
-
 // shardable reports whether an all-to-all point of this scheme may split
 // across conservatively synchronized engine shards and stay bit-identical
 // to the serial run. ECMP, Flowlet, and FlowDyn qualify: their selectors

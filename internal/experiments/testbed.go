@@ -82,7 +82,7 @@ func Testbed(o Options) *TestbedResult {
 func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
 	b := o.newBed(scheme)
 	defer b.release()
-	ls := b.set.leafSpine(b.eng, lp)
+	ls := b.ar.leafSpine(b.set, b.eng, lp)
 
 	// Load is relative to the source ToR's bisection slice: its uplinks.
 	bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)

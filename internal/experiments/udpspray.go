@@ -60,11 +60,10 @@ func UDPSpray(o Options) *UDPSprayResult {
 }
 
 func (o Options) runUDPSpray(burst int64) (maxShare, oooFrac float64) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(o.Seed)
-	lp := topo.SmallTestbed()
-	ls := topo.NewLeafSpine(eng, lp)
-	ls.SetSelector(routing.ECMP{})
+	b := o.newBedWith(schemeSetup{sel: routing.ECMP{}})
+	defer b.release()
+	eng, rng := b.eng, b.rng
+	ls := b.ar.leafSpine(b.set, eng, topo.SmallTestbed())
 
 	src := ls.Hosts[ls.TorHosts(0)[0]]
 	dst := ls.Hosts[ls.TorHosts(1)[0]]

@@ -78,15 +78,6 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 	if o.Scale == ScalePaper {
 		lp = topo.TestbedScale()
 	}
-	ls := topo.NewLeafSpine(b.eng, lp)
-
-	// Make spine path 0 half-rate in both directions between ToR 0 and 1
-	// (an incremental-deployment asymmetry).
-	for _, t := range []int{0, 1} {
-		ls.UpLinks[t][0].AtoB.RateBps = lp.LinkRateBps / 2
-		ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
-	}
-
 	if v.Weights != nil {
 		w := make(map[int32]int, len(v.Weights))
 		for k, wt := range v.Weights {
@@ -94,7 +85,14 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 		}
 		b.set.sel = &routing.WCMP{Weights: w}
 	}
-	ls.SetSelector(b.set.sel)
+	ls := b.ar.leafSpine(b.set, b.eng, lp)
+
+	// Make spine path 0 half-rate in both directions between ToR 0 and 1
+	// (an incremental-deployment asymmetry).
+	for _, t := range []int{0, 1} {
+		ls.UpLinks[t][0].AtoB.RateBps = lp.LinkRateBps / 2
+		ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
+	}
 
 	if v.FlowBender {
 		b.set.cfg.FlowBender = &core.Config{

@@ -97,7 +97,7 @@ func debugCheckCross(msgs []CrossMsg, i int, windowEnd sim.Time) {
 // been missed. Only the simdebug build has it: tests use it to prove the
 // cross-check above actually fires. Panics if the switch has no memo cache.
 func (s *Switch) DebugPokeSelectCache(pkt *Packet, port int32) {
-	if s.selCache == nil {
+	if !s.selCached {
 		panic("netsim: DebugPokeSelectCache on a switch without a selector memo cache")
 	}
 	sl := &s.selCache[selCacheIndex(pkt.HashPrefix, pkt.Dst, pkt.PathTag)]

@@ -9,7 +9,7 @@ package netsim
 // sized by the *peak live* handler count — it cannot grow without bound the
 // way an insert-only structure (or a tombstone-accumulating one) would.
 type handlerTable struct {
-	slots []handlerSlot // power-of-two length, nil until the first put
+	slots []handlerSlot // power-of-two length, empty until the first put
 	mask  uint64
 	n     int
 }
@@ -50,8 +50,8 @@ func (t *handlerTable) get(f FlowID) Handler {
 // put inserts (f, hd); it reports false when f is already present. hd must
 // be non-nil (nil marks emptiness).
 func (t *handlerTable) put(f FlowID, hd Handler) bool {
-	if t.slots == nil {
-		t.grow(handlerTableMinSlots)
+	if len(t.slots) == 0 {
+		t.grow(max(handlerTableMinSlots, cap(t.slots)))
 	} else if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow(2 * len(t.slots))
 	}
@@ -104,10 +104,22 @@ func (t *handlerTable) del(f FlowID) {
 	t.n--
 }
 
-// grow rehashes into a table of newSize slots (a power of two).
+// clear empties the table and keeps its array, behind an empty slice, for the
+// next put to take back.
+func (t *handlerTable) clear() {
+	clear(t.slots)
+	*t = handlerTable{slots: t.slots[:0]}
+}
+
+// grow rehashes into a table of newSize slots (a power of two). A cleared
+// table's first put asks for the size of the array it kept.
 func (t *handlerTable) grow(newSize int) {
 	old := t.slots
-	t.slots = make([]handlerSlot, newSize)
+	if len(old) == 0 && cap(old) == newSize {
+		t.slots = old[:newSize]
+	} else {
+		t.slots = make([]handlerSlot, newSize)
+	}
 	t.mask = uint64(newSize - 1)
 	for _, sl := range old {
 		if sl.hd == nil {

@@ -70,6 +70,12 @@ type hoScenario struct {
 	chunks       []sim.Time // Run boundaries, ascending
 }
 
+// sentFunc hooks a function to a port's completions, which forces the port
+// onto completion events as a PFC switch's hook does.
+type sentFunc func(pkt *Packet)
+
+func (f sentFunc) onPortSent(pkt *Packet) { f(pkt) }
+
 func hoPick[T any](rng *sim.RNG, vs ...T) T { return vs[rng.Intn(len(vs))] }
 
 func newHoScenario(rng *sim.RNG) *hoScenario {
@@ -334,12 +340,12 @@ func (sc *hoScenario) build(oracle bool) *hoFabric {
 	if oracle {
 		for i, p := range f.ports {
 			hook := p.onSent
-			p.onSent = func(pkt *Packet) {
+			p.onSent = sentFunc(func(pkt *Packet) {
 				f.txs = append(f.txs, hoTx{port: i, start: p.cur.start, end: eng.Now()})
 				if hook != nil {
-					hook(pkt)
+					hook.onPortSent(pkt)
 				}
-			}
+			})
 		}
 	}
 
@@ -634,7 +640,7 @@ func TestUncontendedPathEvents(t *testing.T) {
 				if completions {
 					for _, p := range ports {
 						if p.onSent == nil {
-							p.onSent = func(*Packet) {}
+							p.onSent = sentFunc(func(*Packet) {})
 						}
 					}
 				}
@@ -694,7 +700,7 @@ func TestLedgerTakeBack(t *testing.T) {
 				src, dst, ports := hoChain(eng, SwitchConfig{QueueCap: 200000, FwdDelay: sim.Microsecond}, 2)
 				if completions {
 					for _, p := range ports {
-						p.onSent = func(*Packet) {}
+						p.onSent = sentFunc(func(*Packet) {})
 					}
 				}
 				var at []sim.Time

@@ -29,7 +29,8 @@ type Host struct {
 	keyed bool
 	// NIC is the host's egress port.
 	NIC *Port
-	// Delay is the per-direction host processing delay; fixed at NewHost.
+	// Delay is the per-direction host processing delay; fixed at NewHost
+	// (and Reset).
 	Delay sim.Time
 
 	handlers handlerTable
@@ -50,17 +51,25 @@ type Host struct {
 // unbounded: the sending transport's window, not the local NIC, is the
 // modeled bottleneck.
 func NewHost(eng *sim.Engine, id NodeID, rateBps int64, delay sim.Time) *Host {
-	h := &Host{
-		eng:   eng,
-		id:    id,
-		NIC:   NewPort(eng, rateBps),
-		Delay: delay,
-	}
-	h.NIC.host = h
-	h.NIC.tag = orderTag(tagKindTx, id, 0)
-	h.keyed = delay > 0 && h.NIC.tag != sim.TagNone
-	h.NIC.keyed = h.keyed
+	h := &Host{eng: eng, id: id}
+	h.NIC = newPort(eng, orderTag(tagKindTx, id, 0), h)
+	h.Reset(rateBps, delay)
 	return h
+}
+
+// Reset is the rest of NewHost, and Switch.Reset for a host: the NIC at
+// rateBps with nothing queued or timed ahead, no handler registered (the
+// table keeps its array), counters zero, nothing crossing the egress delay.
+// Engine, ID, NIC, its wiring and the pool are kept.
+func (h *Host) Reset(rateBps int64, delay sim.Time) {
+	h.handlers.clear()
+	*h = Host{
+		eng: h.eng, id: h.id, NIC: h.NIC, pool: h.pool, handlers: h.handlers,
+
+		Delay: delay,
+		keyed: delay > 0 && h.NIC.tag != sim.TagNone,
+	}
+	h.NIC.init(rateBps, h.keyed, 0, 0, nil)
 }
 
 // ID returns the host's node identifier.

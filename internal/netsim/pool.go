@@ -39,6 +39,13 @@ func NewPacketPool() *PacketPool {
 	return &PacketPool{free: make([]*Packet, 0, 1024)}
 }
 
+// Reset zeroes the counters and keeps the free list: the pool of a fabric
+// that is about to run again (see Switch.Reset). Packets the previous run
+// still had checked out are not coming back; they are the collector's.
+func (pl *PacketPool) Reset() {
+	*pl = PacketPool{free: pl.free}
+}
+
 // Get returns a zeroed packet. A nil pool is valid and degrades to plain
 // heap allocation with no recycling.
 func (pl *PacketPool) Get() *Packet {

@@ -160,9 +160,9 @@ type Port struct {
 	host *Host
 
 	Link Link
-	// onSent, if set, runs when a packet's serialization completes (used by
-	// PFC switches to release ingress accounting).
-	onSent func(pkt *Packet)
+	// onSent, if set, is told when a packet's serialization completes (a PFC
+	// or shared-buffer switch releases its accounting there).
+	onSent sentHook
 
 	Q Queue
 
@@ -173,6 +173,12 @@ type Port struct {
 	// pauseFn/resumeFn are the PFC control-frame callbacks, built the first
 	// time a frame has a propagation delay to cross (see pfcFrame).
 	pauseFn, resumeFn func()
+}
+
+// sentHook is who a port tells that it finished serializing a packet: its
+// switch, or a test's function.
+type sentHook interface {
+	onPortSent(pkt *Packet)
 }
 
 // txRec is one transmission: the armed one, or a record of the ledger.
@@ -200,11 +206,45 @@ const arrived sim.Time = -1
 // comparison read "at zero").
 const unstamped sim.Time = 1
 
-// NewPort returns a port transmitting at rateBps driven by eng.
+// NewPort returns a bare port transmitting at rateBps driven by eng: no
+// owner, plain insertion order, an unbounded queue that does not mark.
 func NewPort(eng *sim.Engine, rateBps int64) *Port {
-	p := &Port{eng: eng, RateBps: rateBps, tag: sim.TagNone, lastTxEnd: -1}
+	p := newPort(eng, sim.TagNone, nil)
+	p.init(rateBps, false, 0, 0, nil)
+	return p
+}
+
+// newPort allocates a port and gives it what never changes afterwards: its
+// engine, its ordering tag and, for a NIC, its host. The owner wires the
+// link; everything else is init's.
+func newPort(eng *sim.Engine, tag uint16, host *Host) *Port {
+	p := &Port{eng: eng, tag: tag, host: host}
 	p.txDone = p.finishTx
 	return p
+}
+
+// init is both the rest of the port's construction and its reset (see
+// Switch.Reset): the whole value is assigned, so a field init does not name —
+// a counter, a flag, the ledger, one added later — is zero afterwards whether
+// the port is new or has carried traffic. Kept are the identity newPort gave,
+// the pool, the link's wiring (its failure state and counters go) and the two
+// arrays, emptied: the ledger's ring and the queue's FIFO. The owner decides
+// the rest: the rate, whether arrivals are keyed, the queue's capacity and
+// marking threshold, and the completion hook.
+func (p *Port) init(rateBps int64, keyed bool, queueCap, markK int, onSent sentHook) {
+	clear(p.ring)
+	clear(p.Q.buf)
+	*p = Port{
+		eng: p.eng, tag: p.tag, host: p.host, txDone: p.txDone, pool: p.pool,
+		Link: Link{To: p.Link.To, ToPort: p.Link.ToPort, Delay: p.Link.Delay},
+		ring: p.ring[:0],
+		Q:    Queue{Cap: queueCap, MarkK: markK, buf: p.Q.buf[:0]},
+
+		RateBps:   rateBps,
+		keyed:     keyed,
+		onSent:    onSent,
+		lastTxEnd: -1,
+	}
 }
 
 // SerializationDelay returns the time to put size bytes on the wire.
@@ -296,14 +336,21 @@ func (p *Port) timeAhead(pkt *Packet, arr sim.Time, sent bool) bool {
 	return true
 }
 
-// pushRec appends a record to the ring, doubling it when full.
+// pushRec appends a record to the ring, which doubles when full. A port that
+// was reset keeps its ring's array behind an empty slice; the first follower
+// takes it back whole.
 func (p *Port) pushRec(rec txRec) {
 	if p.n == len(p.ring) {
-		grown := make([]txRec, max(8, 2*len(p.ring)))
-		for i := 0; i < p.n; i++ {
-			grown[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+		if p.n == 0 && cap(p.ring) > 0 {
+			p.ring = p.ring[:cap(p.ring)]
+		} else {
+			grown := make([]txRec, max(8, 2*len(p.ring)))
+			for i := 0; i < p.n; i++ {
+				grown[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+			}
+			p.ring = grown
 		}
-		p.ring, p.head = grown, 0
+		p.head = 0
 	}
 	p.ring[(p.head+p.n)&(len(p.ring)-1)] = rec
 	p.n++
@@ -608,7 +655,7 @@ func (p *Port) finishTx() {
 	pkt := p.cur.pkt
 	p.book()
 	if p.onSent != nil {
-		p.onSent(pkt)
+		p.onSent.onPortSent(pkt)
 	}
 	if p.Link.Down || p.Link.To == nil {
 		p.Link.DroppedDown++

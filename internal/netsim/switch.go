@@ -101,16 +101,19 @@ type Switch struct {
 	sel   Selector
 	pool  *PacketPool
 
-	// Selector memo cache (nil unless the installed selector is cacheable).
-	// A slot is valid only while its gen equals selGen; SetSelector and
-	// SetRoutes bump selGen, invalidating every slot in O(1).
-	selCache []selSlot
-	selGen   uint32
+	// Selector memo cache: consulted while selCached (the installed selector
+	// is cacheable), allocated by the first such selector and kept from then
+	// on, whatever is installed next. A slot is valid only while its gen
+	// equals selGen; SetSelector, SetRoutes and Reset bump selGen,
+	// invalidating every slot in O(1).
+	selCache  []selSlot
+	selCached bool
+	selGen    uint32
 
 	// selScratch is opaque per-switch storage for stateful selectors (the
 	// flowlet table of routing.Flowlet/FlowDyn). It is owned by whichever
-	// selector is installed and cleared by SetSelector, so a replacement
-	// selector never observes a predecessor's state.
+	// selector is installed and cleared by SetSelector (and by Reset), so a
+	// replacement selector never observes a predecessor's state.
 	selScratch any
 
 	// PFC ingress accounting.
@@ -133,41 +136,61 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 	s := &Switch{
 		eng:          eng,
 		id:           id,
-		cfg:          cfg,
 		Ports:        make([]*Port, nPorts),
 		upstream:     make([]*Port, nPorts),
 		ingressBytes: make([]int, nPorts),
 		pausedUp:     make([]bool, nPorts),
 	}
-	s.keyed = cfg.FwdDelay > 0 && orderTag(tagKindTx, id, nPorts-1) != sim.TagNone
+	for i := range s.Ports {
+		s.Ports[i] = newPort(eng, orderTag(tagKindTx, id, i), nil)
+	}
+	s.Reset(rateBps, cfg)
+	return s
+}
+
+// Reset is the rest of NewSwitch, and puts a switch that has carried traffic
+// back into the state NewSwitch leaves: every port at rateBps with cfg's
+// queue bounds and an empty queue and ledger, links up, counters and buffer
+// accounting zero, no selector (its memo invalidated, its scratch dropped).
+// It assigns the whole value, as Port.init does, so nothing has to be
+// remembered here when a field is added. What it keeps is what the fabric's
+// builder gave once: engine, ID, ports and their wiring, the forwarding
+// table, the pool, and the arrays. Events of the previous run that still
+// name the switch or its packets must be gone from the engine (Engine.Reset).
+func (s *Switch) Reset(rateBps int64, cfg SwitchConfig) {
+	clear(s.ingressBytes)
+	clear(s.pausedUp)
+	*s = Switch{
+		eng: s.eng, id: s.id, Ports: s.Ports, upstream: s.upstream, table: s.table, pool: s.pool,
+		ingressBytes: s.ingressBytes, pausedUp: s.pausedUp,
+		selCache: s.selCache, selGen: s.selGen + 1,
+
+		cfg:   cfg,
+		keyed: cfg.FwdDelay > 0 && orderTag(tagKindTx, s.id, len(s.Ports)-1) != sim.TagNone,
+	}
 	// Pre-size the egress queues where packets wait in them (a hook or an
 	// unkeyed switch rules the ports' ledgers out) so steady-state enqueues
 	// rarely grow the backing array: capacity for a queue full of MSS-sized
 	// packets (ACK bursts can still exceed this and fall back to amortized
 	// append).
 	slots := 256
-	if cfg.PFC == nil && cfg.QueueCap > 0 {
-		if slots = cfg.QueueCap/1500 + 16; slots > 4096 {
-			slots = 4096
+	queueCap := 0
+	if cfg.PFC == nil {
+		queueCap = cfg.QueueCap
+		if queueCap > 0 {
+			slots = min(queueCap/1500+16, 4096)
 		}
 	}
-	for i := range s.Ports {
-		p := NewPort(eng, rateBps)
-		p.tag = orderTag(tagKindTx, id, i)
-		p.keyed = s.keyed
-		p.Q.MarkK = cfg.MarkK
-		if cfg.PFC == nil {
-			p.Q.Cap = cfg.QueueCap
-		}
-		if cfg.PFC != nil || cfg.SharedBuffer > 0 {
-			p.onSent = s.onPortSent
-		}
-		if p.onSent != nil || !s.keyed {
+	var onSent sentHook
+	if cfg.PFC != nil || cfg.SharedBuffer > 0 {
+		onSent = s
+	}
+	for _, p := range s.Ports {
+		p.init(rateBps, s.keyed, queueCap, cfg.MarkK, onSent)
+		if onSent != nil || !s.keyed {
 			p.Q.Presize(slots)
 		}
-		s.Ports[i] = p
 	}
-	return s
 }
 
 // UsePool makes the switch (and its egress ports) recycle packets dropped
@@ -180,7 +203,7 @@ func (s *Switch) UsePool(pl *PacketPool) {
 }
 
 // onPortSent releases per-packet buffer accounting when an egress port
-// finishes serializing a packet.
+// finishes serializing a packet (the switch is its hooked ports' sentHook).
 func (s *Switch) onPortSent(pkt *Packet) {
 	if s.cfg.SharedBuffer > 0 {
 		s.buffered -= int64(pkt.Size)
@@ -204,12 +227,10 @@ func (s *Switch) SetSelector(sel Selector) {
 	s.sel = sel
 	s.selGen++
 	s.selScratch = nil
-	if cs, ok := sel.(CacheableSelector); ok && cs.Cacheable() {
-		if s.selCache == nil {
-			s.selCache = make([]selSlot, selCacheSlots)
-		}
-	} else {
-		s.selCache = nil
+	cs, ok := sel.(CacheableSelector)
+	s.selCached = ok && cs.Cacheable()
+	if s.selCached && s.selCache == nil {
+		s.selCache = make([]selSlot, selCacheSlots)
 	}
 }
 
@@ -340,7 +361,7 @@ func (s *Switch) forward(pkt *Packet) {
 // and memoize its answer. Under -tags simdebug every hit is cross-checked
 // against a fresh Select call.
 func (s *Switch) selectPort(pkt *Packet, eligible []int32) int32 {
-	if s.selCache == nil || !pkt.HashPrefixOK {
+	if !s.selCached || !pkt.HashPrefixOK {
 		return s.sel.Select(s, pkt, eligible)
 	}
 	sl := &s.selCache[selCacheIndex(pkt.HashPrefix, pkt.Dst, pkt.PathTag)]

@@ -74,45 +74,17 @@ func (ls *LeafSpine) RestoreSpine(spine int) {
 
 // DownLinks reports how many cables of the leaf-spine are currently fully
 // failed (both directions; half-open cables do not count).
-func (ls *LeafSpine) DownLinks() int {
-	count := 0
-	for _, d := range ls.HostLinks {
-		if d.Failed() {
-			count++
-		}
-	}
-	for t := range ls.UpLinks {
-		for _, d := range ls.UpLinks[t] {
-			if d.Failed() {
-				count++
-			}
-		}
-	}
-	return count
-}
+func (ls *LeafSpine) DownLinks() int { return downLinks(ls.links) }
 
 // DownLinks reports how many cables of the fat-tree are currently failed
 // (for assertions and tooling).
-func (ft *FatTree) DownLinks() int {
+func (ft *FatTree) DownLinks() int { return downLinks(ft.links) }
+
+func downLinks(links []*netsim.Duplex) int {
 	count := 0
-	visit := func(d *netsim.Duplex) {
+	for _, d := range links {
 		if d.Failed() {
 			count++
-		}
-	}
-	for _, d := range ft.HostLinks {
-		visit(d)
-	}
-	for pod := range ft.TorAggLinks {
-		for _, tors := range ft.TorAggLinks[pod] {
-			for _, d := range tors {
-				visit(d)
-			}
-		}
-		for _, aggs := range ft.AggCoreLinks[pod] {
-			for _, d := range aggs {
-				visit(d)
-			}
 		}
 	}
 	return count

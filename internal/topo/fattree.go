@@ -31,6 +31,10 @@ type FatTree struct {
 	TorAggLinks [][][]*netsim.Duplex
 	// AggCoreLinks[pod][a][k] is agg a's k-th core uplink in pod.
 	AggCoreLinks [][][]*netsim.Duplex
+
+	// switches and links list every switch and cable once, in build order.
+	switches []*netsim.Switch
+	links    []*netsim.Duplex
 }
 
 // NewFatTree builds the topology, wires every cable, and installs up/down
@@ -45,6 +49,9 @@ type FatTree struct {
 //
 // Core c attaches to agg c/K via that agg's uplink c%K, in every pod.
 // ToR-agg links run at TorAggRateBps; everything else at LinkRateBps.
+//
+// Building is allocating the devices, wiring and routing them — what p's
+// Shape decides, done once — and then Reset(p), which owns everything else.
 func NewFatTree(eng *sim.Engine, p Params) *FatTree {
 	ft := newFatTree(p, engineMap{
 		host: func(int) *sim.Engine { return eng },
@@ -57,10 +64,55 @@ func NewFatTree(eng *sim.Engine, p Params) *FatTree {
 	for _, h := range ft.Hosts {
 		h.UsePool(ft.Pool)
 	}
-	for _, s := range ft.AllSwitches() {
+	for _, s := range ft.switches {
 		s.UsePool(ft.Pool)
 	}
+	ft.Reset(p)
 	return ft
+}
+
+// Reset puts a fat-tree of p's Shape into the state NewFatTree(eng, p)
+// returns, whatever ran on it before and however that ended: every host,
+// switch and port reset (netsim's Host.Reset and Switch.Reset: queues and
+// ledgers empty, links up and not gray, counters zero, no handler, no
+// selector), rates, delays, queue bounds and PFC taken from p, the pool's
+// counters zero. Devices, cables, routes and the pool's free packets stay.
+// The engine must hold no event of the previous run (Engine.Reset).
+func (ft *FatTree) Reset(p Params) {
+	if p.Shape() != ft.P.Shape() {
+		panic(fmt.Sprintf("topo: fat-tree of shape %+v reset to %+v", ft.P.Shape(), p.Shape()))
+	}
+	ft.P = p
+	for _, h := range ft.Hosts {
+		h.Reset(p.LinkRateBps, p.HostDelay)
+	}
+	cfg := p.switchConfig()
+	for _, s := range ft.switches {
+		s.Reset(p.LinkRateBps, cfg)
+	}
+	fat := p.TorAggRateBps()
+	for pod := range ft.Tors {
+		for _, tor := range ft.Tors[pod] {
+			for a := 0; a < p.AggsPerPod; a++ {
+				tor.Ports[p.ServersPerTor+a].RateBps = fat
+			}
+		}
+		for _, agg := range ft.Aggs[pod] {
+			for t := 0; t < p.TorsPerPod; t++ {
+				agg.Ports[t].RateBps = fat
+			}
+		}
+	}
+	setDelay(ft.links, p.LinkDelay)
+	ft.Pool.Reset()
+}
+
+// setDelay gives both directions of every cable the propagation delay d.
+func setDelay(links []*netsim.Duplex, d sim.Time) {
+	for _, l := range links {
+		l.AtoB.Link.Delay = d
+		l.BtoA.Link.Delay = d
+	}
 }
 
 // engineMap assigns an engine (execution shard) to every device of a
@@ -73,10 +125,10 @@ type engineMap struct {
 	core func(c int) *sim.Engine
 }
 
-// newFatTree is the engine-agnostic builder shared by the serial and sharded
-// constructors. Construction schedules no events, so device creation order —
-// and with it every NodeID — is identical regardless of the engine mapping.
-// Pools are left for the caller to install.
+// newFatTree is the engine-agnostic first half of the serial and sharded
+// constructors: devices, cables, routes. Construction schedules no events, so
+// device creation order — and with it every NodeID — is identical regardless
+// of the engine mapping. The caller installs the pools and calls Reset(p).
 func newFatTree(p Params, em engineMap) *FatTree {
 	validate(p)
 	ft := &FatTree{P: p}
@@ -89,29 +141,20 @@ func newFatTree(p Params, em engineMap) *FatTree {
 	}
 
 	// Switches. Switch NodeIDs live above the host ID space.
-	nextID := netsim.NodeID(n)
+	ft.switches = make([]*netsim.Switch, 0, p.Pods*(p.TorsPerPod+p.AggsPerPod)+p.NumCores())
 	newSwitch := func(eng *sim.Engine, ports int) *netsim.Switch {
-		s := netsim.NewSwitch(eng, nextID, ports, p.LinkRateBps, p.switchConfig())
-		nextID++
+		s := netsim.NewSwitch(eng, netsim.NodeID(n+len(ft.switches)), ports, p.LinkRateBps, p.switchConfig())
+		ft.switches = append(ft.switches, s)
 		return s
 	}
-	fat := p.TorAggRateBps()
 	for pod := 0; pod < p.Pods; pod++ {
 		ft.Tors = append(ft.Tors, nil)
 		ft.Aggs = append(ft.Aggs, nil)
 		for t := 0; t < p.TorsPerPod; t++ {
-			tor := newSwitch(em.tor(pod, t), p.ServersPerTor+p.AggsPerPod)
-			for a := 0; a < p.AggsPerPod; a++ {
-				tor.Ports[p.ServersPerTor+a].RateBps = fat
-			}
-			ft.Tors[pod] = append(ft.Tors[pod], tor)
+			ft.Tors[pod] = append(ft.Tors[pod], newSwitch(em.tor(pod, t), p.ServersPerTor+p.AggsPerPod))
 		}
 		for a := 0; a < p.AggsPerPod; a++ {
-			agg := newSwitch(em.agg(pod, a), p.TorsPerPod+p.CoreUplinksPerAgg)
-			for t := 0; t < p.TorsPerPod; t++ {
-				agg.Ports[t].RateBps = fat
-			}
-			ft.Aggs[pod] = append(ft.Aggs[pod], agg)
+			ft.Aggs[pod] = append(ft.Aggs[pod], newSwitch(em.agg(pod, a), p.TorsPerPod+p.CoreUplinksPerAgg))
 		}
 	}
 	ft.Cores = make([]*netsim.Switch, p.NumCores())
@@ -138,6 +181,7 @@ func validate(p Params) {
 func (ft *FatTree) wire() {
 	p := ft.P
 	ft.HostLinks = make([]*netsim.Duplex, len(ft.Hosts))
+	ft.links = make([]*netsim.Duplex, 0, len(ft.Hosts)+p.Pods*p.AggsPerPod*(p.TorsPerPod+p.CoreUplinksPerAgg))
 	ft.TorAggLinks = make([][][]*netsim.Duplex, p.Pods)
 	ft.AggCoreLinks = make([][][]*netsim.Duplex, p.Pods)
 	for pod := 0; pod < p.Pods; pod++ {
@@ -148,10 +192,12 @@ func (ft *FatTree) wire() {
 			for s := 0; s < p.ServersPerTor; s++ {
 				h := ft.HostIndex(pod, t, s)
 				ft.HostLinks[h] = netsim.WireHost(ft.Hosts[h], tor, s, p.LinkDelay)
+				ft.links = append(ft.links, ft.HostLinks[h])
 			}
 			for a := 0; a < p.AggsPerPod; a++ {
 				ft.TorAggLinks[pod][t][a] = netsim.WireSwitches(
 					tor, p.ServersPerTor+a, ft.Aggs[pod][a], t, p.LinkDelay)
+				ft.links = append(ft.links, ft.TorAggLinks[pod][t][a])
 			}
 		}
 		ft.AggCoreLinks[pod] = make([][]*netsim.Duplex, p.AggsPerPod)
@@ -162,6 +208,7 @@ func (ft *FatTree) wire() {
 				core := ft.Cores[a*p.CoreUplinksPerAgg+k]
 				ft.AggCoreLinks[pod][a][k] = netsim.WireSwitches(
 					agg, p.TorsPerPod+k, core, pod, p.LinkDelay)
+				ft.links = append(ft.links, ft.AggCoreLinks[pod][a][k])
 			}
 		}
 	}
@@ -218,20 +265,14 @@ func (ft *FatTree) installRoutes() {
 
 // SetSelector installs the same multipath selector on every switch.
 func (ft *FatTree) SetSelector(sel netsim.Selector) {
-	for _, s := range ft.AllSwitches() {
+	for _, s := range ft.switches {
 		s.SetSelector(sel)
 	}
 }
 
-// AllSwitches returns every switch in the fabric.
-func (ft *FatTree) AllSwitches() []*netsim.Switch {
-	var out []*netsim.Switch
-	for pod := range ft.Tors {
-		out = append(out, ft.Tors[pod]...)
-		out = append(out, ft.Aggs[pod]...)
-	}
-	return append(out, ft.Cores...)
-}
+// AllSwitches returns every switch in the fabric, pod by pod (ToRs, then
+// aggs) and then the cores. The slice is the fabric's own: read it only.
+func (ft *FatTree) AllSwitches() []*netsim.Switch { return ft.switches }
 
 // HostIndex maps (pod, tor, server) to a host index.
 func (ft *FatTree) HostIndex(pod, tor, server int) int {

@@ -54,6 +54,27 @@ func SmallTestbed() LeafSpineParams {
 // NumHosts returns the total number of servers.
 func (p LeafSpineParams) NumHosts() int { return p.Tors * p.ServersPerTor }
 
+// LeafSpineShape is Shape for a leaf-spine: what LeafSpine.Reset cannot
+// change.
+type LeafSpineShape struct {
+	Tors, Spines, ServersPerTor int
+}
+
+// Shape returns p's LeafSpineShape.
+func (p LeafSpineParams) Shape() LeafSpineShape {
+	return LeafSpineShape{p.Tors, p.Spines, p.ServersPerTor}
+}
+
+func (p LeafSpineParams) switchConfig() netsim.SwitchConfig {
+	return netsim.SwitchConfig{
+		QueueCap:     p.QueueCap,
+		SharedBuffer: p.SharedBuffer,
+		MarkK:        p.MarkK,
+		FwdDelay:     p.SwitchDelay,
+		PFC:          p.PFC,
+	}
+}
+
 // LeafSpine is a built two-tier topology.
 type LeafSpine struct {
 	P   LeafSpineParams
@@ -69,9 +90,15 @@ type LeafSpine struct {
 	HostLinks []*netsim.Duplex
 	// UpLinks[t][s] is the cable between ToR t and spine s.
 	UpLinks [][]*netsim.Duplex
+
+	// switches (ToRs, then spines) and links list every switch and cable once.
+	switches []*netsim.Switch
+	links    []*netsim.Duplex
 }
 
-// NewLeafSpine builds and wires the topology and installs routing tables.
+// NewLeafSpine builds and wires the topology and installs routing tables —
+// what p's Shape decides — and then, like NewFatTree, leaves the rest to
+// Reset(p).
 func NewLeafSpine(eng *sim.Engine, p LeafSpineParams) *LeafSpine {
 	if p.Tors < 2 || p.Spines < 1 || p.ServersPerTor < 1 {
 		panic(fmt.Sprintf("topo: invalid leaf-spine params %+v", p))
@@ -83,21 +110,24 @@ func NewLeafSpine(eng *sim.Engine, p LeafSpineParams) *LeafSpine {
 	for i := range ls.Hosts {
 		ls.Hosts[i] = netsim.NewHost(eng, netsim.NodeID(i), p.LinkRateBps, p.HostDelay)
 	}
-	cfg := netsim.SwitchConfig{QueueCap: p.QueueCap, SharedBuffer: p.SharedBuffer, MarkK: p.MarkK, FwdDelay: p.SwitchDelay, PFC: p.PFC}
-	nextID := netsim.NodeID(n)
+	ls.switches = make([]*netsim.Switch, 0, p.Tors+p.Spines)
+	newSwitch := func(ports int) *netsim.Switch {
+		s := netsim.NewSwitch(eng, netsim.NodeID(n+len(ls.switches)), ports, p.LinkRateBps, p.switchConfig())
+		ls.switches = append(ls.switches, s)
+		return s
+	}
 	ls.Tors = make([]*netsim.Switch, p.Tors)
 	for t := range ls.Tors {
-		ls.Tors[t] = netsim.NewSwitch(eng, nextID, p.ServersPerTor+p.Spines, p.LinkRateBps, cfg)
-		nextID++
+		ls.Tors[t] = newSwitch(p.ServersPerTor + p.Spines)
 	}
 	ls.Spines = make([]*netsim.Switch, p.Spines)
 	for s := range ls.Spines {
-		ls.Spines[s] = netsim.NewSwitch(eng, nextID, p.Tors, p.LinkRateBps, cfg)
-		nextID++
+		ls.Spines[s] = newSwitch(p.Tors)
 	}
 
 	// Wiring. ToR ports: [0,S) servers, [S, S+Spines) up. Spine port t -> ToR t.
 	ls.HostLinks = make([]*netsim.Duplex, n)
+	ls.links = make([]*netsim.Duplex, 0, n+p.Tors*p.Spines)
 	ls.UpLinks = make([][]*netsim.Duplex, p.Tors)
 	for t := 0; t < p.Tors; t++ {
 		for s := 0; s < p.ServersPerTor; s++ {
@@ -108,6 +138,8 @@ func NewLeafSpine(eng *sim.Engine, p LeafSpineParams) *LeafSpine {
 		for s := 0; s < p.Spines; s++ {
 			ls.UpLinks[t][s] = netsim.WireSwitches(ls.Tors[t], p.ServersPerTor+s, ls.Spines[s], t, p.LinkDelay)
 		}
+		ls.links = append(ls.links, ls.HostLinks[t*p.ServersPerTor:(t+1)*p.ServersPerTor]...)
+		ls.links = append(ls.links, ls.UpLinks[t]...)
 	}
 
 	// Routes.
@@ -138,21 +170,33 @@ func NewLeafSpine(eng *sim.Engine, p LeafSpineParams) *LeafSpine {
 	for _, h := range ls.Hosts {
 		h.UsePool(ls.Pool)
 	}
-	for _, sw := range ls.Tors {
+	for _, sw := range ls.switches {
 		sw.UsePool(ls.Pool)
 	}
-	for _, sw := range ls.Spines {
-		sw.UsePool(ls.Pool)
-	}
+	ls.Reset(p)
 	return ls
+}
+
+// Reset is FatTree.Reset for a leaf-spine of p's Shape.
+func (ls *LeafSpine) Reset(p LeafSpineParams) {
+	if p.Shape() != ls.P.Shape() {
+		panic(fmt.Sprintf("topo: leaf-spine of shape %+v reset to %+v", ls.P.Shape(), p.Shape()))
+	}
+	ls.P = p
+	for _, h := range ls.Hosts {
+		h.Reset(p.LinkRateBps, p.HostDelay)
+	}
+	cfg := p.switchConfig()
+	for _, s := range ls.switches {
+		s.Reset(p.LinkRateBps, cfg)
+	}
+	setDelay(ls.links, p.LinkDelay)
+	ls.Pool.Reset()
 }
 
 // SetSelector installs the same multipath selector on every switch.
 func (ls *LeafSpine) SetSelector(sel netsim.Selector) {
-	for _, s := range ls.Tors {
-		s.SetSelector(sel)
-	}
-	for _, s := range ls.Spines {
+	for _, s := range ls.switches {
 		s.SetSelector(sel)
 	}
 }

@@ -120,6 +120,19 @@ func TinyScale() Params {
 	return p
 }
 
+// Shape is the part of Params that decides which devices, ports, cables and
+// routes a fat-tree has. Two Params of one Shape differ only in what
+// FatTree.Reset re-applies — rates, delays, queue bounds, PFC — so a built
+// fabric serves both.
+type Shape struct {
+	Pods, TorsPerPod, AggsPerPod, ServersPerTor, CoreUplinksPerAgg int
+}
+
+// Shape returns p's Shape.
+func (p Params) Shape() Shape {
+	return Shape{p.Pods, p.TorsPerPod, p.AggsPerPod, p.ServersPerTor, p.CoreUplinksPerAgg}
+}
+
 // NumHosts returns the total number of servers.
 func (p Params) NumHosts() int { return p.Pods * p.TorsPerPod * p.ServersPerTor }
 

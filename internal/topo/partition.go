@@ -170,6 +170,7 @@ func NewShardedFatTree(engines []*sim.Engine, p Params, part Partition) *Sharded
 	for c, core := range ft.Cores {
 		core.UsePool(sft.Pools[part.CoreShard[c]])
 	}
+	ft.Reset(p)
 
 	sft.Boxes = make([][]*netsim.CrossBox, part.Shards)
 	for i := range sft.Boxes {

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"flowbender/internal/core"
 	"flowbender/internal/netsim"
@@ -40,24 +41,18 @@ func main() {
 		ls.Hosts[dsts[0]].Register(1_000_000, udp.NewSink())
 		udpSender.Start()
 
-		// The TCP shuffle: 1 MB flows ToR0 -> ToR1 at 14 Gbps aggregate.
-		srcHosts := make([]*netsim.Host, len(srcs))
-		dstHosts := make([]*netsim.Host, len(dsts))
-		for i := range srcs {
-			srcHosts[i], dstHosts[i] = ls.Hosts[srcs[i]], ls.Hosts[dsts[i]]
-		}
+		// The TCP shuffle: 1 MB flows ToR0 -> ToR1 at 14 Gbps aggregate,
+		// arriving until the measurement ends.
 		gen := &workload.AllToAll{
-			Eng: eng, RNG: rng.Fork("workload"),
-			Hosts: dstHosts, SrcHosts: srcHosts,
+			RNG: rng.Fork("workload"), Srcs: srcs, Dsts: dsts,
 			CDF: workload.Fixed(1_000_000),
-			IDs: &workload.IDAllocator{},
-			Start: func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-				return tcp.StartFlow(eng, cfg, id, src, dst, size)
-			},
 			// 14 Gbps of 1 MB (8 Mb) flows = 1750 flows/s.
 			MeanInterarrival: sim.Second / 1750,
+			MaxFlows:         math.MaxInt,
 		}
-		gen.Run()
+		workload.Replay(eng, gen, false, func(i int, s workload.FlowSpec) {
+			tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), ls.Hosts[s.SrcIdx], ls.Hosts[s.DstIdx], s.Size)
+		})
 
 		// Measure per-uplink TCP rates over an 80 ms window after warmup.
 		eng.Run(20 * sim.Millisecond)
@@ -69,7 +64,6 @@ func main() {
 		}
 		const window = 80 * sim.Millisecond
 		eng.Run(20*sim.Millisecond + window)
-		gen.Stop()
 		udpSender.Stop()
 
 		fmt.Printf("%-11s per-path TCP Gbps:", scheme)

@@ -46,23 +46,21 @@ func main() {
 
 		cdf := workload.WebSearchCDF()
 		gen := &workload.AllToAll{
-			Eng:   eng,
-			RNG:   rng.Fork("workload"), // same stream for both schemes
-			Hosts: ft.Hosts,
-			CDF:   cdf,
-			IDs:   &workload.IDAllocator{},
-			Start: func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-				return tcp.StartFlow(eng, cfg, id, src, dst, size)
-			},
+			RNG:      rng.Fork("workload"), // same stream for both schemes
+			NumHosts: len(ft.Hosts),
+			CDF:      cdf,
 			MeanInterarrival: workload.AggregateInterarrival(
 				*load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
 			MaxFlows: *flows,
 		}
-		gen.Run()
+		var started []*tcp.Flow
+		workload.Replay(eng, gen, false, func(i int, s workload.FlowSpec) {
+			started = append(started, tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), ft.Hosts[s.SrcIdx], ft.Hosts[s.DstIdx], s.Size))
+		})
 		eng.Run(30 * sim.Second)
 
 		binned := &stats.BinnedSample{}
-		for _, f := range gen.Flows {
+		for _, f := range started {
 			if f.Done() {
 				binned.Add(f.Size, f.FCT().Seconds()*1000)
 			}

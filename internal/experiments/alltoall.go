@@ -80,31 +80,25 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 		scheme: spec.scheme, fb: spec.fb, rawFB: spec.rawFB, setupFn: spec.setupFn, params: spec.params,
 		flows:    spec.flows,
 		armFirst: fluidEng,
-		workload: func(rng *sim.RNG, p topo.Params) (schedule, sim.Time) {
+		workload: func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 			cdf := o.CDF
 			if cdf == nil {
 				cdf = workload.WebSearchCDF()
 			}
-			gen := &workload.AllToAll{
+			// The packet point runs one arrival past the count, which fires
+			// and starts nothing; its goldens and event counts pin that beacon.
+			n := spec.flows
+			if !fluidEng {
+				n++
+			}
+			return &workload.AllToAll{
 				RNG:      rng,
 				NumHosts: p.NumHosts(),
 				CDF:      cdf,
 				MeanInterarrival: workload.AggregateInterarrival(
 					spec.load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
-			}
-			// The packet point's live generator used to schedule one more
-			// arrival after its last flow, which fired and returned; drawing
-			// one arrival past the count keeps that event at its instant.
-			n := spec.flows
-			if !fluidEng {
-				n++
-			}
-			arrivals := gen.PredrawIdx(n)
-			specs := make(batchOnce, len(arrivals))
-			for i, a := range arrivals {
-				specs[i] = workload.FlowSpec{At: a.At, SrcIdx: a.Src, DstIdx: a.Dst, Size: a.Size}
-			}
-			return &specs, o.maxWait()
+				MaxFlows: n,
+			}, o.maxWait()
 		},
 		onFlow:  func(f *tcp.Flow) { out.Flows = append(out.Flows, f) },
 		onFluid: func(d fluid.Done) { out.FCT.Add(d.Size, d.FCT.Seconds()) },

@@ -9,8 +9,6 @@ import (
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
-	"flowbender/internal/tcp"
-	"flowbender/internal/workload"
 )
 
 // faultScenario is one named chaos scenario of the matrix: a declarative
@@ -200,12 +198,11 @@ func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	// One flow per pod-0 host to the corresponding pod-1 host, the same
 	// traffic pattern as the linkfailure experiment, so several flows hash
 	// across the faulted uplink.
-	ids := &workload.IDAllocator{}
-	var flows []*tcp.Flow
 	perPod := p.TorsPerPod * p.ServersPerTor
 	for i := 0; i < perPod; i++ {
-		flows = append(flows, b.start(ids.Next(), ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes))
+		b.start(ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes)
 	}
+	flows := b.flows
 
 	b.drain(r.Deadline, len(flows))
 

@@ -8,6 +8,7 @@ import (
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
+	"flowbender/internal/workload"
 )
 
 func sprintfLn(format string, args ...any) string {
@@ -90,8 +91,7 @@ func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool) {
 // bed is the one-engine packet substrate the drain-to-completion experiments
 // outside the point runner (leaf-spine fabrics, fault plans, job workloads)
 // build on: the engine, the root RNG their workload/fault streams fork from,
-// the scheme setup, and the arrival/completion counters the drain predicate
-// reads.
+// the scheme setup, and the flows the drain predicate reads.
 type bed struct {
 	o   Options
 	ar  *arena
@@ -99,7 +99,9 @@ type bed struct {
 	rng *sim.RNG
 	set schemeSetup
 
-	started, completed int
+	// flows are the flows started, in arrival order; flow i runs under ID i+1.
+	flows     []*tcp.Flow
+	completed int
 }
 
 // newBed sets scheme up exactly as §4.2 describes (see Scheme.setup).
@@ -120,26 +122,29 @@ func (o Options) newBedWith(set schemeSetup) *bed {
 // the engine afterwards.
 func (b *bed) release() { b.o.releaseArena(b.ar) }
 
-// start is the bed's workload.FlowFactory: it starts one flow under the
-// scheme's transport configuration and counts its arrival and completion.
-func (b *bed) start(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-	f := tcp.StartFlow(b.eng, b.set.cfg, id, src, dst, size)
-	b.started++
+// start starts the bed's next flow under the scheme's transport
+// configuration and counts its completion.
+func (b *bed) start(src, dst *netsim.Host, size int64) {
+	f := tcp.StartFlow(b.eng, b.set.cfg, netsim.FlowID(len(b.flows)+1), src, dst, size)
+	b.flows = append(b.flows, f)
 	f.OnComplete = func(*tcp.Flow) { b.completed++ }
-	return f
+}
+
+// replay starts the first planned flows of src between hosts, through
+// workload.Replay. The bed's bounded schedules are drawn one arrival past
+// planned: that beacon fires and starts nothing, and the experiments'
+// executed-event counts pin it.
+func (b *bed) replay(src workload.Schedule, hosts []*netsim.Host, planned int) {
+	workload.Replay(b.eng, src, false, func(i int, s workload.FlowSpec) {
+		if i < planned {
+			b.start(hosts[s.SrcIdx], hosts[s.DstIdx], s.Size)
+		}
+	})
 }
 
 // drain runs until `planned` flows have started and every started flow has
 // completed (or the deadline), then records the engine's perf totals.
 func (b *bed) drain(deadline sim.Time, planned int) {
-	b.o.drain(b.eng, deadline, func() bool { return b.started == planned && b.completed == b.started })
+	b.o.drain(b.eng, deadline, func() bool { return len(b.flows) == planned && b.completed == planned })
 	b.o.recordPerf(b.eng)
-}
-
-func hostsAt(hosts []*netsim.Host, idx []int) []*netsim.Host {
-	out := make([]*netsim.Host, len(idx))
-	for i, h := range idx {
-		out[i] = hosts[h]
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"flowbender/internal/netsim"
 	"flowbender/internal/sim"
@@ -63,6 +64,9 @@ func Hotspot(o Options) *HotspotResult {
 	return res
 }
 
+// runHotspot measures one scheme. Its TCP shuffle is the one deliberately
+// unbounded schedule: arrivals go on until the measurement window ends and
+// the engine is not run again.
 func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	b := o.newBed(scheme)
 	defer b.release()
@@ -84,17 +88,14 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	// TCP shuffle: 1 MB flows ToR0 -> ToR1 at an aggregate 14 Gbps.
 	const flowBytes = 1_000_000
 	flowsPerSec := 14 * float64(topo.Gbps) / (flowBytes * 8)
-	gen := &workload.AllToAll{
-		Eng:              eng,
+	b.replay(&workload.AllToAll{
 		RNG:              b.rng.Fork("workload"),
-		Hosts:            hostsAt(ls.Hosts, dstIdx),
-		SrcHosts:         hostsAt(ls.Hosts, srcIdx),
+		Srcs:             srcIdx,
+		Dsts:             dstIdx,
 		CDF:              workload.Fixed(flowBytes),
-		IDs:              &workload.IDAllocator{},
-		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
-	}
-	gen.Run()
+		MaxFlows:         math.MaxInt,
+	}, ls.Hosts, math.MaxInt)
 
 	// Warm up, snapshot counters, measure, snapshot again.
 	warm := 20 * sim.Millisecond
@@ -112,7 +113,6 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	}
 	eng.Run(warm + meas)
 	o.recordPerf(eng)
-	gen.Stop()
 	udpSender.Stop()
 
 	perLink := make([]float64, len(uplinks))

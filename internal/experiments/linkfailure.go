@@ -7,8 +7,6 @@ import (
 
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
-	"flowbender/internal/tcp"
-	"flowbender/internal/workload"
 )
 
 // LinkFailureResult quantifies the §3.3.2 claim: FlowBender routes around a
@@ -87,12 +85,11 @@ func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
 	// One flow per pod-0 host, each to the corresponding pod-1 host, so the
 	// up-paths carry several flows and at least some hash across the link
 	// we are about to cut.
-	ids := &workload.IDAllocator{}
-	var flows []*tcp.Flow
 	perPod := p.TorsPerPod * p.ServersPerTor
 	for i := 0; i < perPod; i++ {
-		flows = append(flows, b.start(ids.Next(), ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes))
+		b.start(ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes)
 	}
+	flows := b.flows
 	out := linkFailureOut{total: len(flows)}
 
 	// Cut the first aggregation switch's first core uplink in pod 0.

@@ -5,7 +5,9 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"flowbender/internal/sim"
 	"flowbender/internal/stats"
+	"flowbender/internal/tcp"
 	"flowbender/internal/workload"
 )
 
@@ -100,28 +102,40 @@ func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int
 	p := o.params()
 	ft := b.ar.fatTree(b.set, b.eng, p)
 
-	gen := &workload.PartitionAggregate{
-		Eng:      b.eng,
+	jobs := o.jobCount()
+	b.replay(&workload.PartitionAggregate{
 		RNG:      b.rng.Fork("workload"),
-		Hosts:    ft.Hosts,
-		IDs:      &workload.IDAllocator{},
-		Start:    b.start,
+		NumHosts: len(ft.Hosts),
 		JobBytes: jobBytes,
 		FanIn:    fanIn,
 		MeanInterarrival: workload.JobInterarrival(
 			load, p.BisectionBps(), p.InterPodFraction(), jobBytes),
-		MaxJobs: o.jobCount(),
-	}
-	gen.Run()
-	b.drain(o.maxWait(), gen.MaxJobs*fanIn) // every job starts fanIn flows at once
+		MaxJobs: jobs + 1,
+	}, ft.Hosts, jobs*fanIn)
+	b.drain(o.maxWait(), jobs*fanIn) // every job starts fanIn flows at once
 
+	// Job k is flows [k*fanIn, (k+1)*fanIn); it completes with its slowest
+	// response, counted from the instant all of them started.
 	var s stats.Sketch
-	for _, j := range gen.Jobs {
-		if j.Done() {
-			s.Add(j.CompletionTime().Seconds())
+	for job := b.flows; len(job) >= fanIn; job = job[fanIn:] {
+		if last, ok := lastDone(job[:fanIn]); ok {
+			s.Add((last - job[0].Start).Seconds())
 		}
 	}
 	return s.Mean()
+}
+
+// lastDone returns the latest completion among flows, and false if any is
+// still incomplete.
+func lastDone(flows []*tcp.Flow) (sim.Time, bool) {
+	var last sim.Time
+	for _, f := range flows {
+		if !f.Done() {
+			return 0, false
+		}
+		last = max(last, f.RecvDone)
+	}
+	return last, true
 }
 
 // Print writes Figure 5 as a table.

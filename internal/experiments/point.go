@@ -29,19 +29,21 @@ type point struct {
 	params *topo.Params
 
 	// flows is the number of flows the schedule plans; the point is done
-	// when that many have started and every started flow has completed.
+	// when that many have started and every started flow has completed. A
+	// schedule may run one arrival past it: that beacon fires and starts
+	// nothing.
 	flows int
 	// workload draws the arrival schedule from the point's workload stream
 	// (independent of the scheme stream, so every scheme sees the identical
 	// arrivals) and names the virtual-time deadline. Endpoints are host
 	// indices; flow i of the schedule runs under ID idBase+i+1.
-	workload func(rng *sim.RNG, p topo.Params) (schedule, sim.Time)
+	workload func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time)
 	idBase   netsim.FlowID
 	// burst starts the whole schedule synchronously at setup instead of
-	// through the beacon chain (Table 1's simultaneous flows).
+	// through workload.Replay (Table 1's simultaneous flows).
 	burst bool
 	// armFirst selects the beacon order the fluid all-to-all point is pinned
-	// to (see chain).
+	// to (see workload.Replay).
 	armFirst bool
 
 	// onFlow receives every packet-engine flow when it is created: at its
@@ -63,13 +65,6 @@ type pointResult struct {
 	reroutes           int64    // fluid engine only: path changes, all flows
 }
 
-// schedule yields a point's arrivals in time order, one batch per call and
-// nil when exhausted — workload.Mix's pull contract, which keeps a
-// million-flow production point from ever holding its whole schedule.
-type schedule interface {
-	NextBatch() []workload.FlowSpec
-}
-
 // batchOnce is a fully drawn schedule, served as a single batch.
 type batchOnce []workload.FlowSpec
 
@@ -80,7 +75,7 @@ func (b *batchOnce) NextBatch() []workload.FlowSpec {
 }
 
 // drainSchedule flattens a schedule expected to hold about n arrivals.
-func drainSchedule(src schedule, n int) []workload.FlowSpec {
+func drainSchedule(src workload.Schedule, n int) []workload.FlowSpec {
 	out := make([]workload.FlowSpec, 0, n)
 	for b := src.NextBatch(); b != nil; b = src.NextBatch() {
 		out = append(out, b...)
@@ -88,47 +83,24 @@ func drainSchedule(src schedule, n int) []workload.FlowSpec {
 	return out
 }
 
-// chain replays a schedule on one engine: beacon i fires at arrival i's
-// instant, calls start(i, arrival) and arms beacon i+1, so the engine never
-// holds more than one pending arrival however long the schedule is. The
-// first arrival is handled synchronously, mirroring a live generator's Run()
-// at time zero, and each beacon is armed after its predecessor's flow has
-// started — receiver, sender, next arrival is the event-insertion order
-// same-instant tie-breaking keys on, identical on one engine and on every
-// shard of several.
-//
-// armFirst is the fluid all-to-all order: every beacon, the first included,
-// is an event, armed before its predecessor's flow arrives so a same-instant
-// burst still folds into one solver commit. Which order a point uses is
-// pinned by its goldens and executed-event counts, not a free choice.
-func chain(eng *sim.Engine, src schedule, armFirst bool, start func(i int, s workload.FlowSpec)) {
-	batch := src.NextBatch()
-	i := 0
-	var beacon func()
-	arm := func() {
-		if len(batch) > 0 {
-			eng.At(batch[0].At, beacon)
-		}
+// singly serves a schedule one flow per batch: a point gives every flow its
+// own beacon, those of a Mix incast or of a sharded plan included — the
+// order the point goldens and executed-event counts pin.
+type singly struct {
+	src  workload.Schedule
+	rest []workload.FlowSpec
+}
+
+func (s *singly) NextBatch() []workload.FlowSpec {
+	if len(s.rest) == 0 {
+		s.rest = s.src.NextBatch()
 	}
-	beacon = func() {
-		s := batch[0]
-		if batch = batch[1:]; len(batch) == 0 {
-			batch = src.NextBatch()
-		}
-		if armFirst {
-			arm()
-		}
-		start(i, s)
-		i++
-		if !armFirst {
-			arm()
-		}
+	if len(s.rest) == 0 {
+		return nil
 	}
-	if armFirst {
-		arm()
-	} else if len(batch) > 0 {
-		beacon()
-	}
+	b := s.rest[:1:1]
+	s.rest = s.rest[1:]
+	return b
 }
 
 // fluidPoint reports whether a point runs on the fluid engine: Options.Engine
@@ -209,12 +181,10 @@ func (o Options) runPoint(pt point) pointResult {
 	// on; the drain predicate sums them at barriers.
 	count := make([]struct{ started, completed int64 }, n)
 
-	// inject feeds the schedule to a one-engine point. A schedule may run
-	// one arrival past the planned count: the beacon fires and starts
-	// nothing, like the live generator's arrival after its last flow.
+	// inject feeds the schedule to a one-engine point.
 	inject := func(start func(id netsim.FlowID, s workload.FlowSpec)) {
 		one := func(i int, s workload.FlowSpec) {
-			if i == pt.flows {
+			if i >= pt.flows {
 				return
 			}
 			count[0].started++
@@ -226,7 +196,7 @@ func (o Options) runPoint(pt point) pointResult {
 			}
 			return
 		}
-		chain(engines[0], src, pt.armFirst, one)
+		workload.Replay(engines[0], &singly{src: src}, pt.armFirst, one)
 	}
 	// track wires a packet flow into the completion counter of the shard
 	// that will observe its completion, and into the point's recorder.
@@ -264,8 +234,8 @@ func (o Options) runPoint(pt point) pointResult {
 		})
 	default:
 		// Several engines: plan every flow up front — O(flows) memory; the
-		// flat-memory guarantee belongs to the one-engine chain — and replay
-		// the schedule through one chain per shard. Each beacon starts the
+		// flat-memory guarantee belongs to the one-engine replay — and replay
+		// the plan on every shard. Each beacon starts the
 		// receiver if the destination is shard-local, then the sender if the
 		// source is; shards hosting neither endpoint pay one no-op event per
 		// flow, a rounding error next to the packet traffic.
@@ -281,8 +251,8 @@ func (o Options) runPoint(pt point) pointResult {
 			track(part.HostShard[s.DstIdx], s.Kind, pend[i].Flow())
 		}
 		for sh := range engines {
-			sh, replay := sh, batchOnce(plan)
-			chain(engines[sh], &replay, false, func(i int, s workload.FlowSpec) {
+			sh, once := sh, batchOnce(plan)
+			workload.Replay(engines[sh], &singly{src: &once}, false, func(i int, s workload.FlowSpec) {
 				if part.HostShard[s.DstIdx] == sh {
 					pend[i].StartReceiver()
 				}

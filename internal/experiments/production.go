@@ -172,7 +172,7 @@ func (o Options) runProduction(scheme Scheme, cdf workload.CDF, flows int) *mixO
 	res := o.runPoint(point{
 		scheme: scheme,
 		flows:  flows,
-		workload: func(rng *sim.RNG, p topo.Params) (schedule, sim.Time) {
+		workload: func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 			return o.newMix(rng, p, cdf, flows)
 		},
 		onDone:  func(shard int, kind workload.PatternKind, f *tcp.Flow) { outs[shard].record(kind, f) },

@@ -163,7 +163,7 @@ func (o Options) runValidation(scheme Scheme, setupFn func(*sim.RNG) schemeSetup
 		flows:   k,
 		burst:   true,
 		idBase:  netsim.FlowID(o.Seed * 131),
-		workload: func(_ *sim.RNG, p topo.Params) (schedule, sim.Time) {
+		workload: func(_ *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 			// Host index (pod, tor, srv) = (pod*Tors+tor)*Servers+srv.
 			specs := make(batchOnce, k)
 			for i := range specs {

@@ -87,22 +87,18 @@ func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64
 	// Load is relative to the source ToR's bisection slice: its uplinks.
 	bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)
 	flowsPerSec := load * bisectionBps / (float64(size) * 8)
-	gen := &workload.AllToAll{
-		Eng:              b.eng,
+	b.replay(&workload.AllToAll{
 		RNG:              b.rng.Fork("workload"),
-		Hosts:            ls.Hosts,
-		SrcHosts:         hostsAt(ls.Hosts, ls.TorHosts(0)),
+		NumHosts:         len(ls.Hosts),
+		Srcs:             ls.TorHosts(0),
 		CDF:              workload.Fixed(size),
-		IDs:              &workload.IDAllocator{},
-		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
-		MaxFlows:         flows,
-	}
-	gen.Run()
+		MaxFlows:         flows + 1,
+	}, ls.Hosts, flows)
 	b.drain(o.maxWait(), flows)
 
 	var s stats.Sketch
-	for _, f := range gen.Flows {
+	for _, f := range b.flows {
 		if f.Done() {
 			s.Add(f.FCT().Seconds())
 		}

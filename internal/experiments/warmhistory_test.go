@@ -88,8 +88,8 @@ func hostileBed(o Options, scheme Scheme, leafSpine bool) string {
 	hosts[1].Register(9999, discard{})
 	n, done := len(hosts), 0
 	for i := 0; i < n; i++ {
-		f := b.start(netsim.FlowID(i+1), hosts[i], hosts[(i+n/2)%n], 400_000)
-		f.OnComplete = func(*tcp.Flow) {
+		b.start(hosts[i], hosts[(i+n/2)%n], 400_000)
+		b.flows[i].OnComplete = func(*tcp.Flow) {
 			if done++; done == 3 {
 				panic(errInjected)
 			}
@@ -203,7 +203,7 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 			j = historyJob{"hostile/point/" + at, o, func(o Options) string {
 				done := 0
 				o.runPoint(point{scheme: s, flows: 12,
-					workload: func(_ *sim.RNG, p topo.Params) (schedule, sim.Time) {
+					workload: func(_ *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 						specs := make(batchOnce, 12)
 						for i := range specs {
 							specs[i] = workload.FlowSpec{At: sim.Time(i) * 5 * sim.Microsecond, SrcIdx: int32(i),

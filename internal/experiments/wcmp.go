@@ -101,21 +101,21 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 	}
 	// Offered load: 60% of the asymmetric ToR-pair capacity (3.5 links).
 	capBps := float64(lp.LinkRateBps) * (float64(lp.Spines) - 0.5)
+	// Half the run's flows, and at least one.
 	const flowBytes = 1_000_000
-	gen := &workload.AllToAll{
-		Eng: b.eng, RNG: b.rng.Fork("workload"),
-		Hosts: hostsAt(ls.Hosts, ls.TorHosts(1)), SrcHosts: hostsAt(ls.Hosts, ls.TorHosts(0)),
+	flows := max(1, o.flowCount()/2)
+	b.replay(&workload.AllToAll{
+		RNG:              b.rng.Fork("workload"),
+		Srcs:             ls.TorHosts(0),
+		Dsts:             ls.TorHosts(1),
 		CDF:              workload.Fixed(flowBytes),
-		IDs:              &workload.IDAllocator{},
-		Start:            b.start,
 		MeanInterarrival: sim.Time(float64(sim.Second) * flowBytes * 8 / (0.6 * capBps)),
-		MaxFlows:         o.flowCount() / 2,
-	}
-	gen.Run()
-	b.drain(o.maxWait(), gen.MaxFlows)
+		MaxFlows:         flows + 1,
+	}, ls.Hosts, flows)
+	b.drain(o.maxWait(), flows)
 
 	var s stats.Sketch
-	for _, f := range gen.Flows {
+	for _, f := range b.flows {
 		if f.Done() {
 			s.Add(f.FCT().Seconds())
 		}

@@ -3,51 +3,90 @@ package workload
 import (
 	"flowbender/internal/netsim"
 	"flowbender/internal/sim"
-	"flowbender/internal/tcp"
 )
 
-// FlowFactory starts one transport flow; experiments bind it to
-// tcp.StartFlow with the scheme under test.
-type FlowFactory func(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow
-
-// IDAllocator hands out unique flow IDs for one simulation run.
-type IDAllocator struct{ next netsim.FlowID }
-
-// Next returns a fresh flow ID.
-func (a *IDAllocator) Next() netsim.FlowID {
-	a.next++
-	return a.next
+// Schedule yields a workload's arrivals in time order, one batch per call and
+// nil when exhausted. The flows of a batch share one instant and Replay
+// starts them in one event. A batch may live in the schedule's own storage,
+// valid until the next call. Pulling batch by batch keeps a million-flow
+// point from ever holding its whole schedule.
+type Schedule interface {
+	NextBatch() []FlowSpec
 }
 
-// AllToAll drives the paper's §4.2.2 workload: flows arrive as a Poisson
-// process; each flow picks a uniform random source and a distinct uniform
-// random destination, with sizes drawn from a heavy-tailed CDF. Load is
-// expressed as the average fraction of each server's access-link rate
-// divided by the fabric's oversubscription, matching the paper's
-// "average network load relative to the bisection bandwidth".
+// Replay files a schedule on eng: beacon k fires at batch k's instant and
+// calls start(i, s) for each of the batch's flows, i counting flows from zero
+// across the schedule. Each beacon pulls the next batch and arms its beacon,
+// so the engine never holds more than one pending arrival however long the
+// schedule is. It is the only code that files an arrival on an engine.
+//
+// The first batch starts synchronously, at time zero, and each beacon is
+// armed after its batch has started — receiver, sender, next arrival is the
+// event-insertion order same-instant tie-breaking keys on. armFirst is the
+// fluid all-to-all order: every beacon, the first included, is an event,
+// armed before its batch arrives so a same-instant burst still folds into
+// one solver commit. Which order a caller uses is pinned by its goldens and
+// executed-event counts, not a free choice.
+func Replay(eng *sim.Engine, src Schedule, armFirst bool, start func(i int, s FlowSpec)) {
+	batch := src.NextBatch()
+	var cur []FlowSpec // the batch being started, copied out of src's storage
+	i := 0
+	var beacon func()
+	arm := func() {
+		if len(batch) > 0 {
+			eng.At(batch[0].At, beacon)
+		}
+	}
+	beacon = func() {
+		cur = append(cur[:0], batch...)
+		batch = src.NextBatch()
+		if armFirst {
+			arm()
+		}
+		for _, s := range cur {
+			start(i, s)
+			i++
+		}
+		if !armFirst {
+			arm()
+		}
+	}
+	if armFirst {
+		arm()
+	} else if len(batch) > 0 {
+		beacon()
+	}
+}
+
+// AllToAll is the paper's §4.2.2 workload as a Schedule: flows arrive as a
+// Poisson process; each flow picks a uniform random source and a distinct
+// uniform random destination, with sizes drawn from a heavy-tailed CDF, one
+// flow per batch. Load is expressed as the average fraction of each server's
+// access-link rate divided by the fabric's oversubscription, matching the
+// paper's "average network load relative to the bisection bandwidth".
+//
+// Each arrival draws its source, its destination, its size and then the gap
+// to the next arrival, in that order.
 type AllToAll struct {
-	Eng   *sim.Engine
-	RNG   *sim.RNG
-	Hosts []*netsim.Host
-	// NumHosts is the host count used by PredrawIdx when Hosts is nil —
-	// the fluid engine plans workloads over bare host indices without
-	// constructing netsim hosts at all. Ignored when Hosts is set.
+	RNG *sim.RNG
+	// Hosts, when set, are what Predraw maps host indices onto, and the host
+	// count is len(Hosts); otherwise it is NumHosts.
+	Hosts    []*netsim.Host
 	NumHosts int
-	// SrcHosts, when non-empty, restricts senders to this subset (the
-	// paper's testbed pattern has one ToR's servers initiate all flows);
-	// destinations are still drawn from Hosts.
-	SrcHosts []*netsim.Host
-	CDF      CDF
-	Start    FlowFactory
-	IDs      *IDAllocator
+	// Srcs and Dsts, when non-empty, restrict senders and receivers to these
+	// host indices (the paper's testbed pattern has one ToR's servers
+	// initiate all flows); an empty set means every host.
+	Srcs, Dsts []int
+	CDF        CDF
 
 	// MeanInterarrival between consecutive flow arrivals (aggregate).
 	MeanInterarrival sim.Time
-	// MaxFlows stops generating after this many flows (0 = until Stop).
+	// MaxFlows is how many arrivals the schedule yields.
 	MaxFlows int
 
-	Flows   []*tcp.Flow
-	stopped bool
+	t       sim.Time
+	emitted int
+	one     [1]FlowSpec // the batch NextBatch returns
 }
 
 // AggregateInterarrival computes the aggregate Poisson interarrival time for
@@ -63,35 +102,34 @@ func AggregateInterarrival(load float64, bisectionBps int64, interPodFrac float6
 	return sim.Time(float64(sim.Second) / flowsPerSec)
 }
 
-// Run begins the arrival process.
-func (g *AllToAll) Run() { g.arrive() }
-
-// Stop halts new arrivals; in-flight flows continue.
-func (g *AllToAll) Stop() { g.stopped = true }
-
-func (g *AllToAll) arrive() {
-	if g.stopped || (g.MaxFlows > 0 && len(g.Flows) >= g.MaxFlows) {
-		return
+// NextBatch draws the next arrival, or returns nil after MaxFlows.
+func (g *AllToAll) NextBatch() []FlowSpec {
+	if g.emitted >= g.MaxFlows {
+		return nil
 	}
-	var src *netsim.Host
-	if len(g.SrcHosts) > 0 {
-		src = g.SrcHosts[g.RNG.Intn(len(g.SrcHosts))]
-	} else {
-		src = g.Hosts[g.RNG.Intn(len(g.Hosts))]
-	}
+	g.emitted++
+	src := g.pick(g.Srcs)
 	dst := src
 	for dst == src {
-		dst = g.Hosts[g.RNG.Intn(len(g.Hosts))]
+		dst = g.pick(g.Dsts)
 	}
 	size := g.CDF.Sample(g.RNG)
-	f := g.Start(g.IDs.Next(), src, dst, size)
-	g.Flows = append(g.Flows, f)
-	g.Eng.Schedule(g.RNG.Exp(g.MeanInterarrival), g.arrive)
+	g.one[0] = FlowSpec{At: g.t, SrcIdx: int32(src), DstIdx: int32(dst), Size: size}
+	g.t += g.RNG.Exp(g.MeanInterarrival)
+	return g.one[:]
+}
+
+// pick draws a host index uniformly from set, or from every host when set
+// is empty.
+func (g *AllToAll) pick(set []int) int {
+	if len(set) == 0 {
+		return g.RNG.Intn(hostCount(g.Hosts, g.NumHosts))
+	}
+	return set[g.RNG.Intn(len(set))]
 }
 
 // Arrival is one pre-drawn all-to-all flow arrival: who sends what to whom,
-// when. Flow IDs are positional — arrival i corresponds to the (i+1)-th
-// ID the generator's allocator would hand out.
+// when. Flow IDs are positional — arrival i runs under ID i+1.
 type Arrival struct {
 	At       sim.Time
 	Src, Dst *netsim.Host
@@ -106,113 +144,48 @@ type ArrivalIdx struct {
 	Size     int64
 }
 
-// Predraw consumes the generator's RNG exactly as n live arrivals would and
-// returns them without starting any flows. It lets the sharded runner plan
-// the entire workload up front — every start becomes a pre-scheduled event
-// on the owning shard's engine — while drawing the identical random stream,
-// so the resulting traffic is byte-identical to Run's. Call it instead of
-// Run, never in addition (both consume the same stream); Eng, Start, and
-// IDs may be nil.
+// Predraw is PredrawIdx with the endpoints mapped onto Hosts.
 func (g *AllToAll) Predraw(n int) []Arrival {
-	if len(g.SrcHosts) == 0 {
-		// Delegate to the index-based planner so the two predraw forms are
-		// one RNG stream by construction, not by parallel maintenance.
-		idx := g.PredrawIdx(n)
-		out := make([]Arrival, len(idx))
-		for i, a := range idx {
-			out[i] = Arrival{At: a.At, Src: g.Hosts[a.Src], Dst: g.Hosts[a.Dst], Size: a.Size}
-		}
-		return out
-	}
-	out := make([]Arrival, 0, n)
-	var t sim.Time
-	for i := 0; i < n; i++ {
-		src := g.SrcHosts[g.RNG.Intn(len(g.SrcHosts))]
-		dst := src
-		for dst == src {
-			dst = g.Hosts[g.RNG.Intn(len(g.Hosts))]
-		}
-		size := g.CDF.Sample(g.RNG)
-		out = append(out, Arrival{At: t, Src: src, Dst: dst, Size: size})
-		t += g.RNG.Exp(g.MeanInterarrival)
+	idx := g.PredrawIdx(n)
+	out := make([]Arrival, len(idx))
+	for i, a := range idx {
+		out[i] = Arrival{At: a.At, Src: g.Hosts[a.Src], Dst: g.Hosts[a.Dst], Size: a.Size}
 	}
 	return out
 }
 
-// PredrawIdx is Predraw over bare host indices: the identical RNG draws,
-// with sources and destinations as positions in Hosts (or in [0, NumHosts)
-// when Hosts is nil). It panics if SrcHosts is set — the restricted-sender
-// pattern is pointer-based and has no index form.
+// PredrawIdx bounds the schedule at n arrivals and drains it: the arrivals
+// NextBatch would yield one at a time, all at once.
 func (g *AllToAll) PredrawIdx(n int) []ArrivalIdx {
-	if len(g.SrcHosts) > 0 {
-		panic("workload: PredrawIdx does not support SrcHosts")
-	}
-	nh := len(g.Hosts)
-	if nh == 0 {
-		nh = g.NumHosts
-	}
+	g.MaxFlows = n
 	out := make([]ArrivalIdx, 0, n)
-	var t sim.Time
-	for i := 0; i < n; i++ {
-		src := g.RNG.Intn(nh)
-		dst := src
-		for dst == src {
-			dst = g.RNG.Intn(nh)
-		}
-		size := g.CDF.Sample(g.RNG)
-		out = append(out, ArrivalIdx{At: t, Src: int32(src), Dst: int32(dst), Size: size})
-		t += g.RNG.Exp(g.MeanInterarrival)
+	for b := g.NextBatch(); b != nil; b = g.NextBatch() {
+		out = append(out, ArrivalIdx{At: b[0].At, Src: b[0].SrcIdx, Dst: b[0].DstIdx, Size: b[0].Size})
 	}
 	return out
 }
 
-// Job is one partition–aggregate transaction: n workers respond
-// simultaneously to one aggregator; the job completes when the slowest
-// response finishes.
-type Job struct {
-	Flows []*tcp.Flow
-	Start sim.Time
-}
-
-// Done reports whether every response has completed.
-func (j *Job) Done() bool {
-	for _, f := range j.Flows {
-		if !f.Done() {
-			return false
-		}
-	}
-	return true
-}
-
-// CompletionTime returns the time of the last flow to finish, minus the
-// job's start (the paper's metric in Figure 5).
-func (j *Job) CompletionTime() sim.Time {
-	var last sim.Time
-	for _, f := range j.Flows {
-		if f.RecvDone > last {
-			last = f.RecvDone
-		}
-	}
-	return last - j.Start
-}
-
-// PartitionAggregate drives the paper's §4.2.4 incast workload: jobs arrive
-// as a Poisson process; each JobBytes transaction is split evenly across
-// FanIn workers spread randomly in the fabric, all responding at once to a
-// random aggregator.
+// PartitionAggregate is the paper's §4.2.4 incast workload as a Schedule:
+// jobs arrive as a Poisson process, one job per batch; each JobBytes
+// transaction is split evenly across FanIn workers spread randomly in the
+// fabric, all responding at once to a random aggregator. A job is done when
+// its slowest response is (Figure 5's metric).
+//
+// Each job draws its aggregator, then its workers, then the gap to the next
+// job.
 type PartitionAggregate struct {
-	Eng   *sim.Engine
-	RNG   *sim.RNG
-	Hosts []*netsim.Host
-	Start FlowFactory
-	IDs   *IDAllocator
+	RNG      *sim.RNG
+	NumHosts int
 
 	JobBytes         int64
 	FanIn            int
 	MeanInterarrival sim.Time
-	MaxJobs          int
+	// MaxJobs is how many jobs the schedule yields.
+	MaxJobs int
 
-	Jobs []*Job
+	t    sim.Time
+	jobs int
+	job  []FlowSpec // the batch NextBatch returns
 }
 
 // JobInterarrival computes the Poisson interarrival for partition-aggregate
@@ -223,31 +196,42 @@ func JobInterarrival(load float64, bisectionBps int64, interPodFrac float64, job
 	return sim.Time(float64(sim.Second) / jobsPerSec)
 }
 
-// Run begins the arrival process.
-func (g *PartitionAggregate) Run() { g.arrive() }
+// NextBatch draws the next job's FanIn responses, or returns nil after
+// MaxJobs.
+func (g *PartitionAggregate) NextBatch() []FlowSpec {
+	if g.jobs >= g.MaxJobs {
+		return nil
+	}
+	g.jobs++
+	agg := g.RNG.Intn(g.NumHosts)
+	per := max(g.JobBytes/int64(g.FanIn), 1)
+	g.job = g.job[:0]
+	distinct(g.RNG, g.NumHosts, agg, g.FanIn, func(src int) {
+		g.job = append(g.job, FlowSpec{At: g.t, SrcIdx: int32(src), DstIdx: int32(agg), Size: per, Kind: KindIncast})
+	})
+	g.t += g.RNG.Exp(g.MeanInterarrival)
+	return g.job
+}
 
-func (g *PartitionAggregate) arrive() {
-	if g.MaxJobs > 0 && len(g.Jobs) >= g.MaxJobs {
-		return
-	}
-	agg := g.RNG.Intn(len(g.Hosts))
-	per := g.JobBytes / int64(g.FanIn)
-	if per < 1 {
-		per = 1
-	}
-	job := &Job{Start: g.Eng.Now()}
-	used := map[int]bool{agg: true}
-	for w := 0; w < g.FanIn; w++ {
-		// Workers are distinct from the aggregator and, while possible,
-		// from each other (with more workers than hosts they repeat).
-		src := g.RNG.IntnExcept(len(g.Hosts), agg)
-		for used[src] && len(used) < len(g.Hosts) {
-			src = g.RNG.IntnExcept(len(g.Hosts), agg)
+// distinct draws k host indices from [0, nh) other than except, distinct from
+// each other while there are hosts enough (with more draws than hosts they
+// repeat), and hands each to emit in draw order.
+func distinct(rng *sim.RNG, nh, except, k int, emit func(int)) {
+	used := map[int]bool{except: true}
+	for ; k > 0; k-- {
+		h := rng.IntnExcept(nh, except)
+		for used[h] && len(used) < nh {
+			h = rng.IntnExcept(nh, except)
 		}
-		used[src] = true
-		f := g.Start(g.IDs.Next(), g.Hosts[src], g.Hosts[agg], per)
-		job.Flows = append(job.Flows, f)
+		used[h] = true
+		emit(h)
 	}
-	g.Jobs = append(g.Jobs, job)
-	g.Eng.Schedule(g.RNG.Exp(g.MeanInterarrival), g.arrive)
+}
+
+// hostCount is the endpoint-draw range: len(hosts), or n when hosts is nil.
+func hostCount(hosts []*netsim.Host, n int) int {
+	if len(hosts) > 0 {
+		return len(hosts)
+	}
+	return n
 }

@@ -150,15 +150,15 @@ const (
 	numPatternKinds
 )
 
-// FlowSpec is one pre-determined flow of a production workload: who sends
-// how much to whom, when, and as part of what pattern. Flow IDs are
-// positional — the i-th spec a Mix emits is flow ID i+1.
+// FlowSpec is one arrival of a Schedule: who sends how much to whom, when,
+// and as part of what pattern. Flow IDs are positional — the i-th spec a
+// schedule yields is flow ID i+1.
 type FlowSpec struct {
 	At       sim.Time
 	Src, Dst *netsim.Host
 	// SrcIdx, DstIdx are the endpoints as positions in the host list — the
-	// form the fluid engine consumes. Always populated; Src/Dst are nil
-	// when the Mix was configured with NumHosts instead of Hosts.
+	// form every engine consumes. Always populated; Src/Dst are set only by
+	// a Mix configured with Hosts.
 	SrcIdx, DstIdx int32
 	Size           int64
 	Kind           PatternKind
@@ -205,15 +205,6 @@ type Mix struct {
 	t       sim.Time
 	emitted int
 	started bool
-}
-
-// hostCount returns the endpoint-draw range: len(Hosts), or NumHosts when
-// generating index-only.
-func (m *Mix) hostCount() int {
-	if len(m.Hosts) > 0 {
-		return len(m.Hosts)
-	}
-	return m.NumHosts
 }
 
 // host returns the i-th host pointer, or nil in index-only mode.
@@ -274,7 +265,7 @@ func (m *Mix) NextBatch() []FlowSpec {
 
 	// All endpoint draws are by index so the stream is identical whether
 	// the Mix carries netsim hosts (packet engine) or bare counts (fluid).
-	nh := m.hostCount()
+	nh := hostCount(m.Hosts, m.NumHosts)
 	var batch []FlowSpec
 	switch kind {
 	case KindPlain:
@@ -294,31 +285,19 @@ func (m *Mix) NextBatch() []FlowSpec {
 			per = 1
 		}
 		agg := m.RNG.Intn(nh)
-		used := map[int]bool{agg: true}
-		for w := 0; w < fan; w++ {
-			src := m.RNG.IntnExcept(nh, agg)
-			for used[src] && len(used) < nh {
-				src = m.RNG.IntnExcept(nh, agg)
-			}
-			used[src] = true
+		distinct(m.RNG, nh, agg, fan, func(src int) {
 			batch = append(batch, FlowSpec{
 				At: m.t, Src: m.host(src), Dst: m.host(agg),
 				SrcIdx: int32(src), DstIdx: int32(agg), Size: per, Kind: kind})
-		}
+		})
 	case KindStorage:
 		size := m.CDF.Sample(m.RNG)
 		wr := m.RNG.Intn(nh)
-		used := map[int]bool{wr: true}
-		for r := 0; r < m.replicas(); r++ {
-			dst := m.RNG.IntnExcept(nh, wr)
-			for used[dst] && len(used) < nh {
-				dst = m.RNG.IntnExcept(nh, wr)
-			}
-			used[dst] = true
+		distinct(m.RNG, nh, wr, m.replicas(), func(dst int) {
 			batch = append(batch, FlowSpec{
 				At: m.t, Src: m.host(wr), Dst: m.host(dst),
 				SrcIdx: int32(wr), DstIdx: int32(dst), Size: size, Kind: kind})
-		}
+		})
 	}
 
 	// Truncate at exactly MaxFlows — after the batch's draws, so the RNG

@@ -4,9 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"flowbender/internal/netsim"
 	"flowbender/internal/sim"
-	"flowbender/internal/tcp"
 )
 
 func TestWebSearchCDFValid(t *testing.T) {
@@ -143,142 +141,5 @@ func TestJobInterarrival(t *testing.T) {
 	want := AggregateInterarrival(0.6, 80_000_000_000, 0.75, 1_000_000)
 	if got != want {
 		t.Fatalf("job interarrival %v != flow interarrival %v for same bytes", got, want)
-	}
-}
-
-// fakeFactory records requested flows without simulating transport.
-type fakeFactory struct {
-	eng   *sim.Engine
-	flows []*tcp.Flow
-}
-
-func (f *fakeFactory) start(id netsim.FlowID, src, dst *netsim.Host, size int64) *tcp.Flow {
-	fl := &tcp.Flow{ID: id, Src: src, Dst: dst, Size: size, Start: f.eng.Now(), RecvDone: f.eng.Now(), SendDone: f.eng.Now()}
-	f.flows = append(f.flows, fl)
-	return fl
-}
-
-func testHosts(eng *sim.Engine, n int) []*netsim.Host {
-	hosts := make([]*netsim.Host, n)
-	for i := range hosts {
-		hosts[i] = netsim.NewHost(eng, netsim.NodeID(i), 10_000_000_000, 0)
-	}
-	return hosts
-}
-
-func TestAllToAllGeneratesExactlyMaxFlows(t *testing.T) {
-	eng := sim.NewEngine()
-	hosts := testHosts(eng, 8)
-	ff := &fakeFactory{eng: eng}
-	gen := &AllToAll{
-		Eng: eng, RNG: sim.NewRNG(1), Hosts: hosts, CDF: Fixed(1000),
-		Start: ff.start, IDs: &IDAllocator{}, MeanInterarrival: sim.Microsecond, MaxFlows: 137,
-	}
-	gen.Run()
-	eng.RunUntilIdle()
-	if len(gen.Flows) != 137 {
-		t.Fatalf("generated %d flows", len(gen.Flows))
-	}
-	for _, f := range gen.Flows {
-		if f.Src == f.Dst {
-			t.Fatal("flow with src == dst")
-		}
-	}
-}
-
-func TestAllToAllSrcSubset(t *testing.T) {
-	eng := sim.NewEngine()
-	hosts := testHosts(eng, 8)
-	ff := &fakeFactory{eng: eng}
-	gen := &AllToAll{
-		Eng: eng, RNG: sim.NewRNG(2), Hosts: hosts, SrcHosts: hosts[:2], CDF: Fixed(1000),
-		Start: ff.start, IDs: &IDAllocator{}, MeanInterarrival: sim.Microsecond, MaxFlows: 100,
-	}
-	gen.Run()
-	eng.RunUntilIdle()
-	for _, f := range gen.Flows {
-		if f.Src != hosts[0] && f.Src != hosts[1] {
-			t.Fatal("flow from outside the source subset")
-		}
-	}
-}
-
-func TestAllToAllSameWorkloadAcrossRuns(t *testing.T) {
-	build := func() []*tcp.Flow {
-		eng := sim.NewEngine()
-		hosts := testHosts(eng, 8)
-		ff := &fakeFactory{eng: eng}
-		gen := &AllToAll{
-			Eng: eng, RNG: sim.NewRNG(42), Hosts: hosts, CDF: WebSearchCDF(),
-			Start: ff.start, IDs: &IDAllocator{}, MeanInterarrival: 10 * sim.Microsecond, MaxFlows: 200,
-		}
-		gen.Run()
-		eng.RunUntilIdle()
-		return gen.Flows
-	}
-	x, y := build(), build()
-	if len(x) != len(y) {
-		t.Fatal("runs generated different flow counts")
-	}
-	for i := range x {
-		if x[i].Size != y[i].Size || x[i].Start != y[i].Start ||
-			x[i].Src.ID() != y[i].Src.ID() || x[i].Dst.ID() != y[i].Dst.ID() {
-			t.Fatalf("flow %d differs between identically seeded runs", i)
-		}
-	}
-}
-
-func TestPartitionAggregateJobs(t *testing.T) {
-	eng := sim.NewEngine()
-	hosts := testHosts(eng, 16)
-	ff := &fakeFactory{eng: eng}
-	gen := &PartitionAggregate{
-		Eng: eng, RNG: sim.NewRNG(3), Hosts: hosts,
-		Start: ff.start, IDs: &IDAllocator{},
-		JobBytes: 1_000_000, FanIn: 8, MeanInterarrival: sim.Microsecond, MaxJobs: 20,
-	}
-	gen.Run()
-	eng.RunUntilIdle()
-	if len(gen.Jobs) != 20 {
-		t.Fatalf("jobs = %d", len(gen.Jobs))
-	}
-	for _, j := range gen.Jobs {
-		if len(j.Flows) != 8 {
-			t.Fatalf("job has %d workers", len(j.Flows))
-		}
-		agg := j.Flows[0].Dst
-		seen := map[netsim.NodeID]bool{}
-		var total int64
-		for _, f := range j.Flows {
-			if f.Dst != agg {
-				t.Fatal("workers respond to different aggregators")
-			}
-			if f.Src == agg {
-				t.Fatal("aggregator responds to itself")
-			}
-			if seen[f.Src.ID()] {
-				t.Fatal("duplicate worker in a job")
-			}
-			seen[f.Src.ID()] = true
-			total += f.Size
-		}
-		if total < 999_992 || total > 1_000_000 {
-			t.Fatalf("job bytes = %d", total)
-		}
-		if !j.Done() {
-			t.Fatal("fake-completed job not Done")
-		}
-	}
-}
-
-func TestIDAllocatorUnique(t *testing.T) {
-	var a IDAllocator
-	seen := map[netsim.FlowID]bool{}
-	for i := 0; i < 1000; i++ {
-		id := a.Next()
-		if seen[id] {
-			t.Fatal("duplicate flow ID")
-		}
-		seen[id] = true
 	}
 }

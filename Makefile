@@ -32,9 +32,12 @@ test-race:
 
 # The simulator suites again with use-after-free tripwires armed: recycled
 # events/packets are poisoned and any stale access panics with generation
-# diagnostics. Run this first when debugging a determinism break.
+# diagnostics; an embedded event filed twice, or recycled or reset while
+# filed, panics. Run this first when debugging a determinism break.
 test-simdebug:
 	$(GO) test -tags simdebug ./internal/...
+	./ci/gotest-run.sh 'TestSimdebugEmbeddedTripwire|TestSimdebugTripwires' -tags simdebug ./internal/sim/
+	./ci/gotest-run.sh 'TestSimdebugEmbeddedEventTripwires|TestSimdebugPacketTripwires|TestSimdebugHandOffTripwires' -tags simdebug ./internal/netsim/
 
 # Which shipped internal/ functions does no binary ever execute? Builds every
 # binary and example with coverage, drives the runs a user makes into one

@@ -168,7 +168,8 @@ func (ev *Event) linkScoped() bool {
 }
 
 // validate checks the event's parameters (target names are resolved
-// separately, against the fabric).
+// separately, against the fabric). Each range is written as the condition
+// that holds, so a NaN, which fails every comparison, is out of it.
 func (ev *Event) validate(i int) error {
 	if ev.At < 0 {
 		return fmt.Errorf("faults: event %d (%s): negative time %v", i, ev.Kind, ev.At)
@@ -178,15 +179,15 @@ func (ev *Event) validate(i int) error {
 		if ev.DownFor <= 0 || ev.UpFor <= 0 {
 			return fmt.Errorf("faults: event %d (flap): DownFor and UpFor must be > 0", i)
 		}
-		if ev.Jitter < 0 || ev.Jitter >= 1 {
+		if !(ev.Jitter >= 0 && ev.Jitter < 1) {
 			return fmt.Errorf("faults: event %d (flap): Jitter %v out of [0, 1)", i, ev.Jitter)
 		}
 	case GrayDrop:
-		if ev.DropProb < 0 || ev.DropProb > 1 {
+		if !(ev.DropProb >= 0 && ev.DropProb <= 1) {
 			return fmt.Errorf("faults: event %d (gray-drop): DropProb %v out of [0, 1]", i, ev.DropProb)
 		}
 	case Degrade:
-		if ev.RateFraction <= 0 || ev.RateFraction > 1 {
+		if !(ev.RateFraction > 0 && ev.RateFraction <= 1) {
 			return fmt.Errorf("faults: event %d (degrade): RateFraction %v out of (0, 1]", i, ev.RateFraction)
 		}
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -217,6 +218,42 @@ func TestApplyRejectsBadTargets(t *testing.T) {
 	for i, plan := range cases {
 		if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err == nil {
 			t.Errorf("case %d: bad plan accepted", i)
+		}
+	}
+}
+
+// Every float parameter's range is closed against NaN, which fails every
+// comparison: a NaN degrade would otherwise run the link at 1 b/s.
+func TestValidateFloatRanges(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	flap := func(j float64) Event { return FlapLink(0, "aggcore:0/0/0", 1, 1, j, 0) }
+	cases := []struct {
+		ev   Event
+		want string // "" for valid
+	}{
+		{flap(0), ""},
+		{flap(0.5), ""},
+		{flap(1), "Jitter 1 out of [0, 1)"},
+		{flap(-0.1), "Jitter -0.1 out of [0, 1)"},
+		{flap(nan), "Jitter NaN out of [0, 1)"},
+		{Gray(0, "aggcore:0/0/0", 0), ""},
+		{Gray(0, "aggcore:0/0/0", 1), ""},
+		{Gray(0, "aggcore:0/0/0", 1.5), "DropProb 1.5 out of [0, 1]"},
+		{Gray(0, "aggcore:0/0/0", nan), "DropProb NaN out of [0, 1]"},
+		{Gray(0, "aggcore:0/0/0", -inf), "DropProb -Inf out of [0, 1]"},
+		{DegradeLink(0, "aggcore:0/0/0", 1), ""},
+		{DegradeLink(0, "aggcore:0/0/0", 0.25), ""},
+		{DegradeLink(0, "aggcore:0/0/0", 0), "RateFraction 0 out of (0, 1]"},
+		{DegradeLink(0, "aggcore:0/0/0", nan), "RateFraction NaN out of (0, 1]"},
+		{DegradeLink(0, "aggcore:0/0/0", inf), "RateFraction +Inf out of (0, 1]"},
+	}
+	for i, tc := range cases {
+		err := tc.ev.validate(i)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("case %d (%s): valid event refused: %v", i, tc.ev.Kind, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("case %d (%s): got %v, want an error with %q", i, tc.ev.Kind, err, tc.want)
 		}
 	}
 }

@@ -14,12 +14,18 @@ const poisonSeq int64 = -0x5151515151515151
 
 // debugCheckLive panics when a packet that sits in a pool's free list is
 // handed back to the fabric — a use-after-free that silently corrupts runs
-// in release builds if a caller violates the ownership contract. The fabric
-// calls it at every packet entry point (Host.Send/Receive, Switch.Receive,
-// Port.Enqueue).
+// in release builds if a caller violates the ownership contract — or when
+// the packet's own event is still filed: a second pending step, or, at
+// PacketPool.Put, an event the engine would fire on a zeroed packet. The
+// fabric calls it at every packet entry point (Host.Send/Receive,
+// Switch.Receive, Port.Enqueue, the hand-offs) and where a packet is
+// recycled.
 func (p *Packet) debugCheckLive(site string) {
 	if p.pooled {
 		panic(fmt.Sprintf("netsim: %s on recycled packet (gen %d): packet retained after delivery or drop", site, p.gen))
+	}
+	if p.ev.Filed() {
+		panic(fmt.Sprintf("netsim: %s on a packet whose step %d at %d is still filed (gen %d): a packet has one pending event", site, p.step, p.ev.Time(), p.gen))
 	}
 }
 
@@ -120,10 +126,10 @@ func (p *Port) debugCheckBook() {
 // so the packet may be queued downstream, delivered, or recycled — taking it
 // back would duplicate or corrupt it in release builds.
 func (p *Port) debugCheckRecall(r *txRec) {
-	if r.ev == nil {
-		panic("netsim: recall of a transmission that was not handed off")
-	}
 	if now := p.eng.Now(); now > r.end {
 		panic(fmt.Sprintf("netsim: hand-off recalled at %d, after its end at %d: the peer's event may have fired", now, r.end))
+	}
+	if r.pkt == nil || !r.pkt.ev.Filed() {
+		panic("netsim: recall of a transmission that was not handed off")
 	}
 }

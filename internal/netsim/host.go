@@ -123,11 +123,12 @@ func (h *Host) Send(pkt *Packet) {
 		h.NIC.Enqueue(pkt)
 		return
 	}
-	if h.crossing == 0 && h.NIC.sendAhead(pkt, h.eng.Now()+h.Delay) {
+	now := h.eng.Now()
+	if h.crossing == 0 && h.NIC.sendAhead(pkt, now+h.Delay) {
 		return
 	}
 	h.crossing++
-	pkt.scheduleStep(h.eng, h.Delay, stepEnqueue, h, 0)
+	pkt.scheduleStepAt(h.eng, now+h.Delay, now, stepEnqueue, h, 0)
 }
 
 // resend puts a packet the NIC had taken ahead of time back behind the egress
@@ -143,7 +144,8 @@ func (h *Host) Receive(pkt *Packet, _ int) {
 	h.RxPackets++
 	h.RxBytes += int64(pkt.Size)
 	if h.Delay > 0 {
-		pkt.scheduleStep(h.eng, h.Delay, stepDeliver, h, 0)
+		now := h.eng.Now()
+		pkt.scheduleStepAt(h.eng, now+h.Delay, now, stepDeliver, h, 0)
 	} else {
 		h.deliver(pkt)
 	}

@@ -62,7 +62,22 @@ const HeaderBytes = 40
 // sender after it has been handed to the network. Packets drawn from a
 // PacketPool (Host.NewPacket) are additionally recycled by the fabric once
 // consumed — see the PacketPool ownership contract.
+//
+// A packet carries its own event. It never has more than one fabric step
+// pending — link propagation, a forwarding pipeline, a host delay — because
+// each stage files the next from inside the previous one's handler, so the
+// step is the embedded ev, filed with sim.Engine.FileAt and fired through the
+// packet itself (hop). A hop therefore touches the packet and nothing else:
+// no pooled event, no closure, no allocation. The event and the step it
+// stands for come first, where a hop reads first. A port that hands the
+// packet off early (Port.handOff) files the peer's step on ev too, and a
+// take-back cancels it there.
 type Packet struct {
+	ev       sim.Event
+	step     uint8
+	stepPort int32
+	stepDev  Device
+
 	Flow     FlowID
 	Src, Dst NodeID
 	SrcPort  uint16
@@ -129,17 +144,6 @@ type Packet struct {
 	pfcSw *Switch
 	pfcIn int
 
-	// Hop-step scratch state: a packet has at most one pending fabric event
-	// at a time (propagation, forwarding pipeline, or host delay), so the
-	// pending hop is encoded in these fields and dispatched through the
-	// single prebuilt stepFn closure instead of a fresh closure per hop.
-	// stepFn survives pool recycling, so after warm-up forwarding a packet
-	// across the fabric performs zero allocations.
-	step     uint8
-	stepPort int32
-	stepDev  Device
-	stepFn   func()
-
 	// Free-list management (see PacketPool).
 	owned  bool   // drawn from a pool; recycled at the packet's terminal point
 	pooled bool   // currently in the free list (simdebug tripwire)
@@ -183,38 +187,29 @@ func orderTag(kind uint8, dev NodeID, port int) uint16 {
 	return uint16(kind)<<13 | uint16(dev)<<4 | uint16(port)
 }
 
-// scheduleStep arms the packet's single pending hop: after d, dev is invoked
-// per step. The one-pending-event invariant holds because each fabric stage
-// schedules the next only from inside the previous stage's completion.
-func (p *Packet) scheduleStep(eng *sim.Engine, d sim.Time, step uint8, dev Device, port int) {
+// scheduleStepAt files the packet's one pending step: at `at`, dev is
+// invoked per step. The event is keyed by the instant `stamp` it is filed at
+// and the (step, device, port) tag. A stage that follows an arrival now
+// passes now and now plus its delay. One that does not, passes the arrival:
+// a packet injected across a shard boundary arrived at a past instant of the
+// producing shard's clock, and a packet a port hands off early
+// (Port.handOff) arrives at the future instant its serialization ends;
+// either way the effect must land at arrival-time-plus-delay and tie-break
+// against same-due-time events exactly as if filed at the arrival.
+// Host.resend files the egress step a Send skipped the same way, after the
+// fact: due when the packet reaches the NIC, stamped when it was sent.
+func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) {
 	p.step, p.stepDev, p.stepPort = step, dev, int32(port)
-	if p.stepFn == nil {
-		p.stepFn = p.runStep
-	}
-	now := eng.Now()
-	eng.AtTagged(now+d, now, orderTag(step, dev.ID(), port), p.stepFn)
+	eng.FileAt(&p.ev, at, stamp, orderTag(step, dev.ID(), port), (*hop)(p))
 }
 
-// scheduleStepAt is scheduleStep with an absolute due time and insertion
-// stamp, used when the arrival it follows is not happening now: a packet
-// injected across a shard boundary arrived at a past instant `stamp` of the
-// producing shard's clock, and a packet a port hands off early (Port.handOff)
-// arrives at the future instant `stamp` its serialization ends. Either way
-// the effect must land at arrival-time-plus-delay rather than
-// now-plus-delay, and must tie-break against same-due-time events exactly as
-// if scheduled at the arrival — same insertion instant, same (step, device,
-// port) tag. Host.resend files the egress step a Send skipped the same way,
-// after the fact: due when the packet reaches the NIC, stamped when it was
-// sent. The handle is returned for the hand-off, which may have to cancel it.
-func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) *sim.Event {
-	p.step, p.stepDev, p.stepPort = step, dev, int32(port)
-	if p.stepFn == nil {
-		p.stepFn = p.runStep
-	}
-	return eng.AtTagged(at, stamp, orderTag(step, dev.ID(), port), p.stepFn)
-}
+// hop is a Packet as the sim.Handler of its own event: a type of its own, so
+// that the method the engine calls is no part of Packet's API.
+type hop Packet
 
-func (p *Packet) runStep() {
+// Fire runs the packet's pending step.
+func (h *hop) Fire() {
+	p := (*Packet)(h)
 	step, dev, port := p.step, p.stepDev, int(p.stepPort)
 	// Clear before dispatch: the step may end in the pool, which must not
 	// retain device references.

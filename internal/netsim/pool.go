@@ -67,9 +67,10 @@ func (pl *PacketPool) Get() *Packet {
 
 // Put recycles a consumed packet. Packets not drawn from a pool (and nil)
 // are ignored, so every terminal site in the fabric can call Put
-// unconditionally. The Sacks backing array and the packet's prebuilt step
-// callback survive recycling, which is what makes SACK-carrying ACKs and
-// multi-hop forwarding allocation-free after warm-up.
+// unconditionally. The Sacks backing array survives recycling, which is what
+// makes SACK-carrying ACKs allocation-free after warm-up. A packet is
+// consumed once its step has run: with its event still filed, the engine
+// would fire the zeroed packet (`-tags simdebug` panics).
 func (pl *PacketPool) Put(pkt *Packet) {
 	if pl == nil || pkt == nil || !pkt.owned {
 		return
@@ -78,10 +79,10 @@ func (pl *PacketPool) Put(pkt *Packet) {
 		pkt.debugDoubleFree()
 		return
 	}
+	pkt.debugCheckLive("PacketPool.Put")
 	sacks := pkt.Sacks[:0]
-	fn := pkt.stepFn
 	gen := pkt.gen + 1
-	*pkt = Packet{Sacks: sacks, stepFn: fn, owned: true, pooled: true, gen: gen}
+	*pkt = Packet{Sacks: sacks, owned: true, pooled: true, gen: gen}
 	pkt.debugPoison()
 	pl.free = append(pl.free, pkt)
 	pl.Puts++

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"flowbender/internal/sim"
@@ -213,6 +214,123 @@ func TestSimdebugPacketTripwires(t *testing.T) {
 	mustPanicNetsim(t, "Receive of recycled packet", func() { h.Receive(pkt, 0) })
 	mustPanicNetsim(t, "Enqueue of recycled packet", func() { h.NIC.Enqueue(pkt) })
 	mustPanicNetsim(t, "double free", func() { pl.Put(pkt) })
+}
+
+// Under -tags simdebug, a packet or a port whose own event is still filed
+// cannot be recycled, handed to the fabric again or reset: the engine would
+// fire a zeroed object, or the object would have two pending events. Once
+// the engine is reset, nothing is filed and all of it goes through.
+func TestSimdebugEmbeddedEventTripwires(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
+	eng := sim.NewEngine()
+	pl := NewPacketPool()
+
+	// A packet waiting out a host's ingress delay.
+	h := NewHost(eng, 0, 10_000_000_000, sim.Microsecond)
+	h.UsePool(pl)
+	h.Register(1, handlerFunc(func(*Packet) {}))
+	pkt := h.NewPacket()
+	pkt.Flow = 1
+	h.Receive(pkt, 0)
+	mustPanicNetsim(t, "Put of a packet whose step is filed", func() { pl.Put(pkt) })
+	mustPanicNetsim(t, "Send of a packet whose step is filed", func() { h.Send(pkt) })
+
+	// A NIC and a switch port with their completions armed: neither a host
+	// with no delay nor a switch with no pipeline times a transmission ahead.
+	nic := NewHost(eng, 1, 10_000_000_000, 0)
+	nic.Send(&Packet{Dst: 2, Size: 1500})
+	sw := NewSwitch(eng, 2, 2, 10_000_000_000, SwitchConfig{})
+	sw.SetRoutes([][]int32{{0}, {1}})
+	sw.Receive(&Packet{Dst: 1, Size: 1500}, 0)
+	if !nic.NIC.tx.Filed() || !sw.Ports[1].tx.Filed() {
+		t.Fatalf("completions not armed: NIC %v, switch port %v", nic.NIC.tx.Filed(), sw.Ports[1].tx.Filed())
+	}
+	mustPanicNetsim(t, "Host.Reset with the NIC's completion filed", func() { nic.Reset(10_000_000_000, 0) })
+	mustPanicNetsim(t, "Switch.Reset with a port's completion filed", func() { sw.Reset(10_000_000_000, SwitchConfig{}) })
+	mustPanicNetsim(t, "Port.init with its completion filed", func() { sw.Ports[1].init(10_000_000_000, false, 0, 0, nil) })
+
+	eng.Reset()
+	pl.Put(pkt)
+	nic.Reset(10_000_000_000, 0)
+	sw.Reset(10_000_000_000, SwitchConfig{})
+	if pl.Live() != 0 {
+		t.Fatalf("%d packets live after the reset", pl.Live())
+	}
+}
+
+// idleOwner embeds an event that does nothing.
+type idleOwner struct{ ev sim.Event }
+
+func (*idleOwner) Fire() {}
+
+// A packet crossing a warm fabric takes nothing from the engine's free list:
+// its hop steps are the packet's own event, and a port's completion is the
+// port's. The free list is emptied first — pooled events parked a second out
+// hold every object it had — so a pooled event would be an allocation here
+// (counted by hand: testing.AllocsPerRun's warm-up call would refill the
+// list). Both paths: ports that time transmissions ahead, and a PFC fabric
+// where every port and NIC runs its completion event and every send its
+// egress step.
+func TestWarmFabricTakesNoPooledEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  SwitchConfig
+	}{
+		{"ledger", SwitchConfig{QueueCap: 200000, MarkK: 30000, FwdDelay: sim.Microsecond}},
+		{"completion events", SwitchConfig{FwdDelay: sim.Microsecond, PFC: &PFCConfig{Pause: 100000, Unpause: 50000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			src, dst, _ := hoChain(eng, tc.cfg, 2, 3, 4)
+			pl := NewPacketPool()
+			src.UsePool(pl)
+			dst.UsePool(pl)
+			delivered := 0
+			dst.Register(1, handlerFunc(func(*Packet) { delivered++ }))
+			send := func() {
+				for i := 0; i < 3; i++ {
+					pkt := src.NewPacket()
+					pkt.Flow, pkt.Src, pkt.Dst, pkt.Size = 1, 0, 1, 1500
+					src.Send(pkt)
+				}
+				eng.Run(eng.Now() + 100*sim.Microsecond)
+			}
+			// Warm: the pool's packets, the ledgers' rings, and a FIFO that
+			// only stops growing once it has compacted (Queue.Pop).
+			for i := 0; i < 40; i++ {
+				send()
+			}
+			before := eng.Executed
+			// An embedded event at the clock keeps the cursor there, so the
+			// parked events wait beyond the horizon, as a run's timers do,
+			// instead of taking the cursor out to them; one a tick, so that
+			// a Run peeking past its end takes one of them into the due heap,
+			// not all.
+			anchor := &idleOwner{}
+			eng.FileAt(&anchor.ev, eng.Now(), eng.Now(), sim.TagNone, anchor)
+			for n := eng.Snapshot().Seq; n > 0; n-- {
+				eng.Schedule(sim.Second+sim.Time(n)*sim.Microsecond, func() {})
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 10; i++ {
+				send()
+			}
+			runtime.ReadMemStats(&m1)
+			if n := m1.Mallocs - m0.Mallocs; n != 0 {
+				t.Fatalf("a warm fabric allocates %d times for thirty packets", n)
+			}
+			if delivered != 3*50 || pl.Live() != 0 {
+				t.Fatalf("delivered %d packets with %d live, want 150 and 0", delivered, pl.Live())
+			}
+			if perPacket := (eng.Executed - before) / 30; perPacket < 4 {
+				t.Fatalf("%d events a packet: the measured sends did not cross the fabric", perPacket)
+			}
+		})
+	}
 }
 
 // Under -tags simdebug, settling the ledger at the wrong time panics: booking

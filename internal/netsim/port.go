@@ -1,6 +1,10 @@
 package netsim
 
-import "flowbender/internal/sim"
+import (
+	"fmt"
+
+	"flowbender/internal/sim"
+)
 
 // Link is the unidirectional wire attached to an egress Port. Its peer is
 // the device (and input-port number) that receives what the port transmits.
@@ -44,16 +48,19 @@ type Link struct {
 // (end, start, tag)) books the counters, runs the onSent hook, decides the
 // link outcome, gives the packet to the peer — whose own pipeline event is
 // filed there under (end + peer delay, end, peer tag) — and pops the next.
+// A port has at most one armed transmission, so the completion event is its
+// own, embedded (tx) and fired through the port itself (portTx), as a
+// packet's step is (see Packet).
 //
 // A FIFO port at a fixed rate knows all of that the moment the packet is
 // offered, so most ports never run the event. Such a port keeps a ledger of
 // transmissions timed ahead: when everything ahead of an arriving packet is
 // already in the ledger, the packet is timed on the spot
-// (start = max(arrival, the previous record's end)), the peer's event is
-// filed at once under the key finishTx would give it at end, and a record
-// (start, end, size, proto, packet, peer event) joins the ledger — the oldest
-// one inline in the Port (cur), followers in a ring that grows on demand. A
-// record is in one of three states:
+// (start = max(arrival, the previous record's end)), the peer's event — the
+// packet's own — is filed at once under the key finishTx would give it at
+// end, and a record (start, end, size, proto, packet) joins the ledger — the
+// oldest one inline in the Port (cur), followers in a ring that grows on
+// demand. A record is in one of three states:
 //
 //   - sent ahead: Host.Send timed it an egress delay before the packet
 //     reaches the NIC (sendAhead); the queue's counters have not seen it;
@@ -74,7 +81,7 @@ type Link struct {
 // Anything that changes when the port transmits — SetLinkDown,
 // SetLinkDropFn, SetRate, SetPaused(true), a packet that cannot join the
 // ledger — first takes the ledger back (takeBack): what is over is booked;
-// every other record has its peer event cancelled and the peer's arrival
+// every other record has its packet's event cancelled and the peer's arrival
 // counters undone; the record on the wire stays cur, now the port's own,
 // with finishTx armed at its end; waiting packets go into the real queue,
 // to be timed when they start; packets sent ahead go back behind the host's
@@ -109,9 +116,9 @@ type Port struct {
 	eng *sim.Engine
 
 	// cur is the oldest unbooked transmission while busy — on the wire, or
-	// sent ahead toward an idle port. armed: cur is the port's own (ev nil)
-	// and finishTx is scheduled at its end; the ring is empty then. Not
-	// armed, cur and the ring are the ledger, and the real queue is empty.
+	// sent ahead toward an idle port. armed: cur is the port's own and tx is
+	// filed at its end; the ring is empty then. Not armed, cur and the ring
+	// are the ledger, and the real queue is empty.
 	cur    txRec
 	busy   bool
 	armed  bool
@@ -166,8 +173,8 @@ type Port struct {
 
 	Q Queue
 
-	// txDone is the prebuilt completion callback, so arming allocates nothing.
-	txDone func()
+	// tx is the completion event of the armed transmission.
+	tx sim.Event
 	// pool, when set, recycles packets this port's link drops.
 	pool *PacketPool
 	// pauseFn/resumeFn are the PFC control-frame callbacks, built the first
@@ -187,10 +194,9 @@ type txRec struct {
 	// arr is when a sent-ahead packet reaches the port, and arrived once the
 	// queue's counters have seen the packet.
 	arr sim.Time
-	// pkt and ev (the peer's pending event, nil on an armed transmission)
-	// are for takeBack alone, and only while end has not passed.
+	// pkt is for finishTx and takeBack alone, and only while end has not
+	// passed; a record's peer event is the packet's own.
 	pkt   *Packet
-	ev    *sim.Event
 	size  int32
 	proto Proto
 }
@@ -218,9 +224,7 @@ func NewPort(eng *sim.Engine, rateBps int64) *Port {
 // engine, its ordering tag and, for a NIC, its host. The owner wires the
 // link; everything else is init's.
 func newPort(eng *sim.Engine, tag uint16, host *Host) *Port {
-	p := &Port{eng: eng, tag: tag, host: host}
-	p.txDone = p.finishTx
-	return p
+	return &Port{eng: eng, tag: tag, host: host}
 }
 
 // init is both the rest of the port's construction and its reset (see
@@ -230,12 +234,16 @@ func newPort(eng *sim.Engine, tag uint16, host *Host) *Port {
 // the pool, the link's wiring (its failure state and counters go) and the two
 // arrays, emptied: the ledger's ring and the queue's FIFO. The owner decides
 // the rest: the rate, whether arrivals are keyed, the queue's capacity and
-// marking threshold, and the completion hook.
+// marking threshold, and the completion hook. The completion event must not
+// be filed (Engine.Reset cancels it; `-tags simdebug` panics).
 func (p *Port) init(rateBps int64, keyed bool, queueCap, markK int, onSent sentHook) {
+	if sim.Debug && p.tx.Filed() {
+		panic(fmt.Sprintf("netsim: port reset while its completion at %d is filed: reset the engine first", p.tx.Time()))
+	}
 	clear(p.ring)
 	clear(p.Q.buf)
 	*p = Port{
-		eng: p.eng, tag: p.tag, host: p.host, txDone: p.txDone, pool: p.pool,
+		eng: p.eng, tag: p.tag, host: p.host, pool: p.pool,
 		Link: Link{To: p.Link.To, ToPort: p.Link.ToPort, Delay: p.Link.Delay},
 		ring: p.ring[:0],
 		Q:    Queue{Cap: queueCap, MarkK: markK, buf: p.Q.buf[:0]},
@@ -314,12 +322,11 @@ func (p *Port) timeAhead(pkt *Packet, arr sim.Time, sent bool) bool {
 		start = p.tail
 	}
 	end := start + p.SerializationDelay(pkt.Size)
-	ev := p.handOff(pkt, start, end)
-	if ev == nil {
+	if !p.handOff(pkt, start, end) {
 		return false
 	}
 	p.tail = end
-	rec := txRec{start: start, end: end, arr: arrived, pkt: pkt, ev: ev, size: int32(pkt.Size), proto: pkt.Proto}
+	rec := txRec{start: start, end: end, arr: arrived, pkt: pkt, size: int32(pkt.Size), proto: pkt.Proto}
 	if sent {
 		rec.arr = arr
 		p.unarrived++
@@ -456,20 +463,24 @@ func (p *Port) kick() {
 	end := now + p.SerializationDelay(pkt.Size)
 	p.busy, p.tail = true, end
 	p.cur = txRec{start: now, end: end, arr: arrived, pkt: pkt, size: int32(pkt.Size), proto: pkt.Proto}
-	if p.Q.Empty() {
-		p.cur.ev = p.handOff(pkt, now, end)
-	}
-	if p.cur.ev == nil {
+	if !p.Q.Empty() || !p.handOff(pkt, now, end) {
 		p.arm()
 	}
 }
 
-// arm schedules cur's completion event, under the key it has always had: due
-// at the end, filed at the start, the port's tag.
+// arm files cur's completion event, under the key it has always had: due at
+// the end, filed at the start, the port's tag.
 func (p *Port) arm() {
 	p.armed = true
-	p.eng.AtTagged(p.cur.end, p.cur.start, p.tag, p.txDone)
+	p.eng.FileAt(&p.tx, p.cur.end, p.cur.start, p.tag, (*portTx)(p))
 }
+
+// portTx is a Port as the sim.Handler of its completion event, a type of its
+// own so that the method the engine calls is no part of Port's API.
+type portTx Port
+
+// Fire completes the armed transmission.
+func (t *portTx) Fire() { (*Port)(t).finishTx() }
 
 // handOff gives a packet whose transmission has been timed to the peer ahead
 // of time, when nothing needs to witness the transmission's end: no onSent
@@ -480,31 +491,35 @@ func (p *Port) arm() {
 // not depend on when it was inserted) on this engine, with no PFC accounting
 // to do at the arrival instant. A transmission of zero duration keeps its
 // event: it starts and ends on one nanosecond, where done's rule (a strictly
-// earlier start) has nothing to compare. It returns the peer's event, or nil.
-func (p *Port) handOff(pkt *Packet, start, end sim.Time) *sim.Event {
+// earlier start) has nothing to compare. It reports whether it handed the
+// packet off, its own event filed for the peer.
+func (p *Port) handOff(pkt *Packet, start, end sim.Time) bool {
 	l := &p.Link
 	if !p.keyed || p.onSent != nil || l.Down || l.DropFn != nil || end == start {
-		return nil
+		return false
 	}
 	switch d := l.To.(type) {
 	case *Switch:
 		if d.eng != p.eng || d.cfg.PFC != nil || !d.keyed {
-			return nil
+			return false
 		}
 		if l.Delay == 0 {
-			return d.receiveAt(pkt, l.ToPort, end)
+			d.receiveAt(pkt, l.ToPort, end)
+			return true
 		}
 	case *Host:
 		if d.eng != p.eng || !d.keyed {
-			return nil
+			return false
 		}
 		if l.Delay == 0 {
-			return d.receiveAt(pkt, end)
+			d.receiveAt(pkt, end)
+			return true
 		}
 	default:
-		return nil
+		return false
 	}
-	return pkt.scheduleStepAt(p.eng, end+l.Delay, end, stepReceive, l.To, l.ToPort)
+	pkt.scheduleStepAt(p.eng, end+l.Delay, end, stepReceive, l.To, l.ToPort)
+	return true
 }
 
 // done reports whether the completion of the ledger's record on the wire
@@ -581,7 +596,7 @@ func (p *Port) book() {
 	p.txPackets++
 	if p.n == 0 {
 		p.busy = false
-		c.pkt, c.ev = nil, nil
+		c.pkt = nil
 		return
 	}
 	*c = p.popRec()
@@ -622,12 +637,13 @@ func (p *Port) takeBack() {
 	}
 }
 
-// recall undoes a record's hand-off, whose peer event has not fired: the
-// event is cancelled and the peer's arrival counters are taken back.
+// recall undoes a record's hand-off, whose peer event — the packet's own —
+// has not fired: the event is cancelled, which takes it out of the engine at
+// once so that the packet may be filed again, and the peer's arrival
+// counters are taken back.
 func (p *Port) recall(r *txRec) {
 	p.debugCheckRecall(r)
-	p.eng.Cancel(r.ev)
-	r.ev = nil
+	p.eng.Cancel(&r.pkt.ev)
 	if p.Link.Delay == 0 {
 		switch d := p.Link.To.(type) {
 		case *Switch:
@@ -663,8 +679,9 @@ func (p *Port) finishTx() {
 	} else if p.Link.DropFn != nil && p.Link.DropFn(pkt) {
 		p.Link.DroppedGray++
 		p.pool.Put(pkt)
-	} else if p.Link.Delay > 0 {
-		pkt.scheduleStep(p.eng, p.Link.Delay, stepReceive, p.Link.To, p.Link.ToPort)
+	} else if d := p.Link.Delay; d > 0 {
+		now := p.eng.Now()
+		pkt.scheduleStepAt(p.eng, now+d, now, stepReceive, p.Link.To, p.Link.ToPort)
 	} else {
 		p.Link.To.Receive(pkt, p.Link.ToPort)
 	}

@@ -125,7 +125,7 @@ func applyCross(msgs []CrossMsg, windowEnd sim.Time) {
 // the forwarding pipeline is scheduled at the absolute arrival time plus the
 // forwarding delay — which the bounded-lag window guarantees has not yet
 // passed on this shard — under the key Receive would have given it.
-func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) *sim.Event {
+func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) {
 	pkt.debugCheckLive("Switch.receiveAt")
 	if s.cfg.PFC != nil {
 		// PFC pause state is read synchronously by upstream ports; it
@@ -137,7 +137,7 @@ func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) *sim.Event {
 	}
 	s.RxPackets++
 	pkt.Hops++
-	return pkt.scheduleStepAt(s.eng, at+s.cfg.FwdDelay, at, stepForward, s, inPort)
+	pkt.scheduleStepAt(s.eng, at+s.cfg.FwdDelay, at, stepForward, s, inPort)
 }
 
 // unreceive takes back receiveAt's counters for a recalled hand-off.
@@ -146,11 +146,11 @@ func (s *Switch) unreceive(pkt *Packet) {
 	pkt.Hops--
 }
 
-func (h *Host) receiveAt(pkt *Packet, at sim.Time) *sim.Event {
+func (h *Host) receiveAt(pkt *Packet, at sim.Time) {
 	pkt.debugCheckLive("Host.receiveAt")
 	h.RxPackets++
 	h.RxBytes += int64(pkt.Size)
-	return pkt.scheduleStepAt(h.eng, at+h.Delay, at, stepDeliver, h, 0)
+	pkt.scheduleStepAt(h.eng, at+h.Delay, at, stepDeliver, h, 0)
 }
 
 // unreceive takes back receiveAt's counters for a recalled hand-off.

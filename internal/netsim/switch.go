@@ -312,8 +312,9 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 		s.checkPause(inPort)
 	}
 	pkt.Hops++
-	if s.cfg.FwdDelay > 0 {
-		pkt.scheduleStep(s.eng, s.cfg.FwdDelay, stepForward, s, inPort)
+	if d := s.cfg.FwdDelay; d > 0 {
+		now := s.eng.Now()
+		pkt.scheduleStepAt(s.eng, now+d, now, stepForward, s, inPort)
 	} else {
 		s.forward(pkt)
 	}

@@ -9,10 +9,10 @@
 // # Hot-path design
 //
 // Schedule/Step are the innermost loop of every experiment, so the engine
-// avoids allocation and interface dispatch there and orders as little as it
-// can. Pending events live in a calendar queue: a timing wheel of 64 ns
-// ticks for the near future, backed by a single overflow heap for events
-// beyond the wheel's horizon (retransmission timers, teardown). Fabric
+// avoids allocation there, touches as few objects as it can, and orders as
+// little as it can. Pending events live in a calendar queue: a timing wheel
+// of 64 ns ticks for the near future, backed by a single overflow heap for
+// events beyond the wheel's horizon (retransmission timers, teardown). Fabric
 // events — switch pipeline delays, serialization, host processing — are all
 // microsecond-scale, so nearly every event is filed on the wheel, and filing
 // is two pointer writes: an Event carries its own sort key and a link, and a
@@ -20,40 +20,59 @@
 //
 // Order is established late and on few events. When the cursor reaches a
 // tick, that bucket's list becomes the due heap, a 4-ary min-heap over
-// (time, insertion-order); events cancelled while they waited are dropped
-// at that point and never sifted. An event scheduled into the cursor's own
-// tick is pushed onto the due heap directly. Buckets are not nearly empty —
-// on the all-to-all sweep a 2 µs bucket held 33.7 entries on average when
-// it was popped, which is why a tick is 64 ns: the due heap there holds 2.3
-// events on average and 40% of pops find it holding one (PERF_LEDGER.md
-// L8) — and a pathological workload that piles thousands of events onto one
-// instant degrades to exactly the global-heap behavior rather than anything
-// quadratic. Two levels of occupancy bitmap find the next busy tick in two
-// TrailingZeros however sparse the schedule, which is what a fluid run's
-// handful of events spread over milliseconds needs.
+// (time, insertion-order); pooled events cancelled while they waited are
+// dropped at that point and never sifted. An event scheduled into the
+// cursor's own tick is pushed onto the due heap directly. Buckets are not
+// nearly empty — on the all-to-all sweep a 2 µs bucket held 33.7 entries on
+// average when it was popped, which is why a tick is 64 ns: the due heap
+// there holds 2.3 events on average and 40% of pops find it holding one
+// (PERF_LEDGER.md L8) — and a pathological workload that piles thousands of
+// events onto one instant degrades to exactly the global-heap behavior
+// rather than anything quadratic. Two levels of occupancy bitmap find the
+// next busy tick in two TrailingZeros however sparse the schedule, which is
+// what a fluid run's handful of events spread over milliseconds needs.
 //
-// Fired or reclaimed-cancelled events are recycled through a per-engine
-// free list threaded through the same link, making steady-state scheduling
-// allocation-free.
+// An event is either pooled or embedded. At, Schedule and AtTagged take a
+// pooled one: fired or reclaimed-cancelled events are recycled through a
+// per-engine free list threaded through the same link, making steady-state
+// scheduling allocation-free. An object that never has more than one event
+// pending — a packet's next hop step, a port's completion — embeds it
+// instead and files it with FileAt; the engine never recycles it, and runs it
+// through the object itself as a Handler, so a packet hop touches the packet
+// (its event first in it) and nothing else: no pooled event, no closure.
+// Either way firing is one interface call — At wraps its func() in a
+// Handler, which allocates nothing — and the key, the insertion count and
+// the pop order are the same.
 //
 // # Event handle lifetime
 //
-// Because fired events are recycled, an *Event handle is only meaningful
-// until its callback has run (or, for cancelled events, until the engine
-// reclaims them). Holding a handle past that point is safe — Fired,
-// Cancelled, and Cancel never panic or corrupt the engine, and a handle in
-// the free list still reports its final Fired/Cancelled state — but once the
-// engine reuses the object for a new event the handle observes the new
-// incarnation. Callers that retain handles (e.g. retransmission timers) must
-// therefore drop them when the callback runs, as every transport in this
-// repository does. Build with `-tags simdebug` to turn any access to a
-// recycled handle into a panic with generation diagnostics.
+// A handle has one of two owners.
+//
+// The engine owns a pooled event. Because fired events are recycled, an
+// *Event handle from At is only meaningful until its callback has run (or,
+// for cancelled events, until the engine reclaims them). Holding a handle
+// past that point is safe — Fired, Cancelled, and Cancel never panic or
+// corrupt the engine, and a handle in the free list still reports its final
+// Fired/Cancelled state — but once the engine reuses the object for a new
+// event the handle observes the new incarnation. Callers that retain handles
+// (e.g. retransmission timers) must therefore drop them when the callback
+// runs, as every transport in this repository does. Build with `-tags
+// simdebug` to turn any access to a recycled handle into a panic with
+// generation diagnostics.
+//
+// The object that embeds an event owns it: the handle is valid as long as the
+// object. Cancel takes an embedded event out of the queue at once rather than
+// leaving it to be dropped later, so the owner may file it again straight
+// away; it may not file it while it is filed (Filed; `-tags simdebug`
+// panics), nor overwrite or recycle the object meanwhile. Reset cancels an
+// embedded event that is still filed and leaves it to its owner.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -73,10 +92,21 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
+// Handler is what an event runs when it fires.
+type Handler interface {
+	Fire()
+}
+
+// callback is a func() as a Handler. A func value is pointer-shaped, so
+// wrapping one allocates nothing.
+type callback func()
+
+func (f callback) Fire() { f() }
+
 // Event is a handle to a scheduled callback. It can be cancelled before it
 // fires; cancelling an already-fired or already-cancelled event is a no-op.
-// See the package comment for the handle-lifetime contract under event
-// recycling.
+// See the package comment for the handle-lifetime contract of pooled and
+// embedded events.
 //
 // The event carries its own (at, ins, seq) sort key and the link of the
 // wheel bucket it waits on, so filing it costs no memory beyond the object.
@@ -95,23 +125,37 @@ func (t Time) String() string { return time.Duration(t).String() }
 // among themselves while sorting after any tagged event that shares their
 // (at, ins).
 type Event struct {
-	at     Time
-	ins    Time
-	seq    uint64
-	next   *Event // the rest of the bucket list or of the free list it is on
-	fn     func()
-	fired  bool
-	cancel bool
-	pooled bool   // in the engine's free list awaiting reuse
-	far    bool   // in the overflow heap
-	gen    uint32 // incremented each time the object is recycled (simdebug)
+	at       Time
+	ins      Time
+	seq      uint64
+	next     *Event // the rest of the bucket list or of the free list it is on
+	h        Handler
+	state    evState
+	embedded bool   // owned by the object it is part of (FileAt), never recycled
+	pooled   bool   // in the engine's free list awaiting reuse
+	far      bool   // in the overflow heap
+	gen      uint32 // incremented each time the object is recycled (simdebug)
 }
 
+// evState is where an event is in its life.
+type evState uint8
+
+const (
+	evIdle      evState = iota // an embedded event its owner has not filed yet
+	evFiled                    // waiting in the queue
+	evFired                    // its handler has run, or is running
+	evCancelled                // cancelled before it fired; a pooled one may still wait in the queue
+)
+
 // Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { e.debugAccess("Cancelled"); return e.cancel }
+func (e *Event) Cancelled() bool { e.debugAccess("Cancelled"); return e.state == evCancelled }
 
 // Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { e.debugAccess("Fired"); return e.fired }
+func (e *Event) Fired() bool { e.debugAccess("Fired"); return e.state == evFired }
+
+// Filed reports whether the event is waiting to fire: filed, and neither fired
+// nor cancelled since.
+func (e *Event) Filed() bool { e.debugAccess("Filed"); return e.state == evFiled }
 
 // Time returns the virtual time at which the event fires or fired.
 func (e *Event) Time() Time { e.debugAccess("Time"); return e.at }
@@ -189,9 +233,10 @@ func NewEngine() *Engine {
 // for the same schedule — so a worker can run its next simulation on it
 // instead of growing a free list from nothing.
 //
-// Whatever was still pending is cancelled and recycled, which ends every
-// handle's lifetime: a handle kept across Reset is stale in the sense of the
-// package comment (Cancel on it is a no-op; `-tags simdebug` panics).
+// Whatever was still pending is cancelled. A pooled event is recycled, which
+// ends its handle's lifetime: a handle kept across Reset is stale in the
+// sense of the package comment (Cancel on it is a no-op; `-tags simdebug`
+// panics). An embedded event stays its owner's, cancelled and not filed.
 func (e *Engine) Reset() {
 	e.eachList(func(i int) {
 		for ev := e.take(i); ev != nil; {
@@ -207,10 +252,15 @@ func (e *Engine) Reset() {
 	e.stopped = false
 }
 
-// drop recycles a pending event as cancelled.
+// drop takes a pending event out of the engine as cancelled, recycling it
+// unless it is embedded.
 func (e *Engine) drop(ev *Event) {
-	ev.cancel = true
+	ev.state = evCancelled
 	ev.far = false
+	if ev.embedded {
+		ev.next = nil
+		return
+	}
 	e.release(ev)
 }
 
@@ -276,25 +326,40 @@ const seqCounterBits = 48
 // execute in the identical order, which is what makes sharded execution
 // bit-identical to serial.
 func (e *Engine) AtTagged(t, stamp Time, tag uint16, fn func()) *Event {
+	ev := e.alloc()
+	e.file(ev, t, stamp, tag, callback(fn))
+	return ev
+}
+
+// FileAt files ev, an event embedded in the object that owns it, to run h at
+// t. It orders and counts exactly as AtTagged(t, stamp, tag, h.Fire) would,
+// so the pop order, Executed and Snapshot are the same either way; but the
+// engine never recycles ev, and Cancel takes it out of the queue at once.
+// The owner must not file ev while it is filed (Filed).
+func (e *Engine) FileAt(ev *Event, t, stamp Time, tag uint16, h Handler) {
+	ev.debugAccess("FileAt")
+	if Debug && ev.state == evFiled {
+		panic(fmt.Sprintf("sim: embedded event filed at %d while it is filed at %d: its owner has two pending events", t, ev.at))
+	}
+	ev.embedded = true
+	e.file(ev, t, stamp, tag, h)
+}
+
+// file gives ev its key — drawing the next insertion count — and its handler,
+// and files it: onto its tick's bucket list (two pointer writes and two
+// bitmap bits, nearly every event of a packet run), into the due heap when it
+// lands in the cursor's own tick, or into the overflow heap when its tick
+// lies beyond the wheel horizon.
+func (e *Engine) file(ev *Event, t, stamp Time, tag uint16, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule into the past: %d < %d", t, e.now))
 	}
 	if stamp > t {
 		panic(fmt.Sprintf("sim: insertion stamp after due time: %d > %d", stamp, t))
 	}
-	ev := e.alloc()
-	ev.at, ev.ins, ev.seq, ev.fn = t, stamp, uint64(tag)<<seqCounterBits|e.seq, fn
+	ev.at, ev.ins, ev.seq, ev.h, ev.state = t, stamp, uint64(tag)<<seqCounterBits|e.seq, h, evFiled
 	e.seq++
-	e.push(ev)
-	return ev
-}
-
-// push files a new event: onto its tick's bucket list (two pointer writes
-// and two bitmap bits, nearly every event of a packet run), into the due
-// heap when it lands in the cursor's own tick, or into the overflow heap
-// when its tick lies beyond the wheel horizon.
-func (e *Engine) push(ev *Event) {
-	tick := tickOf(ev.at)
+	tick := tickOf(t)
 	switch d := tick - e.curTick; {
 	case uint64(d-1) < wheelBuckets-1: // 0 < d < wheelBuckets
 		e.link(ev, tick)
@@ -337,11 +402,31 @@ func (e *Engine) link(ev *Event, tick int64) {
 func (e *Engine) take(i int) *Event {
 	head := e.buckets[i]
 	e.buckets[i] = nil
+	e.vacate(i)
+	return head
+}
+
+// vacate clears the occupancy bits of bucket i, which is now empty.
+func (e *Engine) vacate(i int) {
 	w := i >> 6
 	if e.occ[w] &^= 1 << uint(i&63); e.occ[w] == 0 {
 		e.sum[w>>6] &^= 1 << uint(w&63)
 	}
-	return head
+}
+
+// unlink takes ev off the list of bucket tick & wheelMask, where it waits.
+func (e *Engine) unlink(ev *Event, tick int64) {
+	i := int(tick & wheelMask)
+	p := &e.buckets[i]
+	for *p != ev {
+		p = &(*p).next
+	}
+	*p = ev.next
+	ev.next = nil
+	e.nWheel--
+	if e.buckets[i] == nil {
+		e.vacate(i)
+	}
 }
 
 // nextOcc returns how many buckets past index p the first occupied bucket
@@ -393,7 +478,7 @@ func (e *Engine) advance() bool {
 			for ev := e.take(i); ev != nil; {
 				next := ev.next
 				e.nWheel--
-				if ev.cancel {
+				if ev.state == evCancelled {
 					e.release(ev)
 				} else {
 					e.due = append(e.due, ev)
@@ -405,7 +490,7 @@ func (e *Engine) advance() bool {
 		for len(e.overflow) > 0 && tickOf(e.overflow[0].at) == tick {
 			ev := heapPop(&e.overflow)
 			ev.far = false
-			if ev.cancel {
+			if ev.state == evCancelled {
 				e.nCancel--
 				e.release(ev)
 			} else {
@@ -452,7 +537,7 @@ func (e *Engine) moveBack(tick int64) {
 // which is therefore later than the cursor's tick.
 func (e *Engine) refile(ev *Event) {
 	switch tick := tickOf(ev.at); {
-	case ev.cancel:
+	case ev.state == evCancelled:
 		e.release(ev)
 	case tick-e.curTick < wheelBuckets:
 		e.link(ev, tick)
@@ -469,17 +554,15 @@ func (e *Engine) alloc() *Event {
 	}
 	e.free = ev.next
 	e.debugAlloc(ev)
-	ev.fired = false
-	ev.cancel = false
 	ev.pooled = false
 	return ev
 }
 
-// release returns a dead event (fired, or cancelled and reclaimed) to the
-// free list. The fired/cancel flags are left intact so a stale handle keeps
-// reporting its final state until the object is reused.
+// release returns a dead pooled event (fired, or cancelled and reclaimed) to
+// the free list. The state is left intact so a stale handle keeps reporting
+// it until the object is reused.
 func (e *Engine) release(ev *Event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.pooled = true
 	ev.gen++
 	e.debugRelease(ev)
@@ -487,27 +570,65 @@ func (e *Engine) release(ev *Event) {
 	e.free = ev
 }
 
-// Cancel prevents a pending event from firing.
+// Cancel prevents a pending event from firing. An embedded event leaves the
+// queue at once, so that its owner may file it again.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil {
 		return
 	}
 	ev.debugAccess("Cancel")
-	if ev.fired || ev.cancel {
+	if !ev.Filed() {
 		return
 	}
-	// The event stays where it is filed and is dropped when the cursor
+	ev.state = evCancelled
+	if ev.embedded {
+		e.unfile(ev)
+		return
+	}
+	// A pooled event stays where it is filed and is dropped when the cursor
 	// reaches it: Cancel is O(1). On the wheel that is at most one horizon
 	// away. The overflow heap is where cancelled events would pile up —
 	// retransmission timers are re-armed on every ACK and fire tens of
 	// milliseconds out — so it is compacted in one pass whenever they
 	// outnumber its live ones.
-	ev.cancel = true
 	if ev.far {
 		e.nCancel++
 		if n := len(e.overflow); e.nCancel*2 > n && n >= compactMin {
 			e.compact()
 		}
+	}
+}
+
+// unfile takes a cancelled embedded event out of the queue, so that its owner
+// may file it again at once. A bucket list is walked to it. The due heap
+// holds a couple of events (the package comment), and a hop reaches the
+// overflow heap only past the wheel's horizon, so a scan finds it there; the
+// heap's last event takes its slot and sifts whichever way it must.
+func (e *Engine) unfile(ev *Event) {
+	tick := tickOf(ev.at)
+	if !ev.far && tick != e.curTick {
+		e.unlink(ev, tick)
+		return
+	}
+	hp := &e.due
+	if ev.far {
+		ev.far = false
+		hp = &e.overflow
+	}
+	h := *hp
+	i, n := slices.Index(h, ev), len(h)-1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*hp = h
+	if i == n {
+		return
+	}
+	h[i] = last
+	if i > 0 && last.before(h[(i-1)>>2]) {
+		siftUp(h, i)
+	} else {
+		siftDown(h, i)
 	}
 }
 
@@ -519,7 +640,7 @@ func (e *Engine) compact() {
 	h := e.overflow
 	keep := h[:0]
 	for _, ev := range h {
-		if ev.cancel {
+		if ev.state == evCancelled {
 			ev.far = false
 			e.release(ev)
 		} else {
@@ -539,7 +660,7 @@ func (e *Engine) compact() {
 // recycled on the way. The first line is all a busy tick needs and inlines
 // into the Run/Step loops.
 func (e *Engine) peek() *Event {
-	if len(e.due) > 0 && !e.due[0].cancel {
+	if len(e.due) > 0 && e.due[0].state == evFiled {
 		return e.due[0]
 	}
 	return e.peekSlow()
@@ -548,7 +669,7 @@ func (e *Engine) peek() *Event {
 func (e *Engine) peekSlow() *Event {
 	for len(e.due) > 0 || e.advance() {
 		ev := e.due[0]
-		if !ev.cancel {
+		if ev.state == evFiled {
 			return ev
 		}
 		heapPop(&e.due)
@@ -557,15 +678,19 @@ func (e *Engine) peekSlow() *Event {
 	return nil
 }
 
-// fire runs ev, the live root of the due heap.
+// fire runs ev, the live root of the due heap. An embedded event belongs to
+// its owner from the moment it leaves the heap — the handler may file it
+// again, or recycle the owner — so the engine reads what it needs first.
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
 	heapPop(&e.due)
-	ev.fired = true
-	fn := ev.fn
-	fn()
+	ev.state = evFired
+	h, pooled := ev.h, !ev.embedded
+	h.Fire()
 	e.Executed++
-	e.release(ev)
+	if pooled {
+		e.release(ev)
+	}
 }
 
 // Step executes the single next event. It returns false when no runnable
@@ -634,8 +759,13 @@ func (e *Engine) NextAt() (Time, bool) {
 func heapPush(hp *[]*Event, ev *Event) {
 	h := append(*hp, ev)
 	*hp = h
-	// Sift up without writing ev into each visited slot.
-	i := len(h) - 1
+	siftUp(h, len(h)-1)
+}
+
+// siftUp moves h[i] toward the root to its place, without writing it into
+// each visited slot.
+func siftUp(h []*Event, i int) {
+	ev := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !ev.before(h[p]) {

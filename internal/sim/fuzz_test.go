@@ -20,7 +20,7 @@ func FuzzEngine(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip("bounded sequence length")
 		}
-		if err := runEngineModel(data); err != nil {
+		if _, err := runEngineModel(data); err != nil {
 			t.Fatalf("engine diverged from reference: %v (sequence %v)", err, data)
 		}
 	})

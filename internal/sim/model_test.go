@@ -7,21 +7,27 @@ import (
 )
 
 // This file model-checks the production engine (bucket lists on a timing
-// wheel, one due heap, an overflow heap, lazy cancellation, free-list
-// recycling) against an obviously-correct reference: an unsorted slice
-// scanned for the (at, ins, tag, counter) minimum, with Cancel as immediate
-// removal. Random operation sequences — Schedule, AtTagged, Cancel, Run,
-// Step — must produce identical firing order, identical clocks, and
-// identical executed counts. testing/quick drives short random sequences on
-// every `go test`; FuzzEngine (fuzz_test.go) reuses the same interpreter for
-// coverage-guided exploration with a checked-in corpus.
+// wheel, one due heap, an overflow heap, lazy cancellation of pooled events
+// and eager cancellation of embedded ones, free-list recycling) against an
+// obviously-correct reference: an unsorted slice scanned for the (at, ins,
+// tag, counter) minimum, with Cancel as immediate removal. Random operation
+// sequences — Schedule, AtTagged, FileAt, Cancel, Run, Step, and a handler
+// that files its own event again — must produce identical firing order,
+// identical clocks, and identical executed counts. Every sequence runs twice,
+// once with every event pooled and once with some of them embedded in owner
+// objects, and the two runs must agree op by op. testing/quick drives short
+// random sequences on every `go test`; FuzzEngine (fuzz_test.go) reuses the
+// same interpreter for coverage-guided exploration with a checked-in corpus.
 
-// refEvent is one pending event in the reference model.
+// refEvent is one pending event in the reference model. A chained event's
+// handler files one more event, hop after the instant it fires.
 type refEvent struct {
 	at, ins Time
 	tag     uint16
 	counter uint64
 	id      int
+	chain   bool
+	hop     Time
 }
 
 // refModel is the executable specification: (due time, insertion stamp, tag,
@@ -34,10 +40,13 @@ type refModel struct {
 	order   []int
 }
 
-func (m *refModel) schedule(at, stamp Time, tag uint16, id int) {
-	m.evs = append(m.evs, refEvent{at: at, ins: stamp, tag: tag, counter: m.counter, id: id})
+func (m *refModel) schedule(at, stamp Time, tag uint16, id int, chain bool, hop Time) {
+	m.evs = append(m.evs, refEvent{at: at, ins: stamp, tag: tag, counter: m.counter, id: id, chain: chain, hop: hop})
 	m.counter++
 }
+
+// chainID is the id of the event that event id's handler files.
+func chainID(id int) int { return -id - 1 }
 
 func (m *refModel) cancel(id int) {
 	for i := range m.evs {
@@ -79,6 +88,9 @@ func (m *refModel) step() bool {
 	m.evs = append(m.evs[:i], m.evs[i+1:]...)
 	m.now = ev.at
 	m.order = append(m.order, ev.id)
+	if ev.chain {
+		m.schedule(m.now+ev.hop, m.now, TagNone, chainID(ev.id), false, 0)
+	}
 	return true
 }
 
@@ -98,10 +110,21 @@ const (
 	modelHorizon = wheelBuckets * modelTick
 )
 
+// queued checks the state of an event found in the queue: filed, or a pooled
+// one cancelled while it waited — an embedded one leaves at once.
+func queued(ev *Event) error {
+	if ev.pooled || ev.state != evFiled && (ev.embedded || ev.state != evCancelled) {
+		return fmt.Errorf("queue holds an event in state %d (embedded=%v pooled=%v)", ev.state, ev.embedded, ev.pooled)
+	}
+	return nil
+}
+
 // checkQueue verifies what the calendar queue's code relies on between
 // operations: a bucket list holds the events of one tick, its own, inside the
 // wheel window; the due heap holds the cursor's tick; nothing pending is
-// earlier than the cursor; the bitmaps and the counters are exact.
+// earlier than the cursor; the bitmaps and the counters are exact; what waits
+// is filed or a cancelled pooled event; the free list holds pooled events
+// only.
 func checkQueue(e *Engine) error {
 	nWheel := 0
 	for i := range e.buckets {
@@ -110,8 +133,11 @@ func checkQueue(e *Engine) error {
 			if t := tickOf(ev.at); t&wheelMask != int64(i) || t <= e.curTick || t-e.curTick >= wheelBuckets {
 				return fmt.Errorf("bucket %d holds tick %d with the cursor at %d", i, t, e.curTick)
 			}
-			if ev.far || ev.pooled || ev.fired {
-				return fmt.Errorf("bucket %d holds an event with far=%v pooled=%v fired=%v", i, ev.far, ev.pooled, ev.fired)
+			if ev.far {
+				return fmt.Errorf("bucket %d holds an event marked far", i)
+			}
+			if err := queued(ev); err != nil {
+				return fmt.Errorf("bucket %d: %v", i, err)
 			}
 		}
 		if occ := e.occ[i>>6]>>uint(i&63)&1 == 1; occ != (e.buckets[i] != nil) {
@@ -127,21 +153,32 @@ func checkQueue(e *Engine) error {
 		return fmt.Errorf("nWheel = %d, lists hold %d", e.nWheel, nWheel)
 	}
 	for _, ev := range e.due {
-		if t := tickOf(ev.at); t != e.curTick || ev.far || ev.pooled {
-			return fmt.Errorf("due heap holds tick %d (far=%v pooled=%v) with the cursor at %d", t, ev.far, ev.pooled, e.curTick)
+		if t := tickOf(ev.at); t != e.curTick || ev.far {
+			return fmt.Errorf("due heap holds tick %d (far=%v) with the cursor at %d", t, ev.far, e.curTick)
+		}
+		if err := queued(ev); err != nil {
+			return fmt.Errorf("due heap: %v", err)
 		}
 	}
 	nCancel := 0
 	for _, ev := range e.overflow {
-		if t := tickOf(ev.at); t <= e.curTick || !ev.far || ev.pooled {
-			return fmt.Errorf("overflow heap holds tick %d (far=%v pooled=%v) with the cursor at %d", t, ev.far, ev.pooled, e.curTick)
+		if t := tickOf(ev.at); t <= e.curTick || !ev.far {
+			return fmt.Errorf("overflow heap holds tick %d (far=%v) with the cursor at %d", t, ev.far, e.curTick)
 		}
-		if ev.cancel {
+		if err := queued(ev); err != nil {
+			return fmt.Errorf("overflow heap: %v", err)
+		}
+		if ev.state == evCancelled {
 			nCancel++
 		}
 	}
 	if nCancel != e.nCancel {
 		return fmt.Errorf("nCancel = %d, overflow holds %d cancelled", e.nCancel, nCancel)
+	}
+	for ev := e.free; ev != nil; ev = ev.next {
+		if ev.embedded || !ev.pooled {
+			return fmt.Errorf("free list holds an event with embedded=%v pooled=%v", ev.embedded, ev.pooled)
+		}
 	}
 	for _, h := range [][]*Event{e.due, e.overflow} {
 		for i := 1; i < len(h); i++ {
@@ -154,52 +191,107 @@ func checkQueue(e *Engine) error {
 }
 
 // modelRun is what one interpreted sequence left behind on the real engine:
-// the firing order and the engine's snapshot after every operation.
+// the firing order, the engine's snapshot after every operation, the owners
+// of embedded events, and what the sequence reached.
 type modelRun struct {
-	order []int
-	trace []EngineState
+	order  []int
+	trace  []EngineState
+	owners []*owner
+	reach  modelReach
 }
 
-// runEngineModel interprets data on a new engine, and then again on an engine
-// recycled from a run of the reversed sequence — abandoned mid-flight with
-// whatever it had pending, cancelled and in the overflow heap — which must
-// match the new engine step for step.
-func runEngineModel(data []byte) error {
-	fresh, err := interpretModel(NewEngine(), data, true)
-	if err != nil {
-		return err
-	}
-	prior := make([]byte, len(data))
-	for i, b := range data {
-		prior[len(data)-1-i] = b
-	}
-	eng := NewEngine()
-	if _, err := interpretModel(eng, prior, false); err != nil {
-		return fmt.Errorf("prior run: %v", err)
-	}
-	eng.Reset()
-	recycled, err := interpretModel(eng, data, true)
-	if err != nil {
-		return fmt.Errorf("on a recycled engine: %v", err)
-	}
-	return fresh.diff(recycled)
+// modelReach counts the paths of embedded events a sequence took, for the
+// directed sequences' power check.
+type modelReach struct {
+	cancelDue, cancelWheel, cancelFar int
+	cancelMoved                       int // of those, events that had waited through a moveBack
+	refiled                           int // a cancelled event filed again by its owner at the next op
+	chained                           int // events filed again from inside their own handler
+	resetPending                      int // embedded events still filed when the engine was Reset
 }
 
-// diff reports the first step at which a recycled engine's run left the new
-// engine's.
-func (a modelRun) diff(b modelRun) error {
+func (r *modelReach) add(o modelReach) {
+	r.cancelDue += o.cancelDue
+	r.cancelWheel += o.cancelWheel
+	r.cancelFar += o.cancelFar
+	r.cancelMoved += o.cancelMoved
+	r.refiled += o.refiled
+	r.chained += o.chained
+	r.resetPending += o.resetPending
+}
+
+// owner is an object that embeds its event, as a packet or a port does, and
+// is its handler.
+type owner struct {
+	ev   Event
+	fire func()
+}
+
+func (o *owner) Fire() { o.fire() }
+
+// runEngineModel interprets data twice: with every event pooled, and with the
+// events the sequence marks embedded in owners. The two must agree op by op —
+// firing order, clock, insertion count, executed and live pending events,
+// queue digest. Each is then interpreted again on an engine recycled from a
+// run of the reversed sequence — abandoned mid-flight with whatever it had
+// pending, cancelled and in the overflow heap, embedded events included —
+// which must match the new engine step for step.
+func runEngineModel(data []byte) (modelReach, error) {
+	var twins [2]modelRun
+	var reach modelReach
+	for k, embed := range []bool{false, true} {
+		mode := "pooled"
+		if embed {
+			mode = "embedded"
+		}
+		fresh, err := interpretModel(NewEngine(), data, true, embed)
+		if err != nil {
+			return reach, fmt.Errorf("%s: %v", mode, err)
+		}
+		prior := make([]byte, len(data))
+		for i, b := range data {
+			prior[len(data)-1-i] = b
+		}
+		eng := NewEngine()
+		before, err := interpretModel(eng, prior, false, embed)
+		if err != nil {
+			return reach, fmt.Errorf("%s: prior run: %v", mode, err)
+		}
+		eng.Reset()
+		for _, o := range before.owners {
+			if o.ev.Filed() {
+				return reach, fmt.Errorf("%s: an embedded event still filed after Reset", mode)
+			}
+		}
+		recycled, err := interpretModel(eng, data, true, embed)
+		if err != nil {
+			return reach, fmt.Errorf("%s: on a recycled engine: %v", mode, err)
+		}
+		if err := fresh.diff(recycled, mode+" on a recycled engine", "on a new one"); err != nil {
+			return reach, err
+		}
+		twins[k] = fresh
+		reach.add(fresh.reach)
+		reach.resetPending += before.reach.resetPending
+	}
+	return reach, twins[0].diff(twins[1], "embedded", "pooled")
+}
+
+// diff reports the first step at which run b, described by what, left run a,
+// described by against.
+func (a modelRun) diff(b modelRun, what, against string) error {
 	if len(a.trace) != len(b.trace) || len(a.order) != len(b.order) {
-		return fmt.Errorf("recycled engine: %d steps and %d firings, new engine %d and %d",
-			len(b.trace), len(b.order), len(a.trace), len(a.order))
+		return fmt.Errorf("%s: %d steps and %d firings, %s %d and %d",
+			what, len(b.trace), len(b.order), against, len(a.trace), len(a.order))
 	}
 	for k := range a.trace {
 		if a.trace[k] != b.trace[k] {
-			return fmt.Errorf("recycled engine diverges at step %d: %+v, new engine %+v", k, b.trace[k], a.trace[k])
+			return fmt.Errorf("%s diverges at step %d: %+v, %s %+v", what, k, b.trace[k], against, a.trace[k])
 		}
 	}
 	for k := range a.order {
 		if a.order[k] != b.order[k] {
-			return fmt.Errorf("recycled engine pops id %d at position %d, new engine id %d", b.order[k], k, a.order[k])
+			return fmt.Errorf("%s pops id %d at position %d, %s id %d", what, b.order[k], k, against, a.order[k])
 		}
 	}
 	return nil
@@ -208,22 +300,75 @@ func (a modelRun) diff(b modelRun) error {
 // interpretModel interprets data as an operation sequence over both eng (at
 // time zero, nothing pending) and the reference model and returns an error on
 // any divergence. With drain false it stops after the last operation, leaving
-// the engine however the sequence left it. The interpreter respects the
-// handle-lifetime contract: a handle is only cancelled while its callback has
-// not run (the `done` flag is set by the callback itself, exactly how
-// transports drop their timer handles).
-func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
+// the engine however the sequence left it. With embed, the events a schedule
+// op marks are embedded in owners (FileAt), which go back on a stack when
+// their event fires or is cancelled, so the next embedded event reuses the
+// owner freed last; a chained handler files its own owner's event again, as a
+// packet's hop does. The interpreter respects the handle-lifetime contract: a
+// handle is only cancelled while its callback has not run (the `done` flag is
+// set by the callback itself, exactly how transports drop their timer
+// handles).
+func interpretModel(eng *Engine, data []byte, drain, embed bool) (modelRun, error) {
 	ref := &refModel{}
 	var got []int
 	var trace []EngineState
+	var reach modelReach
 
 	type handle struct {
-		ev   *Event
-		id   int
-		done bool
+		ev    *Event
+		id    int
+		done  bool
+		owner *owner // nil for a pooled event
+		moved bool   // waited through a moveBack
 	}
 	var live []*handle
 	nextID := 0
+
+	var owners, free []*owner
+	var cancelled, justCancelled *owner // by this op, by the one before
+	take := func() *owner {
+		if n := len(free); n > 0 {
+			o := free[n-1]
+			free = free[:n-1]
+			if o == justCancelled {
+				reach.refiled++
+			}
+			return o
+		}
+		o := &owner{}
+		owners = append(owners, o)
+		return o
+	}
+	// file schedules event id on both the engine and nothing else (the
+	// reference files its own): embedded in o — or in a free owner when o is
+	// nil — when embedded is set on the embedding run, pooled otherwise.
+	var file func(o *owner, embedded bool, at, stamp Time, tag uint16, id int, chain bool, hop Time)
+	file = func(o *owner, embedded bool, at, stamp Time, tag uint16, id int, chain bool, hop Time) {
+		h := &handle{id: id}
+		fired := func() {
+			got = append(got, id)
+			h.done = true
+			switch {
+			case chain:
+				reach.chained++
+				now := eng.Now()
+				file(h.owner, embedded, now+hop, now, TagNone, chainID(id), false, 0)
+			case h.owner != nil:
+				free = append(free, h.owner)
+			}
+		}
+		if embedded && embed {
+			if o == nil {
+				o = take()
+			}
+			h.owner, h.ev = o, &o.ev
+			o.fire = fired
+			eng.FileAt(&o.ev, at, stamp, tag, o)
+		} else {
+			h.ev = eng.AtTagged(at, stamp, tag, fired)
+		}
+		live = append(live, h)
+	}
 
 	i := 0
 	nextByte := func() (byte, bool) {
@@ -240,6 +385,7 @@ func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 		if !ok {
 			break
 		}
+		justCancelled, cancelled = cancelled, nil
 		trace = append(trace, eng.Snapshot())
 		if err := checkQueue(eng); err != nil {
 			return modelRun{}, fmt.Errorf("before op %d: %v", i, err)
@@ -276,15 +422,19 @@ func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 			default:
 				at += Time(db % 32)
 			}
+			// Bit 3 marks the event embedded (on the embedding run), bit 4
+			// makes its handler file one more, hop after it fires.
+			embedded, chain, hop := op&0x08 != 0, op&0x10 != 0, Time(op>>5)*(modelTick/2)
 			id := nextID
 			nextID++
-			h := &handle{id: id}
-			h.ev = eng.AtTagged(at, stamp, tag, func() {
-				got = append(got, id)
-				h.done = true
-			})
-			ref.schedule(at, stamp, tag, id)
-			live = append(live, h)
+			cursor := eng.curTick
+			file(nil, embedded, at, stamp, tag, id, chain, hop)
+			if eng.curTick < cursor { // moveBack
+				for _, h := range live {
+					h.moved = h.moved || !h.done
+				}
+			}
+			ref.schedule(at, stamp, tag, id, chain, hop)
 		case 4, 5: // cancel one contract-live handle
 			jb, _ := nextByte()
 			var cands []*handle
@@ -297,12 +447,30 @@ func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 				continue
 			}
 			h := cands[int(jb)%len(cands)]
-			// Note: after Cancel the handle must be treated as dropped — the
-			// engine may compact immediately and recycle the object, so even
-			// reading h.ev.Cancelled() here would violate the lifetime
-			// contract (and panic under simdebug).
+			if o := h.owner; o != nil {
+				switch {
+				case o.ev.far:
+					reach.cancelFar++
+				case tickOf(o.ev.at) == eng.curTick:
+					reach.cancelDue++
+				default:
+					reach.cancelWheel++
+				}
+				if h.moved {
+					reach.cancelMoved++
+				}
+			}
+			// Note: after Cancel a pooled handle must be treated as dropped —
+			// the engine may compact immediately and recycle the object, so
+			// even reading h.ev.Cancelled() here would violate the lifetime
+			// contract (and panic under simdebug). An owner may file its
+			// event again at once.
 			eng.Cancel(h.ev)
 			h.done = true
+			if h.owner != nil {
+				free = append(free, h.owner)
+				cancelled = h.owner
+			}
 			ref.cancel(h.id)
 		case 6: // run a bounded window: inside a tick, a few ticks, or laps
 			db, _ := nextByte()
@@ -339,7 +507,12 @@ func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 		return modelRun{}, fmt.Errorf("after the last op: %v", err)
 	}
 	if !drain {
-		return modelRun{order: got, trace: trace}, nil
+		for _, o := range owners {
+			if o.ev.Filed() {
+				reach.resetPending++
+			}
+		}
+		return modelRun{order: got, trace: trace, owners: owners, reach: reach}, nil
 	}
 	eng.RunUntilIdle()
 	for ref.step() {
@@ -363,12 +536,12 @@ func interpretModel(eng *Engine, data []byte, drain bool) (modelRun, error) {
 	if eng.Pending() != 0 {
 		return modelRun{}, fmt.Errorf("Pending = %d after drain", eng.Pending())
 	}
-	return modelRun{order: got, trace: append(trace, eng.Snapshot())}, nil
+	return modelRun{order: got, trace: append(trace, eng.Snapshot()), owners: owners, reach: reach}, nil
 }
 
 func TestEngineModelQuick(t *testing.T) {
 	f := func(data []byte) bool {
-		if err := runEngineModel(data); err != nil {
+		if _, err := runEngineModel(data); err != nil {
 			t.Logf("sequence %q: %v", data, err)
 			return false
 		}
@@ -415,12 +588,51 @@ var directedSeqs = [][]byte{
 	// A bucket holding nothing but cancelled events: the cursor passes
 	// through it to the next one.
 	{2, 20, 2, 21, 4, 0, 4, 0, 2, 90, 7, 0, 3, 0x44, 4, 0, 3, 0xc1, 7, 3},
+
+	// Embedded events (schedule ops with bit 3 set; bit 4 chains, bits 5-7
+	// are the hop). Three in the cursor's tick, the middle one cancelled out
+	// of the due heap and its owner filed again at once.
+	{8, 0, 8, 1, 8, 2, 4, 1, 8, 3, 7, 3},
+	// Ten in the due heap; the one cancelled is replaced by the heap's last
+	// event, which is smaller than its new parent and must sift up.
+	{8, 24, 8, 1, 8, 7, 8, 21, 8, 22, 8, 8, 8, 7, 8, 16, 8, 9, 8, 2, 4, 5, 7, 3, 7, 3, 7, 3},
+	// Three in one bucket, cancelled off the middle, the tail and the head of
+	// its list, each owner filed again at once, the last into the same tick.
+	{10, 20, 10, 20, 10, 21, 4, 1, 10, 22, 4, 0, 10, 90, 4, 1, 10, 21, 7, 3, 7, 3},
+	// Three past the horizon behind a near pooled event: the root of the
+	// overflow heap cancelled, then another; a pooled one cancelled there too.
+	{0, 5, 11, 0xff, 11, 0xfe, 11, 0xfd, 3, 0xfc, 4, 3, 4, 1, 4, 1, 7, 3},
+	// The move-back above with every event embedded, cancelled after the
+	// move-back out of the overflow heap (evicted), off a list (refiled from
+	// the due heap) and off a list it stayed on.
+	{11, 32, 6, 10, 11, 0x46, 11, 0x43, 8, 5, 10, 100, 4, 1, 4, 1, 4, 0, 7, 3},
+	// A lap ahead, embedded and pooled mixed, cancels after the move-back.
+	{11, 0xff, 3, 0xfe, 11, 0xfe, 6, 10, 12, 1, 10, 9, 2, 200, 11, 0x44, 8, 1, 4, 2, 4, 0, 7, 3},
+	// Handlers that file their own event again: at the same instant (into
+	// the due heap being run), a hop later, and past a Run window, where the
+	// re-filed event is cancelled and its owner filed once more.
+	{0x18, 5, 0x3a, 20, 7, 3, 0xf8, 5, 6, 5, 4, 0, 8, 9, 7, 3},
+	// A chain from a pooled-marked twin next to embedded ones at one instant.
+	{0x10, 3, 0x18, 3, 8, 3, 7, 3, 7, 3},
+	// Embedded events still filed when the reversed sequence ends: Reset
+	// must cancel them, leave them to their owners and recycle none.
+	{8, 9, 8},
+	{11, 0x10, 0, 5, 11, 0xff, 10, 40, 0, 11},
 }
 
 func TestEngineModelDirected(t *testing.T) {
+	var reach modelReach
 	for _, s := range directedSeqs {
-		if err := runEngineModel(s); err != nil {
+		r, err := runEngineModel(s)
+		if err != nil {
 			t.Errorf("sequence %v: %v", s, err)
 		}
+		reach.add(r)
 	}
+	// The directed sequences must reach every path of an embedded event.
+	if reach.cancelDue == 0 || reach.cancelWheel == 0 || reach.cancelFar == 0 || reach.cancelMoved == 0 ||
+		reach.refiled == 0 || reach.chained == 0 || reach.resetPending == 0 {
+		t.Errorf("directed sequences reach too little of the embedded paths: %+v", reach)
+	}
+	t.Logf("embedded paths reached: %+v", reach)
 }

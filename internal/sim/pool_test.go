@@ -67,6 +67,77 @@ func TestSimdebugTripwires(t *testing.T) {
 	mustPanic(t, "Cancel on recycled handle", func() { eng.Cancel(ev) })
 }
 
+// An embedded event is its owner's for the owner's life: the engine fires it
+// without recycling it, Cancel takes it out of the queue at once so that the
+// owner can file it again straight away, and Reset cancels it and leaves it
+// where it is.
+func TestEmbeddedEventLifetime(t *testing.T) {
+	eng := NewEngine()
+	ran := 0
+	o := &owner{fire: func() { ran++ }}
+	eng.FileAt(&o.ev, 10, 0, TagNone, o)
+	if !o.ev.Filed() || eng.Pending() != 1 {
+		t.Fatalf("filed: Filed=%v pending=%d", o.ev.Filed(), eng.Pending())
+	}
+	eng.Cancel(&o.ev)
+	if !o.ev.Cancelled() || o.ev.Filed() || eng.Pending() != 0 {
+		t.Fatalf("cancelled: Cancelled=%v Filed=%v pending=%d, want out of the queue", o.ev.Cancelled(), o.ev.Filed(), eng.Pending())
+	}
+	eng.FileAt(&o.ev, 20, 0, TagNone, o)
+	eng.RunUntilIdle()
+	if ran != 1 || !o.ev.Fired() || eng.Executed != 1 || eng.Now() != 20 {
+		t.Fatalf("fired: ran=%d Fired=%v executed=%d now=%d", ran, o.ev.Fired(), eng.Executed, eng.Now())
+	}
+	// Not in the free list: a pooled event is a new object.
+	if ev := eng.Schedule(1, func() {}); ev == &o.ev {
+		t.Fatal("the engine recycled an embedded event")
+	}
+	// Reset with it filed on the wheel, and a pooled event beside it.
+	eng.FileAt(&o.ev, 100, 20, TagNone, o)
+	eng.Reset()
+	if !o.ev.Cancelled() || eng.Pending() != 0 {
+		t.Fatalf("after Reset: Cancelled=%v pending=%d", o.ev.Cancelled(), eng.Pending())
+	}
+	for i := 0; i < 4; i++ {
+		if ev := eng.Schedule(1, func() {}); ev == &o.ev {
+			t.Fatal("Reset put an embedded event on the free list")
+		}
+	}
+	eng.FileAt(&o.ev, 5, 0, TagNone, o)
+	eng.RunUntilIdle()
+	if ran != 2 || eng.Executed != 5 {
+		t.Fatalf("after Reset: ran=%d executed=%d, want 2 and 5", ran, eng.Executed)
+	}
+}
+
+// Under -tags simdebug an owner that files its event while it is still
+// filed — a second pending event on an object that has room for one — panics
+// before the queue is touched.
+func TestSimdebugEmbeddedTripwire(t *testing.T) {
+	if !Debug {
+		t.Skip("requires -tags simdebug")
+	}
+	eng := NewEngine()
+	o := &owner{fire: func() {}}
+	eng.FileAt(&o.ev, 10, 0, TagNone, o)
+	mustPanic(t, "filing a filed embedded event", func() { eng.FileAt(&o.ev, 20, 0, TagNone, o) })
+	far := &owner{fire: func() {}}
+	eng.FileAt(&far.ev, Second, 0, TagNone, far)
+	mustPanic(t, "filing a filed embedded event in the overflow heap", func() { eng.FileAt(&far.ev, 30, 0, TagNone, far) })
+	if err := checkQueue(eng); err != nil || eng.Pending() != 2 {
+		t.Fatalf("queue after the tripwires: %v, pending %d", err, eng.Pending())
+	}
+	// Fired or cancelled, it may be filed again.
+	eng.Cancel(&far.ev)
+	eng.FileAt(&far.ev, 30, 0, TagNone, far)
+	eng.RunUntilIdle()
+	eng.FileAt(&o.ev, 40, 30, TagNone, o)
+	eng.RunUntilIdle()
+	if eng.Executed != 3 {
+		t.Fatalf("executed %d, want 3", eng.Executed)
+	}
+}
+
 // Cancel/reschedule churn — the retransmission-timer pattern, where every
 // ACK cancels and re-arms an RTO tens of milliseconds out — must not grow the
 // overflow heap without bound: compaction reclaims lazily-deleted timers once

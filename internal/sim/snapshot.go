@@ -65,7 +65,7 @@ func (e *Engine) Snapshot() EngineState {
 // liveEntries appends every non-cancelled pending event to dst.
 func (e *Engine) liveEntries(dst []*Event) []*Event {
 	keep := func(ev *Event) {
-		if !ev.cancel {
+		if ev.state == evFiled {
 			dst = append(dst, ev)
 		}
 	}

@@ -9,12 +9,13 @@ import (
 
 // bedExperiments are the registry entries that run on a bed (harness.go)
 // rather than through runPoint: no byteident golden covers them.
-var bedExperiments = []string{"testbed", "wcmp", "hotspot", "partagg", "linkfailure", "udpspray"}
+var bedExperiments = []string{"testbed", "wcmp", "hotspot", "partagg", "linkfailure", "udpspray", "faults"}
 
 // TestBedGolden pins what the bed experiments print at tiny scale and the
 // engine events they execute, so a change to how their arrivals are filed
 // must keep both — the event count catches a moved or missing beacon that a
-// table would round away. Cheap enough (~0.6 s) to run under -short.
+// table would round away. The fault matrix runs three scenarios, the slice
+// its byteident golden runs. Cheap enough (~0.7 s) to run under -short.
 func TestBedGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, name := range bedExperiments {
@@ -22,7 +23,8 @@ func TestBedGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("no experiment %q", name)
 		}
-		o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 10, JobCount: 5, Parallelism: 2, Perf: &PerfStats{}}
+		o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 10, JobCount: 5, Parallelism: 2, Perf: &PerfStats{},
+			FaultScenarios: []string{"cut", "flap10ms", "gray1"}}
 		fmt.Fprintf(&buf, "==== %s\n", name)
 		e.Run(o).Print(&buf)
 		fmt.Fprintf(&buf, "events %d\n", o.Perf.Events.Load())

@@ -36,7 +36,7 @@ func main() {
 		}
 
 		// The pinned hotspot: UDP at 6 Gbps with a fixed path tag.
-		srcs, dsts := ls.TorHosts(0), ls.TorHosts(1)
+		srcs, dsts := ls.P.TorHosts(0), ls.P.TorHosts(1)
 		udpSender := udp.NewSender(eng, 1_000_000, ls.Hosts[srcs[0]], ls.Hosts[dsts[0]], 6*topo.Gbps, 1460)
 		ls.Hosts[dsts[0]].Register(1_000_000, udp.NewSink())
 		udpSender.Start()

@@ -30,7 +30,7 @@ func main() {
 	cfg := tcp.DefaultConfig()
 	cfg.FlowBender = &core.Config{MinEpochGap: 5, DesyncN: true, RNG: rng.Fork("fb")}
 
-	srcs, dsts := ls.TorHosts(0), ls.TorHosts(1)
+	srcs, dsts := ls.P.TorHosts(0), ls.P.TorHosts(1)
 
 	// A long TCP flow that will, at some point, share a path with the
 	// hotspot below and bend away from it.

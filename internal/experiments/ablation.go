@@ -90,7 +90,7 @@ func Ablations(o Options) *AblationResult {
 			fb.RNG = sim.NewRNG(o.Seed).Fork("flowbender")
 		}
 		mean, max := oo.runValidation(FlowBender, func(rng *sim.RNG) schemeSetup {
-			return FlowBender.setupRaw(rng, fb, true)
+			return FlowBender.setup(rng, fb, true)
 		}, res.ValFlows, size)
 		return valOut{mean: mean, max: max}
 	})

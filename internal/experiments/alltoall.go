@@ -51,6 +51,53 @@ type AllToAllResult struct {
 	Seeds int
 }
 
+// runOutcome aggregates one simulation run's measurements.
+type runOutcome struct {
+	// Flows holds the packet-engine flows whose arrival the run reached, in
+	// arrival order.
+	Flows []*tcp.Flow
+
+	// Binned receiver-side flow completion times, in seconds. The sketch
+	// stays exact (bit-identical to the historical BinnedSample) below its
+	// per-bin cap, which every table-scale run fits; past the cap it
+	// collapses to flat-memory streaming quantiles.
+	FCT stats.BinnedSketch
+
+	DataPackets int64
+	OutOfOrder  int64
+	Timeouts    int64
+	Retransmits int64
+	Reroutes    int64
+	Incomplete  int
+	SimTime     sim.Time
+	// Engines is how many engines the point ran on (1 = serial).
+	Engines int
+}
+
+func (r *runOutcome) collect() {
+	for _, f := range r.Flows {
+		if !f.Done() {
+			r.Incomplete++
+			continue
+		}
+		r.FCT.Add(f.Size, f.FCT().Seconds())
+		r.DataPackets += f.DataPackets()
+		r.OutOfOrder += f.OutOfOrder()
+		r.Timeouts += f.Sender().Timeouts
+		r.Retransmits += f.Sender().Retransmits
+		r.Reroutes += f.FlowBenderStats().Reroutes
+	}
+}
+
+// OOOFraction returns the fraction of data packets that arrived out of
+// order (§4.2.3's metric).
+func (r *runOutcome) OOOFraction() float64 {
+	if r.DataPackets == 0 {
+		return 0
+	}
+	return float64(r.OutOfOrder) / float64(r.DataPackets)
+}
+
 // allToAllSpec parameterizes one all-to-all run.
 type allToAllSpec struct {
 	scheme Scheme
@@ -74,35 +121,36 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 	if spec.flows == 0 {
 		spec.flows = o.flowCount()
 	}
-	fluidEng := o.fluidPoint(spec.setupFn)
 	out := &runOutcome{}
-	res := o.runPoint(point{
+	pt := point{
 		scheme: spec.scheme, fb: spec.fb, rawFB: spec.rawFB, setupFn: spec.setupFn, params: spec.params,
-		flows:    spec.flows,
-		armFirst: fluidEng,
-		workload: func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
-			cdf := o.CDF
-			if cdf == nil {
-				cdf = workload.WebSearchCDF()
-			}
-			// The packet point runs one arrival past the count, which fires
-			// and starts nothing; its goldens and event counts pin that beacon.
-			n := spec.flows
-			if !fluidEng {
-				n++
-			}
-			return &workload.AllToAll{
-				RNG:      rng,
-				NumHosts: p.NumHosts(),
-				CDF:      cdf,
-				MeanInterarrival: workload.AggregateInterarrival(
-					spec.load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
-				MaxFlows: n,
-			}, o.maxWait()
-		},
+		flows:   spec.flows,
 		onFlow:  func(f *tcp.Flow) { out.Flows = append(out.Flows, f) },
 		onFluid: func(d fluid.Done) { out.FCT.Add(d.Size, d.FCT.Seconds()) },
-	})
+	}
+	fluidEng := o.fluidPoint(&pt)
+	pt.armFirst = fluidEng
+	pt.workload = func(root *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
+		cdf := o.CDF
+		if cdf == nil {
+			cdf = workload.WebSearchCDF()
+		}
+		// The packet point runs one arrival past the count, which fires
+		// and starts nothing; its goldens and event counts pin that beacon.
+		n := spec.flows
+		if !fluidEng {
+			n++
+		}
+		return &workload.AllToAll{
+			RNG:      root.Fork("workload"),
+			NumHosts: p.NumHosts(),
+			CDF:      cdf,
+			MeanInterarrival: workload.AggregateInterarrival(
+				spec.load, p.BisectionBps(), p.InterPodFraction(), cdf.Mean()),
+			MaxFlows: n,
+		}, o.maxWait()
+	}
+	res := o.runPoint(pt)
 	// On several engines every flow is planned up front; the arrivals the
 	// run reached are a prefix of the schedule.
 	if int64(len(out.Flows)) > res.started {

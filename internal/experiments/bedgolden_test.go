@@ -3,33 +3,55 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// bedExperiments are the registry entries that run on a bed (harness.go)
-// rather than through runPoint: no byteident golden covers them.
+// bedExperiments are the registry entries no byteident golden covers: the
+// leaf-spine experiments, partition-aggregate and the fault experiments.
 var bedExperiments = []string{"testbed", "wcmp", "hotspot", "partagg", "linkfailure", "udpspray", "faults"}
 
-// TestBedGolden pins what the bed experiments print at tiny scale and the
-// engine events they execute, so a change to how their arrivals are filed
-// must keep both — the event count catches a moved or missing beacon that a
-// table would round away. The fault matrix runs three scenarios, the slice
-// its byteident golden runs. Cheap enough (~0.7 s) to run under -short.
-func TestBedGolden(t *testing.T) {
-	var buf bytes.Buffer
-	for _, name := range bedExperiments {
-		e, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("no experiment %q", name)
-		}
-		o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 10, JobCount: 5, Parallelism: 2, Perf: &PerfStats{},
-			FaultScenarios: []string{"cut", "flap10ms", "gray1"}}
-		fmt.Fprintf(&buf, "==== %s\n", name)
-		e.Run(o).Print(&buf)
-		fmt.Fprintf(&buf, "events %d\n", o.Perf.Events.Load())
+// renderBed runs one of bedExperiments at tiny scale on engine and returns
+// its table followed by the engine events it executed. The fault matrix runs
+// three scenarios, the slice its byteident golden runs.
+func renderBed(t *testing.T, name string, engine EngineKind) string {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no experiment %q", name)
 	}
-	checkGolden(t, "bed_tiny", buf.String())
+	o := Options{Seed: 1, Scale: ScaleTiny, Engine: engine, FlowCount: 10, JobCount: 5, Parallelism: 2, Perf: &PerfStats{},
+		FaultScenarios: []string{"cut", "flap10ms", "gray1"}}
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "==== %s\n", name)
+	e.Run(o).Print(&buf)
+	fmt.Fprintf(&buf, "events %d\n", o.Perf.Events.Load())
+	return buf.String()
+}
+
+// TestBedGolden pins what bedExperiments print at tiny scale and the engine
+// events they execute, so a change to how their arrivals are filed must keep
+// both — the event count catches a moved or missing beacon that a table would
+// round away. Cheap enough (~0.4 s) to run under -short.
+func TestBedGolden(t *testing.T) {
+	var all strings.Builder
+	for _, name := range bedExperiments {
+		all.WriteString(renderBed(t, name, EnginePacket))
+	}
+	checkGolden(t, "bed_tiny", all.String())
+}
+
+// TestBedExperimentsIgnoreFluidEngine: none of bedExperiments has a fluid
+// form — each arms its fabric, builds a leaf-spine or injects a setup, or
+// (partition-aggregate) takes no fluid completions — so -engine fluid must
+// leave every table and event count exactly as the packet engine has them.
+func TestBedExperimentsIgnoreFluidEngine(t *testing.T) {
+	for _, name := range bedExperiments {
+		if got, want := renderBed(t, name, EngineFluid), renderBed(t, name, EnginePacket); got != want {
+			t.Errorf("%s under -engine fluid:\n%s\nunder -engine packet:\n%s", name, got, want)
+		}
+	}
 }
 
 // wcmp runs half the run's flows; at -flows 1 that must be one flow, not a

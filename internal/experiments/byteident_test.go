@@ -130,3 +130,28 @@ func TestByteIdentityFaultMatrix(t *testing.T) {
 		return renderFaultMatrix(o)
 	})
 }
+
+// TestByteIdentityShardedPartAgg: a partition-aggregate job is one arrival
+// beacon for all of its responses, on one engine and on several, and the
+// schemes that shard (ECMP, Flowlet, FlowDyn) print what they print serial.
+func TestByteIdentityShardedPartAgg(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	render := func(o Options) string {
+		var buf bytes.Buffer
+		PartitionAggregate(o).Print(&buf)
+		return buf.String()
+	}
+	o := Options{Seed: 7, Scale: ScaleTiny, JobCount: 5, Parallelism: 1}
+	want := render(o)
+	for _, s := range []int{1, 2, 4} {
+		o.Shards, o.Perf = s, &PerfStats{}
+		if got := render(o); got != want {
+			t.Errorf("partagg at -shards %d differs from serial:\n%s", s, firstDiff(want, got))
+		}
+		if s > 1 && len(o.Perf.ShardEvents()) != s {
+			t.Errorf("partagg at -shards %d: no point ran on %d engines (per-shard events %v)", s, s, o.Perf.ShardEvents())
+		}
+	}
+}

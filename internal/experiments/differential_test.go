@@ -112,10 +112,10 @@ func singlePathFCT(t *testing.T, replicate bool) *tcp.Flow {
 	if replicate {
 		cfg.Replicate = &tcp.ReplicateConfig{Cutoff: RepFlowCutoff}
 	}
-	src := ls.Hosts[ls.TorHosts(0)[0]]
-	dst := ls.Hosts[ls.TorHosts(1)[0]]
+	src := ls.Hosts[ls.P.TorHosts(0)[0]]
+	dst := ls.Hosts[ls.P.TorHosts(1)[0]]
 	f := tcp.StartFlow(eng, cfg, 1, src, dst, 20_000)
-	Options{}.drain(eng, sim.Second, func() bool { return f.Done() })
+	Options{}.drain(eng, sim.Second, func() bool { return f.Done() }, func(sim.Time) {})
 	if !f.Done() {
 		t.Fatalf("flow (replicate=%v) incomplete", replicate)
 	}

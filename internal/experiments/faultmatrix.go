@@ -8,7 +8,6 @@ import (
 	"flowbender/internal/faults"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
-	"flowbender/internal/stats"
 )
 
 // faultScenario is one named chaos scenario of the matrix: a declarative
@@ -182,58 +181,24 @@ func selectScenarios(names []string) []faultScenario {
 	return out
 }
 
-// runOne simulates one (scenario, scheme) point. It reads only the result's
-// scenario constants, never writes, so parallel calls are safe.
+// runOne simulates one (scenario, scheme) point on linkfailure's traffic. It
+// reads only the result's scenario constants, never writes, so parallel calls
+// are safe.
 func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
-	b := o.newBed(pt.scheme)
-	defer b.release()
-	p := o.params()
-	ft := b.ar.fatTree(b.set, b.eng, p)
-
-	if _, err := faults.Apply(b.eng, b.rng.Fork("faults"), faults.FatTreeFabric{FT: ft},
-		pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
-		return FaultCell{Err: err.Error()}
-	}
-
-	// One flow per pod-0 host to the corresponding pod-1 host, the same
-	// traffic pattern as the linkfailure experiment, so several flows hash
-	// across the faulted uplink.
-	perPod := p.TorsPerPod * p.ServersPerTor
-	for i := 0; i < perPod; i++ {
-		b.start(ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes)
-	}
-	flows := b.flows
-
-	b.drain(r.Deadline, len(flows))
-
-	cell := FaultCell{Total: len(flows)}
-	var affected stats.Sketch
-	var recTotal sim.Time
-	var recCount int64
-	for _, f := range flows {
-		hadTimeout := f.Sender().Timeouts > 0
-		if hadTimeout {
-			cell.Affected++
+	var gray, flaps int64
+	out := o.runPodPair(pt.scheme, r.FlowBytes, r.Deadline, func(eng *sim.Engine, fab fabric, rng *sim.RNG) (func(), error) {
+		if _, err := faults.Apply(eng, rng.Fork("faults"), faults.FatTreeFabric{FT: fab.ft},
+			pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
+			return nil, err
 		}
-		if f.Done() {
-			cell.Completed++
-			if hadTimeout {
-				affected.Add(f.FCT().Seconds() * 1000)
-			}
-		}
-		rec := f.Recovery()
-		recTotal += rec.Total
-		recCount += rec.Count
-		cell.Reroutes += f.FlowBenderStats().Reroutes
-	}
-	cell.MeanAffectedFCTms = affected.Mean()
-	if recCount > 0 {
-		cell.MeanRecoveryMs = (recTotal / sim.Time(recCount)).Seconds() * 1000
-	}
-	dx := ft.AggCoreLinks[0][0][0]
-	cell.GrayDrops = dx.AtoB.Link.DroppedGray + dx.BtoA.Link.DroppedGray
-	cell.FlapTransitions = dx.AtoB.Link.Transitions + dx.BtoA.Link.Transitions
-	return cell
+		return func() {
+			dx := fab.ft.AggCoreLinks[0][0][0]
+			gray = dx.AtoB.Link.DroppedGray + dx.BtoA.Link.DroppedGray
+			flaps = dx.AtoB.Link.Transitions + dx.BtoA.Link.Transitions
+		}, nil
+	})
+	out.GrayDrops, out.FlapTransitions = gray, flaps
+	return out.FaultCell
 }
 
 // Print renders the matrix.

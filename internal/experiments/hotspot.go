@@ -31,7 +31,6 @@ type HotspotResult struct {
 
 // hotspotOut is one scheme's measurement.
 type hotspotOut struct {
-	paths        int
 	tcpOnU       float64
 	perLink      []float64
 	udpDelivered float64
@@ -41,6 +40,7 @@ type hotspotOut struct {
 // two scheme runs are independent and execute in parallel on the pool.
 func Hotspot(o Options) *HotspotResult {
 	res := &HotspotResult{
+		Paths:        topo.SmallTestbed().Spines,
 		UDPGbps:      6,
 		TCPGbps:      14,
 		TCPOnU:       make(map[Scheme]float64),
@@ -54,7 +54,6 @@ func Hotspot(o Options) *HotspotResult {
 	outs := fanOut(o, schemes, name, Options.runHotspot)
 	for i, scheme := range schemes {
 		out := outs[i]
-		res.Paths = out.paths
 		res.TCPOnU[scheme] = out.tcpOnU
 		res.PerLink[scheme] = out.perLink
 		res.UDPDelivered[scheme] = out.udpDelivered
@@ -65,71 +64,72 @@ func Hotspot(o Options) *HotspotResult {
 }
 
 // runHotspot measures one scheme. Its TCP shuffle is the one deliberately
-// unbounded schedule: arrivals go on until the measurement window ends and
-// the engine is not run again.
+// unbounded schedule: arrivals go on until the measurement window ends.
 func (o Options) runHotspot(scheme Scheme) hotspotOut {
-	b := o.newBed(scheme)
-	defer b.release()
-	eng := b.eng
 	lp := topo.SmallTestbed()
-	ls := b.ar.leafSpine(b.set, eng, lp)
-	out := hotspotOut{paths: lp.Spines}
-
-	srcIdx := ls.TorHosts(0)
-	dstIdx := ls.TorHosts(1)
-
-	// Pinned UDP hotspot: 6 Gbps, fixed path tag, so it statically hashes
-	// onto one of the spine paths.
-	udpSender := udp.NewSender(eng, 1_000_000, ls.Hosts[srcIdx[0]], ls.Hosts[dstIdx[0]], 6*topo.Gbps, 1460)
-	sink := udp.NewSink()
-	ls.Hosts[dstIdx[0]].Register(1_000_000, sink)
-	udpSender.Start()
-
-	// TCP shuffle: 1 MB flows ToR0 -> ToR1 at an aggregate 14 Gbps.
-	const flowBytes = 1_000_000
-	flowsPerSec := 14 * float64(topo.Gbps) / (flowBytes * 8)
-	b.replay(&workload.AllToAll{
-		RNG:              b.rng.Fork("workload"),
-		Srcs:             srcIdx,
-		Dsts:             dstIdx,
-		CDF:              workload.Fixed(flowBytes),
-		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
-		MaxFlows:         math.MaxInt,
-	}, ls.Hosts, math.MaxInt)
-
-	// Warm up, snapshot counters, measure, snapshot again.
+	var out hotspotOut
+	srcIdx, dstIdx := lp.TorHosts(0), lp.TorHosts(1)
+	// Warm up, snapshot counters at the warm barrier, measure to the deadline.
 	warm := 20 * sim.Millisecond
 	meas := 80 * sim.Millisecond
 	if o.Scale == ScaleTiny {
 		warm, meas = 5*sim.Millisecond, 20*sim.Millisecond
 	}
-	eng.Run(warm)
-	uplinks := ls.UpLinks[0]
-	startTCP := make([]int64, len(uplinks))
-	startUDP := make([]int64, len(uplinks))
-	for i, l := range uplinks {
-		startTCP[i] = l.AtoB.TxBytes(netsim.ProtoTCP)
-		startUDP[i] = l.AtoB.TxBytes(netsim.ProtoUDP)
-	}
-	eng.Run(warm + meas)
-	o.recordPerf(eng)
-	udpSender.Stop()
-
-	perLink := make([]float64, len(uplinks))
-	uIdx, uBytes := 0, int64(-1)
-	for i, l := range uplinks {
-		dTCP := l.AtoB.TxBytes(netsim.ProtoTCP) - startTCP[i]
-		dUDP := l.AtoB.TxBytes(netsim.ProtoUDP) - startUDP[i]
-		perLink[i] = float64(dTCP) * 8 / meas.Seconds() / float64(topo.Gbps)
-		if dUDP > uBytes {
-			uBytes, uIdx = dUDP, i
-		}
-	}
-	out.perLink = perLink
-	out.tcpOnU = perLink[uIdx]
-	if udpSender.Sent > 0 {
-		out.udpDelivered = float64(sink.Packets) / float64(udpSender.Sent)
-	}
+	var uplinks []*netsim.Duplex
+	var startTCP, startUDP []int64
+	o.runPoint(point{
+		scheme: scheme,
+		leaf:   &lp,
+		flows:  math.MaxInt,
+		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
+			// TCP shuffle: 1 MB flows ToR0 -> ToR1 at an aggregate 14 Gbps.
+			const flowBytes = 1_000_000
+			flowsPerSec := 14 * float64(topo.Gbps) / (flowBytes * 8)
+			return &workload.AllToAll{
+				RNG:              root.Fork("workload"),
+				Srcs:             srcIdx,
+				Dsts:             dstIdx,
+				CDF:              workload.Fixed(flowBytes),
+				MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
+				MaxFlows:         math.MaxInt,
+			}, warm + meas
+		},
+		arm: func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+			// Pinned UDP hotspot: 6 Gbps, fixed path tag, so it statically
+			// hashes onto one of the spine paths.
+			src, dst := fab.ls.Hosts[srcIdx[0]], fab.ls.Hosts[dstIdx[0]]
+			udpSender := udp.NewSender(eng, 1_000_000, src, dst, 6*topo.Gbps, 1460)
+			sink := udp.NewSink()
+			dst.Register(1_000_000, sink)
+			udpSender.Start()
+			uplinks = fab.ls.UpLinks[0]
+			return func() {
+				udpSender.Stop()
+				out.perLink = make([]float64, len(uplinks))
+				uIdx, uBytes := 0, int64(-1)
+				for i, l := range uplinks {
+					dTCP := l.AtoB.TxBytes(netsim.ProtoTCP) - startTCP[i]
+					dUDP := l.AtoB.TxBytes(netsim.ProtoUDP) - startUDP[i]
+					out.perLink[i] = float64(dTCP) * 8 / meas.Seconds() / float64(topo.Gbps)
+					if dUDP > uBytes {
+						uBytes, uIdx = dUDP, i
+					}
+				}
+				out.tcpOnU = out.perLink[uIdx]
+				if udpSender.Sent > 0 {
+					out.udpDelivered = float64(sink.Packets) / float64(udpSender.Sent)
+				}
+			}, nil
+		},
+		onBarrier: func(now sim.Time) {
+			if now == warm {
+				for _, l := range uplinks {
+					startTCP = append(startTCP, l.AtoB.TxBytes(netsim.ProtoTCP))
+					startUDP = append(startUDP, l.AtoB.TxBytes(netsim.ProtoUDP))
+				}
+			}
+		},
+	})
 	return out
 }
 

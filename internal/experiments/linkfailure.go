@@ -7,6 +7,9 @@ import (
 
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
+	"flowbender/internal/tcp"
+	"flowbender/internal/topo"
+	"flowbender/internal/workload"
 )
 
 // LinkFailureResult quantifies the §3.3.2 claim: FlowBender routes around a
@@ -31,12 +34,10 @@ type LinkFailureResult struct {
 	MeanUnaffectedFCTms map[Scheme]float64
 }
 
-// linkFailureOut is one scheme's measurement.
-type linkFailureOut struct {
-	total            int
-	completed        int
-	affected         int
-	meanAffectedMs   float64
+// podPairOut is one pod-pair point's measurement: a fault matrix cell, and
+// the mean completion time of the flows no RTO touched.
+type podPairOut struct {
+	FaultCell
 	meanUnaffectedMs float64
 }
 
@@ -63,58 +64,81 @@ func LinkFailure(o Options) *LinkFailureResult {
 	outs := fanOut(o, schemes, name, res.runOne)
 	for i, scheme := range schemes {
 		out := outs[i]
-		res.Total = out.total
-		res.Completed[scheme] = out.completed
-		res.Affected[scheme] = out.affected
-		res.MeanAffectedFCTms[scheme] = out.meanAffectedMs
+		res.Total = out.Total
+		res.Completed[scheme] = out.Completed
+		res.Affected[scheme] = out.Affected
+		res.MeanAffectedFCTms[scheme] = out.MeanAffectedFCTms
 		res.MeanUnaffectedFCTms[scheme] = out.meanUnaffectedMs
 		o.logf("linkfailure: %s completed=%d/%d affected=%d meanAffectedFCT=%.1fms",
-			scheme, out.completed, out.total, out.affected, out.meanAffectedMs)
+			scheme, out.Completed, out.Total, out.Affected, out.MeanAffectedFCTms)
 	}
 	return res
 }
 
-// runOne runs one scheme; it only reads the result's scenario constants
-// (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
-func (r *LinkFailureResult) runOne(o Options, scheme Scheme) linkFailureOut {
-	b := o.newBed(scheme)
-	defer b.release()
+// runPodPair runs the point linkfailure and faults share — one flow of size
+// bytes per pod-0 host to the corresponding pod-1 host, all started at
+// set-up, so the up-paths carry several flows and at least some hash across
+// the cable arm faults — and tallies its flows.
+func (o Options) runPodPair(scheme Scheme, size int64, deadline sim.Time,
+	arm func(*sim.Engine, fabric, *sim.RNG) (func(), error)) podPairOut {
 	p := o.params()
-	ft := b.ar.fatTree(b.set, b.eng, p)
-
-	// One flow per pod-0 host, each to the corresponding pod-1 host, so the
-	// up-paths carry several flows and at least some hash across the link
-	// we are about to cut.
 	perPod := p.TorsPerPod * p.ServersPerTor
-	for i := 0; i < perPod; i++ {
-		b.start(ft.Hosts[i], ft.Hosts[perPod+i], r.FlowBytes)
+	var flows []*tcp.Flow
+	res := o.runPoint(point{
+		scheme: scheme,
+		flows:  perPod,
+		burst:  true,
+		workload: func(*sim.RNG, topo.Params) (workload.Schedule, sim.Time) {
+			specs := make([]workload.FlowSpec, perPod)
+			for i := range specs {
+				specs[i] = workload.FlowSpec{SrcIdx: int32(i), DstIdx: int32(perPod + i), Size: size}
+			}
+			return &batches{specs}, deadline
+		},
+		arm:    arm,
+		onFlow: func(f *tcp.Flow) { flows = append(flows, f) },
+	})
+	if res.err != nil {
+		return podPairOut{FaultCell: FaultCell{Err: res.err.Error()}}
 	}
-	flows := b.flows
-	out := linkFailureOut{total: len(flows)}
 
-	// Cut the first aggregation switch's first core uplink in pod 0.
-	b.eng.At(r.FailAt, func() { ft.AggCoreLinks[0][0][0].Fail() })
-
-	b.drain(r.Deadline, len(flows))
-
+	cell := FaultCell{Total: len(flows)}
 	var affected, unaffected stats.Sketch
+	var recTotal sim.Time
+	var recCount int64
 	for _, f := range flows {
 		hadTimeout := f.Sender().Timeouts > 0
 		if hadTimeout {
-			out.affected++
+			cell.Affected++
 		}
 		if f.Done() {
-			out.completed++
+			cell.Completed++
 			if hadTimeout {
 				affected.Add(f.FCT().Seconds() * 1000)
 			} else {
 				unaffected.Add(f.FCT().Seconds() * 1000)
 			}
 		}
+		rec := f.Recovery()
+		recTotal += rec.Total
+		recCount += rec.Count
+		cell.Reroutes += f.FlowBenderStats().Reroutes
 	}
-	out.meanAffectedMs = affected.Mean()
-	out.meanUnaffectedMs = unaffected.Mean()
-	return out
+	cell.MeanAffectedFCTms = affected.Mean()
+	if recCount > 0 {
+		cell.MeanRecoveryMs = (recTotal / sim.Time(recCount)).Seconds() * 1000
+	}
+	return podPairOut{cell, unaffected.Mean()}
+}
+
+// runOne runs one scheme; it only reads the result's scenario constants
+// (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
+func (r *LinkFailureResult) runOne(o Options, scheme Scheme) podPairOut {
+	return o.runPodPair(scheme, r.FlowBytes, r.Deadline, func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+		// Cut the first aggregation switch's first core uplink in pod 0.
+		eng.At(r.FailAt, func() { fab.ft.AggCoreLinks[0][0][0].Fail() })
+		return nil, nil
+	})
 }
 
 // ms formats a millisecond value, rendering NaN (no samples) as "n/a".

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"flowbender/internal/checkpoint"
@@ -314,6 +316,6 @@ func (o Options) maxWait() sim.Time {
 
 func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
-		_, _ = io.WriteString(o.Log, sprintfLn(format, args...))
+		_, _ = fmt.Fprintln(o.Log, strings.TrimSuffix(fmt.Sprintf(format, args...), "\n"))
 	}
 }

@@ -82,7 +82,7 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestStabilityGapApplied(t *testing.T) {
-	setup := FlowBender.setup(newTestRNG(), zeroFB())
+	setup := FlowBender.setup(newTestRNG(), zeroFB(), false)
 	if setup.cfg.FlowBender == nil {
 		t.Fatal("FlowBender config missing")
 	}
@@ -95,18 +95,18 @@ func TestStabilityGapApplied(t *testing.T) {
 }
 
 func TestSchemeSetups(t *testing.T) {
-	ecmp := ECMP.setup(newTestRNG(), zeroFB())
+	ecmp := ECMP.setup(newTestRNG(), zeroFB(), false)
 	if ecmp.cfg.FlowBender != nil || ecmp.pfc != nil {
 		t.Error("ECMP setup carries extras")
 	}
-	detail := DeTail.setup(newTestRNG(), zeroFB())
+	detail := DeTail.setup(newTestRNG(), zeroFB(), false)
 	if detail.pfc == nil || !detail.cfg.DisableFastRetx {
 		t.Error("DeTail setup missing PFC or fast-retx disable")
 	}
 	if detail.pfc.Pause != 20_000 || detail.pfc.Unpause != 10_000 {
 		t.Errorf("DeTail PFC thresholds wrong: %+v", detail.pfc)
 	}
-	rps := RPS.setup(newTestRNG(), zeroFB())
+	rps := RPS.setup(newTestRNG(), zeroFB(), false)
 	if rps.sel == nil || rps.pfc != nil {
 		t.Error("RPS setup wrong")
 	}

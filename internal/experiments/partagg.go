@@ -8,6 +8,7 @@ import (
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
+	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
 
@@ -97,27 +98,29 @@ func PartitionAggregate(o Options) *PartAggResult {
 }
 
 func (o Options) runPartAgg(scheme Scheme, fanIn int, load float64, jobBytes int64) float64 {
-	b := o.newBed(scheme)
-	defer b.release()
-	p := o.params()
-	ft := b.ar.fatTree(b.set, b.eng, p)
-
 	jobs := o.jobCount()
-	b.replay(&workload.PartitionAggregate{
-		RNG:      b.rng.Fork("workload"),
-		NumHosts: len(ft.Hosts),
-		JobBytes: jobBytes,
-		FanIn:    fanIn,
-		MeanInterarrival: workload.JobInterarrival(
-			load, p.BisectionBps(), p.InterPodFraction(), jobBytes),
-		MaxJobs: jobs + 1,
-	}, ft.Hosts, jobs*fanIn)
-	b.drain(o.maxWait(), jobs*fanIn) // every job starts fanIn flows at once
+	var flows []*tcp.Flow
+	o.runPoint(point{
+		scheme: scheme,
+		flows:  jobs * fanIn, // every job starts fanIn flows at once
+		workload: func(root *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
+			return &workload.PartitionAggregate{
+				RNG:      root.Fork("workload"),
+				NumHosts: p.NumHosts(),
+				JobBytes: jobBytes,
+				FanIn:    fanIn,
+				MeanInterarrival: workload.JobInterarrival(
+					load, p.BisectionBps(), p.InterPodFraction(), jobBytes),
+				MaxJobs: jobs + 1,
+			}, o.maxWait()
+		},
+		onFlow: func(f *tcp.Flow) { flows = append(flows, f) },
+	})
 
 	// Job k is flows [k*fanIn, (k+1)*fanIn); it completes with its slowest
 	// response, counted from the instant all of them started.
 	var s stats.Sketch
-	for job := b.flows; len(job) >= fanIn; job = job[fanIn:] {
+	for job := flows; len(job) >= fanIn; job = job[fanIn:] {
 		if last, ok := lastDone(job[:fanIn]); ok {
 			s.Add((last - job[0].Start).Seconds())
 		}

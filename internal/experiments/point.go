@@ -12,32 +12,38 @@ import (
 	"flowbender/internal/workload"
 )
 
-// point is one fat-tree simulation point: everything beyond Options (seed,
-// scale, engine, shards) that determines its run. runPoint is the only code
-// that executes one, so every scheme — and every execution mode of a scheme
-// — sees the identical substrate and arrival sequence by construction.
+// point is one simulation point: everything beyond Options (seed, scale,
+// engine, shards) that determines its run. runPoint is the only code that
+// executes one, so every scheme — and every execution mode of a scheme — sees
+// the identical substrate and arrival sequence by construction.
 type point struct {
 	scheme Scheme
 	fb     core.Config // FlowBender overrides (zero = paper defaults)
 	rawFB  bool        // take fb verbatim, without the evaluation defaults
 	// setupFn, when non-nil, replaces the scheme's standard setup (the
-	// degenerate-config differential tests and the ablations' validation
-	// scenario inject exact configurations through it). Such points always
-	// run on one packet engine.
+	// degenerate-config differential tests, the ablations' validation
+	// scenario and the WCMP variants inject exact configurations through it).
+	// Such points always run on one packet engine.
 	setupFn func(rng *sim.RNG) schemeSetup
 	// params overrides the Options-derived fat-tree parameters.
 	params *topo.Params
+	// leaf, when set, builds the point on this leaf-spine instead of the
+	// fat-tree; the schedule's host indices are the leaf-spine's.
+	leaf *topo.LeafSpineParams
 
 	// flows is the number of flows the schedule plans; the point is done
 	// when that many have started and every started flow has completed. A
 	// schedule may run one arrival past it: that beacon fires and starts
-	// nothing.
+	// nothing. math.MaxInt runs the point until its deadline or until
+	// nothing is pending.
 	flows int
-	// workload draws the arrival schedule from the point's workload stream
-	// (independent of the scheme stream, so every scheme sees the identical
-	// arrivals) and names the virtual-time deadline. Endpoints are host
-	// indices; flow i of the schedule runs under ID idBase+i+1.
-	workload func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time)
+	// workload draws the arrival schedule and names the virtual-time
+	// deadline. It gets the point's root RNG; a schedule that draws forks its
+	// stream "workload" off it (independent of the scheme stream, so every
+	// scheme sees the identical arrivals). Endpoints are host indices; flow i
+	// of the schedule runs under ID idBase+i+1, and each batch is one arrival
+	// beacon.
+	workload func(root *sim.RNG, p topo.Params) (workload.Schedule, sim.Time)
 	idBase   netsim.FlowID
 	// burst starts the whole schedule synchronously at setup instead of
 	// through workload.Replay (Table 1's simultaneous flows).
@@ -46,15 +52,31 @@ type point struct {
 	// to (see workload.Replay).
 	armFirst bool
 
+	// arm runs once, on the point's one packet engine, after the fabric is
+	// built and before the first arrival, with the point's root RNG: it edits
+	// the fabric, files fault events and starts traffic of its own. An error
+	// (a fault plan faults.Apply refuses) ends the point before it runs.
+	// measure, when non-nil, runs after the drain, while the fabric still
+	// holds what the point left in it.
+	arm func(eng *sim.Engine, fab fabric, rng *sim.RNG) (measure func(), err error)
+	// onBarrier runs at every 5 ms drain barrier, with every engine idle at
+	// now.
+	onBarrier func(now sim.Time)
 	// onFlow receives every packet-engine flow when it is created: at its
 	// start on one engine, at planning time — before the run — on several.
 	onFlow func(f *tcp.Flow)
 	// onDone runs at a packet flow's completion instant, on the engine of
 	// the destination host; calls for different shards run concurrently.
 	onDone func(shard int, kind workload.PatternKind, f *tcp.Flow)
-	// onFluid receives every fluid-engine completion (required: a point
-	// without a setupFn may be asked to run on the fluid engine).
+	// onFluid receives every fluid-engine completion. A point without one
+	// has no fluid form and runs on the packet engine.
 	onFluid func(d fluid.Done)
+}
+
+// fabric is a one-engine point's packet fabric: ft, or ls for a leaf point.
+type fabric struct {
+	ft *topo.FatTree
+	ls *topo.LeafSpine
 }
 
 // pointResult is what runPoint itself measured.
@@ -63,51 +85,39 @@ type pointResult struct {
 	started, completed int64
 	simTime            sim.Time // furthest virtual time any engine reached
 	reroutes           int64    // fluid engine only: path changes, all flows
+	err                error    // what arm refused; the point did not run
 }
 
-// batchOnce is a fully drawn schedule, served as a single batch.
-type batchOnce []workload.FlowSpec
+// batches is a drawn schedule served again, batch by batch. A copy replays
+// it afresh.
+type batches [][]workload.FlowSpec
 
-func (b *batchOnce) NextBatch() []workload.FlowSpec {
-	out := *b
-	*b = nil
-	return out
-}
-
-// drainSchedule flattens a schedule expected to hold about n arrivals.
-func drainSchedule(src workload.Schedule, n int) []workload.FlowSpec {
-	out := make([]workload.FlowSpec, 0, n)
-	for b := src.NextBatch(); b != nil; b = src.NextBatch() {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// singly serves a schedule one flow per batch: a point gives every flow its
-// own beacon, those of a Mix incast or of a sharded plan included — the
-// order the point goldens and executed-event counts pin.
-type singly struct {
-	src  workload.Schedule
-	rest []workload.FlowSpec
-}
-
-func (s *singly) NextBatch() []workload.FlowSpec {
-	if len(s.rest) == 0 {
-		s.rest = s.src.NextBatch()
-	}
-	if len(s.rest) == 0 {
+func (b *batches) NextBatch() []workload.FlowSpec {
+	if len(*b) == 0 {
 		return nil
 	}
-	b := s.rest[:1:1]
-	s.rest = s.rest[1:]
-	return b
+	out := (*b)[0]
+	*b = (*b)[1:]
+	return out
+}
+
+// drawBatches draws src's first n flows, clipping the batch that holds the
+// nth: flat holds them in order, and each batch is a slice of it.
+func drawBatches(src workload.Schedule, n int) (flat []workload.FlowSpec, bs batches) {
+	flat = make([]workload.FlowSpec, 0, n)
+	for b := src.NextBatch(); b != nil && len(flat) < n; b = src.NextBatch() {
+		at := len(flat)
+		flat = append(flat, b[:min(len(b), n-at)]...)
+		bs = append(bs, flat[at:])
+	}
+	return flat, bs
 }
 
 // fluidPoint reports whether a point runs on the fluid engine: Options.Engine
-// asks for it and the setup is the scheme's own (an injected packet setup has
-// no fluid form, so such points keep the packet engine).
-func (o Options) fluidPoint(setupFn func(*sim.RNG) schemeSetup) bool {
-	return o.Engine == EngineFluid && setupFn == nil
+// asks for it and the point has a fluid form — the scheme's own setup on the
+// fat-tree, nothing armed on the fabric, and a fluid completion handler.
+func (o Options) fluidPoint(pt *point) bool {
+	return o.Engine == EngineFluid && pt.setupFn == nil && pt.leaf == nil && pt.arm == nil && pt.onFluid != nil
 }
 
 // shardPlan decides how many engines a packet point runs on, and is the
@@ -124,13 +134,15 @@ func (o Options) fluidPoint(setupFn func(*sim.RNG) schemeSetup) bool {
 //     RepFlow plans replica sub-flows at the host while the sharded replay
 //     pre-plans exactly one flow per arrival; DeTail needs PFC (below).
 //   - an injected setupFn: its semantics are unknown here.
+//   - a leaf-spine fabric: only the fat-tree has a partition.
+//   - an arm hook: it works on one engine's fabric.
 //   - a setup-time burst: there is no arrival schedule to replay.
 //   - PFC configured: pause/unpause is synchronous fabric back-pressure
 //     with zero slack, so the cross-shard lookahead would be zero.
 //   - the partition has no cross-shard cable (it degenerated to one shard)
 //     or no positive lookahead (zero-delay cross-shard paths).
 func (o Options) shardPlan(pt *point, p topo.Params, set schemeSetup) (topo.Partition, int) {
-	if o.Shards <= 1 || !pt.scheme.shardable() || pt.setupFn != nil || pt.burst || set.pfc != nil {
+	if o.Shards <= 1 || !pt.scheme.shardable() || pt.setupFn != nil || pt.leaf != nil || pt.arm != nil || pt.burst || set.pfc != nil {
 		return topo.Partition{}, 1
 	}
 	part := topo.PartitionFatTree(p, o.Shards)
@@ -153,11 +165,11 @@ func (o Options) runPoint(pt point) pointResult {
 	}
 	root := sim.NewRNG(o.Seed)
 	schemeRNG := root.Fork("scheme")
-	src, deadline := pt.workload(root.Fork("workload"), p)
+	src, deadline := pt.workload(root, p)
 
 	// Decide the engine set. The fluid engine always runs on one engine;
 	// a packet point asks shardPlan.
-	fluidEng := o.fluidPoint(pt.setupFn)
+	fluidEng := o.fluidPoint(&pt)
 	var set schemeSetup
 	var part topo.Partition
 	n := 1
@@ -165,7 +177,7 @@ func (o Options) runPoint(pt point) pointResult {
 		if pt.setupFn != nil {
 			set = pt.setupFn(schemeRNG)
 		} else {
-			set = pt.scheme.setupRaw(schemeRNG, pt.fb, pt.rawFB)
+			set = pt.scheme.setup(schemeRNG, pt.fb, pt.rawFB)
 		}
 		part, n = o.shardPlan(&pt, p, set)
 	}
@@ -191,12 +203,16 @@ func (o Options) runPoint(pt point) pointResult {
 			start(pt.idBase+netsim.FlowID(i+1), s)
 		}
 		if pt.burst {
-			for i, s := range drainSchedule(src, pt.flows) {
-				one(i, s)
+			i := 0
+			for b := src.NextBatch(); b != nil && i < pt.flows; b = src.NextBatch() {
+				for _, s := range b {
+					one(i, s)
+					i++
+				}
 			}
 			return
 		}
-		workload.Replay(engines[0], &singly{src: src}, pt.armFirst, one)
+		workload.Replay(engines[0], src, pt.armFirst, one)
 	}
 	// track wires a packet flow into the completion counter of the shard
 	// that will observe its completion, and into the point's recorder.
@@ -205,16 +221,20 @@ func (o Options) runPoint(pt point) pointResult {
 			pt.onFlow(f)
 		}
 		c := &count[shard]
+		if pt.onDone == nil {
+			// One captured pointer: the closure most flows carry stays small.
+			f.OnComplete = func(*tcp.Flow) { c.completed++ }
+			return
+		}
 		f.OnComplete = func(f *tcp.Flow) {
 			c.completed++
-			if pt.onDone != nil {
-				pt.onDone(shard, kind, f)
-			}
+			pt.onDone(shard, kind, f)
 		}
 	}
 
 	var fs *fluid.Sim
 	var sft *topo.ShardedFatTree
+	var measure func()
 	switch {
 	case fluidEng:
 		cfg := fluidConfig(p, pt.scheme, pt.fb, pt.rawFB, schemeRNG)
@@ -228,31 +248,42 @@ func (o Options) runPoint(pt point) pointResult {
 			fs.Arrive(id, s.SrcIdx, s.DstIdx, s.Size, int32(s.Kind))
 		})
 	case n == 1:
-		ft := ar.fatTree(set, engines[0], p)
+		var fab fabric
+		var hosts []*netsim.Host
+		if pt.leaf != nil {
+			fab.ls = ar.leafSpine(set, engines[0], *pt.leaf)
+			hosts = fab.ls.Hosts
+		} else {
+			fab.ft = ar.fatTree(set, engines[0], p)
+			hosts = fab.ft.Hosts
+		}
+		if pt.arm != nil {
+			var err error
+			if measure, err = pt.arm(engines[0], fab, root); err != nil {
+				return pointResult{engines: 1, err: err}
+			}
+		}
 		inject(func(id netsim.FlowID, s workload.FlowSpec) {
-			track(0, s.Kind, tcp.StartFlow(engines[0], set.cfg, id, ft.Hosts[s.SrcIdx], ft.Hosts[s.DstIdx], s.Size))
+			track(0, s.Kind, tcp.StartFlow(engines[0], set.cfg, id, hosts[s.SrcIdx], hosts[s.DstIdx], s.Size))
 		})
 	default:
 		// Several engines: plan every flow up front — O(flows) memory; the
 		// flat-memory guarantee belongs to the one-engine replay — and replay
-		// the plan on every shard. Each beacon starts the
+		// the plan's batches on every shard. Each beacon starts the
 		// receiver if the destination is shard-local, then the sender if the
 		// source is; shards hosting neither endpoint pay one no-op event per
-		// flow, a rounding error next to the packet traffic.
+		// batch, a rounding error next to the packet traffic.
 		sft = topo.NewShardedFatTree(engines, p, part)
 		sft.SetSelector(set.sel)
-		plan := drainSchedule(src, pt.flows)
-		if len(plan) > pt.flows {
-			plan = plan[:pt.flows]
-		}
+		plan, bs := drawBatches(src, pt.flows)
 		pend := make([]*tcp.PendingFlow, len(plan))
 		for i, s := range plan {
 			pend[i] = tcp.PlanFlow(set.cfg, pt.idBase+netsim.FlowID(i+1), sft.Hosts[s.SrcIdx], sft.Hosts[s.DstIdx], s.Size)
 			track(part.HostShard[s.DstIdx], s.Kind, pend[i].Flow())
 		}
 		for sh := range engines {
-			sh, once := sh, batchOnce(plan)
-			workload.Replay(engines[sh], &singly{src: &once}, false, func(i int, s workload.FlowSpec) {
+			sh, once := sh, bs
+			workload.Replay(engines[sh], &once, false, func(i int, s workload.FlowSpec) {
 				if part.HostShard[s.DstIdx] == sh {
 					pend[i].StartReceiver()
 				}
@@ -279,12 +310,23 @@ func (o Options) runPoint(pt point) pointResult {
 		started, completed := tally()
 		return started == int64(pt.flows) && completed == started
 	}
+	// At every barrier: the checkpoint watermark, then the point's own hook.
+	ck := o.ckptTracker()
+	barrier := func(now sim.Time) {
+		ck.tick(now, engines...)
+		if pt.onBarrier != nil {
+			pt.onBarrier(now)
+		}
+	}
 	if n == 1 {
-		o.drain(engines[0], deadline, done)
+		o.drain(engines[0], deadline, done, barrier)
 	} else {
-		o.drainShards(sft, deadline, done)
+		o.drainShards(sft, deadline, done, barrier)
 	}
 	o.recordPerf(engines...)
+	if measure != nil {
+		measure()
+	}
 
 	res := pointResult{engines: n}
 	res.started, res.completed = tally()
@@ -299,9 +341,30 @@ func (o Options) runPoint(pt point) pointResult {
 	return res
 }
 
+// drainChunk is the barrier grid every drain loop stops on.
+const drainChunk = 5 * sim.Millisecond
+
+// drain advances the engine in chunks until done() or the deadline, calling
+// barrier — the point's checkpoint obligations and hook — at every chunk
+// boundary: the engine is quiescent there (Run leaves now == the boundary),
+// making it a safe — and deterministically reproducible — watermark instant.
+func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool, barrier func(now sim.Time)) {
+	for eng.Now() < deadline && !done() {
+		next := eng.Now() + drainChunk
+		if next > deadline {
+			next = deadline
+		}
+		eng.Run(next)
+		barrier(eng.Now())
+		if eng.Pending() == 0 {
+			return
+		}
+	}
+}
+
 // drainShards is drain for a sharded fabric: bounded-lag windows on the same
-// 5 ms barrier grid, checkpoint ticks at the barriers.
-func (o Options) drainShards(sft *topo.ShardedFatTree, deadline sim.Time, done func() bool) {
+// 5 ms barrier grid, barrier at the barriers.
+func (o Options) drainShards(sft *topo.ShardedFatTree, deadline sim.Time, done func() bool, barrier func(now sim.Time)) {
 	window := sft.Window
 	workers := len(sft.Engines)
 	switch {
@@ -330,13 +393,11 @@ func (o Options) drainShards(sft *topo.ShardedFatTree, deadline sim.Time, done f
 			netsim.MergeCross(buf, windowEnd)
 			scratch[shard] = buf
 		},
-	}
-	if ck := o.ckptTracker(); ck != nil {
 		// Chunk boundaries are the sharded run's quiescent barriers: worker
 		// zero observes every shard idle exactly at the boundary instant, the
 		// same grid a resumed run will pass through (the descriptor pins the
 		// shard count, so the window — and with it the grid — reproduces).
-		ss.Tick = func(boundary sim.Time) { ck.tick(boundary, sft.Engines...) }
+		Tick: barrier,
 	}
 	ss.Run(deadline, drainChunk, done, workers)
 }

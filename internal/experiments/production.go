@@ -56,14 +56,14 @@ func (o Options) load() float64 {
 	return 0.5
 }
 
-// newMix builds the production workload generator for one simulation point.
-// Everything — the size CDF, the arrival process and its diurnal shape, the
+// newMix builds the production workload for one simulation point, one flow
+// per batch (singly). Everything — the size CDF, the arrival process and its diurnal shape, the
 // deadline — is a pure function of (options, topology, flow count), so the
 // schedule is byte-identical on every engine and engine count. Endpoints are
 // drawn as host indices (no hosts need exist). The returned deadline covers
 // the expected makespan with 50% slack plus the usual post-arrival drain
 // budget, so it too is deterministic.
-func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int) (*workload.Mix, sim.Time) {
+func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int) (workload.Schedule, sim.Time) {
 	m := &workload.Mix{
 		RNG:         rng,
 		NumHosts:    p.NumHosts(),
@@ -96,7 +96,7 @@ func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int
 			},
 		}
 	}
-	return m, makespan + makespan/2 + o.maxWait()
+	return &singly{src: m}, makespan + makespan/2 + o.maxWait()
 }
 
 // mixOutcome aggregates one production point's measurements (or one shard's
@@ -172,8 +172,8 @@ func (o Options) runProduction(scheme Scheme, cdf workload.CDF, flows int) *mixO
 	res := o.runPoint(point{
 		scheme: scheme,
 		flows:  flows,
-		workload: func(rng *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
-			return o.newMix(rng, p, cdf, flows)
+		workload: func(root *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
+			return o.newMix(root.Fork("workload"), p, cdf, flows)
 		},
 		onDone:  func(shard int, kind workload.PatternKind, f *tcp.Flow) { outs[shard].record(kind, f) },
 		onFluid: func(d fluid.Done) { outs[0].recordFluid(d) },
@@ -186,6 +186,26 @@ func (o Options) runProduction(scheme Scheme, cdf workload.CDF, flows int) *mixO
 	out.engines = res.engines
 	o.recordFlows(out.completed)
 	return out
+}
+
+// singly serves a schedule one flow per batch: a production point gives
+// every flow its own beacon, those of an incast or a storage write included —
+// the order its goldens and executed-event counts pin.
+type singly struct {
+	src  workload.Schedule
+	rest []workload.FlowSpec
+}
+
+func (s *singly) NextBatch() []workload.FlowSpec {
+	if len(s.rest) == 0 {
+		s.rest = s.src.NextBatch()
+	}
+	if len(s.rest) == 0 {
+		return nil
+	}
+	b := s.rest[:1:1]
+	s.rest = s.rest[1:]
+	return b
 }
 
 // MixBinCell is one (scheme, size-bin) cell: completed-flow count and FCT

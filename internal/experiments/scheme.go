@@ -118,16 +118,11 @@ const StabilityGap = 5
 // every scheme runs over DCTCP; FlowBender adds the controller with T = 5%,
 // N = 1 by default (plus the §5.1 reroute rate limit, see StabilityGap);
 // DeTail gets lossless PFC (pause 20 KB / unpause 10 KB) with fast
-// retransmit disabled; RPS sprays per packet.
-func (s Scheme) setup(rng *sim.RNG, fb core.Config) schemeSetup {
-	return s.setupRaw(rng, fb, false)
-}
-
-// setupRaw is setup with the option to take the FlowBender config verbatim
-// (raw = true), without applying the StabilityGap/DesyncN evaluation
-// defaults — the ablation experiment uses this to measure the paper's
-// minimal configuration.
-func (s Scheme) setupRaw(rng *sim.RNG, fb core.Config, raw bool) schemeSetup {
+// retransmit disabled; RPS sprays per packet. raw takes the FlowBender
+// config verbatim, without the StabilityGap/DesyncN evaluation defaults —
+// the ablation experiment uses this to measure the paper's minimal
+// configuration.
+func (s Scheme) setup(rng *sim.RNG, fb core.Config, raw bool) schemeSetup {
 	cfg := tcp.DefaultConfig()
 	out := schemeSetup{cfg: cfg, sel: routing.ECMP{}}
 	switch s {
@@ -177,7 +172,7 @@ func flowBenderConfig(rng *sim.RNG, fb core.Config, raw bool) *core.Config {
 	return &fb
 }
 
-// fluidConfig maps a scheme onto the fluid engine's knobs, making setupRaw's
+// fluidConfig maps a scheme onto the fluid engine's knobs, making setup's
 // decisions for the flow-level model so the two engines run the same policy:
 //
 //   - ECMP, Flowlet, FlowDyn: per-flow hashed paths. The fluid model has no

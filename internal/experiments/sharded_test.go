@@ -123,10 +123,12 @@ func TestShardPlan(t *testing.T) {
 	tiny := topo.TinyScale()
 	zero := tiny
 	zero.LinkDelay, zero.SwitchDelay = 0, 0
-	plain := func(s Scheme) schemeSetup { return s.setup(sim.NewRNG(1), core.Config{}) }
+	plain := func(s Scheme) schemeSetup { return s.setup(sim.NewRNG(1), core.Config{}, false) }
 	custom := func(*sim.RNG) schemeSetup { return plain(ECMP) }
 	pfc := plain(ECMP)
 	pfc.pfc = plain(DeTail).pfc
+	testbed := topo.SmallTestbed()
+	arm := func(*sim.Engine, fabric, *sim.RNG) (func(), error) { return nil, nil }
 
 	cases := []struct {
 		name   string
@@ -150,6 +152,8 @@ func TestShardPlan(t *testing.T) {
 		{"PFC on a shardable scheme", 4, point{scheme: ECMP}, tiny, pfc, 1},
 		{"injected setupFn", 4, point{scheme: ECMP, setupFn: custom}, tiny, plain(ECMP), 1},
 		{"setup-time burst", 4, point{scheme: ECMP, burst: true}, tiny, plain(ECMP), 1},
+		{"leaf-spine fabric", 4, point{scheme: ECMP, leaf: &testbed}, tiny, plain(ECMP), 1},
+		{"arm hook", 4, point{scheme: ECMP, arm: arm}, tiny, plain(ECMP), 1},
 		{"zero lookahead", 4, point{scheme: ECMP}, zero, plain(ECMP), 1},
 	}
 	for _, tc := range cases {

@@ -165,12 +165,12 @@ func (o Options) runValidation(scheme Scheme, setupFn func(*sim.RNG) schemeSetup
 		idBase:  netsim.FlowID(o.Seed * 131),
 		workload: func(_ *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 			// Host index (pod, tor, srv) = (pod*Tors+tor)*Servers+srv.
-			specs := make(batchOnce, k)
+			specs := make([]workload.FlowSpec, k)
 			for i := range specs {
 				srv := int32(i % p.ServersPerTor)
 				specs[i] = workload.FlowSpec{SrcIdx: srv, DstIdx: int32(p.TorsPerPod*p.ServersPerTor) + srv, Size: size}
 			}
-			return &specs, 60 * sim.Second
+			return &batches{specs}, 60 * sim.Second
 		},
 		onFlow:  func(f *tcp.Flow) { flows = append(flows, f) },
 		onFluid: func(d fluid.Done) { fct.Add(d.FCT.Seconds() * 1000) },

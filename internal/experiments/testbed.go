@@ -7,6 +7,7 @@ import (
 
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
+	"flowbender/internal/tcp"
 	"flowbender/internal/topo"
 	"flowbender/internal/workload"
 )
@@ -80,25 +81,34 @@ func Testbed(o Options) *TestbedResult {
 }
 
 func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
-	b := o.newBed(scheme)
-	defer b.release()
-	ls := b.ar.leafSpine(b.set, b.eng, lp)
+	var run []*tcp.Flow
+	o.runPoint(point{
+		scheme: scheme,
+		leaf:   &lp,
+		flows:  flows,
+		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
+			// Load is relative to the source ToR's bisection slice: its uplinks.
+			bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)
+			flowsPerSec := load * bisectionBps / (float64(size) * 8)
+			return &workload.AllToAll{
+				RNG:              root.Fork("workload"),
+				NumHosts:         lp.NumHosts(),
+				Srcs:             lp.TorHosts(0),
+				CDF:              workload.Fixed(size),
+				MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
+				MaxFlows:         flows + 1,
+			}, o.maxWait()
+		},
+		onFlow: func(f *tcp.Flow) { run = append(run, f) },
+	})
+	return doneFCTs(run)
+}
 
-	// Load is relative to the source ToR's bisection slice: its uplinks.
-	bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)
-	flowsPerSec := load * bisectionBps / (float64(size) * 8)
-	b.replay(&workload.AllToAll{
-		RNG:              b.rng.Fork("workload"),
-		NumHosts:         len(ls.Hosts),
-		Srcs:             ls.TorHosts(0),
-		CDF:              workload.Fixed(size),
-		MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
-		MaxFlows:         flows + 1,
-	}, ls.Hosts, flows)
-	b.drain(o.maxWait(), flows)
-
+// doneFCTs sketches the completion times, in seconds, of the flows that
+// completed, in arrival order.
+func doneFCTs(flows []*tcp.Flow) *stats.Sketch {
 	var s stats.Sketch
-	for _, f := range b.flows {
+	for _, f := range flows {
 		if f.Done() {
 			s.Add(f.FCT().Seconds())
 		}

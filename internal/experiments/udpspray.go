@@ -3,14 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"flowbender/internal/core"
 	"flowbender/internal/netsim"
-	"flowbender/internal/routing"
 	"flowbender/internal/sim"
 	"flowbender/internal/topo"
 	"flowbender/internal/udp"
+	"flowbender/internal/workload"
 )
 
 // UDPSprayResult covers the §3.4.3 extension: unreliable transports can
@@ -59,51 +60,64 @@ func UDPSpray(o Options) *UDPSprayResult {
 	return res
 }
 
+// runUDPSpray runs one variant. It starts no TCP flow: the point runs to its
+// deadline, and the senders stop at the 20 ms barrier.
 func (o Options) runUDPSpray(burst int64) (maxShare, oooFrac float64) {
-	b := o.newBedWith(schemeSetup{sel: routing.ECMP{}})
-	defer b.release()
-	eng, rng := b.eng, b.rng
-	ls := b.ar.leafSpine(b.set, eng, topo.SmallTestbed())
+	lp := topo.SmallTestbed()
+	var s, bg *udp.Sender
+	o.runPoint(point{
+		scheme: ECMP,
+		leaf:   &lp,
+		flows:  math.MaxInt,
+		workload: func(*sim.RNG, topo.Params) (workload.Schedule, sim.Time) {
+			return &batches{}, 25 * sim.Millisecond
+		},
+		arm: func(eng *sim.Engine, fab fabric, rng *sim.RNG) (func(), error) {
+			ls := fab.ls
+			src := ls.Hosts[ls.P.TorHosts(0)[0]]
+			dst := ls.Hosts[ls.P.TorHosts(1)[0]]
+			s = udp.NewSender(eng, 1, src, dst, 8*topo.Gbps, 1460)
+			if burst > 0 {
+				s.Sprayer = core.NewSprayer(core.DefaultNumValues, burst, rng.Fork("spray"))
+			}
+			sink := udp.NewSink()
+			dst.Register(1, sink)
+			s.Start()
 
-	src := ls.Hosts[ls.TorHosts(0)[0]]
-	dst := ls.Hosts[ls.TorHosts(1)[0]]
-	s := udp.NewSender(eng, 1, src, dst, 8*topo.Gbps, 1460)
-	if burst > 0 {
-		s.Sprayer = core.NewSprayer(core.DefaultNumValues, burst, rng.Fork("spray"))
-	}
-	sink := udp.NewSink()
-	dst.Register(1, sink)
-	s.Start()
+			// Background traffic from a third ToR toward the destination
+			// builds a standing queue on one spine-to-destination downlink,
+			// so the sprayed flow's paths really do differ in depth — the
+			// condition under which spraying reorders. (It originates
+			// elsewhere so the source ToR's uplink counters measure only the
+			// foreground flow.)
+			bg = udp.NewSender(eng, 2, ls.Hosts[ls.P.TorHosts(2)[0]], ls.Hosts[ls.P.TorHosts(1)[1]], 7*topo.Gbps, 1460)
+			ls.Hosts[ls.P.TorHosts(1)[1]].Register(2, udp.NewSink())
+			bg.Start()
 
-	// Background traffic from a third ToR toward the destination builds a
-	// standing queue on one spine-to-destination downlink, so the sprayed
-	// flow's paths really do differ in depth — the condition under which
-	// spraying reorders. (It originates elsewhere so the source ToR's
-	// uplink counters measure only the foreground flow.)
-	bg := udp.NewSender(eng, 2, ls.Hosts[ls.TorHosts(2)[0]], ls.Hosts[ls.TorHosts(1)[1]], 7*topo.Gbps, 1460)
-	ls.Hosts[ls.TorHosts(1)[1]].Register(2, udp.NewSink())
-	bg.Start()
-
-	eng.Run(20 * sim.Millisecond)
-	s.Stop()
-	bg.Stop()
-	eng.Run(25 * sim.Millisecond)
-	o.recordPerf(eng)
-
-	var total, max int64
-	for _, l := range ls.UpLinks[0] {
-		b := l.AtoB.TxBytes(netsim.ProtoUDP)
-		total += b
-		if b > max {
-			max = b
-		}
-	}
-	if total > 0 {
-		maxShare = float64(max) / float64(total)
-	}
-	if sink.Packets > 0 {
-		oooFrac = float64(sink.OutOfOrder) / float64(sink.Packets)
-	}
+			return func() {
+				var total, max int64
+				for _, l := range ls.UpLinks[0] {
+					b := l.AtoB.TxBytes(netsim.ProtoUDP)
+					total += b
+					if b > max {
+						max = b
+					}
+				}
+				if total > 0 {
+					maxShare = float64(max) / float64(total)
+				}
+				if sink.Packets > 0 {
+					oooFrac = float64(sink.OutOfOrder) / float64(sink.Packets)
+				}
+			}, nil
+		},
+		onBarrier: func(now sim.Time) {
+			if now == 20*sim.Millisecond {
+				s.Stop()
+				bg.Stop()
+			}
+		},
+	})
 	return maxShare, oooFrac
 }
 

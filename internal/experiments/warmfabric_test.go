@@ -51,7 +51,7 @@ func TestWarmFabricPointAllocations(t *testing.T) {
 	eng, p := ar.engine(0), o.params()
 	sets := make([]schemeSetup, len(AllSchemes))
 	for i, s := range AllSchemes {
-		sets[i] = s.setup(sim.NewRNG(1), core.Config{})
+		sets[i] = s.setup(sim.NewRNG(1), core.Config{}, false)
 	}
 	i := 0
 	if got := testing.AllocsPerRun(3*len(sets), func() {

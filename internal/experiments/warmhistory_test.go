@@ -55,47 +55,55 @@ func outcomeText(r *runOutcome) string {
 // errInjected is what the hostile jobs panic with, mid-run.
 const errInjected = "injected: the point dies here"
 
-// hostileBed is a point in the shape of the bed experiments that does to its
-// fabric what no built-in scenario does all at once, and then does not
-// finish: a cable cut and left down, another gray, a port degraded, ECN muted
-// on every switch, a UDP sink left registered, and a panic out of the third
-// flow completion, with the rest in flight. What a reset forgets of this, the
-// next point on the fabric finds.
-func hostileBed(o Options, scheme Scheme, leafSpine bool) string {
-	b := o.newBed(scheme)
-	defer b.release()
-	var hosts []*netsim.Host
-	var switches []*netsim.Switch
-	var cut, gray *netsim.Duplex
+// hostilePoint is a point that does to its fabric what no built-in scenario
+// does all at once, and then does not finish: a cable cut and left down,
+// another gray, a port degraded, ECN muted on every switch, a UDP sink left
+// registered, and a panic out of the third flow completion, with the rest in
+// flight. What a reset forgets of this, the next point on the fabric finds.
+func hostilePoint(o Options, scheme Scheme, leafSpine bool) string {
+	var lp *topo.LeafSpineParams
+	n := o.params().NumHosts()
 	if leafSpine {
-		ls := b.ar.leafSpine(b.set, b.eng, topo.SmallTestbed())
-		hosts, switches = ls.Hosts, append(append(switches, ls.Tors...), ls.Spines...)
-		cut, gray = ls.UpLinks[0][1], ls.UpLinks[1][2]
-	} else {
-		ft := b.ar.fatTree(b.set, b.eng, o.params())
-		hosts, switches = ft.Hosts, ft.AllSwitches()
-		cut, gray = ft.AggCoreLinks[0][0][0], ft.TorAggLinks[0][0][1]
+		small := topo.SmallTestbed()
+		lp, n = &small, small.NumHosts()
 	}
-	b.eng.At(200*sim.Microsecond, func() {
-		cut.Fail()
-		n := 0
-		gray.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { n++; return n%50 == 0 })
-		gray.BtoA.SetRate(gray.BtoA.RateBps / 4)
-		for _, s := range switches {
-			s.SetMarking(false)
-		}
-	})
-	hosts[1].Register(9999, discard{})
-	n, done := len(hosts), 0
-	for i := 0; i < n; i++ {
-		b.start(hosts[i], hosts[(i+n/2)%n], 400_000)
-		b.flows[i].OnComplete = func(*tcp.Flow) {
+	done := 0
+	o.runPoint(point{scheme: scheme, leaf: lp, flows: n, burst: true,
+		workload: func(*sim.RNG, topo.Params) (workload.Schedule, sim.Time) {
+			specs := make([]workload.FlowSpec, n)
+			for i := range specs {
+				specs[i] = workload.FlowSpec{SrcIdx: int32(i), DstIdx: int32((i + n/2) % n), Size: 400_000}
+			}
+			return &batches{specs}, sim.Second
+		},
+		arm: func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+			var hosts []*netsim.Host
+			var switches []*netsim.Switch
+			var cut, gray *netsim.Duplex
+			if ls := fab.ls; ls != nil {
+				hosts, switches = ls.Hosts, append(append(switches, ls.Tors...), ls.Spines...)
+				cut, gray = ls.UpLinks[0][1], ls.UpLinks[1][2]
+			} else {
+				hosts, switches = fab.ft.Hosts, fab.ft.AllSwitches()
+				cut, gray = fab.ft.AggCoreLinks[0][0][0], fab.ft.TorAggLinks[0][0][1]
+			}
+			eng.At(200*sim.Microsecond, func() {
+				cut.Fail()
+				n := 0
+				gray.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { n++; return n%50 == 0 })
+				gray.BtoA.SetRate(gray.BtoA.RateBps / 4)
+				for _, s := range switches {
+					s.SetMarking(false)
+				}
+			})
+			hosts[1].Register(9999, discard{})
+			return nil, nil
+		},
+		onDone: func(int, workload.PatternKind, *tcp.Flow) {
 			if done++; done == 3 {
 				panic(errInjected)
 			}
-		}
-	}
-	b.drain(sim.Second, n)
+		}})
 	return "unreachable"
 }
 
@@ -197,19 +205,20 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 			}}
 		case 12:
 			leaf := rng.Intn(2) == 0
-			j = historyJob{fmt.Sprintf("hostile/leafspine=%v/%s", leaf, at), o, func(o Options) string { return hostileBed(o, s, leaf) }}
+			j = historyJob{fmt.Sprintf("hostile/leafspine=%v/%s", leaf, at), o, func(o Options) string { return hostilePoint(o, s, leaf) }}
 		case 13:
-			// The same death inside the point runner.
+			// The same death on an undamaged fabric, arrivals replayed one
+			// beacon each.
 			j = historyJob{"hostile/point/" + at, o, func(o Options) string {
 				done := 0
 				o.runPoint(point{scheme: s, flows: 12,
 					workload: func(_ *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
-						specs := make(batchOnce, 12)
-						for i := range specs {
-							specs[i] = workload.FlowSpec{At: sim.Time(i) * 5 * sim.Microsecond, SrcIdx: int32(i),
-								DstIdx: int32((i + p.NumHosts()/2) % p.NumHosts()), Size: 300_000}
+						bs := make(batches, 12)
+						for i := range bs {
+							bs[i] = []workload.FlowSpec{{At: sim.Time(i) * 5 * sim.Microsecond, SrcIdx: int32(i),
+								DstIdx: int32((i + p.NumHosts()/2) % p.NumHosts()), Size: 300_000}}
 						}
-						return &specs, sim.Second
+						return &bs, sim.Second
 					},
 					onDone: func(int, workload.PatternKind, *tcp.Flow) {
 						if done++; done == 3 {
@@ -222,7 +231,7 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 			j = historyJob{"alltoall/probed/" + at, o, func(o Options) string {
 				var seen uint64
 				out := o.runAllToAll(allToAllSpec{scheme: s, load: 0.4, setupFn: func(rng *sim.RNG) schemeSetup {
-					set := s.setup(rng, core.Config{})
+					set := s.setup(rng, core.Config{}, false)
 					set.sel = probeSelector{set.sel, &seen}
 					return set
 				}})
@@ -296,8 +305,8 @@ var warmHistorySeeds = []int64{1, 9, 14, 20, 27}
 
 // TestWarmPacketPointMatchesCold: a packet point's outcome does not depend on
 // what its worker ran before. Random orders of points — every scheme, two
-// scales, the fault scenarios, both topologies, the point runner and the bed
-// experiments, points cut short by their deadline and points that panic in
+// scales, the fault scenarios, both topologies, every experiment's point,
+// points cut short by their deadline and points that panic in
 // the middle of a run — go through runExperiments onto one pool, first one
 // at a time on one worker (each point inherits the arena of the one before),
 // then all at once on four (arenas change hands; under -race this is also

@@ -9,7 +9,6 @@ import (
 	"flowbender/internal/netsim"
 	"flowbender/internal/routing"
 	"flowbender/internal/sim"
-	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
 	"flowbender/internal/topo"
 	"flowbender/internal/workload"
@@ -71,66 +70,66 @@ func WCMP(o Options) *WCMPResult {
 }
 
 func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
-	b := o.newBedWith(schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}})
-	defer b.release()
-
 	lp := topo.SmallTestbed()
 	if o.Scale == ScalePaper {
 		lp = topo.TestbedScale()
-	}
-	if v.Weights != nil {
-		w := make(map[int32]int, len(v.Weights))
-		for k, wt := range v.Weights {
-			w[int32(lp.ServersPerTor)+k] = wt // uplink ports follow server ports
-		}
-		b.set.sel = &routing.WCMP{Weights: w}
-	}
-	ls := b.ar.leafSpine(b.set, b.eng, lp)
-
-	// Make spine path 0 half-rate in both directions between ToR 0 and 1
-	// (an incremental-deployment asymmetry).
-	for _, t := range []int{0, 1} {
-		ls.UpLinks[t][0].AtoB.RateBps = lp.LinkRateBps / 2
-		ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
-	}
-
-	if v.FlowBender {
-		b.set.cfg.FlowBender = &core.Config{
-			MinEpochGap: StabilityGap, DesyncN: true, RNG: b.rng.Fork("fb"),
-		}
 	}
 	// Offered load: 60% of the asymmetric ToR-pair capacity (3.5 links).
 	capBps := float64(lp.LinkRateBps) * (float64(lp.Spines) - 0.5)
 	// Half the run's flows, and at least one.
 	const flowBytes = 1_000_000
 	flows := max(1, o.flowCount()/2)
-	b.replay(&workload.AllToAll{
-		RNG:              b.rng.Fork("workload"),
-		Srcs:             ls.TorHosts(0),
-		Dsts:             ls.TorHosts(1),
-		CDF:              workload.Fixed(flowBytes),
-		MeanInterarrival: sim.Time(float64(sim.Second) * flowBytes * 8 / (0.6 * capBps)),
-		MaxFlows:         flows + 1,
-	}, ls.Hosts, flows)
-	b.drain(o.maxWait(), flows)
-
-	var s stats.Sketch
-	for _, f := range b.flows {
-		if f.Done() {
-			s.Add(f.FCT().Seconds())
-		}
-	}
-	var thin, total int64
-	for i, l := range ls.UpLinks[0] {
-		b := l.AtoB.TxBytes(netsim.ProtoTCP)
-		total += b
-		if i == 0 {
-			thin = b
-		}
-	}
-	if total > 0 {
-		thinShare = float64(thin) / float64(total)
-	}
+	var run []*tcp.Flow
+	o.runPoint(point{
+		leaf:  &lp,
+		flows: flows,
+		setupFn: func(*sim.RNG) schemeSetup {
+			set := schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}}
+			if v.Weights != nil {
+				w := make(map[int32]int, len(v.Weights))
+				for k, wt := range v.Weights {
+					w[int32(lp.ServersPerTor)+k] = wt // uplink ports follow server ports
+				}
+				set.sel = &routing.WCMP{Weights: w}
+			}
+			if v.FlowBender {
+				// Its stream forks off the seed's root, not the scheme stream.
+				set.cfg.FlowBender = &core.Config{
+					MinEpochGap: StabilityGap, DesyncN: true, RNG: sim.NewRNG(o.Seed).Fork("fb"),
+				}
+			}
+			return set
+		},
+		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
+			return &workload.AllToAll{
+				RNG:              root.Fork("workload"),
+				Srcs:             lp.TorHosts(0),
+				Dsts:             lp.TorHosts(1),
+				CDF:              workload.Fixed(flowBytes),
+				MeanInterarrival: sim.Time(float64(sim.Second) * flowBytes * 8 / (0.6 * capBps)),
+				MaxFlows:         flows + 1,
+			}, o.maxWait()
+		},
+		arm: func(_ *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+			// Make spine path 0 half-rate in both directions between ToR 0
+			// and 1 (an incremental-deployment asymmetry).
+			for _, t := range []int{0, 1} {
+				fab.ls.UpLinks[t][0].AtoB.RateBps = lp.LinkRateBps / 2
+				fab.ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
+			}
+			return func() {
+				var total int64
+				for _, l := range fab.ls.UpLinks[0] {
+					total += l.AtoB.TxBytes(netsim.ProtoTCP)
+				}
+				if total > 0 {
+					thinShare = float64(fab.ls.UpLinks[0][0].AtoB.TxBytes(netsim.ProtoTCP)) / float64(total)
+				}
+			}, nil
+		},
+		onFlow: func(f *tcp.Flow) { run = append(run, f) },
+	})
+	s := doneFCTs(run)
 	return s.Mean(), s.Percentile(99), thinShare
 }
 

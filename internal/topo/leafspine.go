@@ -54,6 +54,15 @@ func SmallTestbed() LeafSpineParams {
 // NumHosts returns the total number of servers.
 func (p LeafSpineParams) NumHosts() int { return p.Tors * p.ServersPerTor }
 
+// TorHosts returns the host indices attached to ToR t.
+func (p LeafSpineParams) TorHosts(t int) []int {
+	out := make([]int, p.ServersPerTor)
+	for s := range out {
+		out[s] = t*p.ServersPerTor + s
+	}
+	return out
+}
+
 // LeafSpineShape is Shape for a leaf-spine: what LeafSpine.Reset cannot
 // change.
 type LeafSpineShape struct {
@@ -201,11 +210,3 @@ func (ls *LeafSpine) SetSelector(sel netsim.Selector) {
 	}
 }
 
-// TorHosts returns the host indices attached to ToR t.
-func (ls *LeafSpine) TorHosts(t int) []int {
-	out := make([]int, ls.P.ServersPerTor)
-	for s := range out {
-		out[s] = t*ls.P.ServersPerTor + s
-	}
-	return out
-}

@@ -135,7 +135,7 @@ func TestLeafSpineShape(t *testing.T) {
 	if len(ls.Hosts) != 15*12 {
 		t.Fatalf("hosts = %d", len(ls.Hosts))
 	}
-	if h := ls.TorHosts(2); len(h) != 12 || h[0] != 24 {
+	if h := ls.P.TorHosts(2); len(h) != 12 || h[0] != 24 {
 		t.Fatalf("TorHosts(2) = %v", h)
 	}
 }

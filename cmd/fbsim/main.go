@@ -50,10 +50,7 @@ func main() {
 	}
 
 	if *listF {
-		fmt.Println("available fault scenarios (for -exp faults -faults ...):")
-		for _, name := range experiments.FaultScenarioNames() {
-			fmt.Printf("  %s\n", name)
-		}
+		experiments.PrintFaultScenarios(os.Stdout)
 		exit(0)
 	}
 	if *listS {

@@ -68,6 +68,16 @@ func FaultScenarioNames() []string {
 	return names
 }
 
+// PrintFaultScenarios renders the scenario suite (fbsim -list-faults).
+func PrintFaultScenarios(w io.Writer) {
+	fmt.Fprintf(w, "available fault scenarios (for -exp faults -faults ...), each on cable %s:\n", faultTarget)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	for _, sc := range faultScenarios {
+		fmt.Fprintf(tw, "  %s\t%s\n", sc.name, sc.desc)
+	}
+	tw.Flush()
+}
+
 // FaultCell is one (scenario, scheme) measurement.
 type FaultCell struct {
 	Total     int // flows started
@@ -187,8 +197,7 @@ func selectScenarios(names []string) []faultScenario {
 func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	var gray, flaps int64
 	out := o.runPodPair(pt.scheme, r.FlowBytes, r.Deadline, func(eng *sim.Engine, fab fabric, rng *sim.RNG) (func(), error) {
-		if _, err := faults.Apply(eng, rng.Fork("faults"), faults.FatTreeFabric{FT: fab.ft},
-			pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
+		if err := faults.Apply(eng, rng.Fork("faults"), fab.ft, pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
 			return nil, err
 		}
 		return func() {

@@ -32,6 +32,22 @@ func fixedFaultMatrix() *FaultMatrixResult {
 	return res
 }
 
+// TestPrintFaultScenarios: -list-faults names every scenario with what it
+// does, one line each.
+func TestPrintFaultScenarios(t *testing.T) {
+	var buf bytes.Buffer
+	PrintFaultScenarios(&buf)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 1+len(faultScenarios) {
+		t.Fatalf("%d lines for %d scenarios:\n%s", len(lines), len(faultScenarios), buf.String())
+	}
+	for i, sc := range faultScenarios {
+		if f := strings.Fields(lines[1+i]); len(f) == 0 || f[0] != sc.name || !strings.HasSuffix(lines[1+i], "  "+sc.desc) {
+			t.Errorf("line %q does not list %s: %s", lines[1+i], sc.name, sc.desc)
+		}
+	}
+}
+
 func TestGoldenFaultMatrixPrint(t *testing.T) {
 	var buf bytes.Buffer
 	fixedFaultMatrix().Print(&buf)

@@ -26,7 +26,8 @@ func flagError(name string, value any, format string, args ...any) error {
 // Validate reports the first setting no run accepts, in the flagError shape
 // (settings are named by the flag that sets them). Zero values mean "the
 // default" throughout, so only negative, non-finite and unknown values are
-// refused; a Load above 1 is a legal overload.
+// refused, as is a scheme or fault scenario named twice; a Load above 1 is a
+// legal overload.
 func (o Options) Validate() error {
 	if o.Scale < 0 || int(o.Scale) >= len(scales) {
 		return flagError("scale", int(o.Scale), "unknown scale")
@@ -56,10 +57,18 @@ func (o Options) Validate() error {
 			return flagError("workload", o.Workload, "unknown workload (want %s)", strings.Join(workload.WorkloadNames(), " or "))
 		}
 	}
+	for i, s := range o.MixSchemes {
+		if slices.Contains(o.MixSchemes[:i], s) {
+			return flagError("schemes", s, "repeated scheme")
+		}
+	}
 	known := FaultScenarioNames()
-	for _, name := range o.FaultScenarios {
+	for i, name := range o.FaultScenarios {
 		if !slices.Contains(known, name) {
 			return flagError("faults", name, "unknown fault scenario (want %s; see fbsim -list-faults)", strings.Join(known, ", "))
+		}
+		if slices.Contains(o.FaultScenarios[:i], name) {
+			return flagError("faults", name, "repeated fault scenario")
 		}
 	}
 	return nil

@@ -238,6 +238,9 @@ func TestRunFlagsRefuse(t *testing.T) {
 		{"-workload nope", "-workload nope: unknown workload (want websearch or datamining)"},
 		{"-faults cut,nosuch", "-faults nosuch: unknown fault scenario (want cut, "},
 		{"-schemes ECMP,warp", "-schemes warp: unknown scheme"},
+		{"-schemes ECMP,ECMP", "-schemes ECMP: repeated scheme"},
+		{"-schemes FlowBender,ECMP,flowbender", "-schemes FlowBender: repeated scheme"},
+		{"-faults cut,cut", "-faults cut: repeated fault scenario"},
 		{"-scale huge", "-scale huge: unknown scale (want tiny, small, paper, hyper, mega)"},
 		{"-engine warp", "-engine warp: unknown engine"},
 		{"-cdf /no/such/file", "-cdf /no/such/file: open /no/such/file"},

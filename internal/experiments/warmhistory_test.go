@@ -93,7 +93,9 @@ func hostilePoint(o Options, scheme Scheme, leafSpine bool) string {
 				gray.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { n++; return n%50 == 0 })
 				gray.BtoA.SetRate(gray.BtoA.RateBps / 4)
 				for _, s := range switches {
-					s.SetMarking(false)
+					for _, p := range s.Ports {
+						p.Q.MarkK = 0
+					}
 				}
 			})
 			hosts[1].Register(9999, discard{})

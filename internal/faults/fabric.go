@@ -9,295 +9,53 @@ import (
 	"flowbender/internal/topo"
 )
 
-// Fabric resolves the element names a Plan refers to against one built
-// topology instance. Plans are declarative and topology-agnostic; each
-// simulation point builds its own fabric and resolves the same names against
-// it, which is what keeps a scenario replayable across points and seeds.
-type Fabric interface {
-	// Cable resolves a cable name to its duplex handle.
-	Cable(name string) (*netsim.Duplex, error)
-	// Switch resolves a switch name to its handle.
-	Switch(name string) (*netsim.Switch, error)
-	// SetSwitchDown fails (down=true) or restores every cable of the named
-	// switch, reusing the topology's whole-switch failure helpers.
-	SetSwitchDown(name string, down bool) error
-}
-
-// parseIndices splits "a/b/c" into integers.
-func parseIndices(s string, want int) ([]int, error) {
-	parts := strings.Split(s, "/")
-	if len(parts) != want {
-		return nil, fmt.Errorf("want %d '/'-separated indices, got %q", want, s)
+// cable resolves a cable name (see Apply) against a built fat-tree. Plans
+// are declarative; each simulation point builds its own fabric and resolves
+// the same names against it, which is what keeps a scenario replayable
+// across points and seeds.
+func cable(ft *topo.FatTree, name string) (*netsim.Duplex, error) {
+	kind, rest, ok := strings.Cut(name, ":")
+	if !ok {
+		return nil, fmt.Errorf("faults: name %q is not of the form kind:indices", name)
 	}
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("bad index %q in %q", p, s)
-		}
-		out[i] = v
+	p := ft.P
+	type dim struct {
+		name string
+		n    int
 	}
-	return out, nil
-}
-
-// splitName separates "kind:indices".
-func splitName(name string) (kind, rest string, err error) {
-	i := strings.IndexByte(name, ':')
-	if i < 0 {
-		return "", "", fmt.Errorf("faults: name %q is not of the form kind:indices", name)
-	}
-	return name[:i], name[i+1:], nil
-}
-
-func checkRange(what string, v, n int) error {
-	if v < 0 || v >= n {
-		return fmt.Errorf("faults: %s index %d out of range [0, %d)", what, v, n)
-	}
-	return nil
-}
-
-// FatTreeFabric adapts a built fat-tree. Element names:
-//
-//	cables:   "host:<h>"  "toragg:<pod>/<tor>/<agg>"  "aggcore:<pod>/<agg>/<k>"
-//	switches: "tor:<pod>/<t>"  "agg:<pod>/<a>"  "core:<c>"
-//
-// SetSwitchDown supports "agg:..." (FailAgg/RestoreAgg) and "core:<c>"
-// (FailCore/RestoreCore), the whole-switch failures the topology models.
-type FatTreeFabric struct {
-	FT *topo.FatTree
-}
-
-// Cable implements Fabric.
-func (f FatTreeFabric) Cable(name string) (*netsim.Duplex, error) {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return nil, err
-	}
-	p := f.FT.P
+	var dims []dim
 	switch kind {
 	case "host":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: cable %q: %v", name, err)
-		}
-		if err := checkRange("host", idx[0], p.NumHosts()); err != nil {
-			return nil, err
-		}
-		return f.FT.HostLinks[idx[0]], nil
+		dims = []dim{{"host", p.NumHosts()}}
 	case "toragg":
-		idx, err := parseIndices(rest, 3)
-		if err != nil {
-			return nil, fmt.Errorf("faults: cable %q: %v", name, err)
-		}
-		if err := firstErr(
-			checkRange("pod", idx[0], p.Pods),
-			checkRange("tor", idx[1], p.TorsPerPod),
-			checkRange("agg", idx[2], p.AggsPerPod)); err != nil {
-			return nil, err
-		}
-		return f.FT.TorAggLinks[idx[0]][idx[1]][idx[2]], nil
+		dims = []dim{{"pod", p.Pods}, {"tor", p.TorsPerPod}, {"agg", p.AggsPerPod}}
 	case "aggcore":
-		idx, err := parseIndices(rest, 3)
-		if err != nil {
-			return nil, fmt.Errorf("faults: cable %q: %v", name, err)
-		}
-		if err := firstErr(
-			checkRange("pod", idx[0], p.Pods),
-			checkRange("agg", idx[1], p.AggsPerPod),
-			checkRange("uplink", idx[2], p.CoreUplinksPerAgg)); err != nil {
-			return nil, err
-		}
-		return f.FT.AggCoreLinks[idx[0]][idx[1]][idx[2]], nil
+		dims = []dim{{"pod", p.Pods}, {"agg", p.AggsPerPod}, {"uplink", p.CoreUplinksPerAgg}}
+	default:
+		return nil, fmt.Errorf("faults: unknown fat-tree cable kind %q in %q", kind, name)
 	}
-	return nil, fmt.Errorf("faults: unknown fat-tree cable kind %q in %q", kind, name)
-}
-
-// Switch implements Fabric.
-func (f FatTreeFabric) Switch(name string) (*netsim.Switch, error) {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return nil, err
+	parts := strings.Split(rest, "/")
+	if len(parts) != len(dims) {
+		return nil, fmt.Errorf("faults: cable %q: want %d '/'-separated indices, got %q", name, len(dims), rest)
 	}
-	p := f.FT.P
-	switch kind {
-	case "tor":
-		idx, err := parseIndices(rest, 2)
+	idx := make([]int, len(parts))
+	for i, s := range parts {
+		v, err := strconv.Atoi(s)
 		if err != nil {
-			return nil, fmt.Errorf("faults: switch %q: %v", name, err)
+			return nil, fmt.Errorf("faults: cable %q: bad index %q in %q", name, s, rest)
 		}
-		if err := firstErr(
-			checkRange("pod", idx[0], p.Pods),
-			checkRange("tor", idx[1], p.TorsPerPod)); err != nil {
-			return nil, err
-		}
-		return f.FT.Tors[idx[0]][idx[1]], nil
-	case "agg":
-		idx, err := parseIndices(rest, 2)
-		if err != nil {
-			return nil, fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		if err := firstErr(
-			checkRange("pod", idx[0], p.Pods),
-			checkRange("agg", idx[1], p.AggsPerPod)); err != nil {
-			return nil, err
-		}
-		return f.FT.Aggs[idx[0]][idx[1]], nil
-	case "core":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		if err := checkRange("core", idx[0], p.NumCores()); err != nil {
-			return nil, err
-		}
-		return f.FT.Cores[idx[0]], nil
+		idx[i] = v
 	}
-	return nil, fmt.Errorf("faults: unknown fat-tree switch kind %q in %q", kind, name)
-}
-
-// SetSwitchDown implements Fabric.
-func (f FatTreeFabric) SetSwitchDown(name string, down bool) error {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return err
+	for i, d := range dims {
+		if idx[i] < 0 || idx[i] >= d.n {
+			return nil, fmt.Errorf("faults: %s index %d out of range [0, %d)", d.name, idx[i], d.n)
+		}
 	}
-	switch kind {
-	case "agg":
-		idx, err := parseIndices(rest, 2)
-		if err != nil {
-			return fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		p := f.FT.P
-		if err := firstErr(
-			checkRange("pod", idx[0], p.Pods),
-			checkRange("agg", idx[1], p.AggsPerPod)); err != nil {
-			return err
-		}
-		if down {
-			f.FT.FailAgg(idx[0], idx[1])
-		} else {
-			f.FT.RestoreAgg(idx[0], idx[1])
-		}
-		return nil
-	case "core":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		if err := checkRange("core", idx[0], f.FT.P.NumCores()); err != nil {
-			return err
-		}
-		if down {
-			f.FT.FailCore(idx[0])
-		} else {
-			f.FT.RestoreCore(idx[0])
-		}
-		return nil
-	}
-	return fmt.Errorf("faults: whole-switch failure not supported for %q", name)
-}
-
-// LeafSpineFabric adapts a built leaf-spine. Element names:
-//
-//	cables:   "host:<h>"  "up:<tor>/<spine>"
-//	switches: "tor:<t>"  "spine:<s>"
-//
-// SetSwitchDown supports "spine:<s>" (FailSpine/RestoreSpine).
-type LeafSpineFabric struct {
-	LS *topo.LeafSpine
-}
-
-// Cable implements Fabric.
-func (f LeafSpineFabric) Cable(name string) (*netsim.Duplex, error) {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return nil, err
-	}
-	p := f.LS.P
 	switch kind {
 	case "host":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: cable %q: %v", name, err)
-		}
-		if err := checkRange("host", idx[0], p.NumHosts()); err != nil {
-			return nil, err
-		}
-		return f.LS.HostLinks[idx[0]], nil
-	case "up":
-		idx, err := parseIndices(rest, 2)
-		if err != nil {
-			return nil, fmt.Errorf("faults: cable %q: %v", name, err)
-		}
-		if err := firstErr(
-			checkRange("tor", idx[0], p.Tors),
-			checkRange("spine", idx[1], p.Spines)); err != nil {
-			return nil, err
-		}
-		return f.LS.UpLinks[idx[0]][idx[1]], nil
+		return ft.HostLinks[idx[0]], nil
+	case "toragg":
+		return ft.TorAggLinks[idx[0]][idx[1]][idx[2]], nil
 	}
-	return nil, fmt.Errorf("faults: unknown leaf-spine cable kind %q in %q", kind, name)
-}
-
-// Switch implements Fabric.
-func (f LeafSpineFabric) Switch(name string) (*netsim.Switch, error) {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return nil, err
-	}
-	p := f.LS.P
-	switch kind {
-	case "tor":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		if err := checkRange("tor", idx[0], p.Tors); err != nil {
-			return nil, err
-		}
-		return f.LS.Tors[idx[0]], nil
-	case "spine":
-		idx, err := parseIndices(rest, 1)
-		if err != nil {
-			return nil, fmt.Errorf("faults: switch %q: %v", name, err)
-		}
-		if err := checkRange("spine", idx[0], p.Spines); err != nil {
-			return nil, err
-		}
-		return f.LS.Spines[idx[0]], nil
-	}
-	return nil, fmt.Errorf("faults: unknown leaf-spine switch kind %q in %q", kind, name)
-}
-
-// SetSwitchDown implements Fabric.
-func (f LeafSpineFabric) SetSwitchDown(name string, down bool) error {
-	kind, rest, err := splitName(name)
-	if err != nil {
-		return err
-	}
-	if kind != "spine" {
-		return fmt.Errorf("faults: whole-switch failure not supported for %q", name)
-	}
-	idx, err := parseIndices(rest, 1)
-	if err != nil {
-		return fmt.Errorf("faults: switch %q: %v", name, err)
-	}
-	if err := checkRange("spine", idx[0], f.LS.P.Spines); err != nil {
-		return err
-	}
-	if down {
-		f.LS.FailSpine(idx[0])
-	} else {
-		f.LS.RestoreSpine(idx[0])
-	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ft.AggCoreLinks[idx[0]][idx[1]][idx[2]], nil
 }

@@ -1,8 +1,8 @@
 // Package faults is a deterministic, engine-driven fault-injection layer
-// for the simulated fabric. A Plan is a schedule of typed events — clean and
-// half-open link cuts, periodic flaps with RNG-jittered intervals, gray
-// (probabilistically lossy) links, rate degradation, ECN muting, and
-// whole-switch failures — applied to named topology elements (see Fabric).
+// for the simulated fat-tree. A Plan is a schedule of typed link events —
+// clean and half-open cuts, periodic flaps with RNG-jittered intervals, gray
+// (probabilistically lossy) links and rate degradation — applied to cables
+// named by position ("aggcore:0/0/0", see Apply).
 //
 // Every state change executes as a sim.Engine event and all randomness comes
 // from streams forked off the simulation point's seed, so fault replay is
@@ -16,6 +16,7 @@ import (
 
 	"flowbender/internal/netsim"
 	"flowbender/internal/sim"
+	"flowbender/internal/topo"
 )
 
 // Dir selects which direction(s) of a cable a link event affects. Cutting a
@@ -63,15 +64,6 @@ const (
 	// Degrade reduces the selected direction(s)' line rate to RateFraction
 	// of the built rate (1 restores it).
 	Degrade
-	// EcnMute stops the named switch from ECN-marking.
-	EcnMute
-	// EcnUnmute restores the named switch's ECN marking.
-	EcnUnmute
-	// SwitchDown fails every cable of the named switch (whole-switch
-	// failure, reusing topo.FailAgg/FailCore/FailSpine).
-	SwitchDown
-	// SwitchUp restores the named switch's cables.
-	SwitchUp
 )
 
 func (k Kind) String() string {
@@ -86,38 +78,28 @@ func (k Kind) String() string {
 		return "gray-drop"
 	case Degrade:
 		return "degrade"
-	case EcnMute:
-		return "ecn-mute"
-	case EcnUnmute:
-		return "ecn-unmute"
-	case SwitchDown:
-		return "switch-down"
-	case SwitchUp:
-		return "switch-up"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one scheduled fault. Link-scoped kinds name a cable; switch-
-// scoped kinds (EcnMute/EcnUnmute/SwitchDown/SwitchUp) name a switch.
+// Event is one scheduled fault on one cable.
 type Event struct {
 	// At is the virtual time the event takes effect.
 	At sim.Time
 	// Kind selects the fault type.
 	Kind Kind
-	// Link is the cable name (Fabric syntax) for link-scoped kinds.
+	// Link is the cable name (see Apply).
 	Link string
 	// Dir selects the affected direction(s) of Link (default Both).
 	Dir Dir
-	// Switch is the switch name for switch-scoped kinds.
-	Switch string
 
 	// DownFor and UpFor are the Flap half-periods.
 	DownFor, UpFor sim.Time
 	// Jitter is the ± fraction each Flap interval is perturbed by, drawn
 	// uniformly from the event's forked RNG stream (0 = strictly periodic).
 	Jitter float64
-	// Until stops a Flap (the cable is left up); 0 flaps forever.
+	// Until stops a Flap (the cable is left up); 0 flaps forever, and a
+	// negative Until is refused.
 	Until sim.Time
 
 	// DropProb is GrayDrop's per-packet loss probability in [0, 1].
@@ -159,20 +141,18 @@ func DegradeLink(at sim.Time, link string, fraction float64) Event {
 	return Event{At: at, Kind: Degrade, Link: link, Dir: Both, RateFraction: fraction}
 }
 
-func (ev *Event) linkScoped() bool {
-	switch ev.Kind {
-	case LinkDown, LinkUp, Flap, GrayDrop, Degrade:
-		return true
-	}
-	return false
-}
-
-// validate checks the event's parameters (target names are resolved
-// separately, against the fabric). Each range is written as the condition
-// that holds, so a NaN, which fails every comparison, is out of it.
+// validate checks every field of the event the scheduler reads but the cable
+// name, which Apply resolves against the fabric. Each range is written as the
+// condition that holds, so a NaN, which fails every comparison, is out of it.
 func (ev *Event) validate(i int) error {
+	if ev.Kind > Degrade {
+		return fmt.Errorf("faults: event %d: unknown kind %v", i, ev.Kind)
+	}
 	if ev.At < 0 {
 		return fmt.Errorf("faults: event %d (%s): negative time %v", i, ev.Kind, ev.At)
+	}
+	if ev.Dir > BtoA {
+		return fmt.Errorf("faults: event %d (%s): unknown direction %d", i, ev.Kind, ev.Dir)
 	}
 	switch ev.Kind {
 	case Flap:
@@ -181,6 +161,9 @@ func (ev *Event) validate(i int) error {
 		}
 		if !(ev.Jitter >= 0 && ev.Jitter < 1) {
 			return fmt.Errorf("faults: event %d (flap): Jitter %v out of [0, 1)", i, ev.Jitter)
+		}
+		if ev.Until < 0 {
+			return fmt.Errorf("faults: event %d (flap): negative Until %v", i, ev.Until)
 		}
 	case GrayDrop:
 		if !(ev.DropProb >= 0 && ev.DropProb <= 1) {
@@ -194,66 +177,42 @@ func (ev *Event) validate(i int) error {
 	return nil
 }
 
-// Injector is the applied state of one Plan on one fabric instance.
-type Injector struct {
+// injector is the applied state of one Plan on one fabric instance.
+type injector struct {
 	eng *sim.Engine
-	rng *sim.RNG
 
 	// origRates remembers each degraded port's built rate for restoration.
 	origRates map[*netsim.Port]int64
 }
 
-// Apply validates the plan, resolves every target against the fabric, and
-// schedules all events on the engine. Resolution is eager: a misnamed target
-// is an error at Apply time, not a mid-run surprise. rng must be a stream
-// forked from the point's seed (e.g. root.Fork("faults")); each event gets
-// its own sub-stream, so adding an event never perturbs another's draws.
-func Apply(eng *sim.Engine, rng *sim.RNG, fab Fabric, plan Plan) (*Injector, error) {
-	inj := &Injector{eng: eng, rng: rng, origRates: make(map[*netsim.Port]int64)}
+// Apply validates the plan, resolves every cable name against the fat-tree,
+// and schedules all events on the engine. A cable is named by position:
+//
+//	"host:<h>"  "toragg:<pod>/<tor>/<agg>"  "aggcore:<pod>/<agg>/<k>"
+//
+// Resolution is eager: a misnamed cable is an error at Apply time, not a
+// mid-run surprise. rng must be a stream forked from the point's seed (e.g.
+// root.Fork("faults")); each event gets its own sub-stream, so adding an
+// event never perturbs another's draws.
+func Apply(eng *sim.Engine, rng *sim.RNG, ft *topo.FatTree, plan Plan) error {
+	inj := &injector{eng: eng, origRates: make(map[*netsim.Port]int64)}
 	for i := range plan.Events {
 		ev := plan.Events[i]
 		if err := ev.validate(i); err != nil {
-			return nil, err
+			return err
 		}
 		evRNG := rng.Fork(fmt.Sprintf("event/%d", i))
-		if ev.linkScoped() {
-			dx, err := fab.Cable(ev.Link)
-			if err != nil {
-				return nil, err
-			}
-			inj.scheduleLink(ev, dx, evRNG)
-			continue
+		dx, err := cable(ft, ev.Link)
+		if err != nil {
+			return err
 		}
-		switch ev.Kind {
-		case EcnMute, EcnUnmute:
-			sw, err := fab.Switch(ev.Switch)
-			if err != nil {
-				return nil, err
-			}
-			on := ev.Kind == EcnUnmute
-			eng.At(ev.At, func() { sw.SetMarking(on) })
-		case SwitchDown, SwitchUp:
-			// Resolve now, act later: SetSwitchDown both resolves and acts,
-			// so validate the name eagerly with a dry resolve.
-			if _, err := fab.Switch(ev.Switch); err != nil {
-				return nil, err
-			}
-			down := ev.Kind == SwitchDown
-			name := ev.Switch
-			eng.At(ev.At, func() {
-				// The name was resolved above; an error here is impossible
-				// short of fabric mutation, which topo does not do.
-				_ = fab.SetSwitchDown(name, down)
-			})
-		default:
-			return nil, fmt.Errorf("faults: event %d: unknown kind %v", i, ev.Kind)
-		}
+		inj.schedule(ev, dx, evRNG)
 	}
-	return inj, nil
+	return nil
 }
 
-// scheduleLink schedules one link-scoped event on an already-resolved cable.
-func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
+// schedule files one validated event on its resolved cable.
+func (inj *injector) schedule(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 	switch ev.Kind {
 	case LinkDown, LinkUp:
 		down := ev.Kind == LinkDown
@@ -306,7 +265,7 @@ func (inj *Injector) scheduleLink(ev Event, dx *netsim.Duplex, evRNG *sim.RNG) {
 // flap runs one transition of a Flap event and schedules the next. Each
 // interval is jittered multiplicatively: d * (1 + Jitter*(2u-1)), u uniform
 // in [0,1) from the event's own RNG stream.
-func (inj *Injector) flap(ev Event, dx *netsim.Duplex, evRNG *sim.RNG, goDown bool) {
+func (inj *injector) flap(ev Event, dx *netsim.Duplex, evRNG *sim.RNG, goDown bool) {
 	now := inj.eng.Now()
 	if ev.Until > 0 && now >= ev.Until {
 		for _, port := range ev.Dir.ports(dx) {

@@ -10,36 +10,35 @@ import (
 	"flowbender/internal/topo"
 )
 
-func fatTreeFixture() (*sim.Engine, *topo.FatTree, FatTreeFabric) {
+func fatTreeFixture() (*sim.Engine, *topo.FatTree) {
 	eng := sim.NewEngine()
-	ft := topo.NewFatTree(eng, topo.TinyScale())
-	return eng, ft, FatTreeFabric{FT: ft}
+	return eng, topo.NewFatTree(eng, topo.TinyScale())
 }
 
 func TestApplyCutAndRestore(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	plan := Plan{Events: []Event{
 		Cut(1*sim.Millisecond, "aggcore:0/0/0"),
 		{At: 5 * sim.Millisecond, Kind: LinkUp, Link: "aggcore:0/0/0"},
 	}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
+	if err := Apply(eng, sim.NewRNG(1).Fork("faults"), ft, plan); err != nil {
 		t.Fatal(err)
 	}
 	dx := ft.AggCoreLinks[0][0][0]
 	eng.Run(2 * sim.Millisecond)
-	if !dx.Failed() {
-		t.Fatal("cable not cut at 1ms")
+	if !dx.Failed() || ft.DownLinks() != 1 {
+		t.Fatalf("cable not cut at 1ms (%d cables down)", ft.DownLinks())
 	}
 	eng.Run(6 * sim.Millisecond)
-	if dx.Failed() || dx.HalfOpen() {
+	if dx.Failed() || dx.HalfOpen() || ft.DownLinks() != 0 {
 		t.Fatal("cable not restored at 5ms")
 	}
 }
 
 func TestApplyHalfOpenCut(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	plan := Plan{Events: []Event{HalfOpenCut(1*sim.Millisecond, "aggcore:0/0/0", AtoB)}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
+	if err := Apply(eng, sim.NewRNG(1).Fork("faults"), ft, plan); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(2 * sim.Millisecond)
@@ -56,13 +55,13 @@ func TestApplyHalfOpenCut(t *testing.T) {
 }
 
 func TestFlapTogglesAndStops(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	// Strictly periodic (no jitter): down at 1ms, up at 3ms, down at 5ms,
 	// ..., until 10ms.
 	plan := Plan{Events: []Event{
 		FlapLink(1*sim.Millisecond, "aggcore:0/0/0", 2*sim.Millisecond, 2*sim.Millisecond, 0, 10*sim.Millisecond),
 	}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
+	if err := Apply(eng, sim.NewRNG(1).Fork("faults"), ft, plan); err != nil {
 		t.Fatal(err)
 	}
 	dx := ft.AggCoreLinks[0][0][0]
@@ -87,11 +86,11 @@ func TestFlapTogglesAndStops(t *testing.T) {
 
 func TestFlapJitterDeterministic(t *testing.T) {
 	run := func() int64 {
-		eng, ft, fab := fatTreeFixture()
+		eng, ft := fatTreeFixture()
 		plan := Plan{Events: []Event{
 			FlapLink(1*sim.Millisecond, "aggcore:0/0/0", 1*sim.Millisecond, 1*sim.Millisecond, 0.3, 50*sim.Millisecond),
 		}}
-		if _, err := Apply(eng, sim.NewRNG(7).Fork("faults"), fab, plan); err != nil {
+		if err := Apply(eng, sim.NewRNG(7).Fork("faults"), ft, plan); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run(60 * sim.Millisecond)
@@ -107,9 +106,9 @@ func TestFlapJitterDeterministic(t *testing.T) {
 }
 
 func TestGrayDropLossRate(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	plan := Plan{Events: []Event{Gray(0, "aggcore:0/0/0", 0.5)}}
-	if _, err := Apply(eng, sim.NewRNG(3).Fork("faults"), fab, plan); err != nil {
+	if err := Apply(eng, sim.NewRNG(3).Fork("faults"), ft, plan); err != nil {
 		t.Fatal(err)
 	}
 	dx := ft.AggCoreLinks[0][0][0]
@@ -126,7 +125,7 @@ func TestGrayDropLossRate(t *testing.T) {
 	// Clearing: DropProb 0 removes the hook (scheduled after Now, since the
 	// engine has already advanced past t=0).
 	plan2 := Plan{Events: []Event{Gray(eng.Now()+1, "aggcore:0/0/0", 0)}}
-	if _, err := Apply(eng, sim.NewRNG(3).Fork("faults2"), fab, plan2); err != nil {
+	if err := Apply(eng, sim.NewRNG(3).Fork("faults2"), ft, plan2); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntilIdle()
@@ -136,12 +135,12 @@ func TestGrayDropLossRate(t *testing.T) {
 }
 
 func TestDegradeAndRestoreRate(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	plan := Plan{Events: []Event{
 		DegradeLink(1*sim.Millisecond, "aggcore:0/0/0", 0.25),
 		DegradeLink(5*sim.Millisecond, "aggcore:0/0/0", 1),
 	}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
+	if err := Apply(eng, sim.NewRNG(1).Fork("faults"), ft, plan); err != nil {
 		t.Fatal(err)
 	}
 	dx := ft.AggCoreLinks[0][0][0]
@@ -159,64 +158,21 @@ func TestDegradeAndRestoreRate(t *testing.T) {
 	}
 }
 
-func TestEcnMuteUnmute(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
-	plan := Plan{Events: []Event{
-		{At: 1 * sim.Millisecond, Kind: EcnMute, Switch: "agg:0/0"},
-		{At: 5 * sim.Millisecond, Kind: EcnUnmute, Switch: "agg:0/0"},
-	}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
-		t.Fatal(err)
-	}
-	sw := ft.Aggs[0][0]
-	if !sw.MarkingEnabled() {
-		t.Fatal("marking off before the mute event")
-	}
-	eng.Run(2 * sim.Millisecond)
-	if sw.MarkingEnabled() {
-		t.Fatal("mute did not take effect")
-	}
-	eng.Run(6 * sim.Millisecond)
-	if !sw.MarkingEnabled() {
-		t.Fatal("unmute did not restore marking")
-	}
-}
-
-func TestWholeSwitchDownUp(t *testing.T) {
-	eng, ft, fab := fatTreeFixture()
-	plan := Plan{Events: []Event{
-		{At: 1 * sim.Millisecond, Kind: SwitchDown, Switch: "agg:0/1"},
-		{At: 5 * sim.Millisecond, Kind: SwitchUp, Switch: "agg:0/1"},
-	}}
-	if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run(2 * sim.Millisecond)
-	want := ft.P.TorsPerPod + ft.P.CoreUplinksPerAgg
-	if got := ft.DownLinks(); got != want {
-		t.Fatalf("down links = %d, want %d", got, want)
-	}
-	eng.Run(6 * sim.Millisecond)
-	if ft.DownLinks() != 0 {
-		t.Fatal("switch not restored")
-	}
-}
-
 func TestApplyRejectsBadTargets(t *testing.T) {
-	eng, _, fab := fatTreeFixture()
+	eng, ft := fatTreeFixture()
 	cases := []Plan{
 		{Events: []Event{Cut(0, "aggcore:9/9/9")}},
+		{Events: []Event{Cut(0, "toragg:0/0")}},
+		{Events: []Event{Cut(0, "host:x")}},
 		{Events: []Event{Cut(0, "nonsense:0")}},
 		{Events: []Event{Cut(0, "missing-colon")}},
-		{Events: []Event{{At: 0, Kind: EcnMute, Switch: "spine:0"}}},
-		{Events: []Event{{At: 0, Kind: SwitchDown, Switch: "agg:5/5"}}},
 		{Events: []Event{Gray(0, "aggcore:0/0/0", 1.5)}},
 		{Events: []Event{DegradeLink(0, "aggcore:0/0/0", 0)}},
 		{Events: []Event{{At: 0, Kind: Flap, Link: "aggcore:0/0/0"}}},
 		{Events: []Event{{At: -1, Kind: LinkDown, Link: "aggcore:0/0/0"}}},
 	}
 	for i, plan := range cases {
-		if _, err := Apply(eng, sim.NewRNG(1).Fork("faults"), fab, plan); err == nil {
+		if err := Apply(eng, sim.NewRNG(1).Fork("faults"), ft, plan); err == nil {
 			t.Errorf("case %d: bad plan accepted", i)
 		}
 	}
@@ -258,35 +214,34 @@ func TestValidateFloatRanges(t *testing.T) {
 	}
 }
 
-func TestLeafSpineFabricResolution(t *testing.T) {
-	eng := sim.NewEngine()
-	ls := topo.NewLeafSpine(eng, topo.SmallTestbed())
-	fab := LeafSpineFabric{LS: ls}
-	dx, err := fab.Cable("up:1/2")
-	if err != nil {
-		t.Fatal(err)
+// validate refuses every value of a field it reads that the scheduler has no
+// meaning for: a direction outside Both/AtoB/BtoA would cut both directions,
+// a negative Until would flap forever, and an unknown kind would schedule
+// nothing.
+func TestValidateChecksEveryField(t *testing.T) {
+	cut := Cut(0, "aggcore:0/0/0")
+	badDir := cut
+	badDir.Dir = BtoA + 1
+	badKind := cut
+	badKind.Kind = Degrade + 1
+	cases := []struct {
+		ev   Event
+		want string // "" for valid
+	}{
+		{cut, ""},
+		{HalfOpenCut(0, "aggcore:0/0/0", BtoA), ""},
+		{badDir, "unknown direction 3"},
+		{badKind, "unknown kind kind(5)"},
+		{FlapLink(0, "aggcore:0/0/0", 1, 1, 0, 0), ""},
+		{FlapLink(0, "aggcore:0/0/0", 1, 1, 0, -1), "negative Until -1"},
 	}
-	if dx != ls.UpLinks[1][2] {
-		t.Fatal("wrong cable resolved")
-	}
-	if _, err := fab.Cable("up:99/0"); err == nil {
-		t.Fatal("out-of-range cable accepted")
-	}
-	sw, err := fab.Switch("spine:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw != ls.Spines[3] {
-		t.Fatal("wrong switch resolved")
-	}
-	if err := fab.SetSwitchDown("spine:0", true); err != nil {
-		t.Fatal(err)
-	}
-	if ls.DownLinks() != ls.P.Tors {
-		t.Fatal("spine not failed")
-	}
-	if err := fab.SetSwitchDown("tor:0", true); err == nil ||
-		!strings.Contains(err.Error(), "not supported") {
-		t.Fatalf("tor whole-switch failure should be unsupported, got %v", err)
+	for i, tc := range cases {
+		err := tc.ev.validate(i)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("case %d (%s): valid event refused: %v", i, tc.ev.Kind, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("case %d (%s): got %v, want an error with %q", i, tc.ev.Kind, err, tc.want)
+		}
 	}
 }

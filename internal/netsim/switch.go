@@ -282,25 +282,6 @@ func (s *Switch) LastTxEnd(port int32) sim.Time {
 	return p.lastTxEnd
 }
 
-// SetMarking enables or disables ECN marking on every egress queue. A muted
-// switch keeps forwarding but stops setting CE — the gray failure mode where
-// a congestion signal silently disappears (fault injection's EcnMute).
-func (s *Switch) SetMarking(on bool) {
-	k := 0
-	if on {
-		k = s.cfg.MarkK
-	}
-	for _, p := range s.Ports {
-		p.Q.MarkK = k
-	}
-}
-
-// MarkingEnabled reports whether the switch currently ECN-marks (false when
-// muted or when MarkK was never configured).
-func (s *Switch) MarkingEnabled() bool {
-	return len(s.Ports) > 0 && s.Ports[0].Q.MarkK > 0
-}
-
 // Receive implements Device.
 func (s *Switch) Receive(pkt *Packet, inPort int) {
 	pkt.debugCheckLive("Switch.Receive")

@@ -213,7 +213,6 @@ type Engine struct {
 
 	free    *Event // recycled Event objects, linked through next
 	nCancel int    // cancelled events still in the overflow heap
-	stopped bool
 	// Executed counts events that have run, for diagnostics and tests.
 	Executed uint64
 }
@@ -249,7 +248,6 @@ func (e *Engine) Reset() {
 	e.overflow = e.dropAll(e.overflow)
 	e.now, e.seq, e.Executed = 0, 0, 0
 	e.curTick, e.nWheel, e.nCancel = 0, 0, 0
-	e.stopped = false
 }
 
 // drop takes a pending event out of the engine as cancelled, recycling it
@@ -706,15 +704,9 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the queue is empty or the virtual clock would
 // pass `until`, and then leaves the clock at `until`. Events scheduled
-// exactly at `until` are executed. A Run that Stop ended leaves the clock at
-// the event that called it, since later events at or before `until` may
-// still be pending.
+// exactly at `until` are executed.
 func (e *Engine) Run(until Time) {
-	e.stopped = false
 	for {
-		if e.stopped {
-			return
-		}
 		ev := e.peek()
 		if ev == nil || ev.at > until {
 			break
@@ -728,14 +720,9 @@ func (e *Engine) Run(until Time) {
 
 // RunUntilIdle executes every pending event regardless of time.
 func (e *Engine) RunUntilIdle() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
-
-// Stop makes the current Run/RunUntilIdle call return after the event that is
-// currently executing.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled (possibly cancelled) events.
 func (e *Engine) Pending() int { return e.nWheel + len(e.due) + len(e.overflow) }

@@ -115,44 +115,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	eng.At(50, func() {})
 }
 
-func TestStop(t *testing.T) {
-	eng := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		eng.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				eng.Stop()
-			}
-		})
-	}
-	eng.RunUntilIdle()
-	if count != 3 {
-		t.Fatalf("Stop did not halt the loop: count = %d", count)
-	}
-}
-
-// A Run that Stop ended must not carry the clock to `until` over events that
-// are still pending: the next Step would move time backwards.
-func TestStopLeavesClockAtLastEvent(t *testing.T) {
-	eng := NewEngine()
-	eng.Schedule(10, eng.Stop)
-	ran := false
-	eng.Schedule(20, func() { ran = true })
-	eng.Run(100)
-	if eng.Now() != 10 || eng.Pending() != 1 || ran {
-		t.Fatalf("after the stopped Run: now=%d pending=%d ran=%v, want 10, 1, false", eng.Now(), eng.Pending(), ran)
-	}
-	if !eng.Step() || eng.Now() != 20 || !ran {
-		t.Fatalf("Step after the stopped Run: now=%d ran=%v, want 20, true", eng.Now(), ran)
-	}
-	// A Run that runs out of events does carry the clock to `until`.
-	eng.Run(100)
-	if eng.Now() != 100 {
-		t.Fatalf("clock = %d after the second Run, want 100", eng.Now())
-	}
-}
-
 // The wheel costs a pointer and two bitmap bits a bucket; a geometry change
 // must not hand the benchmark's alloc_mb back without showing up here.
 func TestNewEngineFootprint(t *testing.T) {

@@ -17,7 +17,6 @@ type Histogram struct {
 	Factor float64
 
 	counts  []int64
-	total   int64
 	dropped int64
 }
 
@@ -79,11 +78,7 @@ func (h *Histogram) Add(v float64) {
 		h.counts = append(h.counts, 0)
 	}
 	h.counts[idx]++
-	h.total++
 }
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
 
 // Dropped returns the number of non-finite observations rejected by Add.
 func (h *Histogram) Dropped() int64 { return h.dropped }
@@ -96,32 +91,6 @@ func (h *Histogram) Buckets() ([]float64, []int64) {
 		ups[i] = h.base() * math.Pow(h.factor(), float64(i))
 	}
 	return ups, append([]int64(nil), h.counts...)
-}
-
-// Quantile returns an upper bound for the q-quantile (q clamped to [0,1];
-// NaN q returns NaN) from the bucket boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return h.base() * math.Pow(h.factor(), float64(i))
-		}
-	}
-	return h.base() * math.Pow(h.factor(), float64(len(h.counts)-1))
 }
 
 // Render writes an ASCII bar chart of the histogram, scaled to width.

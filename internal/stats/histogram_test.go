@@ -1,10 +1,8 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -20,27 +18,19 @@ func TestHistogramBuckets(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 1 || counts[2] != 1 || counts[3] != 1 {
 		t.Fatalf("counts = %v (ups %v)", counts, ups)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
+	if histTotal(h) != 5 {
+		t.Fatalf("total = %d", histTotal(h))
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i + 1))
+// histTotal counts the observations a histogram holds, across its buckets.
+func histTotal(h *Histogram) int64 {
+	_, counts := h.Buckets()
+	var n int64
+	for _, c := range counts {
+		n += c
 	}
-	// The 100th value (100) lands in the bucket with upper bound 128.
-	if q := h.Quantile(1.0); q != 128 {
-		t.Fatalf("p100 = %v", q)
-	}
-	if q := h.Quantile(0.5); q > 64 || q < 32 {
-		t.Fatalf("p50 = %v", q)
-	}
-	var empty Histogram
-	if !math.IsNaN(empty.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
+	return n
 }
 
 func TestHistogramRender(t *testing.T) {
@@ -68,31 +58,5 @@ func TestHistogramDegenerateParams(t *testing.T) {
 	h.Add(1)
 	if h.Base <= 0 || h.Factor <= 1 {
 		t.Fatal("degenerate params not corrected")
-	}
-}
-
-// Property: quantile bound is conservative — at least q of the mass lies at
-// or below it — and total matches the adds.
-func TestHistogramQuantileProperty(t *testing.T) {
-	f := func(raw []uint32, qRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		h := NewHistogram(1, 2)
-		for _, r := range raw {
-			h.Add(float64(r%100_000) + 0.5)
-		}
-		q := float64(qRaw%101) / 100
-		bound := h.Quantile(q)
-		var below int64
-		for _, r := range raw {
-			if float64(r%100_000)+0.5 <= bound {
-				below++
-			}
-		}
-		return float64(below) >= q*float64(len(raw))-1e-9 && h.Total() == int64(len(raw))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,6 +10,19 @@ import (
 // the recorded multiset (for values >= SketchMinValue).
 const DefaultSketchAccuracy = 0.01
 
+// The bucket base every Sketch shares: gamma = (1+alpha)/(1-alpha) at alpha =
+// DefaultSketchAccuracy, and maxIdx, the largest index whose representative
+// stays finite (gamma^maxIdx a comfortable factor below MaxFloat64, and above
+// SketchMaxValue). bucketBase evaluates them in float64, one rounding a
+// step, not as exact constant arithmetic.
+var gamma, logGamma, maxIdx = bucketBase(DefaultSketchAccuracy)
+
+func bucketBase(alpha float64) (g, lg float64, top int) {
+	g = (1 + alpha) / (1 - alpha)
+	lg = math.Log(g)
+	return g, lg, int(math.Floor(math.Log(math.MaxFloat64/16) / lg))
+}
+
 // DefaultSketchCap is the number of observations a Sketch holds exactly
 // before collapsing to logarithmic buckets. Below the cap the sketch is
 // bit-for-bit identical to a Sample; above it memory stays flat no matter
@@ -33,7 +46,7 @@ const SketchMaxValue = 1e300
 //
 // It has two regimes:
 //
-//   - Exact: up to its cap (DefaultSketchCap by default) it stores raw
+//   - Exact: up to DefaultSketchCap observations it stores raw
 //     observations and reproduces Sample's behavior bit for bit — the same
 //     in-place sort, the same linear interpolation between order statistics,
 //     the same summation order for Mean. Experiments that fit in memory
@@ -45,7 +58,8 @@ const SketchMaxValue = 1e300
 //     gamma = (1+alpha)/(1-alpha)) plus exact min/max. Memory is bounded by
 //     the number of distinct buckets — a few hundred for realistic FCT
 //     ranges — independent of the observation count, and every reported
-//     quantile is within relative error alpha of the exact quantile.
+//     quantile is within relative error alpha = DefaultSketchAccuracy of the
+//     exact quantile.
 //
 // Merge determinism is pinned the same way byteident pins events: the
 // collapsed state is a pure function of the recorded multiset (integer
@@ -56,15 +70,11 @@ const SketchMaxValue = 1e300
 // sort first and are order-independent there too. Shard runners merge in
 // shard-index order regardless, mirroring how they merge event streams.
 //
-// The zero value is ready to use (default accuracy and cap), matching
-// Sample. NaN and ±Inf observations are dropped and counted in Dropped —
-// they would otherwise poison the sort order or the bucket index.
+// The zero value is ready to use, matching Sample. NaN and ±Inf
+// observations are dropped and counted in Dropped — they would otherwise
+// poison the sort order or the bucket index.
 type Sketch struct {
-	alpha    float64 // relative accuracy; 0 = DefaultSketchAccuracy
-	capN     int     // exact-mode capacity; 0 = DefaultSketchCap
-	gamma    float64
-	logGamma float64
-	maxIdx   int // index clamp keeping representatives finite
+	capN int // exact-mode capacity; 0 = DefaultSketchCap (tests set it)
 
 	// Exact regime.
 	xs     []float64
@@ -81,60 +91,11 @@ type Sketch struct {
 	min, max float64
 }
 
-// NewSketch returns a sketch with the default accuracy (1%) and exact-mode
-// cap (DefaultSketchCap).
-func NewSketch() *Sketch { return &Sketch{} }
-
-// NewSketchAccuracy returns a sketch with relative accuracy alpha (clamped
-// to [1e-4, 0.25]) and the given exact-mode capacity (<= 0 keeps every
-// sketch exact up to DefaultSketchCap; 1 collapses immediately).
-func NewSketchAccuracy(alpha float64, exactCap int) *Sketch {
-	s := &Sketch{}
-	if alpha > 0 {
-		s.alpha = clampAlpha(alpha)
-	}
-	if exactCap > 0 {
-		s.capN = exactCap
-	}
-	return s
-}
-
-func clampAlpha(alpha float64) float64 {
-	if alpha < 1e-4 {
-		return 1e-4
-	}
-	if alpha > 0.25 {
-		return 0.25
-	}
-	return alpha
-}
-
-// Accuracy returns the relative quantile error bound of the collapsed
-// regime.
-func (s *Sketch) Accuracy() float64 {
-	if s.alpha == 0 {
-		return DefaultSketchAccuracy
-	}
-	return s.alpha
-}
-
 func (s *Sketch) capacity() int {
 	if s.capN == 0 {
 		return DefaultSketchCap
 	}
 	return s.capN
-}
-
-// ensureGamma computes the bucket base lazily so the zero value works.
-func (s *Sketch) ensureGamma() {
-	if s.gamma == 0 {
-		a := s.Accuracy()
-		s.gamma = (1 + a) / (1 - a)
-		s.logGamma = math.Log(s.gamma)
-		// Largest index whose representative stays finite: gamma^maxIdx a
-		// comfortable factor below MaxFloat64 (and above SketchMaxValue).
-		s.maxIdx = int(math.Floor(math.Log(math.MaxFloat64/16) / s.logGamma))
-	}
 }
 
 // Add records one observation. Non-finite values are dropped (see Dropped).
@@ -165,7 +126,6 @@ func (s *Sketch) Add(v float64) {
 // flat-memory regime. The resulting bucket state depends only on the
 // recorded multiset, never on insertion order.
 func (s *Sketch) collapse() {
-	s.ensureGamma()
 	s.collapsed = true
 	if s.pos == nil {
 		s.pos = make(map[int]int64)
@@ -193,9 +153,9 @@ func (s *Sketch) bucketAdd(v float64, n int64) {
 // gamma^k >= v, clamped so the bucket's representative is a finite float64
 // (magnitudes past SketchMaxValue share the top bucket).
 func (s *Sketch) index(v float64) int {
-	k := int(math.Ceil(math.Log(v) / s.logGamma))
-	if k > s.maxIdx {
-		k = s.maxIdx
+	k := int(math.Ceil(math.Log(v) / logGamma))
+	if k > maxIdx {
+		k = maxIdx
 	}
 	return k
 }
@@ -204,7 +164,7 @@ func (s *Sketch) index(v float64) int {
 // 2*gamma^k/(gamma+1): within relative error alpha of every value in the
 // bucket's range (gamma^(k-1), gamma^k].
 func (s *Sketch) rep(k int) float64 {
-	return 2 * math.Exp(float64(k)*s.logGamma) / (s.gamma + 1)
+	return 2 * math.Exp(float64(k)*logGamma) / (gamma + 1)
 }
 
 // N returns the number of recorded observations.
@@ -227,15 +187,6 @@ func (s *Sketch) Buckets() int {
 		n++
 	}
 	return n
-}
-
-// Min returns the smallest observation (NaN when empty). Exact in both
-// regimes.
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.min
 }
 
 // Max returns the largest observation (NaN when empty). Exact in both
@@ -295,8 +246,8 @@ func (s *Sketch) sortedKeys(m map[int]int64, desc bool) []int {
 // arithmetic p/100*(n-1), which differs in the last ulp from q*(n-1) when
 // p/100 doesn't round to q (99.9/100 != 0.999); collapsed, the order
 // statistics are bucket representatives, so the result is within relative
-// error Accuracy() of the exact interpolated percentile (for positive
-// data), clamped to the exactly tracked [Min, Max].
+// error DefaultSketchAccuracy of the exact interpolated percentile (for
+// positive data), clamped to the exactly tracked minimum and Max.
 func (s *Sketch) Percentile(p float64) float64 {
 	if s.count == 0 {
 		return math.NaN()
@@ -308,20 +259,6 @@ func (s *Sketch) Percentile(p float64) float64 {
 		return s.atRank(float64(s.count - 1))
 	}
 	return s.atRank(p / 100 * float64(s.count-1))
-}
-
-// Quantile is Percentile with q in [0,1] and rank computed as q*(n-1).
-func (s *Sketch) Quantile(q float64) float64 {
-	if s.count == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s.atRank(0)
-	}
-	if q >= 1 {
-		return s.atRank(float64(s.count - 1))
-	}
-	return s.atRank(q * float64(s.count-1))
 }
 
 // atRank interpolates at a fractional 0-based order-statistic rank in
@@ -441,25 +378,15 @@ func (s *Sketch) Merge(o *Sketch) {
 	s.foldBuckets(o)
 }
 
-// foldBuckets adds a collapsed o's buckets into s. With equal bucket bases
-// the keys transfer directly; with different accuracies each representative
-// is re-bucketed under s's base (the error bounds add).
+// foldBuckets adds a collapsed o's buckets into s: every sketch shares one
+// bucket base, so the keys transfer directly.
 func (s *Sketch) foldBuckets(o *Sketch) {
 	s.zero += o.zero
-	if o.gamma == s.gamma {
-		for k, c := range o.pos {
-			s.pos[k] += c
-		}
-		for k, c := range o.neg {
-			s.neg[k] += c
-		}
-		return
-	}
 	for k, c := range o.pos {
-		s.pos[s.index(o.rep(k))] += c
+		s.pos[k] += c
 	}
 	for k, c := range o.neg {
-		s.neg[s.index(o.rep(k))] += c
+		s.neg[k] += c
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // them three ways at fuzzer-chosen points, and checks the sketch's
 // contracts on whatever multiset falls out: merge is associative with
 // bit-identical quantiles, observation and dropped counts are conserved,
-// quantiles are monotone and clamped to [Min, Max], the collapsed error
+// quantiles are monotone and clamped to [min, Max], the collapsed error
 // bound holds for positive finite data, and nothing panics — including on
 // NaN/Inf payloads, denormals, negative zero, and values near 2^53.
 func FuzzSketchMerge(f *testing.F) {
@@ -43,7 +43,7 @@ func FuzzSketchMerge(f *testing.F) {
 		chunks := [][]float64{xs[:a], xs[a:b], xs[b:]}
 
 		mk := func(vals []float64) *Sketch {
-			s := NewSketchAccuracy(0, exactCap)
+			s := &Sketch{capN: exactCap}
 			for _, v := range vals {
 				s.Add(v)
 			}
@@ -77,7 +77,7 @@ func FuzzSketchMerge(f *testing.F) {
 
 		probes := []float64{0, 0.01, 0.5, 0.99, 1}
 		for _, q := range probes {
-			l, r := left.Quantile(q), right.Quantile(q)
+			l, r := left.Percentile(q*100), right.Percentile(q*100)
 			if math.Float64bits(l) != math.Float64bits(r) {
 				t.Fatalf("merge not associative at q=%v: %v != %v", q, l, r)
 			}
@@ -86,7 +86,7 @@ func FuzzSketchMerge(f *testing.F) {
 		if finite == 0 {
 			return
 		}
-		// Monotone and inside [Min, Max] up to interpolation rounding: the
+		// Monotone and inside [min, Max] up to interpolation rounding: the
 		// exact regime reproduces Sample's a*(1-f)+a*f arithmetic, which can
 		// land an ulp below a, so the invariants hold to ~1e-12 relative,
 		// not bit-exactly.
@@ -94,15 +94,15 @@ func FuzzSketchMerge(f *testing.F) {
 		for _, s := range []*Sketch{whole, left} {
 			prev := math.Inf(-1)
 			for _, q := range probes {
-				v := s.Quantile(q)
+				v := s.Percentile(q * 100)
 				if math.IsNaN(v) {
 					t.Fatalf("NaN quantile with %d finite observations", finite)
 				}
 				if v < prev-ulps(prev) {
 					t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
 				}
-				if v < s.Min()-ulps(s.Min()) || v > s.Max()+ulps(s.Max()) {
-					t.Fatalf("quantile %v outside [%v, %v]", v, s.Min(), s.Max())
+				if v < s.min-ulps(s.min) || v > s.Max()+ulps(s.Max()) {
+					t.Fatalf("quantile %v outside [%v, %v]", v, s.min, s.Max())
 				}
 				prev = v
 			}
@@ -123,12 +123,11 @@ func FuzzSketchMerge(f *testing.F) {
 					fs = append(fs, v)
 				}
 			}
-			alpha := whole.Accuracy()
 			for _, q := range probes {
-				got := whole.Quantile(q)
+				got := whole.Percentile(q * 100)
 				want := exactQuantile(fs, q)
-				if math.Abs(got-want) > alpha*want*(1+1e-9) {
-					t.Fatalf("q=%v: got %v want %v (bound %v)", q, got, want, alpha)
+				if math.Abs(got-want) > DefaultSketchAccuracy*want*(1+1e-9) {
+					t.Fatalf("q=%v: got %v want %v (bound %v)", q, got, want, DefaultSketchAccuracy)
 				}
 			}
 		}

@@ -81,7 +81,7 @@ func TestSketchExactBitIdentical(t *testing.T) {
 	for name, xs := range adversarialInputs(rng, 500) {
 		t.Run(name, func(t *testing.T) {
 			var sm Sample
-			sk := NewSketch()
+			sk := &Sketch{}
 			for _, x := range xs {
 				sm.Add(x)
 				sk.Add(x)
@@ -102,9 +102,6 @@ func TestSketchExactBitIdentical(t *testing.T) {
 			if g, w := sk.Mean(), sm.Mean(); bits(g) != bits(w) {
 				t.Errorf("post-sort Mean: sketch %v sample %v", g, w)
 			}
-			if g, w := sk.Min(), sm.Min(); bits(g) != bits(w) {
-				t.Errorf("Min: sketch %v sample %v", g, w)
-			}
 			if g, w := sk.Max(), sm.Max(); bits(g) != bits(w) {
 				t.Errorf("Max: sketch %v sample %v", g, w)
 			}
@@ -118,7 +115,7 @@ func TestSketchExactBitIdentical(t *testing.T) {
 // TestSketchEmpty mirrors Sample's NaN-when-empty contract.
 func TestSketchEmpty(t *testing.T) {
 	var sk Sketch
-	for _, v := range []float64{sk.Mean(), sk.Min(), sk.Max(), sk.Percentile(50)} {
+	for _, v := range []float64{sk.Mean(), sk.Max(), sk.Percentile(0), sk.Percentile(50)} {
 		if !math.IsNaN(v) {
 			t.Fatalf("empty sketch returned %v, want NaN", v)
 		}
@@ -134,7 +131,7 @@ func TestSketchCollapsedErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for name, xs := range adversarialInputs(rng, 20000) {
 		t.Run(name, func(t *testing.T) {
-			sk := NewSketch()
+			sk := &Sketch{}
 			for _, x := range xs {
 				sk.Add(x)
 			}
@@ -149,9 +146,9 @@ func TestSketchCollapsedErrorBound(t *testing.T) {
 
 func checkErrorBound(t *testing.T, sk *Sketch, xs []float64) {
 	t.Helper()
-	alpha := sk.Accuracy()
+	const alpha = DefaultSketchAccuracy
 	for _, q := range quantileProbes {
-		got := sk.Quantile(q)
+		got := sk.Percentile(q * 100)
 		want := exactQuantile(xs, q)
 		// Positive-value bound: |got-want| <= alpha * want. Interpolation
 		// between two alpha-accurate order statistics stays alpha-accurate
@@ -166,7 +163,7 @@ func checkErrorBound(t *testing.T, sk *Sketch, xs []float64) {
 				q, got, want, math.Abs(got-want)/math.Abs(want), alpha)
 		}
 	}
-	if g, w := sk.Min(), exactQuantile(xs, 0); bits(g) != bits(w) {
+	if g, w := sk.Percentile(0), exactQuantile(xs, 0); bits(g) != bits(w) {
 		t.Errorf("collapsed Min %v want exact %v", g, w)
 	}
 	if g, w := sk.Max(), exactQuantile(xs, 1); bits(g) != bits(w) {
@@ -177,7 +174,7 @@ func checkErrorBound(t *testing.T, sk *Sketch, xs []float64) {
 // TestSketchNegativeAndZero: the bucket walk must order negatives before
 // the zero bucket before positives.
 func TestSketchNegativeAndZero(t *testing.T) {
-	sk := NewSketchAccuracy(0.01, 8)
+	sk := &Sketch{capN: 8}
 	xs := []float64{-5, -1, -0.25, 0, 1e-13, 0.25, 1, 5, 25, 125, 625}
 	for _, x := range xs {
 		sk.Add(x)
@@ -185,20 +182,19 @@ func TestSketchNegativeAndZero(t *testing.T) {
 	if !sk.Collapsed() {
 		t.Fatal("want collapsed")
 	}
-	alpha := sk.Accuracy()
 	for _, q := range quantileProbes {
-		got := sk.Quantile(q)
+		got := sk.Percentile(q * 100)
 		want := exactQuantile(xs, q)
-		tol := alpha*math.Abs(want) + SketchMinValue
+		tol := DefaultSketchAccuracy*math.Abs(want) + SketchMinValue
 		if math.Abs(got-want) > tol*(1+1e-9) {
 			t.Errorf("q=%v: got %v want %v", q, got, want)
 		}
 	}
 	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.01 {
-		v := sk.Quantile(q)
+	for p := 0.0; p <= 100; p++ {
+		v := sk.Percentile(p)
 		if v < prev {
-			t.Fatalf("quantiles not monotone at q=%v: %v < %v", q, v, prev)
+			t.Fatalf("percentiles not monotone at p=%v: %v < %v", p, v, prev)
 		}
 		prev = v
 	}
@@ -206,7 +202,7 @@ func TestSketchNegativeAndZero(t *testing.T) {
 
 // TestSketchNonFinite: NaN/±Inf are dropped and counted, never recorded.
 func TestSketchNonFinite(t *testing.T) {
-	sk := NewSketch()
+	sk := &Sketch{}
 	sk.Add(math.NaN())
 	sk.Add(math.Inf(1))
 	sk.Add(math.Inf(-1))
@@ -224,12 +220,12 @@ func TestSketchNonFinite(t *testing.T) {
 func splitMerge(xs []float64, k int, exactCap int) *Sketch {
 	parts := make([]*Sketch, k)
 	for i := range parts {
-		parts[i] = NewSketchAccuracy(0, exactCap)
+		parts[i] = &Sketch{capN: exactCap}
 	}
 	for i, x := range xs {
 		parts[i*k/len(xs)].Add(x)
 	}
-	out := NewSketchAccuracy(0, exactCap)
+	out := &Sketch{capN: exactCap}
 	for _, p := range parts {
 		out.Merge(p)
 	}
@@ -243,7 +239,7 @@ func TestSketchMergeDeterministic(t *testing.T) {
 	for _, n := range []int{50, 5000, 30000} {
 		for name, xs := range adversarialInputs(rng, n) {
 			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				whole := NewSketch()
+				whole := &Sketch{}
 				for _, x := range xs {
 					whole.Add(x)
 				}
@@ -253,12 +249,9 @@ func TestSketchMergeDeterministic(t *testing.T) {
 						t.Fatalf("k=%d: N %d != %d", k, m.N(), whole.N())
 					}
 					for _, q := range quantileProbes {
-						if g, w := m.Quantile(q), whole.Quantile(q); bits(g) != bits(w) {
+						if g, w := m.Percentile(q*100), whole.Percentile(q*100); bits(g) != bits(w) {
 							t.Errorf("k=%d q=%v: merged %v whole %v", k, q, g, w)
 						}
-					}
-					if g, w := m.Min(), whole.Min(); bits(g) != bits(w) {
-						t.Errorf("k=%d Min: %v != %v", k, g, w)
 					}
 					if g, w := m.Max(), whole.Max(); bits(g) != bits(w) {
 						t.Errorf("k=%d Max: %v != %v", k, g, w)
@@ -283,7 +276,7 @@ func TestSketchMergeAssociative(t *testing.T) {
 				}
 			}
 			mk := func(xs []float64) *Sketch {
-				s := NewSketchAccuracy(0, exactCap)
+				s := &Sketch{capN: exactCap}
 				for _, x := range xs {
 					s.Add(x)
 				}
@@ -300,7 +293,7 @@ func TestSketchMergeAssociative(t *testing.T) {
 				t.Fatalf("cap=%d: N %d != %d", exactCap, left.N(), right.N())
 			}
 			for _, q := range quantileProbes {
-				if g, w := left.Quantile(q), right.Quantile(q); bits(g) != bits(w) {
+				if g, w := left.Percentile(q*100), right.Percentile(q*100); bits(g) != bits(w) {
 					t.Fatalf("cap=%d trial=%d q=%v: %v != %v", exactCap, trial, q, g, w)
 				}
 			}
@@ -331,41 +324,10 @@ func TestSketchMergeExactStaysExact(t *testing.T) {
 	}
 }
 
-// TestSketchMergeMixedAccuracy: folding a coarser sketch into a finer one
-// re-buckets representatives instead of mixing incompatible keys.
-func TestSketchMergeMixedAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	fine := NewSketchAccuracy(0.005, 16)
-	coarse := NewSketchAccuracy(0.05, 16)
-	var all []float64
-	for i := 0; i < 500; i++ {
-		v := math.Exp(rng.NormFloat64())
-		all = append(all, v)
-		if i%2 == 0 {
-			fine.Add(v)
-		} else {
-			coarse.Add(v)
-		}
-	}
-	fine.Merge(coarse)
-	if fine.N() != int64(len(all)) {
-		t.Fatalf("N=%d want %d", fine.N(), len(all))
-	}
-	// Error bounds add when re-bucketing coarse representatives.
-	tolerance := 0.005 + 0.05 + 0.005*0.05
-	for _, q := range quantileProbes {
-		got := fine.Quantile(q)
-		want := exactQuantile(all, q)
-		if math.Abs(got-want) > tolerance*want*(1+1e-9)+SketchMinValue {
-			t.Errorf("q=%v: got %v want %v", q, got, want)
-		}
-	}
-}
-
 // TestSketchFlatMemory: bucket count must not grow with observation count.
 func TestSketchFlatMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sk := NewSketchAccuracy(0.01, 128)
+	sk := &Sketch{capN: 128}
 	var at100k int
 	for i := 0; i < 1_000_000; i++ {
 		// FCT-like range: 100 µs .. 10 s.
@@ -426,15 +388,15 @@ func TestHistogramNonFinite(t *testing.T) {
 	h.Add(math.Inf(1))
 	h.Add(math.Inf(-1))
 	h.Add(math.NaN())
-	if h.Total() != 0 || h.Dropped() != 3 {
-		t.Fatalf("total=%d dropped=%d, want 0/3", h.Total(), h.Dropped())
+	if histTotal(h) != 0 || h.Dropped() != 3 {
+		t.Fatalf("total=%d dropped=%d, want 0/3", histTotal(h), h.Dropped())
 	}
 	h.Add(1)
-	if h.Total() != 1 {
-		t.Fatalf("total=%d after finite add", h.Total())
+	if histTotal(h) != 1 {
+		t.Fatalf("total=%d after finite add", histTotal(h))
 	}
-	if q := h.Quantile(0.5); math.IsNaN(q) || math.IsInf(q, 0) {
-		t.Fatalf("Quantile=%v after non-finite adds", q)
+	if ups, _ := h.Buckets(); math.IsNaN(ups[len(ups)-1]) || math.IsInf(ups[len(ups)-1], 0) {
+		t.Fatalf("top bucket bound %v after non-finite adds", ups[len(ups)-1])
 	}
 }
 
@@ -451,8 +413,8 @@ func TestHistogramHugeValueBounded(t *testing.T) {
 	if len(pathological.counts) > maxHistogramBuckets {
 		t.Fatalf("pathological factor grew %d buckets", len(pathological.counts))
 	}
-	if pathological.Total() != 1 {
-		t.Fatalf("observation lost: total=%d", pathological.Total())
+	if histTotal(pathological) != 1 {
+		t.Fatalf("observation lost: total=%d", histTotal(pathological))
 	}
 }
 
@@ -462,53 +424,31 @@ func TestHistogramZeroValueUsable(t *testing.T) {
 	var h Histogram
 	h.Add(0.5)
 	h.Add(2)
-	if h.Total() != 2 {
-		t.Fatalf("total=%d", h.Total())
+	if histTotal(&h) != 2 {
+		t.Fatalf("total=%d", histTotal(&h))
 	}
-	if q := h.Quantile(1); math.IsNaN(q) || q < 2 {
-		t.Fatalf("Quantile(1)=%v, want >= 2", q)
+	if ups, _ := h.Buckets(); math.IsNaN(ups[len(ups)-1]) || ups[len(ups)-1] < 2 {
+		t.Fatalf("top bucket bound %v, want >= 2", ups[len(ups)-1])
 	}
 }
 
 // TestHistogramExtremeDurations: samples near 2^53 ns (the float64 integer
-// precision edge PR 1's CDF fixes centred on) must bucket and quantile
-// sanely.
+// precision edge PR 1's CDF fixes centred on) must bucket sanely: every
+// observation in a bucket whose upper bound is within a factor of 2^53.
 func TestHistogramExtremeDurations(t *testing.T) {
 	h := NewHistogram(1, 2) // nanosecond buckets
 	base := math.Exp2(53)
 	for i := -4; i <= 4; i++ {
 		h.Add(base + float64(i)*1024)
 	}
-	if h.Total() != 9 {
-		t.Fatalf("total=%d", h.Total())
+	if histTotal(h) != 9 {
+		t.Fatalf("total=%d", histTotal(h))
 	}
-	q := h.Quantile(0.99)
-	if q < base/2 || q > base*4 {
-		t.Fatalf("P99=%v not within a bucket of 2^53", q)
-	}
-	var prev float64
-	for _, qq := range []float64{0, 0.5, 0.9, 1} {
-		v := h.Quantile(qq)
-		if v < prev {
-			t.Fatalf("quantile not monotone at %v", qq)
+	ups, counts := h.Buckets()
+	for i, c := range counts {
+		if c > 0 && (ups[i] < base || ups[i] > base*4) {
+			t.Fatalf("%d observations in the bucket up to %v, not within a bucket of 2^53", c, ups[i])
 		}
-		prev = v
-	}
-}
-
-// TestHistogramQuantileClamps: out-of-range and NaN q values.
-func TestHistogramQuantileClamps(t *testing.T) {
-	h := NewHistogram(1, 2)
-	h.Add(1)
-	h.Add(100)
-	if !math.IsNaN(h.Quantile(math.NaN())) {
-		t.Fatal("Quantile(NaN) not NaN")
-	}
-	if g, w := h.Quantile(-3), h.Quantile(0); g != w {
-		t.Fatalf("Quantile(-3)=%v != Quantile(0)=%v", g, w)
-	}
-	if g, w := h.Quantile(7), h.Quantile(1); g != w {
-		t.Fatalf("Quantile(7)=%v != Quantile(1)=%v", g, w)
 	}
 }
 
@@ -534,7 +474,7 @@ func TestSketchExtremeDurations(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		xs = append(xs, base*(0.5+float64(i%1000)/1000))
 	}
-	sk := NewSketchAccuracy(0.01, 128)
+	sk := &Sketch{capN: 128}
 	for _, x := range xs {
 		sk.Add(x)
 	}
@@ -548,28 +488,23 @@ func TestSketchExtremeDurations(t *testing.T) {
 // walk against a brute-force rank computation on the representatives.
 func TestSketchQuantileMatchesSortedRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	sk := NewSketchAccuracy(0.02, 4)
-	var reps []float64
-	// Build the expected multiset of representatives independently.
-	var mirror *Sketch
-	mirror = NewSketchAccuracy(0.02, 4)
+	sk := &Sketch{capN: 4}
 	for i := 0; i < 3000; i++ {
-		v := math.Exp(rng.NormFloat64() * 2)
-		sk.Add(v)
-		mirror.Add(v)
+		sk.Add(math.Exp(rng.NormFloat64() * 2))
 	}
-	_ = mirror
+	var reps []float64
 	for _, q := range quantileProbes {
-		got := sk.Quantile(q)
+		p := q * 100
+		got := sk.Percentile(p)
 		var want float64
 		switch {
-		case q <= 0:
+		case p <= 0:
 			want = sk.min // boundaries report the exactly tracked extremes
-		case q >= 1:
+		case p >= 100:
 			want = sk.max
 		default:
 			// Reference: expand buckets into a sorted slice of
-			// representatives, interpolate at rank q*(n-1) as the walk
+			// representatives, interpolate at rank p/100*(n-1) as the walk
 			// does, then clamp to the exact extremes.
 			reps = reps[:0]
 			for k, c := range sk.pos {
@@ -578,7 +513,7 @@ func TestSketchQuantileMatchesSortedRank(t *testing.T) {
 				}
 			}
 			sort.Float64s(reps)
-			rank := q * float64(len(reps)-1)
+			rank := p / 100 * float64(len(reps)-1)
 			lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
 			want = reps[lo]
 			if hi != lo {

@@ -51,20 +51,6 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Min returns the smallest observation (NaN when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics (NaN when empty).
 func (s *Sample) Percentile(p float64) float64 {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Summary is the mean ± stddev reduction of a set of replicate
 // measurements — one value per seed of a multi-seed experiment run.
@@ -29,9 +26,4 @@ func Summarize(xs []float64) Summary {
 		return Summary{Mean: math.NaN(), Std: math.NaN()}
 	}
 	return Summary{Mean: s.Mean(), Std: s.Stddev(), N: s.N()}
-}
-
-// String renders "mean ± std" with three significant digits.
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3g ± %.3g", s.Mean, s.Std)
 }

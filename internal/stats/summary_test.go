@@ -38,10 +38,3 @@ func TestSummarizeEmpty(t *testing.T) {
 		}
 	}
 }
-
-func TestSummaryString(t *testing.T) {
-	got := Summary{Mean: 1.2345, Std: 0.0678}.String()
-	if got != "1.23 ± 0.0678" {
-		t.Fatalf("String() = %q", got)
-	}
-}

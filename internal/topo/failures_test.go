@@ -6,71 +6,6 @@ import (
 	"flowbender/internal/sim"
 )
 
-func TestFailAggCutsAllItsCables(t *testing.T) {
-	eng := sim.NewEngine()
-	p := TinyScale()
-	ft := NewFatTree(eng, p)
-	if ft.DownLinks() != 0 {
-		t.Fatal("fresh fabric has failed links")
-	}
-	ft.FailAgg(0, 1)
-	want := p.TorsPerPod + p.CoreUplinksPerAgg
-	if got := ft.DownLinks(); got != want {
-		t.Fatalf("down links = %d, want %d", got, want)
-	}
-	ft.RestoreAgg(0, 1)
-	if ft.DownLinks() != 0 {
-		t.Fatal("restore incomplete")
-	}
-}
-
-func TestFailCoreCutsOnePerPod(t *testing.T) {
-	eng := sim.NewEngine()
-	p := PaperScale()
-	ft := NewFatTree(eng, p)
-	ft.FailCore(5)
-	if got := ft.DownLinks(); got != p.Pods {
-		t.Fatalf("down links = %d, want %d", got, p.Pods)
-	}
-	// The right agg's uplink in each pod: core 5 = agg 2, uplink 1.
-	for pod := 0; pod < p.Pods; pod++ {
-		if !ft.AggCoreLinks[pod][2][1].Failed() {
-			t.Fatalf("pod %d wrong link cut", pod)
-		}
-	}
-	ft.RestoreCore(5)
-	if ft.DownLinks() != 0 {
-		t.Fatal("restore incomplete")
-	}
-}
-
-func TestFailCoreRejectsOutOfRangeIndex(t *testing.T) {
-	eng := sim.NewEngine()
-	p := TinyScale() // 2 cores
-	ft := NewFatTree(eng, p)
-	for _, core := range []int{-1, p.NumCores(), p.NumCores() + 3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("FailCore(%d) did not panic", core)
-				}
-			}()
-			ft.FailCore(core)
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RestoreCore(%d) did not panic", core)
-				}
-			}()
-			ft.RestoreCore(core)
-		}()
-	}
-	if ft.DownLinks() != 0 {
-		t.Fatal("rejected FailCore still cut cables")
-	}
-}
-
 func TestLeafSpineFailRestoreRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	lp := SmallTestbed()
@@ -78,7 +13,16 @@ func TestLeafSpineFailRestoreRoundTrip(t *testing.T) {
 	if ls.DownLinks() != 0 {
 		t.Fatal("fresh leaf-spine has failed links")
 	}
-	ls.FailSpine(1)
+	setSpineDown := func(spine int, down bool) {
+		for tor := 0; tor < lp.Tors; tor++ {
+			if down {
+				ls.UpLinks[tor][spine].Fail()
+			} else {
+				ls.UpLinks[tor][spine].Restore()
+			}
+		}
+	}
+	setSpineDown(1, true)
 	if got := ls.DownLinks(); got != lp.Tors {
 		t.Fatalf("down links = %d, want %d", got, lp.Tors)
 	}
@@ -91,33 +35,14 @@ func TestLeafSpineFailRestoreRoundTrip(t *testing.T) {
 		t.Fatal("half-open state lost")
 	}
 	ls.UpLinks[0][3].Restore()
-	ls.RestoreSpine(1)
+	setSpineDown(1, false)
 	if ls.DownLinks() != 0 {
 		t.Fatal("restore incomplete")
 	}
 	// Round-trip again to catch state leakage between cycles.
-	ls.FailSpine(0)
-	ls.RestoreSpine(0)
+	setSpineDown(0, true)
+	setSpineDown(0, false)
 	if ls.DownLinks() != 0 {
 		t.Fatal("second round-trip left links down")
-	}
-}
-
-func TestFailSpine(t *testing.T) {
-	eng := sim.NewEngine()
-	lp := SmallTestbed()
-	ls := NewLeafSpine(eng, lp)
-	ls.FailSpine(2)
-	for tor := 0; tor < lp.Tors; tor++ {
-		if !ls.UpLinks[tor][2].Failed() {
-			t.Fatalf("tor %d spine-2 cable not cut", tor)
-		}
-		if ls.UpLinks[tor][1].Failed() {
-			t.Fatal("unrelated cable cut")
-		}
-	}
-	ls.RestoreSpine(2)
-	if ls.UpLinks[0][2].Failed() {
-		t.Fatal("restore incomplete")
 	}
 }

@@ -244,8 +244,8 @@ func (f *fabricUnderTest) abuse(t *testing.T, sel netsim.Selector) {
 		up.Fail()
 		mid.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { grayed++; return grayed%5 == 0 })
 		mid.BtoA.SetRate(mid.BtoA.RateBps / 4)
-		f.switches[0].SetMarking(false)
-		f.switches[len(f.switches)-1].SetMarking(false)
+		muteMarking(f.switches[0])
+		muteMarking(f.switches[len(f.switches)-1])
 	})
 
 	want := map[string]bool{"in flight": true, "handlers": true, "packets out": true,
@@ -266,6 +266,14 @@ func (f *fabricUnderTest) abuse(t *testing.T, sel netsim.Selector) {
 		}
 	}
 	t.Fatalf("the hostile point never left %v", missing)
+}
+
+// muteMarking stops a switch from ECN-marking by zeroing every egress
+// queue's threshold: state a reset that forgets Queue.MarkK would leave.
+func muteMarking(s *netsim.Switch) {
+	for _, p := range s.Ports {
+		p.Q.MarkK = 0
+	}
 }
 
 // missing lists the members of want the fabric does not show right now.
@@ -406,7 +414,7 @@ func TestFabricWalkerSeesWhatAResetCouldMiss(t *testing.T) {
 		"link down":      func(ft *FatTree) { ft.links[3].AtoB.SetLinkDown(true) },
 		"gray hook":      func(ft *FatTree) { ft.links[3].BtoA.SetLinkDropFn(func(*netsim.Packet) bool { return false }) },
 		"rate":           func(ft *FatTree) { ft.Cores[0].Ports[1].SetRate(Gbps) },
-		"marking muted":  func(ft *FatTree) { ft.Tors[1][0].SetMarking(false) },
+		"marking muted":  func(ft *FatTree) { muteMarking(ft.Tors[1][0]) },
 		"paused":         func(ft *FatTree) { ft.Hosts[2].NIC.SetPaused(true) },
 		"handler":        func(ft *FatTree) { ft.Hosts[5].Register(9, udp.NewSink()) },
 		"selector":       func(ft *FatTree) { ft.Aggs[0][1].SetSelector(routing.ECMP{}) },

@@ -19,17 +19,39 @@ import (
 	"flowbender/internal/topo"
 )
 
+// maxTags bounds -tags: the listing and the audit trace one path per tag
+// value, so the range sizes their work and PathsByTag's map.
+const maxTags = 1 << 16
+
+// checkArgs refuses what fbtopo cannot honour: a listing needs both -src and
+// -dst, and the tag range must be between 1 and maxTags.
+func checkArgs(src, dst int, tags uint) error {
+	switch {
+	case src >= 0 && dst < 0:
+		return fmt.Errorf("-src %d: a V->path listing needs -dst too", src)
+	case dst >= 0 && src < 0:
+		return fmt.Errorf("-dst %d: a V->path listing needs -src too", dst)
+	case tags < 1 || tags > maxTags:
+		return fmt.Errorf("-tags %d: must be between 1 and %d", tags, maxTags)
+	}
+	return nil
+}
+
 func main() {
 	var (
-		src  = flag.Int("src", -1, "source host for a V->path listing")
-		dst  = flag.Int("dst", -1, "destination host for a V->path listing")
-		tags = flag.Uint("tags", 8, "size of the path-tag range to enumerate")
+		src  = flag.Int("src", -1, "source host for a V->path listing (needs -dst)")
+		dst  = flag.Int("dst", -1, "destination host for a V->path listing (needs -src)")
+		tags = flag.Uint("tags", 8, fmt.Sprintf("size of the path-tag range to enumerate (1 to %d)", maxTags))
 	)
 	rf := experiments.BindScaleFlag(flag.CommandLine)
 	flag.Parse()
 
-	scale, err := rf.Scale()
+	err := checkArgs(*src, *dst, *tags)
+	var scale experiments.ScaleLevel
 	var p topo.Params
+	if err == nil {
+		scale, err = rf.Scale()
+	}
 	if err == nil {
 		p, err = scale.PacketParams("fbtopo")
 	}
@@ -37,6 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fbtopo:", err)
 		os.Exit(2)
 	}
+	tagRange := uint32(*tags)
 
 	eng := sim.NewEngine()
 	ft := topo.NewFatTree(eng, p)
@@ -53,9 +76,9 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("V -> path for host %d -> host %d (switch IDs start at %d):\n", *src, *dst, p.NumHosts())
-		paths := ft.PathsByTag(*src, *dst, uint32(*tags))
+		paths := ft.PathsByTag(*src, *dst, tagRange)
 		distinct := map[string]bool{}
-		for tag := uint32(0); tag < uint32(*tags); tag++ {
+		for tag := uint32(0); tag < tagRange; tag++ {
 			path := paths[tag]
 			key := fmt.Sprint(path)
 			marker := " "
@@ -65,11 +88,11 @@ func main() {
 			}
 			fmt.Printf("  V=%d %s %v\n", tag, marker, path)
 		}
-		fmt.Printf("%d distinct paths across %d tag values (* = first occurrence)\n", len(distinct), *tags)
+		fmt.Printf("%d distinct paths across %d tag values (* = first occurrence)\n", len(distinct), tagRange)
 		return
 	}
 
-	rep := ft.Audit(uint32(*tags))
+	rep := ft.Audit(tagRange)
 	fmt.Print(rep.Format())
 	if rep.Unreachable > 0 {
 		os.Exit(1)

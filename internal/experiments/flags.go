@@ -56,9 +56,9 @@ func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.IntVar(&o.Shards, "shards", 0, "split each shardable simulation point (ECMP/Flowlet/FlowDyn, see fbsim -list-schemes) across this many engine shards (0/1 = serial; output is identical at any count)")
 	fs.IntVar(&o.SolverShards, "solver-shards", 0, "max parallel workers for the fluid engine's incremental rate solver (0/1 = serial; output is bit-identical at any count; -engine fluid only)")
 	fs.IntVar(&o.Seeds, "seeds", 0, "replicate each point over this many seeds and report mean ± stddev")
-	fs.StringVar(&f.cdf, "cdf", "", "flow-size CDF file for all-to-all workloads (lines of \"<bytes> <cumulative-prob>\")")
+	fs.StringVar(&f.cdf, "cdf", "", "flow-size CDF file for the all-to-all and production workloads (lines of \"<bytes> <cumulative-prob>\")")
 	fs.StringVar(&o.Workload, "workload", "", "production-mix workload for the production experiment: websearch (diurnal arrivals with a load spike) or datamining (Poisson); empty = websearch")
-	fs.Float64Var(&o.Load, "load", 0, "production-mix offered load as a fraction of bisection bandwidth (0 = 0.5)")
+	fs.Float64Var(&o.Load, "load", 0, "offered load of the production and fidelity experiments as a fraction of bisection bandwidth (0 = 0.5 for production, 0.4 for fidelity)")
 	fs.StringVar(&f.schemes, "schemes", "", "comma-separated schemes for the production experiment (see fbsim -list-schemes; empty = ECMP,FlowBender,RepFlow,DiffFlow)")
 	fs.StringVar(&f.faults, "faults", "", "comma-separated fault scenarios for the faults experiment (empty = all; see fbsim -list-faults)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "wall-clock limit per simulation point; exceeding points report FAILED instead of hanging the run (0 = off)")

@@ -38,6 +38,15 @@ func TestFidelityMatrixBounds(t *testing.T) {
 	}
 }
 
+// The fidelity matrix runs at Options.Load (the -load flag) when it is set,
+// and reports the load it ran at.
+func TestFidelityMatrixReadsLoad(t *testing.T) {
+	o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Load: 0.3}
+	if got := FidelityMatrix(o).Load; got != 0.3 {
+		t.Errorf("FidelityMatrix at Load 0.3 reports load %v", got)
+	}
+}
+
 // TestFluidEngineParallelismInvariance pins the fluid engine's experiment
 // output as byte-identical across Options.Parallelism values, exactly like
 // the packet engine's equivalent guarantee: every point is an isolated

@@ -192,8 +192,9 @@ type Options struct {
 	// websearch. Only the production experiment reads it.
 	Workload string
 
-	// Load is the production-mix offered load as a fraction of bisection
-	// bandwidth (0 = 0.5). Only the production experiment reads it.
+	// Load is the offered load as a fraction of bisection bandwidth. The
+	// production experiment (0 = 0.5) and the fidelity matrix (0 = 0.4)
+	// read it.
 	Load float64
 
 	// MixSchemes restricts the production experiment's scheme comparison

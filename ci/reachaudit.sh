@@ -47,6 +47,7 @@ run fbsim -list
 run fbsim -list-schemes
 run fbsim -list-faults
 run fbsim -exp alltoall -scale tiny -flows 60 -shards 4
+run fbsim -exp testbed -scale tiny -flows 40 -shards 2
 run fbsim -exp alltoall -scale tiny -flows 60 -seeds 2 -parallel 1
 run fbsim -exp alltoall -scale small -flows 200 -engine fluid -v
 run fbsim -exp table1 -scale paper -engine fluid

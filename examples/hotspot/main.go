@@ -27,8 +27,8 @@ func main() {
 		rng := sim.NewRNG(3)
 
 		lp := topo.SmallTestbed() // 4 ToRs x 4 spines: 4 paths per ToR pair
-		ls := topo.NewLeafSpine(eng, lp)
-		ls.SetSelector(routing.ECMP{})
+		ft := topo.NewFatTree(eng, lp)
+		ft.SetSelector(routing.ECMP{})
 
 		cfg := tcp.DefaultConfig()
 		if scheme == "FlowBender" {
@@ -36,9 +36,9 @@ func main() {
 		}
 
 		// The pinned hotspot: UDP at 6 Gbps with a fixed path tag.
-		srcs, dsts := ls.P.TorHosts(0), ls.P.TorHosts(1)
-		udpSender := udp.NewSender(eng, 1_000_000, ls.Hosts[srcs[0]], ls.Hosts[dsts[0]], 6*topo.Gbps, 1460)
-		ls.Hosts[dsts[0]].Register(1_000_000, udp.NewSink())
+		srcs, dsts := lp.TorHosts(0, 0), lp.TorHosts(0, 1)
+		udpSender := udp.NewSender(eng, 1_000_000, ft.Hosts[srcs[0]], ft.Hosts[dsts[0]], 6*topo.Gbps, 1460)
+		ft.Hosts[dsts[0]].Register(1_000_000, udp.NewSink())
 		udpSender.Start()
 
 		// The TCP shuffle: 1 MB flows ToR0 -> ToR1 at 14 Gbps aggregate,
@@ -51,14 +51,14 @@ func main() {
 			MaxFlows:         math.MaxInt,
 		}
 		workload.Replay(eng, gen, false, func(i int, s workload.FlowSpec) {
-			tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), ls.Hosts[s.SrcIdx], ls.Hosts[s.DstIdx], s.Size)
+			tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), ft.Hosts[s.SrcIdx], ft.Hosts[s.DstIdx], s.Size)
 		})
 
 		// Measure per-uplink TCP rates over an 80 ms window after warmup.
 		eng.Run(20 * sim.Millisecond)
-		base := make([]int64, lp.Spines)
-		baseUDP := make([]int64, lp.Spines)
-		for i, l := range ls.UpLinks[0] {
+		base := make([]int64, lp.AggsPerPod)
+		baseUDP := make([]int64, lp.AggsPerPod)
+		for i, l := range ft.TorAggLinks[0][0] {
 			base[i] = l.AtoB.TxBytes(netsim.ProtoTCP)
 			baseUDP[i] = l.AtoB.TxBytes(netsim.ProtoUDP)
 		}
@@ -67,7 +67,7 @@ func main() {
 		udpSender.Stop()
 
 		fmt.Printf("%-11s per-path TCP Gbps:", scheme)
-		for i, l := range ls.UpLinks[0] {
+		for i, l := range ft.TorAggLinks[0][0] {
 			gbps := float64(l.AtoB.TxBytes(netsim.ProtoTCP)-base[i]) * 8 / window.Seconds() / 1e9
 			tag := " "
 			if l.AtoB.TxBytes(netsim.ProtoUDP)-baseUDP[i] > 0 {

@@ -49,8 +49,8 @@ func main() {
 		// of another ToR in a different pod. With 4 inter-pod paths, the
 		// best case is 2 flows per path: 80 ms each.
 		var flows []*tcp.Flow
-		src := ft.TorHosts(0, 0)
-		dst := ft.TorHosts(1, 0)
+		src := ft.P.TorHosts(0, 0)
+		dst := ft.P.TorHosts(1, 0)
 		for i := 0; i < 8; i++ {
 			f := tcp.StartFlow(eng, cfg, netsim.FlowID(i+1),
 				ft.Hosts[src[i%len(src)]], ft.Hosts[dst[i%len(dst)]], 50_000_000)

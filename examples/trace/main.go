@@ -24,23 +24,23 @@ func main() {
 	rng := sim.NewRNG(5)
 
 	lp := topo.SmallTestbed()
-	ls := topo.NewLeafSpine(eng, lp)
-	ls.SetSelector(routing.ECMP{})
+	ft := topo.NewFatTree(eng, lp)
+	ft.SetSelector(routing.ECMP{})
 
 	cfg := tcp.DefaultConfig()
 	cfg.FlowBender = &core.Config{MinEpochGap: 5, DesyncN: true, RNG: rng.Fork("fb")}
 
-	srcs, dsts := ls.P.TorHosts(0), ls.P.TorHosts(1)
+	srcs, dsts := lp.TorHosts(0, 0), lp.TorHosts(0, 1)
 
 	// A long TCP flow that will, at some point, share a path with the
 	// hotspot below and bend away from it.
-	flow := tcp.StartFlow(eng, cfg, 1, ls.Hosts[srcs[2]], ls.Hosts[dsts[2]], 80_000_000)
+	flow := tcp.StartFlow(eng, cfg, 1, ft.Hosts[srcs[2]], ft.Hosts[dsts[2]], 80_000_000)
 
 	// A 7 Gbps pinned UDP hotspot arriving 5 ms in, aimed at whichever
 	// uplink the TCP flow initially hashed onto so a collision is certain.
-	hot := udp.NewSender(eng, 2, ls.Hosts[srcs[0]], ls.Hosts[dsts[0]], 7*topo.Gbps, 1460)
-	ls.Hosts[dsts[0]].Register(2, udp.NewSink())
-	hot.PathTag = aimAtFlow(ls, flow, hot)
+	hot := udp.NewSender(eng, 2, ft.Hosts[srcs[0]], ft.Hosts[dsts[0]], 7*topo.Gbps, 1460)
+	ft.Hosts[dsts[0]].Register(2, udp.NewSink())
+	hot.PathTag = aimAtFlow(ft, flow, hot)
 	eng.At(5*sim.Millisecond, hot.Start)
 
 	// Sample everything every 100 us.
@@ -48,8 +48,8 @@ func main() {
 	cwnd := s.Track("cwnd_bytes", func() float64 { return flow.Sender().Cwnd() })
 	tag := s.Track("path_tag", func() float64 { return float64(flow.Sender().PathTag()) })
 	alpha := s.Track("dctcp_alpha", func() float64 { return flow.Sender().Alpha() })
-	queues := make([]*trace.Series, lp.Spines)
-	for i, l := range ls.UpLinks[0] {
+	queues := make([]*trace.Series, lp.AggsPerPod)
+	for i, l := range ft.TorAggLinks[0][0] {
 		queues[i] = s.Track(fmt.Sprintf("uplink%d_queue", i), trace.QueueBytes(l.AtoB))
 	}
 	s.Start()
@@ -78,10 +78,10 @@ func flowFCT(f *tcp.Flow) any {
 // aimAtFlow warms the simulation up for 1 ms, finds the uplink the TCP flow
 // hashed onto (the only one carrying TCP bytes), and returns a UDP path tag
 // that the ToR's ECMP hash maps onto the same uplink.
-func aimAtFlow(ls *topo.LeafSpine, flow *tcp.Flow, hot *udp.Sender) uint32 {
-	ls.Eng.Run(1 * sim.Millisecond)
+func aimAtFlow(ft *topo.FatTree, flow *tcp.Flow, hot *udp.Sender) uint32 {
+	ft.Eng.Run(1 * sim.Millisecond)
 	target := -1
-	for i, l := range ls.UpLinks[0] {
+	for i, l := range ft.TorAggLinks[0][0] {
 		if l.AtoB.TxBytes(netsim.ProtoTCP) > 0 {
 			target = i
 			break
@@ -90,10 +90,10 @@ func aimAtFlow(ls *topo.LeafSpine, flow *tcp.Flow, hot *udp.Sender) uint32 {
 	if target < 0 {
 		return 0
 	}
-	tor := ls.Tors[0]
-	up := make([]int32, ls.P.Spines)
+	tor := ft.Tors[0][0]
+	up := make([]int32, ft.P.AggsPerPod)
 	for i := range up {
-		up[i] = int32(ls.P.ServersPerTor + i)
+		up[i] = int32(ft.P.ServersPerTor + i)
 	}
 	want := up[target]
 	sel := routing.ECMP{}

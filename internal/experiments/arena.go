@@ -27,16 +27,15 @@ import (
 // keeps every shape it has seen, so a worker whose points alternate shapes
 // does not rebuild either. A sharded point builds its own fabric.
 type arena struct {
-	engines    []*sim.Engine
-	fluid      *fluid.Sim
-	fatTrees   map[fabricKey[topo.Shape]]*topo.FatTree
-	leafSpines map[fabricKey[topo.LeafSpineShape]]*topo.LeafSpine
+	engines  []*sim.Engine
+	fluid    *fluid.Sim
+	fatTrees map[fabricKey]*topo.FatTree
 }
 
 // fabricKey names one of an arena's fabrics.
-type fabricKey[S comparable] struct {
+type fabricKey struct {
 	eng   *sim.Engine
-	shape S
+	shape topo.Shape
 }
 
 // takeArena draws the arena the current point runs on.
@@ -46,10 +45,7 @@ func (o Options) takeArena() *arena {
 			return a
 		}
 	}
-	return &arena{
-		fatTrees:   make(map[fabricKey[topo.Shape]]*topo.FatTree),
-		leafSpines: make(map[fabricKey[topo.LeafSpineShape]]*topo.LeafSpine),
-	}
+	return &arena{fatTrees: make(map[fabricKey]*topo.FatTree)}
 }
 
 // releaseArena hands a back to the pool. The caller must be done reading
@@ -93,7 +89,7 @@ func (a *arena) fluidSim(eng *sim.Engine, cfg fluid.Config) *fluid.Sim {
 // the arena's fat-tree of p's shape, reset, or a new one the arena keeps.
 func (a *arena) fatTree(set schemeSetup, eng *sim.Engine, p topo.Params) *topo.FatTree {
 	p.PFC = set.pfc
-	key := fabricKey[topo.Shape]{eng, p.Shape()}
+	key := fabricKey{eng, p.Shape()}
 	ft, ok := a.fatTrees[key]
 	if ok {
 		ft.Reset(p)
@@ -103,19 +99,4 @@ func (a *arena) fatTree(set schemeSetup, eng *sim.Engine, p topo.Params) *topo.F
 	}
 	ft.SetSelector(set.sel)
 	return ft
-}
-
-// leafSpine is fatTree for the testbed-style fabrics.
-func (a *arena) leafSpine(set schemeSetup, eng *sim.Engine, lp topo.LeafSpineParams) *topo.LeafSpine {
-	lp.PFC = set.pfc
-	key := fabricKey[topo.LeafSpineShape]{eng, lp.Shape()}
-	ls, ok := a.leafSpines[key]
-	if ok {
-		ls.Reset(lp)
-	} else {
-		ls = topo.NewLeafSpine(eng, lp)
-		a.leafSpines[key] = ls
-	}
-	ls.SetSelector(set.sel)
-	return ls
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // bedExperiments are the registry entries no byteident golden covers: the
-// leaf-spine experiments, partition-aggregate and the fault experiments.
+// testbed experiments, partition-aggregate and the fault experiments.
 var bedExperiments = []string{"testbed", "wcmp", "hotspot", "partagg", "linkfailure", "udpspray", "faults"}
 
 // renderBed runs one of bedExperiments at tiny scale on engine and returns
@@ -43,8 +43,8 @@ func TestBedGolden(t *testing.T) {
 }
 
 // TestBedExperimentsIgnoreFluidEngine: none of bedExperiments has a fluid
-// form — each arms its fabric, builds a leaf-spine or injects a setup, or
-// (partition-aggregate) takes no fluid completions — so -engine fluid must
+// form — each arms its fabric or injects a setup, or (testbed and
+// partition-aggregate) takes no fluid completions — so -engine fluid must
 // leave every table and event count exactly as the packet engine has them.
 func TestBedExperimentsIgnoreFluidEngine(t *testing.T) {
 	for _, name := range bedExperiments {

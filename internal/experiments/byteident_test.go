@@ -131,6 +131,31 @@ func TestByteIdentityFaultMatrix(t *testing.T) {
 	})
 }
 
+// TestByteIdentityShardedTestbed: the testbed is a one-pod fat-tree, so its
+// ECMP points split across engines like any fat-tree point, and print what
+// they print serial.
+func TestByteIdentityShardedTestbed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	render := func(o Options) string {
+		var buf bytes.Buffer
+		Testbed(o).Print(&buf)
+		return buf.String()
+	}
+	o := Options{Seed: 3, Scale: ScaleTiny, FlowCount: 40, Parallelism: 1}
+	want := render(o)
+	for _, s := range []int{1, 2, 4} {
+		o.Shards, o.Perf = s, &PerfStats{}
+		if got := render(o); got != want {
+			t.Errorf("testbed at -shards %d differs from serial:\n%s", s, firstDiff(want, got))
+		}
+		if s > 1 && len(o.Perf.ShardEvents()) != s {
+			t.Errorf("testbed at -shards %d: no point ran on %d engines (per-shard events %v)", s, s, o.Perf.ShardEvents())
+		}
+	}
+}
+
 // TestByteIdentityShardedPartAgg: a partition-aggregate job is one arrival
 // beacon for all of its responses, on one engine and on several, and the
 // schemes that shard (ECMP, Flowlet, FlowDyn) print what they print serial.

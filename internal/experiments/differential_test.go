@@ -97,23 +97,23 @@ func TestDifferentialDiffFlowUnboundedCutoffIsRPS(t *testing.T) {
 	}
 }
 
-// singlePathFCT runs one small inter-ToR flow on a loss-free leaf-spine with
-// a single spine — one path, so replication cannot find a better route — and
+// singlePathFCT runs one small inter-ToR flow on a loss-free testbed with a
+// single spine — one path, so replication cannot find a better route — and
 // returns the flow.
 func singlePathFCT(t *testing.T, replicate bool) *tcp.Flow {
 	t.Helper()
 	eng := sim.NewEngine()
 	p := topo.SmallTestbed()
-	p.Spines = 1
-	ls := topo.NewLeafSpine(eng, p)
-	ls.SetSelector(routing.ECMP{})
+	p.AggsPerPod = 1
+	ft := topo.NewFatTree(eng, p)
+	ft.SetSelector(routing.ECMP{})
 
 	cfg := tcp.DefaultConfig()
 	if replicate {
 		cfg.Replicate = &tcp.ReplicateConfig{Cutoff: RepFlowCutoff}
 	}
-	src := ls.Hosts[ls.P.TorHosts(0)[0]]
-	dst := ls.Hosts[ls.P.TorHosts(1)[0]]
+	src := ft.Hosts[p.TorHosts(0, 0)[0]]
+	dst := ft.Hosts[p.TorHosts(0, 1)[0]]
 	f := tcp.StartFlow(eng, cfg, 1, src, dst, 20_000)
 	Options{}.drain(eng, sim.Second, func() bool { return f.Done() }, func(sim.Time) {})
 	if !f.Done() {

@@ -8,6 +8,7 @@ import (
 	"flowbender/internal/faults"
 	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
+	"flowbender/internal/topo"
 )
 
 // faultScenario is one named chaos scenario of the matrix: a declarative
@@ -196,12 +197,12 @@ func selectScenarios(names []string) []faultScenario {
 // are safe.
 func (r *FaultMatrixResult) runOne(o Options, pt faultPoint) FaultCell {
 	var gray, flaps int64
-	out := o.runPodPair(pt.scheme, r.FlowBytes, r.Deadline, func(eng *sim.Engine, fab fabric, rng *sim.RNG) (func(), error) {
-		if err := faults.Apply(eng, rng.Fork("faults"), fab.ft, pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
+	out := o.runPodPair(pt.scheme, r.FlowBytes, r.Deadline, func(ft *topo.FatTree, rng *sim.RNG) (func(), error) {
+		if err := faults.Apply(ft.Eng, rng.Fork("faults"), ft, pt.scenario.plan(r.FailAt, r.Deadline)); err != nil {
 			return nil, err
 		}
 		return func() {
-			dx := fab.ft.AggCoreLinks[0][0][0]
+			dx := ft.AggCoreLinks[0][0][0]
 			gray = dx.AtoB.Link.DroppedGray + dx.BtoA.Link.DroppedGray
 			flaps = dx.AtoB.Link.Transitions + dx.BtoA.Link.Transitions
 		}, nil

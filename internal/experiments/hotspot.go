@@ -40,7 +40,7 @@ type hotspotOut struct {
 // two scheme runs are independent and execute in parallel on the pool.
 func Hotspot(o Options) *HotspotResult {
 	res := &HotspotResult{
-		Paths:        topo.SmallTestbed().Spines,
+		Paths:        topo.SmallTestbed().AggsPerPod,
 		UDPGbps:      6,
 		TCPGbps:      14,
 		TCPOnU:       make(map[Scheme]float64),
@@ -68,7 +68,7 @@ func Hotspot(o Options) *HotspotResult {
 func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	lp := topo.SmallTestbed()
 	var out hotspotOut
-	srcIdx, dstIdx := lp.TorHosts(0), lp.TorHosts(1)
+	srcIdx, dstIdx := lp.TorHosts(0, 0), lp.TorHosts(0, 1)
 	// Warm up, snapshot counters at the warm barrier, measure to the deadline.
 	warm := 20 * sim.Millisecond
 	meas := 80 * sim.Millisecond
@@ -79,7 +79,7 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 	var startTCP, startUDP []int64
 	o.runPoint(point{
 		scheme: scheme,
-		leaf:   &lp,
+		params: &lp,
 		flows:  math.MaxInt,
 		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
 			// TCP shuffle: 1 MB flows ToR0 -> ToR1 at an aggregate 14 Gbps.
@@ -94,15 +94,15 @@ func (o Options) runHotspot(scheme Scheme) hotspotOut {
 				MaxFlows:         math.MaxInt,
 			}, warm + meas
 		},
-		arm: func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+		arm: func(ft *topo.FatTree, _ *sim.RNG) (func(), error) {
 			// Pinned UDP hotspot: 6 Gbps, fixed path tag, so it statically
 			// hashes onto one of the spine paths.
-			src, dst := fab.ls.Hosts[srcIdx[0]], fab.ls.Hosts[dstIdx[0]]
-			udpSender := udp.NewSender(eng, 1_000_000, src, dst, 6*topo.Gbps, 1460)
+			src, dst := ft.Hosts[srcIdx[0]], ft.Hosts[dstIdx[0]]
+			udpSender := udp.NewSender(ft.Eng, 1_000_000, src, dst, 6*topo.Gbps, 1460)
 			sink := udp.NewSink()
 			dst.Register(1_000_000, sink)
 			udpSender.Start()
-			uplinks = fab.ls.UpLinks[0]
+			uplinks = ft.TorAggLinks[0][0]
 			return func() {
 				udpSender.Stop()
 				out.perLink = make([]float64, len(uplinks))

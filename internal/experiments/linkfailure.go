@@ -80,7 +80,7 @@ func LinkFailure(o Options) *LinkFailureResult {
 // set-up, so the up-paths carry several flows and at least some hash across
 // the cable arm faults — and tallies its flows.
 func (o Options) runPodPair(scheme Scheme, size int64, deadline sim.Time,
-	arm func(*sim.Engine, fabric, *sim.RNG) (func(), error)) podPairOut {
+	arm func(*topo.FatTree, *sim.RNG) (func(), error)) podPairOut {
 	p := o.params()
 	perPod := p.TorsPerPod * p.ServersPerTor
 	var flows []*tcp.Flow
@@ -134,9 +134,9 @@ func (o Options) runPodPair(scheme Scheme, size int64, deadline sim.Time,
 // runOne runs one scheme; it only reads the result's scenario constants
 // (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
 func (r *LinkFailureResult) runOne(o Options, scheme Scheme) podPairOut {
-	return o.runPodPair(scheme, r.FlowBytes, r.Deadline, func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+	return o.runPodPair(scheme, r.FlowBytes, r.Deadline, func(ft *topo.FatTree, _ *sim.RNG) (func(), error) {
 		// Cut the first aggregation switch's first core uplink in pod 0.
-		eng.At(r.FailAt, func() { fab.ft.AggCoreLinks[0][0][0].Fail() })
+		ft.Eng.At(r.FailAt, func() { ft.AggCoreLinks[0][0][0].Fail() })
 		return nil, nil
 	})
 }

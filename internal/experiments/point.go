@@ -25,11 +25,9 @@ type point struct {
 	// scenario and the WCMP variants inject exact configurations through it).
 	// Such points always run on one packet engine.
 	setupFn func(rng *sim.RNG) schemeSetup
-	// params overrides the Options-derived fat-tree parameters.
+	// params overrides the Options-derived fat-tree parameters (the
+	// testbed experiments' one-pod fabric).
 	params *topo.Params
-	// leaf, when set, builds the point on this leaf-spine instead of the
-	// fat-tree; the schedule's host indices are the leaf-spine's.
-	leaf *topo.LeafSpineParams
 
 	// flows is the number of flows the schedule plans; the point is done
 	// when that many have started and every started flow has completed. A
@@ -58,7 +56,7 @@ type point struct {
 	// (a fault plan faults.Apply refuses) ends the point before it runs.
 	// measure, when non-nil, runs after the drain, while the fabric still
 	// holds what the point left in it.
-	arm func(eng *sim.Engine, fab fabric, rng *sim.RNG) (measure func(), err error)
+	arm func(ft *topo.FatTree, rng *sim.RNG) (measure func(), err error)
 	// onBarrier runs at every 5 ms drain barrier, with every engine idle at
 	// now.
 	onBarrier func(now sim.Time)
@@ -71,12 +69,6 @@ type point struct {
 	// onFluid receives every fluid-engine completion. A point without one
 	// has no fluid form and runs on the packet engine.
 	onFluid func(d fluid.Done)
-}
-
-// fabric is a one-engine point's packet fabric: ft, or ls for a leaf point.
-type fabric struct {
-	ft *topo.FatTree
-	ls *topo.LeafSpine
 }
 
 // pointResult is what runPoint itself measured.
@@ -117,7 +109,7 @@ func drawBatches(src workload.Schedule, n int) (flat []workload.FlowSpec, bs bat
 // asks for it and the point has a fluid form — the scheme's own setup on the
 // fat-tree, nothing armed on the fabric, and a fluid completion handler.
 func (o Options) fluidPoint(pt *point) bool {
-	return o.Engine == EngineFluid && pt.setupFn == nil && pt.leaf == nil && pt.arm == nil && pt.onFluid != nil
+	return o.Engine == EngineFluid && pt.setupFn == nil && pt.arm == nil && pt.onFluid != nil
 }
 
 // shardPlan decides how many engines a packet point runs on, and is the
@@ -134,7 +126,6 @@ func (o Options) fluidPoint(pt *point) bool {
 //     RepFlow plans replica sub-flows at the host while the sharded replay
 //     pre-plans exactly one flow per arrival; DeTail needs PFC (below).
 //   - an injected setupFn: its semantics are unknown here.
-//   - a leaf-spine fabric: only the fat-tree has a partition.
 //   - an arm hook: it works on one engine's fabric.
 //   - a setup-time burst: there is no arrival schedule to replay.
 //   - PFC configured: pause/unpause is synchronous fabric back-pressure
@@ -142,7 +133,7 @@ func (o Options) fluidPoint(pt *point) bool {
 //   - the partition has no cross-shard cable (it degenerated to one shard)
 //     or no positive lookahead (zero-delay cross-shard paths).
 func (o Options) shardPlan(pt *point, p topo.Params, set schemeSetup) (topo.Partition, int) {
-	if o.Shards <= 1 || !pt.scheme.shardable() || pt.setupFn != nil || pt.leaf != nil || pt.arm != nil || pt.burst || set.pfc != nil {
+	if o.Shards <= 1 || !pt.scheme.shardable() || pt.setupFn != nil || pt.arm != nil || pt.burst || set.pfc != nil {
 		return topo.Partition{}, 1
 	}
 	part := topo.PartitionFatTree(p, o.Shards)
@@ -248,23 +239,15 @@ func (o Options) runPoint(pt point) pointResult {
 			fs.Arrive(id, s.SrcIdx, s.DstIdx, s.Size, int32(s.Kind))
 		})
 	case n == 1:
-		var fab fabric
-		var hosts []*netsim.Host
-		if pt.leaf != nil {
-			fab.ls = ar.leafSpine(set, engines[0], *pt.leaf)
-			hosts = fab.ls.Hosts
-		} else {
-			fab.ft = ar.fatTree(set, engines[0], p)
-			hosts = fab.ft.Hosts
-		}
+		ft := ar.fatTree(set, engines[0], p)
 		if pt.arm != nil {
 			var err error
-			if measure, err = pt.arm(engines[0], fab, root); err != nil {
+			if measure, err = pt.arm(ft, root); err != nil {
 				return pointResult{engines: 1, err: err}
 			}
 		}
 		inject(func(id netsim.FlowID, s workload.FlowSpec) {
-			track(0, s.Kind, tcp.StartFlow(engines[0], set.cfg, id, hosts[s.SrcIdx], hosts[s.DstIdx], s.Size))
+			track(0, s.Kind, tcp.StartFlow(engines[0], set.cfg, id, ft.Hosts[s.SrcIdx], ft.Hosts[s.DstIdx], s.Size))
 		})
 	default:
 		// Several engines: plan every flow up front — O(flows) memory; the

@@ -128,7 +128,7 @@ func TestShardPlan(t *testing.T) {
 	pfc := plain(ECMP)
 	pfc.pfc = plain(DeTail).pfc
 	testbed := topo.SmallTestbed()
-	arm := func(*sim.Engine, fabric, *sim.RNG) (func(), error) { return nil, nil }
+	arm := func(*topo.FatTree, *sim.RNG) (func(), error) { return nil, nil }
 
 	cases := []struct {
 		name   string
@@ -152,7 +152,7 @@ func TestShardPlan(t *testing.T) {
 		{"PFC on a shardable scheme", 4, point{scheme: ECMP}, tiny, pfc, 1},
 		{"injected setupFn", 4, point{scheme: ECMP, setupFn: custom}, tiny, plain(ECMP), 1},
 		{"setup-time burst", 4, point{scheme: ECMP, burst: true}, tiny, plain(ECMP), 1},
-		{"leaf-spine fabric", 4, point{scheme: ECMP, leaf: &testbed}, tiny, plain(ECMP), 1},
+		{"one-pod testbed ECMP shards", 4, point{scheme: ECMP, params: &testbed}, testbed, plain(ECMP), 4},
 		{"arm hook", 4, point{scheme: ECMP, arm: arm}, tiny, plain(ECMP), 1},
 		{"zero lookahead", 4, point{scheme: ECMP}, zero, plain(ECMP), 1},
 	}

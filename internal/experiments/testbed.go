@@ -13,7 +13,7 @@ import (
 )
 
 // TestbedResult reproduces Figure 8: FlowBender's completion time relative
-// to ECMP on the testbed-style leaf-spine topology, at the mean, 99th, and
+// to ECMP on the testbed's leaf-spine (a one-pod fat-tree), at the mean, 99th, and
 // 99.9th percentiles, for 20/40/60% load.
 type TestbedResult struct {
 	Loads []float64
@@ -40,8 +40,8 @@ func Testbed(o Options) *TestbedResult {
 		Norm:      make(map[float64][3]float64),
 		ECMPAbsMs: make(map[float64][3]float64),
 		FlowBytes: 1_000_000,
-		Tors:      lp.Tors,
-		Spines:    lp.Spines,
+		Tors:      lp.TorsPerPod,
+		Spines:    lp.AggsPerPod,
 	}
 	flows := o.flowCount()
 	// Each (load, scheme) pair is an independent simulation point.
@@ -80,20 +80,20 @@ func Testbed(o Options) *TestbedResult {
 	return res
 }
 
-func (o Options) runTestbed(lp topo.LeafSpineParams, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
+func (o Options) runTestbed(lp topo.Params, scheme Scheme, load float64, flows int, size int64) *stats.Sketch {
 	var run []*tcp.Flow
 	o.runPoint(point{
 		scheme: scheme,
-		leaf:   &lp,
+		params: &lp,
 		flows:  flows,
 		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
 			// Load is relative to the source ToR's bisection slice: its uplinks.
-			bisectionBps := float64(lp.Spines) * float64(lp.LinkRateBps)
+			bisectionBps := float64(lp.AggsPerPod) * float64(lp.LinkRateBps)
 			flowsPerSec := load * bisectionBps / (float64(size) * 8)
 			return &workload.AllToAll{
 				RNG:              root.Fork("workload"),
 				NumHosts:         lp.NumHosts(),
-				Srcs:             lp.TorHosts(0),
+				Srcs:             lp.TorHosts(0, 0),
 				CDF:              workload.Fixed(size),
 				MeanInterarrival: sim.Time(float64(sim.Second) / flowsPerSec),
 				MaxFlows:         flows + 1,

@@ -42,7 +42,7 @@ func UDPSpray(o Options) *UDPSprayResult {
 		{"spray per 64 KB burst", 64 * 1024},
 		{"spray per packet", 1},
 	}
-	res := &UDPSprayResult{Paths: topo.SmallTestbed().Spines}
+	res := &UDPSprayResult{Paths: topo.SmallTestbed().AggsPerPod}
 	// Each variant is an independent simulation point.
 	name := func(v variant) string {
 		return o.pointLabel("udpspray/%s/seed=%d", v.name, o.Seed)
@@ -67,16 +67,15 @@ func (o Options) runUDPSpray(burst int64) (maxShare, oooFrac float64) {
 	var s, bg *udp.Sender
 	o.runPoint(point{
 		scheme: ECMP,
-		leaf:   &lp,
+		params: &lp,
 		flows:  math.MaxInt,
 		workload: func(*sim.RNG, topo.Params) (workload.Schedule, sim.Time) {
 			return &batches{}, 25 * sim.Millisecond
 		},
-		arm: func(eng *sim.Engine, fab fabric, rng *sim.RNG) (func(), error) {
-			ls := fab.ls
-			src := ls.Hosts[ls.P.TorHosts(0)[0]]
-			dst := ls.Hosts[ls.P.TorHosts(1)[0]]
-			s = udp.NewSender(eng, 1, src, dst, 8*topo.Gbps, 1460)
+		arm: func(ft *topo.FatTree, rng *sim.RNG) (func(), error) {
+			host := func(tor, i int) *netsim.Host { return ft.Hosts[lp.TorHosts(0, tor)[i]] }
+			src, dst := host(0, 0), host(1, 0)
+			s = udp.NewSender(ft.Eng, 1, src, dst, 8*topo.Gbps, 1460)
 			if burst > 0 {
 				s.Sprayer = core.NewSprayer(core.DefaultNumValues, burst, rng.Fork("spray"))
 			}
@@ -90,13 +89,13 @@ func (o Options) runUDPSpray(burst int64) (maxShare, oooFrac float64) {
 			// condition under which spraying reorders. (It originates
 			// elsewhere so the source ToR's uplink counters measure only the
 			// foreground flow.)
-			bg = udp.NewSender(eng, 2, ls.Hosts[ls.P.TorHosts(2)[0]], ls.Hosts[ls.P.TorHosts(1)[1]], 7*topo.Gbps, 1460)
-			ls.Hosts[ls.P.TorHosts(1)[1]].Register(2, udp.NewSink())
+			bg = udp.NewSender(ft.Eng, 2, host(2, 0), host(1, 1), 7*topo.Gbps, 1460)
+			host(1, 1).Register(2, udp.NewSink())
 			bg.Start()
 
 			return func() {
 				var total, max int64
-				for _, l := range ls.UpLinks[0] {
+				for _, l := range ft.TorAggLinks[0][0] {
 					b := l.AtoB.TxBytes(netsim.ProtoUDP)
 					total += b
 					if b > max {

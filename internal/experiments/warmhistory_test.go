@@ -60,15 +60,16 @@ const errInjected = "injected: the point dies here"
 // another gray, a port degraded, ECN muted on every switch, a UDP sink left
 // registered, and a panic out of the third flow completion, with the rest in
 // flight. What a reset forgets of this, the next point on the fabric finds.
-func hostilePoint(o Options, scheme Scheme, leafSpine bool) string {
-	var lp *topo.LeafSpineParams
+// With testbed it runs on the small testbed instead of the Options' fat-tree.
+func hostilePoint(o Options, scheme Scheme, testbed bool) string {
+	var lp *topo.Params
 	n := o.params().NumHosts()
-	if leafSpine {
+	if testbed {
 		small := topo.SmallTestbed()
 		lp, n = &small, small.NumHosts()
 	}
 	done := 0
-	o.runPoint(point{scheme: scheme, leaf: lp, flows: n, burst: true,
+	o.runPoint(point{scheme: scheme, params: lp, flows: n, burst: true,
 		workload: func(*sim.RNG, topo.Params) (workload.Schedule, sim.Time) {
 			specs := make([]workload.FlowSpec, n)
 			for i := range specs {
@@ -76,29 +77,23 @@ func hostilePoint(o Options, scheme Scheme, leafSpine bool) string {
 			}
 			return &batches{specs}, sim.Second
 		},
-		arm: func(eng *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
-			var hosts []*netsim.Host
-			var switches []*netsim.Switch
-			var cut, gray *netsim.Duplex
-			if ls := fab.ls; ls != nil {
-				hosts, switches = ls.Hosts, append(append(switches, ls.Tors...), ls.Spines...)
-				cut, gray = ls.UpLinks[0][1], ls.UpLinks[1][2]
-			} else {
-				hosts, switches = fab.ft.Hosts, fab.ft.AllSwitches()
-				cut, gray = fab.ft.AggCoreLinks[0][0][0], fab.ft.TorAggLinks[0][0][1]
+		arm: func(ft *topo.FatTree, _ *sim.RNG) (func(), error) {
+			cut, gray := ft.TorAggLinks[0][0][1], ft.TorAggLinks[0][1][2]
+			if !testbed {
+				cut, gray = ft.AggCoreLinks[0][0][0], ft.TorAggLinks[0][0][1]
 			}
-			eng.At(200*sim.Microsecond, func() {
+			ft.Eng.At(200*sim.Microsecond, func() {
 				cut.Fail()
 				n := 0
 				gray.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { n++; return n%50 == 0 })
 				gray.BtoA.SetRate(gray.BtoA.RateBps / 4)
-				for _, s := range switches {
+				for _, s := range ft.AllSwitches() {
 					for _, p := range s.Ports {
 						p.Q.MarkK = 0
 					}
 				}
 			})
-			hosts[1].Register(9999, discard{})
+			ft.Hosts[1].Register(9999, discard{})
 			return nil, nil
 		},
 		onDone: func(int, workload.PatternKind, *tcp.Flow) {
@@ -206,8 +201,8 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 				return fmt.Sprintf("%+v", r.runOne(o, faultPoint{scenario: sc, scheme: s}))
 			}}
 		case 12:
-			leaf := rng.Intn(2) == 0
-			j = historyJob{fmt.Sprintf("hostile/leafspine=%v/%s", leaf, at), o, func(o Options) string { return hostilePoint(o, s, leaf) }}
+			testbed := rng.Intn(2) == 0
+			j = historyJob{fmt.Sprintf("hostile/leafspine=%v/%s", testbed, at), o, func(o Options) string { return hostilePoint(o, s, testbed) }}
 		case 13:
 			// The same death on an undamaged fabric, arrivals replayed one
 			// beacon each.
@@ -301,8 +296,9 @@ func (h *history) Print(w io.Writer) {
 //
 // and of what the list does not name: Link.DropFn 14, 20, 27; busy/armed/cur
 // and the queue's FIFO, all five; Host.crossing 14, 20; txBytes 1, 9, 14.
-// Seed 27 is there for the leaf-spine: a hostile point on the small testbed
-// with WCMP, testbed and hotspot points around it.
+// Seed 27 is there for the testbed's leaf-spine (the one-pod fat-tree): a
+// hostile point on the small testbed with WCMP, testbed and hotspot points
+// around it.
 var warmHistorySeeds = []int64{1, 9, 14, 20, 27}
 
 // TestWarmPacketPointMatchesCold: a packet point's outcome does not depend on

@@ -75,14 +75,14 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 		lp = topo.TestbedScale()
 	}
 	// Offered load: 60% of the asymmetric ToR-pair capacity (3.5 links).
-	capBps := float64(lp.LinkRateBps) * (float64(lp.Spines) - 0.5)
+	capBps := float64(lp.LinkRateBps) * (float64(lp.AggsPerPod) - 0.5)
 	// Half the run's flows, and at least one.
 	const flowBytes = 1_000_000
 	flows := max(1, o.flowCount()/2)
 	var run []*tcp.Flow
 	o.runPoint(point{
-		leaf:  &lp,
-		flows: flows,
+		params: &lp,
+		flows:  flows,
 		setupFn: func(*sim.RNG) schemeSetup {
 			set := schemeSetup{cfg: tcp.DefaultConfig(), sel: routing.ECMP{}}
 			if v.Weights != nil {
@@ -103,27 +103,28 @@ func (o Options) runWCMP(v WCMPVariant) (mean, p99, thinShare float64) {
 		workload: func(root *sim.RNG, _ topo.Params) (workload.Schedule, sim.Time) {
 			return &workload.AllToAll{
 				RNG:              root.Fork("workload"),
-				Srcs:             lp.TorHosts(0),
-				Dsts:             lp.TorHosts(1),
+				Srcs:             lp.TorHosts(0, 0),
+				Dsts:             lp.TorHosts(0, 1),
 				CDF:              workload.Fixed(flowBytes),
 				MeanInterarrival: sim.Time(float64(sim.Second) * flowBytes * 8 / (0.6 * capBps)),
 				MaxFlows:         flows + 1,
 			}, o.maxWait()
 		},
-		arm: func(_ *sim.Engine, fab fabric, _ *sim.RNG) (func(), error) {
+		arm: func(ft *topo.FatTree, _ *sim.RNG) (func(), error) {
 			// Make spine path 0 half-rate in both directions between ToR 0
 			// and 1 (an incremental-deployment asymmetry).
+			up := ft.TorAggLinks[0]
 			for _, t := range []int{0, 1} {
-				fab.ls.UpLinks[t][0].AtoB.RateBps = lp.LinkRateBps / 2
-				fab.ls.UpLinks[t][0].BtoA.RateBps = lp.LinkRateBps / 2
+				up[t][0].AtoB.RateBps = lp.LinkRateBps / 2
+				up[t][0].BtoA.RateBps = lp.LinkRateBps / 2
 			}
 			return func() {
 				var total int64
-				for _, l := range fab.ls.UpLinks[0] {
+				for _, l := range up[0] {
 					total += l.AtoB.TxBytes(netsim.ProtoTCP)
 				}
 				if total > 0 {
-					thinShare = float64(fab.ls.UpLinks[0][0].AtoB.TxBytes(netsim.ProtoTCP)) / float64(total)
+					thinShare = float64(up[0][0].AtoB.TxBytes(netsim.ProtoTCP)) / float64(total)
 				}
 			}, nil
 		},

@@ -61,8 +61,8 @@ func TestFlowBenderFlowCompletes(t *testing.T) {
 	cfg.FlowBender = &fbCfg
 
 	// Two competing long flows from the same ToR to the same remote ToR.
-	src := ft.TorHosts(0, 0)
-	dst := ft.TorHosts(1, 0)
+	src := ft.P.TorHosts(0, 0)
+	dst := ft.P.TorHosts(1, 0)
 	f1 := tcp.StartFlow(eng, cfg, 1, ft.Hosts[src[0]], ft.Hosts[dst[0]], 5_000_000)
 	f2 := tcp.StartFlow(eng, cfg, 2, ft.Hosts[src[1]], ft.Hosts[dst[1]], 5_000_000)
 	eng.Run(4 * sim.Second)

@@ -1,18 +1,10 @@
 package topo
 
-import "flowbender/internal/netsim"
-
-// DownLinks reports how many cables of the leaf-spine are currently fully
+// DownLinks reports how many cables of the fat-tree are currently fully
 // failed (both directions; half-open cables do not count).
-func (ls *LeafSpine) DownLinks() int { return downLinks(ls.links) }
-
-// DownLinks reports how many cables of the fat-tree are currently failed
-// (for assertions and tooling).
-func (ft *FatTree) DownLinks() int { return downLinks(ft.links) }
-
-func downLinks(links []*netsim.Duplex) int {
+func (ft *FatTree) DownLinks() int {
 	count := 0
-	for _, d := range links {
+	for _, d := range ft.links {
 		if d.Failed() {
 			count++
 		}

@@ -6,43 +6,44 @@ import (
 	"flowbender/internal/sim"
 )
 
-func TestLeafSpineFailRestoreRoundTrip(t *testing.T) {
+func TestTestbedFailRestoreRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	lp := SmallTestbed()
-	ls := NewLeafSpine(eng, lp)
-	if ls.DownLinks() != 0 {
-		t.Fatal("fresh leaf-spine has failed links")
+	tb := NewFatTree(eng, lp)
+	up := tb.TorAggLinks[0]
+	if tb.DownLinks() != 0 {
+		t.Fatal("fresh testbed has failed links")
 	}
 	setSpineDown := func(spine int, down bool) {
-		for tor := 0; tor < lp.Tors; tor++ {
+		for tor := 0; tor < lp.TorsPerPod; tor++ {
 			if down {
-				ls.UpLinks[tor][spine].Fail()
+				up[tor][spine].Fail()
 			} else {
-				ls.UpLinks[tor][spine].Restore()
+				up[tor][spine].Restore()
 			}
 		}
 	}
 	setSpineDown(1, true)
-	if got := ls.DownLinks(); got != lp.Tors {
-		t.Fatalf("down links = %d, want %d", got, lp.Tors)
+	if got := tb.DownLinks(); got != lp.TorsPerPod {
+		t.Fatalf("down links = %d, want %d", got, lp.TorsPerPod)
 	}
 	// A half-open cable elsewhere must not count as fully down.
-	ls.UpLinks[0][3].FailAtoB()
-	if got := ls.DownLinks(); got != lp.Tors {
+	up[0][3].FailAtoB()
+	if got := tb.DownLinks(); got != lp.TorsPerPod {
 		t.Fatalf("half-open cable counted as down: %d", got)
 	}
-	if !ls.UpLinks[0][3].HalfOpen() {
+	if !up[0][3].HalfOpen() {
 		t.Fatal("half-open state lost")
 	}
-	ls.UpLinks[0][3].Restore()
+	up[0][3].Restore()
 	setSpineDown(1, false)
-	if ls.DownLinks() != 0 {
+	if tb.DownLinks() != 0 {
 		t.Fatal("restore incomplete")
 	}
 	// Round-trip again to catch state leakage between cycles.
 	setSpineDown(0, true)
 	setSpineDown(0, false)
-	if ls.DownLinks() != 0 {
+	if tb.DownLinks() != 0 {
 		t.Fatal("second round-trip left links down")
 	}
 }

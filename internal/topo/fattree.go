@@ -7,8 +7,8 @@ import (
 	"flowbender/internal/sim"
 )
 
-// FatTree is a built three-tier topology with its hosts, switches, and
-// cable handles.
+// FatTree is a built fat-tree — three tiers, or the testbed's two when it is
+// one pod without a core — with its hosts, switches, and cable handles.
 type FatTree struct {
 	P   Params
 	Eng *sim.Engine
@@ -167,9 +167,11 @@ func newFatTree(p Params, em engineMap) *FatTree {
 	return ft
 }
 
+// validate panics on Params no fat-tree is built for: see Params for the
+// two shapes.
 func validate(p Params) {
-	if p.Pods < 2 || p.TorsPerPod < 1 || p.AggsPerPod < 1 || p.ServersPerTor < 1 ||
-		p.CoreUplinksPerAgg < 1 {
+	if p.Pods < 1 || p.TorsPerPod < 1 || p.AggsPerPod < 1 || p.ServersPerTor < 1 ||
+		p.CoreUplinksPerAgg < 0 || (p.Pods == 1) != (p.CoreUplinksPerAgg == 0) {
 		panic(fmt.Sprintf("topo: invalid fat-tree params %+v", p))
 	}
 	if p.ServersPerTor%p.AggsPerPod != 0 {
@@ -287,13 +289,4 @@ func (ft *FatTree) HostLoc(h int) (pod, tor, server int) {
 	tor = (h / p.ServersPerTor) % p.TorsPerPod
 	pod = h / (p.ServersPerTor * p.TorsPerPod)
 	return
-}
-
-// TorHosts returns the host indices attached to (pod, tor).
-func (ft *FatTree) TorHosts(pod, tor int) []int {
-	out := make([]int, ft.P.ServersPerTor)
-	for s := range out {
-		out[s] = ft.HostIndex(pod, tor, s)
-	}
-	return out
 }

@@ -1,9 +1,9 @@
-// Package topo builds the datacenter topologies the paper evaluates on: the
+// Package topo builds the fat-tree fabrics the paper evaluates on: the
 // three-tier fat-tree of §4.2 (pods of ToR + aggregation switches joined by a
-// core layer, Figures 1/2) and the two-tier leaf–spine of the §4.3 testbed
-// (15 ToRs interconnected by 4 aggregation switches). It also computes the
-// standard up/down ECMP routing tables and exposes handles for link-failure
-// injection.
+// core layer, Figures 1/2) and, as the same type, the two-tier §4.3 testbed
+// (15 ToRs interconnected by 4 aggregation switches), which is one pod with
+// no core above it. It also computes the standard up/down ECMP routing tables
+// and exposes handles for link-failure injection.
 package topo
 
 import (
@@ -18,6 +18,12 @@ const Gbps = int64(1_000_000_000)
 const KB = 1000
 
 // Params describes a fat-tree instance and its link/queue characteristics.
+//
+// Pods >= 2 with CoreUplinksPerAgg >= 1 is the three-tier fabric of §4.2.
+// Pods == 1 with CoreUplinksPerAgg == 0 is a two-tier leaf-spine — the §4.3
+// testbed (TestbedScale): every ToR reaches every other through any of the
+// AggsPerPod aggregation ("spine") switches, each ToR-spine cable at
+// LinkRateBps. No other combination builds.
 type Params struct {
 	Pods              int // number of pods
 	TorsPerPod        int // ToR switches per pod
@@ -31,15 +37,17 @@ type Params struct {
 	// ToRs are non-oversubscribed (see TorAggRateBps) — the paper's Table 1
 	// arithmetic (k equal flows on P = AggsPerPod*CoreUplinksPerAgg paths
 	// finish in k/P * size/rate) requires the full 4x oversubscription to
-	// sit at the aggregation-to-core stage.
+	// sit at the aggregation-to-core stage. Without a core, ToR-agg links
+	// run at LinkRateBps too.
 	LinkRateBps int64
 	LinkDelay   sim.Time // propagation delay per hop
 	HostDelay   sim.Time // per-direction host processing delay
 	SwitchDelay sim.Time // per-packet switch forwarding delay
 
-	QueueCap int               // per-egress-port drop-tail capacity (bytes)
-	MarkK    int               // DCTCP ECN threshold (bytes)
-	PFC      *netsim.PFCConfig // non-nil for DeTail's lossless fabric
+	QueueCap     int               // per-egress-port drop-tail capacity (bytes)
+	SharedBuffer int               // switch-wide shared pool (bytes; 0 = none)
+	MarkK        int               // DCTCP ECN threshold (bytes)
+	PFC          *netsim.PFCConfig // non-nil for DeTail's lossless fabric
 }
 
 // PaperScale returns the exact configuration of §4.2: 128 servers in four
@@ -120,10 +128,37 @@ func TinyScale() Params {
 	return p
 }
 
+// TestbedScale reproduces the paper's testbed (§4.3): 15 ToRs with 12–16
+// servers each (we use a uniform 12) joined by 4 spine switches — one pod, no
+// core — with 10 Gbps links, a 2 MB shared switch buffer and CE threshold
+// 90 KB, so each server has 4 distinct paths to servers on other ToRs.
+func TestbedScale() Params {
+	return Params{
+		Pods:          1,
+		TorsPerPod:    15,
+		AggsPerPod:    4,
+		ServersPerTor: 12,
+		LinkRateBps:   10 * Gbps,
+		HostDelay:     20 * sim.Microsecond,
+		SwitchDelay:   1 * sim.Microsecond,
+		QueueCap:      1000 * KB,
+		SharedBuffer:  2000 * KB,
+		MarkK:         90 * KB,
+	}
+}
+
+// SmallTestbed is a reduced testbed for quick runs: 4 ToRs x 4 spines.
+func SmallTestbed() Params {
+	p := TestbedScale()
+	p.TorsPerPod = 4
+	p.ServersPerTor = 8
+	return p
+}
+
 // Shape is the part of Params that decides which devices, ports, cables and
 // routes a fat-tree has. Two Params of one Shape differ only in what
-// FatTree.Reset re-applies — rates, delays, queue bounds, PFC — so a built
-// fabric serves both.
+// FatTree.Reset re-applies — rates, delays, queue bounds, shared buffer,
+// PFC — so a built fabric serves both.
 type Shape struct {
 	Pods, TorsPerPod, AggsPerPod, ServersPerTor, CoreUplinksPerAgg int
 }
@@ -136,10 +171,23 @@ func (p Params) Shape() Shape {
 // NumHosts returns the total number of servers.
 func (p Params) NumHosts() int { return p.Pods * p.TorsPerPod * p.ServersPerTor }
 
+// TorHosts returns the host indices attached to ToR tor of pod.
+func (p Params) TorHosts(pod, tor int) []int {
+	out := make([]int, p.ServersPerTor)
+	for s := range out {
+		out[s] = (pod*p.TorsPerPod+tor)*p.ServersPerTor + s
+	}
+	return out
+}
+
 // TorAggRateBps returns the rate of each ToR-to-aggregation link, scaled so
 // the ToR is non-oversubscribed: ServersPerTor/AggsPerPod times the access
-// rate (20 Gbps in the paper-scale instance).
+// rate (20 Gbps in the paper-scale instance). Without a core — the testbed —
+// it is the access rate.
 func (p Params) TorAggRateBps() int64 {
+	if p.CoreUplinksPerAgg == 0 {
+		return p.LinkRateBps
+	}
 	return p.LinkRateBps * int64(p.ServersPerTor) / int64(p.AggsPerPod)
 }
 
@@ -171,9 +219,10 @@ func (p Params) Oversubscription() float64 {
 
 func (p Params) switchConfig() netsim.SwitchConfig {
 	return netsim.SwitchConfig{
-		QueueCap: p.QueueCap,
-		MarkK:    p.MarkK,
-		FwdDelay: p.SwitchDelay,
-		PFC:      p.PFC,
+		QueueCap:     p.QueueCap,
+		SharedBuffer: p.SharedBuffer,
+		MarkK:        p.MarkK,
+		FwdDelay:     p.SwitchDelay,
+		PFC:          p.PFC,
 	}
 }

@@ -7,12 +7,18 @@ import (
 )
 
 func TestTorAggRate(t *testing.T) {
-	p := PaperScale()
-	if got := p.TorAggRateBps(); got != 20*Gbps {
-		t.Fatalf("paper ToR-agg rate = %d, want 20G", got)
-	}
-	if got := SmallScale().TorAggRateBps(); got != 20*Gbps {
-		t.Fatalf("small ToR-agg rate = %d, want 20G", got)
+	for _, c := range []struct {
+		name string
+		p    Params
+		want int64
+	}{
+		{"paper", PaperScale(), 20 * Gbps},
+		{"small", SmallScale(), 20 * Gbps},
+		{"testbed (no core)", SmallTestbed(), SmallTestbed().LinkRateBps},
+	} {
+		if got := c.p.TorAggRateBps(); got != c.want {
+			t.Errorf("%s ToR-agg rate = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

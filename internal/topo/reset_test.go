@@ -171,7 +171,7 @@ func (w *fabricWalker) pointer(path string, a, b reflect.Value) {
 	}
 }
 
-// fabricsEqual walks two fabrics (pointers to FatTree or LeafSpine) and
+// fabricsEqual walks two fabrics (pointers to FatTree) and
 // returns the differences, after checking that the walk reached every device.
 func fabricsEqual(t *testing.T, a, b any, hosts, switches, ports int) []string {
 	t.Helper()
@@ -188,10 +188,10 @@ func field(obj any, name string) reflect.Value {
 	return reflect.ValueOf(obj).Elem().FieldByName(name)
 }
 
-// fabricUnderTest is what the hostile run and the comparison need of either
-// topology.
+// fabricUnderTest is what the hostile run and the comparison need of a
+// fabric.
 type fabricUnderTest struct {
-	fabric   any // *FatTree or *LeafSpine
+	fabric   any // *FatTree
 	eng      *sim.Engine
 	pool     *netsim.PacketPool
 	hosts    []*netsim.Host
@@ -237,7 +237,7 @@ func (f *fabricUnderTest) abuse(t *testing.T, sel netsim.Selector) {
 	f.hosts[n-3].Register(1000, udp.NewSink())
 	u.Start()
 
-	up := f.links[len(f.links)-1] // a switch-to-switch cable in both topologies
+	up := f.links[len(f.links)-1] // a switch-to-switch cable, with or without a core
 	mid := f.links[len(f.links)/2]
 	grayed := 0
 	f.eng.At(100*sim.Microsecond, func() {
@@ -328,12 +328,7 @@ func (f *fabricUnderTest) probe() string {
 
 func fatTreeUnderTest(ft *FatTree) *fabricUnderTest {
 	return &fabricUnderTest{fabric: ft, eng: ft.Eng, pool: ft.Pool, hosts: ft.Hosts, switches: ft.switches, links: ft.links,
-		pfc: ft.P.PFC != nil, ledgers: ft.P.PFC == nil}
-}
-
-func leafSpineUnderTest(ls *LeafSpine) *fabricUnderTest {
-	return &fabricUnderTest{fabric: ls, eng: ls.Eng, pool: ls.Pool, hosts: ls.Hosts, switches: ls.switches, links: ls.links,
-		pfc: ls.P.PFC != nil, ledgers: ls.P.PFC == nil && ls.P.SharedBuffer == 0}
+		pfc: ft.P.PFC != nil, ledgers: ft.P.PFC == nil && ft.P.SharedBuffer == 0}
 }
 
 // checkResetEqualsFresh is the body of TestResetFabricEqualsFresh for one
@@ -354,9 +349,11 @@ func checkResetEqualsFresh(t *testing.T, used *fabricUnderTest, sel netsim.Selec
 }
 
 // TestResetFabricEqualsFresh: whatever a point left on a fabric, and whatever
-// configuration it was built for, Reset(p) leaves what NewFatTree /
-// NewLeafSpine builds for p — every field of every device, cable and pool,
-// found by reflection, so a field added tomorrow is compared tomorrow.
+// configuration it was built for, Reset(p) leaves what NewFatTree builds for
+// p — every field of every device, cable and pool, found by reflection, so a
+// field added tomorrow is compared tomorrow. Each group is one shape: the
+// three-tier fat-tree, and the testbed's leaf-spine (one pod, no core), whose
+// configurations add the shared buffer.
 func TestResetFabricEqualsFresh(t *testing.T) {
 	pfc := &netsim.PFCConfig{Pause: 20 * KB, Unpause: 10 * KB}
 	other := func(p Params) Params {
@@ -365,41 +362,31 @@ func TestResetFabricEqualsFresh(t *testing.T) {
 		return p
 	}
 	withPFC := func(p Params) Params { p.PFC = pfc; return p }
-	fat := []Params{TinyScale(), withPFC(TinyScale()), other(TinyScale()), withPFC(other(TinyScale()))}
-	for i, from := range fat {
-		for j, to := range fat {
-			t.Run(fmt.Sprintf("fattree/%d-to-%d", i, j), func(t *testing.T) {
-				used := NewFatTree(sim.NewEngine(), from)
-				var sel netsim.Selector = routing.ECMP{}
-				if (i+j)%2 == 1 {
-					sel = &routing.Flowlet{Gap: 50 * sim.Microsecond}
-				}
-				checkResetEqualsFresh(t, fatTreeUnderTest(used), sel, func() { used.Reset(to) },
-					fatTreeUnderTest(NewFatTree(sim.NewEngine(), to)))
-			})
-		}
+	unshared := func(p Params) Params { p.SharedBuffer = 0; return p }
+	testbed := SmallTestbed() // shared buffer
+	groups := []struct {
+		name    string
+		configs []Params
+		odd     func() netsim.Selector // the selector of pairs whose i+j is odd
+	}{
+		{"fattree", []Params{TinyScale(), withPFC(TinyScale()), other(TinyScale()), withPFC(other(TinyScale()))},
+			func() netsim.Selector { return &routing.Flowlet{Gap: 50 * sim.Microsecond} }},
+		{"leafspine", []Params{testbed, unshared(testbed), withPFC(testbed), withPFC(other(unshared(testbed)))},
+			func() netsim.Selector { return routing.NewFlowDyn() }},
 	}
-
-	base := SmallTestbed() // shared buffer
-	unshared := base
-	unshared.SharedBuffer = 0
-	lsOther := unshared
-	lsOther.LinkRateBps, lsOther.LinkDelay, lsOther.HostDelay, lsOther.SwitchDelay = 5*Gbps, 300*sim.Nanosecond, 10*sim.Microsecond, 2*sim.Microsecond
-	lsOther.QueueCap, lsOther.MarkK, lsOther.PFC = 150*KB, 30*KB, pfc
-	sharedPFC := base
-	sharedPFC.PFC = pfc
-	leaf := []LeafSpineParams{base, unshared, sharedPFC, lsOther}
-	for i, from := range leaf {
-		for j, to := range leaf {
-			t.Run(fmt.Sprintf("leafspine/%d-to-%d", i, j), func(t *testing.T) {
-				used := NewLeafSpine(sim.NewEngine(), from)
-				var sel netsim.Selector = routing.ECMP{}
-				if (i+j)%2 == 1 {
-					sel = routing.NewFlowDyn()
-				}
-				checkResetEqualsFresh(t, leafSpineUnderTest(used), sel, func() { used.Reset(to) },
-					leafSpineUnderTest(NewLeafSpine(sim.NewEngine(), to)))
-			})
+	for _, g := range groups {
+		for i, from := range g.configs {
+			for j, to := range g.configs {
+				t.Run(fmt.Sprintf("%s/%d-to-%d", g.name, i, j), func(t *testing.T) {
+					used := NewFatTree(sim.NewEngine(), from)
+					var sel netsim.Selector = routing.ECMP{}
+					if (i+j)%2 == 1 {
+						sel = g.odd()
+					}
+					checkResetEqualsFresh(t, fatTreeUnderTest(used), sel, func() { used.Reset(to) },
+						fatTreeUnderTest(NewFatTree(sim.NewEngine(), to)))
+				})
+			}
 		}
 	}
 }

@@ -125,32 +125,58 @@ func TestFatTreeDelivery(t *testing.T) {
 	}
 }
 
-func TestLeafSpineShape(t *testing.T) {
+func TestTestbedShape(t *testing.T) {
 	p := TestbedScale()
-	if p.Tors != 15 || p.Spines != 4 {
+	if p.Pods != 1 || p.TorsPerPod != 15 || p.AggsPerPod != 4 || p.CoreUplinksPerAgg != 0 {
 		t.Fatalf("testbed shape wrong: %+v", p)
 	}
 	eng := sim.NewEngine()
-	ls := NewLeafSpine(eng, p)
-	if len(ls.Hosts) != 15*12 {
-		t.Fatalf("hosts = %d", len(ls.Hosts))
+	ft := NewFatTree(eng, p)
+	if len(ft.Hosts) != 15*12 || len(ft.AllSwitches()) != 15+4 || len(ft.Cores) != 0 {
+		t.Fatalf("hosts = %d, switches = %d, cores = %d", len(ft.Hosts), len(ft.AllSwitches()), len(ft.Cores))
 	}
-	if h := ls.P.TorHosts(2); len(h) != 12 || h[0] != 24 {
-		t.Fatalf("TorHosts(2) = %v", h)
+	if h := ft.P.TorHosts(0, 2); len(h) != 12 || h[0] != 24 {
+		t.Fatalf("TorHosts(0, 2) = %v", h)
 	}
 }
 
-func TestLeafSpineDelivery(t *testing.T) {
+func TestTestbedDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	ls := NewLeafSpine(eng, SmallTestbed())
-	ls.SetSelector(firstPort{})
-	dst := len(ls.Hosts) - 1
+	ft := NewFatTree(eng, SmallTestbed())
+	ft.SetSelector(firstPort{})
+	dst := len(ft.Hosts) - 1
 	var got int
-	ls.Hosts[dst].Register(5, handlerFunc(func(*netsim.Packet) { got++ }))
-	ls.Hosts[0].Send(&netsim.Packet{Flow: 5, Src: 0, Dst: netsim.NodeID(dst), Size: 64})
+	ft.Hosts[dst].Register(5, handlerFunc(func(*netsim.Packet) { got++ }))
+	ft.Hosts[0].Send(&netsim.Packet{Flow: 5, Src: 0, Dst: netsim.NodeID(dst), Size: 64})
 	eng.RunUntilIdle()
 	if got != 1 {
 		t.Fatal("cross-ToR packet not delivered")
+	}
+}
+
+// TestValidateShapes: one pod builds exactly when there is no core above it.
+func TestValidateShapes(t *testing.T) {
+	onePod := func(cores int) Params { p := SmallTestbed(); p.CoreUplinksPerAgg = cores; return p }
+	twoPods := func(cores int) Params { p := TinyScale(); p.CoreUplinksPerAgg = cores; return p }
+	for _, c := range []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"one pod, no core", onePod(0), true},
+		{"one pod, cores", onePod(1), false},
+		{"two pods, no core", twoPods(0), false},
+		{"two pods, cores", twoPods(1), true},
+		{"no pod", func() Params { p := SmallTestbed(); p.Pods = 0; return p }(), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Fatalf("validate(%+v) panicked %v, want ok %v", c.p, r, c.ok)
+				}
+			}()
+			validate(c.p)
+		})
 	}
 }
 

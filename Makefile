@@ -76,7 +76,7 @@ benchmark-pair:
 # points fan out across all cores (-parallel 0 = GOMAXPROCS); output is
 # byte-identical to a sequential run. ~15 min on one core, ~15/N on N.
 results:
-	$(GO) run ./cmd/fbbench -scale small | tee results_small.txt
+	$(GO) run ./cmd/fbsim -exp all -scale small | tee results_small.txt
 
 # The full 128-server instances of Table 1 and Figures 3/4 (~1 h on one
 # core; scales down with core count).

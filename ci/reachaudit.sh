@@ -2,7 +2,7 @@
 # Reach audit: every shipped internal/ function is executed by some binary, or
 # ci/reach-allow.txt says why not.
 #
-# Builds the four binaries (fbsim, fbbench, fbtopo, bench) and the six
+# Builds the three binaries (fbsim, fbtopo, bench) and the six
 # examples with coverage over every package, drives them through the runs a
 # user makes — the tiny suite on both engines, single experiments across
 # engines, scales up to mega, shards, seeds, checkpoint and resume, the path
@@ -24,7 +24,7 @@ trap 'rm -rf "$work"' EXIT
 export GOCOVERDIR="$work/cov"
 mkdir -p "$GOCOVERDIR" "$work/bin"
 
-for pkg in ./cmd/fbsim ./cmd/fbbench ./cmd/fbtopo ./bench ./examples/*/; do
+for pkg in ./cmd/fbsim ./cmd/fbtopo ./bench ./examples/*/; do
   go build -cover -coverpkg=./... -o "$work/bin/$(basename "$pkg")" "$pkg"
 done
 
@@ -39,8 +39,8 @@ run() { # run <binary> [args...]: output dropped, a failing run named
   fi
 }
 
-run fbbench -scale tiny
-run fbbench -scale tiny -engine fluid -v
+run fbsim -exp all -scale tiny
+run fbsim -exp all -scale tiny -engine fluid -v
 
 printf '300 0\n600 0.5\n1200 1.0\n' >"$work/mice.cdf"
 run fbsim -list

@@ -1,19 +1,22 @@
-// Command fbsim runs a single FlowBender reproduction experiment.
+// Command fbsim runs FlowBender reproduction experiments: one, or all of them
+// in paper order.
 //
 // Usage:
 //
 //	fbsim -exp alltoall -scale small -seed 1 -v
 //	fbsim -exp faults -faults cut,flap10ms,gray1 -scale small
+//	fbsim -exp all -scale small
 //	fbsim -list
 //
 // Each experiment regenerates one table or figure of the paper (see
-// DESIGN.md for the experiment index). The run-shaping flags (-scale,
-// -engine, -seed, -checkpoint, ...) are the ones fbbench takes too: both
-// bind them through experiments.BindRunFlags.
+// DESIGN.md for the experiment index); -exp all prints every one under a
+// "==== name — description ====" header, suitable for diffing against
+// EXPERIMENTS.md. The run-shaping flags (-scale, -engine, -seed,
+// -checkpoint, ...) are bound through experiments.BindRunFlags, which
+// fbtopo shares.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "", "experiment name (see -list)")
+		exp    = flag.String("exp", "", "experiment name (see -list), or all to run every experiment in registry order")
 		list   = flag.Bool("list", false, "list available experiments")
 		listF  = flag.Bool("list-faults", false, "list available fault scenarios")
 		listS  = flag.Bool("list-schemes", false, "list the load-balancing schemes experiments compare")
@@ -68,15 +71,25 @@ func main() {
 		exit(0)
 	}
 
-	entry, ok := experiments.Lookup(*exp)
-	if !ok {
-		refuse(fmt.Errorf("unknown experiment %q (use -list)", *exp))
+	entries := experiments.Registry
+	if *exp != "all" {
+		entry, ok := experiments.Lookup(*exp)
+		if !ok {
+			refuse(fmt.Errorf("unknown experiment %q (use -list)", *exp))
+		}
+		entries = []experiments.RegistryEntry{entry}
 	}
 	o, err := rf.Options()
-	if err == nil {
-		err = entry.CheckScale(o)
+	for _, e := range entries {
+		if err == nil {
+			err = e.CheckScale(o)
+		}
 	}
-	if err == nil && rf.Checkpointing() && *asJSON {
+	switch {
+	case err != nil:
+	case *asJSON && *exp == "all":
+		err = fmt.Errorf("-json renders one experiment's result, not -exp all")
+	case *asJSON && rf.Checkpointing():
 		// The journal records rendered tables; serving them as JSON would
 		// silently change the output format, so the modes don't combine.
 		err = fmt.Errorf("-checkpoint/-resume and -json are mutually exclusive")
@@ -87,26 +100,19 @@ func main() {
 	if err := rf.OpenCheckpoint("fbsim:"+*exp, &o); err != nil {
 		refuse(err)
 	}
-	mgr := o.Ckpt
-	if mgr != nil {
-		// Journal hit: the resumed file already holds this experiment's
-		// completed output — serve it without simulating anything.
-		if ent, ok := mgr.Done(*exp); ok {
-			fmt.Fprintf(os.Stderr, "fbsim: %s served from checkpoint journal (%s)\n", *exp, mgr.Path())
-			fmt.Print(ent.Output)
-			exit(0)
-		}
-	}
 
 	var perf experiments.PerfStats
 	o.Perf = &perf
 	start := time.Now()
-	res, err := runProtected(entry.Run, o)
-	wall := time.Since(start)
-	if err != nil {
+	var res experiments.Printable
+	var out string
+	if *exp == "all" {
+		experiments.RunAll(o, os.Stdout)
+	} else if res, out, err = entries[0].Execute(o); err != nil {
 		fmt.Fprintf(os.Stderr, "fbsim: experiment %s failed: %v\n", *exp, err)
 		exit(1)
 	}
+	wall := time.Since(start)
 	if o.Log != nil {
 		fmt.Fprintf(os.Stderr, "fbsim: %d events in %v (%.3g events/sec, %.3g sim-sec/wall-sec)\n",
 			perf.Events.Load(), wall.Round(time.Millisecond),
@@ -123,29 +129,11 @@ func main() {
 		}
 		exit(0)
 	}
-	// Render to a buffer so the journal records exactly the bytes the user
-	// sees; a rerun with -resume then serves them verbatim.
-	var buf bytes.Buffer
-	res.Print(&buf)
-	if mgr != nil {
-		mgr.RecordDone(*exp, buf.String())
-		if err := mgr.SaveErr(); err != nil {
+	if o.Ckpt != nil {
+		if err := o.Ckpt.SaveErr(); err != nil {
 			fmt.Fprintln(os.Stderr, "fbsim: checkpoint:", err)
 		}
 	}
-	os.Stdout.Write(buf.Bytes())
+	os.Stdout.WriteString(out)
 	exit(0)
-}
-
-// runProtected converts a panicking experiment into an error exit with a
-// message, instead of a bare crash: individual simulation points are
-// already recovered inside the harness, so this only catches failures in
-// the experiment driver itself.
-func runProtected(run func(experiments.Options) experiments.Printable, o experiments.Options) (res experiments.Printable, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	return run(o), nil
 }

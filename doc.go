@@ -8,7 +8,7 @@
 // internal/topo), a NewReno+DCTCP transport (internal/tcp), the competing
 // ECMP/RPS/DeTail/WCMP path selectors (internal/routing) — and a harness
 // that regenerates every table and figure of the paper's evaluation
-// (internal/experiments, cmd/fbsim, cmd/fbbench).
+// (internal/experiments, cmd/fbsim).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-vs-measured results.

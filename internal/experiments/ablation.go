@@ -72,28 +72,24 @@ func Ablations(o Options) *AblationResult {
 	res.ValIdealMs = 3 * float64(size) * 8 / float64(p.LinkRateBps) * 1000
 
 	type valOut struct{ mean, max float64 }
-	a2aName := func(v AblationVariant) string {
-		return o.pointLabel("ablations/a2a/%s/seed=%d", v.Name, o.Seed)
-	}
-	a2aOuts := fanOut(o, res.Variants, a2aName, func(oo Options, v AblationVariant) *runOutcome {
-		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: v.Cfg, rawFB: true, load: res.Load})
-	})
-	valName := func(v AblationVariant) string {
-		return o.pointLabel("ablations/val/%s/seed=%d", v.Name, o.Seed)
-	}
-	valOuts := fanOut(o, res.Variants, valName, func(oo Options, v AblationVariant) valOut {
-		// The controller draws from the "flowbender" fork of the root
-		// stream here, not of the scheme stream as everywhere else; the
-		// goldens pin that.
-		fb := v.Cfg
-		if fb.RNG == nil {
-			fb.RNG = sim.NewRNG(o.Seed).Fork("flowbender")
-		}
-		mean, max := oo.runValidation(FlowBender, func(rng *sim.RNG) schemeSetup {
-			return FlowBender.setup(rng, fb, true)
-		}, res.ValFlows, size)
-		return valOut{mean: mean, max: max}
-	})
+	a2aOuts := must(runPoints(o, "ablations", 1, res.Variants, func(v AblationVariant) string { return "a2a/" + v.Name },
+		func(o Options, v AblationVariant) *runOutcome {
+			return o.runAllToAll(allToAllSpec{scheme: FlowBender, fb: v.Cfg, rawFB: true, load: res.Load})
+		}))
+	valOuts := must(runPoints(o, "ablations", 1, res.Variants, func(v AblationVariant) string { return "val/" + v.Name },
+		func(o Options, v AblationVariant) valOut {
+			// The controller draws from the "flowbender" fork of the root
+			// stream here, not of the scheme stream as everywhere else; the
+			// goldens pin that.
+			fb := v.Cfg
+			if fb.RNG == nil {
+				fb.RNG = sim.NewRNG(o.Seed).Fork("flowbender")
+			}
+			mean, max := o.runValidation(FlowBender, func(rng *sim.RNG) schemeSetup {
+				return FlowBender.setup(rng, fb, true)
+			}, res.ValFlows, size)
+			return valOut{mean: mean, max: max}
+		}))
 
 	var baseMean, baseP99 float64
 	for i, v := range res.Variants {

@@ -70,8 +70,10 @@ type runOutcome struct {
 	Reroutes    int64
 	Incomplete  int
 	SimTime     sim.Time
-	// Engines is how many engines the point ran on (1 = serial).
+	// Engines is how many engines the point ran on (1 = serial), Events the
+	// engine events they executed between them.
 	Engines int
+	Events  int64
 }
 
 func (r *runOutcome) collect() {
@@ -156,7 +158,7 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 	if int64(len(out.Flows)) > res.started {
 		out.Flows = out.Flows[:res.started]
 	}
-	out.SimTime, out.Engines = res.simTime, res.engines
+	out.SimTime, out.Engines, out.Events = res.simTime, res.engines, res.events
 	out.collect()
 	if fluidEng {
 		out.Reroutes = res.reroutes
@@ -173,53 +175,35 @@ func ShardBench(o Options, load float64, flows int) {
 	o.runAllToAll(allToAllSpec{scheme: ECMP, load: load, flows: flows})
 }
 
-// a2aPoint identifies one independent simulation point of the sweep.
+// a2aPoint is one (load, scheme) point of the sweep.
 type a2aPoint struct {
 	load   float64
 	scheme Scheme
-	rep    int
 }
 
-func (pt a2aPoint) model() (Scheme, any) {
-	return pt.scheme, a2aPoint{load: pt.load, rep: pt.rep}
-}
+func (pt a2aPoint) model() (Scheme, any) { return pt.scheme, pt.load }
+func (pt a2aPoint) String() string       { return fmt.Sprintf("load=%g/%s", pt.load, pt.scheme) }
 
 // AllToAll runs the §4.2.2 workload: heavy-tailed flow sizes, Poisson
 // arrivals, uniform random all-to-all traffic at each load, for every
-// scheme. Every scheme sees the identical flow arrival sequence. The
-// (load, scheme, seed) points are independent simulations, so they fan out
-// across Options.Parallelism workers; outcomes are collected in submission
-// order, keeping the tables byte-identical at any parallelism. On the fluid
-// engine, schemes with identical fluid models share one simulation (see sweep).
+// scheme. Every scheme sees the identical flow arrival sequence. The points
+// run by load, then scheme, each at every replicate seed; on the fluid
+// engine, schemes with identical fluid models share one simulation (see
+// runPoints).
 func AllToAll(o Options) *AllToAllResult {
-	name := func(pt a2aPoint) string {
-		return o.pointLabel("alltoall/load=%g/%s/seed=%d", pt.load, pt.scheme, o.seedAt(pt.rep))
-	}
-	return o.assembleAllToAll(sweep(o, "alltoall", o.a2aPoints(), name, Options.runA2APoint))
-}
-
-// a2aPoints lists the sweep in table order: by load, then scheme, then
-// replicate seed.
-func (o Options) a2aPoints() []a2aPoint {
 	var points []a2aPoint
 	for _, load := range DefaultLoads {
 		for _, s := range AllSchemes {
-			for rep := 0; rep < o.seeds(); rep++ {
-				points = append(points, a2aPoint{load: load, scheme: s, rep: rep})
-			}
+			points = append(points, a2aPoint{load: load, scheme: s})
 		}
 	}
-	return points
-}
-
-// runA2APoint simulates one point of the sweep.
-func (o Options) runA2APoint(pt a2aPoint) *runOutcome {
-	o.Seed = o.seedAt(pt.rep)
-	return o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
+	return o.assembleAllToAll(must(runPoints(o, "alltoall", o.seeds(), points, a2aPoint.String, func(o Options, pt a2aPoint) *runOutcome {
+		return o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
+	})))
 }
 
 // assembleAllToAll builds the figures from the sweep's outcomes, in
-// a2aPoints order.
+// runPoints order.
 func (o Options) assembleAllToAll(outs []*runOutcome) *AllToAllResult {
 	reps := o.seeds()
 	res := &AllToAllResult{

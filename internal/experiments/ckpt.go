@@ -21,19 +21,6 @@ func (o Options) ckptCadence() sim.Time {
 	return defaultCheckpointEvery
 }
 
-// pointLabel builds the canonical point label the fan-out sites pass to
-// the named runpool APIs and set as pointKey: experiment name, point
-// coordinates, and seed, plus the shard count when sharding is on. One
-// string serves both purposes — a FAILED line identifies the exact
-// simulation point, and the same label keys its checkpoint watermarks.
-func (o Options) pointLabel(format string, args ...any) string {
-	s := fmt.Sprintf(format, args...)
-	if o.Shards > 1 {
-		s += fmt.Sprintf("/shards=%d", o.Shards)
-	}
-	return s
-}
-
 // ckptTracker carries one simulation point's checkpoint obligations
 // through its drain loop (serial) or window-barrier ticks (sharded):
 // record a watermark every cadence interval (or immediately when a flush

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"flowbender/internal/faults"
-	"flowbender/internal/runpool"
 	"flowbender/internal/sim"
 	"flowbender/internal/topo"
 )
@@ -144,11 +143,8 @@ func FaultMatrix(o Options) *FaultMatrixResult {
 			points = append(points, faultPoint{scenario: sc, scheme: scheme})
 		}
 	}
-	name := func(pt faultPoint) string {
-		return o.pointLabel("faults/%s/%s/seed=%d", pt.scenario.name, pt.scheme, o.Seed)
-	}
-	pl := o.pool()
-	outs := runpool.MapResultsNamed(pl, points, name, onPool(o, pl, name, res.runOne))
+	label := func(pt faultPoint) string { return pt.scenario.name + "/" + pt.scheme.String() }
+	outs := runPoints(o, "faults", 1, points, label, res.runOne)
 	for i, pt := range points {
 		cell := outs[i].Val
 		if outs[i].Err != nil {
@@ -167,8 +163,10 @@ func FaultMatrix(o Options) *FaultMatrixResult {
 }
 
 // selectScenarios filters the suite by name; nil selects everything.
-// Unknown names become placeholder scenarios whose runs fail cleanly, so a
-// typo in -faults is a visible FAILED row, not a silent omission.
+// Options.Validate refuses an unknown -faults name before anything runs, so
+// only a library caller (and the failure tests) can pass one here: it becomes
+// a placeholder scenario whose runs fail cleanly, a visible FAILED row rather
+// than a silent omission.
 func selectScenarios(names []string) []faultScenario {
 	if len(names) == 0 {
 		return faultScenarios

@@ -97,37 +97,25 @@ func FidelityMatrix(o Options) *FidelityResult {
 		events     int64
 		incomplete int
 	}
-	name := func(pt fPoint) string {
-		return o.pointLabel("fidelity/%s/%s/%s/seed=%d", pt.scale, pt.scheme, pt.engine, o.Seed)
-	}
+	label := func(pt fPoint) string { return fmt.Sprintf("%s/%s/%s", pt.scale, pt.scheme, pt.engine) }
 	res := &FidelityResult{Load: load, Flows: make(map[ScaleLevel]int)}
 	for _, sc := range scales {
 		oo := o
 		oo.Scale = sc
 		res.Flows[sc] = oo.flowCount()
 	}
-	outs := fanOut(o, points, name, func(oo Options, pt fPoint) fOut {
-		oo.Scale = pt.scale
-		oo.Engine = pt.engine
-		// A private PerfStats isolates this point's event count; fold it
-		// into the caller's collector afterwards so -exp fidelity still
-		// reports aggregate throughput.
-		perf := &PerfStats{}
-		oo.Perf = perf
-		out := oo.runAllToAll(allToAllSpec{scheme: pt.scheme, load: load})
-		if o.Perf != nil {
-			o.Perf.Events.Add(perf.Events.Load())
-			o.Perf.SimNanos.Add(perf.SimNanos.Load())
-			o.Perf.FlowsCompleted.Add(perf.FlowsCompleted.Load())
-		}
+	outs := must(runPoints(o, "fidelity", 1, points, label, func(o Options, pt fPoint) fOut {
+		o.Scale = pt.scale
+		o.Engine = pt.engine
+		out := o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: load})
 		all := out.FCT.All()
 		return fOut{
 			p50:        all.Percentile(50),
 			p99:        all.Percentile(99),
-			events:     perf.Events.Load(),
+			events:     out.Events,
 			incomplete: out.Incomplete,
 		}
-	})
+	}))
 
 	div := func(fl, pkt float64) float64 {
 		if pkt <= 0 {

@@ -38,6 +38,31 @@ func TestFidelityMatrixBounds(t *testing.T) {
 	}
 }
 
+// TestFidelityMatrixShardBooks: at -shards 2 the fidelity matrix's ECMP
+// points shard, so its books carry the per-shard event split, and the
+// events its cells report add up to what the books hold. Sharding moves
+// only the packet event counts; every completion time is the serial one.
+func TestFidelityMatrixShardBooks(t *testing.T) {
+	serial := FidelityMatrix(Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Parallelism: 2})
+	o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Parallelism: 2, Shards: 2, Perf: &PerfStats{}}
+	res := FidelityMatrix(o)
+	if se := o.Perf.ShardEvents(); len(se) != 2 {
+		t.Errorf("ShardEvents() = %v, want two shards' counts", se)
+	}
+	var cells int64
+	for i, c := range res.Cells {
+		cells += c.PktEvents + c.FlEvents
+		s := serial.Cells[i]
+		c.PktEvents, c.FlEvents, s.PktEvents, s.FlEvents = 0, 0, 0, 0
+		if c != s {
+			t.Errorf("%s/%s at -shards 2: %+v, serial %+v", c.Scale, c.Scheme, c, s)
+		}
+	}
+	if ev := o.Perf.Events.Load(); ev != cells {
+		t.Errorf("books hold %d events, the cells report %d", ev, cells)
+	}
+}
+
 // The fidelity matrix runs at Options.Load (the -load flag) when it is set,
 // and reports the load it ran at.
 func TestFidelityMatrixReadsLoad(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowbender/internal/stats"
@@ -126,4 +127,37 @@ func TestGoldenSchemes(t *testing.T) {
 	var buf bytes.Buffer
 	PrintSchemes(&buf)
 	checkGolden(t, "schemes", buf.String())
+}
+
+// fixedPartAgg is a Figure 5 result with recognizable values over two
+// schemes: cell (fan-in, scheme) encodes its coordinates.
+func fixedPartAgg(seeds int) *PartAggResult {
+	res := &PartAggResult{
+		FanIns:   []int{4, 8},
+		Schemes:  []Scheme{ECMP, FlowBender},
+		NormJCT:  make(map[int]map[Scheme]float64),
+		AbsJCTms: make(map[int]map[Scheme]float64),
+		JCTStdMs: make(map[int]map[Scheme]float64),
+		Load:     0.4,
+		JobBytes: 1_000_000,
+		Seeds:    seeds,
+	}
+	for fi, fanIn := range res.FanIns {
+		res.NormJCT[fanIn] = map[Scheme]float64{ECMP: 1, FlowBender: 0.9 - 0.1*float64(fi)}
+		res.AbsJCTms[fanIn] = map[Scheme]float64{ECMP: 2.5 + float64(fi), FlowBender: 2.25 + float64(fi)}
+		res.JCTStdMs[fanIn] = map[Scheme]float64{ECMP: 0.12 + 0.01*float64(fi), FlowBender: 0.34}
+	}
+	return res
+}
+
+// TestGoldenPartAggPrintMultiSeed: with several seeds Figure 5 says so and
+// renders the across-seed spread; one seed keeps the plain table.
+func TestGoldenPartAggPrintMultiSeed(t *testing.T) {
+	var one, many bytes.Buffer
+	fixedPartAgg(1).Print(&one)
+	if strings.Contains(one.String(), "±") || strings.Contains(one.String(), "seeds") {
+		t.Errorf("one seed renders the multi-seed form:\n%s", one.String())
+	}
+	fixedPartAgg(5).Print(&many)
+	checkGolden(t, "partagg_seeds", many.String())
 }

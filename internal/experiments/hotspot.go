@@ -48,10 +48,7 @@ func Hotspot(o Options) *HotspotResult {
 		UDPDelivered: make(map[Scheme]float64),
 	}
 	schemes := []Scheme{ECMP, FlowBender}
-	name := func(s Scheme) string {
-		return o.pointLabel("hotspot/%s/seed=%d", s, o.Seed)
-	}
-	outs := fanOut(o, schemes, name, Options.runHotspot)
+	outs := must(runPoints(o, "hotspot", 1, schemes, Scheme.String, Options.runHotspot))
 	for i, scheme := range schemes {
 		out := outs[i]
 		res.TCPOnU[scheme] = out.tcpOnU

@@ -58,10 +58,7 @@ func LinkFailure(o Options) *LinkFailureResult {
 		MeanUnaffectedFCTms: make(map[Scheme]float64),
 	}
 	schemes := []Scheme{ECMP, FlowBender}
-	name := func(s Scheme) string {
-		return o.pointLabel("linkfailure/%s/seed=%d", s, o.Seed)
-	}
-	outs := fanOut(o, schemes, name, res.runOne)
+	outs := must(runPoints(o, "linkfailure", 1, schemes, Scheme.String, res.runOne))
 	for i, scheme := range schemes {
 		out := outs[i]
 		res.Total = out.Total

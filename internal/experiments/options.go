@@ -230,9 +230,9 @@ type Options struct {
 	CheckpointEvery sim.Time
 
 	// pointKey labels the simulation point this Options copy is executing
-	// (e.g. "alltoall/load=0.4/FlowBender/seed=7/shards=1"). Set by the
-	// fan-out call sites; it keys the point's checkpoint watermarks and is
-	// the same label runpool attaches to failures.
+	// (e.g. "alltoall/load=0.4/FlowBender/seed=7/shards=2"). Set by
+	// runPoints; it keys the point's checkpoint watermarks and is the same
+	// label runpool attaches to failures.
 	pointKey string
 
 	// sharedPool, when non-nil, is used instead of a fresh pool so that
@@ -243,7 +243,7 @@ type Options struct {
 	// running under; a sharded point borrows extra worker tokens from
 	// it (see Pool.TryAcquire) so shard workers and sibling points share
 	// one CPU budget, and every point draws its engine arena from it (see
-	// arena). Set by onPool, through which every experiment fans out.
+	// arena). Set by runPoints, through which every experiment fans out.
 	execPool *runpool.Pool
 
 	// debugShardWindow (simdebug tripwire tests only) overrides the
@@ -268,6 +268,9 @@ func (o Options) jobCount() int {
 	return scales[o.Scale].jobs
 }
 
+// repeats is Table 1's replicate count: a micro-benchmark of a handful of
+// flows is dominated by the luck of the hash draw, so below paper scale its
+// mean and max are averaged over several seeds.
 func (o Options) repeats() int {
 	if o.Repeats > 0 {
 		return o.Repeats

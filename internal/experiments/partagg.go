@@ -37,8 +37,7 @@ type PartAggResult struct {
 
 // PartitionAggregate runs the §4.2.4 incast workload: 1 MB transactions
 // split evenly across n workers, arriving as a Poisson process at 40% load.
-// The (fan-in, scheme, seed) points fan out across Options.Parallelism
-// workers.
+// Every (fan-in, scheme) point runs at each replicate seed.
 func PartitionAggregate(o Options) *PartAggResult {
 	reps := o.seeds()
 	res := &PartAggResult{
@@ -54,35 +53,24 @@ func PartitionAggregate(o Options) *PartAggResult {
 	type point struct {
 		fanIn  int
 		scheme Scheme
-		rep    int
 	}
 	var points []point
 	for _, fanIn := range res.FanIns {
 		for _, s := range res.Schemes {
-			for rep := 0; rep < reps; rep++ {
-				points = append(points, point{fanIn: fanIn, scheme: s, rep: rep})
-			}
+			points = append(points, point{fanIn: fanIn, scheme: s})
 		}
 	}
-	name := func(pt point) string {
-		return o.pointLabel("partagg/fanin=%d/%s/seed=%d", pt.fanIn, pt.scheme, o.seedAt(pt.rep))
-	}
-	outs := fanOut(o, points, name, func(oo Options, pt point) float64 {
-		oo.Seed = o.seedAt(pt.rep)
-		return oo.runPartAgg(pt.scheme, pt.fanIn, res.Load, res.JobBytes)
-	})
-	idx := func(fi, si, rep int) int { return (fi*len(res.Schemes)+si)*reps + rep }
-
+	label := func(pt point) string { return fmt.Sprintf("fanin=%d/%s", pt.fanIn, pt.scheme) }
+	outs := must(runPoints(o, "partagg", reps, points, label, func(o Options, pt point) float64 {
+		return o.runPartAgg(pt.scheme, pt.fanIn, res.Load, res.JobBytes)
+	}))
 	for fi, fanIn := range res.FanIns {
 		norm := make(map[Scheme]float64)
 		abs := make(map[Scheme]float64)
 		std := make(map[Scheme]float64)
 		for si, s := range res.Schemes {
-			jcts := make([]float64, reps)
-			for rep := 0; rep < reps; rep++ {
-				jcts[rep] = outs[idx(fi, si, rep)]
-			}
-			agg := stats.Summarize(jcts)
+			i := (fi*len(res.Schemes) + si) * reps
+			agg := stats.Summarize(outs[i : i+reps])
 			abs[s] = agg.Mean * 1000
 			std[s] = agg.Std * 1000
 			o.logf("part-agg: fanin=%d %s avgJCT=%.3gms", fanIn, s, agg.Mean*1000)
@@ -145,6 +133,9 @@ func lastDone(flows []*tcp.Flow) (sim.Time, bool) {
 func (r *PartAggResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 5: partition-aggregate avg job completion time normalized to ECMP (load %.0f%%, %d KB jobs)\n",
 		r.Load*100, r.JobBytes/1000)
+	if r.Seeds > 1 {
+		fmt.Fprintf(w, "(mean ± stddev over %d seeds)\n", r.Seeds)
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "fan-in")
 	for _, s := range r.Schemes {
@@ -162,7 +153,11 @@ func (r *PartAggResult) Print(w io.Writer) {
 			}
 			fmt.Fprintf(tw, "\t%.2f", r.NormJCT[fanIn][s])
 		}
-		fmt.Fprintf(tw, "\t%.2f\n", r.AbsJCTms[fanIn][ECMP])
+		if r.Seeds > 1 {
+			fmt.Fprintf(tw, "\t%.2f±%.2f\n", r.AbsJCTms[fanIn][ECMP], r.JCTStdMs[fanIn][ECMP])
+		} else {
+			fmt.Fprintf(tw, "\t%.2f\n", r.AbsJCTms[fanIn][ECMP])
+		}
 	}
 	tw.Flush()
 }

@@ -16,7 +16,7 @@ import (
 //
 // The counters are books of work executed, not of results reported: a
 // fluid-engine sweep simulates schemes with identical fluid models once (see
-// sweep), and a point that receives another's outcome adds nothing here.
+// runPoints), and a point that receives another's outcome adds nothing here.
 //
 // Points run concurrently on the experiment pool, so the counters are
 // atomic; attach one PerfStats via Options.Perf and read it after the

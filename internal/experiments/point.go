@@ -73,7 +73,8 @@ type point struct {
 
 // pointResult is what runPoint itself measured.
 type pointResult struct {
-	engines            int // engines the point ran on (1 = serial)
+	engines            int   // engines the point ran on (1 = serial)
+	events             int64 // engine events they executed between them
 	started, completed int64
 	simTime            sim.Time // furthest virtual time any engine reached
 	reroutes           int64    // fluid engine only: path changes, all flows
@@ -314,6 +315,7 @@ func (o Options) runPoint(pt point) pointResult {
 	res := pointResult{engines: n}
 	res.started, res.completed = tally()
 	for _, eng := range engines {
+		res.events += int64(eng.Executed)
 		if eng.Now() > res.simTime {
 			res.simTime = eng.Now()
 		}

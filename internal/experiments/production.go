@@ -308,12 +308,10 @@ func ProductionMix(o Options) *ProductionMixResult {
 		Schemes:     schemes,
 		Cells:       make(map[Scheme]MixCell),
 	}
-	name := func(s Scheme) string {
-		return o.pointLabel("production/%s/%s/seed=%d", res.Workload, s, o.Seed)
-	}
-	outs := fanOut(o, schemes, name, func(oo Options, s Scheme) *mixOutcome {
-		return oo.runProduction(s, cdf, flows)
-	})
+	label := func(s Scheme) string { return res.Workload + "/" + s.String() }
+	outs := must(runPoints(o, "production", 1, schemes, label, func(o Options, s Scheme) *mixOutcome {
+		return o.runProduction(s, cdf, flows)
+	}))
 	for i, s := range schemes {
 		cell := outs[i].cell()
 		res.Cells[s] = cell

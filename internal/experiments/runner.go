@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"flowbender/internal/runpool"
@@ -131,53 +131,63 @@ func runExperiments(o Options, w io.Writer, reg []RegistryEntry) {
 	if o.Log != nil {
 		o.Log = &syncWriter{w: o.Log}
 	}
-	bufs := make([]bytes.Buffer, len(reg))
+	outs := make([]string, len(reg))
 	var wg sync.WaitGroup
 	for i, e := range reg {
-		// Journal hit: a resumed run serves a completed experiment's
-		// recorded output (content-hash verified) instead of re-simulating.
-		if o.Ckpt != nil {
-			if ent, ok := o.Ckpt.Done(e.Name); ok {
-				bufs[i].WriteString(ent.Output)
-				o.logf("%s: served from checkpoint journal (%s)", e.Name, o.Ckpt.Path())
-				continue
-			}
-		}
 		wg.Add(1)
-		go func(i int, name string, run func(Options) Printable) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// Named pool errors (PanicError/WatchdogError) render
-					// with their point label, so the FAILED line identifies
-					// the experiment, scheme, seed, and shard that died.
-					bufs[i].Reset()
-					fmt.Fprintf(&bufs[i], "FAILED: %v\n", r)
-					// (errors.As: a point that stood for others arrives wrapped
-					// with the schemes it stood for, see sweep.)
-					err, _ := r.(error)
-					var pe *runpool.PanicError
-					if errors.As(err, &pe) {
-						o.logf("%s FAILED: %v\n%s", name, err, pe.Stack)
-					}
-					var we *runpool.WatchdogError
-					if errors.As(err, &we) && o.Ckpt != nil && we.Point != "" {
-						// Preserve the wedged point's last barrier state for
-						// post-mortem inspection of the checkpoint file.
-						o.Ckpt.FlagWedged(we.Point)
-					}
-				}
-			}()
-			run(o).Print(&bufs[i])
-			if o.Ckpt != nil {
-				o.Ckpt.RecordDone(name, bufs[i].String())
+			var err error
+			if _, outs[i], err = e.Execute(o); err != nil {
+				outs[i] = fmt.Sprintf("FAILED: %v\n", err)
 			}
-		}(i, e.Name, e.Run)
+		}()
 	}
 	wg.Wait()
 	for i, e := range reg {
-		fmt.Fprintf(w, "==== %s — %s ====\n", e.Name, e.Desc)
-		_, _ = bufs[i].WriteTo(w)
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "==== %s — %s ====\n%s\n", e.Name, e.Desc, outs[i])
 	}
+}
+
+// Execute runs one experiment the way fbsim -exp and RunAll both do. A
+// resumed run's journal serves a completed experiment's recorded output
+// (content-hash verified) without simulating anything, and res is nil.
+// Otherwise the experiment runs and its rendered output is journaled; a
+// failure — a point's labelled error, which renders with the label of the run
+// that died, or a panic of the experiment itself — comes back as err, and a
+// point the watchdog abandoned keeps its last barrier state in the checkpoint
+// file, flagged wedged, for post-mortem inspection.
+func (e RegistryEntry) Execute(o Options) (res Printable, out string, err error) {
+	if o.Ckpt != nil {
+		if ent, ok := o.Ckpt.Done(e.Name); ok {
+			o.logf("%s: served from checkpoint journal (%s)", e.Name, o.Ckpt.Path())
+			return nil, ent.Output, nil
+		}
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		// errors.As: a point that stood for others arrives wrapped with the
+		// schemes it stood for, see runPoints.
+		if err, _ = r.(error); err == nil {
+			err = fmt.Errorf("%v", r)
+		}
+		var pe *runpool.PanicError
+		if errors.As(err, &pe) {
+			o.logf("%s FAILED: %v\n%s", e.Name, err, pe.Stack)
+		}
+		var we *runpool.WatchdogError
+		if errors.As(err, &we) && o.Ckpt != nil && we.Point != "" {
+			o.Ckpt.FlagWedged(we.Point)
+		}
+	}()
+	res = e.Run(o)
+	var buf strings.Builder
+	res.Print(&buf)
+	if o.Ckpt != nil {
+		o.Ckpt.RecordDone(e.Name, buf.String())
+	}
+	return res, buf.String(), nil
 }

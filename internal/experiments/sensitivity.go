@@ -45,26 +45,12 @@ func SensitivityT(o Options) *SensitivityResult {
 }
 
 func (r *SensitivityResult) run(o Options, cfgOf func(v float64) core.Config) {
-	// Every (value, seed) pair is an independent simulation point.
 	reps := o.seeds()
 	r.Seeds = reps
-	type point struct {
-		vi  int
-		rep int
-	}
-	var points []point
-	for vi := range r.Values {
-		for rep := 0; rep < reps; rep++ {
-			points = append(points, point{vi: vi, rep: rep})
-		}
-	}
-	name := func(pt point) string {
-		return o.pointLabel("sensitivity/%s=%g/FlowBender/seed=%d", r.Param, r.Values[pt.vi], o.seedAt(pt.rep))
-	}
-	outs := fanOut(o, points, name, func(oo Options, pt point) float64 {
-		oo.Seed = o.seedAt(pt.rep)
-		return oo.runAllToAll(allToAllSpec{scheme: FlowBender, fb: cfgOf(r.Values[pt.vi]), load: r.Load}).FCT.All().Mean()
-	})
+	label := func(v float64) string { return fmt.Sprintf("%s=%g/FlowBender", r.Param, v) }
+	outs := must(runPoints(o, "sensitivity", reps, r.Values, label, func(o Options, v float64) float64 {
+		return o.runAllToAll(allToAllSpec{scheme: FlowBender, fb: cfgOf(v), load: r.Load}).FCT.All().Mean()
+	}))
 
 	abs := make([]float64, len(r.Values))
 	r.StdMs = make([]float64, len(r.Values))

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -12,88 +11,126 @@ import (
 	"flowbender/internal/sim"
 )
 
-// onPool turns an experiment's point function into the task the named runpool
-// maps run: every point gets its own Options copy, labelled (pointKey keys its
-// checkpoint watermarks; runpool attaches the same label to a failure) and
-// told the pool whose slot it runs under — a sharded point borrows its extra
-// workers' tokens there, and every point draws its engine arena from it.
-func onPool[P, Out any](o Options, pl *runpool.Pool, name func(P) string, fn func(Options, P) Out) func(P) Out {
-	return func(pt P) Out {
-		oo := o
-		oo.execPool = pl
-		oo.pointKey = name(pt)
-		return fn(oo, pt)
+// pointTask is one run of an experiment's point: the point, the replicate
+// seed it runs at, and its label.
+type pointTask[P any] struct {
+	pt    P
+	seed  int64
+	label string
+}
+
+// pointTasks expands points into their runs, in point order and, within a
+// point, by replicate: run rep of point i is task i*reps+rep. A run's label
+// is "<exp>/<label(pt)>/seed=<seed>", plus "/shards=<n>" when sharding is on:
+// one string that keys the run's checkpoint watermarks and identifies it in
+// a FAILED line.
+func pointTasks[P any](o Options, exp string, reps int, points []P, label func(P) string) []pointTask[P] {
+	tasks := make([]pointTask[P], 0, len(points)*reps)
+	for _, pt := range points {
+		for rep := 0; rep < reps; rep++ {
+			t := pointTask[P]{pt: pt, seed: o.seedAt(rep)}
+			t.label = fmt.Sprintf("%s/%s/seed=%d", exp, label(pt), t.seed)
+			if o.Shards > 1 {
+				t.label += fmt.Sprintf("/shards=%d", o.Shards)
+			}
+			tasks = append(tasks, t)
+		}
 	}
+	return tasks
 }
 
-// fanOut runs an experiment's independent simulation points on its worker
-// pool and returns the outcomes in point order, whatever the parallelism.
-func fanOut[P, Out any](o Options, points []P, name func(P) string, fn func(Options, P) Out) []Out {
-	pl := o.pool()
-	return runpool.MapNamed(pl, points, name, onPool(o, pl, name, fn))
-}
-
-// sweepPoint is a point of a scheme sweep: model names its scheme and, as one
-// comparable value, every other coordinate that distinguishes it within the
-// sweep (load or flow count, replicate seed).
-type sweepPoint interface {
-	model() (Scheme, any)
-}
-
-// sweep is fanOut for a scheme sweep that may run on the fluid engine (the
-// all-to-all figures, Table 1): points whose fluid models are identical are
-// simulated once.
+// runPoints is the one way an experiment runs its simulation points: every
+// point reps times, at seedAt(0..reps-1), on the experiment's worker pool.
+// Each run gets its own Options copy with its seed, its label as checkpoint
+// key, and the pool whose slot it runs under — a sharded run borrows its
+// extra workers' tokens there, and every run draws its engine arena from it.
+// The outcomes come back in task order (see pointTasks) whatever the
+// parallelism; a run that panicked or tripped the watchdog carries its
+// labelled error in its slot, and every other run still completes.
 //
-// On the fluid engine several schemes resolve to the same fluid.Config — the
+// On the fluid engine, runs of points that implement sweepPoint (the
+// all-to-all figures, Table 1) and whose fluid models are identical are
+// simulated once. Several schemes resolve to the same fluid.Config — the
 // model has no packet gaps for Flowlet and FlowDyn to switch on, no PFC for
-// DeTail — and two points that agree on the config and on every other
-// coordinate are the same computation bit for bit. sweep simulates the first
-// point of each such group and gives its outcome to the rest; the simulated
-// point keeps its own label, seed and checkpoint key, outcomes still come
-// back in point order, and a packet-engine sweep shares nothing. Equivalence
-// is read off fluidConfig, the one place a scheme is mapped onto the fluid
-// model, so a scheme that gains a model of its own stops sharing there.
-func sweep[P sweepPoint, Out any](o Options, exp string, points []P, name func(P) string, fn func(Options, P) Out) []Out {
-	scheme := func(i int) Scheme { s, _ := points[i].model(); return s }
-	lead := fluidLeaders(o, points)
-	var simulated []P
-	slot := make([]int, len(points))      // point -> index into simulated
-	stoodFor := make(map[string][]Scheme) // simulated point's label -> schemes sharing its outcome
+// DeTail — and two runs that agree on the config, on every other coordinate
+// and on the seed are the same computation bit for bit. The first run of
+// each such group is simulated under its own label and its outcome handed to
+// the rest; its failure is every one of theirs, wrapped in a
+// sharedPointError that names them. Equivalence is read off fluidConfig, the
+// one place a scheme is mapped onto the fluid model, so a scheme that gains a
+// model of its own stops sharing there.
+func runPoints[P, Out any](o Options, exp string, reps int, points []P, label func(P) string, run func(Options, P) Out) []runpool.TaskResult[Out] {
+	tasks := pointTasks(o, exp, reps, points, label)
+	lead := fluidLeaders(o, tasks)
+	var simulated []pointTask[P]
+	slot := make([]int, len(tasks)) // task -> index into simulated
+	var stoodFor [][]Scheme         // simulated -> schemes sharing its outcome
 	for i, l := range lead {
 		if l == i {
 			slot[i] = len(simulated)
-			simulated = append(simulated, points[i])
+			simulated = append(simulated, tasks[i])
+			stoodFor = append(stoodFor, nil)
 			continue
 		}
 		slot[i] = slot[l]
-		label := name(points[l])
-		stoodFor[label] = append(stoodFor[label], scheme(i))
+		stoodFor[slot[l]] = append(stoodFor[slot[l]], taskScheme(tasks[i]))
 	}
-	if len(stoodFor) > 0 {
-		o.logf("%s: %d of %d points simulated; %s", exp, len(simulated), len(points), describeSharing(lead, scheme))
-		// A failure of a simulated point is the failure of every point it
-		// stood for: say so in the report.
-		defer func() {
-			if r := recover(); r != nil {
-				panic(annotateShared(r, stoodFor))
-			}
-		}()
+	if len(simulated) < len(tasks) {
+		o.logf("%s: %d of %d points simulated; %s", exp, len(simulated), len(tasks),
+			describeSharing(lead, func(i int) Scheme { return taskScheme(tasks[i]) }))
 	}
-	outs := fanOut(o, simulated, name, fn)
-	all := make([]Out, len(points))
+
+	pl := o.pool()
+	outs := runpool.MapResultsNamed(pl, simulated, func(t pointTask[P]) string { return t.label }, func(t pointTask[P]) Out {
+		oo := o
+		oo.Seed, oo.pointKey, oo.execPool = t.seed, t.label, pl
+		return run(oo, t.pt)
+	})
+	all := make([]runpool.TaskResult[Out], len(tasks))
 	for i := range all {
 		all[i] = outs[slot[i]]
+		if also := stoodFor[slot[i]]; all[i].Err != nil && len(also) > 0 {
+			all[i].Err = &sharedPointError{err: all[i].Err, also: also}
+		}
 	}
 	return all
 }
 
-// fluidLeaders maps each of a sweep's points to the point that simulates it:
-// itself, or the first earlier point with the identical fluid model and
-// coordinates. Only a fluid-engine sweep shares, and a config carrying a
+// must returns the outcomes of an experiment that fails as a whole: their
+// values in order, or — once every run has finished, since the runs write the
+// caller's checkpoint and hold its arenas — a panic with the first failure in
+// order, the labelled error itself, so the FAILED report identifies the run.
+func must[Out any](res []runpool.TaskResult[Out]) []Out {
+	out := make([]Out, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			panic(r.Err)
+		}
+		out[i] = r.Val
+	}
+	return out
+}
+
+// sweepPoint is a point of a scheme sweep that may run on the fluid engine:
+// model names its scheme and, as one comparable value, every other
+// coordinate that distinguishes it within the sweep (load, flow count).
+type sweepPoint interface {
+	model() (Scheme, any)
+}
+
+// taskScheme is the scheme a sweep task runs.
+func taskScheme[P any](t pointTask[P]) Scheme {
+	s, _ := any(t.pt).(sweepPoint).model()
+	return s
+}
+
+// fluidLeaders maps each task to the task that simulates it: itself, or the
+// first earlier task with the identical fluid model, coordinates and seed.
+// Only sweep points on the fluid engine share, and a config carrying a
 // FlowBender controller never does — the controller is per-point state with
 // an RNG stream of its own.
-func fluidLeaders[P sweepPoint](o Options, points []P) []int {
-	lead := make([]int, len(points))
+func fluidLeaders[P any](o Options, tasks []pointTask[P]) []int {
+	lead := make([]int, len(tasks))
 	for i := range lead {
 		lead[i] = i
 	}
@@ -103,16 +140,21 @@ func fluidLeaders[P sweepPoint](o Options, points []P) []int {
 	type model struct {
 		cfg   fluid.Config
 		coord any
+		seed  int64
 	}
 	first := make(map[model]int)
 	p := o.params()
-	for i := range lead {
-		s, coord := points[i].model()
+	for i, t := range tasks {
+		sp, ok := any(t.pt).(sweepPoint)
+		if !ok {
+			return lead
+		}
+		s, coord := sp.model()
 		cfg := fluidConfig(p, s, core.Config{}, false, sim.NewRNG(0))
 		if cfg.FlowBender != nil {
 			continue
 		}
-		m := model{cfg, coord}
+		m := model{cfg, coord, t.seed}
 		if j, ok := first[m]; ok {
 			lead[i] = j
 		} else {
@@ -160,8 +202,8 @@ func describeSharing(lead []int, scheme func(i int) Scheme) string {
 	return strings.Join(clauses, ", ")
 }
 
-// sharedPointError is a simulated point's failure, reported on behalf of the
-// points that shared its outcome as well.
+// sharedPointError is a simulated run's failure, reported on behalf of the
+// runs that shared its outcome as well.
 type sharedPointError struct {
 	err  error
 	also []Scheme
@@ -176,24 +218,3 @@ func (e *sharedPointError) Error() string {
 }
 
 func (e *sharedPointError) Unwrap() error { return e.err }
-
-// annotateShared wraps a recovered pool failure whose point stood for others.
-func annotateShared(r any, stoodFor map[string][]Scheme) any {
-	err, ok := r.(error)
-	if !ok {
-		return r
-	}
-	point := ""
-	var pe *runpool.PanicError
-	var we *runpool.WatchdogError
-	switch {
-	case errors.As(err, &pe):
-		point = pe.Point
-	case errors.As(err, &we):
-		point = we.Point
-	}
-	if also := stoodFor[point]; len(also) > 0 {
-		return &sharedPointError{err: err, also: also}
-	}
-	return r
-}

@@ -5,38 +5,46 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"flowbender/internal/runpool"
 )
 
-// TestFluidTwinsIdentical is the proof behind sweep's sharing: every point
+// TestFluidTwinsIdentical is the proof behind runPoints' sharing: every run
 // of the all-to-all and Table 1 sweeps is simulated on its own, on the fluid
 // engine, and
 //
-//	(a) points sweep would group produce identical outcomes,
-//	(b) AllToAll and Table1 — which simulate one point per group — print
+//	(a) runs runPoints would group produce identical outcomes,
+//	(b) AllToAll and Table1 — which simulate one run per group — print
 //	    byte for byte the tables assembled from the solo runs, at any
 //	    parallelism,
 //	(c) a scheme with a fluid model of its own (FlowBender's controller,
 //	    RepFlow's replicas, DiffFlow's size split) is never grouped.
 //
 // The grouping is read off fluidConfig, so the day a scheme gets its own
-// fluid model it leaves its group there and this test follows.
+// fluid model it leaves its group there and this test follows. A solo run
+// goes through runPoints too, as a point that is no sweepPoint.
 func TestFluidTwinsIdentical(t *testing.T) {
 	for _, scale := range []ScaleLevel{ScaleTiny, ScaleSmall} {
 		t.Run(scale.String(), func(t *testing.T) {
-			o := Options{Seed: 5, Scale: scale, Engine: EngineFluid, FlowCount: 300, Repeats: 2}
+			o := Options{Seed: 5, Scale: scale, Engine: EngineFluid, FlowCount: 300, Repeats: 2, Parallelism: 2}
 
-			a2a := o.a2aPoints()
-			a2aOuts := make([]*runOutcome, len(a2a))
-			for i, pt := range a2a {
-				a2aOuts[i] = o.runA2APoint(pt)
+			var a2a []a2aPoint
+			for _, load := range DefaultLoads {
+				for _, s := range AllSchemes {
+					a2a = append(a2a, a2aPoint{load: load, scheme: s})
+				}
 			}
-			lead := fluidLeaders(o, a2a)
-			checkTwins(t, "alltoall", lead, func(i int) Scheme { return a2a[i].scheme }, func(i, j int) bool {
+			a2aOuts := soloRuns(o, o.seeds(), a2a, func(o Options, pt a2aPoint) *runOutcome {
+				return o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: pt.load})
+			})
+			lead := fluidLeaders(o, pointTasks(o, "alltoall", o.seeds(), a2a, a2aPoint.String))
+			a2aScheme := func(i int) Scheme { return a2a[i/o.seeds()].scheme }
+			checkTwins(t, "alltoall", lead, a2aScheme, func(i, j int) bool {
 				x, y := a2aOuts[i], a2aOuts[j]
 				return reflect.DeepEqual(&x.FCT, &y.FCT) && x.Reroutes == y.Reroutes && x.Incomplete == y.Incomplete
 			})
@@ -45,13 +53,18 @@ func TestFluidTwinsIdentical(t *testing.T) {
 					countLeaders(lead), len(lead), want)
 			}
 
-			t1 := o.t1Points()
-			t1Outs := make([]t1Out, len(t1))
-			for i, pt := range t1 {
-				t1Outs[i] = o.runT1Point(pt)
+			var t1 []t1Point
+			for _, k := range o.t1Counts() {
+				for _, s := range AllSchemes {
+					t1 = append(t1, t1Point{k: k, scheme: s})
+				}
 			}
-			t1Lead := fluidLeaders(o, t1)
-			checkTwins(t, "table1", t1Lead, func(i int) Scheme { return t1[i].scheme },
+			t1Outs := soloRuns(o, o.repeats(), t1, func(o Options, pt t1Point) t1Out {
+				m, x := o.runValidation(pt.scheme, nil, pt.k, o.t1FlowBytes())
+				return t1Out{meanMs: m, maxMs: x}
+			})
+			t1Lead := fluidLeaders(o, pointTasks(o, "table1", o.repeats(), t1, t1Point.String))
+			checkTwins(t, "table1", t1Lead, func(i int) Scheme { return t1[i/o.repeats()].scheme },
 				func(i, j int) bool { return t1Outs[i] == t1Outs[j] })
 
 			var want bytes.Buffer
@@ -76,17 +89,30 @@ func TestFluidTwinsIdentical(t *testing.T) {
 	for _, s := range AllSchemes {
 		every = append(every, schemePoint{s})
 	}
-	for i, l := range fluidLeaders(o, every) {
+	for i, l := range fluidLeaders(o, pointTasks(o, "every", 1, every, schemePoint.String)) {
 		if l != i {
 			t.Errorf("packet engine: %s grouped with %s", AllSchemes[i], AllSchemes[l])
 		}
 	}
 }
 
+// soloRuns runs every point reps times through runPoints with nothing
+// shared: each point is wrapped in a type that is no sweepPoint.
+func soloRuns[P, Out any](o Options, reps int, points []P, run func(Options, P) Out) []Out {
+	type solo struct{ pt P }
+	solos := make([]solo, len(points))
+	for i, pt := range points {
+		solos[i] = solo{pt}
+	}
+	return must(runPoints(o, "solo", reps, solos, func(s solo) string { return fmt.Sprint(s.pt) },
+		func(o Options, s solo) Out { return run(o, s.pt) }))
+}
+
 // schemePoint is a sweep point with no coordinate but its scheme.
 type schemePoint struct{ s Scheme }
 
 func (p schemePoint) model() (Scheme, any) { return p.s, nil }
+func (p schemePoint) String() string       { return p.s.String() }
 
 // checkTwins asserts (a) and (c) over one sweep's grouping.
 func checkTwins(t *testing.T, exp string, lead []int, scheme func(i int) Scheme, same func(i, j int) bool) {
@@ -147,16 +173,15 @@ func TestSharedPointFailureNamesAll(t *testing.T) {
 	o := Options{Seed: 1, Scale: ScaleTiny, Engine: EngineFluid, Parallelism: 2}
 	type pt = schemePoint
 	points := []pt{{ECMP}, {FlowBender}, {RPS}, {DeTail}, {Flowlet}, {FlowDyn}}
-	name := func(p pt) string { return "boom/" + p.s.String() }
 
-	outs := sweep(o, "boom", points, name, func(_ Options, p pt) Scheme { return p.s })
+	outs := must(runPoints(o, "boom", 1, points, pt.String, func(_ Options, p pt) Scheme { return p.s }))
 	if got := fmt.Sprint(outs); got != "[ECMP FlowBender RPS RPS ECMP ECMP]" {
 		t.Fatalf("outcomes handed out: %s", got)
 	}
 
 	failure := func(fn func(Options, pt) int) (r any) {
 		defer func() { r = recover() }()
-		sweep(o, "boom", points, name, fn)
+		must(runPoints(o, "boom", 1, points, pt.String, fn))
 		return nil
 	}
 	r := failure(func(_ Options, p pt) int {
@@ -169,7 +194,7 @@ func TestSharedPointFailureNamesAll(t *testing.T) {
 	if !ok {
 		t.Fatalf("recovered %v (%T), want an error", r, r)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "point boom/ECMP panicked: exploded") ||
+	if msg := err.Error(); !strings.Contains(msg, "point boom/ECMP/seed=1 panicked: exploded") ||
 		!strings.Contains(msg, "also stood for Flowlet, FlowDyn") {
 		t.Errorf("failure report %q does not name the point and every scheme it stood for", msg)
 	}
@@ -183,8 +208,8 @@ func TestSharedPointFailureNamesAll(t *testing.T) {
 	})
 	err, _ = r.(error)
 	var we *runpool.WatchdogError
-	if err == nil || !errors.As(err, &we) || we.Point != "boom/RPS" || !strings.Contains(err.Error(), "also stood for DeTail") {
-		t.Errorf("watchdog report %v: want point boom/RPS, also standing for DeTail", r)
+	if err == nil || !errors.As(err, &we) || we.Point != "boom/RPS/seed=1" || !strings.Contains(err.Error(), "also stood for DeTail") {
+		t.Errorf("watchdog report %v: want point boom/RPS/seed=1, also standing for DeTail", r)
 	}
 
 	// A point that stood for nothing fails as it always did.
@@ -197,4 +222,58 @@ func TestSharedPointFailureNamesAll(t *testing.T) {
 	if _, ok := r.(*runpool.PanicError); !ok {
 		t.Errorf("unshared point's failure arrived as %T, want the bare *runpool.PanicError", r)
 	}
+
+	// Per-run results keep each failure in its own slots: the fault matrix
+	// reads them so, and every sharing run names what it stood for.
+	o.Watchdog = 0
+	res := runPoints(o, "boom", 1, points, pt.String, func(_ Options, p pt) int {
+		if p.s == RPS {
+			panic("exploded")
+		}
+		return 0
+	})
+	for i, r := range res {
+		failed := points[i].s == RPS || points[i].s == DeTail
+		var se *sharedPointError
+		if failed != (r.Err != nil) || failed && (!errors.As(r.Err, &se) || fmt.Sprint(se.also) != "[DeTail]") {
+			t.Errorf("%s: result %+v", points[i].s, r)
+		}
+	}
+}
+
+// TestMustWaitsThenRaisesFirstLabeledFailure: an experiment that fails as a
+// whole must not unwind while a sibling run is still going — the sibling
+// writes the caller's checkpoint and holds its arenas — and it raises the
+// first failure in point order, not the first in time, as the labelled
+// *runpool.PanicError itself so the FAILED report identifies the run.
+func TestMustWaitsThenRaisesFirstLabeledFailure(t *testing.T) {
+	lastFailed, firstFailing := make(chan struct{}), make(chan struct{})
+	var siblingDone atomic.Bool
+	defer func() {
+		r := recover()
+		if pe, ok := r.(*runpool.PanicError); !ok || pe.Point != "boom/0/seed=3" {
+			t.Errorf("recovered %v (%T), want the labelled failure of boom/0/seed=3", r, r)
+		}
+		if !siblingDone.Load() {
+			t.Error("unwound while point 1 was still running")
+		}
+	}()
+	o := Options{Seed: 3, Parallelism: 3}
+	must(runPoints(o, "boom", 1, []int{0, 1, 2}, strconv.Itoa, func(_ Options, i int) int {
+		switch i {
+		case 2: // fails first in time
+			defer close(lastFailed)
+			panic("point 2 fails")
+		case 0: // fails second, first in point order
+			<-lastFailed
+			defer close(firstFailing)
+			panic("point 0 fails")
+		default: // still in flight after both failures have resolved
+			<-firstFailing
+			time.Sleep(50 * time.Millisecond)
+			siblingDone.Store(true)
+		}
+		return i
+	}))
+	t.Error("did not panic")
 }

@@ -47,23 +47,27 @@ type Table1Result struct {
 // 25 MB (one decade smaller, preserving many-RTT flows and the flows-per-
 // path ratios 1, 2, 3 x paths).
 func Table1(o Options) *Table1Result {
-	name := func(pt t1Point) string {
-		return o.pointLabel("table1/k=%d/%s/seed=%d", pt.k, pt.scheme, o.seedAt(pt.rep))
+	var points []t1Point
+	for _, k := range o.t1Counts() {
+		for _, scheme := range AllSchemes {
+			points = append(points, t1Point{k: k, scheme: scheme})
+		}
 	}
-	return o.assembleTable1(sweep(o, "table1", o.t1Points(), name, Options.runT1Point))
+	return o.assembleTable1(must(runPoints(o, "table1", o.repeats(), points, t1Point.String, func(o Options, pt t1Point) t1Out {
+		m, x := o.runValidation(pt.scheme, nil, pt.k, o.t1FlowBytes())
+		return t1Out{meanMs: m, maxMs: x}
+	})))
 }
 
-// t1Point is one (k, scheme, seed) point of the Table 1 sweep, t1Out its
-// measurement.
+// t1Point is one (k, scheme) point of the Table 1 sweep, t1Out its
+// measurement at one seed.
 type t1Point struct {
 	k      int
 	scheme Scheme
-	rep    int
 }
 
-func (pt t1Point) model() (Scheme, any) {
-	return pt.scheme, t1Point{k: pt.k, rep: pt.rep}
-}
+func (pt t1Point) model() (Scheme, any) { return pt.scheme, pt.k }
+func (pt t1Point) String() string       { return fmt.Sprintf("k=%d/%s", pt.k, pt.scheme) }
 
 type t1Out struct{ meanMs, maxMs float64 }
 
@@ -86,30 +90,7 @@ func (o Options) t1Counts() []int {
 	return []int{1 * paths, 2 * paths, 3 * paths}
 }
 
-// t1Points lists the sweep in table order: by k, then scheme, then replicate
-// seed. Micro-benchmarks with a handful of flows are dominated by the luck
-// of the hash draw, so the mean and max are averaged over several seeds
-// below paper scale; every (k, scheme, seed) triple is an isolated simulation.
-func (o Options) t1Points() []t1Point {
-	var points []t1Point
-	for _, k := range o.t1Counts() {
-		for _, scheme := range AllSchemes {
-			for r := 0; r < o.repeats(); r++ {
-				points = append(points, t1Point{k: k, scheme: scheme, rep: r})
-			}
-		}
-	}
-	return points
-}
-
-// runT1Point simulates one point of the sweep.
-func (o Options) runT1Point(pt t1Point) t1Out {
-	o.Seed = o.seedAt(pt.rep)
-	m, x := o.runValidation(pt.scheme, nil, pt.k, o.t1FlowBytes())
-	return t1Out{meanMs: m, maxMs: x}
-}
-
-// assembleTable1 builds the table from the sweep's outcomes, in t1Points
+// assembleTable1 builds the table from the sweep's outcomes, in runPoints
 // order.
 func (o Options) assembleTable1(outs []t1Out) *Table1Result {
 	p := o.params()

@@ -56,13 +56,11 @@ func Testbed(o Options) *TestbedResult {
 			points = append(points, point{load: load, scheme: scheme})
 		}
 	}
-	name := func(pt point) string {
-		return o.pointLabel("testbed/load=%g/%s/seed=%d", pt.load, pt.scheme, o.Seed)
-	}
-	outs := fanOut(o, points, name, func(oo Options, pt point) [3]float64 {
-		s := oo.runTestbed(lp, pt.scheme, pt.load, flows, res.FlowBytes)
+	label := func(pt point) string { return fmt.Sprintf("load=%g/%s", pt.load, pt.scheme) }
+	outs := must(runPoints(o, "testbed", 1, points, label, func(o Options, pt point) [3]float64 {
+		s := o.runTestbed(lp, pt.scheme, pt.load, flows, res.FlowBytes)
 		return [3]float64{s.Mean(), s.Percentile(99), s.Percentile(99.9)}
-	})
+	}))
 	for li, load := range res.Loads {
 		var vals [2][3]float64
 		for i, scheme := range schemes {

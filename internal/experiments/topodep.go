@@ -48,7 +48,6 @@ func TopoDependence(o Options) *TopoDepResult {
 		}
 	}
 
-	// Each (fabric, scheme) pair is an independent simulation point.
 	type point struct {
 		ci     int
 		scheme Scheme
@@ -57,13 +56,11 @@ func TopoDependence(o Options) *TopoDepResult {
 	for ci := range configs {
 		points = append(points, point{ci, ECMP}, point{ci, FlowBender})
 	}
-	name := func(pt point) string {
-		return o.pointLabel("topodep/fabric=%d/%s/seed=%d", pt.ci, pt.scheme, o.Seed)
-	}
-	outs := fanOut(o, points, name, func(opt Options, pt point) float64 {
-		opt.Scale = configs[pt.ci].scale
-		return opt.runAllToAll(allToAllSpec{scheme: pt.scheme, load: res.Load, params: &configs[pt.ci].p}).FCT.All().Mean()
-	})
+	label := func(pt point) string { return fmt.Sprintf("fabric=%d/%s", pt.ci, pt.scheme) }
+	outs := must(runPoints(o, "topodep", 1, points, label, func(o Options, pt point) float64 {
+		o.Scale = configs[pt.ci].scale
+		return o.runAllToAll(allToAllSpec{scheme: pt.scheme, load: res.Load, params: &configs[pt.ci].p}).FCT.All().Mean()
+	}))
 	for ci, c := range configs {
 		ecmp, fb := outs[2*ci], outs[2*ci+1]
 		imp := stats.Ratio(ecmp, fb)

@@ -44,13 +44,11 @@ func UDPSpray(o Options) *UDPSprayResult {
 	}
 	res := &UDPSprayResult{Paths: topo.SmallTestbed().AggsPerPod}
 	// Each variant is an independent simulation point.
-	name := func(v variant) string {
-		return o.pointLabel("udpspray/%s/seed=%d", v.name, o.Seed)
-	}
-	outs := fanOut(o, variants, name, func(oo Options, v variant) [2]float64 {
-		maxShare, ooo := oo.runUDPSpray(v.burst)
+	label := func(v variant) string { return v.name }
+	outs := must(runPoints(o, "udpspray", 1, variants, label, func(o Options, v variant) [2]float64 {
+		maxShare, ooo := o.runUDPSpray(v.burst)
 		return [2]float64{maxShare, ooo}
-	})
+	}))
 	for i, v := range variants {
 		res.Variants = append(res.Variants, v.name)
 		res.MaxShare = append(res.MaxShare, outs[i][0])

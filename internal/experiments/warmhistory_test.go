@@ -255,14 +255,13 @@ func runHistory(o Options, jobs []historyJob, oneByOne bool) *history {
 	for _, j := range jobs {
 		h.labels = append(h.labels, j.label)
 	}
-	pl := o.pool()
-	fn := onPool(o, pl, name, func(oo Options, j historyJob) string { return j.render(oo) })
+	render := func(o Options, j historyJob) string { return j.render(o) }
 	if !oneByOne {
-		h.outs = runpool.MapResultsNamed(pl, jobs, name, fn)
+		h.outs = runPoints(o, "history", 1, jobs, name, render)
 		return h
 	}
 	for _, j := range jobs {
-		h.outs = append(h.outs, runpool.MapResultsNamed(pl, []historyJob{j}, name, fn)...)
+		h.outs = append(h.outs, runPoints(o, "history", 1, []historyJob{j}, name, render)...)
 	}
 	return h
 }

@@ -52,13 +52,11 @@ func WCMP(o Options) *WCMPResult {
 		},
 	}
 	// Each variant is an independent simulation point.
-	name := func(v WCMPVariant) string {
-		return o.pointLabel("wcmp/%s/seed=%d", v.Name, o.Seed)
-	}
-	outs := fanOut(o, res.Variants, name, func(oo Options, v WCMPVariant) [3]float64 {
-		mean, p99, share := oo.runWCMP(v)
+	label := func(v WCMPVariant) string { return v.Name }
+	outs := must(runPoints(o, "wcmp", 1, res.Variants, label, func(o Options, v WCMPVariant) [3]float64 {
+		mean, p99, share := o.runWCMP(v)
 		return [3]float64{mean, p99, share}
-	})
+	}))
 	for i, v := range res.Variants {
 		mean, p99, share := outs[i][0], outs[i][1], outs[i][2]
 		res.MeanMs = append(res.MeanMs, mean*1000)

@@ -35,16 +35,16 @@ func TestNamedErrorsCarryPoint(t *testing.T) {
 	}
 }
 
-// TestMapNamedRetriesWatchdogOnce: a point whose first attempt trips the
-// watchdog is resubmitted exactly once with the same closure; a fast second
-// attempt turns the sweep healthy.
-func TestMapNamedRetriesWatchdogOnce(t *testing.T) {
+// TestMapResultsNamedRetriesWatchdogOnce: a point whose first attempt trips
+// the watchdog is resubmitted exactly once with the same closure; a fast
+// second attempt turns the sweep healthy.
+func TestMapResultsNamedRetriesWatchdogOnce(t *testing.T) {
 	p := New(4)
 	p.SetWatchdog(30 * time.Millisecond)
 	var calls atomic.Int32
 	release := make(chan struct{})
 	defer close(release)
-	out := MapNamed(p, []int{1, 2, 3},
+	out := MapResultsNamed(p, []int{1, 2, 3},
 		func(i int) string { return fmt.Sprintf("pt%d", i) },
 		func(i int) int {
 			if i == 2 && calls.Add(1) == 1 {
@@ -52,8 +52,10 @@ func TestMapNamedRetriesWatchdogOnce(t *testing.T) {
 			}
 			return i * 10
 		})
-	if out[0] != 10 || out[1] != 20 || out[2] != 30 {
-		t.Fatalf("out = %v", out)
+	for i, r := range out {
+		if r.Err != nil || r.Val != (i+1)*10 {
+			t.Fatalf("out[%d] = %+v", i, r)
+		}
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("point 2 ran %d times, want 2 (original + one retry)", calls.Load())
@@ -93,73 +95,36 @@ func TestMapResultsNamedReportsAfterSecondTimeout(t *testing.T) {
 	}
 }
 
-// TestMapNamedPanicsWithLabeledError: Map-style consumers fail the whole
-// experiment on a lost point, and the panic value itself must identify it.
-func TestMapNamedPanicsWithLabeledError(t *testing.T) {
-	p := New(2)
+// TestMapNWaitsForInFlightOnFailure: a failed index must not unwind the
+// caller while a sibling is still running — the sibling may hold state the
+// caller is about to tear down — and with two failures it is the first in
+// index order that is raised, not the first in time.
+func TestMapNWaitsForInFlightOnFailure(t *testing.T) {
+	lastFailed, firstFailing := make(chan struct{}), make(chan struct{})
+	var siblingDone atomic.Bool
 	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok || pe.Point != "pt1" {
-			t.Fatalf("recovered %v (%T), want labeled *PanicError", r, r)
+		if r := recover(); r != "pt0 fails" {
+			t.Errorf("recovered %v (%T), want pt0's failure", r, r)
+		}
+		if !siblingDone.Load() {
+			t.Error("unwound while pt1 was still running")
 		}
 	}()
-	MapNamed(p, []int{0, 1},
-		func(i int) string { return fmt.Sprintf("pt%d", i) },
-		func(i int) int {
-			if i == 1 {
-				panic("unlucky point")
-			}
-			return i
-		})
-	t.Fatal("MapNamed did not panic")
-}
-
-// TestMapNamedWaitsForInFlightOnFailure: a failed point must not unwind the
-// caller while a sibling is still running — the sibling writes the caller's
-// checkpoint and holds its arenas — and with two failures it is the first in
-// item order that is raised, not the first in time. MapN is held to the same.
-func TestMapNamedWaitsForInFlightOnFailure(t *testing.T) {
-	name := func(i int) string { return fmt.Sprintf("pt%d", i) }
-	for _, tc := range []struct {
-		api  string
-		call func(p *Pool, fn func(int) int)
-		want func(r any) bool
-	}{
-		{"MapNamed", func(p *Pool, fn func(int) int) { MapNamed(p, []int{0, 1, 2}, name, fn) },
-			func(r any) bool { pe, ok := r.(*PanicError); return ok && pe.Point == "pt0" }},
-		{"MapN", func(p *Pool, fn func(int) int) { MapN(p, 3, fn) },
-			func(r any) bool { return r == "pt0 fails" }},
-	} {
-		t.Run(tc.api, func(t *testing.T) {
-			lastFailed, firstFailing := make(chan struct{}), make(chan struct{})
-			var siblingDone atomic.Bool
-			defer func() {
-				r := recover()
-				if !tc.want(r) {
-					t.Errorf("recovered %v (%T), want pt0's failure", r, r)
-				}
-				if !siblingDone.Load() {
-					t.Error("unwound while pt1 was still running")
-				}
-			}()
-			tc.call(New(3), func(i int) int {
-				switch i {
-				case 2: // fails first in time
-					defer close(lastFailed)
-					panic("pt2 fails")
-				case 0: // fails second, first in item order
-					<-lastFailed
-					defer close(firstFailing)
-					panic("pt0 fails")
-				default: // still in flight after both failures have resolved
-					<-firstFailing
-					time.Sleep(50 * time.Millisecond)
-					siblingDone.Store(true)
-				}
-				return i
-			})
-			t.Error("did not panic")
-		})
-	}
+	MapN(New(3), 3, func(i int) int {
+		switch i {
+		case 2: // fails first in time
+			defer close(lastFailed)
+			panic("pt2 fails")
+		case 0: // fails second, first in index order
+			<-lastFailed
+			defer close(firstFailing)
+			panic("pt0 fails")
+		default: // still in flight after both failures have resolved
+			<-firstFailing
+			time.Sleep(50 * time.Millisecond)
+			siblingDone.Store(true)
+		}
+		return i
+	})
+	t.Error("did not panic")
 }

@@ -10,7 +10,7 @@
 // Tasks submitted to a pool must not block waiting on other tasks in the
 // same pool: a task holds one of the pool's slots for its whole run, so
 // parent tasks waiting on children can exhaust the slots and deadlock.
-// Orchestration code that only submits and waits (like MapNamed callers)
+// Orchestration code that only submits and waits (like MapResultsNamed callers)
 // runs outside the pool and is safe.
 package runpool
 
@@ -291,31 +291,12 @@ func resultRetryWatchdog[T any](p *Pool, point string, fn func() T, f *Future[T]
 	return v2, err2
 }
 
-// MapNamed runs fn over every item concurrently (bounded by the pool) with a
-// per-item point label (used for failure identification and checkpoint keys)
-// and a bounded single retry of watchdog-timed-out points. Like MapN it waits
-// for every item, then panics on the first failed one in item order — with
-// the labeled *PanicError or *WatchdogError itself, so the caller's FAILED
-// report identifies the point — and returns results in item order. Sibling
-// points write the caller's checkpoint and hold its arenas while they run, so
-// the panic must not overtake them.
-func MapNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []Out {
-	res := MapResultsNamed(p, items, name, fn)
-	out := make([]Out, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			panic(r.Err)
-		}
-		out[i] = r.Val
-	}
-	return out
-}
-
 // MapResultsNamed runs fn over every item concurrently (bounded by the pool)
-// and returns per-item results in item order. Unlike MapNamed, a panicking or
+// with a per-item point label (used for failure identification and
+// checkpoint keys) and returns per-item results in item order. A panicking or
 // watchdog-timed-out item does not abort the sweep: its slot carries the
-// error — labeled with the item's point, after the same bounded single
-// watchdog retry — and every other item still completes and reports.
+// error — labeled with the item's point, after a bounded single retry of a
+// watchdog timeout — and every other item still completes and reports.
 func MapResultsNamed[In, Out any](p *Pool, items []In, name func(In) string, fn func(In) Out) []TaskResult[Out] {
 	futs := make([]*Future[Out], len(items))
 	for i := range items {

@@ -19,16 +19,16 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 	// Earlier items sleep longer, so completion order is roughly reversed;
 	// the results must still come back in submission order.
-	out := MapNamed(p, items, pointName, func(i int) int {
+	out := MapResultsNamed(p, items, pointName, func(i int) int {
 		time.Sleep(time.Duration(len(items)-i) * 10 * time.Microsecond)
 		return i * i
 	})
 	if len(out) != len(items) {
 		t.Fatalf("len = %d", len(out))
 	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+	for i, r := range out {
+		if r.Err != nil || r.Val != i*i {
+			t.Fatalf("out[%d] = %+v, want %d", i, r, i*i)
 		}
 	}
 }

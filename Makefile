@@ -86,10 +86,6 @@ results-paper:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/websearch -flows 400
-	$(GO) run ./examples/incast -jobs 40
-	$(GO) run ./examples/hotspot
-	$(GO) run ./examples/linkfailure
 	$(GO) run ./examples/trace > /dev/null
 
 clean:

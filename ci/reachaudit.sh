@@ -2,7 +2,7 @@
 # Reach audit: every shipped internal/ function is executed by some binary, or
 # ci/reach-allow.txt says why not.
 #
-# Builds the three binaries (fbsim, fbtopo, bench) and the six
+# Builds the three binaries (fbsim, fbtopo, bench) and the two
 # examples with coverage over every package, drives them through the runs a
 # user makes — the tiny suite on both engines, single experiments across
 # engines, scales up to mega, shards, seeds, checkpoint and resume, the path
@@ -75,10 +75,6 @@ run fbtopo -scale tiny
 run fbtopo -scale small -src 0 -dst 40
 
 run quickstart
-run websearch -flows 400
-run incast -jobs 40
-run hotspot
-run linkfailure
 run trace
 
 for w in packet-a2a packet-mix fluid-a2a fluid-mix suite-tiny; do

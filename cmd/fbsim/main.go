@@ -107,7 +107,10 @@ func main() {
 	var res experiments.Printable
 	var out string
 	if *exp == "all" {
-		experiments.RunAll(o, os.Stdout)
+		if err := experiments.RunAll(o, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "fbsim:", err)
+			exit(1)
+		}
 	} else if res, out, err = entries[0].Execute(o); err != nil {
 		fmt.Fprintf(os.Stderr, "fbsim: experiment %s failed: %v\n", *exp, err)
 		exit(1)

@@ -76,7 +76,7 @@ const (
 // resumed at a different -parallel setting; -shards changes the per-shard
 // engine states and so must match).
 type Descriptor struct {
-	// Tool names the producing command and mode, e.g. "fbbench" or
+	// Tool names the producing command and mode, e.g. "fbsim:all" or
 	// "fbsim:alltoall".
 	Tool      string `json:"tool"`
 	Seed      int64  `json:"seed"`

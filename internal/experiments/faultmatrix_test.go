@@ -159,7 +159,8 @@ func TestFaultCellJSONHandlesNaN(t *testing.T) {
 }
 
 // TestRunAllSurvivesPanickingExperiment pins the harness-level recovery: one
-// experiment panicking mid-run must not take down the others.
+// experiment panicking mid-run must not take down the others, and the error
+// returned after every table is printed names the one that failed.
 func TestRunAllSurvivesPanickingExperiment(t *testing.T) {
 	reg := []RegistryEntry{
 		{Name: "boom", Desc: "always panics",
@@ -171,7 +172,10 @@ func TestRunAllSurvivesPanickingExperiment(t *testing.T) {
 			}},
 	}
 	var buf bytes.Buffer
-	runExperiments(Options{Seed: 7, Scale: ScaleTiny, Parallelism: 4}, &buf, reg)
+	err := runExperiments(Options{Seed: 7, Scale: ScaleTiny, Parallelism: 4}, &buf, reg)
+	if err == nil || !strings.Contains(err.Error(), "boom") || strings.Contains(err.Error(), "faults-subset") {
+		t.Fatalf("error %v: want one naming boom and not faults-subset", err)
+	}
 	out := buf.String()
 	if !strings.Contains(out, "==== boom") || !strings.Contains(out, "FAILED: experiment exploded") {
 		t.Fatalf("panicking experiment not reported inline:\n%s", out)

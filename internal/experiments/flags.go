@@ -15,7 +15,7 @@ import (
 	"flowbender/internal/workload"
 )
 
-// The one flag binder: fbsim, fbbench and fbtopo register their run-shaping
+// The one flag binder: fbsim and fbtopo register their run-shaping
 // flags here and nowhere else, and share the profile and checkpoint wiring
 // that hangs off them.
 

@@ -117,36 +117,45 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 // in registry order. All experiments run concurrently, sharing one worker
 // pool bounded by Options.Parallelism, so total simulation concurrency
 // stays bounded; each experiment's output is buffered and emitted in
-// order, byte-identical to a sequential run. An experiment that panics is
-// reported FAILED inline and the rest still complete.
-func RunAll(o Options, w io.Writer) {
-	runExperiments(o, w, Registry)
+// order, byte-identical to a sequential run. An experiment that fails is
+// reported FAILED inline and the rest still complete; once every table is
+// printed, the returned error names the experiments that failed.
+func RunAll(o Options, w io.Writer) error {
+	return runExperiments(o, w, Registry)
 }
 
 // runExperiments is RunAll over an explicit registry slice (tests inject
 // deliberately crashing experiments through it).
-func runExperiments(o Options, w io.Writer, reg []RegistryEntry) {
+func runExperiments(o Options, w io.Writer, reg []RegistryEntry) error {
 	o.sharedPool = runpool.New(o.Parallelism)
 	o.sharedPool.SetWatchdog(o.Watchdog)
 	if o.Log != nil {
 		o.Log = &syncWriter{w: o.Log}
 	}
 	outs := make([]string, len(reg))
+	errs := make([]error, len(reg))
 	var wg sync.WaitGroup
 	for i, e := range reg {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var err error
-			if _, outs[i], err = e.Execute(o); err != nil {
-				outs[i] = fmt.Sprintf("FAILED: %v\n", err)
+			if _, outs[i], errs[i] = e.Execute(o); errs[i] != nil {
+				outs[i] = fmt.Sprintf("FAILED: %v\n", errs[i])
 			}
 		}()
 	}
 	wg.Wait()
+	var failed []string
 	for i, e := range reg {
 		fmt.Fprintf(w, "==== %s — %s ====\n%s\n", e.Name, e.Desc, outs[i])
+		if errs[i] != nil {
+			failed = append(failed, e.Name)
+		}
 	}
+	if failed != nil {
+		return fmt.Errorf("%d of %d experiments failed: %s", len(failed), len(reg), strings.Join(failed, ", "))
+	}
+	return nil
 }
 
 // Execute runs one experiment the way fbsim -exp and RunAll both do. A

@@ -114,7 +114,7 @@ var (
 )
 
 // Descriptor returns the checkpoint identity of a run of o by the named tool
-// ("fbbench", "fbsim:alltoall"). Fields the Descriptor has no slot for go
+// ("fbsim:all", "fbsim:alltoall"). Fields the Descriptor has no slot for go
 // into Extra as key=value words, present only when set, so a default run's
 // descriptor is the one older files carry. A custom CDF is identified by
 // what it holds, not by the path it was read from.

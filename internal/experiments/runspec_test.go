@@ -107,8 +107,8 @@ func TestDescriptorCDFByContent(t *testing.T) {
 	if extra := a.Descriptor("t").Extra; !strings.HasPrefix(extra, "cdf=sha256:") || len(extra) != len("cdf=sha256:")+16 {
 		t.Errorf("extra = %q, want cdf=sha256:<16 hex digits>", extra)
 	}
-	want := checkpoint.Descriptor{Tool: "fbbench", Seed: 1, Scale: "small"}
-	if got := DefaultOptions().Descriptor("fbbench"); got != want {
+	want := checkpoint.Descriptor{Tool: "fbsim:all", Seed: 1, Scale: "small"}
+	if got := DefaultOptions().Descriptor("fbsim:all"); got != want {
 		t.Errorf("default descriptor = %+v, want %+v", got, want)
 	}
 }

@@ -57,9 +57,8 @@ func TestPointLabelsGolden(t *testing.T) {
 	}
 	o.Ckpt = m
 	var out bytes.Buffer
-	RunAll(o, &out)
-	if strings.Contains(out.String(), "FAILED") {
-		t.Fatalf("RunAll reported a failure:\n%s", out.String())
+	if err := RunAll(o, &out); err != nil {
+		t.Fatalf("RunAll: %v\n%s", err, out.String())
 	}
 	f, err := checkpoint.Load(path)
 	if err != nil {

@@ -25,8 +25,8 @@ func bucketBase(alpha float64) (g, lg float64, top int) {
 
 // DefaultSketchCap is the number of observations a Sketch holds exactly
 // before collapsing to logarithmic buckets. Below the cap the sketch is
-// bit-for-bit identical to a Sample; above it memory stays flat no matter
-// how many observations arrive.
+// bit-for-bit identical to an exact sample (the tests' Sample oracle); above
+// it memory stays flat no matter how many observations arrive.
 const DefaultSketchCap = 8192
 
 // SketchMinValue is the smallest magnitude the bucketed representation
@@ -47,11 +47,11 @@ const SketchMaxValue = 1e300
 // It has two regimes:
 //
 //   - Exact: up to DefaultSketchCap observations it stores raw
-//     observations and reproduces Sample's behavior bit for bit — the same
+//     observations and reproduces an exact sample bit for bit — the same
 //     in-place sort, the same linear interpolation between order statistics,
 //     the same summation order for Mean. Experiments that fit in memory
-//     render byte-identical output whether they aggregate through a Sample
-//     or a Sketch.
+//     render byte-identical output whether they keep every observation or
+//     aggregate through a Sketch; the tests' Sample is that oracle.
 //
 //   - Collapsed: past the cap it folds every observation into DDSketch-style
 //     logarithmic buckets (integer counts keyed by ceil(log_gamma|v|), where
@@ -70,9 +70,9 @@ const SketchMaxValue = 1e300
 // sort first and are order-independent there too. Shard runners merge in
 // shard-index order regardless, mirroring how they merge event streams.
 //
-// The zero value is ready to use, matching Sample. NaN and ±Inf
-// observations are dropped and counted in Dropped — they would otherwise
-// poison the sort order or the bucket index.
+// The zero value is ready to use. NaN and ±Inf observations are dropped and
+// counted in Dropped — they would otherwise poison the sort order or the
+// bucket index.
 type Sketch struct {
 	capN int // exact-mode capacity; 0 = DefaultSketchCap (tests set it)
 
@@ -199,7 +199,7 @@ func (s *Sketch) Max() float64 {
 }
 
 // Mean returns the arithmetic mean (NaN when empty). In the exact regime it
-// sums the stored slice in its current order, mirroring Sample.Mean; in the
+// sums the stored slice in its current order, as an exact sample does; in the
 // collapsed regime it is computed from bucket representatives in ascending
 // bucket order (deterministic, within alpha of the exact mean for
 // same-signed data).
@@ -242,7 +242,7 @@ func (s *Sketch) sortedKeys(m map[int]int64, desc bool) []int {
 
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between order statistics (NaN when empty). In the exact
-// regime this is bit-identical to Sample.Percentile — including the rank
+// regime this is bit-identical to an exact sample's — including the rank
 // arithmetic p/100*(n-1), which differs in the last ulp from q*(n-1) when
 // p/100 doesn't round to q (99.9/100 != 0.999); collapsed, the order
 // statistics are bucket representatives, so the result is within relative
@@ -391,7 +391,7 @@ func (s *Sketch) foldBuckets(o *Sketch) {
 }
 
 // BinnedSketch groups observations by the paper's flow-size bins, exactly
-// like BinnedSample but with flat memory past each bin's cap.
+// like the tests' BinnedSample but with flat memory past each bin's cap.
 type BinnedSketch struct {
 	Bins [NumBins]Sketch
 }

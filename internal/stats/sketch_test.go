@@ -379,78 +379,7 @@ func TestBinnedSketchMatchesBinnedSample(t *testing.T) {
 	}
 }
 
-// --- regression tests for the Histogram/Summarize audit (satellite 4) ---
-
-// TestHistogramNonFinite: +Inf used to compute an infinite bucket index
-// (unbounded allocation); NaN landed silently in bucket 0.
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(1e-6, 2)
-	h.Add(math.Inf(1))
-	h.Add(math.Inf(-1))
-	h.Add(math.NaN())
-	if histTotal(h) != 0 || h.Dropped() != 3 {
-		t.Fatalf("total=%d dropped=%d, want 0/3", histTotal(h), h.Dropped())
-	}
-	h.Add(1)
-	if histTotal(h) != 1 {
-		t.Fatalf("total=%d after finite add", histTotal(h))
-	}
-	if ups, _ := h.Buckets(); math.IsNaN(ups[len(ups)-1]) || math.IsInf(ups[len(ups)-1], 0) {
-		t.Fatalf("top bucket bound %v after non-finite adds", ups[len(ups)-1])
-	}
-}
-
-// TestHistogramHugeValueBounded: a finite-but-astronomical value (or a
-// Factor barely above 1) must not allocate billions of buckets.
-func TestHistogramHugeValueBounded(t *testing.T) {
-	h := NewHistogram(1e-6, 2)
-	h.Add(math.MaxFloat64)
-	if len(h.counts) > maxHistogramBuckets {
-		t.Fatalf("bucket slice grew to %d", len(h.counts))
-	}
-	pathological := &Histogram{Base: 1, Factor: 1 + 1e-12}
-	pathological.Add(1e30) // index would be ~7e13 without the clamp
-	if len(pathological.counts) > maxHistogramBuckets {
-		t.Fatalf("pathological factor grew %d buckets", len(pathological.counts))
-	}
-	if histTotal(pathological) != 1 {
-		t.Fatalf("observation lost: total=%d", histTotal(pathological))
-	}
-}
-
-// TestHistogramZeroValueUsable: the zero value must behave like
-// NewHistogram's defaults instead of dividing by log(0).
-func TestHistogramZeroValueUsable(t *testing.T) {
-	var h Histogram
-	h.Add(0.5)
-	h.Add(2)
-	if histTotal(&h) != 2 {
-		t.Fatalf("total=%d", histTotal(&h))
-	}
-	if ups, _ := h.Buckets(); math.IsNaN(ups[len(ups)-1]) || ups[len(ups)-1] < 2 {
-		t.Fatalf("top bucket bound %v, want >= 2", ups[len(ups)-1])
-	}
-}
-
-// TestHistogramExtremeDurations: samples near 2^53 ns (the float64 integer
-// precision edge PR 1's CDF fixes centred on) must bucket sanely: every
-// observation in a bucket whose upper bound is within a factor of 2^53.
-func TestHistogramExtremeDurations(t *testing.T) {
-	h := NewHistogram(1, 2) // nanosecond buckets
-	base := math.Exp2(53)
-	for i := -4; i <= 4; i++ {
-		h.Add(base + float64(i)*1024)
-	}
-	if histTotal(h) != 9 {
-		t.Fatalf("total=%d", histTotal(h))
-	}
-	ups, counts := h.Buckets()
-	for i, c := range counts {
-		if c > 0 && (ups[i] < base || ups[i] > base*4) {
-			t.Fatalf("%d observations in the bucket up to %v, not within a bucket of 2^53", c, ups[i])
-		}
-	}
-}
+// --- Summarize regression tests ---
 
 // TestSummarizeNonFinite: an Inf replicate used to make Mean=Inf, Std=NaN.
 func TestSummarizeNonFinite(t *testing.T) {

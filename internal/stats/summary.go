@@ -16,14 +16,24 @@ type Summary struct {
 // infinite and Std NaN, silently poisoning a multi-seed row. With no finite
 // values both Mean and Std are NaN.
 func Summarize(xs []float64) Summary {
-	var s Sample
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	sum, n := 0.0, 0
 	for _, x := range xs {
-		if !math.IsNaN(x) && !math.IsInf(x, 0) {
-			s.Add(x)
+		if finite(x) {
+			sum += x
+			n++
 		}
 	}
-	if s.N() == 0 {
+	if n == 0 {
 		return Summary{Mean: math.NaN(), Std: math.NaN()}
 	}
-	return Summary{Mean: s.Mean(), Std: s.Stddev(), N: s.N()}
+	mean := sum / float64(n)
+	sq := 0.0
+	for _, x := range xs {
+		if finite(x) {
+			d := x - mean
+			sq += d * d
+		}
+	}
+	return Summary{Mean: mean, Std: math.Sqrt(sq / float64(n)), N: n}
 }

@@ -38,3 +38,20 @@ func TestSummarizeEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestSummarizeMatchesSample: Summarize's two passes are Sample's Mean and
+// Stddev over the finite replicates, bit for bit.
+func TestSummarizeMatchesSample(t *testing.T) {
+	xs := []float64{0.1, 7.3, math.Inf(1), 2.9e-3, math.NaN(), 11, 0.30000000000000004, 5.5}
+	var s Sample
+	for _, x := range xs {
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			s.Add(x)
+		}
+	}
+	got := Summarize(xs)
+	if math.Float64bits(got.Mean) != math.Float64bits(s.Mean()) ||
+		math.Float64bits(got.Std) != math.Float64bits(s.Stddev()) || got.N != s.N() {
+		t.Fatalf("Summarize = %+v, Sample gives mean %v std %v n %d", got, s.Mean(), s.Stddev(), s.N())
+	}
+}

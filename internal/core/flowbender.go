@@ -70,12 +70,9 @@ type Config struct {
 
 	// RNG supplies randomness for V draws and DesyncN. When nil, V cycles
 	// deterministically through its range (V+1 mod NumValues), which is the
-	// simplest conforming implementation and convenient for tests.
+	// simplest conforming implementation and convenient for tests. The
+	// starting V is a uniform draw with an RNG and 0 without one.
 	RNG *sim.RNG
-
-	// InitialTag fixes the starting V; with an RNG the default start is a
-	// uniform draw, without one it is 0.
-	InitialTag uint32
 }
 
 func (c Config) withDefaults() Config {
@@ -152,8 +149,7 @@ func Make(cfg Config) FlowBender {
 	}
 	cfg = cfg.withDefaults()
 	fb := FlowBender{cfg: cfg, requiredN: cfg.N, sinceReroute: 1 << 30}
-	fb.tag = cfg.InitialTag % cfg.NumValues
-	if cfg.RNG != nil && cfg.InitialTag == 0 {
+	if cfg.RNG != nil {
 		fb.tag = uint32(cfg.RNG.Intn(int(cfg.NumValues)))
 	}
 	if cfg.DesyncN {

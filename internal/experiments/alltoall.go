@@ -45,7 +45,7 @@ type AllToAllResult struct {
 	// Reroutes[load] counts FlowBender path changes at that load
 	// (averaged across seeds).
 	Reroutes map[float64]int64
-	// Incomplete flags any flows that failed to finish before MaxWait.
+	// Incomplete flags any flows that failed to finish before maxWait.
 	Incomplete int
 	// Seeds is the replication count the cells were aggregated over.
 	Seeds int

@@ -50,7 +50,7 @@ func LinkFailure(o Options) *LinkFailureResult {
 		FlowBytes: 10_000_000,
 		FailAt:    1 * sim.Millisecond,
 		Deadline:  2 * sim.Second,
-		RTOMin:    10 * sim.Millisecond,
+		RTOMin:    tcp.RTOMin,
 		Completed: make(map[Scheme]int),
 		Affected:  make(map[Scheme]int),
 

@@ -138,9 +138,6 @@ type Options struct {
 	JobCount int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// MaxWait bounds how long (virtual time) a run waits for in-flight
-	// flows to drain after arrivals stop. 0 = 10 s.
-	MaxWait sim.Time
 	// Repeats averages micro-benchmarks (Table 1) over this many seeds;
 	// 0 picks a scale-appropriate default (3 below paper scale, 1 at it).
 	Repeats int
@@ -250,6 +247,10 @@ type Options struct {
 	// computed bounded-lag window and forces single-worker execution so
 	// the resulting lookahead violation panics on the caller's goroutine.
 	debugShardWindow sim.Time
+
+	// debugMaxWait (tests only) replaces the 10 s a run waits, in virtual
+	// time, for in-flight flows to drain after arrivals stop.
+	debugMaxWait sim.Time
 }
 
 func (o Options) params() topo.Params { return scales[o.Scale].params }
@@ -312,8 +313,8 @@ func (o Options) pool() *runpool.Pool {
 }
 
 func (o Options) maxWait() sim.Time {
-	if o.MaxWait > 0 {
-		return o.MaxWait
+	if o.debugMaxWait > 0 {
+		return o.debugMaxWait
 	}
 	return 10 * sim.Second
 }

@@ -108,7 +108,7 @@ func (e RegistryEntry) CheckScale(o Options) error {
 // itself, so a run may be resumed with any of them changed. Every exported
 // field is in exactly one list (TestOptionsFieldsClassified).
 var (
-	identityFields = []string{"Seed", "Scale", "Engine", "FlowCount", "JobCount", "MaxWait", "Repeats",
+	identityFields = []string{"Seed", "Scale", "Engine", "FlowCount", "JobCount", "Repeats",
 		"Shards", "Seeds", "CDF", "FaultScenarios", "Workload", "Load", "MixSchemes", "CheckpointEvery"}
 	notIdentityFields = []string{"Parallelism", "SolverShards", "Watchdog", "Log", "Perf", "Ckpt"}
 )
@@ -132,7 +132,6 @@ func (o Options) Descriptor(tool string) checkpoint.Descriptor {
 	add("workload", o.Workload != "", o.Workload)
 	add("load", o.Load != 0, o.Load)
 	add("schemes", len(o.MixSchemes) > 0, strings.ReplaceAll(fmt.Sprint(o.MixSchemes), " ", ","))
-	add("maxwait", o.MaxWait != 0, int64(o.MaxWait))
 	add("repeats", o.Repeats != 0, o.Repeats)
 	return checkpoint.Descriptor{
 		Tool:            tool,

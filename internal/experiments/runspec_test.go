@@ -66,7 +66,7 @@ func mutate(t *testing.T, v reflect.Value) {
 // Options and from one with every identity field already set.
 func TestDescriptorPinsIdentityOnly(t *testing.T) {
 	set := Options{Seed: 3, Scale: ScalePaper, Engine: EngineFluid, FlowCount: 40, JobCount: 5,
-		MaxWait: sim.Second, Repeats: 2, Shards: 2, Seeds: 3, CDF: workload.Fixed(1000),
+		Repeats: 2, Shards: 2, Seeds: 3, CDF: workload.Fixed(1000),
 		FaultScenarios: []string{"cut"}, Workload: "datamining", Load: 0.3,
 		MixSchemes: []Scheme{ECMP, RPS}, CheckpointEvery: 10 * sim.Millisecond}
 	for _, base := range []Options{{}, set} {

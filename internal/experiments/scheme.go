@@ -138,7 +138,7 @@ func (s Scheme) setup(rng *sim.RNG, fb core.Config, raw bool) schemeSetup {
 	case Flowlet:
 		out.sel = &routing.Flowlet{Gap: DefaultFlowletGap}
 	case FlowDyn:
-		out.sel = routing.NewFlowDyn()
+		out.sel = routing.FlowDyn{}
 	case RepFlow:
 		out.cfg.Replicate = &tcp.ReplicateConfig{Cutoff: RepFlowCutoff}
 	case DiffFlow:

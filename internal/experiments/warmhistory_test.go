@@ -32,7 +32,7 @@ type historyJob struct {
 // a hook or a flag from its last point can leave every measurement where it
 // was and still run a different schedule.
 func (j historyJob) render(o Options) string {
-	o.Seed, o.Scale, o.FlowCount, o.JobCount, o.MaxWait = j.o.Seed, j.o.Scale, j.o.FlowCount, j.o.JobCount, j.o.MaxWait
+	o.Seed, o.Scale, o.FlowCount, o.JobCount, o.debugMaxWait = j.o.Seed, j.o.Scale, j.o.FlowCount, j.o.JobCount, j.o.debugMaxWait
 	o.Perf = &PerfStats{}
 	out := j.run(o)
 	return fmt.Sprintf("%s events=%d", out, o.Perf.Events.Load())
@@ -155,7 +155,7 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 			}}
 		case 3:
 			// Cut by its deadline: flows incomplete, packets everywhere.
-			o.MaxWait = 2 * sim.Millisecond
+			o.debugMaxWait = 2 * sim.Millisecond
 			j = historyJob{"alltoall/cut-short/" + at, o, func(o Options) string {
 				out := o.runAllToAll(allToAllSpec{scheme: s, load: 0.6})
 				if out.Incomplete == 0 {

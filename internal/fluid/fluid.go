@@ -27,7 +27,7 @@
 //   - slow start, as per-RTT doubling transmission budgets with idle gaps
 //     when a window is exhausted before its round-trip closes (mice cost
 //     zero extra events; an elephant costs a handful);
-//   - a streaming window cap (MaxCwnd/RTT) once slow start clears;
+//   - a streaming window cap (tcp.MaxCwnd/RTT) once slow start clears;
 //   - FlowBender rerouting, driven by core.FlowBender.OnEpochF with the
 //     marked-ACK fraction estimated from link utilization via an
 //     M/M/1-style marking model (host NIC egress excluded: that queue is
@@ -82,29 +82,6 @@ type Config struct {
 	// keeps every solve serial. Any value produces bit-identical results
 	// (see IncSolver); the knob only trades cores for wall clock.
 	SolverShards int
-
-	// Transport constants; zero values take DCTCP's defaults (MSS 1460,
-	// 40-byte headers, initial window 10 segments, 224 KiB max window).
-	MSS          int
-	HeaderBytes  int
-	InitCwndSegs int
-	MaxCwndBytes int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = netsim.HeaderBytes
-	}
-	if c.InitCwndSegs == 0 {
-		c.InitCwndSegs = 10
-	}
-	if c.MaxCwndBytes == 0 {
-		c.MaxCwndBytes = 224 * 1024
-	}
-	return c
 }
 
 // Done reports one completed flow to the harness.
@@ -196,11 +173,15 @@ type Sim struct {
 	epochEv   *sim.Event
 	nFB       int
 
-	segWire     float64 // wire bits of one full segment
-	ackWire     float64 // wire bits of one bare ACK
-	maxCwndWire float64 // wire bits of a full MaxCwnd window
-	rttEpoch    sim.Time
+	rttEpoch sim.Time
 }
+
+// Wire sizes in bits, framed as the packet engine frames them.
+const (
+	segWire     = (tcp.MSS + netsim.HeaderBytes) * 8       // one full segment
+	ackWire     = netsim.HeaderBytes * 8                   // one bare ACK
+	maxCwndWire = float64(tcp.MaxCwnd) / tcp.MSS * segWire // a full tcp.MaxCwnd window
+)
 
 // NewSim builds a fluid simulation on eng.
 func NewSim(eng *sim.Engine, cfg Config) *Sim {
@@ -218,7 +199,6 @@ func NewSim(eng *sim.Engine, cfg Config) *Sim {
 // arenas, and the transfer, group and heap slots. A reset Sim behaves exactly
 // as a new one.
 func (s *Sim) Reset(eng *sim.Engine, cfg Config) {
-	cfg = cfg.withDefaults()
 	if s.net == nil || s.net.p != cfg.Params {
 		s.net = NewNet(cfg.Params)
 	}
@@ -230,10 +210,6 @@ func (s *Sim) Reset(eng *sim.Engine, cfg Config) {
 	s.heap.es, s.heap.pos = s.heap.es[:0], s.heap.pos[:0]
 	s.flushPend, s.wake, s.wakeAt, s.epochEv, s.nFB, s.foldGen = false, nil, 0, nil, 0, 0
 
-	wirePkt := float64(cfg.MSS + cfg.HeaderBytes)
-	s.segWire = wirePkt * 8
-	s.ackWire = float64(cfg.HeaderBytes) * 8
-	s.maxCwndWire = float64(cfg.MaxCwndBytes) / float64(cfg.MSS) * s.segWire
 	s.rttEpoch = s.pathRTT(maxPathLinks)
 	s.inc.Reset(s.net.caps, s.net.marking)
 	s.inc.SetShards(cfg.SolverShards)
@@ -248,20 +224,20 @@ func (s *Sim) ActiveFlows() int { return len(s.active) }
 // wireBits returns the on-the-wire size of a payload in bits: every MSS of
 // payload carries one header, exactly as the packet engine frames it.
 func (s *Sim) wireBits(size int64) float64 {
-	segs := (size + int64(s.cfg.MSS) - 1) / int64(s.cfg.MSS)
+	segs := (size + tcp.MSS - 1) / tcp.MSS
 	if segs < 1 {
 		segs = 1
 	}
-	return float64(size+segs*int64(s.cfg.HeaderBytes)) * 8
+	return float64(size+segs*netsim.HeaderBytes) * 8
 }
 
 // ssBudget returns the slow-start transmission budget of round r in wire
 // bits (the initial window doubling each round-trip).
 func (s *Sim) ssBudget(r int16) float64 {
 	if r >= 30 {
-		return s.maxCwndWire
+		return maxCwndWire
 	}
-	return float64(s.cfg.InitCwndSegs) * s.segWire * float64(int64(1)<<uint(r))
+	return tcp.InitCwnd * segWire * float64(int64(1)<<uint(r))
 }
 
 // pathRTT returns the unloaded round-trip of a path with nl links: host and
@@ -271,7 +247,7 @@ func (s *Sim) pathRTT(nl int8) sim.Time {
 	ow := s.net.owBase(nl)
 	var ser float64
 	for i := 0; i < int(nl); i++ {
-		ser += (s.segWire + s.ackWire) / float64(s.cfg.Params.LinkRateBps)
+		ser += (segWire + ackWire) / float64(s.cfg.Params.LinkRateBps)
 	}
 	return 2*ow + sim.Time(ser*float64(sim.Second))
 }
@@ -327,7 +303,7 @@ func (s *Sim) addXfer(gi int32, id netsim.FlowID, src, dst int32, size int64) {
 	x.rtt = s.pathRTT(x.paths[0].n)
 	x.remain = s.wireBits(size)
 	x.budget = s.ssBudget(0)
-	if x.budget >= s.maxCwndWire {
+	if x.budget >= maxCwndWire {
 		x.budget = -1
 	}
 	x.sess = sess
@@ -344,7 +320,7 @@ func (s *Sim) addXfer(gi int32, id netsim.FlowID, src, dst int32, size int64) {
 // (split evenly over a sprayed flow's paths) once slow start is done.
 func (s *Sim) sessCap(x *xfer) float64 {
 	if x.budget < 0 {
-		return s.maxCwndWire / x.rtt.Seconds() / float64(len(x.paths))
+		return maxCwndWire / x.rtt.Seconds() / float64(len(x.paths))
 	}
 	return math.Inf(1)
 }
@@ -548,7 +524,7 @@ func (s *Sim) drainDue() {
 func (s *Sim) advanceRound(x *xfer) {
 	x.round++
 	b := s.ssBudget(x.round)
-	if b >= s.maxCwndWire {
+	if b >= maxCwndWire {
 		x.budget = -1
 	} else {
 		x.budget = b
@@ -717,14 +693,14 @@ func (s *Sim) tail(x *xfer) sim.Time {
 // lastPktBits returns the wire size of a transfer's final packet.
 func (s *Sim) lastPktBits(x *xfer) float64 {
 	g := &s.groups[x.group]
-	rem := g.size % int64(s.cfg.MSS)
+	rem := g.size % tcp.MSS
 	if rem == 0 {
-		rem = int64(s.cfg.MSS)
+		rem = tcp.MSS
 	}
 	if g.size < rem {
 		rem = g.size
 	}
-	return float64(rem+int64(s.cfg.HeaderBytes)) * 8
+	return float64(rem+netsim.HeaderBytes) * 8
 }
 
 func (s *Sim) allocXfer() int32 {

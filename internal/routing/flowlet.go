@@ -204,31 +204,22 @@ func (f *Flowlet) Select(sw *netsim.Switch, pkt *netsim.Packet, eligible []int32
 // FlowDyn is flowlet switching with a dynamically tracked gap (Bonato et
 // al.): instead of one fixed threshold, each egress port maintains an EWMA
 // of its drain time (queued bytes over line rate) and the switching gap for
-// a flowlet currently pinned to port p is Mult x that estimate — the time a
-// packet trailing through p's queue could still be in flight — minus
-// however long p has already been idle, clamped to [MinGap, MaxGap]. Ports
-// under pressure demand long gaps (safe), drained ports allow short ones
-// (agile).
-type FlowDyn struct {
-	// MinGap and MaxGap clamp the dynamic threshold.
-	MinGap sim.Time
-	MaxGap sim.Time
-	// Mult scales the drain-time estimate into a gap (safety factor).
-	Mult float64
-	// Gain is the EWMA gain applied to each new drain-time sample.
-	Gain float64
-}
+// a flowlet currently pinned to port p is dynMult x that estimate — the
+// time a packet trailing through p's queue could still be in flight — minus
+// however long p has already been idle, clamped to [dynMinGap, dynMaxGap].
+// Ports under pressure demand long gaps (safe), drained ports allow short
+// ones (agile).
+type FlowDyn struct{}
 
-// NewFlowDyn returns a FlowDyn selector with the default parameters: gap
-// clamped to [20us, 1ms], 2x drain-time safety factor, EWMA gain 0.25.
-func NewFlowDyn() *FlowDyn {
-	return &FlowDyn{
-		MinGap: 20 * sim.Microsecond,
-		MaxGap: 1 * sim.Millisecond,
-		Mult:   2.0,
-		Gain:   0.25,
-	}
-}
+const (
+	// dynMinGap and dynMaxGap clamp the dynamic threshold.
+	dynMinGap = 20 * sim.Microsecond
+	dynMaxGap = 1 * sim.Millisecond
+	// dynMult scales the drain-time estimate into a gap (safety factor).
+	dynMult = 2.0
+	// dynGain is the EWMA gain applied to each new drain-time sample.
+	dynGain = 0.25
+)
 
 // drainTime returns port p's instantaneous queue drain time.
 func drainTime(sw *netsim.Switch, p int32) sim.Time {
@@ -237,41 +228,41 @@ func drainTime(sw *netsim.Switch, p int32) sim.Time {
 }
 
 // gapFor computes the switching threshold for a flowlet pinned to port p.
-func (f *FlowDyn) gapFor(sw *netsim.Switch, st *flowletState, p int32) sim.Time {
-	gap := f.MinGap + sim.Time(f.Mult*st.portEwma[p])
-	if gap < f.MinGap || gap > f.MaxGap { // < MinGap catches overflow too
-		gap = f.MaxGap
+func gapFor(sw *netsim.Switch, st *flowletState, p int32) sim.Time {
+	gap := dynMinGap + sim.Time(dynMult*st.portEwma[p])
+	if gap < dynMinGap || gap > dynMaxGap { // < dynMinGap catches overflow too
+		gap = dynMaxGap
 	}
 	if last := sw.LastTxEnd(p); last >= 0 {
 		if idle := sw.Now() - last; idle > 0 {
 			gap -= idle
 		}
 	}
-	if gap < f.MinGap {
-		gap = f.MinGap
+	if gap < dynMinGap {
+		gap = dynMinGap
 	}
 	return gap
 }
 
 // observe folds port p's current drain time into its EWMA.
-func (f *FlowDyn) observe(sw *netsim.Switch, st *flowletState, p int32) {
+func observe(sw *netsim.Switch, st *flowletState, p int32) {
 	s := float64(drainTime(sw, p))
-	st.portEwma[p] += f.Gain * (s - st.portEwma[p])
+	st.portEwma[p] += dynGain * (s - st.portEwma[p])
 }
 
 // Select implements netsim.Selector.
-func (f *FlowDyn) Select(sw *netsim.Switch, pkt *netsim.Packet, eligible []int32) int32 {
+func (FlowDyn) Select(sw *netsim.Switch, pkt *netsim.Packet, eligible []int32) int32 {
 	st := flowletStateOf(sw, true)
 	now := sw.Now()
 	e, isNew := st.lookup(pkt, now)
-	if !isNew && now-e.last >= f.gapFor(sw, st, e.port) {
+	if !isNew && now-e.last >= gapFor(sw, st, e.port) {
 		e.draw = uint64(now) + 1
 		st.Redraws++
 	}
 	e.last = now
 	st.touch(e)
-	st.expire(now, retentionOf(f.MaxGap))
+	st.expire(now, retentionOf(dynMaxGap))
 	e.port = flowletPort(sw, pkt, eligible, e.draw)
-	f.observe(sw, st, e.port)
+	observe(sw, st, e.port)
 	return e.port
 }

@@ -43,12 +43,10 @@ func FuzzFlowletGap(f *testing.F) {
 
 		var sel netsim.Selector
 		var fl *Flowlet
-		var fd *FlowDyn
 		retention := retentionOf(sim.Time(gapUs) * sim.Microsecond)
 		if dyn {
-			fd = NewFlowDyn()
-			sel = fd
-			retention = retentionOf(fd.MaxGap)
+			sel = FlowDyn{}
+			retention = retentionOf(dynMaxGap)
 		} else {
 			fl = &Flowlet{Gap: sim.Time(gapUs) * sim.Microsecond}
 			sel = fl
@@ -95,7 +93,7 @@ func FuzzFlowletGap(f *testing.F) {
 				tracked = true
 				idle = now - e.last
 				if dyn {
-					threshold = fd.gapFor(sw, st, e.port)
+					threshold = gapFor(sw, st, e.port)
 				} else {
 					threshold = fl.Gap
 				}

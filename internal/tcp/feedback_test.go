@@ -41,9 +41,6 @@ func (devNullDevice) Receive(*netsim.Packet, int) {}
 func TestStaleFeedbackFiltered(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlowBender = &core.Config{} // deterministic, tag starts at 0
-	if !cfg.FilterStaleFeedback {
-		t.Fatal("default config should filter stale feedback")
-	}
 	eng, f := isolatedSender(t, cfg)
 	s := f.Sender()
 
@@ -70,41 +67,16 @@ func TestStaleFeedbackFiltered(t *testing.T) {
 	}
 }
 
-func TestStaleFeedbackUnfilteredWhenDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FilterStaleFeedback = false
-	cfg.FlowBender = &core.Config{}
-	eng, f := isolatedSender(t, cfg)
-
-	f.Sender().Deliver(craftedAck(f, 1460, true, 7))
-	eng.Run(eng.Now() + sim.Microsecond)
-	if got := f.FlowBenderStats().Epochs; got != 1 {
-		t.Fatalf("unfiltered mode ignored the ACK: epochs = %d", got)
-	}
-}
-
 func TestECNCutProportionalToAlpha(t *testing.T) {
-	// With alpha ~ 0 the ECN cut is tiny; a plain-ECN (DisableDCTCP)
-	// sender halves instead.
-	for _, dctcp := range []bool{true, false} {
-		cfg := DefaultConfig()
-		cfg.DisableDCTCP = !dctcp
-		eng, f := isolatedSender(t, cfg)
-		s := f.Sender()
-		before := s.Cwnd()
-		s.Deliver(craftedAck(f, 1460, true, 0))
-		eng.Run(eng.Now() + sim.Microsecond)
-		after := s.Cwnd()
-		// The new-ack growth adds <= 2 MSS before the cut applies.
-		if dctcp {
-			// alpha after one fully-marked epoch = g = 1/16; cut = alpha/2.
-			if after < before*0.9 {
-				t.Fatalf("DCTCP cut too deep: %v -> %v", before, after)
-			}
-		} else {
-			if after > before*0.7 {
-				t.Fatalf("plain ECN did not halve: %v -> %v", before, after)
-			}
-		}
+	// With alpha ~ 0 the ECN cut is tiny, not a halving.
+	eng, f := isolatedSender(t, DefaultConfig())
+	s := f.Sender()
+	before := s.Cwnd()
+	s.Deliver(craftedAck(f, 1460, true, 0))
+	eng.Run(eng.Now() + sim.Microsecond)
+	// The new-ack growth adds <= 2 MSS before the cut applies; alpha after
+	// one fully-marked epoch = g = 1/16, and the cut is alpha/2.
+	if after := s.Cwnd(); after < before*0.9 {
+		t.Fatalf("DCTCP cut too deep: %v -> %v", before, after)
 	}
 }

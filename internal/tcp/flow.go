@@ -201,10 +201,9 @@ type PendingFlow struct {
 	srcPort, dstPort uint16
 }
 
-// PlanFlow validates the config and allocates the flow record without
-// touching either host. Flow.Start stays unset until StartSender runs.
+// PlanFlow allocates the flow record without touching either host.
+// Flow.Start stays unset until StartSender runs.
 func PlanFlow(cfg Config, id netsim.FlowID, src, dst *netsim.Host, size int64) *PendingFlow {
-	cfg = cfg.withDefaults()
 	f := &Flow{
 		ID: id, Src: src, Dst: dst, Size: size,
 		Start: -1, RecvDone: -1, SendDone: -1,

@@ -12,7 +12,6 @@ import (
 // and accounts out-of-order arrivals.
 type Receiver struct {
 	eng  *sim.Engine
-	cfg  Config
 	flow *Flow
 
 	srcPort, dstPort uint16 // for ACKs (receiver -> sender direction)
@@ -37,7 +36,7 @@ type Receiver struct {
 
 func newReceiver(eng *sim.Engine, cfg Config, flow *Flow, srcPort, dstPort uint16) *Receiver {
 	r := &Receiver{
-		eng: eng, cfg: cfg, flow: flow,
+		eng: eng, flow: flow,
 		srcPort: srcPort, dstPort: dstPort,
 		maxSeqSeen: -1,
 	}
@@ -94,7 +93,7 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 			// host's dispatch slot from another engine, so the receiver
 			// schedules its own — same 2x RTOMax quiet period, same
 			// stray-traffic argument as Sender.scheduleTeardown.
-			r.eng.Schedule(2*r.cfg.RTOMax, r.teardown)
+			r.eng.Schedule(2*RTOMax, r.teardown)
 		}
 	}
 

@@ -13,9 +13,6 @@ import (
 func repConfig() tcp.Config {
 	cfg := tcp.DefaultConfig()
 	cfg.Replicate = &tcp.ReplicateConfig{Cutoff: 100 * 1024}
-	// Short RTOMax so loser-teardown quiet periods (2x RTOMax) elapse
-	// within the tests' virtual time budget.
-	cfg.RTOMax = 10 * sim.Millisecond
 	return cfg
 }
 
@@ -72,7 +69,7 @@ func TestRepFlowWinnerOnlyAccounting(t *testing.T) {
 	// One sub-flow's worth of segments, not two: replication must not
 	// double-count delivered bytes. (Allow loss-free retransmit slack of a
 	// couple of segments, but nowhere near 2x.)
-	segs := int64((size + cfg.MSS - 1) / cfg.MSS)
+	segs := int64((size + tcp.MSS - 1) / tcp.MSS)
 	if f.DataPackets() < segs || f.DataPackets() > segs+segs/2 {
 		t.Fatalf("parent data packets %d, want about %d (one replica's worth)", f.DataPackets(), segs)
 	}
@@ -110,7 +107,7 @@ func TestRepFlowLoserHandlersReleased(t *testing.T) {
 	if n := src.HandlerCount() + dst.HandlerCount(); n == 0 {
 		t.Fatal("no handlers registered while sub-flows are live")
 	}
-	eng.Run(eng.Now() + 3*cfg.RTOMax)
+	eng.Run(eng.Now() + 3*tcp.RTOMax)
 	if n := src.HandlerCount(); n != 0 {
 		t.Errorf("src still holds %d handlers after replica teardown", n)
 	}
@@ -130,14 +127,16 @@ func TestRepFlowTeardownChurn(t *testing.T) {
 	ft.SetSelector(routing.ECMP{})
 	src, dst := ft.Hosts[0], ft.Hosts[len(ft.Hosts)-1]
 
+	// Flows start RTOMax/5 apart, so about ten of them sit inside one
+	// quiet period (2x RTOMax).
 	cfg := repConfig()
-	const flows = 50
+	const flows, spacing = 50, tcp.RTOMax / 5
 	var peak int
 	for i := 0; i < flows; i++ {
 		f := tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), src, dst, 50_000)
-		eng.Run(eng.Now() + 5*sim.Millisecond)
+		eng.Run(eng.Now() + spacing)
 		if !f.Done() {
-			t.Fatalf("flow %d incomplete after 5 ms", i)
+			t.Fatalf("flow %d incomplete after %v", i, spacing)
 		}
 		if n := src.HandlerCount() + dst.HandlerCount(); n > peak {
 			peak = n
@@ -149,7 +148,7 @@ func TestRepFlowTeardownChurn(t *testing.T) {
 	if peak >= 2*flows {
 		t.Fatalf("handler peak %d not bounded by live flows (churned %d, 2 sub-flows each)", peak, flows)
 	}
-	eng.Run(eng.Now() + 3*cfg.RTOMax)
+	eng.Run(eng.Now() + 3*tcp.RTOMax)
 	if n := src.HandlerCount() + dst.HandlerCount(); n != 0 {
 		t.Errorf("%d handlers leaked after replicated churn", n)
 	}

@@ -16,7 +16,6 @@ type Sender struct {
 	fb   *core.FlowBender
 
 	srcPort, dstPort uint16
-	mss              int64
 	// hashPrefix is the flow-constant selector hash state stamped into every
 	// emitted packet (see routing.FlowHashPrefix).
 	hashPrefix uint64
@@ -117,17 +116,16 @@ func newSender(eng *sim.Engine, cfg Config, flow *Flow, srcPort, dstPort uint16)
 		flow:    flow,
 		srcPort: srcPort,
 		dstPort: dstPort,
-		mss:     int64(cfg.MSS),
 	}
 	if cfg.FlowBender != nil {
 		s.fb = core.New(*cfg.FlowBender)
 	}
 	s.hashPrefix = routing.FlowHashPrefix(flow.Src.ID(), flow.Dst.ID(), srcPort, dstPort, netsim.ProtoTCP)
 	s.spray = cfg.SprayShortCutoff > 0 && flow.Size < cfg.SprayShortCutoff
-	s.cwnd = float64(int64(cfg.InitCwnd) * s.mss)
+	s.cwnd = InitCwnd * MSS
 	s.ssthresh = 1 << 40 // effectively unbounded until first loss signal
-	s.rto = cfg.RTOMin
-	s.dynDupThresh = cfg.DupThresh
+	s.rto = RTOMin
+	s.dynDupThresh = DupThresh
 	s.outageStart = -1
 	s.timeoutFn = s.onTimeout
 	return s
@@ -165,8 +163,8 @@ func (s *Sender) trySend() {
 	if s.aborted {
 		return
 	}
-	if max := float64(s.cfg.MaxCwnd); s.cwnd > max {
-		s.cwnd = max
+	if s.cwnd > MaxCwnd {
+		s.cwnd = MaxCwnd
 	}
 	for s.sndNxt < s.flow.Size && float64(s.sndNxt-s.sndUna) < s.cwnd {
 		if s.sndNxt < s.maxSent {
@@ -175,7 +173,7 @@ func (s *Sender) trySend() {
 				break
 			}
 		}
-		n := s.mss
+		n := int64(MSS)
 		if rem := s.flow.Size - s.sndNxt; rem < n {
 			n = rem
 		}
@@ -247,7 +245,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	// This is why the paper saw no difference between a reordering threshold
 	// of 3 and 30 on its Linux testbed: the stack adapts either way.
 	if pkt.ReorderDist > 0 {
-		nd := int(pkt.ReorderDist/s.mss) + 1
+		nd := int(pkt.ReorderDist/MSS) + 1
 		const maxReorder = 300 // Linux's cap
 		if nd > maxReorder {
 			nd = maxReorder
@@ -262,7 +260,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	// left is excluded: right after a reroute one RTT of stale marks is
 	// still in flight, and counting it against the new path would trigger
 	// an immediate (futile) second reroute.
-	if s.fb != nil && (!s.cfg.FilterStaleFeedback || pkt.PathTag == s.fb.PathTag()) {
+	if s.fb != nil && pkt.PathTag == s.fb.PathTag() {
 		s.fb.OnAck(pkt.ECE)
 	}
 
@@ -309,7 +307,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 // while long churny runs get their handler slots back instead of growing
 // host dispatch tables without bound.
 func (s *Sender) scheduleTeardown() {
-	s.eng.Schedule(2*s.cfg.RTOMax, s.teardown)
+	s.eng.Schedule(2*RTOMax, s.teardown)
 }
 
 // Abort permanently silences the sender: RepFlow tears the losing sub-flow
@@ -374,9 +372,9 @@ func (s *Sender) onNewAck(ack int64, _ bool) {
 			}
 			s.retransmitHole()
 			s.cwnd -= float64(newly)
-			s.cwnd += float64(s.mss)
-			if s.cwnd < float64(s.mss) {
-				s.cwnd = float64(s.mss)
+			s.cwnd += MSS
+			if s.cwnd < MSS {
+				s.cwnd = MSS
 			}
 		}
 		s.armTimer()
@@ -389,13 +387,13 @@ func (s *Sender) onNewAck(ack int64, _ bool) {
 		// by the bytes acknowledged, capped at 2 MSS per ACK, so lost ACKs
 		// do not slow the exponential ramp.
 		inc := float64(newly)
-		if max := 2 * float64(s.mss); inc > max {
-			inc = max
+		if inc > 2*MSS {
+			inc = 2 * MSS
 		}
 		s.cwnd += inc
 	} else {
 		// Congestion avoidance: MSS^2/cwnd per ACK.
-		s.cwnd += float64(s.mss) * float64(s.mss) / s.cwnd
+		s.cwnd += MSS * MSS / s.cwnd
 	}
 	s.armTimer()
 }
@@ -407,7 +405,7 @@ func (s *Sender) onDupAck() {
 	if s.inRecovery {
 		// Window inflation while the holes drain; newly revealed holes
 		// (from fresh SACK blocks) are retransmitted as they appear.
-		s.cwnd += float64(s.mss)
+		s.cwnd += MSS
 		s.retransmitHole()
 		return
 	}
@@ -422,14 +420,14 @@ func (s *Sender) onDupAck() {
 	s.undoSsthresh = s.ssthresh
 	s.retxEpisode, s.dsackEpisode = 0, 0
 	s.ssthresh = s.cwnd / 2
-	if min := 2 * float64(s.mss); s.ssthresh < min {
-		s.ssthresh = min
+	if s.ssthresh < 2*MSS {
+		s.ssthresh = 2 * MSS
 	}
 	s.recover = s.sndNxt
 	s.inRecovery = true
 	s.retxNext = s.sndUna
 	s.retransmitHole()
-	s.cwnd = s.ssthresh + float64(s.dynDupThresh)*float64(s.mss)
+	s.cwnd = s.ssthresh + float64(s.dynDupThresh)*MSS
 	s.armTimer()
 }
 
@@ -447,10 +445,10 @@ func (s *Sender) retransmitHole() {
 	if seq >= s.recover || seq >= s.flow.Size {
 		return
 	}
-	if s.sacked.bytesAbove(seq) < int64(s.dynDupThresh)*s.mss {
+	if s.sacked.bytesAbove(seq) < int64(s.dynDupThresh)*MSS {
 		return
 	}
-	n := s.mss
+	n := int64(MSS)
 	if rem := s.flow.Size - seq; rem < n {
 		n = rem
 	}
@@ -477,19 +475,12 @@ func (s *Sender) maybeUndo() {
 	}
 }
 
-// ecnCut applies DCTCP's proportional reduction (or a plain halving when
-// DCTCP is disabled), once per window of data.
+// ecnCut applies DCTCP's proportional reduction, once per window of data.
 func (s *Sender) ecnCut() {
 	s.cwrEnd = s.sndNxt
-	var factor float64
-	if s.cfg.DisableDCTCP {
-		factor = 0.5
-	} else {
-		factor = 1 - s.alpha/2
-	}
-	s.cwnd *= factor
-	if s.cwnd < float64(s.mss) {
-		s.cwnd = float64(s.mss)
+	s.cwnd *= 1 - s.alpha/2
+	if s.cwnd < MSS {
+		s.cwnd = MSS
 	}
 	s.ssthresh = s.cwnd
 }
@@ -499,8 +490,7 @@ func (s *Sender) ecnCut() {
 func (s *Sender) closeEpoch() {
 	if s.ackedBytes > 0 {
 		f := float64(s.markedBytes) / float64(s.ackedBytes)
-		g := s.cfg.DCTCPg
-		s.alpha = (1-g)*s.alpha + g*f
+		s.alpha = (1-DCTCPg)*s.alpha + DCTCPg*f
 	}
 	if s.fb != nil {
 		s.fb.OnRTTEnd()
@@ -525,11 +515,11 @@ func (s *Sender) sampleRTT(rtt sim.Time) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.RTOMin {
-		s.rto = s.cfg.RTOMin
+	if s.rto < RTOMin {
+		s.rto = RTOMin
 	}
-	if s.rto > s.cfg.RTOMax {
-		s.rto = s.cfg.RTOMax
+	if s.rto > RTOMax {
+		s.rto = RTOMax
 	}
 }
 
@@ -546,8 +536,8 @@ func (s *Sender) armTimer() {
 	}
 	s.cancelTimer()
 	d := s.rto << s.backoff
-	if d > s.cfg.RTOMax {
-		d = s.cfg.RTOMax
+	if d > RTOMax {
+		d = RTOMax
 	}
 	s.timer = s.eng.Schedule(d, s.timeoutFn)
 }
@@ -570,10 +560,10 @@ func (s *Sender) onTimeout() {
 	}
 	s.undoValid = false
 	s.ssthresh = s.cwnd / 2
-	if min := 2 * float64(s.mss); s.ssthresh < min {
-		s.ssthresh = min
+	if s.ssthresh < 2*MSS {
+		s.ssthresh = 2 * MSS
 	}
-	s.cwnd = float64(s.mss)
+	s.cwnd = MSS
 	s.sndNxt = s.sndUna
 	s.dupAcks = 0
 	s.inRecovery = false

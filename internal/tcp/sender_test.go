@@ -302,9 +302,7 @@ func TestDisableFastRetxNeverFastRetransmits(t *testing.T) {
 func TestMaxCwndBound(t *testing.T) {
 	eng := sim.NewEngine()
 	a, b, _ := pipe(eng)
-	cfg := DefaultConfig()
-	cfg.MaxCwnd = 64 * 1024
-	f := StartFlow(eng, cfg, 1, a, b, 5_000_000)
+	f := StartFlow(eng, DefaultConfig(), 1, a, b, 5_000_000)
 	var maxSeen float64
 	var tick func()
 	tick = func() {
@@ -320,8 +318,11 @@ func TestMaxCwndBound(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if maxSeen > 64*1024 {
-		t.Fatalf("cwnd %v exceeded MaxCwnd", maxSeen)
+	if maxSeen > MaxCwnd {
+		t.Fatalf("cwnd %v exceeded MaxCwnd %d", maxSeen, MaxCwnd)
+	}
+	if maxSeen < MaxCwnd/2 {
+		t.Fatalf("cwnd peaked at %v, below MaxCwnd/2: the cap was never tested", maxSeen)
 	}
 }
 

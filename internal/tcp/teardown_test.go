@@ -20,18 +20,15 @@ func TestFlowTeardownReleasesHandlers(t *testing.T) {
 	ft.SetSelector(routing.ECMP{})
 	src, dst := ft.Hosts[0], ft.Hosts[len(ft.Hosts)-1]
 
-	// Short RTOMax so the quiet period (2x RTOMax = 20 ms) elapses within
-	// the test's virtual time budget.
-	cfg := tcp.DefaultConfig()
-	cfg.RTOMax = 10 * sim.Millisecond
-
-	const flows = 50
+	// Flows start RTOMax/5 apart, so about ten of them sit inside one
+	// quiet period (2x RTOMax).
+	const flows, spacing = 50, tcp.RTOMax / 5
 	var peak int
 	for i := 0; i < flows; i++ {
-		f := tcp.StartFlow(eng, cfg, netsim.FlowID(i+1), src, dst, 50_000)
-		eng.Run(eng.Now() + 5*sim.Millisecond)
+		f := tcp.StartFlow(eng, tcp.DefaultConfig(), netsim.FlowID(i+1), src, dst, 50_000)
+		eng.Run(eng.Now() + spacing)
 		if !f.Done() {
-			t.Fatalf("flow %d incomplete after 5 ms", i)
+			t.Fatalf("flow %d incomplete after %v", i, spacing)
 		}
 		if n := src.HandlerCount() + dst.HandlerCount(); n > peak {
 			peak = n
@@ -44,7 +41,7 @@ func TestFlowTeardownReleasesHandlers(t *testing.T) {
 	}
 
 	// After the last quiet period expires every slot must be released.
-	eng.Run(eng.Now() + 3*cfg.RTOMax)
+	eng.Run(eng.Now() + 3*tcp.RTOMax)
 	if n := src.HandlerCount(); n != 0 {
 		t.Errorf("src still holds %d handlers after teardown", n)
 	}

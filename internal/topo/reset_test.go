@@ -372,7 +372,7 @@ func TestResetFabricEqualsFresh(t *testing.T) {
 		{"fattree", []Params{TinyScale(), withPFC(TinyScale()), other(TinyScale()), withPFC(other(TinyScale()))},
 			func() netsim.Selector { return &routing.Flowlet{Gap: 50 * sim.Microsecond} }},
 		{"leafspine", []Params{testbed, unshared(testbed), withPFC(testbed), withPFC(other(unshared(testbed)))},
-			func() netsim.Selector { return routing.NewFlowDyn() }},
+			func() netsim.Selector { return routing.FlowDyn{} }},
 	}
 	for _, g := range groups {
 		for i, from := range g.configs {

@@ -11,10 +11,22 @@ func tinyOpts() Options {
 	return Options{Seed: 1, Scale: ScaleTiny, FlowCount: 80, JobCount: 12, Repeats: 1}
 }
 
+// TestSchemeString checks the schemes table: one named, described row per
+// scheme in AllSchemes order, and a fluid column that names a scheme running
+// its own model — no scheme's model chains through another scheme's.
 func TestSchemeString(t *testing.T) {
-	for _, s := range AllSchemes {
-		if strings.Contains(s.String(), "scheme(") {
-			t.Fatalf("missing name for scheme %d", int(s))
+	if len(schemes) != len(AllSchemes) {
+		t.Fatalf("schemes table has %d rows, AllSchemes %d", len(schemes), len(AllSchemes))
+	}
+	for i, s := range AllSchemes {
+		if s != Scheme(i) {
+			t.Fatalf("AllSchemes[%d] = %v, want the table's row %d", i, s, i)
+		}
+		if strings.Contains(s.String(), "scheme(") || schemes[s].name == "" || schemes[s].desc == "" {
+			t.Fatalf("scheme %d: missing name or description: %+v", int(s), schemes[s])
+		}
+		if m := schemes[s].fluid; schemes[m].fluid != m {
+			t.Errorf("%v runs %v's fluid model, which runs %v's", s, m, schemes[m].fluid)
 		}
 	}
 }

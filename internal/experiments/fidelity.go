@@ -20,9 +20,10 @@ const (
 )
 
 // FidelitySchemes is the cross-validated scheme set: the schemes the fluid
-// engine models faithfully enough to compare (Flowlet/FlowDyn degrade to
-// ECMP in fluid mode and RPS/DeTail to plain spraying, so validating them
-// would measure the documented model gaps, not engine fidelity).
+// engine models faithfully enough to compare. The rest run another scheme's
+// fluid model (the schemes table's fluid column) or, like RPS, owe their
+// packet-level behaviour to reordering the model leaves out, so validating
+// them would measure the documented model gaps, not engine fidelity.
 var FidelitySchemes = []Scheme{ECMP, FlowBender, RepFlow, DiffFlow}
 
 // FidelityCell is one (scale, scheme) comparison: both engines run the

@@ -53,13 +53,19 @@ func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.IntVar(&o.FlowCount, "flows", 0, "override per-run flow count")
 	fs.IntVar(&o.JobCount, "jobs", 0, "override partition-aggregate job count")
 	fs.IntVar(&o.Parallelism, "parallel", 0, "max concurrent simulation points (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
-	fs.IntVar(&o.Shards, "shards", 0, "split each shardable simulation point (ECMP/Flowlet/FlowDyn, see fbsim -list-schemes) across this many engine shards (0/1 = serial; output is identical at any count)")
+	var sharded []Scheme
+	for _, s := range AllSchemes {
+		if s.shardable() {
+			sharded = append(sharded, s)
+		}
+	}
+	fs.IntVar(&o.Shards, "shards", 0, "split each shardable simulation point ("+schemeList(sharded, "/")+", see fbsim -list-schemes) across this many engine shards (0/1 = serial; output is identical at any count)")
 	fs.IntVar(&o.SolverShards, "solver-shards", 0, "max parallel workers for the fluid engine's incremental rate solver (0/1 = serial; output is bit-identical at any count; -engine fluid only)")
 	fs.IntVar(&o.Seeds, "seeds", 0, "replicate each point over this many seeds and report mean ± stddev (read by table1, alltoall, partagg, sens-n and sens-t; the other experiments run one seed)")
 	fs.StringVar(&f.cdf, "cdf", "", "flow-size CDF file for the all-to-all and production workloads (lines of \"<bytes> <cumulative-prob>\")")
 	fs.StringVar(&o.Workload, "workload", "", "production-mix workload for the production experiment: websearch (diurnal arrivals with a load spike) or datamining (Poisson); empty = websearch")
 	fs.Float64Var(&o.Load, "load", 0, "offered load of the production and fidelity experiments as a fraction of bisection bandwidth (0 = 0.5 for production, 0.4 for fidelity)")
-	fs.StringVar(&f.schemes, "schemes", "", "comma-separated schemes for the production experiment (see fbsim -list-schemes; empty = ECMP,FlowBender,RepFlow,DiffFlow)")
+	fs.StringVar(&f.schemes, "schemes", "", "comma-separated schemes for the production experiment (see fbsim -list-schemes; empty = "+schemeList(DefaultMixSchemes, ",")+")")
 	fs.StringVar(&f.faults, "faults", "", "comma-separated fault scenarios for the faults experiment (empty = all; see fbsim -list-faults)")
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "wall-clock limit per simulation point; exceeding points report FAILED instead of hanging the run (0 = off)")
 	fs.BoolVar(&f.verbose, "v", false, "log per-run progress (and simulator throughput) to stderr")

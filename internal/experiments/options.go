@@ -153,7 +153,7 @@ type Options struct {
 	// conservatively synchronized engine shards (bounded-lag windows, see
 	// sim.ShardSet). 0 or 1 runs serial. Results are byte-identical at any
 	// value: points that cannot shard safely run on one engine (shardPlan
-	// lists every reason; ECMP, Flowlet, and FlowDyn points shard). Shards
+	// lists every reason; the schemes table marks which schemes shard). Shards
 	// composes with Parallelism: the shard workers borrow CPU tokens from
 	// the same pool that admits sibling points, so `-parallel N -shards M`
 	// never oversubscribes.

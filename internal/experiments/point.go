@@ -121,11 +121,7 @@ func (o Options) fluidPoint(pt *point) bool {
 //   - Shards <= 1: nothing to split. (The fluid engine never gets here: one
 //     fluid point is orders of magnitude cheaper than its packet twin, so it
 //     always runs on one engine.)
-//   - a non-shardable scheme (see Scheme.shardable): FlowBender, RPS, and
-//     DiffFlow draw from per-scheme RNG streams at packet-send/selection
-//     time — splitting consumers across shards would reorder those draws;
-//     RepFlow plans replica sub-flows at the host while the sharded replay
-//     pre-plans exactly one flow per arrival; DeTail needs PFC (below).
+//   - a scheme the schemes table marks unshardable; the table says why.
 //   - an injected setupFn: its semantics are unknown here.
 //   - an arm hook: it works on one engine's fabric.
 //   - a setup-time burst: there is no arrival schedule to replay.

@@ -5,10 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"flowbender/internal/core"
-	"flowbender/internal/fluid"
 	"flowbender/internal/runpool"
-	"flowbender/internal/sim"
 )
 
 // pointTask is one run of an experiment's point: the point, the replicate
@@ -50,15 +47,15 @@ func pointTasks[P any](o Options, exp string, reps int, points []P, label func(P
 //
 // On the fluid engine, runs of points that implement sweepPoint (the
 // all-to-all figures, Table 1) and whose fluid models are identical are
-// simulated once. Several schemes resolve to the same fluid.Config — the
-// model has no packet gaps for Flowlet and FlowDyn to switch on, no PFC for
-// DeTail — and two runs that agree on the config, on every other coordinate
-// and on the seed are the same computation bit for bit. The first run of
+// simulated once. Several schemes run the same fluid model — it has no
+// packet gaps for Flowlet and FlowDyn to switch on, no PFC for DeTail — and
+// two runs that agree on the model, on every other coordinate and on the
+// seed are the same computation bit for bit. The first run of
 // each such group is simulated under its own label and its outcome handed to
 // the rest; its failure is every one of theirs, wrapped in a
-// sharedPointError that names them. Equivalence is read off fluidConfig, the
-// one place a scheme is mapped onto the fluid model, so a scheme that gains a
-// model of its own stops sharing there.
+// sharedPointError that names them. Equivalence is read off the schemes
+// table's fluid column, so a scheme that gains a model of its own stops
+// sharing there.
 func runPoints[P, Out any](o Options, exp string, reps int, points []P, label func(P) string, run func(Options, P) Out) []runpool.TaskResult[Out] {
 	tasks := pointTasks(o, exp, reps, points, label)
 	lead := fluidLeaders(o, tasks)
@@ -125,10 +122,10 @@ func taskScheme[P any](t pointTask[P]) Scheme {
 }
 
 // fluidLeaders maps each task to the task that simulates it: itself, or the
-// first earlier task with the identical fluid model, coordinates and seed.
-// Only sweep points on the fluid engine share, and a config carrying a
-// FlowBender controller never does — the controller is per-point state with
-// an RNG stream of its own.
+// first earlier task that runs the same fluid model (the schemes table's
+// fluid column) at the same coordinates and seed. Only sweep points on the
+// fluid engine share, and FlowBender's model never does — its controller is
+// per-point state with an RNG stream of its own.
 func fluidLeaders[P any](o Options, tasks []pointTask[P]) []int {
 	lead := make([]int, len(tasks))
 	for i := range lead {
@@ -138,23 +135,21 @@ func fluidLeaders[P any](o Options, tasks []pointTask[P]) []int {
 		return lead
 	}
 	type model struct {
-		cfg   fluid.Config
+		fluid Scheme
 		coord any
 		seed  int64
 	}
 	first := make(map[model]int)
-	p := o.params()
 	for i, t := range tasks {
 		sp, ok := any(t.pt).(sweepPoint)
 		if !ok {
 			return lead
 		}
 		s, coord := sp.model()
-		cfg := fluidConfig(p, s, core.Config{}, false, sim.NewRNG(0))
-		if cfg.FlowBender != nil {
+		m := model{schemes[s].fluid, coord, t.seed}
+		if m.fluid == FlowBender {
 			continue
 		}
-		m := model{cfg, coord, t.seed}
 		if j, ok := first[m]; ok {
 			lead[i] = j
 		} else {
@@ -185,15 +180,11 @@ func describeSharing(lead []int, scheme func(i int) Scheme) string {
 		if len(by) == 0 {
 			continue
 		}
-		names := make([]string, len(by))
-		for i, s := range by {
-			names[i] = s.String()
-		}
 		verb := "shares"
-		if len(names) > 1 {
+		if len(by) > 1 {
 			verb = "share"
 		}
-		clause := fmt.Sprintf("%s %s %s's", strings.Join(names, ", "), verb, m)
+		clause := fmt.Sprintf("%s %s %s's", schemeList(by, ", "), verb, m)
 		if len(clauses) == 0 {
 			clause += " fluid model"
 		}
@@ -210,11 +201,7 @@ type sharedPointError struct {
 }
 
 func (e *sharedPointError) Error() string {
-	names := make([]string, len(e.also))
-	for i, s := range e.also {
-		names[i] = s.String()
-	}
-	return fmt.Sprintf("%v (the point also stood for %s, sharing its fluid model)", e.err, strings.Join(names, ", "))
+	return fmt.Sprintf("%v (the point also stood for %s, sharing its fluid model)", e.err, schemeList(e.also, ", "))
 }
 
 func (e *sharedPointError) Unwrap() error { return e.err }

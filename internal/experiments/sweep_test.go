@@ -25,8 +25,9 @@ import (
 //	(c) a scheme with a fluid model of its own (FlowBender's controller,
 //	    RepFlow's replicas, DiffFlow's size split) is never grouped.
 //
-// The grouping is read off fluidConfig, so the day a scheme gets its own
-// fluid model it leaves its group there and this test follows. A solo run
+// The grouping is read off the schemes table's fluid column, so the day a
+// scheme gets its own fluid model it leaves its group there and this test
+// follows. A solo run
 // goes through runPoints too, as a point that is no sweepPoint.
 func TestFluidTwinsIdentical(t *testing.T) {
 	for _, scale := range []ScaleLevel{ScaleTiny, ScaleSmall} {

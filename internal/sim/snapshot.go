@@ -83,19 +83,6 @@ func (e *Engine) liveEntries(dst []*Event) []*Event {
 	return dst
 }
 
-// RunUntilExecuted steps the engine until n events (total, counted from the
-// engine's creation) have executed. It reports false when the queue drains
-// first. Checkpoint tooling uses it to park a replayed engine at an exact
-// event count, independent of how virtual time maps onto events.
-func (e *Engine) RunUntilExecuted(n uint64) bool {
-	for e.Executed < n {
-		if !e.Step() {
-			return false
-		}
-	}
-	return true
-}
-
 // VerifyRestore cross-checks a replayed engine against the state recorded
 // at the original checkpoint instant and panics with a diagnostic on any
 // divergence. A resumed run that is not byte-identical to the uninterrupted

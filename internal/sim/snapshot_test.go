@@ -68,30 +68,23 @@ func TestSnapshotExcludesCancelled(t *testing.T) {
 	}
 }
 
-func TestRunUntilExecuted(t *testing.T) {
-	e := buildWorkload(false)
-	if !e.RunUntilExecuted(10) {
-		t.Fatal("queue drained before 10 events")
-	}
-	if e.Executed != 10 {
-		t.Fatalf("Executed = %d, want exactly 10", e.Executed)
-	}
-	if e.RunUntilExecuted(1 << 30) {
-		t.Fatal("RunUntilExecuted reported success past queue drain")
-	}
-}
-
 // TestVerifyRestoreReplay is the restore contract end to end: record a
 // snapshot mid-run, rebuild the engine from scratch, replay to the same
 // event count, and VerifyRestore must accept; one extra event must panic
 // with the divergence diagnostic.
 func TestVerifyRestoreReplay(t *testing.T) {
+	const at = 17
 	orig := buildWorkload(true)
-	orig.RunUntilExecuted(17)
+	for orig.Executed < at && orig.Step() {
+	}
 	want := orig.Snapshot()
 
 	replay := buildWorkload(true)
-	replay.RunUntilExecuted(17)
+	for replay.Executed < at && replay.Step() {
+	}
+	if replay.Executed != at {
+		t.Fatalf("queue drained after %d events, before %d", replay.Executed, at)
+	}
 	replay.VerifyRestore(want) // must not panic
 
 	replay.Step()

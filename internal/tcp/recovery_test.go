@@ -48,8 +48,8 @@ func TestRecoveryStatsTracksOutage(t *testing.T) {
 	if rec.Max > 3*dark {
 		t.Errorf("recovery %v implausibly long for a %v outage", rec.Max, dark)
 	}
-	if rec.Mean() > rec.Max || rec.Mean() <= 0 {
-		t.Errorf("mean %v inconsistent with max %v", rec.Mean(), rec.Max)
+	if mean := rec.Total / sim.Time(rec.Count); mean > rec.Max || mean <= 0 {
+		t.Errorf("mean %v inconsistent with max %v", mean, rec.Max)
 	}
 	if f.Sender().InOutage() {
 		t.Error("flow completed but still marked in-outage")

@@ -101,14 +101,6 @@ type RecoveryStats struct {
 	Max sim.Time
 }
 
-// Mean returns the mean episode duration (0 when no episode completed).
-func (r RecoveryStats) Mean() sim.Time {
-	if r.Count == 0 {
-		return 0
-	}
-	return r.Total / sim.Time(r.Count)
-}
-
 func newSender(eng *sim.Engine, cfg Config, flow *Flow, srcPort, dstPort uint16) *Sender {
 	s := &Sender{
 		eng:     eng,

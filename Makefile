@@ -86,7 +86,6 @@ results-paper:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/trace > /dev/null
 
 clean:
 	$(GO) clean ./...

@@ -2,11 +2,11 @@
 # Reach audit: every shipped internal/ function is executed by some binary, or
 # ci/reach-allow.txt says why not.
 #
-# Builds the three binaries (fbsim, fbtopo, bench) and the two
-# examples with coverage over every package, drives them through the runs a
-# user makes — the tiny suite on both engines, single experiments across
+# Builds the three binaries (fbsim, fbtopo, bench) and the quickstart example
+# with coverage over every package, drives them through the runs a user
+# makes — the tiny suite on both engines, single experiments across
 # engines, scales up to mega, shards, seeds, checkpoint and resume, the path
-# listing, every example, every benchmark workload traced and untraced — into
+# listing, the example, every benchmark workload traced and untraced — into
 # one GOCOVERDIR, and compares the non-test internal/ functions left at 0%
 # with ci/reach-allow.txt ("<file> <function> <reason>" a line).
 #
@@ -75,7 +75,6 @@ run fbtopo -scale tiny
 run fbtopo -scale small -src 0 -dst 40
 
 run quickstart
-run trace
 
 for w in packet-a2a packet-mix fluid-a2a fluid-mix suite-tiny; do
   for trace in 0 1; do

@@ -115,7 +115,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Resumed() {
+	if m.loadedMarks != nil {
 		t.Fatal("fresh manager claims to be resumed")
 	}
 
@@ -135,7 +135,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Resumed() {
+	if r.loadedMarks == nil {
 		t.Fatal("Open result not marked resumed")
 	}
 	if e, ok := r.Done("alltoall"); !ok || e.Output != "rendered output\n" {
@@ -206,7 +206,7 @@ func TestFromFlags(t *testing.T) {
 		t.Fatalf("FromFlags create = %v, %v", m, err)
 	}
 	r, err := FromFlags("", fresh, testDesc())
-	if err != nil || r == nil || !r.Resumed() {
+	if err != nil || r == nil || r.loadedMarks == nil {
 		t.Fatalf("FromFlags resume = %v, %v", r, err)
 	}
 	if _, err := FromFlags("", filepath.Join(dir, "missing.ckpt"), testDesc()); err == nil {

@@ -103,9 +103,6 @@ func FromFlags(checkpointPath, resumePath string, d Descriptor) (*Manager, error
 // Path returns the checkpoint file's location.
 func (m *Manager) Path() string { return m.path }
 
-// Resumed reports whether this manager continues a previous run's file.
-func (m *Manager) Resumed() bool { return m.loadedMarks != nil }
-
 // Done returns the journaled output of a completed experiment from the
 // resumed file, verifying its content hash. A hash mismatch returns false:
 // the entry is re-run rather than served corrupted (the CRC should make

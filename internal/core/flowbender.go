@@ -266,7 +266,3 @@ func (fb *FlowBender) drawRequiredN() {
 
 // Stats returns a copy of the flow's rerouting counters.
 func (fb *FlowBender) Stats() Stats { return fb.stats }
-
-// RequiredN returns the current consecutive-congested-epoch requirement
-// (varies only under DesyncN).
-func (fb *FlowBender) RequiredN() int { return fb.requiredN }

@@ -169,8 +169,8 @@ func TestDesyncNStaysInRange(t *testing.T) {
 	fb := New(Config{N: 2, DesyncN: true, RNG: sim.NewRNG(5)})
 	for i := 0; i < 500; i++ {
 		feedEpoch(fb, 10, 10)
-		if n := fb.RequiredN(); n < 1 || n > 3 {
-			t.Fatalf("RequiredN = %d out of {1,2,3}", n)
+		if n := fb.requiredN; n < 1 || n > 3 {
+			t.Fatalf("requiredN = %d out of {1,2,3}", n)
 		}
 	}
 }

@@ -54,6 +54,3 @@ func (s *Sprayer) Tag(n int) uint32 {
 	s.total += int64(n)
 	return s.tag
 }
-
-// TotalBytes returns the cumulative payload accounted.
-func (s *Sprayer) TotalBytes() int64 { return s.total }

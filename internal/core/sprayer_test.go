@@ -32,8 +32,8 @@ func TestSprayerTagInRange(t *testing.T) {
 			t.Fatalf("tag %d out of range", tag)
 		}
 	}
-	if s.TotalBytes() != 640_000 {
-		t.Fatalf("TotalBytes = %d", s.TotalBytes())
+	if s.total != 640_000 {
+		t.Fatalf("total = %d", s.total)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"flowbender/internal/faults"
 	"flowbender/internal/sim"
 	"flowbender/internal/stats"
 	"flowbender/internal/tcp"
@@ -131,10 +132,10 @@ func (o Options) runPodPair(scheme Scheme, size int64, deadline sim.Time,
 // runOne runs one scheme; it only reads the result's scenario constants
 // (FlowBytes, FailAt, Deadline), never writes, so parallel calls are safe.
 func (r *LinkFailureResult) runOne(o Options, scheme Scheme) podPairOut {
-	return o.runPodPair(scheme, r.FlowBytes, r.Deadline, func(ft *topo.FatTree, _ *sim.RNG) (func(), error) {
-		// Cut the first aggregation switch's first core uplink in pod 0.
-		ft.Eng.At(r.FailAt, func() { ft.AggCoreLinks[0][0][0].Fail() })
-		return nil, nil
+	return o.runPodPair(scheme, r.FlowBytes, r.Deadline, func(ft *topo.FatTree, rng *sim.RNG) (func(), error) {
+		// The fault matrix's cut row: faultTarget, never restored.
+		plan := faults.Plan{Events: []faults.Event{faults.Cut(r.FailAt, faultTarget)}}
+		return nil, faults.Apply(ft.Eng, rng.Fork("faults"), ft, plan)
 	})
 }
 

@@ -83,7 +83,8 @@ func hostilePoint(o Options, scheme Scheme, testbed bool) string {
 				cut, gray = ft.AggCoreLinks[0][0][0], ft.TorAggLinks[0][0][1]
 			}
 			ft.Eng.At(200*sim.Microsecond, func() {
-				cut.Fail()
+				cut.AtoB.SetLinkDown(true)
+				cut.BtoA.SetLinkDown(true)
 				n := 0
 				gray.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { n++; return n%50 == 0 })
 				gray.BtoA.SetRate(gray.BtoA.RateBps / 4)

@@ -26,11 +26,11 @@ func TestApplyCutAndRestore(t *testing.T) {
 	}
 	dx := ft.AggCoreLinks[0][0][0]
 	eng.Run(2 * sim.Millisecond)
-	if !dx.Failed() || ft.DownLinks() != 1 {
+	if !dx.AtoB.Link.Down || !dx.BtoA.Link.Down || ft.DownLinks() != 1 {
 		t.Fatalf("cable not cut at 1ms (%d cables down)", ft.DownLinks())
 	}
 	eng.Run(6 * sim.Millisecond)
-	if dx.Failed() || dx.HalfOpen() || ft.DownLinks() != 0 {
+	if dx.AtoB.Link.Down || dx.BtoA.Link.Down || ft.DownLinks() != 0 {
 		t.Fatal("cable not restored at 5ms")
 	}
 }
@@ -43,11 +43,8 @@ func TestApplyHalfOpenCut(t *testing.T) {
 	}
 	eng.Run(2 * sim.Millisecond)
 	dx := ft.AggCoreLinks[0][0][0]
-	if dx.Failed() {
-		t.Fatal("half-open cut reported fully failed")
-	}
-	if !dx.HalfOpen() {
-		t.Fatal("half-open cut not applied")
+	if ft.DownLinks() != 0 {
+		t.Fatal("half-open cut counted as a failed cable")
 	}
 	if !dx.AtoB.Link.Down || dx.BtoA.Link.Down {
 		t.Fatal("wrong direction cut")
@@ -66,15 +63,15 @@ func TestFlapTogglesAndStops(t *testing.T) {
 	}
 	dx := ft.AggCoreLinks[0][0][0]
 	eng.Run(2 * sim.Millisecond)
-	if !dx.Failed() {
+	if !dx.AtoB.Link.Down || !dx.BtoA.Link.Down {
 		t.Fatal("not down after first flap transition")
 	}
 	eng.Run(4 * sim.Millisecond)
-	if dx.Failed() {
+	if dx.AtoB.Link.Down || dx.BtoA.Link.Down {
 		t.Fatal("not up mid-flap")
 	}
 	eng.Run(20 * sim.Millisecond)
-	if dx.Failed() || dx.HalfOpen() {
+	if dx.AtoB.Link.Down || dx.BtoA.Link.Down {
 		t.Fatal("flap did not leave the cable up after Until")
 	}
 	// Transitions: down/up at 1,3,5,7,9 ms, plus the final restore when the

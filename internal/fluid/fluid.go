@@ -215,9 +215,6 @@ func (s *Sim) Reset(eng *sim.Engine, cfg Config) {
 	s.inc.SetShards(cfg.SolverShards)
 }
 
-// Engine returns the hosting event engine.
-func (s *Sim) Engine() *sim.Engine { return s.eng }
-
 // ActiveFlows returns the number of transfers currently in flight.
 func (s *Sim) ActiveFlows() int { return len(s.active) }
 

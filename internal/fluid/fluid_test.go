@@ -269,7 +269,7 @@ func fluidScenarioShards(t *testing.T, shards int) uint64 {
 // is called between two events about a third of the way through the run.
 func scenarioDigest(t *testing.T, s *Sim, midRun func()) uint64 {
 	p := s.cfg.Params
-	eng := s.Engine()
+	eng := s.eng
 	rng := sim.NewRNG(1234).Fork("arrivals")
 	if s.cfg.SolverShards > 1 {
 		s.inc.parThresh = 1

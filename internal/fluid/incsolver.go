@@ -222,9 +222,6 @@ func (is *IncSolver) SetShards(n int) {
 	is.shards = n
 }
 
-// Links returns the number of links the solver was Reset with.
-func (is *IncSolver) Links() int { return len(is.links) }
-
 // Pending reports whether staged mutations await a Commit.
 func (is *IncSolver) Pending() bool { return is.pending }
 
@@ -235,9 +232,6 @@ func (is *IncSolver) Rate(s int32) float64 { return is.sRate[s] }
 // Commit: at least one session's first saturated link is l and l is a
 // marking (switch-egress) queue.
 func (is *IncSolver) Queued(l int32) bool { return is.links[l].qCnt > 0 }
-
-// Load returns the total allocated rate crossing link l.
-func (is *IncSolver) Load(l int32) float64 { return is.links[l].load }
 
 // Affected returns the sessions whose rates the last Commit re-solved, in
 // deterministic staging/join order. Valid until the next staged mutation.

@@ -430,7 +430,7 @@ func (ls *lockstep) commit() {
 					is.shards, i, m.id, m.links, m.cap, got, want)
 			}
 		}
-		for l := int32(0); int(l) < is.Links(); l++ {
+		for l := int32(0); int(l) < len(is.links); l++ {
 			if got, want := is.Queued(l), ls.oracle.Queued(l); got != want {
 				ls.t.Fatalf("shards=%d link %d: standing queue %v, rescan oracle %v", is.shards, l, got, want)
 			}

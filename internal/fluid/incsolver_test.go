@@ -67,9 +67,9 @@ func checkAgainstWaterfill(t *testing.T, is *IncSolver, caps []float64, live []m
 		_ = i
 	}
 	for l := range caps {
-		tol := 1e-6 * math.Max(1, math.Max(sum[l], is.Load(int32(l))))
-		if math.Abs(sum[l]-is.Load(int32(l))) > tol {
-			t.Fatalf("link %d: load %v, rate sum %v", l, is.Load(int32(l)), sum[l])
+		tol := 1e-6 * math.Max(1, math.Max(sum[l], is.links[l].load))
+		if math.Abs(sum[l]-is.links[l].load) > tol {
+			t.Fatalf("link %d: load %v, rate sum %v", l, is.links[l].load, sum[l])
 		}
 	}
 }

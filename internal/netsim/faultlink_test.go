@@ -7,13 +7,15 @@ import (
 	"flowbender/internal/sim"
 )
 
-// duplexFixture wires two sink devices with one full-duplex cable.
+// duplexFixture wires two sink devices with one full-duplex cable. The ports
+// are the NICs of hosts with no processing delay, which feed them through
+// Enqueue: a port with nothing in front of it.
 func duplexFixture() (*sim.Engine, *Duplex, *sinkDevice, *sinkDevice) {
 	eng := sim.NewEngine()
 	a := &sinkDevice{id: 1, eng: eng}
 	b := &sinkDevice{id: 2, eng: eng}
-	pa := NewPort(eng, 1_000_000_000)
-	pb := NewPort(eng, 1_000_000_000)
+	pa := NewHost(eng, 0, 1_000_000_000, 0).NIC
+	pb := NewHost(eng, 0, 1_000_000_000, 0).NIC
 	pa.Link = Link{To: b}
 	pb.Link = Link{To: a}
 	return eng, &Duplex{AtoB: pa, BtoA: pb}, a, b
@@ -21,15 +23,9 @@ func duplexFixture() (*sim.Engine, *Duplex, *sinkDevice, *sinkDevice) {
 
 func TestDuplexHalfOpen(t *testing.T) {
 	eng, d, a, b := duplexFixture()
-	if d.Failed() || d.HalfOpen() {
-		t.Fatal("fresh cable reports a failure")
-	}
-	d.FailAtoB()
-	if d.Failed() {
-		t.Fatal("half-open cable reported fully Failed")
-	}
-	if !d.HalfOpen() {
-		t.Fatal("HalfOpen not reported")
+	d.AtoB.SetLinkDown(true)
+	if !d.AtoB.Link.Down || d.BtoA.Link.Down {
+		t.Fatal("cutting A->B did not cut that direction alone")
 	}
 	// Traffic still flows B->A but not A->B.
 	d.AtoB.Enqueue(&Packet{Size: 100})
@@ -44,35 +40,20 @@ func TestDuplexHalfOpen(t *testing.T) {
 	if d.AtoB.Link.DroppedDown != 1 {
 		t.Fatalf("DroppedDown = %d", d.AtoB.Link.DroppedDown)
 	}
-	d.FailBtoA()
-	if !d.Failed() || d.HalfOpen() {
-		t.Fatal("fully cut cable misreported")
-	}
-	d.Restore()
-	if d.Failed() || d.HalfOpen() {
+	d.AtoB.SetLinkDown(false)
+	if d.AtoB.Link.Down || d.BtoA.Link.Down {
 		t.Fatal("restore incomplete")
-	}
-}
-
-func TestDuplexFailedRequiresBothDirections(t *testing.T) {
-	_, d, _, _ := duplexFixture()
-	// Regression: Failed used to look only at the A->B direction, so a cut
-	// of B->A alone was invisible.
-	d.FailBtoA()
-	if d.Failed() {
-		t.Fatal("B->A-only cut reported as fully Failed")
-	}
-	if !d.HalfOpen() {
-		t.Fatal("B->A-only cut not reported as half-open")
 	}
 }
 
 func TestLinkTransitionsCounter(t *testing.T) {
 	_, d, _, _ := duplexFixture()
 	for i := 0; i < 3; i++ {
-		d.Fail()
-		d.Fail() // idempotent: no extra transition
-		d.Restore()
+		for _, p := range []*Port{d.AtoB, d.BtoA} {
+			p.SetLinkDown(true)
+			p.SetLinkDown(true) // idempotent: no extra transition
+			p.SetLinkDown(false)
+		}
 	}
 	if got := d.AtoB.Link.Transitions; got != 6 {
 		t.Fatalf("A->B transitions = %d, want 6", got)
@@ -101,7 +82,7 @@ func TestLinkGrayDrop(t *testing.T) {
 		t.Fatalf("DroppedGray = %d, want 3", d.AtoB.Link.DroppedGray)
 	}
 	// A down link drops before the gray hook is consulted.
-	d.FailAtoB()
+	d.AtoB.SetLinkDown(true)
 	d.AtoB.Enqueue(&Packet{Size: 100})
 	eng.RunUntilIdle()
 	if d.AtoB.Link.DroppedGray != 3 || d.AtoB.Link.DroppedDown != 1 {

@@ -392,11 +392,11 @@ func (f *hoFabric) sample() {
 	for i, p := range f.ports {
 		f.log = append(f.log, fmt.Sprintf("t=%d port=%d tx tcp=%d udp=%d pkts=%d queue bytes=%d enq=%d drop=%d mark=%d max=%d link down=%d gray=%d flips=%d paused=%v",
 			now, i, p.TxBytes(ProtoTCP), p.TxBytes(ProtoUDP), p.TxPackets(),
-			p.QueuedBytes(), p.Q.Enqueued, p.Q.Dropped, p.Q.Marked, p.Q.MaxBytes,
+			p.Q.Bytes(), p.Q.Enqueued, p.Q.Dropped, p.Q.Marked, p.Q.MaxBytes,
 			p.Link.DroppedDown, p.Link.DroppedGray, p.Link.Transitions, p.Paused()))
 	}
 	for _, sw := range f.switches {
-		line := fmt.Sprintf("t=%d sw=%d noroute=%d nobuf=%d pauses=%d buffered=%d lastTxEnd", now, sw.ID(), sw.NoRoute, sw.DropsNoBuf, sw.PauseEvents, sw.BufferedBytes())
+		line := fmt.Sprintf("t=%d sw=%d noroute=%d nobuf=%d pauses=%d buffered=%d lastTxEnd", now, sw.ID(), sw.NoRoute, sw.DropsNoBuf, sw.PauseEvents, sw.buffered)
 		for i := range sw.Ports {
 			// Read after TxPackets above, which settled the port by the
 			// outside caller's rule; inside Select the forwarding event's

@@ -112,7 +112,7 @@ func (d *sinkDevice) Receive(pkt *Packet, _ int) {
 func TestPortSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &sinkDevice{id: 1, eng: eng}
-	p := NewPort(eng, 1_000_000_000) // 1 Gbps: 1000-byte packet = 8 us
+	p := NewHost(eng, 0, 1_000_000_000, 0).NIC // 1 Gbps: 1000-byte packet = 8 us
 	p.Link = Link{To: sink, Delay: 2 * sim.Microsecond}
 
 	p.Enqueue(&Packet{Size: 1000})
@@ -137,7 +137,7 @@ func TestPortSerialization(t *testing.T) {
 func TestPortPause(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &sinkDevice{id: 1, eng: eng}
-	p := NewPort(eng, 1_000_000_000)
+	p := NewHost(eng, 0, 1_000_000_000, 0).NIC
 	p.Link = Link{To: sink}
 	p.SetPaused(true)
 	p.Enqueue(&Packet{Size: 1000})
@@ -155,7 +155,7 @@ func TestPortPause(t *testing.T) {
 func TestPauseFinishesCurrentPacket(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &sinkDevice{id: 1, eng: eng}
-	p := NewPort(eng, 1_000_000_000)
+	p := NewHost(eng, 0, 1_000_000_000, 0).NIC
 	p.Link = Link{To: sink}
 	p.Enqueue(&Packet{Size: 1000, Seq: 1})
 	p.Enqueue(&Packet{Size: 1000, Seq: 2})
@@ -170,7 +170,7 @@ func TestPauseFinishesCurrentPacket(t *testing.T) {
 func TestLinkDownDropsPackets(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &sinkDevice{id: 1, eng: eng}
-	p := NewPort(eng, 1_000_000_000)
+	p := NewHost(eng, 0, 1_000_000_000, 0).NIC
 	p.Link = Link{To: sink}
 	p.SetLinkDown(true)
 	p.Enqueue(&Packet{Size: 1000})

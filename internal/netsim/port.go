@@ -105,8 +105,8 @@ type Link struct {
 // precedes a packet arriving, on that very nanosecond, unless that
 // transmission started or that packet was sent at time zero (unstamped) —
 // what the events did for every change filed at set-up. Outside callers
-// (Enqueue, TxBytes, TxPackets, QueuedBytes) see a transmission ending or a
-// packet arriving on the nanosecond of the call as done.
+// (Enqueue, TxBytes, TxPackets) see a transmission ending or a packet
+// arriving on the nanosecond of the call as done.
 //
 // TestHandOffMatchesCompletionEvent runs random fabrics both ways and
 // compares every observable; what differs is the number of events executed
@@ -211,14 +211,6 @@ const arrived sim.Time = -1
 // packet sent at time zero precedes it (stamp 1 makes done's strict
 // comparison read "at zero").
 const unstamped sim.Time = 1
-
-// NewPort returns a bare port transmitting at rateBps driven by eng: no
-// owner, plain insertion order, an unbounded queue that does not mark.
-func NewPort(eng *sim.Engine, rateBps int64) *Port {
-	p := newPort(eng, sim.TagNone, nil)
-	p.init(rateBps, false, 0, 0, nil)
-	return p
-}
 
 // newPort allocates a port and gives it what never changes afterwards: its
 // engine, its ordering tag and, for a NIC, its host. The owner wires the
@@ -402,12 +394,6 @@ func (p *Port) pfcFrame(pause bool) func() {
 		return p.pauseFn
 	}
 	return p.resumeFn
-}
-
-// QueuedBytes returns the occupancy of the egress queue.
-func (p *Port) QueuedBytes() int {
-	p.settle(p.eng.Now())
-	return p.Q.Bytes()
 }
 
 // TxBytes returns the wire bytes of proto this port has finished

@@ -39,8 +39,8 @@ func TestSharedBufferBoundsTotal(t *testing.T) {
 		t.Fatalf("queue exceeded shared pool: %d", sw.Ports[1].Q.MaxBytes)
 	}
 	eng.RunUntilIdle()
-	if sw.BufferedBytes() != 0 {
-		t.Fatalf("buffer accounting leak: %d bytes after drain", sw.BufferedBytes())
+	if sw.buffered != 0 {
+		t.Fatalf("buffer accounting leak: %d bytes after drain", sw.buffered)
 	}
 }
 

@@ -213,10 +213,6 @@ func (s *Switch) onPortSent(pkt *Packet) {
 	}
 }
 
-// BufferedBytes returns the switch-wide buffered byte count (only tracked
-// when SharedBuffer is configured).
-func (s *Switch) BufferedBytes() int64 { return s.buffered }
-
 // ID returns the switch's node identifier.
 func (s *Switch) ID() NodeID { return s.id }
 

@@ -38,7 +38,7 @@ func TestSwitchNoRouteCounted(t *testing.T) {
 func TestPortProtoCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &sinkDevice{id: 1, eng: eng}
-	p := NewPort(eng, 10_000_000_000)
+	p := NewHost(eng, 0, 10_000_000_000, 0).NIC
 	p.Link = Link{To: sink}
 	p.Enqueue(&Packet{Proto: ProtoTCP, Size: 1000})
 	p.Enqueue(&Packet{Proto: ProtoUDP, Size: 500})

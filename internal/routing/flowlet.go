@@ -65,9 +65,6 @@ func flowletStateOf(sw *netsim.Switch, dyn bool) *flowletState {
 	return st
 }
 
-// Len returns the number of live entries (fuzz harness leak checks).
-func (st *flowletState) Len() int { return len(st.table) }
-
 func keyOf(pkt *netsim.Packet) flowletKey {
 	prefix := pkt.HashPrefix
 	if !pkt.HashPrefixOK {

@@ -109,7 +109,7 @@ func FuzzFlowletGap(f *testing.F) {
 			}
 			lastPort[fi] = got
 
-			if n := st.Len(); n > nFlows {
+			if n := len(st.table); n > nFlows {
 				t.Fatalf("table holds %d entries for %d flows", n, nFlows)
 			}
 			if retention >= 0 && st.tail != nil && now-st.tail.last > retention {

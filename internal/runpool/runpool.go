@@ -89,9 +89,6 @@ func New(parallelism int) *Pool {
 	return &Pool{sem: make(chan struct{}, parallelism)}
 }
 
-// Parallelism returns the pool's concurrency bound.
-func (p *Pool) Parallelism() int { return cap(p.sem) }
-
 // TryAcquire grabs up to n of the pool's CPU tokens without blocking and
 // returns how many it got (possibly zero). A running task that wants to go
 // multi-threaded internally — the sharded simulation engine spreading one

@@ -36,8 +36,8 @@ func TestMapPreservesOrder(t *testing.T) {
 func TestParallelismBound(t *testing.T) {
 	const bound = 3
 	p := New(bound)
-	if p.Parallelism() != bound {
-		t.Fatalf("Parallelism() = %d", p.Parallelism())
+	if cap(p.sem) != bound {
+		t.Fatalf("parallelism = %d", cap(p.sem))
 	}
 	var running, peak, violations int64
 	MapN(p, 50, func(int) struct{} {
@@ -77,11 +77,11 @@ func TestSequentialPoolRunsOneAtATime(t *testing.T) {
 }
 
 func TestNewDefaultsToGOMAXPROCS(t *testing.T) {
-	if got, want := New(0).Parallelism(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(0).Parallelism() = %d, want %d", got, want)
+	if got, want := cap(New(0).sem), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("cap(New(0).sem) = %d, want %d", got, want)
 	}
-	if got, want := New(-5).Parallelism(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("New(-5).Parallelism() = %d, want %d", got, want)
+	if got, want := cap(New(-5).sem), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("cap(New(-5).sem) = %d, want %d", got, want)
 	}
 }
 

@@ -71,7 +71,7 @@ const SketchMaxValue = 1e300
 // shard-index order regardless, mirroring how they merge event streams.
 //
 // The zero value is ready to use. NaN and ±Inf observations are dropped and
-// counted in Dropped — they would otherwise poison the sort order or the
+// counted in dropped — they would otherwise poison the sort order or the
 // bucket index.
 type Sketch struct {
 	capN int // exact-mode capacity; 0 = DefaultSketchCap (tests set it)
@@ -98,7 +98,7 @@ func (s *Sketch) capacity() int {
 	return s.capN
 }
 
-// Add records one observation. Non-finite values are dropped (see Dropped).
+// Add records one observation. Non-finite values are dropped and counted.
 func (s *Sketch) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		s.dropped++
@@ -169,9 +169,6 @@ func (s *Sketch) rep(k int) float64 {
 
 // N returns the number of recorded observations.
 func (s *Sketch) N() int64 { return s.count }
-
-// Dropped returns the number of non-finite observations rejected by Add.
-func (s *Sketch) Dropped() int64 { return s.dropped }
 
 // Collapsed reports whether the sketch left the exact regime.
 func (s *Sketch) Collapsed() bool { return s.collapsed }

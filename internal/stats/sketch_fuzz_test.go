@@ -70,8 +70,8 @@ func FuzzSketchMerge(f *testing.F) {
 			}
 		}
 		for _, s := range []*Sketch{whole, left, right} {
-			if s.N() != finite || s.Dropped() != dropped {
-				t.Fatalf("count drift: N=%d dropped=%d want %d/%d", s.N(), s.Dropped(), finite, dropped)
+			if s.N() != finite || s.dropped != dropped {
+				t.Fatalf("count drift: N=%d dropped=%d want %d/%d", s.N(), s.dropped, finite, dropped)
 			}
 		}
 

@@ -207,8 +207,8 @@ func TestSketchNonFinite(t *testing.T) {
 	sk.Add(math.Inf(1))
 	sk.Add(math.Inf(-1))
 	sk.Add(1)
-	if sk.N() != 1 || sk.Dropped() != 3 {
-		t.Fatalf("N=%d dropped=%d, want 1/3", sk.N(), sk.Dropped())
+	if sk.N() != 1 || sk.dropped != 3 {
+		t.Fatalf("N=%d dropped=%d, want 1/3", sk.N(), sk.dropped)
 	}
 	if got := sk.Percentile(99); got != 1 {
 		t.Fatalf("P99=%v, want 1", got)

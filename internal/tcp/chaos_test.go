@@ -97,8 +97,8 @@ func TestChaosManyFlowsOnFabric(t *testing.T) {
 			hosts[i%2], hosts[2+i%2], 2_000_000))
 	}
 	// Flap one of the two inter-switch paths.
-	eng.At(1*sim.Millisecond, pathA.Fail)
-	eng.At(30*sim.Millisecond, pathA.Restore)
+	eng.At(1*sim.Millisecond, func() { pathA.AtoB.SetLinkDown(true); pathA.BtoA.SetLinkDown(true) })
+	eng.At(30*sim.Millisecond, func() { pathA.AtoB.SetLinkDown(false); pathA.BtoA.SetLinkDown(false) })
 	eng.Run(20 * sim.Second)
 	for _, f := range flows {
 		if !f.Done() {

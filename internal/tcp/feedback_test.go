@@ -71,12 +71,12 @@ func TestECNCutProportionalToAlpha(t *testing.T) {
 	// With alpha ~ 0 the ECN cut is tiny, not a halving.
 	eng, f := isolatedSender(t, DefaultConfig())
 	s := f.Sender()
-	before := s.Cwnd()
+	before := s.cwnd
 	s.Deliver(craftedAck(f, 1460, true, 0))
 	eng.Run(eng.Now() + sim.Microsecond)
 	// The new-ack growth adds <= 2 MSS before the cut applies; alpha after
 	// one fully-marked epoch = g = 1/16, and the cut is alpha/2.
-	if after := s.Cwnd(); after < before*0.9 {
+	if after := s.cwnd; after < before*0.9 {
 		t.Fatalf("DCTCP cut too deep: %v -> %v", before, after)
 	}
 }

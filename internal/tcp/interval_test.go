@@ -11,19 +11,19 @@ func TestIntervalAddMerge(t *testing.T) {
 	var s intervalSet
 	s.add(10, 20)
 	s.add(30, 40)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.iv) != 2 {
+		t.Fatalf("len = %d", len(s.iv))
 	}
 	s.add(20, 30) // bridges the gap
-	if s.Len() != 1 || s.iv[0] != (ivl{10, 40}) {
+	if len(s.iv) != 1 || s.iv[0] != (ivl{10, 40}) {
 		t.Fatalf("merge failed: %+v", s.iv)
 	}
 	s.add(5, 12) // overlaps the left edge
-	if s.Len() != 1 || s.iv[0] != (ivl{5, 40}) {
+	if len(s.iv) != 1 || s.iv[0] != (ivl{5, 40}) {
 		t.Fatalf("left merge failed: %+v", s.iv)
 	}
 	s.add(50, 50) // empty: ignored
-	if s.Len() != 1 {
+	if len(s.iv) != 1 {
 		t.Fatalf("empty interval inserted: %+v", s.iv)
 	}
 }
@@ -36,7 +36,7 @@ func TestIntervalConsume(t *testing.T) {
 	if next := s.consume(10); next != 35 {
 		t.Fatalf("consume(10) = %d, want 35", next)
 	}
-	if s.Len() != 1 {
+	if len(s.iv) != 1 {
 		t.Fatalf("remaining = %+v", s.iv)
 	}
 	if next := s.consume(5); next != 5 {

@@ -185,9 +185,6 @@ func (x *intervalSet) consume(next int64) int64 {
 	return next
 }
 
-// Len returns the number of disjoint buffered ranges.
-func (x *intervalSet) Len() int { return len(x.iv) }
-
 // maxSackBlocks bounds the SACK option size, as the TCP option space does.
 const maxSackBlocks = 4
 

@@ -25,8 +25,9 @@ func TestRecoveryStatsTracksOutage(t *testing.T) {
 	f := tcp.StartFlow(eng, tcp.DefaultConfig(), 1, ft.Hosts[0], ft.Hosts[len(ft.Hosts)-1], 10_000_000)
 	// Cut the source host's only uplink: every path is dark, so the flow
 	// must stall until the restore no matter how it is routed.
-	eng.At(failAt, func() { ft.HostLinks[0].Fail() })
-	eng.At(restoreAt, func() { ft.HostLinks[0].Restore() })
+	up := ft.HostLinks[0]
+	eng.At(failAt, func() { up.AtoB.SetLinkDown(true); up.BtoA.SetLinkDown(true) })
+	eng.At(restoreAt, func() { up.AtoB.SetLinkDown(false); up.BtoA.SetLinkDown(false) })
 	eng.Run(2 * sim.Second)
 
 	if !f.Done() {

@@ -135,12 +135,6 @@ func (s *Sender) start() {
 	s.trySend()
 }
 
-// Cwnd returns the current congestion window in bytes.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// Alpha returns DCTCP's current marked-fraction estimate.
-func (s *Sender) Alpha() float64 { return s.alpha }
-
 // PathTag returns the current FlowBender tag (0 without FlowBender).
 func (s *Sender) PathTag() uint32 {
 	if s.fb == nil {
@@ -514,12 +508,6 @@ func (s *Sender) sampleRTT(rtt sim.Time) {
 		s.rto = RTOMax
 	}
 }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() sim.Time { return s.srtt }
-
-// RTO returns the current retransmission timeout (before backoff).
-func (s *Sender) RTO() sim.Time { return s.rto }
 
 func (s *Sender) armTimer() {
 	if s.sndUna >= s.flow.Size || s.sndUna >= s.sndNxt {

@@ -164,7 +164,7 @@ func TestECNMarkCutsWindowOncePerRTT(t *testing.T) {
 	if f.Receiver().MarkedData == 0 {
 		t.Fatal("no marks observed")
 	}
-	if f.Sender().Alpha() == 0 {
+	if f.Sender().alpha == 0 {
 		t.Fatal("DCTCP alpha never updated despite marks")
 	}
 }
@@ -183,7 +183,7 @@ func TestDCTCPAlphaConvergesToMarkRate(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow incomplete")
 	}
-	if got := f.Sender().Alpha(); got < 0.8 {
+	if got := f.Sender().alpha; got < 0.8 {
 		t.Fatalf("alpha = %v after universal marking, want near 1", got)
 	}
 }
@@ -307,7 +307,7 @@ func TestMaxCwndBound(t *testing.T) {
 	var tick func()
 	tick = func() {
 		if !f.Done() {
-			if c := f.Sender().Cwnd(); c > maxSeen {
+			if c := f.Sender().cwnd; c > maxSeen {
 				maxSeen = c
 			}
 			eng.Schedule(100*sim.Microsecond, tick)
@@ -339,12 +339,12 @@ func TestRTTEstimation(t *testing.T) {
 	if !f.Done() {
 		t.Fatal("flow incomplete")
 	}
-	srtt := f.Sender().SRTT()
+	srtt := f.Sender().srtt
 	// Baseline RTT = 2*(10+10+5) us = 50 us plus serialization/queueing.
 	if srtt < 50*sim.Microsecond || srtt > 2*sim.Millisecond {
 		t.Fatalf("SRTT = %v, implausible", srtt)
 	}
-	if got := f.Sender().RTO(); got < 10*sim.Millisecond {
+	if got := f.Sender().rto; got < 10*sim.Millisecond {
 		t.Fatalf("RTO %v below the 10 ms floor", got)
 	}
 }

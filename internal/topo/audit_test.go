@@ -47,7 +47,8 @@ func TestAuditDetectsFailure(t *testing.T) {
 	ft := NewFatTree(eng, p)
 	ft.SetSelector(routing.ECMP{})
 	// Cut a host's access link: every pair involving it becomes unreachable.
-	ft.HostLinks[3].Fail()
+	ft.HostLinks[3].AtoB.SetLinkDown(true)
+	ft.HostLinks[3].BtoA.SetLinkDown(true)
 	rep := ft.Audit(4)
 	if rep.Unreachable == 0 {
 		t.Fatal("audit missed the failed access link")

@@ -5,7 +5,7 @@ package topo
 func (ft *FatTree) DownLinks() int {
 	count := 0
 	for _, d := range ft.links {
-		if d.Failed() {
+		if d.AtoB.Link.Down && d.BtoA.Link.Down {
 			count++
 		}
 	}

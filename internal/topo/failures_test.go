@@ -16,11 +16,8 @@ func TestTestbedFailRestoreRoundTrip(t *testing.T) {
 	}
 	setSpineDown := func(spine int, down bool) {
 		for tor := 0; tor < lp.TorsPerPod; tor++ {
-			if down {
-				up[tor][spine].Fail()
-			} else {
-				up[tor][spine].Restore()
-			}
+			up[tor][spine].AtoB.SetLinkDown(down)
+			up[tor][spine].BtoA.SetLinkDown(down)
 		}
 	}
 	setSpineDown(1, true)
@@ -28,14 +25,11 @@ func TestTestbedFailRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("down links = %d, want %d", got, lp.TorsPerPod)
 	}
 	// A half-open cable elsewhere must not count as fully down.
-	up[0][3].FailAtoB()
+	up[0][3].AtoB.SetLinkDown(true)
 	if got := tb.DownLinks(); got != lp.TorsPerPod {
 		t.Fatalf("half-open cable counted as down: %d", got)
 	}
-	if !up[0][3].HalfOpen() {
-		t.Fatal("half-open state lost")
-	}
-	up[0][3].Restore()
+	up[0][3].AtoB.SetLinkDown(false)
 	setSpineDown(1, false)
 	if tb.DownLinks() != 0 {
 		t.Fatal("restore incomplete")

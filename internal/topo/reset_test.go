@@ -241,7 +241,8 @@ func (f *fabricUnderTest) abuse(t *testing.T, sel netsim.Selector) {
 	mid := f.links[len(f.links)/2]
 	grayed := 0
 	f.eng.At(100*sim.Microsecond, func() {
-		up.Fail()
+		up.AtoB.SetLinkDown(true)
+		up.BtoA.SetLinkDown(true)
 		mid.AtoB.SetLinkDropFn(func(*netsim.Packet) bool { grayed++; return grayed%5 == 0 })
 		mid.BtoA.SetRate(mid.BtoA.RateBps / 4)
 		muteMarking(f.switches[0])

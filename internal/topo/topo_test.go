@@ -184,16 +184,18 @@ func TestDuplexFailRestore(t *testing.T) {
 	eng := sim.NewEngine()
 	ft := NewFatTree(eng, TinyScale())
 	d := ft.AggCoreLinks[0][0][0]
-	if d.Failed() {
-		t.Fatal("new link reports failed")
+	if ft.DownLinks() != 0 {
+		t.Fatal("new fabric reports a failed link")
 	}
-	d.Fail()
-	if !d.Failed() || !d.AtoB.Link.Down || !d.BtoA.Link.Down {
-		t.Fatal("Fail did not cut both directions")
+	d.AtoB.SetLinkDown(true)
+	d.BtoA.SetLinkDown(true)
+	if ft.DownLinks() != 1 {
+		t.Fatalf("down links = %d after cutting both directions, want 1", ft.DownLinks())
 	}
-	d.Restore()
-	if d.Failed() {
-		t.Fatal("Restore did not bring the link back")
+	d.AtoB.SetLinkDown(false)
+	d.BtoA.SetLinkDown(false)
+	if ft.DownLinks() != 0 {
+		t.Fatal("restoring both directions did not bring the link back")
 	}
 }
 

@@ -62,18 +62,6 @@ func NewSender(eng *sim.Engine, id netsim.FlowID, src, dst *netsim.Host, rateBps
 	return s
 }
 
-// Probe returns a representative (untransmitted) packet with the given path
-// tag, for callers that want to predict which port a switch's selector would
-// assign this sender's traffic to.
-func (s *Sender) Probe(tag uint32) *netsim.Packet {
-	return &netsim.Packet{
-		Flow: s.id, Src: s.src.ID(), Dst: s.dst.ID(),
-		SrcPort: s.srcPort, DstPort: s.dstPort,
-		Proto: netsim.ProtoUDP, Kind: netsim.KindData, PathTag: tag,
-		Payload: s.size, Size: s.size + netsim.HeaderBytes,
-	}
-}
-
 // Start begins the periodic transmission.
 func (s *Sender) Start() {
 	s.stopped = false

@@ -236,9 +236,6 @@ func (m *Mix) MeanBatchBytes() float64 {
 	return m.CDF.Mean() * (1 + m.StorageFrac*float64(m.replicas()-1))
 }
 
-// Emitted returns the number of flow specs generated so far.
-func (m *Mix) Emitted() int { return m.emitted }
-
 // Done reports whether generation has reached MaxFlows.
 func (m *Mix) Done() bool { return m.emitted >= m.MaxFlows }
 

@@ -285,8 +285,8 @@ func TestMixIncastShape(t *testing.T) {
 		}
 		_ = full
 	}
-	if m.Emitted() != 20000 {
-		t.Fatalf("emitted %d, want 20000", m.Emitted())
+	if m.emitted != 20000 {
+		t.Fatalf("emitted %d, want 20000", m.emitted)
 	}
 	if batches < 20000/m.FanIn {
 		t.Fatalf("only %d batches", batches)

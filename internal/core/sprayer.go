@@ -12,12 +12,8 @@ type Sprayer struct {
 	burst     int64
 	rng       *sim.RNG
 
-	tag   uint32
-	sent  int64
-	total int64
-
-	// Changes counts tag changes, for tests and diagnostics.
-	Changes int64
+	tag  uint32
+	sent int64
 }
 
 // NewSprayer returns a sprayer cycling through numValues tags every
@@ -41,7 +37,6 @@ func NewSprayer(numValues uint32, burstBytes int64, rng *sim.RNG) *Sprayer {
 func (s *Sprayer) Tag(n int) uint32 {
 	if s.sent >= s.burst {
 		s.sent = 0
-		s.Changes++
 		if s.numValues > 1 {
 			if s.rng != nil {
 				s.tag = uint32(s.rng.IntnExcept(int(s.numValues), int(s.tag)))
@@ -51,6 +46,5 @@ func (s *Sprayer) Tag(n int) uint32 {
 		}
 	}
 	s.sent += int64(n)
-	s.total += int64(n)
 	return s.tag
 }

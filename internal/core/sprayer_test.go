@@ -7,21 +7,28 @@ import (
 )
 
 func TestSprayerChangesTagEveryBurst(t *testing.T) {
-	s := NewSprayer(8, 1000, nil)
+	s := NewSprayer(8, 1200, nil)
 	first := s.Tag(400) // 400 bytes into burst
 	if s.Tag(400) != first {
 		t.Fatal("tag changed mid-burst")
 	}
-	// Third call starts at 800 < 1000, still same burst.
+	// Third call starts at 800 < 1200, still same burst.
 	if s.Tag(400) != first {
 		t.Fatal("tag changed before burst boundary")
 	}
-	// Now 1200 >= 1000 accounted: next call rolls the tag.
-	if s.Tag(400) == first {
+	// Now exactly 1200 accounted, a full burst: next call rolls the tag.
+	prev := s.Tag(400)
+	if prev == first {
 		t.Fatal("tag did not change after burst boundary")
 	}
-	if s.Changes != 1 {
-		t.Fatalf("Changes = %d, want 1", s.Changes)
+	// From here every burst is three 400-byte calls: the tag changes on the
+	// first call of each and holds for the other two.
+	for call := 5; call <= 40; call++ {
+		tag := s.Tag(400)
+		if boundary := call%3 == 1; (tag != prev) != boundary {
+			t.Fatalf("call %d: tag %d after %d, boundary %v", call, tag, prev, boundary)
+		}
+		prev = tag
 	}
 }
 
@@ -31,9 +38,6 @@ func TestSprayerTagInRange(t *testing.T) {
 		if tag := s.Tag(64); tag >= 4 {
 			t.Fatalf("tag %d out of range", tag)
 		}
-	}
-	if s.total != 640_000 {
-		t.Fatalf("total = %d", s.total)
 	}
 }
 

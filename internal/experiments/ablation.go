@@ -94,8 +94,8 @@ func Ablations(o Options) *AblationResult {
 	var baseMean, baseP99 float64
 	for i, v := range res.Variants {
 		out := a2aOuts[i]
-		mean := out.FCT.All().Mean()
-		p99 := out.FCT.All().Percentile(99)
+		all := out.FCT.All()
+		mean, p99 := all.Mean(), all.Percentile(99)
 		if i == 0 {
 			baseMean, baseP99 = mean, p99
 		}

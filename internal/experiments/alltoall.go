@@ -232,13 +232,17 @@ func (o Options) assembleAllToAll(outs []*runOutcome) *AllToAllResult {
 					res.OOO[s] = f
 				}
 				reroutes += out.Reroutes
+				if o.Log == nil {
+					continue // All() merges every bin: build the line only for a reader
+				}
 				seedTag := ""
 				if reps > 1 {
 					seedTag = fmt.Sprintf(" seed=%d", o.seedAt(rep))
 				}
+				all := out.FCT.All()
 				o.logf("all-to-all: load=%.0f%% %s%s mean=%.3gms p99=%.3gms ooo=%.5f%% incomplete=%d",
-					load*100, s, seedTag, out.FCT.All().Mean()*1000,
-					out.FCT.All().Percentile(99)*1000, out.OOOFraction()*100, out.Incomplete)
+					load*100, s, seedTag, all.Mean()*1000,
+					all.Percentile(99)*1000, out.OOOFraction()*100, out.Incomplete)
 			}
 			if s == FlowBender {
 				res.Reroutes[load] = reroutes / int64(reps)

@@ -64,8 +64,9 @@ const hugeCap = 1e30
 //     undisturbed, which is exactly why the incremental answer equals a
 //     from-scratch Waterfill (the property and fuzz tests pin this).
 //
-// A round walks A's (session, link) pairs three times, and a pair costs one
-// link record each time:
+// Every round takes one path, a lone session's as much as a sprayed
+// transfer's, and walks A's (session, link) pairs three times, a pair costing
+// one link record each time:
 //
 //   - splitComps, in A order, opens every link it meets for the first time
 //     this round (residual = capacity net of load), folds each member's
@@ -80,10 +81,13 @@ const hugeCap = 1e30
 //   - solveComp progressive-fills each component over live sets: the members
 //     still unfrozen and the links that still carry one, compacted in place
 //     and in order after every bottleneck iteration, each live link's share
-//     divided out once per iteration. An iteration decides who freezes
-//     before it touches a link, so the one that freezes every live member —
-//     most of them — ends the solve without the residual updates nobody
-//     would read. Components are link-disjoint, so solving them on parallel
+//     divided out once per iteration into its record (wShare). An iteration
+//     decides who freezes before it touches a link: a member freezes at its
+//     cap, or at the level when one of its links' wShare is within eps of
+//     it. So the iteration that freezes every live member — most of them —
+//     ends the solve without the residual updates nobody would read. A
+//     linkless session, a component of its own, just takes its cap (0 when
+//     uncapped). Components are link-disjoint, so solving them on parallel
 //     workers performs the identical floating-point arithmetic as solving
 //     them in sequence: results are bit-identical at any shard count, which
 //     the solver-shards digest test pins the way byteident pins the packet
@@ -137,12 +141,6 @@ type IncSolver struct {
 	compOffs []int32
 	compLOff []int32
 	compLink []int32
-	// compShare caches each live link's fair share for one bottleneck
-	// iteration, positional and parallel to the component's link list;
-	// components keep disjoint regions of it.
-	compShare []float64
-
-	iterCtr atomic.Uint64 // globally unique bottleneck-iteration tags
 
 	shards    int // max parallel workers for the component solve; <=1 serial
 	parThresh int // test override for parThreshDefault; 0 = default
@@ -155,11 +153,12 @@ type linkRec struct {
 	cap  float64 // sanitized capacity: 0 <= cap <= hugeCap
 	load float64 // sum of session rates crossing the link
 
-	// Round scratch. wRem, wAct, first and wBneck are live while round ==
-	// roundGen, lmaxV while lmaxS == roundGen.
+	// Round scratch. wRem, wAct and first are live while round == roundGen,
+	// wShare while the link is live in the current bottleneck iteration,
+	// lmaxV while lmaxS == roundGen.
 	wRem   float64 // capacity left to the component's unfrozen members
+	wShare float64 // wRem / wAct as of the current bottleneck iteration
 	lmaxV  float64 // largest new A-rate on the link
-	wBneck uint64  // tag of the bottleneck iteration that saturated the link
 	wAct   int32   // unfrozen member entries on the link
 	first  int32   // A position of the first member that crossed it
 	round  uint32  // == roundGen: opened by this round's splitComps
@@ -468,70 +467,6 @@ func (is *IncSolver) bumpRound() {
 // apply the new rates to the shared load/lmax state.
 func (is *IncSolver) solveRound() {
 	n := len(is.inA)
-	rg := is.roundGen
-
-	// Fast path for the steady state's dominant case: a single affected
-	// session is trivially one component, so the whole union-find, component
-	// numbering, and per-link scratch machinery reduces to "take the minimum
-	// residual over the session's links". The arithmetic below replays the
-	// general path's exactly — wRem = (cap-load)+sRate built in the same
-	// association, wRem/1 skipped as IEEE-exact, the same eps policy, the
-	// same apply — so every digest is bit-identical to the scaffolded route.
-	// A duplicated link on the path (raw Add API only) needs wAct and falls
-	// through to the general machinery.
-	if n == 1 {
-		s := is.inA[0]
-		nl := int32(is.sN[s])
-		base := int32(s) * sessBlock
-		dup := false
-		for a := int32(1); a < nl; a++ {
-			for b := int32(0); b < a; b++ {
-				if is.sLink[base+a] == is.sLink[base+b] {
-					dup = true
-				}
-			}
-		}
-		if !dup {
-			r0 := is.sRate[s]
-			cp := is.sCap[s]
-			var nr float64
-			if nl == 0 {
-				if cp < hugeCap {
-					nr = cp
-				}
-			} else {
-				level := math.Inf(1)
-				for j := int32(0); j < nl; j++ {
-					lk := &is.links[is.sLink[base+j]]
-					if rem := lk.cap - lk.load + r0; rem < level {
-						level = rem
-					}
-				}
-				if cp < level {
-					level = cp
-				}
-				if level < 0 {
-					level = 0
-				}
-				eps := level*1e-9 + 1e-15
-				if cp <= level+eps {
-					nr = cp
-				} else {
-					nr = level
-				}
-			}
-			for j := int32(0); j < nl; j++ {
-				lk := &is.links[is.sLink[base+j]]
-				if lk.load += nr - r0; lk.load < 0 {
-					lk.load = 0
-				}
-				lk.lmaxS = rg
-				lk.lmaxV = nr
-			}
-			is.sRate[s] = nr
-			return
-		}
-	}
 
 	// Solve the components — serial, or on a small worker pool when the
 	// affected set is large. Components are link-disjoint, so both paths
@@ -541,7 +476,7 @@ func (is *IncSolver) solveRound() {
 		thresh = parThreshDefault
 	}
 	if ncomp := is.splitComps(); ncomp == 1 {
-		is.solveComp(is.compSess[:n], is.seenLink, is.compShare)
+		is.solveComp(is.compSess[:n], is.seenLink)
 	} else if is.shards > 1 && n >= thresh {
 		is.solveCompsParallel(ncomp)
 	} else {
@@ -550,7 +485,7 @@ func (is *IncSolver) solveRound() {
 		}
 	}
 
-	is.applyRates(rg)
+	is.applyRates(is.roundGen)
 }
 
 // splitComps is the round's one set-up walk over the affected set, in A
@@ -558,8 +493,8 @@ func (is *IncSolver) solveRound() {
 // holding back into its links' residuals (the components solve against
 // capacity net of outsiders only), and union-finds the members into
 // link-connected components. It returns the component count. With one
-// component, compSess[:n], seenLink and compShare are its members (A
-// positions), links and share scratch; with more, solveCompAt(c) slices
+// component, compSess[:n] and seenLink are its members (A positions) and
+// links; with more, solveCompAt(c) slices
 // component c's out of the bucketed arenas, components numbered by first
 // appearance in A order and every list in the order the walk met it.
 func (is *IncSolver) splitComps() int {
@@ -606,7 +541,6 @@ func (is *IncSolver) splitComps() int {
 	}
 	seen = seen[:nl]
 	is.seenLink = seen
-	is.compShare = grown(is.compShare, nl)
 
 	if ncomp == 1 {
 		for i := 0; i < n; i++ {
@@ -731,7 +665,7 @@ func ufFind(p []int32, x int32) int32 {
 // regions of the bucketed arenas — components solve concurrently.
 func (is *IncSolver) solveCompAt(c int) {
 	lo, hi := is.compLOff[c], is.compLOff[c+1]
-	is.solveComp(is.compSess[is.compOffs[c]:is.compOffs[c+1]], is.compLink[lo:hi], is.compShare[lo:hi])
+	is.solveComp(is.compSess[is.compOffs[c]:is.compOffs[c+1]], is.compLink[lo:hi])
 }
 
 // solveComp progressive-fills one affected component against the residual
@@ -739,71 +673,35 @@ func (is *IncSolver) solveCompAt(c int) {
 // and numerical backstop are waterfiller.solve's, so the incremental solver
 // inherits the reference solver's arithmetic.
 //
-// sess (A positions) and links are the live sets of the type comment, share
-// the per-link scratch parallel to links. Compaction keeps their order
-// because sessions must freeze in A order: only then does every wRem -=
-// freezeAt land in the order a full rescan applies it, and two members
-// freezing in one iteration on caps that tie within eps, not exactly, make
-// that order visible in the result bits.
-func (is *IncSolver) solveComp(sess, links []int32, share []float64) {
-	if len(sess) == 1 {
+// sess (A positions) and links are the live sets of the type comment.
+// Compaction keeps their order because sessions must freeze in A order: only
+// then does every wRem -= freezeAt land in the order a full rescan applies
+// it, and two members freezing in one iteration on caps that tie within eps,
+// not exactly, make that order visible in the result bits.
+func (is *IncSolver) solveComp(sess, links []int32) {
+	if len(links) == 0 {
+		// Only a linkless session, always a component of its own, has no
+		// links: it gets its cap, and an uncapped one gets 0.
 		ai := sess[0]
-		s := is.inA[ai]
-		cp := is.sCap[s]
-		if is.sN[s] == 0 {
-			// Linkless (always a component of its own): the cap alone.
-			if cp >= hugeCap {
-				cp = 0
-			}
-			is.aRate[ai] = cp
-			return
+		cp := is.sCap[is.inA[ai]]
+		if cp >= hugeCap {
+			cp = 0
 		}
-		// Single-session shortcut for the dominant steady-state component.
-		// With one member, every member link has wAct == 1 (wRem/1 is
-		// IEEE-exact), the minimum link always satisfies the bottleneck test,
-		// and the freeze rule collapses to "cap if within eps of the level,
-		// else the level" — the identical arithmetic as one iteration of the
-		// general loop below, minus the tagging scaffolding (the skipped
-		// iterCtr draw is value-independent). A path that crosses the same
-		// link twice (possible through the raw Add API, never from the path
-		// builder) would need the wAct bookkeeping, so it takes the general
-		// loop; len(links) < sN detects exactly that.
-		if len(links) == int(is.sN[s]) {
-			level := math.Inf(1)
-			for _, l := range links {
-				if rem := is.links[l].wRem; rem < level {
-					level = rem
-				}
-			}
-			if cp < level {
-				level = cp
-			}
-			if level < 0 {
-				level = 0
-			}
-			eps := level*1e-9 + 1e-15
-			if cp <= level+eps {
-				is.aRate[ai] = cp
-			} else {
-				is.aRate[ai] = level
-			}
-			return
-		}
+		is.aRate[ai] = cp
+		return
 	}
-
 	for {
-		tag := is.iterCtr.Add(1)
 		level := math.Inf(1)
-		// One pass drops the links whose last member froze, computes each
-		// survivor's fair share once, and takes the minimum.
+		// One pass drops the links whose last member froze, stores each
+		// survivor's fair share in its record, and takes the minimum.
 		w := 0
 		for _, l := range links {
 			if lk := &is.links[l]; lk.wAct > 0 {
-				v := lk.wRem / float64(lk.wAct)
-				links[w], share[w] = l, v
+				lk.wShare = lk.wRem / float64(lk.wAct)
+				links[w] = l
 				w++
-				if v < level {
-					level = v
+				if lk.wShare < level {
+					level = lk.wShare
 				}
 			}
 		}
@@ -817,13 +715,10 @@ func (is *IncSolver) solveComp(sess, links []int32, share []float64) {
 			level = 0
 		}
 		eps := level*1e-9 + 1e-15
-		for i, l := range links {
-			if share[i] <= level+eps {
-				is.links[l].wBneck = tag
-			}
-		}
 		// Decide every live member's fate before touching a link: aRate takes
-		// the freezing rate, or -1 (no rate is negative) to stay live.
+		// the freezing rate, or -1 (no rate is negative) to stay live. A live
+		// member's links are all live, so each wShare it reads is this
+		// iteration's.
 		frozen := 0
 		for _, ai := range sess {
 			s := is.inA[ai]
@@ -833,7 +728,7 @@ func (is *IncSolver) solveComp(sess, links []int32, share []float64) {
 			} else {
 				base := int32(s) * sessBlock
 				for j := int8(0); j < is.sN[s]; j++ {
-					if is.links[is.sLink[base+int32(j)]].wBneck == tag {
+					if is.links[is.sLink[base+int32(j)]].wShare <= level+eps {
 						freezeAt = level
 						break
 					}

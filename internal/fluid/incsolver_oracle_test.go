@@ -47,8 +47,9 @@ type oracleSolver struct {
 }
 
 // roundShapes counts what the oracle's rounds and iterations looked like, so
-// a history can prove it reached the regimes the shipped solver special-cases.
+// a history can prove it reached the regimes the shipped round tells apart.
 type roundShapes struct {
+	lone        int // rounds of a single session
 	oneComp     int // rounds of several sessions that are one component
 	multiComp   int // rounds of several components
 	interleaved int // ... whose first-seen link order mixes the components
@@ -58,7 +59,7 @@ type roundShapes struct {
 }
 
 func (a roundShapes) minus(b roundShapes) roundShapes {
-	return roundShapes{a.oneComp - b.oneComp, a.multiComp - b.multiComp, a.interleaved - b.interleaved,
+	return roundShapes{a.lone - b.lone, a.oneComp - b.oneComp, a.multiComp - b.multiComp, a.interleaved - b.interleaved,
 		a.allFreeze - b.allFreeze, a.partial - b.partial, a.backstop - b.backstop}
 }
 
@@ -76,7 +77,7 @@ func (o *oracleSolver) Reset(capacity []float64, marking []bool) {
 }
 
 // Commit is IncSolver.Commit with every round routed through the oracle's own
-// split and solveCompRescan (no lone-session round shortcut either).
+// split and solveCompRescan.
 func (o *oracleSolver) Commit() {
 	is := &o.IncSolver
 	if !is.pending {
@@ -198,6 +199,8 @@ func (o *oracleSolver) splitComps() int {
 		}
 	case n > 1:
 		o.shapes.oneComp++
+	default:
+		o.shapes.lone++
 	}
 	return ncomp
 }
@@ -240,31 +243,6 @@ func (o *oracleSolver) solveCompRescan(c int) {
 			o.wRem[l] += is.sRate[s]
 			o.wAct[l]++
 		}
-	}
-
-	if unfrozen == 1 && len(sess) == 1 && len(links) == int(is.sN[is.inA[sess[0]]]) {
-		ai := sess[0]
-		cp := is.sCap[is.inA[ai]]
-		level := math.Inf(1)
-		for _, l := range links {
-			if o.wRem[l] < level {
-				level = o.wRem[l]
-			}
-		}
-		if cp < level {
-			level = cp
-		}
-		if level < 0 {
-			level = 0
-		}
-		eps := level*1e-9 + 1e-15
-		if cp <= level+eps {
-			is.aRate[ai] = cp
-		} else {
-			is.aRate[ai] = level
-		}
-		o.aFrozen[ai] = true
-		return
 	}
 
 	for unfrozen > 0 {
@@ -554,11 +532,12 @@ func (ls *lockstep) commitShaped(what string, want roundShapes) {
 	}
 }
 
-// shapesHistory walks the shipped round's special cases one commit at a
-// time, on a fabric of eight equal links: a one-component round that freezes
-// in one iteration, one that freezes over two, a round of two components
-// whose links the set-up walk meets alternately (so bucketing the first-seen
-// list has to pull them apart), and the join rounds each of those sets off.
+// shapesHistory walks the round shapes one commit at a time, on a fabric of
+// eight equal links: a one-component round that freezes in one iteration,
+// one that freezes over two, a round of two components whose links the set-up
+// walk meets alternately (so bucketing the first-seen list has to pull them
+// apart), the join rounds each of those sets off, and lone-session rounds —
+// uncapped, capped, linkless either way, and over one link twice.
 func shapesHistory(t *testing.T, shards ...int) {
 	caps := []float64{1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9, 1e9}
 	ls := newLockstep(t, caps, shards...)
@@ -594,15 +573,37 @@ func shapesHistory(t *testing.T, shards ...int) {
 	ls.add([]int32{7, 2}, 3e8)
 	ls.commitShaped("interleaved components", roundShapes{multiComp: 1, interleaved: 1, allFreeze: 2, partial: 1})
 	check()
+
+	// Lone sessions, each on links nobody else holds, so no round pulls an
+	// outsider in: uncapped, capped below its links, linkless uncapped (rate
+	// 0) and capped (its cap), and one that crosses a link twice (half of it).
+	for len(ls.live) > 0 {
+		ls.remove(0)
+	}
+	ls.commit()
+	lone := func(what string, links []int32, cap, want float64, shapes roundShapes) {
+		t.Helper()
+		k := ls.add(links, cap)
+		ls.commitShaped(what, shapes)
+		check()
+		if got := ls.subj[0].Rate(ls.live[k].id); got != want {
+			t.Fatalf("%s: rate %v, want %v", what, got, want)
+		}
+	}
+	lone("lone uncapped", []int32{0, 1}, 0, 1e9, roundShapes{lone: 1, allFreeze: 1})
+	lone("lone capped", []int32{2, 3}, 3e8, 3e8, roundShapes{lone: 1, allFreeze: 1})
+	lone("linkless uncapped", nil, 0, 0, roundShapes{lone: 1})
+	lone("linkless capped", nil, 2e8, 2e8, roundShapes{lone: 1})
+	lone("lone over one link twice", []int32{4, 5, 4}, 0, 5e8, roundShapes{lone: 1, allFreeze: 1})
 }
 
 // TestLiveSetMatchesRescanBitExact is the contract of the shipped round —
 // the fused set-up walk, the decide-then-apply live-set loop, the
-// one-component route: on the directed shapes above and on spray-shaped
-// histories — large coupled components that freeze over many iterations — the
-// shipped solver at solver shards 1/2/4 reproduces the loop it replaced
-// exactly, every rate of every commit, and the result is still the unique
-// max-min allocation. The random histories must between them reach every
+// one-component route, and all of it for a lone session too: on the directed
+// shapes above and on spray-shaped histories — large coupled components that
+// freeze over many iterations — the shipped solver at solver shards 1/2/4
+// reproduces the loop it replaced exactly, every rate of every commit, and
+// the result is still the unique max-min allocation. The random histories must between them reach every
 // shape too (but the backstop, which no input reaches).
 func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 	shapesHistory(t, 1, 2, 4)
@@ -626,7 +627,7 @@ func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 	if maxIters < 8 {
 		t.Fatalf("histories never left the shallow regime: at most %d bottleneck iterations in a commit", maxIters)
 	}
-	if shapes.oneComp == 0 || shapes.multiComp == 0 || shapes.interleaved == 0 ||
+	if shapes.lone == 0 || shapes.oneComp == 0 || shapes.multiComp == 0 || shapes.interleaved == 0 ||
 		shapes.allFreeze == 0 || shapes.partial == 0 {
 		t.Fatalf("histories missed a round shape: %+v", shapes)
 	}

@@ -91,9 +91,9 @@ func randomCaps(rng *sim.RNG, n int) []float64 {
 }
 
 // randomPath draws a path of 0..8 links from [-2, nLinks+2), with
-// replacement: out-of-range entries exercise the sanitizer, repeats
-// exercise the duplicate-link guards on the fast paths, and lengths beyond
-// sessBlock exercise the truncation the oracle mirror must reproduce.
+// replacement: out-of-range entries exercise the sanitizer, repeats make a
+// session count twice on one link, and lengths beyond sessBlock exercise
+// the truncation the oracle mirror must reproduce.
 func randomPath(rng *sim.RNG, nLinks int) []int32 {
 	np := rng.Intn(9)
 	links := make([]int32, np)
@@ -159,9 +159,8 @@ func TestIncrementalMatchesWaterfill(t *testing.T) {
 
 // TestIncrementalDuplicateLinks pins the duplicate-traversal semantics
 // explicitly: a session crossing the same link twice consumes double rate
-// on it, and the single-session fast paths must detect the repeat and fall
-// through to the general machinery rather than miscount. The shared link
-// makes the dup session's allocation visible to a bystander.
+// on it, alone or beside others. The shared link makes the dup session's
+// allocation visible to a bystander.
 func TestIncrementalDuplicateLinks(t *testing.T) {
 	caps := []float64{10e9, 10e9, 10e9}
 	var is IncSolver
@@ -176,8 +175,8 @@ func TestIncrementalDuplicateLinks(t *testing.T) {
 	is.Commit()
 	checkAgainstWaterfill(t, &is, caps, live)
 
-	// The dup session alone on the fabric: the n==1 round fast path must
-	// reject it (pairwise check) and still produce cap/2 on the dup link.
+	// The dup session alone on the fabric: a lone round must still count it
+	// twice on the dup link and produce cap/2.
 	is.Remove(live[1].id)
 	is.Commit()
 	live = live[:1]
@@ -340,8 +339,8 @@ func TestIncrementalZeroAllocSteadyState(t *testing.T) {
 // Encoding: [nLinks u8] then nLinks f32 capacity scales, then op codes:
 // u8 % 6 selects add/add/remove/setcap/setlinks/commit, each consuming its
 // operands from the stream (truncated input pads with zeros). The seed
-// corpus in testdata/fuzz covers every op, hostile capacities, the
-// duplicate-link fast-path guards, and (the seed_spray_* entries) sprayed
+// corpus in testdata/fuzz covers every op, hostile capacities, sessions
+// that cross one link twice, and (the seed_spray_* entries) sprayed
 // transfers whose components freeze over several iterations. Alongside the
 // waterfill tolerance check, every commit must reproduce the full-rescan
 // loop of incsolver_oracle_test.go bit for bit.

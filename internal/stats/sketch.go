@@ -70,9 +70,9 @@ const SketchMaxValue = 1e300
 // sort first and are order-independent there too. Shard runners merge in
 // shard-index order regardless, mirroring how they merge event streams.
 //
-// The zero value is ready to use. NaN and ±Inf observations are dropped and
-// counted in dropped — they would otherwise poison the sort order or the
-// bucket index.
+// The zero value is ready to use. NaN and ±Inf observations are dropped —
+// they would otherwise poison the sort order or the bucket index — and N
+// leaves them out.
 type Sketch struct {
 	capN int // exact-mode capacity; 0 = DefaultSketchCap (tests set it)
 
@@ -87,7 +87,6 @@ type Sketch struct {
 	neg       map[int]int64 // v <= -SketchMinValue, keyed by index of -v
 
 	count    int64
-	dropped  int64
 	min, max float64
 }
 
@@ -98,10 +97,9 @@ func (s *Sketch) capacity() int {
 	return s.capN
 }
 
-// Add records one observation. Non-finite values are dropped and counted.
+// Add records one observation. Non-finite values are dropped.
 func (s *Sketch) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		s.dropped++
 		return
 	}
 	if s.count == 0 || v < s.min {
@@ -347,7 +345,6 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o == nil {
 		return
 	}
-	s.dropped += o.dropped
 	if o.count == 0 {
 		return
 	}

@@ -9,7 +9,8 @@ import (
 // FuzzSketchMerge decodes arbitrary bytes into float64 observations, splits
 // them three ways at fuzzer-chosen points, and checks the sketch's
 // contracts on whatever multiset falls out: merge is associative with
-// bit-identical quantiles, observation and dropped counts are conserved,
+// bit-identical quantiles, N counts exactly the finite observations and a
+// sketch of those alone has the same quantiles bit for bit,
 // quantiles are monotone and clamped to [min, Max], the collapsed error
 // bound holds for positive finite data, and nothing panics — including on
 // NaN/Inf payloads, denormals, negative zero, and values near 2^53.
@@ -61,25 +62,29 @@ func FuzzSketchMerge(f *testing.F) {
 		right := mk(chunks[0])
 		right.Merge(bc)
 
-		var finite, dropped int64
+		var fs []float64 // the finite observations, in order
 		for _, v := range xs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				dropped++
-			} else {
-				finite++
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				fs = append(fs, v)
 			}
 		}
+		finite := int64(len(fs))
 		for _, s := range []*Sketch{whole, left, right} {
-			if s.N() != finite || s.dropped != dropped {
-				t.Fatalf("count drift: N=%d dropped=%d want %d/%d", s.N(), s.dropped, finite, dropped)
+			if s.N() != finite {
+				t.Fatalf("count drift: N=%d want %d finite", s.N(), finite)
 			}
 		}
 
 		probes := []float64{0, 0.01, 0.5, 0.99, 1}
+		finiteOnly := mk(fs)
 		for _, q := range probes {
 			l, r := left.Percentile(q*100), right.Percentile(q*100)
 			if math.Float64bits(l) != math.Float64bits(r) {
 				t.Fatalf("merge not associative at q=%v: %v != %v", q, l, r)
+			}
+			w, f := whole.Percentile(q*100), finiteOnly.Percentile(q*100)
+			if math.Float64bits(w) != math.Float64bits(f) {
+				t.Fatalf("non-finite observations moved q=%v: %v, finite-only %v", q, w, f)
 			}
 		}
 
@@ -117,12 +122,6 @@ func FuzzSketchMerge(f *testing.F) {
 			}
 		}
 		if allPositive {
-			var fs []float64
-			for _, v := range xs {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) {
-					fs = append(fs, v)
-				}
-			}
 			for _, q := range probes {
 				got := whole.Percentile(q * 100)
 				want := exactQuantile(fs, q)

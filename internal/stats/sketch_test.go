@@ -200,18 +200,31 @@ func TestSketchNegativeAndZero(t *testing.T) {
 	}
 }
 
-// TestSketchNonFinite: NaN/±Inf are dropped and counted, never recorded.
+// TestSketchNonFinite: NaN/±Inf are dropped, never recorded: N leaves them
+// out and the quantiles are those of the finite observations alone, also
+// after a merge.
 func TestSketchNonFinite(t *testing.T) {
 	sk := &Sketch{}
 	sk.Add(math.NaN())
+	sk.Add(2)
 	sk.Add(math.Inf(1))
 	sk.Add(math.Inf(-1))
 	sk.Add(1)
-	if sk.N() != 1 || sk.dropped != 3 {
-		t.Fatalf("N=%d dropped=%d, want 1/3", sk.N(), sk.dropped)
+	if sk.N() != 2 {
+		t.Fatalf("N=%d, want 2", sk.N())
 	}
-	if got := sk.Percentile(99); got != 1 {
-		t.Fatalf("P99=%v, want 1", got)
+	merged := &Sketch{}
+	merged.Merge(sk)
+	for _, s := range []*Sketch{sk, merged} {
+		if got := s.Percentile(0); got != 1 {
+			t.Fatalf("P0=%v, want 1", got)
+		}
+		if got := s.Percentile(100); got != 2 {
+			t.Fatalf("P100=%v, want 2", got)
+		}
+		if got := s.Percentile(50); got != 1.5 {
+			t.Fatalf("P50=%v, want 1.5", got)
+		}
 	}
 }
 

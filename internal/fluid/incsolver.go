@@ -37,12 +37,13 @@ const hugeCap = 1e30
 // bottleneck-connected component reachable from the touched links instead
 // of the whole fabric.
 //
-// Layout. Everything the solver knows about a link is one linkRec — capacity,
-// load, intrusive session list, commit stamps and round scratch side by side
-// — so a pass that visits a link touches one record, not one fabric-sized
-// array per field. Sessions are slot-allocated structure-of-arrays records
-// (most passes read two or three session fields and skip the rest); each
-// link's list threads through the session entries crossing it.
+// Layout. Everything the solver knows about a link is one 64-byte linkRec —
+// capacity, load, intrusive session list, commit stamps and round scratch side
+// by side, one cache line — so a pass that visits a link touches one record,
+// not one fabric-sized array per field. Sessions are slot-allocated
+// structure-of-arrays records (most passes read two or three session fields
+// and skip the rest), grown all together by doubling; each link's list
+// threads through the session entries crossing it.
 //
 // Mutations (Add/Remove/SetCap/SetLinks) are staged: they seed a dirty set
 // and record, per touched link, whether it was saturated before the event.
@@ -93,7 +94,9 @@ const hugeCap = 1e30
 //     the solver-shards digest test pins the way byteident pins the packet
 //     engine.
 //   - applyRates moves the loads and leaves each link's largest new A-rate
-//     for the join scan.
+//     for the join scan in the record's wRem, which the solve has finished
+//     with (wAct = -1 marks it written); a link carries an A-session exactly
+//     when this round opened it.
 //
 // The rates are bit for bit those of the set-up-pass, rescan-everything loop
 // this replaced, which the oracle in incsolver_oracle_test.go keeps running
@@ -146,25 +149,27 @@ type IncSolver struct {
 	parThresh int // test override for parThreshDefault; 0 = default
 }
 
-// linkRec is one link's whole state. The stamps make the scratch fields
-// self-invalidating: a field group is live only while its stamp equals the
-// current commit (gen) or round (roundGen) generation.
+// linkRec is one link's whole state in 64 bytes, one cache line. The stamps
+// make the scratch fields self-invalidating: a field group is live only while
+// its stamp equals the current commit (gen) or round (roundGen) generation.
+// Nothing the record can derive is stored: a link's list is empty exactly
+// when head < 0, and an A-session crossed it this round exactly when this
+// round opened it (round == roundGen).
 type linkRec struct {
 	cap  float64 // sanitized capacity: 0 <= cap <= hugeCap
 	load float64 // sum of session rates crossing the link
 
-	// Round scratch. wRem, wAct and first are live while round == roundGen,
-	// wShare while the link is live in the current bottleneck iteration,
-	// lmaxV while lmaxS == roundGen.
+	// Round scratch, live while round == roundGen; wShare only while the link
+	// is live in the current bottleneck iteration. The solve leaves wRem and
+	// wAct dead, so applyRates reuses them: its first write on a link sets
+	// wAct to -1 (no count is negative) and wRem to the new A-rate, and later
+	// writes keep the largest, which is what joinScan reads.
 	wRem   float64 // capacity left to the component's unfrozen members
 	wShare float64 // wRem / wAct as of the current bottleneck iteration
-	lmaxV  float64 // largest new A-rate on the link
 	wAct   int32   // unfrozen member entries on the link
 	first  int32   // A position of the first member that crossed it
 	round  uint32  // == roundGen: opened by this round's splitComps
-	lmaxS  uint32  // == roundGen: an A-session's new rate was applied here
 
-	nOn  int32 // entry count on the link (occurrences)
 	head int32 // first intrusive-list entry, -1 when empty
 	qCnt int32 // sessions whose standing-queue mark is this link
 
@@ -339,7 +344,6 @@ func (is *IncSolver) linkAll(s int32, links []int32) {
 			is.ePrev[lk.head] = e
 		}
 		lk.head = e
-		lk.nOn++
 		is.sN[s]++
 	}
 }
@@ -363,8 +367,7 @@ func (is *IncSolver) unlinkAll(s int32) {
 		if is.eNext[e] >= 0 {
 			is.ePrev[is.eNext[e]] = is.ePrev[e]
 		}
-		lk.nOn--
-		if lk.nOn == 0 {
+		if lk.head < 0 {
 			lk.load = 0 // empty link: kill accumulated float drift exactly
 		} else if lk.load -= r; lk.load < 0 {
 			lk.load = 0
@@ -456,7 +459,6 @@ func (is *IncSolver) bumpRound() {
 	if is.roundGen == 0 { // uint32 wrap: invalidate every round stamp
 		for i := range is.links {
 			is.links[i].round = 0
-			is.links[i].lmaxS = 0
 		}
 		is.roundGen = 1
 	}
@@ -485,7 +487,7 @@ func (is *IncSolver) solveRound() {
 		}
 	}
 
-	is.applyRates(is.roundGen)
+	is.applyRates()
 }
 
 // splitComps is the round's one set-up walk over the affected set, in A
@@ -600,8 +602,9 @@ func (is *IncSolver) splitComps() int {
 }
 
 // applyRates folds the round's new rates into the shared link loads and
-// records the per-link maximum new A-rate for the join scan.
-func (is *IncSolver) applyRates(rg uint32) {
+// leaves the largest new A-rate on each of the round's links in its wRem,
+// dead since the solve, for the join scan; wAct = -1 marks it written.
+func (is *IncSolver) applyRates() {
 	n := len(is.inA)
 	for i := 0; i < n; i++ {
 		s := is.inA[i]
@@ -614,11 +617,11 @@ func (is *IncSolver) applyRates(rg uint32) {
 			if lk.load < 0 {
 				lk.load = 0
 			}
-			if lk.lmaxS != rg {
-				lk.lmaxS = rg
-				lk.lmaxV = nr
-			} else if nr > lk.lmaxV {
-				lk.lmaxV = nr
+			if lk.wAct >= 0 {
+				lk.wAct = -1
+				lk.wRem = nr
+			} else if nr > lk.wRem {
+				lk.wRem = nr
 			}
 		}
 		is.sRate[s] = nr
@@ -786,8 +789,8 @@ func (is *IncSolver) joinScan() bool {
 		if !satA && !satB {
 			continue // link constrains nobody, before or after
 		}
-		hasA := lk.lmaxS == rg
-		lm := lk.lmaxV
+		hasA := lk.round == rg // an A-session crosses it: applyRates left lm
+		lm := lk.wRem
 		for e := lk.head; e >= 0; e = is.eNext[e] {
 			s := e / sessBlock
 			if is.sStamp[s] == is.gen {
@@ -879,7 +882,10 @@ func (is *IncSolver) firstSatMark(s int32) int32 {
 	return -1
 }
 
-// allocSession returns a free session slot, growing the arenas on demand.
+// allocSession returns a free session slot, growing the arenas on demand:
+// all eleven slot arrays together, each by one grown step, so n sessions
+// cost O(log n) allocations. A slot past the length may hold a previous
+// run's values (see Reset); Add sets every field but the stamps, zeroed here.
 func (is *IncSolver) allocSession() int32 {
 	if n := len(is.freeS); n > 0 {
 		s := is.freeS[n-1]
@@ -887,19 +893,19 @@ func (is *IncSolver) allocSession() int32 {
 		return s
 	}
 	s := int32(len(is.sCap))
-	is.sCap = append(is.sCap, 0)
-	is.sRate = append(is.sRate, 0)
-	is.sN = append(is.sN, 0)
-	is.sAlive = append(is.sAlive, false)
-	is.sMark = append(is.sMark, -1)
-	is.sStamp = append(is.sStamp, 0)
-	is.mStamp = append(is.mStamp, 0)
-	is.lStamp = append(is.lStamp, 0)
-	for i := 0; i < sessBlock; i++ {
-		is.sLink = append(is.sLink, -1)
-		is.eNext = append(is.eNext, -1)
-		is.ePrev = append(is.ePrev, -1)
-	}
+	n := int(s) + 1
+	is.sCap = grown(is.sCap, n)
+	is.sRate = grown(is.sRate, n)
+	is.sN = grown(is.sN, n)
+	is.sAlive = grown(is.sAlive, n)
+	is.sMark = grown(is.sMark, n)
+	is.sStamp = grown(is.sStamp, n)
+	is.mStamp = grown(is.mStamp, n)
+	is.lStamp = grown(is.lStamp, n)
+	is.sLink = grown(is.sLink, n*sessBlock)
+	is.eNext = grown(is.eNext, n*sessBlock)
+	is.ePrev = grown(is.ePrev, n*sessBlock)
+	is.sStamp[s], is.mStamp[s], is.lStamp[s] = 0, 0, 0
 	return s
 }
 
@@ -907,8 +913,8 @@ func (is *IncSolver) allocSession() int32 {
 // allocation — appending element by element would reallocate and copy a
 // fabric-sized slice a dozen times on the way up — of exactly n on a cold
 // slice (Reset's per-link arrays), and of at least twice the old capacity on
-// a warm one, so the per-commit scratch that creeps up with the affected set
-// still grows amortized.
+// a warm one, so the per-commit scratch that creeps up with the affected set,
+// and the session slots added one at a time, grow amortized.
 func grown[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]

@@ -16,10 +16,12 @@ import (
 // every commit.
 //
 // It shares the staging, the join scan, the mark pass and applyRates with the
-// solver it embeds, and nothing of the round: the residuals, active counts,
-// bottleneck tags, first-seen stamps and component arenas below are its own,
-// stamped by its own 64-bit round counter (which never wraps), so it cannot
-// pick up anything the shipped splitComps wrote into the link records.
+// solver it embeds, and nothing of the round's arithmetic: the residuals,
+// active counts, bottleneck tags, first-seen stamps and component arenas
+// below are its own, stamped by its own 64-bit round counter (which never
+// wraps). The one thing it writes into the link records is what the shared
+// code reads there: each link its round opens gets the round stamp (joinScan's
+// "an A-session crosses it") and a zero wAct (applyRates' "not yet written").
 type oracleSolver struct {
 	IncSolver
 
@@ -99,7 +101,7 @@ func (o *oracleSolver) Commit() {
 			for c := 0; c < ncomp; c++ {
 				o.solveCompRescan(c)
 			}
-			is.applyRates(is.roundGen)
+			is.applyRates()
 		}
 		if !is.joinScan() {
 			break
@@ -130,6 +132,7 @@ func (o *oracleSolver) splitComps() int {
 			if o.compS[l] != rg {
 				o.compS[l] = rg
 				o.compOf[l] = int32(i)
+				is.links[l].round, is.links[l].wAct = is.roundGen, 0
 				o.firstSeen = append(o.firstSeen, l)
 				continue
 			}
@@ -597,6 +600,30 @@ func shapesHistory(t *testing.T, shards ...int) {
 	lone("lone over one link twice", []int32{4, 5, 4}, 0, 5e8, roundShapes{lone: 1, allFreeze: 1})
 }
 
+// departureHistory is a directed history for the join scan's "an A-session
+// crosses this link" stamp. A thin session (cap 1e-7) arrives on a saturated
+// link and pulls its two residents in (J1); when it leaves, the link stays
+// saturated — its rate is below the saturation slack — and the departure must
+// pull nobody in: no round at all. The link's record still holds its last
+// A-rate from the arrival, the fat resident's, above the 2e8 resident's rate,
+// so a join scan that takes that stale rate for this round's pulls the 2e8
+// resident in (J2) and then the fat one (J1).
+func departureHistory(t *testing.T, shards ...int) {
+	caps := []float64{1e9, 2e8}
+	ls := newLockstep(t, caps, shards...)
+	check := func() { checkAgainstWaterfill(t, ls.subj[0], caps, ls.live) }
+	ls.add([]int32{0, 1}, 0) // held to 2e8 by link 1
+	ls.add([]int32{0}, 0)    // the rest of link 0
+	ls.commit()
+	check()
+	thin := ls.add([]int32{0}, 1e-7)
+	ls.commitShaped("thin arrival", roundShapes{lone: 1, oneComp: 1, allFreeze: 2, partial: 2})
+	check()
+	ls.remove(thin)
+	ls.commitShaped("thin departure", roundShapes{})
+	check()
+}
+
 // TestLiveSetMatchesRescanBitExact is the contract of the shipped round —
 // the fused set-up walk, the decide-then-apply live-set loop, the
 // one-component route, and all of it for a lone session too: on the directed
@@ -607,6 +634,7 @@ func shapesHistory(t *testing.T, shards ...int) {
 // shape too (but the backstop, which no input reaches).
 func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 	shapesHistory(t, 1, 2, 4)
+	departureHistory(t, 1, 2, 4)
 
 	root := sim.NewRNG(20260929)
 	var maxIters uint64
@@ -640,7 +668,7 @@ func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 func ageStamps(is *IncSolver) {
 	for i := range is.links {
 		lk, old := &is.links[i], uint32(1+i%2)
-		lk.tStamp, lk.round, lk.lmaxS = old, old, old
+		lk.tStamp, lk.round = old, old
 	}
 	for s := range is.sStamp {
 		old := uint32(1 + s%2)

@@ -2,7 +2,9 @@ package fluid
 
 import (
 	"math"
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"flowbender/internal/sim"
 )
@@ -326,6 +328,41 @@ func TestIncrementalZeroAllocSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, coupled); n != 0 {
 		t.Fatalf("coupled add/commit/remove/commit cycle allocates %v times per run, want 0", n)
+	}
+}
+
+// TestLinkRecIs64Bytes pins the link record to one cache line: every pass
+// over a link touches one record, and a 10,240-host fabric's records are the
+// solver's largest array.
+func TestLinkRecIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(linkRec{}); n != 64 {
+		t.Fatalf("linkRec is %d bytes, want 64: one cache line per link (derive a field, or reuse a dead one, before adding one)", n)
+	}
+}
+
+// TestSessionArenaGrowsInLogSteps adds 10,000 sessions to a fresh solver, a
+// commit after each: the eleven session-slot arrays must grow together by
+// doubling, at most 11 allocations per doubling, not append's ~1.25x steps.
+// The sessions are linkless, so a round's own scratch is allocated once.
+func TestSessionArenaGrowsInLogSteps(t *testing.T) {
+	const n = 10000
+	caps := []float64{1e9}
+	steps := bits.Len(uint(n-1)) + 1 // capacities 1, 2, 4, ..., 2^14
+	var is IncSolver
+	allocs := testing.AllocsPerRun(4, func() {
+		is = IncSolver{}
+		is.Reset(caps, nil)
+		for i := 0; i < n; i++ {
+			is.Add(nil, 0)
+			is.Commit()
+		}
+	})
+	// Beside the arena: Reset's link records, the affected list and one
+	// round's scratch (rates, members, union-find, links seen), and a spare
+	// for the runtime's own.
+	const setup = 8
+	if limit := float64(11*steps + setup); allocs > limit {
+		t.Fatalf("adding %d sessions made %v allocations, want at most %v (11 per doubling)", n, allocs, limit)
 	}
 }
 

@@ -2,6 +2,7 @@ package fluid
 
 import (
 	"fmt"
+	"slices"
 
 	"flowbender/internal/netsim"
 	"flowbender/internal/routing"
@@ -173,6 +174,8 @@ func (n *Net) singlePath(dst *pathRef, prefix uint64, tag uint32, src, dsth int3
 // flows) — the fluid model of per-packet spraying, which spreads a flow's
 // load evenly over all of them.
 func (n *Net) sprayPaths(dst []pathRef, src, dsth int32) []pathRef {
+	// Room for the most paths any pair has, in one allocation when short.
+	dst = slices.Grow(dst, n.p.AggsPerPod*n.p.CoreUplinksPerAgg)
 	sPod, sTor := n.loc(src)
 	dPod, dTor := n.loc(dsth)
 	switch {

@@ -194,9 +194,12 @@ func (s *Sketch) Max() float64 {
 }
 
 // Mean returns the arithmetic mean (NaN when empty). In the exact regime it
-// sums the stored slice in its current order, as an exact sample does; in the
-// collapsed regime it is computed from bucket representatives in ascending
-// bucket order (deterministic, within alpha of the exact mean for
+// sums the stored slice in its current order, as an exact sample does: in
+// arrival order until a Percentile sorts the slice in place, ascending after.
+// The two sums can differ in the last ulp, so a Mean read after a Percentile
+// need not equal one read before it; callers keep the order they read in. In
+// the collapsed regime it is computed from bucket representatives in
+// ascending bucket order (deterministic, within alpha of the exact mean for
 // same-signed data).
 func (s *Sketch) Mean() float64 {
 	if s.count == 0 {
@@ -242,7 +245,9 @@ func (s *Sketch) sortedKeys(m map[int]int64, desc bool) []int {
 // p/100 doesn't round to q (99.9/100 != 0.999); collapsed, the order
 // statistics are bucket representatives, so the result is within relative
 // error DefaultSketchAccuracy of the exact interpolated percentile (for
-// positive data), clamped to the exactly tracked minimum and Max.
+// positive data), clamped to the exactly tracked minimum and Max. In the
+// exact regime the first Percentile sorts the stored slice in place, which
+// changes the order a later Mean sums in (see Mean).
 func (s *Sketch) Percentile(p float64) float64 {
 	if s.count == 0 {
 		return math.NaN()

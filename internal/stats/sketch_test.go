@@ -474,3 +474,31 @@ func TestSketchQuantileMatchesSortedRank(t *testing.T) {
 		}
 	}
 }
+
+// In the exact regime Percentile sorts in place and Mean sums in the current
+// order, so on these seven values Mean moves by an ulp across a Percentile.
+// Each reading must still be the exact sample's taken in the same order —
+// the bits callers' tables depend on.
+func TestSketchMeanAroundPercentileMatchesSample(t *testing.T) {
+	xs := []float64{1.9, 0.3, 2.7, 0.1, 3.1, 1.3, 2.2}
+	var sk Sketch
+	var sa Sample
+	for _, x := range xs {
+		sk.Add(x)
+		sa.Add(x)
+	}
+	before, sampleBefore := sk.Mean(), sa.Mean()
+	if math.Float64bits(before) != math.Float64bits(sampleBefore) {
+		t.Fatalf("Mean before Percentile %v, Sample's %v", before, sampleBefore)
+	}
+	if p, sp := sk.Percentile(50), sa.Percentile(50); math.Float64bits(p) != math.Float64bits(sp) {
+		t.Fatalf("Percentile(50) %v, Sample's %v", p, sp)
+	}
+	after, sampleAfter := sk.Mean(), sa.Mean()
+	if math.Float64bits(after) != math.Float64bits(sampleAfter) {
+		t.Fatalf("Mean after Percentile %v, Sample's %v", after, sampleAfter)
+	}
+	if before == after {
+		t.Fatalf("Mean %v both before and after Percentile: the example no longer shows the order hazard", before)
+	}
+}

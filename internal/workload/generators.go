@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"flowbender/internal/netsim"
 	"flowbender/internal/sim"
 )
@@ -215,15 +217,20 @@ func (g *PartitionAggregate) NextBatch() []FlowSpec {
 
 // distinct draws k host indices from [0, nh) other than except, distinct from
 // each other while there are hosts enough (with more draws than hosts they
-// repeat), and hands each to emit in draw order.
+// repeat), and hands each to emit in draw order. The hosts drawn so far are
+// kept in a slice, on the stack for up to 64 of them: a batch draws a few,
+// and scanning a few beats a map made per call.
 func distinct(rng *sim.RNG, nh, except, k int, emit func(int)) {
-	used := map[int]bool{except: true}
+	var buf [64]int
+	used := append(buf[:0], except)
 	for ; k > 0; k-- {
 		h := rng.IntnExcept(nh, except)
-		for used[h] && len(used) < nh {
+		for len(used) < nh && slices.Contains(used, h) {
 			h = rng.IntnExcept(nh, except)
 		}
-		used[h] = true
+		if len(used) < nh { // else every host is used and h repeats one
+			used = append(used, h)
+		}
 		emit(h)
 	}
 }

@@ -205,6 +205,7 @@ type Mix struct {
 	t       sim.Time
 	emitted int
 	started bool
+	batch   []FlowSpec // the batch NextBatch returns
 }
 
 // host returns the i-th host pointer, or nil in index-only mode.
@@ -240,8 +241,8 @@ func (m *Mix) MeanBatchBytes() float64 {
 func (m *Mix) Done() bool { return m.emitted >= m.MaxFlows }
 
 // NextBatch returns the next batch of flow specs (all sharing one arrival
-// instant), or nil when MaxFlows is reached. Specs alias no internal
-// state; the caller owns them.
+// instant), or nil when MaxFlows is reached. The batch lives in the Mix's
+// own storage and is valid until the next call.
 func (m *Mix) NextBatch() []FlowSpec {
 	if m.Done() {
 		return nil
@@ -263,7 +264,7 @@ func (m *Mix) NextBatch() []FlowSpec {
 	// All endpoint draws are by index so the stream is identical whether
 	// the Mix carries netsim hosts (packet engine) or bare counts (fluid).
 	nh := hostCount(m.Hosts, m.NumHosts)
-	var batch []FlowSpec
+	batch := m.batch[:0]
 	switch kind {
 	case KindPlain:
 		size := m.CDF.Sample(m.RNG)
@@ -296,6 +297,8 @@ func (m *Mix) NextBatch() []FlowSpec {
 				SrcIdx: int32(wr), DstIdx: int32(dst), Size: size, Kind: kind})
 		})
 	}
+
+	m.batch = batch
 
 	// Truncate at exactly MaxFlows — after the batch's draws, so the RNG
 	// stream position does not depend on where the cut lands.

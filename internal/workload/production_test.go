@@ -368,3 +368,50 @@ func TestMixMeanBatchBytes(t *testing.T) {
 		t.Fatalf("MeanBatchBytes=%v, want %v", got, want)
 	}
 }
+
+// A Mix hands out every batch in one buffer it reuses, so whoever keeps a
+// batch past the next pull must copy it. Replay does: fed a Mix of each
+// pattern kind, under both beacon orders, it starts exactly the specs a
+// same-seed Mix yields when each batch is copied the moment it is drawn.
+func TestMixReplayMatchesDrawCopies(t *testing.T) {
+	kinds := []struct {
+		name            string
+		incast, storage float64
+		kind            PatternKind
+	}{
+		{"plain", 0, 0, KindPlain},
+		{"incast", 1, 0, KindIncast},
+		{"storage", 0, 1, KindStorage},
+	}
+	hosts := fakeHosts(32)
+	for _, k := range kinds {
+		mix := func() *Mix {
+			m := testMix(77, hosts, 401) // 401: the last incast batch is cut short
+			m.IncastFrac, m.StorageFrac = k.incast, k.storage
+			return m
+		}
+		var want []FlowSpec
+		widest := 0
+		for _, b := range drain(mix()) {
+			want = append(want, b...)
+			widest = max(widest, len(b))
+		}
+		if len(want) != 401 || want[0].Kind != k.kind || (widest > 1) != (k.kind != KindPlain) {
+			t.Fatalf("%s: drew %d specs of kind %v, widest batch %d", k.name, len(want), want[0].Kind, widest)
+		}
+		for _, armFirst := range []bool{false, true} {
+			eng := sim.NewEngine()
+			var got []FlowSpec
+			Replay(eng, mix(), armFirst, func(i int, s FlowSpec) {
+				if i != len(got) {
+					t.Fatalf("%s armFirst %v: flow %d started as number %d", k.name, armFirst, len(got), i)
+				}
+				got = append(got, s)
+			})
+			eng.RunUntilIdle()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s armFirst %v: Replay started specs that differ from the draw-time copies", k.name, armFirst)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"flowbender/internal/netsim"
@@ -235,5 +236,49 @@ func TestReplayArrivalPastTheCount(t *testing.T) {
 	eng.RunUntilIdle()
 	if started != 1000 || eng.Executed != 1000 || eng.Now() != liveDigests[0].end {
 		t.Fatalf("%d flows, %d events, ended at %d; want 1000, 1000, %d", started, eng.Executed, eng.Now(), liveDigests[0].end)
+	}
+}
+
+// distinctByMap is distinct as it was written with a map for its seen set:
+// the reference the slice-backed one must match draw for draw.
+func distinctByMap(rng *sim.RNG, nh, except, k int) []int {
+	var out []int
+	used := map[int]bool{except: true}
+	for ; k > 0; k-- {
+		h := rng.IntnExcept(nh, except)
+		for used[h] && len(used) < nh {
+			h = rng.IntnExcept(nh, except)
+		}
+		used[h] = true
+		out = append(out, h)
+	}
+	return out
+}
+
+// distinct emits what the map-based reference emits and leaves the stream
+// where it leaves it, across host counts, excluded hosts and draw counts —
+// past the 64 the stack buffer holds, and at or past the host count, where
+// every host has been drawn and draws repeat.
+func TestDistinctMatchesMapReference(t *testing.T) {
+	for _, nh := range []int{2, 3, 5, 8, 64, 65, 66, 100, 10240} {
+		for _, except := range []int{0, nh / 2, nh - 1} {
+			ks := []int{0, 1, 3, 8, 63, 64, 65, 200}
+			if nh <= 100 { // all of them drawn: the coupon collector's wait
+				ks = append(ks, nh-1, nh, nh+5)
+			}
+			for _, k := range ks {
+				seed := int64(nh*1_000_000 + except*1000 + k)
+				ref, sub := sim.NewRNG(seed), sim.NewRNG(seed)
+				want := distinctByMap(ref, nh, except, k)
+				var got []int
+				distinct(sub, nh, except, k, func(h int) { got = append(got, h) })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("nh %d except %d k %d: drew %v, map reference %v", nh, except, k, got, want)
+				}
+				if a, b := sub.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("nh %d except %d k %d: stream left at %x, map reference at %x", nh, except, k, a, b)
+				}
+			}
+		}
 	}
 }

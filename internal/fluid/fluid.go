@@ -329,8 +329,8 @@ func (s *Sim) addSessions(x *xfer, xi int32) {
 		p := &x.paths[pi]
 		sid := s.inc.Add(p.links[:p.n], c)
 		x.sess = append(x.sess, sid)
-		for int(sid) >= len(s.owner) {
-			s.owner = append(s.owner, -1)
+		if int(sid) >= len(s.owner) {
+			s.owner = grown(s.owner, int(sid)+1) // sessions are numbered densely
 		}
 		s.owner[sid] = xi
 	}

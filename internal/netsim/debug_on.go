@@ -101,9 +101,10 @@ func debugCheckCross(msgs []CrossMsg, i int, windowEnd sim.Time) {
 // DebugPokeSelectCache plants a (deliberately wrong) memoized choice for
 // pkt's key under the cache's current generation, as if an invalidation had
 // been missed. Only the simdebug build has it: tests use it to prove the
-// cross-check above actually fires. Panics if the switch has no memo cache.
+// cross-check above actually fires. Panics if the switch has no memo cache
+// (none exists before the switch's first cached selection).
 func (s *Switch) DebugPokeSelectCache(pkt *Packet, port int32) {
-	if !s.selCached {
+	if !s.selCached || s.selCache == nil {
 		panic("netsim: DebugPokeSelectCache on a switch without a selector memo cache")
 	}
 	sl := &s.selCache[selCacheIndex(pkt.HashPrefix, pkt.Dst, pkt.PathTag)]

@@ -84,17 +84,6 @@ func (q *Queue) Pop() *Packet {
 	return pkt
 }
 
-// Presize reserves capacity for n queued packets so early enqueues do not
-// repeatedly grow the backing array. It applies only to an empty queue, and
-// pays only where packets wait in the FIFO itself: a port that keeps a
-// ledger (see Port) seldom puts one there.
-func (q *Queue) Presize(n int) {
-	if q.Len() == 0 && cap(q.buf) < n {
-		q.buf = make([]*Packet, 0, n)
-		q.head = 0
-	}
-}
-
 // Bytes returns the current occupancy in bytes.
 func (q *Queue) Bytes() int { return q.bytes }
 

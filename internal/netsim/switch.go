@@ -102,19 +102,22 @@ type Switch struct {
 	pool  *PacketPool
 
 	// Selector memo cache: consulted while selCached (the installed selector
-	// is cacheable), allocated by the first such selector and kept from then
-	// on, whatever is installed next. A slot is valid only while its gen
-	// equals selGen; SetSelector, SetRoutes and Reset bump selGen,
+	// is cacheable), allocated by the first selection that consults it — a
+	// switch with one eligible port per destination never does — and kept
+	// from then on, whatever is installed next. A slot is valid only while
+	// its gen equals selGen; SetSelector, SetRoutes and Reset bump selGen,
 	// invalidating every slot in O(1).
 	selCache  []selSlot
 	selCached bool
 	selGen    uint32
 
 	// selScratch is opaque per-switch storage for stateful selectors (the
-	// flowlet table of routing.Flowlet/FlowDyn). It is owned by whichever
-	// selector is installed and cleared by SetSelector (and by Reset), so a
-	// replacement selector never observes a predecessor's state.
+	// flowlet table of routing.Flowlet/FlowDyn), kept across SetSelector and
+	// Reset so that its memory outlives the install that made it. selOwned
+	// says the installed selector stored it; SetSelector and Reset clear it,
+	// and the next owner re-initialises what an earlier install left.
 	selScratch any
+	selOwned   bool
 
 	// PFC ingress accounting.
 	ingressBytes []int
@@ -151,35 +154,27 @@ func NewSwitch(eng *sim.Engine, id NodeID, nPorts int, rateBps int64, cfg Switch
 // Reset is the rest of NewSwitch, and puts a switch that has carried traffic
 // back into the state NewSwitch leaves: every port at rateBps with cfg's
 // queue bounds and an empty queue and ledger, links up, counters and buffer
-// accounting zero, no selector (its memo invalidated, its scratch dropped).
+// accounting zero, no selector (its memo invalidated, its scratch disowned).
 // It assigns the whole value, as Port.init does, so nothing has to be
 // remembered here when a field is added. What it keeps is what the fabric's
 // builder gave once: engine, ID, ports and their wiring, the forwarding
-// table, the pool, and the arrays. Events of the previous run that still
-// name the switch or its packets must be gone from the engine (Engine.Reset).
+// table, the pool, and the arrays, memo and scratch. Events of the previous
+// run that still name the switch or its packets must be gone from the engine
+// (Engine.Reset).
 func (s *Switch) Reset(rateBps int64, cfg SwitchConfig) {
 	clear(s.ingressBytes)
 	clear(s.pausedUp)
 	*s = Switch{
 		eng: s.eng, id: s.id, Ports: s.Ports, upstream: s.upstream, table: s.table, pool: s.pool,
 		ingressBytes: s.ingressBytes, pausedUp: s.pausedUp,
-		selCache: s.selCache, selGen: s.selGen + 1,
+		selCache: s.selCache, selGen: s.selGen + 1, selScratch: s.selScratch,
 
 		cfg:   cfg,
 		keyed: cfg.FwdDelay > 0 && orderTag(tagKindTx, s.id, len(s.Ports)-1) != sim.TagNone,
 	}
-	// Pre-size the egress queues where packets wait in them (a hook or an
-	// unkeyed switch rules the ports' ledgers out) so steady-state enqueues
-	// rarely grow the backing array: capacity for a queue full of MSS-sized
-	// packets (ACK bursts can still exceed this and fall back to amortized
-	// append).
-	slots := 256
 	queueCap := 0
 	if cfg.PFC == nil {
 		queueCap = cfg.QueueCap
-		if queueCap > 0 {
-			slots = min(queueCap/1500+16, 4096)
-		}
 	}
 	var onSent sentHook
 	if cfg.PFC != nil || cfg.SharedBuffer > 0 {
@@ -187,9 +182,6 @@ func (s *Switch) Reset(rateBps int64, cfg SwitchConfig) {
 	}
 	for _, p := range s.Ports {
 		p.init(rateBps, s.keyed, queueCap, cfg.MarkK, onSent)
-		if onSent != nil || !s.keyed {
-			p.Q.Presize(slots)
-		}
 	}
 }
 
@@ -222,25 +214,26 @@ func (s *Switch) ID() NodeID { return s.id }
 func (s *Switch) SetSelector(sel Selector) {
 	s.sel = sel
 	s.selGen++
-	s.selScratch = nil
+	s.selOwned = false
 	cs, ok := sel.(CacheableSelector)
 	s.selCached = ok && cs.Cacheable()
-	if s.selCached && s.selCache == nil {
-		s.selCache = make([]selSlot, selCacheSlots)
-	}
 }
 
 // Now returns the owning engine's clock. Stateful selectors (flowlet
 // switching) read it from inside Select to measure inter-packet idle gaps.
 func (s *Switch) Now() sim.Time { return s.eng.Now() }
 
-// SelectorScratch returns the opaque per-switch state installed by the
-// current selector (nil until the selector stores something).
-func (s *Switch) SelectorScratch() any { return s.selScratch }
+// SelectorScratch returns the opaque per-switch selector state (nil until a
+// selector stores something) and whether the installed selector stored it.
+// State an earlier install left is kept for its memory; owned is false
+// until the installed selector stores it again.
+func (s *Switch) SelectorScratch() (v any, owned bool) { return s.selScratch, s.selOwned }
 
-// SetSelectorScratch installs opaque per-switch selector state. It is
-// cleared whenever SetSelector runs.
-func (s *Switch) SetSelectorScratch(v any) { s.selScratch = v }
+// SetSelectorScratch installs opaque per-switch selector state, owned by the
+// installed selector until the next SetSelector or Reset. State from an
+// earlier install is never observed, because its owner re-initialises it
+// before storing it again.
+func (s *Switch) SetSelectorScratch(v any) { s.selScratch, s.selOwned = v, true }
 
 // SetRoutes installs the forwarding table: routes[dst] lists the eligible
 // egress ports toward host dst. Installing routes invalidates the selector
@@ -341,6 +334,9 @@ func (s *Switch) forward(pkt *Packet) {
 func (s *Switch) selectPort(pkt *Packet, eligible []int32) int32 {
 	if !s.selCached || !pkt.HashPrefixOK {
 		return s.sel.Select(s, pkt, eligible)
+	}
+	if s.selCache == nil {
+		s.selCache = make([]selSlot, selCacheSlots)
 	}
 	sl := &s.selCache[selCacheIndex(pkt.HashPrefix, pkt.Dst, pkt.PathTag)]
 	if sl.gen == s.selGen && sl.prefix == pkt.HashPrefix && sl.dst == pkt.Dst && sl.tag == pkt.PathTag {

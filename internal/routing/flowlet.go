@@ -37,7 +37,8 @@ type flowletEntry struct {
 
 // flowletState is the per-switch scratch a flowlet selector stores through
 // Switch.SetSelectorScratch. It is created lazily on the switch's own
-// engine goroutine, so sharded runs never share one across shards.
+// engine goroutine, so sharded runs never share one across shards, and kept
+// by the switch for the next flowlet install, which empties it first.
 type flowletState struct {
 	table      map[flowletKey]*flowletEntry
 	head, tail *flowletEntry // LRU: head = most recently seen
@@ -54,15 +55,34 @@ type flowletState struct {
 }
 
 func flowletStateOf(sw *netsim.Switch, dyn bool) *flowletState {
-	if st, ok := sw.SelectorScratch().(*flowletState); ok {
+	v, owned := sw.SelectorScratch()
+	st, ok := v.(*flowletState)
+	if ok && owned {
 		return st
 	}
-	st := &flowletState{table: make(map[flowletKey]*flowletEntry, 64)}
-	if dyn {
+	if ok {
+		st.empty()
+	} else {
+		st = &flowletState{table: make(map[flowletKey]*flowletEntry, 64)}
+	}
+	if dyn && st.portEwma == nil {
 		st.portEwma = make([]float64, len(sw.Ports))
 	}
 	sw.SetSelectorScratch(st)
 	return st
+}
+
+// empty puts a table an earlier install left back into the state a new one
+// starts in, keeping its memory: the map cleared, the LRU list spliced onto
+// the free list, the EWMAs zeroed, everything else zero by the assignment.
+func (st *flowletState) empty() {
+	clear(st.table)
+	clear(st.portEwma)
+	free := st.free
+	if st.tail != nil {
+		st.tail.next, free = free, st.head
+	}
+	*st = flowletState{table: st.table, free: free, portEwma: st.portEwma}
 }
 
 func keyOf(pkt *netsim.Packet) flowletKey {

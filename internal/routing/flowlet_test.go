@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"flowbender/internal/netsim"
@@ -51,6 +52,48 @@ func TestFlowDynGapClamp(t *testing.T) {
 		st.portEwma[0] = c.ewma
 		if got := gapFor(sw, st, 0); got != c.want {
 			t.Errorf("%s: gap %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestKeptFlowletTableStartsEmpty: a switch keeps its flowlet table across
+// SetSelector and Reset, and the next flowlet selector to choose there finds
+// the same table as a new one starts — no entry, no drain estimate, no
+// count — with the old entries on its free list for reuse.
+func TestKeptFlowletTableStartsEmpty(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := netsim.NewSwitch(eng, 1, 4, 10_000_000_000, netsim.SwitchConfig{})
+	for _, p := range sw.Ports {
+		p.Link = netsim.Link{To: sink{}}
+	}
+	eligible := []int32{0, 1, 2, 3}
+	for name, next := range map[string]func(){
+		"SetSelector": func() { sw.SetSelector(&Flowlet{Gap: 50 * sim.Microsecond}) },
+		"Reset":       func() { sw.Reset(10_000_000_000, netsim.SwitchConfig{}) },
+	} {
+		sw.SetSelector(FlowDyn{})
+		for i := range 40 {
+			sw.Ports[i%4].Q.Push(&netsim.Packet{Size: 1500})
+			FlowDyn{}.Select(sw, &netsim.Packet{Src: 2, Dst: 3, SrcPort: uint16(i % 8)}, eligible)
+			eng.Run(eng.Now() + 100*sim.Microsecond)
+		}
+		st := flowletStateOf(sw, true)
+		entries := len(st.table)
+		if entries != 8 || st.Redraws == 0 || st.portEwma[0] == 0 {
+			t.Fatalf("%s: the table to keep holds %d entries, %d redraws, estimate %v", name, entries, st.Redraws, st.portEwma[0])
+		}
+		next()
+		if got := flowletStateOf(sw, true); got != st {
+			t.Fatalf("%s: the switch did not keep its table", name)
+		}
+		free := 0
+		for e := st.free; e != nil; e = e.next {
+			free++
+		}
+		if len(st.table) != 0 || st.head != nil || st.tail != nil || free != entries ||
+			st.Redraws != 0 || st.Evictions != 0 || slices.ContainsFunc(st.portEwma, func(v float64) bool { return v != 0 }) {
+			t.Errorf("%s: the kept table starts with %d entries, head %v, tail %v, %d of %d free, %d redraws, %d evictions, estimates %v",
+				name, len(st.table), st.head, st.tail, free, entries, st.Redraws, st.Evictions, st.portEwma)
 		}
 	}
 }

@@ -12,13 +12,40 @@ import (
 // one component does not perturb the draws seen by another. This keeps
 // cross-scheme comparisons on the same workload sample.
 type RNG struct {
-	seed int64
 	*rand.Rand
+	src lazySource
 }
+
+// lazySource is a stream's rand.Source64: it seeds math/rand's generator
+// (4.9 KB) on the first draw, so a stream that is forked and never drawn from
+// costs a few words. What a stream draws depends on its seed alone, so when
+// the generator is built cannot change it.
+type lazySource struct {
+	seed int64
+	gen  rand.Source64
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.gen == nil {
+		l.gen = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.gen
+}
+
+// Int63 is Uint64 without its top bit, which is how math/rand's own source
+// derives it: every draw goes through the one method.
+func (l *lazySource) Int63() int64   { return int64(l.Uint64() &^ (1 << 63)) }
+func (l *lazySource) Uint64() uint64 { return l.get().Uint64() }
+
+// Seed sets the seed the generator is built from at the next draw.
+func (l *lazySource) Seed(seed int64) { l.seed, l.gen = seed, nil }
 
 // NewRNG returns a root stream for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, Rand: rand.New(rand.NewSource(seed))}
+	r := &RNG{}
+	r.src.Seed(seed)
+	r.Rand = rand.New(&r.src)
+	return r
 }
 
 // Fork derives an independent child stream identified by name. Forking the
@@ -27,7 +54,7 @@ func (r *RNG) Fork(name string) *RNG {
 	h := fnv.New64a()
 	var b [8]byte
 	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(r.seed) >> (8 * i))
+		b[i] = byte(uint64(r.src.seed) >> (8 * i))
 	}
 	h.Write(b[:])
 	h.Write([]byte(name))

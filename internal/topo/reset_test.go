@@ -24,10 +24,13 @@ import (
 // A kind without a rule is an error, so a map or a channel added to a device
 // fails here until somebody says what a reset does to it.
 //
-// Two things are compared by name instead. PacketPool.free is the packets a
-// used fabric has to give: not compared. Switch.selGen and selCache are a
+// Three things are compared by name instead. PacketPool.free is the packets
+// a used fabric has to give: not compared. Switch.selGen and selCache are a
 // generation and the slots stamped with it: what must agree is that no slot
-// is valid, not the number.
+// is valid, not the number. Switch.selScratch is a stateful selector's table,
+// kept for its memory and re-initialised by the next selector that stores
+// it: what must agree is that it holds no live entry, i.e. that no selector
+// owns it (selOwned, compared as a bool).
 type fabricWalker struct {
 	fwd, rev map[uintptr]uintptr
 	entered  map[string]int // pointer types entered, by name
@@ -107,6 +110,12 @@ func (w *fabricWalker) walk(path string, a, b reflect.Value) {
 			switch name {
 			case "PacketPool.free":
 			case "Switch.selGen":
+			case "Switch.selScratch":
+				for side, v := range []reflect.Value{a, b} {
+					if v.FieldByName("selOwned").Bool() && !v.FieldByName("selScratch").IsNil() {
+						w.diff(path+"."+name, "side %d has selector scratch its selector owns", side)
+					}
+				}
 			case "Switch.selCache":
 				for side, v := range []reflect.Value{a, b} {
 					if n := validMemoSlots(v); n != 0 {
@@ -296,7 +305,8 @@ func (f *fabricUnderTest) missing(want map[string]bool) []string {
 	}
 	for _, s := range f.switches {
 		got["pause events"] = got["pause events"] || s.PauseEvents > 0
-		got["memo or scratch"] = got["memo or scratch"] || s.SelectorScratch() != nil || validMemoSlots(reflect.ValueOf(s).Elem()) > 0
+		scratch, owned := s.SelectorScratch()
+		got["memo or scratch"] = got["memo or scratch"] || scratch != nil && owned || validMemoSlots(reflect.ValueOf(s).Elem()) > 0
 	}
 	var missing []string
 	for k := range want {
@@ -423,6 +433,14 @@ func TestFabricWalkerSeesWhatAResetCouldMiss(t *testing.T) {
 		if diffs := fabricsEqual(t, a, b, len(a.Hosts), len(a.switches), ports); len(diffs) == 0 {
 			t.Errorf("%s: planted and not seen", name)
 		}
+	}
+	// What a reset keeps on purpose is no difference: a scratch no selector
+	// owns any more.
+	a, b := NewFatTree(sim.NewEngine(), p), NewFatTree(sim.NewEngine(), p)
+	b.Aggs[0][1].SetSelectorScratch(7)
+	b.Reset(p)
+	if diffs := fabricsEqual(t, a, b, len(a.Hosts), len(a.switches), len(fatTreeUnderTest(a).ports())); len(diffs) != 0 {
+		t.Errorf("a scratch the reset disowned is seen: %v", diffs)
 	}
 	type odd struct{ m map[int]int }
 	w := newFabricWalker()

@@ -8,9 +8,12 @@ build:
 	$(GO) build ./...
 
 # go vet, then gofmt as a gate: a file gofmt would rewrite fails the target.
+# Then every simdebug tripwire must inline in a release build
+# (ci/inlinegate.sh): one that does not costs the hot path a call.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l is not empty:" >&2; echo "$$out" >&2; exit 1; }
+	./ci/inlinegate.sh
 
 test:
 	$(GO) test ./...
@@ -30,14 +33,19 @@ test-race:
 	./ci/gotest-run.sh 'TestShard|TestByteIdentitySharded' -race ./internal/experiments/
 	./ci/gotest-run.sh 'TestWarmPacketPointMatchesCold' -race ./internal/experiments/
 
-# The simulator suites again with use-after-free tripwires armed: recycled
+# The simulator suites again with the tripwires armed (sim.Debug): recycled
 # events/packets are poisoned and any stale access panics with generation
 # diagnostics; an embedded event filed twice, or recycled or reset while
-# filed, panics. Run this first when debugging a determinism break.
+# filed, panics; so do a wrong selector memo, a stale hash prefix and a
+# cross-shard merge out of order or inside the lookahead. Run this first when
+# debugging a determinism break. The tripwire tests skip without the tag, so
+# they are listed by name as well.
 test-simdebug:
 	$(GO) test -tags simdebug ./internal/...
 	./ci/gotest-run.sh 'TestSimdebugEmbeddedTripwire|TestSimdebugTripwires' -tags simdebug ./internal/sim/
-	./ci/gotest-run.sh 'TestSimdebugEmbeddedEventTripwires|TestSimdebugPacketTripwires|TestSimdebugHandOffTripwires' -tags simdebug ./internal/netsim/
+	./ci/gotest-run.sh 'TestSimdebugEmbeddedEventTripwires|TestSimdebugPacketTripwires|TestSimdebugHandOffTripwires|TestSimdebugCrossMergeOrderTripwire|TestSimdebugCrossLookaheadTripwire|TestSelectorMemoTripwire' -tags simdebug ./internal/netsim/
+	./ci/gotest-run.sh 'TestDebugCheckPrefixFires' -tags simdebug ./internal/routing/
+	./ci/gotest-run.sh 'TestSimdebugShardLookaheadTripwire' -tags simdebug ./internal/experiments/
 
 # Which shipped internal/ functions does no binary ever execute? Builds every
 # binary and example with coverage, drives the runs a user makes into one

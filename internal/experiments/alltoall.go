@@ -51,12 +51,10 @@ type AllToAllResult struct {
 	Seeds int
 }
 
-// runOutcome aggregates one simulation run's measurements.
-type runOutcome struct {
-	// Flows holds the packet-engine flows whose arrival the run reached, in
-	// arrival order.
-	Flows []*tcp.Flow
-
+// flowTally folds completed flows into one FCT sketch and the per-flow
+// counters. Who calls add decides when a flow is read: runOutcome at the end
+// of the run, mixOutcome at each completion instant.
+type flowTally struct {
 	// Binned receiver-side flow completion times, in seconds. The sketch
 	// stays exact (bit-identical to the historical BinnedSample) below its
 	// per-bin cap, which every table-scale run fits; past the cap it
@@ -68,8 +66,55 @@ type runOutcome struct {
 	Timeouts    int64
 	Retransmits int64
 	Reroutes    int64
-	Incomplete  int
-	SimTime     sim.Time
+}
+
+// add folds one completed packet-engine flow.
+func (t *flowTally) add(f *tcp.Flow) {
+	t.FCT.Add(f.Size, f.FCT().Seconds())
+	t.DataPackets += f.DataPackets()
+	t.OutOfOrder += f.OutOfOrder()
+	t.Timeouts += f.Sender().Timeouts
+	t.Retransmits += f.Sender().Retransmits
+	t.Reroutes += f.FlowBenderStats().Reroutes
+}
+
+// addFluid folds one fluid completion: the fluid engine has no timeouts,
+// retransmits, or reordering to count.
+func (t *flowTally) addFluid(d fluid.Done) {
+	t.FCT.Add(d.Size, d.FCT.Seconds())
+	t.Reroutes += d.Reroutes
+}
+
+// merge folds another tally into t (a shard's into the point total).
+func (t *flowTally) merge(o *flowTally) {
+	for b := range t.FCT.Bins {
+		t.FCT.Bins[b].Merge(&o.FCT.Bins[b])
+	}
+	t.DataPackets += o.DataPackets
+	t.OutOfOrder += o.OutOfOrder
+	t.Timeouts += o.Timeouts
+	t.Retransmits += o.Retransmits
+	t.Reroutes += o.Reroutes
+}
+
+// OOOFraction returns the fraction of data packets that arrived out of
+// order (§4.2.3's metric).
+func (t *flowTally) OOOFraction() float64 {
+	if t.DataPackets == 0 {
+		return 0
+	}
+	return float64(t.OutOfOrder) / float64(t.DataPackets)
+}
+
+// runOutcome aggregates one simulation run's measurements.
+type runOutcome struct {
+	// Flows holds the packet-engine flows whose arrival the run reached, in
+	// arrival order.
+	Flows []*tcp.Flow
+
+	flowTally
+	Incomplete int
+	SimTime    sim.Time
 	// Engines is how many engines the point ran on (1 = serial), Events the
 	// engine events they executed between them.
 	Engines int
@@ -82,22 +127,8 @@ func (r *runOutcome) collect() {
 			r.Incomplete++
 			continue
 		}
-		r.FCT.Add(f.Size, f.FCT().Seconds())
-		r.DataPackets += f.DataPackets()
-		r.OutOfOrder += f.OutOfOrder()
-		r.Timeouts += f.Sender().Timeouts
-		r.Retransmits += f.Sender().Retransmits
-		r.Reroutes += f.FlowBenderStats().Reroutes
+		r.add(f)
 	}
-}
-
-// OOOFraction returns the fraction of data packets that arrived out of
-// order (§4.2.3's metric).
-func (r *runOutcome) OOOFraction() float64 {
-	if r.DataPackets == 0 {
-		return 0
-	}
-	return float64(r.OutOfOrder) / float64(r.DataPackets)
 }
 
 // allToAllSpec parameterizes one all-to-all run.
@@ -128,7 +159,7 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 		scheme: spec.scheme, fb: spec.fb, rawFB: spec.rawFB, setupFn: spec.setupFn, params: spec.params,
 		flows:   spec.flows,
 		onFlow:  func(f *tcp.Flow) { out.Flows = append(out.Flows, f) },
-		onFluid: func(d fluid.Done) { out.FCT.Add(d.Size, d.FCT.Seconds()) },
+		onFluid: func(d fluid.Done) { out.addFluid(d) },
 	}
 	fluidEng := o.fluidPoint(&pt)
 	pt.armFirst = fluidEng
@@ -161,7 +192,6 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 	out.SimTime, out.Engines, out.Events = res.simTime, res.engines, res.events
 	out.collect()
 	if fluidEng {
-		out.Reroutes = res.reroutes
 		out.Incomplete = spec.flows - int(res.completed)
 	}
 	o.recordFlows(res.completed)

@@ -77,7 +77,6 @@ type pointResult struct {
 	events             int64 // engine events they executed between them
 	started, completed int64
 	simTime            sim.Time // furthest virtual time any engine reached
-	reroutes           int64    // fluid engine only: path changes, all flows
 	err                error    // what arm refused; the point did not run
 }
 
@@ -315,9 +314,6 @@ func (o Options) runPoint(pt point) pointResult {
 		if eng.Now() > res.simTime {
 			res.simTime = eng.Now()
 		}
-	}
-	if fs != nil {
-		res.reroutes = fs.Reroutes
 	}
 	return res
 }

@@ -106,19 +106,13 @@ func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int
 // order-independent given the same observation multiset — which is what
 // makes the shard-order fold bit-identical to the one-engine run.
 type mixOutcome struct {
-	fct stats.BinnedSketch
+	flowTally
 
 	planned   int64 // flows the schedule holds
 	started   int64 // arrival events that ran
 	completed int64 // receivers that got their full payload
 
 	kinds [3]int64 // completed flows by workload.PatternKind
-
-	dataPackets int64
-	outOfOrder  int64
-	timeouts    int64
-	retransmits int64
-	reroutes    int64
 
 	engines int // engines the point ran on (1 = serial)
 }
@@ -130,37 +124,22 @@ type mixOutcome struct {
 // would not be shard-stable).
 func (m *mixOutcome) record(kind workload.PatternKind, f *tcp.Flow) {
 	m.kinds[kind]++
-	m.fct.Add(f.Size, f.FCT().Seconds())
-	m.dataPackets += f.DataPackets()
-	m.outOfOrder += f.OutOfOrder()
-	m.timeouts += f.Sender().Timeouts
-	m.retransmits += f.Sender().Retransmits
-	m.reroutes += f.FlowBenderStats().Reroutes
+	m.add(f)
 }
 
-// recordFluid is record for a fluid completion: the same streaming
-// accounting, minus the packet-only counters (the fluid engine has no
-// timeouts, retransmits, or reordering to count).
+// recordFluid is record for a fluid completion.
 func (m *mixOutcome) recordFluid(d fluid.Done) {
 	m.kinds[workload.PatternKind(d.UserTag)]++
-	m.fct.Add(d.Size, d.FCT.Seconds())
-	m.reroutes += d.Reroutes
+	m.addFluid(d)
 }
 
 // fold merges a shard's outcome into the point total (called in shard-index
 // order, once per shard, after the run).
 func (m *mixOutcome) fold(o *mixOutcome) {
-	for b := range m.fct.Bins {
-		m.fct.Bins[b].Merge(&o.fct.Bins[b])
-	}
+	m.merge(&o.flowTally)
 	for k := range m.kinds {
 		m.kinds[k] += o.kinds[k]
 	}
-	m.dataPackets += o.dataPackets
-	m.outOfOrder += o.outOfOrder
-	m.timeouts += o.timeouts
-	m.retransmits += o.retransmits
-	m.reroutes += o.reroutes
 }
 
 // runProduction executes one (scheme) point of the production experiment.
@@ -246,20 +225,18 @@ func (m *mixOutcome) cell() MixCell {
 		Plain:       m.kinds[workload.KindPlain],
 		Incast:      m.kinds[workload.KindIncast],
 		Storage:     m.kinds[workload.KindStorage],
-		Timeouts:    m.timeouts,
-		Retransmits: m.retransmits,
-		Reroutes:    m.reroutes,
-	}
-	if m.dataPackets > 0 {
-		c.OOOFrac = float64(m.outOfOrder) / float64(m.dataPackets)
+		OOOFrac:     m.OOOFraction(),
+		Timeouts:    m.Timeouts,
+		Retransmits: m.Retransmits,
+		Reroutes:    m.Reroutes,
 	}
 	toCell := func(s *stats.Sketch) MixBinCell {
 		return MixBinCell{N: s.N(), P50ms: s.Percentile(50) * 1000, P99ms: s.Percentile(99) * 1000, P999ms: s.Percentile(99.9) * 1000}
 	}
 	for b := range c.Bins {
-		c.Bins[b] = toCell(&m.fct.Bins[b])
+		c.Bins[b] = toCell(&m.FCT.Bins[b])
 	}
-	c.All = toCell(m.fct.All())
+	c.All = toCell(m.FCT.All())
 	return c
 }
 

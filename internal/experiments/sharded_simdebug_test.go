@@ -1,5 +1,3 @@
-//go:build simdebug
-
 package experiments
 
 import (
@@ -15,6 +13,9 @@ import (
 // pass an inbound effect's due time before the merge delivers it, which is
 // exactly the class of bug the conservative protocol exists to rule out.
 func TestSimdebugShardLookaheadTripwire(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
 	defer func() {
 		r := recover()
 		if r == nil {

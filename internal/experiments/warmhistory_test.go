@@ -169,7 +169,7 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 				cdf, _ := workload.NamedCDF(o.workloadName())
 				m := o.runProduction(s, cdf, 60)
 				return fmt.Sprintf("fct%s %d/%d kinds=%v pkts=%d ooo=%d rto=%d retx=%d reroutes=%d",
-					sketchText(&m.fct), m.completed, m.started, m.kinds, m.dataPackets, m.outOfOrder, m.timeouts, m.retransmits, m.reroutes)
+					sketchText(&m.FCT), m.completed, m.started, m.kinds, m.DataPackets, m.OutOfOrder, m.Timeouts, m.Retransmits, m.Reroutes)
 			}}
 		case 5:
 			j = historyJob{"table1/" + at, o, func(o Options) string {

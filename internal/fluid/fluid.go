@@ -131,7 +131,6 @@ type group struct {
 	size    int64
 	userTag int32
 	arrive  sim.Time
-	done    bool
 	members [2]int32
 	nMember int8
 }
@@ -537,20 +536,17 @@ func (s *Sim) finish(xi int32) {
 	x := &s.xfers[xi]
 	gi := x.group
 	g := &s.groups[gi]
-	if !g.done {
-		g.done = true
-		var reroutes int64
-		for m := int8(0); m < g.nMember; m++ {
-			if mi := g.members[m]; s.xfers[mi].hasFB {
-				reroutes += s.fbs[mi].Stats().Reroutes
-			}
+	var reroutes int64
+	for m := int8(0); m < g.nMember; m++ {
+		if mi := g.members[m]; s.xfers[mi].hasFB {
+			reroutes += s.fbs[mi].Stats().Reroutes
 		}
-		fct := s.eng.Now() + s.tail(x) - g.arrive
-		s.Completed++
-		s.Reroutes += reroutes
-		if s.OnDone != nil {
-			s.OnDone(Done{ID: g.id, Size: g.size, FCT: fct, Reroutes: reroutes, UserTag: g.userTag})
-		}
+	}
+	fct := s.eng.Now() + s.tail(x) - g.arrive
+	s.Completed++
+	s.Reroutes += reroutes
+	if s.OnDone != nil {
+		s.OnDone(Done{ID: g.id, Size: g.size, FCT: fct, Reroutes: reroutes, UserTag: g.userTag})
 	}
 	for m := int8(0); m < g.nMember; m++ {
 		s.removeXfer(g.members[m])

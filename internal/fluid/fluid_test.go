@@ -402,6 +402,84 @@ func TestFoldStampWraparound(t *testing.T) {
 	}
 }
 
+// panicMidDrain runs a scenario on s whose completion handler panics while
+// the simulation is in the middle of an instant: solver work staged, the
+// flush event filed, the wake event filed. It stops there, as a pool worker's
+// point stops when its handler panics, and reports whether the handler found
+// all three.
+//
+// Flow 1 is long and keeps FlowBender's RTT epochs ticking on the grid its
+// arrival at 0 starts. Flow 2 is timed to finish on that grid, at tc, within
+// an epoch of its arrival, so its wake is filed after the epoch tick at tc.
+// Flow 3 arrives at tc, filed before either: its sessions are staged for the
+// flush it files behind them. The epoch tick drains flow 2 first, and the
+// handler panics with the wake and the flush still filed.
+func panicMidDrain(t *testing.T, s *Sim) (staged, flush, wake bool) {
+	t.Helper()
+	const short = 5000
+	lone := NewSim(sim.NewEngine(), s.cfg)
+	var dur sim.Time
+	lone.OnDone = func(Done) { dur = lone.eng.Now() }
+	lone.Arrive(1, 0, 1, short, 0)
+	lone.eng.Run(sim.Second)
+	if dur <= 0 || dur >= s.rttEpoch {
+		t.Fatalf("a lone %d-byte flow takes %d ns, want under one epoch (%d ns)", short, dur, s.rttEpoch)
+	}
+	const boom = "injected: the handler dies here"
+	s.OnDone = func(d Done) {
+		if d.ID == 2 {
+			staged, flush, wake = s.inc.Pending(), s.flushPend, s.wake != nil
+			panic(boom)
+		}
+	}
+	tc := 4 * s.rttEpoch
+	s.eng.At(tc-dur, func() { s.Arrive(2, 0, 1, short, 0) })
+	s.eng.At(tc, func() { s.Arrive(3, 4, 5, short, 0) })
+	s.Arrive(1, 2, 3, 50_000_000, 0)
+	defer func() {
+		if r := recover(); r != boom {
+			t.Fatalf("run ended with %v, want the injected panic", r)
+		}
+	}()
+	s.eng.Run(sim.Second)
+	return
+}
+
+// TestResetAfterPanickedRun: a run that died in its completion handler with
+// solver work staged and the wake and flush events filed leaves nothing for
+// the next run. The engine is reset and the handler dropped, as a pool
+// worker releases its arena; the Sim, reset for ECMP, sprayed (DiffFlow's
+// model) and FlowBender runs in turn, each straight after such a death, must
+// complete every flow as a new Sim does, in the same number of events.
+func TestResetAfterPanickedRun(t *testing.T) {
+	fb := func() *core.Config { return &core.Config{T: 0.05, N: 1, RNG: sim.NewRNG(7)} }
+	p := topo.SmallScale()
+	s := NewSim(sim.NewEngine(), Config{Params: p, FlowBender: fb()})
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"ECMP", func() Config { return Config{Params: p} }},
+		{"DiffFlow", func() Config { return sprayScenarioCfg(100_000, 0) }},
+		{"FlowBender", func() Config { return Config{Params: p, FlowBender: fb()} }},
+	} {
+		s.eng.Reset()
+		s.Reset(s.eng, Config{Params: p, FlowBender: fb()})
+		if staged, flush, wake := panicMidDrain(t, s); !staged || !flush || !wake {
+			t.Fatalf("%s: the handler died with staged=%v flush=%v wake=%v, want all three", tc.name, staged, flush, wake)
+		}
+		s.eng.Reset()
+		s.OnDone = nil
+		s.Reset(s.eng, tc.cfg())
+		warm := scenarioDigest(t, s, nil)
+		cold := NewSim(sim.NewEngine(), tc.cfg())
+		if want := scenarioDigest(t, cold, nil); warm != want || s.eng.Executed != cold.eng.Executed {
+			t.Errorf("%s: after a panicked run: digest %#x in %d events, a new Sim: %#x in %d",
+				tc.name, warm, s.eng.Executed, want, cold.eng.Executed)
+		}
+	}
+}
+
 // TestAnalyticalBrackets sanity-checks the M/G/1 twin: its lower bound sits
 // below the fluid mean FCT of a light uniform workload, and its estimate
 // stays finite and ordered in load.

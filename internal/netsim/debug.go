@@ -1,5 +1,3 @@
-//go:build simdebug
-
 package netsim
 
 import (
@@ -21,6 +19,9 @@ const poisonSeq int64 = -0x5151515151515151
 // Switch.Receive, Port.Enqueue, the hand-offs) and where a packet is
 // recycled.
 func (p *Packet) debugCheckLive(site string) {
+	if !sim.Debug {
+		return
+	}
 	if p.pooled {
 		panic(fmt.Sprintf("netsim: %s on recycled packet (gen %d): packet retained after delivery or drop", site, p.gen))
 	}
@@ -32,6 +33,9 @@ func (p *Packet) debugCheckLive(site string) {
 // debugAlloc validates a packet coming off the free list and clears the
 // poison so callers see a fully zeroed packet.
 func (p *Packet) debugAlloc() {
+	if !sim.Debug {
+		return
+	}
 	if !p.pooled {
 		panic(fmt.Sprintf("netsim: free list returned a live packet (gen %d)", p.gen))
 	}
@@ -43,11 +47,17 @@ func (p *Packet) debugAlloc() {
 
 // debugPoison marks a packet as it enters the free list.
 func (p *Packet) debugPoison() {
+	if !sim.Debug {
+		return
+	}
 	p.Seq = poisonSeq
 }
 
 // debugDoubleFree panics on a second Put of the same packet.
 func (p *Packet) debugDoubleFree() {
+	if !sim.Debug {
+		return
+	}
 	panic(fmt.Sprintf("netsim: double free of packet (gen %d)", p.gen))
 }
 
@@ -58,6 +68,9 @@ func (p *Packet) debugDoubleFree() {
 // selector change) failed to bump the generation — either would silently
 // misroute flows in release builds.
 func (s *Switch) debugCheckSelect(pkt *Packet, eligible []int32, cached int32) {
+	if !sim.Debug {
+		return
+	}
 	want := s.sel.Select(s, pkt, eligible)
 	if want != cached {
 		panic(fmt.Sprintf(
@@ -78,6 +91,9 @@ func (s *Switch) debugCheckSelect(pkt *Packet, eligible []int32, cached int32) {
 //     mutated outside the barrier protocol or the sort was bypassed, either
 //     of which silently breaks bit-identity with serial execution.
 func debugCheckCross(msgs []CrossMsg, i int, windowEnd sim.Time) {
+	if !sim.Debug {
+		return
+	}
 	m := &msgs[i]
 	effect := m.At
 	switch d := m.Dst.(type) {
@@ -98,25 +114,15 @@ func debugCheckCross(msgs []CrossMsg, i int, windowEnd sim.Time) {
 	}
 }
 
-// DebugPokeSelectCache plants a (deliberately wrong) memoized choice for
-// pkt's key under the cache's current generation, as if an invalidation had
-// been missed. Only the simdebug build has it: tests use it to prove the
-// cross-check above actually fires. Panics if the switch has no memo cache
-// (none exists before the switch's first cached selection).
-func (s *Switch) DebugPokeSelectCache(pkt *Packet, port int32) {
-	if !s.selCached || s.selCache == nil {
-		panic("netsim: DebugPokeSelectCache on a switch without a selector memo cache")
-	}
-	sl := &s.selCache[selCacheIndex(pkt.HashPrefix, pkt.Dst, pkt.PathTag)]
-	*sl = selSlot{prefix: pkt.HashPrefix, dst: pkt.Dst, tag: pkt.PathTag, gen: s.selGen, port: port}
-}
-
 // debugCheckBook panics when the transmission on the wire is booked before
 // its end: the counters, the free transmitter and the next record's bytes
 // leaving the queue would be visible to the simulation earlier than the
 // completion event would have shown them. Only a settle with a wrong clock or
 // tie rule can do it.
 func (p *Port) debugCheckBook() {
+	if !sim.Debug {
+		return
+	}
 	if now := p.eng.Now(); now < p.cur.end {
 		panic(fmt.Sprintf("netsim: transmission booked at %d, before its end at %d (start %d)", now, p.cur.end, p.cur.start))
 	}
@@ -127,6 +133,9 @@ func (p *Port) debugCheckBook() {
 // so the packet may be queued downstream, delivered, or recycled — taking it
 // back would duplicate or corrupt it in release builds.
 func (p *Port) debugCheckRecall(r *txRec) {
+	if !sim.Debug {
+		return
+	}
 	if now := p.eng.Now(); now > r.end {
 		panic(fmt.Sprintf("netsim: hand-off recalled at %d, after its end at %d: the peer's event may have fired", now, r.end))
 	}

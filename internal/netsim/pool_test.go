@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"flowbender/internal/sim"
@@ -210,10 +211,10 @@ func TestSimdebugPacketTripwires(t *testing.T) {
 	pkt.Flow = 1
 	h.Receive(pkt, 0) // delivered synchronously, then recycled
 
-	mustPanicNetsim(t, "Send of recycled packet", func() { h.Send(pkt) })
-	mustPanicNetsim(t, "Receive of recycled packet", func() { h.Receive(pkt, 0) })
-	mustPanicNetsim(t, "Enqueue of recycled packet", func() { h.NIC.Enqueue(pkt) })
-	mustPanicNetsim(t, "double free", func() { pl.Put(pkt) })
+	mustPanic(t, "Host.Send on recycled packet", func() { h.Send(pkt) })
+	mustPanic(t, "Host.Receive on recycled packet", func() { h.Receive(pkt, 0) })
+	mustPanic(t, "Port.Enqueue on recycled packet", func() { h.NIC.Enqueue(pkt) })
+	mustPanic(t, "double free of packet", func() { pl.Put(pkt) })
 }
 
 // Under -tags simdebug, a packet or a port whose own event is still filed
@@ -234,8 +235,8 @@ func TestSimdebugEmbeddedEventTripwires(t *testing.T) {
 	pkt := h.NewPacket()
 	pkt.Flow = 1
 	h.Receive(pkt, 0)
-	mustPanicNetsim(t, "Put of a packet whose step is filed", func() { pl.Put(pkt) })
-	mustPanicNetsim(t, "Send of a packet whose step is filed", func() { h.Send(pkt) })
+	mustPanic(t, "PacketPool.Put on a packet whose step", func() { pl.Put(pkt) })
+	mustPanic(t, "Host.Send on a packet whose step", func() { h.Send(pkt) })
 
 	// A NIC and a switch port with their completions armed: neither a host
 	// with no delay nor a switch with no pipeline times a transmission ahead.
@@ -247,9 +248,9 @@ func TestSimdebugEmbeddedEventTripwires(t *testing.T) {
 	if !nic.NIC.tx.Filed() || !sw.Ports[1].tx.Filed() {
 		t.Fatalf("completions not armed: NIC %v, switch port %v", nic.NIC.tx.Filed(), sw.Ports[1].tx.Filed())
 	}
-	mustPanicNetsim(t, "Host.Reset with the NIC's completion filed", func() { nic.Reset(10_000_000_000, 0) })
-	mustPanicNetsim(t, "Switch.Reset with a port's completion filed", func() { sw.Reset(10_000_000_000, SwitchConfig{}) })
-	mustPanicNetsim(t, "Port.init with its completion filed", func() { sw.Ports[1].init(10_000_000_000, false, 0, 0, nil) })
+	mustPanic(t, "port reset while its completion", func() { nic.Reset(10_000_000_000, 0) })
+	mustPanic(t, "port reset while its completion", func() { sw.Reset(10_000_000_000, SwitchConfig{}) })
+	mustPanic(t, "port reset while its completion", func() { sw.Ports[1].init(10_000_000_000, false, 0, 0, nil) })
 
 	eng.Reset()
 	pl.Put(pkt)
@@ -353,24 +354,29 @@ func TestSimdebugHandOffTripwires(t *testing.T) {
 	if nic.TxPackets() != 0 || len(nic.ledger()) != 2 {
 		t.Fatalf("NIC's ledger holds %d records (busy=%v armed=%v), want one on the wire and a follower", len(nic.ledger()), nic.busy, nic.armed)
 	}
-	mustPanicNetsim(t, "booking a record before its end", nic.book)
+	mustPanic(t, "transmission booked at", nic.book)
 	eng.RunUntilIdle()
 	if delivered != 2 || len(nic.ledger()) != 2 {
 		t.Fatalf("delivered %d; NIC settled by nobody yet holds %d records", delivered, len(nic.ledger()))
 	}
 	for _, r := range nic.ledger() {
-		mustPanicNetsim(t, "recalling a record after the peer's event fired", func() { nic.recall(r) })
+		mustPanic(t, "hand-off recalled at", func() { nic.recall(r) })
 	}
 	if nic.TxPackets() != 2 {
 		t.Fatalf("TxPackets = %d after the tripwires", nic.TxPackets())
 	}
 }
 
-func mustPanicNetsim(t *testing.T, what string, fn func()) {
+// mustPanic asserts that fn panics with a message containing want: a
+// simdebug tripwire fired, and the one the test aimed at.
+func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", what)
+		r := recover()
+		if r == nil {
+			t.Errorf("expected a panic containing %q, got none", want)
+		} else if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			t.Errorf("panic = %v; want substring %q", r, want)
 		}
 	}()
 	fn()

@@ -1,32 +1,18 @@
-//go:build simdebug
-
 package netsim
 
 import (
-	"strings"
 	"testing"
 
 	"flowbender/internal/sim"
 )
 
-func mustPanic(t *testing.T, want string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected panic containing %q, got none", want)
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic = %v; want substring %q", r, want)
-		}
-	}()
-	fn()
-}
-
 // A mailbox whose contents bypass the merge sort must trip the order check:
 // out-of-order injection would assign engine insertion sequences that differ
 // from serial execution, silently breaking bit-identity.
 func TestSimdebugCrossMergeOrderTripwire(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
 	eng := sim.NewEngine()
 	h := NewHost(eng, 0, 10_000_000_000, 20*sim.Microsecond)
 	msgs := []CrossMsg{
@@ -41,6 +27,9 @@ func TestSimdebugCrossMergeOrderTripwire(t *testing.T) {
 // minimum cross-shard delay, i.e. the consuming shard's clock may already
 // have passed the effect time.
 func TestSimdebugCrossLookaheadTripwire(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
 	eng := sim.NewEngine()
 	h := NewHost(eng, 0, 10_000_000_000, 20*sim.Microsecond)
 	msgs := []CrossMsg{{At: 1000, Pkt: h.NewPacket(), Dst: h}}

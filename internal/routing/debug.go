@@ -1,11 +1,10 @@
-//go:build simdebug
-
 package routing
 
 import (
 	"fmt"
 
 	"flowbender/internal/netsim"
+	"flowbender/internal/sim"
 )
 
 // debugCheckPrefix cross-checks a packet's carried hash prefix against a
@@ -13,6 +12,9 @@ import (
 // transport stamped the wrong prefix or a stale prefix survived packet
 // recycling — either would silently re-route flows in release builds.
 func debugCheckPrefix(pkt *netsim.Packet) {
+	if !sim.Debug {
+		return
+	}
 	want := FlowHashPrefix(pkt.Src, pkt.Dst, pkt.SrcPort, pkt.DstPort, pkt.Proto)
 	if pkt.HashPrefix != want {
 		panic(fmt.Sprintf(

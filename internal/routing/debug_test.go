@@ -1,5 +1,3 @@
-//go:build simdebug
-
 package routing
 
 import (
@@ -7,6 +5,7 @@ import (
 	"testing"
 
 	"flowbender/internal/netsim"
+	"flowbender/internal/sim"
 )
 
 // TestDebugCheckPrefixFires proves the simdebug cross-check catches a packet
@@ -14,6 +13,9 @@ import (
 // of silently resuming from the wrong state (which would misroute the flow in
 // release builds).
 func TestDebugCheckPrefixFires(t *testing.T) {
+	if !sim.Debug {
+		t.Skip("requires -tags simdebug")
+	}
 	pkt := &netsim.Packet{
 		Src: 3, Dst: 13, SrcPort: 41000, DstPort: 80, Proto: netsim.ProtoTCP,
 	}

@@ -47,11 +47,6 @@ type flowletState struct {
 	// portEwma is FlowDyn's per-port drain-time estimate in float64
 	// nanoseconds of sim.Time (allocated only by FlowDyn).
 	portEwma []float64
-
-	// Redraws counts flowlet-boundary path redraws; Evictions counts
-	// entries expired from the LRU tail.
-	Redraws   int64
-	Evictions int64
 }
 
 func flowletStateOf(sw *netsim.Switch, dyn bool) *flowletState {
@@ -158,7 +153,6 @@ func (st *flowletState) expire(now sim.Time, retention sim.Time) {
 		delete(st.table, e.key)
 		e.next = st.free
 		st.free = e
-		st.Evictions++
 	}
 }
 
@@ -209,7 +203,6 @@ func (f *Flowlet) Select(sw *netsim.Switch, pkt *netsim.Packet, eligible []int32
 	e, isNew := st.lookup(pkt, now)
 	if !isNew && now-e.last >= f.Gap {
 		e.draw = uint64(now) + 1
-		st.Redraws++
 	}
 	e.last = now
 	st.touch(e)
@@ -274,7 +267,6 @@ func (FlowDyn) Select(sw *netsim.Switch, pkt *netsim.Packet, eligible []int32) i
 	e, isNew := st.lookup(pkt, now)
 	if !isNew && now-e.last >= gapFor(sw, st, e.port) {
 		e.draw = uint64(now) + 1
-		st.Redraws++
 	}
 	e.last = now
 	st.touch(e)

@@ -2,18 +2,9 @@
 
 package sim
 
-// Debug reports whether the simdebug build tag is active. Tests use it to
-// assert poisoning semantics only in debug builds.
+// Debug arms the simulator's tripwires: it is false in a release build and
+// true under `-tags simdebug` (debug_on.go). It is the only switch. Every
+// check is an ordinary function whose body starts with `if !sim.Debug {
+// return }`, so a release build type-checks and vets it and then inlines it
+// to nothing, and the simdebug build runs the same code.
 const Debug = false
-
-// debugAccess, debugAlloc, and debugRelease are no-ops in release builds;
-// they compile to nothing, so the pooling tripwires cost zero on the hot
-// path. Build with `-tags simdebug` for the checked versions.
-func (e *Event) debugAccess(string) {}
-
-func (e *Engine) debugAlloc(*Event)   {}
-func (e *Engine) debugRelease(*Event) {}
-
-// debugQueueDump adds nothing to VerifyRestore diagnostics in release
-// builds; `-tags simdebug` dumps the head of the live event queue.
-func (e *Engine) debugQueueDump(int) string { return "" }

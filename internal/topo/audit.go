@@ -77,15 +77,7 @@ func (ft *FatTree) Audit(tagRange uint32) AuditReport {
 // across the path-tag range.
 func (ft *FatTree) distinctPaths(src, dst int, tagRange uint32) int {
 	seen := map[string]bool{}
-	for tag := uint32(0); tag < tagRange; tag++ {
-		pkt := &netsim.Packet{
-			Src: netsim.NodeID(src), Dst: netsim.NodeID(dst),
-			SrcPort: 12345, DstPort: 5001, PathTag: tag,
-		}
-		path, err := netsim.TracePath(ft.Hosts[src], pkt, 16)
-		if err != nil {
-			continue
-		}
+	for _, path := range ft.PathsByTag(src, dst, tagRange) {
 		seen[fmt.Sprint(path)] = true
 	}
 	return len(seen)

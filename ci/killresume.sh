@@ -4,10 +4,10 @@
 # time, resume from the checkpoint file, and require the resumed output to
 # be byte-identical to the uninterrupted run.
 #
-# SIGKILL — not SIGINT — on purpose: the graceful path gets to flush, this
+# SIGKILL — not SIGINT — on purpose: the graceful path gets to save, this
 # one does not, so the test exercises the atomic-save guarantee (the file on
-# disk is a consistent checkpoint at every instant) plus watermark replay
-# verification and the completed-experiment journal on resume.
+# disk is a consistent checkpoint at every instant), the completed-experiment
+# journal on resume, and the rerun of the experiments that were in flight.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,9 +46,9 @@ if ! cmp -s "$workdir/full.txt" "$workdir/resumed.txt"; then
 fi
 echo "OK: kill-and-resume output byte-identical to the uninterrupted run"
 
-# Same contract for the production experiment on its own: the mix's lazy
-# beacon chains and per-shard sketch merges must replay to the same bytes
-# across a mid-flight SIGKILL.
+# Same contract for the production experiment on its own: killed mid-flight,
+# nothing is journaled, and the resume reruns it — the mix's lazy beacon
+# chains and sketch merges included — to the same bytes.
 pargs=(-exp production -scale tiny -flows 300 -seed 2)
 
 echo "== production: uninterrupted golden run"
@@ -81,10 +81,10 @@ fi
 echo "OK: production kill-and-resume output byte-identical to the uninterrupted run"
 
 # Version skew: a checkpoint written for an older simulation state (before
-# the port hand-off its watermarks count more events) must be refused by the
-# envelope check — one line, before any point replays — not die mid-replay
-# in VerifyRestore. The envelope's state field precedes the payload, so the
-# first match on the line is the envelope's.
+# the port hand-off, when the packet engine executed more events) must be
+# refused by the envelope check in one line, before anything runs or is
+# served from its journal. The envelope's state field precedes the payload,
+# so the first match on the line is the envelope's.
 echo "== version skew: the production checkpoint relabelled fb-state-1 must be refused up front"
 sed -E 's/"state":"fb-state-[0-9]+"/"state":"fb-state-1"/' "$workdir/prod.ckpt" > "$workdir/old.ckpt"
 if cmp -s "$workdir/prod.ckpt" "$workdir/old.ckpt"; then

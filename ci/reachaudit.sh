@@ -57,19 +57,19 @@ run fbsim -exp production -scale hyper -engine fluid -flows 3000 -solver-shards 
 run fbsim -exp production -scale mega -engine fluid -schemes ECMP -load 0.2 -flows 5000
 run fbsim -exp faults -scale tiny -faults cut,gray1 -json
 run fbsim -exp fidelity -scale tiny -watchdog 5m
-run fbsim -exp production -scale tiny -flows 300 -checkpoint "$work/run.ckpt" -checkpoint-every 20ms
-run fbsim -exp production -scale tiny -flows 300 -resume "$work/run.ckpt" -checkpoint-every 20ms
+run fbsim -exp production -scale tiny -flows 300 -checkpoint "$work/run.ckpt"
+run fbsim -exp production -scale tiny -flows 300 -resume "$work/run.ckpt"
 
-# An interrupted run: SIGINT mid-flight (flush, save, exit 130), then a resume
-# that replays through the recorded watermarks. If the box is fast enough that
-# the run finishes first, the resume is served from the journal instead.
+# An interrupted run: SIGINT mid-flight (save, exit 130), then a resume that
+# reruns the experiment from the start. If the box is fast enough that the run
+# finishes first, the resume is served from the journal instead.
 echo "== fbsim -exp alltoall -scale tiny -checkpoint ..., SIGINT after 2 s" >&2
-"$work/bin/fbsim" -exp alltoall -scale tiny -checkpoint "$work/int.ckpt" -checkpoint-every 5ms >/dev/null 2>&1 &
+"$work/bin/fbsim" -exp alltoall -scale tiny -checkpoint "$work/int.ckpt" >/dev/null 2>&1 &
 pid=$!
 sleep 2
 kill -INT "$pid" 2>/dev/null || true
 wait "$pid" || true
-run fbsim -exp alltoall -scale tiny -resume "$work/int.ckpt" -checkpoint-every 5ms
+run fbsim -exp alltoall -scale tiny -resume "$work/int.ckpt"
 
 run fbtopo -scale tiny
 run fbtopo -scale small -src 0 -dst 40

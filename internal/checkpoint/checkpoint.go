@@ -1,36 +1,31 @@
 // Package checkpoint makes long simulation runs crash-safe: it persists a
-// versioned, self-describing file holding (1) a journal of completed
-// experiments' rendered output, keyed by content hash, and (2) per-point
-// engine watermarks taken at quiescent barriers, so an interrupted run can
-// be resumed and *proven* byte-identical to an uninterrupted one.
+// versioned, self-describing file holding a journal of completed
+// experiments' rendered output, each entry with its content hash, so an
+// interrupted run can be resumed without re-simulating what it finished.
 //
-// # Design note — watermarks, not byte dumps
+// # Design note — journal, not byte dumps
 //
 // Pending events in this simulator are closures over live object graphs
 // (flows, ports, switches, timers), so the calendar queue has no direct
 // serialized form. What the repository does have is a hard determinism
 // invariant: every simulation point is a pure function of (options, seed),
 // bit-identical at any -parallel and -shards setting. A checkpoint
-// therefore records *where* each in-flight point was — virtual time plus a
-// sim.EngineState per shard, whose QueueDigest fingerprints every pending
-// event's (time, stamp, seq) key in pop order — and restore re-executes
-// the point deterministically, cross-checking the recorded watermark as
-// the replay passes it (sim.Engine.VerifyRestore). Anything regenerable
-// (ECMP memos, hash-prefix caches, flowlet tables, free lists) is
-// deliberately not recorded: the queue digest is downstream of all of it,
-// so a single diverging RNG draw or reordered event trips verification
-// instead of corrupting results. Completed work is never re-executed —
-// RunAll serves journaled experiments straight from the file.
+// therefore records only finished results: RunAll serves journaled
+// experiments straight from the file, and an experiment that was in flight
+// reruns from virtual time zero, reproducing the bytes the interrupted run
+// would have printed. The byte-identity goldens pin that determinism; the
+// state version in the envelope refuses a file written under other
+// simulation semantics.
 //
 // # File format
 //
 // The file is JSON: an outer envelope carrying a magic string, a format
 // version, a simulation-state version, and a CRC32 over the raw payload
-// bytes; the payload holds the run descriptor, the journal, and the marks.
-// Loading verifies all four before touching the payload, so a truncated,
+// bytes; the payload holds the run descriptor and the journal. Loading
+// verifies all four before touching the payload, so a truncated,
 // corrupted, or version-skewed file fails with a clear error instead of
-// resuming into garbage. Saves go through a temp file + rename in the
-// target directory, so a crash mid-write leaves the previous checkpoint
+// resuming into garbage. Saves go through a temp file + fsync + rename in
+// the target directory, so a crash mid-write leaves the previous checkpoint
 // intact — there is never a moment where the only copy is half-written.
 package checkpoint
 
@@ -49,17 +44,19 @@ const (
 	Magic = "flowbender-checkpoint"
 	// FormatVersion is the envelope layout version. Bump on any change to
 	// the envelope or payload schema.
-	FormatVersion = 1
-	// StateVersion names the simulation semantics this checkpoint's
-	// watermarks depend on. Bump whenever event ordering, RNG stream
-	// layout, or scheduling semantics change: watermarks from an older
-	// state cannot verify against the new engine and must be rejected up
-	// front rather than failing mid-replay.
+	//
+	// 2: the descriptor no longer carries shards or checkpoint_every, and
+	// runs no longer write per-point marks.
+	FormatVersion = 2
+	// StateVersion names the simulation semantics that journaled output
+	// depends on. Bump whenever a change moves what an experiment prints or
+	// the executed-event counts it reports: a journal written under older
+	// semantics would serve output this binary no longer produces, so the
+	// file is refused up front.
 	//
 	// fb-state-2: a port hands an unwaited-for packet to its peer when
 	// serialization starts (netsim.Port), so the packet engine executes fewer
-	// events and every packet watermark's Seq, Executed and QueueDigest
-	// differ from fb-state-1's.
+	// events.
 	//
 	// fb-state-3: a port times a transmission when its packet is offered and
 	// a host when it is sent (the ledger of netsim.Port): no completion or
@@ -68,13 +65,12 @@ const (
 )
 
 // Descriptor pins the run configuration a checkpoint belongs to. Resuming
-// under a different configuration is refused: the journal outputs and the
-// watermarks are only valid for the exact deterministic run they came
-// from. The front-ends build it with experiments.Options.Descriptor, which
-// lists the settings it pins next to those it leaves out because the repo's
-// determinism contract makes output independent of them (a run may be
-// resumed at a different -parallel setting; -shards changes the per-shard
-// engine states and so must match).
+// under a different configuration is refused: the journal outputs are only
+// valid for the exact deterministic run they came from. The front-ends
+// build it with experiments.Options.Descriptor, which lists the settings it
+// pins next to those it leaves out because the repo's determinism contract
+// makes output independent of them (a run may be resumed at a different
+// -parallel or -shards setting).
 type Descriptor struct {
 	// Tool names the producing command and mode, e.g. "fbsim:all" or
 	// "fbsim:alltoall".
@@ -83,28 +79,19 @@ type Descriptor struct {
 	Scale     string `json:"scale"`
 	FlowCount int    `json:"flow_count,omitempty"`
 	JobCount  int    `json:"job_count,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
 	Seeds     int    `json:"seeds,omitempty"`
-	// CheckpointEvery is the watermark cadence in virtual nanoseconds. It
-	// must match across resume: marks are taken on the cadence grid, and a
-	// resumed run verifies them by passing the same grid instants.
-	CheckpointEvery int64 `json:"checkpoint_every"`
 	// Extra carries tool-specific configuration that alters output
 	// (e.g. fbsim's -faults selection or -cdf path).
 	Extra string `json:"extra,omitempty"`
 }
 
-// PointMark is one in-flight simulation point's watermark: the quiescent
-// barrier instant it had reached and the engine state of every shard
-// (serial points have exactly one).
+// PointMark is a simulation point's engine state at a barrier instant, one
+// sim.EngineState per shard. No run writes one; the bench's checkpoint
+// probe fills File.Marks with them to time Save and Load on a large file.
 type PointMark struct {
 	Key     string            `json:"key"`
 	SimTime int64             `json:"sim_time"`
 	Engines []sim.EngineState `json:"engines"`
-	// Wedged records that a wall-clock watchdog fired while this point was
-	// running: the mark preserves the last good barrier state of a run
-	// that would otherwise have been discarded.
-	Wedged bool `json:"wedged,omitempty"`
 }
 
 // Entry is one journaled completed experiment: its rendered output and the
@@ -116,11 +103,12 @@ type Entry struct {
 	Output string `json:"output"`
 }
 
-// File is the checkpoint payload.
+// File is the checkpoint payload. Marks is empty in every file a run
+// writes; only the bench's checkpoint probe fills it.
 type File struct {
 	Descriptor Descriptor  `json:"descriptor"`
 	Done       []Entry     `json:"done"`
-	Marks      []PointMark `json:"marks"`
+	Marks      []PointMark `json:"marks,omitempty"`
 }
 
 // envelope is the outer, version-checked wrapper.
@@ -201,7 +189,7 @@ func Load(path string) (*File, error) {
 		return nil, fmt.Errorf("checkpoint: %s has format version %d; this binary reads version %d — regenerate the checkpoint with the matching tool", path, env.Format, FormatVersion)
 	}
 	if env.State != StateVersion {
-		return nil, fmt.Errorf("checkpoint: %s was written for simulation state %q; this binary is %q — the engine semantics changed, so its watermarks cannot be verified; rerun from scratch", path, env.State, StateVersion)
+		return nil, fmt.Errorf("checkpoint: %s was written for simulation state %q; this binary is %q — the engine semantics changed, so its journal no longer matches what this binary prints; rerun from scratch", path, env.State, StateVersion)
 	}
 	if got := crc32.ChecksumIEEE(env.Payload); got != env.CRC32 {
 		return nil, fmt.Errorf("checkpoint: %s payload checksum mismatch (file %08x, computed %08x): the file is corrupted", path, env.CRC32, got)

@@ -11,7 +11,7 @@ import (
 )
 
 func testDesc() Descriptor {
-	return Descriptor{Tool: "test", Seed: 7, Scale: "tiny", Shards: 2, CheckpointEvery: int64(5 * sim.Millisecond)}
+	return Descriptor{Tool: "test", Seed: 7, Scale: "tiny", Seeds: 2}
 }
 
 func testFile() *File {
@@ -74,7 +74,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		{"format", func(e map[string]any) { e["format"] = FormatVersion + 1 }, "format version"},
 		{"state", func(e map[string]any) { e["state"] = "fb-state-0" }, "simulation state"},
 		// The version before the port hand-off: same schema, different
-		// event counts, so only this check can refuse it before a replay.
+		// event counts, so only this check refuses its journal.
 		{"state-1", func(e map[string]any) { e["state"] = "fb-state-1" }, `simulation state "fb-state-1"; this binary is "fb-state-3"`},
 		// The hand-off without the ledger: again only the event counts moved.
 		{"state-2", func(e map[string]any) { e["state"] = "fb-state-2" }, `simulation state "fb-state-2"; this binary is "fb-state-3"`},
@@ -115,7 +115,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.loadedMarks != nil {
+	if m.loadedDone != nil {
 		t.Fatal("fresh manager claims to be resumed")
 	}
 
@@ -124,18 +124,14 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("second Create = %v, want already-exists refusal", err)
 	}
 
-	mark := PointMark{Key: "p1", SimTime: 5, Engines: []sim.EngineState{{Now: 5, Seq: 9, Executed: 3, Pending: 1, QueueDigest: 42}}}
-	m.Mark(mark)
-	m.Mark(PointMark{Key: "p1", SimTime: 10, Engines: mark.Engines}) // upsert: latest wins
 	m.RecordDone("alltoall", "rendered output\n")
-	m.FlagWedged("p2")
 
 	// Resume and check everything came back.
 	r, err := Open(path, testDesc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.loadedMarks == nil {
+	if r.loadedDone == nil {
 		t.Fatal("Open result not marked resumed")
 	}
 	if e, ok := r.Done("alltoall"); !ok || e.Output != "rendered output\n" {
@@ -144,22 +140,17 @@ func TestManagerLifecycle(t *testing.T) {
 	if _, ok := r.Done("table1"); ok {
 		t.Fatal("Done returned an unjournaled experiment")
 	}
-	pm, ok := r.Expected("p1")
-	if !ok || pm.SimTime != 10 {
-		t.Fatalf("Expected(p1) = %+v, %v; want latest mark (SimTime 10)", pm, ok)
-	}
-	if pm, ok := r.Expected("p2"); !ok || !pm.Wedged {
-		t.Fatalf("Expected(p2) = %+v, %v; want wedged mark", pm, ok)
-	}
 
-	// A wedged point that marks again stays flagged.
-	r.Mark(PointMark{Key: "p2", SimTime: 3})
+	// A resumed run journals on top of what it loaded.
+	r.RecordDone("table1", "second table\n")
 	r2, err := Open(path, testDesc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pm, _ := r2.Expected("p2"); !pm.Wedged {
-		t.Fatal("wedged flag was not sticky across a fresh mark")
+	for _, name := range []string{"alltoall", "table1"} {
+		if _, ok := r2.Done(name); !ok {
+			t.Fatalf("second resume lost %s from the journal", name)
+		}
 	}
 }
 
@@ -206,7 +197,7 @@ func TestFromFlags(t *testing.T) {
 		t.Fatalf("FromFlags create = %v, %v", m, err)
 	}
 	r, err := FromFlags("", fresh, testDesc())
-	if err != nil || r == nil || r.loadedMarks == nil {
+	if err != nil || r == nil || r.loadedDone == nil {
 		t.Fatalf("FromFlags resume = %v, %v", r, err)
 	}
 	if _, err := FromFlags("", filepath.Join(dir, "missing.ckpt"), testDesc()); err == nil {

@@ -7,11 +7,10 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 )
 
 // Manager coordinates one run's checkpoint file across concurrently
-// executing simulation points. All methods are safe for concurrent use;
+// executing experiments. All methods are safe for concurrent use;
 // every mutation is persisted with an atomic Save, so the on-disk file is
 // consistent at every instant and a SIGKILL can at worst lose the most
 // recent mutation, never corrupt the file.
@@ -20,17 +19,9 @@ type Manager struct {
 	path string
 	file File
 
-	// loadedMarks and loadedDone hold the state read from a resumed file:
-	// expectations to verify (marks) and results to serve (journal). They
-	// are kept apart from the live file so a resumed run's own fresh marks
-	// never masquerade as recorded history.
-	loadedMarks map[string]PointMark
-	loadedDone  map[string]Entry
-
-	// flush is set by the signal handler to request an immediate mark from
-	// every running point, so the file captures current progress rather
-	// than the last cadence boundary before the process exits.
-	flush atomic.Bool
+	// loadedDone holds the journal read from a resumed file: the results
+	// to serve. nil for a fresh checkpoint.
+	loadedDone map[string]Entry
 
 	// saveErr remembers the first persistence failure; checkpointing
 	// degrades to a warning rather than killing a healthy simulation.
@@ -54,8 +45,8 @@ func Create(path string, d Descriptor) (*Manager, error) {
 
 // Open resumes the checkpoint at path, validating that it was produced by
 // the identical run configuration. The loaded journal entries become
-// servable results and the loaded marks become verification obligations;
-// the file then continues to accumulate this run's progress.
+// servable results; the file then continues to accumulate this run's
+// progress.
 func Open(path string, d Descriptor) (*Manager, error) {
 	f, err := Load(path)
 	if err != nil {
@@ -64,20 +55,15 @@ func Open(path string, d Descriptor) (*Manager, error) {
 	if f.Descriptor != d {
 		want, _ := json.Marshal(f.Descriptor)
 		got, _ := json.Marshal(d)
-		return nil, fmt.Errorf("checkpoint: %s was written by a different run configuration:\n  checkpoint: %s\n  this run:   %s\nresume with the original flags (-parallel, -solver-shards, -watchdog and -v may differ; everything else must match)",
+		return nil, fmt.Errorf("checkpoint: %s was written by a different run configuration:\n  checkpoint: %s\n  this run:   %s\nresume with the original flags (-parallel, -shards, -solver-shards, -watchdog and -v may differ; everything else must match)",
 			path, want, got)
 	}
-	// The loaded journal and marks carry forward into the live file: a
-	// resumed run that is itself interrupted before a point re-marks must
-	// not have lost that point's last known barrier.
+	// The loaded journal carries forward into the live file: a resumed run
+	// that is itself interrupted keeps what the first run finished.
 	m := &Manager{
-		path:        path,
-		file:        File{Descriptor: d, Done: f.Done, Marks: f.Marks},
-		loadedMarks: make(map[string]PointMark, len(f.Marks)),
-		loadedDone:  make(map[string]Entry, len(f.Done)),
-	}
-	for _, pm := range f.Marks {
-		m.loadedMarks[pm.Key] = pm
+		path:       path,
+		file:       File{Descriptor: d, Done: f.Done},
+		loadedDone: make(map[string]Entry, len(f.Done)),
 	}
 	for _, e := range f.Done {
 		m.loadedDone[e.Name] = e
@@ -133,59 +119,6 @@ func (m *Manager) RecordDone(name, output string) {
 	m.file.Done = append(m.file.Done, Entry{Name: name, SHA256: hashOutput(output), Output: output})
 	m.save()
 }
-
-// Mark upserts one point's watermark and persists the file. The latest
-// mark per key wins: resume only ever needs the most recent barrier.
-func (m *Manager) Mark(pm PointMark) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.file.Marks {
-		if m.file.Marks[i].Key == pm.Key {
-			if m.file.Marks[i].Wedged {
-				pm.Wedged = true // a wedged flag is sticky for the point
-			}
-			m.file.Marks[i] = pm
-			m.save()
-			return
-		}
-	}
-	m.file.Marks = append(m.file.Marks, pm)
-	m.save()
-}
-
-// FlagWedged marks the named point's watermark as having been abandoned by
-// a watchdog, preserving its last barrier state for post-mortem resume.
-func (m *Manager) FlagWedged(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.file.Marks {
-		if m.file.Marks[i].Key == key {
-			m.file.Marks[i].Wedged = true
-			m.save()
-			return
-		}
-	}
-	m.file.Marks = append(m.file.Marks, PointMark{Key: key, Wedged: true})
-	m.save()
-}
-
-// Expected returns the resumed file's watermark for a point, if any: the
-// state the replaying point must reproduce exactly when it passes the
-// recorded barrier instant.
-func (m *Manager) Expected(key string) (PointMark, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pm, ok := m.loadedMarks[key]
-	return pm, ok
-}
-
-// RequestFlush asks every running point to mark at its next quiescent
-// barrier regardless of cadence. The signal handler calls it so the file
-// captures up-to-the-moment progress before the process exits.
-func (m *Manager) RequestFlush() { m.flush.Store(true) }
-
-// FlushRequested reports whether an immediate mark has been requested.
-func (m *Manager) FlushRequested() bool { return m.flush.Load() }
 
 // Save persists the current state atomically.
 func (m *Manager) Save() error {

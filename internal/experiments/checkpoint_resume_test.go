@@ -10,23 +10,21 @@ import (
 	"testing"
 
 	"flowbender/internal/checkpoint"
-	"flowbender/internal/sim"
 )
 
 // These tests pin the crash-safety contract end to end: a run that is
-// interrupted at any checkpoint and resumed must produce output
-// byte-identical to an uninterrupted run. The checkpoint layer is
-// replay-based (see internal/checkpoint's package doc), so the property
-// decomposes into three obligations covered here: (1) attaching a manager
-// changes nothing about the simulation, (2) a resumed run serves completed
-// experiments from the journal and re-executes in-flight points through
-// their recorded watermarks, verifying them, and (3) a watermark that does
-// NOT match the replay — tampering, skewed configuration, changed engine
-// semantics — fails loudly instead of publishing silently-different results.
+// interrupted at any instant and resumed must produce output byte-identical
+// to an uninterrupted run. The checkpoint layer is a journal of completed
+// experiments (see internal/checkpoint's package doc), so the property
+// decomposes into two obligations covered here: (1) attaching a manager
+// changes nothing about the simulation, and (2) a resumed run serves
+// completed experiments from the journal and reruns the rest from the start,
+// at any -parallel and -shards setting. The refusals of a file written by
+// another configuration or binary are tested in runspec_test.go and in
+// internal/checkpoint.
 
 func ckptOpts() Options {
-	return Options{Seed: 7, Scale: ScaleTiny, FlowCount: 40, Repeats: 1,
-		CheckpointEvery: 10 * sim.Millisecond}
+	return Options{Seed: 7, Scale: ScaleTiny, FlowCount: 40, Repeats: 1}
 }
 
 func ckptDesc(o Options) checkpoint.Descriptor { return o.Descriptor("test") }
@@ -59,157 +57,62 @@ func TestCheckpointAttachIsInvisible(t *testing.T) {
 	}
 }
 
-// TestCheckpointWatermarkVerifiedOnResume: a run records watermarks; the
-// resumed run replays every point through the recorded barrier, where
-// sim.Engine.VerifyRestore demands full state equality (any divergence
-// panics, failing this test), and still renders identical bytes.
-func TestCheckpointWatermarkVerifiedOnResume(t *testing.T) {
-	o := ckptOpts()
-	o.Parallelism = 4
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	m, err := checkpoint.Create(path, ckptDesc(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc := o
-	oc.Ckpt = m
-	var first bytes.Buffer
-	AllToAll(oc).Print(&first)
-
-	f, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEngines := 0
-	for _, pm := range f.Marks {
-		if len(pm.Engines) > 0 {
-			withEngines++
-		}
-	}
-	if withEngines == 0 {
-		t.Fatalf("run recorded no verifiable watermarks (marks: %d)", len(f.Marks))
-	}
-
-	r, err := checkpoint.Open(path, ckptDesc(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	or := o
-	or.Ckpt = r
-	var second bytes.Buffer
-	AllToAll(or).Print(&second)
-	if second.String() != first.String() {
-		t.Fatalf("resumed run differs from original:\n--- original ---\n%s\n--- resumed ---\n%s", first.String(), second.String())
-	}
-}
-
-// TestResumeDetectsTamperedWatermark: corrupt one recorded engine digest
-// and the resumed replay must panic with a divergence report naming the
-// point, not silently continue.
-func TestResumeDetectsTamperedWatermark(t *testing.T) {
-	o := ckptOpts()
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	m, err := checkpoint.Create(path, ckptDesc(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oc := o
-	oc.Ckpt = m
-	AllToAll(oc).Print(&bytes.Buffer{})
-
-	f, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := false
-	for i := range f.Marks {
-		if len(f.Marks[i].Engines) > 0 {
-			f.Marks[i].Engines[0].QueueDigest ^= 1
-			tampered = true
-			break
-		}
-	}
-	if !tampered {
-		t.Fatal("no watermark with engine state to tamper with")
-	}
-	if err := checkpoint.Save(path, f); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := checkpoint.Open(path, ckptDesc(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	or := o
-	or.Ckpt = r
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			t.Fatal("resumed run accepted a tampered watermark")
-		}
-		msg := fmt.Sprint(rec)
-		if !strings.Contains(msg, "diverged from checkpoint") {
-			t.Fatalf("panic does not report divergence: %s", msg)
-		}
-		if !strings.Contains(msg, "point alltoall/") {
-			t.Fatalf("panic does not identify the point: %s", msg)
-		}
-	}()
-	AllToAll(or)
-}
-
 // TestCheckpointResumeParallelAndSharded: the resume property holds when
 // points fan out across workers and when a point splits across engine
-// shards (multi-engine watermarks, verified shard by shard).
+// shards, and when the resumed run spreads the work differently from the run
+// that wrote the file. The checkpointed run journals alltoall; the resumed
+// run serves it from the journal and, as an experiment still in flight
+// would, also reruns it under the resumed file. All three match the plain
+// run byte for byte.
 func TestCheckpointResumeParallelAndSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, cfg := range []struct{ parallel, shards int }{{4, 0}, {1, 2}, {4, 4}} {
-		t.Run(fmt.Sprintf("parallel=%d_shards=%d", cfg.parallel, cfg.shards), func(t *testing.T) {
-			o := ckptOpts()
-			o.Parallelism = cfg.parallel
-			o.Shards = cfg.shards
-			render := func(oo Options) string {
-				var buf bytes.Buffer
-				AllToAll(oo).Print(&buf)
-				return buf.String()
+	type spread struct{ parallel, shards int }
+	for _, tc := range []struct{ run, resume spread }{
+		{spread{4, 0}, spread{4, 0}}, {spread{1, 2}, spread{1, 2}}, {spread{4, 4}, spread{4, 4}},
+		{spread{4, 2}, spread{1, 1}}, {spread{1, 1}, spread{4, 2}},
+	} {
+		name := fmt.Sprintf("parallel=%d_shards=%d", tc.run.parallel, tc.run.shards)
+		if tc.resume != tc.run {
+			name += fmt.Sprintf("_resumed_at_parallel=%d_shards=%d", tc.resume.parallel, tc.resume.shards)
+		}
+		t.Run(name, func(t *testing.T) {
+			at := func(s spread) Options {
+				o := ckptOpts()
+				o.Parallelism, o.Shards = s.parallel, s.shards
+				return o
 			}
-			base := render(o)
+			e, ok := Lookup("alltoall")
+			if !ok {
+				t.Fatal("no alltoall experiment")
+			}
+			var buf bytes.Buffer
+			AllToAll(at(tc.run)).Print(&buf)
+			base := buf.String()
 
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			m, err := checkpoint.Create(path, ckptDesc(o))
+			oc := at(tc.run)
+			m, err := checkpoint.Create(path, ckptDesc(oc))
 			if err != nil {
 				t.Fatal(err)
 			}
-			oc := o
 			oc.Ckpt = m
-			if got := render(oc); got != base {
-				t.Fatal("checkpointed run differs from plain run")
+			if _, got, err := e.Execute(oc); err != nil || got != base {
+				t.Fatalf("checkpointed run differs from plain run (err %v)", err)
 			}
-			if cfg.shards > 1 {
-				f, err := checkpoint.Load(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				multi := 0
-				for _, pm := range f.Marks {
-					if len(pm.Engines) > 1 {
-						multi++
-					}
-				}
-				if multi == 0 {
-					t.Fatal("sharded run recorded no multi-engine watermarks")
-				}
-			}
-			r, err := checkpoint.Open(path, ckptDesc(o))
-			if err != nil {
+
+			or := at(tc.resume)
+			if or.Ckpt, err = checkpoint.Open(path, ckptDesc(or)); err != nil {
 				t.Fatal(err)
 			}
-			or := o
-			or.Ckpt = r
-			if got := render(or); got != base {
-				t.Fatal("resumed run differs from plain run")
+			if res, got, err := e.Execute(or); err != nil || res != nil || got != base {
+				t.Fatalf("resumed run did not serve the journaled output (err %v, simulated %v)", err, res != nil)
+			}
+			buf.Reset()
+			AllToAll(or).Print(&buf)
+			if buf.String() != base {
+				t.Fatal("rerun under the resumed file differs from plain run")
 			}
 		})
 	}
@@ -293,30 +196,21 @@ func TestFailedPointCarriesLabel(t *testing.T) {
 }
 
 // FuzzCheckpointResume is the kill-and-resume property test: for arbitrary
-// (seed, cadence, scheme), running a point with checkpointing on and then
-// replaying it from the file must verify every recorded watermark and
-// reproduce the identical outcome. The seed corpus parks watermark instants
-// inside the mechanisms most sensitive to replay order: RepFlow's
+// (seed, scheme), a point run with a checkpoint attached and rerun under
+// the resumed file reproduces the identical outcome. The seed corpus picks
+// the mechanisms most sensitive to event order: RepFlow's
 // replica-completion races, Flowlet's inter-burst gap boundaries, FlowDyn's
 // load-refresh epochs, and FlowBender's congestion-driven reroute epochs.
 func FuzzCheckpointResume(f *testing.F) {
-	f.Add(int64(7), int64(5*sim.Millisecond), int64(6))   // RepFlow: marks between replica race arrivals
-	f.Add(int64(3), int64(1*sim.Millisecond), int64(4))   // Flowlet: every engine chunk, inside flowlet gaps
-	f.Add(int64(11), int64(25*sim.Millisecond), int64(5)) // FlowDyn: across load-refresh epochs
-	f.Add(int64(1), int64(2*sim.Millisecond), int64(1))   // FlowBender: inside reroute epochs
-	f.Add(int64(42), int64(50*sim.Millisecond), int64(0)) // ECMP baseline, sparse marks
-	f.Add(int64(13), int64(10*sim.Millisecond), int64(7)) // DiffFlow spray selection
-	f.Fuzz(func(t *testing.T, seed, cadence, si int64) {
-		// Normalize fuzz inputs to a valid configuration: positive cadence
-		// no coarser than the tiny run's duration, a registered scheme.
-		cadence %= int64(100 * sim.Millisecond)
-		if cadence <= 0 {
-			cadence += int64(100 * sim.Millisecond)
-		}
+	f.Add(int64(7), int64(6))  // RepFlow: replica race arrivals
+	f.Add(int64(3), int64(4))  // Flowlet: flowlet gaps
+	f.Add(int64(11), int64(5)) // FlowDyn: load-refresh epochs
+	f.Add(int64(1), int64(1))  // FlowBender: reroute epochs
+	f.Add(int64(42), int64(0)) // ECMP baseline
+	f.Add(int64(13), int64(7)) // DiffFlow spray selection
+	f.Fuzz(func(t *testing.T, seed, si int64) {
 		scheme := AllSchemes[int(uint64(si)%uint64(len(AllSchemes)))]
-		o := Options{Seed: seed % 10_000, Scale: ScaleTiny,
-			CheckpointEvery: sim.Time(cadence)}
-		o.pointKey = fmt.Sprintf("fuzz/%s", scheme)
+		o := Options{Seed: seed % 10_000, Scale: ScaleTiny}
 		spec := allToAllSpec{scheme: scheme, load: 0.4, flows: 30}
 
 		path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -335,14 +229,14 @@ func FuzzCheckpointResume(f *testing.F) {
 		}
 		o2 := o
 		o2.Ckpt = r
-		out2 := o2.runAllToAll(spec) // panics if any watermark fails to verify
+		out2 := o2.runAllToAll(spec)
 
 		if out1.SimTime != out2.SimTime ||
 			out1.DataPackets != out2.DataPackets ||
 			out1.OutOfOrder != out2.OutOfOrder ||
 			out1.Retransmits != out2.Retransmits ||
 			out1.FCT.All().Mean() != out2.FCT.All().Mean() {
-			t.Fatalf("replayed point diverged: first {t=%v pkts=%d ooo=%d rtx=%d mean=%v} second {t=%v pkts=%d ooo=%d rtx=%d mean=%v}",
+			t.Fatalf("rerun point diverged: first {t=%v pkts=%d ooo=%d rtx=%d mean=%v} second {t=%v pkts=%d ooo=%d rtx=%d mean=%v}",
 				out1.SimTime, out1.DataPackets, out1.OutOfOrder, out1.Retransmits, out1.FCT.All().Mean(),
 				out2.SimTime, out2.DataPackets, out2.OutOfOrder, out2.Retransmits, out2.FCT.All().Mean())
 		}

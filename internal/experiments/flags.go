@@ -7,11 +7,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 	"unicode"
 
 	"flowbender/internal/checkpoint"
-	"flowbender/internal/sim"
 	"flowbender/internal/workload"
 )
 
@@ -28,7 +26,6 @@ type RunFlags struct {
 	verbose                             bool
 
 	ckpt, resume string
-	ckptEvery    time.Duration
 
 	cpuprofile, memprofile string
 }
@@ -70,9 +67,8 @@ func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.DurationVar(&o.Watchdog, "watchdog", 0, "wall-clock limit per simulation point; exceeding points report FAILED instead of hanging the run (0 = off)")
 	fs.BoolVar(&f.verbose, "v", false, "log per-run progress (and simulator throughput) to stderr")
 
-	fs.StringVar(&f.ckpt, "checkpoint", "", "make the run crash-safe: journal completed experiments and record progress watermarks to this file (refuses an existing file; SIGINT/SIGTERM checkpoint and exit 130)")
-	fs.DurationVar(&f.ckptEvery, "checkpoint-every", 0, "virtual-time cadence between checkpoint watermarks (simulated time, not wall clock; 0 = 500ms; must match across -resume)")
-	fs.StringVar(&f.resume, "resume", "", "resume an interrupted run from this checkpoint file: completed experiments are served from its journal, in-flight points replay and verify their recorded watermarks")
+	fs.StringVar(&f.ckpt, "checkpoint", "", "make the run crash-safe: journal each completed experiment's output to this file (refuses an existing file; SIGINT/SIGTERM save it and exit 130)")
+	fs.StringVar(&f.resume, "resume", "", "resume an interrupted run from this checkpoint file: completed experiments are served from its journal, the rest rerun from the start")
 
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile at exit to this file")
@@ -130,27 +126,21 @@ func (f *RunFlags) Options() (Options, error) {
 	if f.verbose {
 		o.Log = os.Stderr
 	}
-	o.CheckpointEvery = sim.Time(f.ckptEvery)
 	return o, o.Validate()
 }
-
-// ckptSettle is how long the signal handler waits after requesting a flush
-// before saving and exiting: long enough for running points to reach their
-// next quiescent barrier and mark, short enough that ^C still feels prompt.
-const ckptSettle = 1500 * time.Millisecond
 
 // Checkpointing reports whether -checkpoint or -resume was given.
 func (f *RunFlags) Checkpointing() bool { return f.ckpt != "" || f.resume != "" }
 
 // OpenCheckpoint resolves -checkpoint/-resume under o's descriptor and, when
 // either is set, attaches the manager to o and arms the SIGINT/SIGTERM
-// handler for the rest of the process (first signal: flush, save, exit 130).
+// handler for the rest of the process (first signal: save, exit 130).
 // With neither flag o is untouched.
 func (f *RunFlags) OpenCheckpoint(tool string, o *Options) error {
 	mgr, err := checkpoint.FromFlags(f.ckpt, f.resume, o.Descriptor(tool))
 	if mgr != nil {
 		o.Ckpt = mgr
-		checkpoint.HandleSignals(mgr, os.Stderr, ckptSettle)
+		checkpoint.HandleSignals(mgr, os.Stderr)
 	}
 	return err
 }

@@ -212,25 +212,11 @@ type Options struct {
 	Watchdog time.Duration
 
 	// Ckpt, when non-nil, makes the run crash-safe: completed experiments
-	// are journaled (a resumed RunAll serves them from the file instead of
-	// re-simulating), in-flight points record engine watermarks at
-	// quiescent barriers, and a resumed point verifies the recorded
-	// watermark as its deterministic replay passes it. nil (the default)
-	// changes nothing: every simulation path is byte-identical with and
-	// without a manager attached.
+	// are journaled, and a resumed RunAll serves them from the file instead
+	// of re-simulating; experiments still in flight rerun from the start.
+	// nil (the default) changes nothing: every simulation path is
+	// byte-identical with and without a manager attached.
 	Ckpt *checkpoint.Manager
-
-	// CheckpointEvery is the virtual-time cadence between watermarks when
-	// Ckpt is set (0 = 500 ms). It is part of the checkpoint descriptor:
-	// resume must use the same cadence so the replay passes the same mark
-	// instants.
-	CheckpointEvery sim.Time
-
-	// pointKey labels the simulation point this Options copy is executing
-	// (e.g. "alltoall/load=0.4/FlowBender/seed=7/shards=2"). Set by
-	// runPoints; it keys the point's checkpoint watermarks and is the same
-	// label runpool attaches to failures.
-	pointKey string
 
 	// sharedPool, when non-nil, is used instead of a fresh pool so that
 	// RunAll can bound concurrency across experiments with one limit.
@@ -251,6 +237,10 @@ type Options struct {
 	// debugMaxWait (tests only) replaces the 10 s a run waits, in virtual
 	// time, for in-flight flows to drain after arrivals stop.
 	debugMaxWait sim.Time
+
+	// debugPointLabel (tests only), when non-nil, receives the label of
+	// every run runPoints simulates; it may be called concurrently.
+	debugPointLabel func(label string)
 }
 
 func (o Options) params() topo.Params { return scales[o.Scale].params }

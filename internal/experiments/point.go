@@ -289,18 +289,10 @@ func (o Options) runPoint(pt point) pointResult {
 		started, completed := tally()
 		return started == int64(pt.flows) && completed == started
 	}
-	// At every barrier: the checkpoint watermark, then the point's own hook.
-	ck := o.ckptTracker()
-	barrier := func(now sim.Time) {
-		ck.tick(now, engines...)
-		if pt.onBarrier != nil {
-			pt.onBarrier(now)
-		}
-	}
 	if n == 1 {
-		o.drain(engines[0], deadline, done, barrier)
+		o.drain(engines[0], deadline, done, pt.onBarrier)
 	} else {
-		o.drainShards(sft, deadline, done, barrier)
+		o.drainShards(sft, deadline, done, pt.onBarrier)
 	}
 	o.recordPerf(engines...)
 	if measure != nil {
@@ -322,9 +314,8 @@ func (o Options) runPoint(pt point) pointResult {
 const drainChunk = 5 * sim.Millisecond
 
 // drain advances the engine in chunks until done() or the deadline, calling
-// barrier — the point's checkpoint obligations and hook — at every chunk
-// boundary: the engine is quiescent there (Run leaves now == the boundary),
-// making it a safe — and deterministically reproducible — watermark instant.
+// barrier, when non-nil, at every chunk boundary: the engine is quiescent
+// there (Run leaves now == the boundary).
 func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool, barrier func(now sim.Time)) {
 	for eng.Now() < deadline && !done() {
 		next := eng.Now() + drainChunk
@@ -332,7 +323,9 @@ func (o Options) drain(eng *sim.Engine, deadline sim.Time, done func() bool, bar
 			next = deadline
 		}
 		eng.Run(next)
-		barrier(eng.Now())
+		if barrier != nil {
+			barrier(eng.Now())
+		}
 		if eng.Pending() == 0 {
 			return
 		}
@@ -371,9 +364,7 @@ func (o Options) drainShards(sft *topo.ShardedFatTree, deadline sim.Time, done f
 			scratch[shard] = buf
 		},
 		// Chunk boundaries are the sharded run's quiescent barriers: worker
-		// zero observes every shard idle exactly at the boundary instant, the
-		// same grid a resumed run will pass through (the descriptor pins the
-		// shard count, so the window — and with it the grid — reproduces).
+		// zero observes every shard idle exactly at the boundary instant.
 		Tick: barrier,
 	}
 	ss.Run(deadline, drainChunk, done, workers)

@@ -163,9 +163,7 @@ func runExperiments(o Options, w io.Writer, reg []RegistryEntry) error {
 // (content-hash verified) without simulating anything, and res is nil.
 // Otherwise the experiment runs and its rendered output is journaled; a
 // failure — a point's labelled error, which renders with the label of the run
-// that died, or a panic of the experiment itself — comes back as err, and a
-// point the watchdog abandoned keeps its last barrier state in the checkpoint
-// file, flagged wedged, for post-mortem inspection.
+// that died, or a panic of the experiment itself — comes back as err.
 func (e RegistryEntry) Execute(o Options) (res Printable, out string, err error) {
 	if o.Ckpt != nil {
 		if ent, ok := o.Ckpt.Done(e.Name); ok {
@@ -186,10 +184,6 @@ func (e RegistryEntry) Execute(o Options) (res Printable, out string, err error)
 		var pe *runpool.PanicError
 		if errors.As(err, &pe) {
 			o.logf("%s FAILED: %v\n%s", e.Name, err, pe.Stack)
-		}
-		var we *runpool.WatchdogError
-		if errors.As(err, &we) && o.Ckpt != nil && we.Point != "" {
-			o.Ckpt.FlagWedged(we.Point)
 		}
 	}()
 	res = e.Run(o)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
 
 	"flowbender/internal/checkpoint"
 	"flowbender/internal/topo"
@@ -45,9 +44,6 @@ func (o Options) Validate() error {
 	}
 	if o.Watchdog < 0 {
 		return flagError("watchdog", o.Watchdog, "must not be negative")
-	}
-	if o.CheckpointEvery < 0 {
-		return flagError("checkpoint-every", time.Duration(o.CheckpointEvery), "must not be negative")
 	}
 	if math.IsNaN(o.Load) || math.IsInf(o.Load, 0) || o.Load < 0 {
 		return flagError("load", o.Load, "must be a finite fraction of bisection bandwidth, zero or above")
@@ -104,13 +100,13 @@ func (e RegistryEntry) CheckScale(o Options) error {
 // Descriptor pins every one of them, so a checkpoint resumes only under the
 // values that wrote it. notIdentityFields are the rest: the determinism
 // contract makes output independent of how the work is spread (Parallelism,
-// SolverShards) or watched (Watchdog, Log, Perf), and Ckpt is the checkpoint
-// itself, so a run may be resumed with any of them changed. Every exported
+// Shards, SolverShards) or watched (Watchdog, Log, Perf), and Ckpt is the
+// checkpoint itself, so a run may be resumed with any of them changed. Every exported
 // field is in exactly one list (TestOptionsFieldsClassified).
 var (
 	identityFields = []string{"Seed", "Scale", "Engine", "FlowCount", "JobCount", "Repeats",
-		"Shards", "Seeds", "CDF", "FaultScenarios", "Workload", "Load", "MixSchemes", "CheckpointEvery"}
-	notIdentityFields = []string{"Parallelism", "SolverShards", "Watchdog", "Log", "Perf", "Ckpt"}
+		"Seeds", "CDF", "FaultScenarios", "Workload", "Load", "MixSchemes"}
+	notIdentityFields = []string{"Parallelism", "Shards", "SolverShards", "Watchdog", "Log", "Perf", "Ckpt"}
 )
 
 // Descriptor returns the checkpoint identity of a run of o by the named tool
@@ -134,14 +130,12 @@ func (o Options) Descriptor(tool string) checkpoint.Descriptor {
 	add("schemes", len(o.MixSchemes) > 0, strings.ReplaceAll(fmt.Sprint(o.MixSchemes), " ", ","))
 	add("repeats", o.Repeats != 0, o.Repeats)
 	return checkpoint.Descriptor{
-		Tool:            tool,
-		Seed:            o.Seed,
-		Scale:           o.Scale.String(),
-		FlowCount:       o.FlowCount,
-		JobCount:        o.JobCount,
-		Shards:          o.Shards,
-		Seeds:           o.Seeds,
-		CheckpointEvery: int64(o.CheckpointEvery),
-		Extra:           strings.Join(extra, " "),
+		Tool:      tool,
+		Seed:      o.Seed,
+		Scale:     o.Scale.String(),
+		FlowCount: o.FlowCount,
+		JobCount:  o.JobCount,
+		Seeds:     o.Seeds,
+		Extra:     strings.Join(extra, " "),
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"flowbender/internal/checkpoint"
-	"flowbender/internal/sim"
 	"flowbender/internal/workload"
 )
 
@@ -68,7 +67,7 @@ func TestDescriptorPinsIdentityOnly(t *testing.T) {
 	set := Options{Seed: 3, Scale: ScalePaper, Engine: EngineFluid, FlowCount: 40, JobCount: 5,
 		Repeats: 2, Shards: 2, Seeds: 3, CDF: workload.Fixed(1000),
 		FaultScenarios: []string{"cut"}, Workload: "datamining", Load: 0.3,
-		MixSchemes: []Scheme{ECMP, RPS}, CheckpointEvery: 10 * sim.Millisecond}
+		MixSchemes: []Scheme{ECMP, RPS}}
 	for _, base := range []Options{{}, set} {
 		want := base.Descriptor("tool")
 		for _, name := range identityFields {
@@ -124,13 +123,12 @@ func TestCheckpointRefusedWhenIdentityChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := o
-	same.Parallelism, same.SolverShards, same.Watchdog, same.Log = 4, 2, time.Minute, io.Discard
+	same.Parallelism, same.Shards, same.SolverShards, same.Watchdog, same.Log = 4, 2, 2, time.Minute, io.Discard
 	if _, err := checkpoint.FromFlags("", path, same.Descriptor("fbsim:production")); err != nil {
 		t.Fatalf("resume under the same identity refused: %v", err)
 	}
 	for name, change := range map[string]func(*Options){
 		"engine":  func(o *Options) { o.Engine = EngineFluid },
-		"shards":  func(o *Options) { o.Shards = 2 },
 		"flows":   func(o *Options) { o.FlowCount = 31 },
 		"load":    func(o *Options) { o.Load = 0.5 },
 		"schemes": func(o *Options) { o.MixSchemes = []Scheme{ECMP, FlowBender} },
@@ -195,7 +193,6 @@ func TestRunFlagsResolve(t *testing.T) {
 		{"-faults cut,gray1", with(func(o *Options) { o.FaultScenarios = []string{"cut", "gray1"} })},
 		{"-watchdog 2s", with(func(o *Options) { o.Watchdog = 2 * time.Second })},
 		{"-v", with(func(o *Options) { o.Log = os.Stderr })},
-		{"-checkpoint-every 20ms", with(func(o *Options) { o.CheckpointEvery = 20 * sim.Millisecond })},
 		// These four shape the process, not the Options.
 		{"-checkpoint a.ckpt", def},
 		{"-resume a.ckpt", def},
@@ -231,7 +228,6 @@ func TestRunFlagsRefuse(t *testing.T) {
 		{"-shards -1", "-shards -1: must not be negative"},
 		{"-solver-shards -4", "-solver-shards -4: must not be negative"},
 		{"-watchdog -1s", "-watchdog -1s: must not be negative"},
-		{"-checkpoint-every -1s", "-checkpoint-every -1s: must not be negative"},
 		{"-load NaN", "-load NaN: must be a finite"},
 		{"-load -1", "-load -1: must be a finite"},
 		{"-load +Inf", "-load +Inf: must be a finite"},

@@ -18,18 +18,13 @@ type pointTask[P any] struct {
 
 // pointTasks expands points into their runs, in point order and, within a
 // point, by replicate: run rep of point i is task i*reps+rep. A run's label
-// is "<exp>/<label(pt)>/seed=<seed>", plus "/shards=<n>" when sharding is on:
-// one string that keys the run's checkpoint watermarks and identifies it in
-// a FAILED line.
+// is "<exp>/<label(pt)>/seed=<seed>", the name a FAILED line carries.
 func pointTasks[P any](o Options, exp string, reps int, points []P, label func(P) string) []pointTask[P] {
 	tasks := make([]pointTask[P], 0, len(points)*reps)
 	for _, pt := range points {
 		for rep := 0; rep < reps; rep++ {
 			t := pointTask[P]{pt: pt, seed: o.seedAt(rep)}
 			t.label = fmt.Sprintf("%s/%s/seed=%d", exp, label(pt), t.seed)
-			if o.Shards > 1 {
-				t.label += fmt.Sprintf("/shards=%d", o.Shards)
-			}
 			tasks = append(tasks, t)
 		}
 	}
@@ -38,9 +33,9 @@ func pointTasks[P any](o Options, exp string, reps int, points []P, label func(P
 
 // runPoints is the one way an experiment runs its simulation points: every
 // point reps times, at seedAt(0..reps-1), on the experiment's worker pool.
-// Each run gets its own Options copy with its seed, its label as checkpoint
-// key, and the pool whose slot it runs under — a sharded run borrows its
-// extra workers' tokens there, and every run draws its engine arena from it.
+// Each run gets its own Options copy with its seed and the pool whose slot
+// it runs under — a sharded run borrows its extra workers' tokens there, and
+// every run draws its engine arena from it.
 // The outcomes come back in task order (see pointTasks) whatever the
 // parallelism; a run that panicked or tripped the watchdog carries its
 // labelled error in its slot, and every other run still completes.
@@ -79,8 +74,11 @@ func runPoints[P, Out any](o Options, exp string, reps int, points []P, label fu
 
 	pl := o.pool()
 	outs := runpool.MapResultsNamed(pl, simulated, func(t pointTask[P]) string { return t.label }, func(t pointTask[P]) Out {
+		if o.debugPointLabel != nil {
+			o.debugPointLabel(t.label)
+		}
 		oo := o
-		oo.Seed, oo.pointKey, oo.execPool = t.seed, t.label, pl
+		oo.Seed, oo.execPool = t.seed, pl
 		return run(oo, t.pt)
 	})
 	all := make([]runpool.TaskResult[Out], len(tasks))

@@ -169,7 +169,7 @@ func TestSharedPointsBooks(t *testing.T) {
 
 // TestSharedPointFailureNamesAll: when a simulated point fails, the report
 // names every scheme it stood for and still identifies the point by its own
-// label (the checkpoint key the wedged flag is filed under).
+// label.
 func TestSharedPointFailureNamesAll(t *testing.T) {
 	o := Options{Seed: 1, Scale: ScaleTiny, Engine: EngineFluid, Parallelism: 2}
 	type pt = schemePoint

@@ -3,13 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
-
-	"flowbender/internal/checkpoint"
-	"flowbender/internal/sim"
 )
 
 // sweepExperiments are the all-to-all sweeps no other golden covers: the
@@ -40,33 +37,26 @@ func TestSweepGolden(t *testing.T) {
 // TestPointLabelsGolden pins the label of every simulation point a tiny
 // RunAll runs: two seeds where an experiment replicates (one for Table 1,
 // whose elephants dominate the cost) and one fault scenario. A label is the
-// point's checkpoint key and the identifier its FAILED line carries, so a
-// changed label silently strands the watermarks of a run being resumed. A
-// checkpoint cadence of one drain chunk makes every point mark at its first
-// barrier; the labels are read back from the file.
+// name a FAILED line carries, so the line alone reproduces the run; the
+// labels are read off runPoints as it launches each run.
 func TestPointLabelsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry")
 	}
+	var (
+		mu   sync.Mutex
+		keys []string
+	)
 	o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 10, JobCount: 5, Repeats: 1, Seeds: 2, Parallelism: 2,
-		FaultScenarios: []string{"gray1"}, CheckpointEvery: 5 * sim.Millisecond}
-	path := filepath.Join(t.TempDir(), "labels.ckpt")
-	m, err := checkpoint.Create(path, o.Descriptor("test"))
-	if err != nil {
-		t.Fatal(err)
+		FaultScenarios: []string{"gray1"}}
+	o.debugPointLabel = func(label string) {
+		mu.Lock()
+		keys = append(keys, label)
+		mu.Unlock()
 	}
-	o.Ckpt = m
 	var out bytes.Buffer
 	if err := RunAll(o, &out); err != nil {
 		t.Fatalf("RunAll: %v\n%s", err, out.String())
-	}
-	f, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 0, len(f.Marks))
-	for _, pm := range f.Marks {
-		keys = append(keys, pm.Key)
 	}
 	slices.Sort(keys)
 	checkGolden(t, "point_labels", strings.Join(keys, "\n")+"\n")

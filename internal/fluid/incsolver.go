@@ -209,8 +209,6 @@ func (is *IncSolver) Reset(capacity []float64, marking []bool) {
 	is.gen = 0
 	is.roundGen = 0
 	is.pending = false
-	is.considered = is.considered[:0]
-	is.inA = is.inA[:0]
 	if is.shards == 0 {
 		is.shards = 1
 	}
@@ -238,7 +236,8 @@ func (is *IncSolver) Rate(s int32) float64 { return is.sRate[s] }
 func (is *IncSolver) Queued(l int32) bool { return is.links[l].qCnt > 0 }
 
 // Affected returns the sessions whose rates the last Commit re-solved, in
-// deterministic staging/join order. Valid until the next staged mutation.
+// deterministic staging/join order. Valid after a Commit, until the next
+// staged mutation.
 func (is *IncSolver) Affected() []int32 { return is.inA }
 
 // stage opens a staging window: the first mutation after a Commit advances

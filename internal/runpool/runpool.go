@@ -269,9 +269,7 @@ type TaskResult[T any] struct {
 // resultRetryWatchdog collects a named task's result, retrying a
 // watchdog-timed-out point exactly once. The retry is deliberately a plain
 // resubmission of the same deterministic closure — same seed, same
-// options; with checkpointing active the rerun replays through (and
-// verifies) the point's last recorded watermark — and there is exactly one,
-// with no backoff loop: a point that times out twice is genuinely wedged
+// options — and there is exactly one, with no backoff loop: a point that times out twice is genuinely wedged
 // (or the watchdog genuinely too tight) and anything more would mask a
 // determinism or livelock bug behind unbounded retries. The first
 // attempt's runaway goroutine cannot be killed and keeps running; its
@@ -289,8 +287,7 @@ func resultRetryWatchdog[T any](p *Pool, point string, fn func() T, f *Future[T]
 }
 
 // MapResultsNamed runs fn over every item concurrently (bounded by the pool)
-// with a per-item point label (used for failure identification and
-// checkpoint keys) and returns per-item results in item order. A panicking or
+// with a per-item point label (used for failure identification) and returns per-item results in item order. A panicking or
 // watchdog-timed-out item does not abort the sweep: its slot carries the
 // error — labeled with the item's point, after a bounded single retry of a
 // watchdog timeout — and every other item still completes and reports.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // poisonTime is written into recycled events so any code that reads a stale
 // handle's time sees an absurd value even if it bypasses the panic below.
@@ -43,24 +40,4 @@ func (e *Engine) debugRelease(ev *Event) {
 		return
 	}
 	ev.at = poisonTime
-}
-
-// debugQueueDump renders the first n live pending-event keys in pop order,
-// for the VerifyRestore divergence diagnostic: comparing the recorded and
-// restored heads shows exactly which scheduled instant first went wrong.
-func (e *Engine) debugQueueDump(n int) string {
-	if !Debug {
-		return ""
-	}
-	live := e.liveEntries(nil)
-	sort.Slice(live, func(i, j int) bool { return live[i].before(live[j]) })
-	if len(live) > n {
-		live = live[:n]
-	}
-	s := "\n  restored queue head:"
-	for _, en := range live {
-		s += fmt.Sprintf("\n    at=%d ins=%d tag=%#x ctr=%d",
-			en.at, en.ins, en.seq>>seqCounterBits, en.seq&(1<<seqCounterBits-1))
-	}
-	return s
 }

@@ -63,10 +63,8 @@ type ShardSet struct {
 	// Tick, when non-nil, runs on worker 0 at every chunk boundary of Run,
 	// with every shard quiescent and exactly the events at or before the
 	// boundary executed — the same prefix a serial engine stopped there
-	// would have run. Checkpointing hooks in here: the boundary is the
-	// sharded runtime's quiescent barrier, so per-shard Snapshot states
-	// taken inside Tick are reproducible across runs. Tick fires only when
-	// Run was given a done callback (chunked execution).
+	// would have run. Tick fires only when Run was given a done callback
+	// (chunked execution).
 	Tick func(boundary Time)
 }
 

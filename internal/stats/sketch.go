@@ -171,19 +171,6 @@ func (s *Sketch) N() int64 { return s.count }
 // Collapsed reports whether the sketch left the exact regime.
 func (s *Sketch) Collapsed() bool { return s.collapsed }
 
-// Buckets returns the number of live logarithmic buckets (0 while exact) —
-// the collapsed regime's memory footprint in units of one map entry.
-func (s *Sketch) Buckets() int {
-	if !s.collapsed {
-		return 0
-	}
-	n := len(s.pos) + len(s.neg)
-	if s.zero > 0 {
-		n++
-	}
-	return n
-}
-
 // Max returns the largest observation (NaN when empty). Exact in both
 // regimes.
 func (s *Sketch) Max() float64 {

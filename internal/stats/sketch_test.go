@@ -502,3 +502,16 @@ func TestSketchMeanAroundPercentileMatchesSample(t *testing.T) {
 		t.Fatalf("Mean %v both before and after Percentile: the example no longer shows the order hazard", before)
 	}
 }
+
+// Buckets returns the number of live logarithmic buckets (0 while exact) —
+// the collapsed regime's memory footprint in units of one map entry.
+func (s *Sketch) Buckets() int {
+	if !s.collapsed {
+		return 0
+	}
+	n := len(s.pos) + len(s.neg)
+	if s.zero > 0 {
+		n++
+	}
+	return n
+}

@@ -112,18 +112,6 @@ func (d Diurnal) Rate(t sim.Time) float64 {
 	return r
 }
 
-// MaxRate returns an upper bound on Rate over all t (for envelope tests
-// and capacity planning): every spike could overlap the diurnal crest.
-func (d Diurnal) MaxRate() float64 {
-	r := 1 + math.Abs(d.Amplitude)
-	for _, s := range d.Spikes {
-		if s.Factor > 1 {
-			r *= s.Factor
-		}
-	}
-	return r
-}
-
 // Next draws one gap: a single exponential draw scaled by the current
 // rate. One draw per arrival keeps the RNG stream consumption identical
 // between live generation and pre-draw.

@@ -415,3 +415,16 @@ func TestMixReplayMatchesDrawCopies(t *testing.T) {
 		}
 	}
 }
+
+// MaxRate returns an upper bound on Rate over all t, the envelope
+// TestDiurnalEnvelope checks gaps against: every spike could overlap the
+// diurnal crest.
+func (d Diurnal) MaxRate() float64 {
+	r := 1 + math.Abs(d.Amplitude)
+	for _, s := range d.Spikes {
+		if s.Factor > 1 {
+			r *= s.Factor
+		}
+	}
+	return r
+}

@@ -23,29 +23,25 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the parallel experiment runner and everything else,
-# plus the sharded-engine bit-identity proofs (serial vs sharded at several
-# shard counts, randomized-topology model check, runpool token sharing) and
-# the arena-history test (points on fabrics other points left, four workers).
+# plus the arena-history test (points on fabrics other points left, four
+# workers).
 # ci/gotest-run.sh fails a name selection that matches no test.
 test-race:
 	$(GO) test -race -short ./...
 	./ci/gotest-run.sh 'TestParallelDeterminism' -race ./internal/experiments/
-	./ci/gotest-run.sh 'TestShard|TestByteIdentitySharded' -race ./internal/experiments/
 	./ci/gotest-run.sh 'TestWarmPacketPointMatchesCold' -race ./internal/experiments/
 
 # The simulator suites again with the tripwires armed (sim.Debug): recycled
 # events/packets are poisoned and any stale access panics with generation
 # diagnostics; an embedded event filed twice, or recycled or reset while
-# filed, panics; so do a wrong selector memo, a stale hash prefix and a
-# cross-shard merge out of order or inside the lookahead. Run this first when
-# debugging a determinism break. The tripwire tests skip without the tag, so
-# they are listed by name as well.
+# filed, panics; so do a wrong selector memo and a stale hash prefix. Run
+# this first when debugging a determinism break. The tripwire tests skip
+# without the tag, so they are listed by name as well.
 test-simdebug:
 	$(GO) test -tags simdebug ./internal/...
 	./ci/gotest-run.sh 'TestSimdebugEmbeddedTripwire|TestSimdebugTripwires' -tags simdebug ./internal/sim/
-	./ci/gotest-run.sh 'TestSimdebugEmbeddedEventTripwires|TestSimdebugPacketTripwires|TestSimdebugHandOffTripwires|TestSimdebugCrossMergeOrderTripwire|TestSimdebugCrossLookaheadTripwire|TestSelectorMemoTripwire' -tags simdebug ./internal/netsim/
+	./ci/gotest-run.sh 'TestSimdebugEmbeddedEventTripwires|TestSimdebugPacketTripwires|TestSimdebugHandOffTripwires|TestSelectorMemoTripwire' -tags simdebug ./internal/netsim/
 	./ci/gotest-run.sh 'TestDebugCheckPrefixFires' -tags simdebug ./internal/routing/
-	./ci/gotest-run.sh 'TestSimdebugShardLookaheadTripwire' -tags simdebug ./internal/experiments/
 
 # Which shipped internal/ functions does no binary ever execute? Builds every
 # binary and example with coverage, drives the runs a user makes into one

@@ -5,7 +5,7 @@
 # Builds the three binaries (fbsim, fbtopo, bench) and the quickstart example
 # with coverage over every package, drives them through the runs a user
 # makes — the tiny suite on both engines, single experiments across
-# engines, scales up to mega, shards, seeds, checkpoint and resume, the path
+# engines, scales up to mega, seeds, checkpoint and resume, the path
 # listing, the example, every benchmark workload traced and untraced — into
 # one GOCOVERDIR, and compares the non-test internal/ functions left at 0%
 # with ci/reach-allow.txt ("<file> <function> <reason>" a line).
@@ -46,12 +46,12 @@ printf '300 0\n600 0.5\n1200 1.0\n' >"$work/mice.cdf"
 run fbsim -list
 run fbsim -list-schemes
 run fbsim -list-faults
-run fbsim -exp alltoall -scale tiny -flows 60 -shards 4
-run fbsim -exp testbed -scale tiny -flows 40 -shards 2
+run fbsim -exp alltoall -scale tiny -flows 60
+run fbsim -exp testbed -scale tiny -flows 40
 run fbsim -exp alltoall -scale tiny -flows 60 -seeds 2 -parallel 1
 run fbsim -exp alltoall -scale small -flows 200 -engine fluid -v
 run fbsim -exp table1 -scale paper -engine fluid
-run fbsim -exp production -scale tiny -flows 300 -shards 2 -workload datamining
+run fbsim -exp production -scale tiny -flows 300 -workload datamining
 run fbsim -exp production -scale tiny -flows 300 -schemes ECMP -cdf "$work/mice.cdf" -load 0.1
 run fbsim -exp production -scale hyper -engine fluid -flows 3000 -solver-shards 2
 run fbsim -exp production -scale mega -engine fluid -schemes ECMP -load 0.2 -flows 5000

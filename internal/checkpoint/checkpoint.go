@@ -9,7 +9,7 @@
 // (flows, ports, switches, timers), so the calendar queue has no direct
 // serialized form. What the repository does have is a hard determinism
 // invariant: every simulation point is a pure function of (options, seed),
-// bit-identical at any -parallel and -shards setting. A checkpoint
+// bit-identical at any -parallel setting. A checkpoint
 // therefore records only finished results: RunAll serves journaled
 // experiments straight from the file, and an experiment that was in flight
 // reruns from virtual time zero, reproducing the bytes the interrupted run
@@ -70,7 +70,7 @@ const (
 // build it with experiments.Options.Descriptor, which lists the settings it
 // pins next to those it leaves out because the repo's determinism contract
 // makes output independent of them (a run may be resumed at a different
-// -parallel or -shards setting).
+// -parallel setting).
 type Descriptor struct {
 	// Tool names the producing command and mode, e.g. "fbsim:all" or
 	// "fbsim:alltoall".
@@ -85,9 +85,9 @@ type Descriptor struct {
 	Extra string `json:"extra,omitempty"`
 }
 
-// PointMark is a simulation point's engine state at a barrier instant, one
-// sim.EngineState per shard. No run writes one; the bench's checkpoint
-// probe fills File.Marks with them to time Save and Load on a large file.
+// PointMark is a simulation point's engine state at a barrier instant. No
+// run writes one; the bench's checkpoint probe fills File.Marks with them to
+// time Save and Load on a large file.
 type PointMark struct {
 	Key     string            `json:"key"`
 	SimTime int64             `json:"sim_time"`

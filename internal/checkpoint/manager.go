@@ -55,7 +55,7 @@ func Open(path string, d Descriptor) (*Manager, error) {
 	if f.Descriptor != d {
 		want, _ := json.Marshal(f.Descriptor)
 		got, _ := json.Marshal(d)
-		return nil, fmt.Errorf("checkpoint: %s was written by a different run configuration:\n  checkpoint: %s\n  this run:   %s\nresume with the original flags (-parallel, -shards, -solver-shards, -watchdog and -v may differ; everything else must match)",
+		return nil, fmt.Errorf("checkpoint: %s was written by a different run configuration:\n  checkpoint: %s\n  this run:   %s\nresume with the original flags (-parallel, -solver-shards, -watchdog and -v may differ; everything else must match)",
 			path, want, got)
 	}
 	// The loaded journal carries forward into the live file: a resumed run

@@ -85,18 +85,6 @@ func (t *flowTally) addFluid(d fluid.Done) {
 	t.Reroutes += d.Reroutes
 }
 
-// merge folds another tally into t (a shard's into the point total).
-func (t *flowTally) merge(o *flowTally) {
-	for b := range t.FCT.Bins {
-		t.FCT.Bins[b].Merge(&o.FCT.Bins[b])
-	}
-	t.DataPackets += o.DataPackets
-	t.OutOfOrder += o.OutOfOrder
-	t.Timeouts += o.Timeouts
-	t.Retransmits += o.Retransmits
-	t.Reroutes += o.Reroutes
-}
-
 // OOOFraction returns the fraction of data packets that arrived out of
 // order (§4.2.3's metric).
 func (t *flowTally) OOOFraction() float64 {
@@ -115,10 +103,7 @@ type runOutcome struct {
 	flowTally
 	Incomplete int
 	SimTime    sim.Time
-	// Engines is how many engines the point ran on (1 = serial), Events the
-	// engine events they executed between them.
-	Engines int
-	Events  int64
+	Events     int64 // engine events the point executed
 }
 
 func (r *runOutcome) collect() {
@@ -142,7 +127,7 @@ type allToAllSpec struct {
 	params *topo.Params
 	// setupFn, when non-nil, replaces the scheme's standard setup (the
 	// degenerate-config differential tests inject edge-case parameters
-	// through it). Such runs keep one packet engine whatever Options says.
+	// through it). Such runs keep the packet engine whatever Options says.
 	setupFn func(rng *sim.RNG) schemeSetup
 }
 
@@ -184,12 +169,7 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 		}, o.maxWait()
 	}
 	res := o.runPoint(pt)
-	// On several engines every flow is planned up front; the arrivals the
-	// run reached are a prefix of the schedule.
-	if int64(len(out.Flows)) > res.started {
-		out.Flows = out.Flows[:res.started]
-	}
-	out.SimTime, out.Engines, out.Events = res.simTime, res.engines, res.events
+	out.SimTime, out.Events = res.simTime, res.events
 	out.collect()
 	if fluidEng {
 		out.Incomplete = spec.flows - int(res.completed)
@@ -199,8 +179,8 @@ func (o Options) runAllToAll(spec allToAllSpec) *runOutcome {
 }
 
 // ShardBench runs one ECMP all-to-all point of the given size and discards
-// the tables; the benchmarks wall-clock it at different Options.Shards and
-// read event counts from o.Perf.
+// the tables. Its one caller is the repository benchmark (bench/), which
+// still times it at two values of Options.Shards; both run one engine.
 func ShardBench(o Options, load float64, flows int) {
 	o.runAllToAll(allToAllSpec{scheme: ECMP, load: load, flows: flows})
 }

@@ -19,13 +19,9 @@ import (
 //
 // The goldens were re-pinned once when same-instant event ordering became
 // intrinsic (keyed by insertion instant, device, and port — see
-// sim.AtTagged): the conservative-parallel sharded engine needs a tie order
-// that is a property of the simulated network, not of engine insertion
-// history, and serial execution adopts the identical keys so the two modes
-// stay provably bit-identical. The re-pin moved a handful of tie-sensitive
-// cells by seed-level noise (qualitative results unchanged) and bought
-// shard-count invariance: the same goldens now pin serial, -parallel, and
-// -shards execution alike.
+// sim.AtTagged): a tie order that is a property of the simulated network,
+// not of engine insertion history. The re-pin moved a handful of
+// tie-sensitive cells by seed-level noise (qualitative results unchanged).
 
 func byteIdentOpts() Options {
 	return Options{Seed: 7, Scale: ScaleTiny, FlowCount: 40, Repeats: 1}
@@ -88,36 +84,6 @@ func TestByteIdentityPaperFatTree(t *testing.T) {
 	}
 }
 
-// TestByteIdentityShardedAllToAll pins the sharded engine to the same golden
-// as serial execution: the conservative bounded-lag protocol must be
-// bit-invisible at every shard count, exactly as -parallel must be.
-func TestByteIdentityShardedAllToAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := byteIdentOpts()
-	o.Parallelism = 1
-	for _, s := range []int{1, 2, 4, 8} {
-		o.Shards = s
-		checkGolden(t, "byteident_alltoall", renderAllToAll(o))
-	}
-}
-
-// TestByteIdentityShardedPaperFatTree is the shard-count analogue of
-// TestByteIdentityPaperFatTree: the 128-server fabric partitions across
-// pods, so every shard count below exercises real cross-shard mailboxes.
-func TestByteIdentityShardedPaperFatTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := Options{Seed: 7, Scale: ScalePaper, FlowCount: 120, Repeats: 1}
-	o.Parallelism = 1
-	for _, s := range []int{2, 4, 8} {
-		o.Shards = s
-		checkGolden(t, "byteident_paper_alltoall", renderAllToAll(o))
-	}
-}
-
 func TestByteIdentityFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -129,54 +95,4 @@ func TestByteIdentityFaultMatrix(t *testing.T) {
 		o.FaultScenarios = []string{"cut", "flap10ms", "gray1"}
 		return renderFaultMatrix(o)
 	})
-}
-
-// TestByteIdentityShardedTestbed: the testbed is a one-pod fat-tree, so its
-// ECMP points split across engines like any fat-tree point, and print what
-// they print serial.
-func TestByteIdentityShardedTestbed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func(o Options) string {
-		var buf bytes.Buffer
-		Testbed(o).Print(&buf)
-		return buf.String()
-	}
-	o := Options{Seed: 3, Scale: ScaleTiny, FlowCount: 40, Parallelism: 1}
-	want := render(o)
-	for _, s := range []int{1, 2, 4} {
-		o.Shards, o.Perf = s, &PerfStats{}
-		if got := render(o); got != want {
-			t.Errorf("testbed at -shards %d differs from serial:\n%s", s, firstDiff(want, got))
-		}
-		if s > 1 && len(o.Perf.ShardEvents()) != s {
-			t.Errorf("testbed at -shards %d: no point ran on %d engines (per-shard events %v)", s, s, o.Perf.ShardEvents())
-		}
-	}
-}
-
-// TestByteIdentityShardedPartAgg: a partition-aggregate job is one arrival
-// beacon for all of its responses, on one engine and on several, and the
-// schemes that shard (ECMP, Flowlet, FlowDyn) print what they print serial.
-func TestByteIdentityShardedPartAgg(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	render := func(o Options) string {
-		var buf bytes.Buffer
-		PartitionAggregate(o).Print(&buf)
-		return buf.String()
-	}
-	o := Options{Seed: 7, Scale: ScaleTiny, JobCount: 5, Parallelism: 1}
-	want := render(o)
-	for _, s := range []int{1, 2, 4} {
-		o.Shards, o.Perf = s, &PerfStats{}
-		if got := render(o); got != want {
-			t.Errorf("partagg at -shards %d differs from serial:\n%s", s, firstDiff(want, got))
-		}
-		if s > 1 && len(o.Perf.ShardEvents()) != s {
-			t.Errorf("partagg at -shards %d: no point ran on %d engines (per-shard events %v)", s, s, o.Perf.ShardEvents())
-		}
-	}
 }

@@ -19,7 +19,7 @@ import (
 // decomposes into two obligations covered here: (1) attaching a manager
 // changes nothing about the simulation, and (2) a resumed run serves
 // completed experiments from the journal and reruns the rest from the start,
-// at any -parallel and -shards setting. The refusals of a file written by
+// at any -parallel setting. The refusals of a file written by
 // another configuration or binary are tested in runspec_test.go and in
 // internal/checkpoint.
 
@@ -57,30 +57,25 @@ func TestCheckpointAttachIsInvisible(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeParallelAndSharded: the resume property holds when
-// points fan out across workers and when a point splits across engine
-// shards, and when the resumed run spreads the work differently from the run
-// that wrote the file. The checkpointed run journals alltoall; the resumed
-// run serves it from the journal and, as an experiment still in flight
-// would, also reruns it under the resumed file. All three match the plain
-// run byte for byte.
-func TestCheckpointResumeParallelAndSharded(t *testing.T) {
+// TestCheckpointResumeParallel: the resume property holds on one worker and
+// when points fan out across several, and when the resumed run spreads the
+// work differently from the run that wrote the file. The checkpointed run
+// journals alltoall; the resumed run serves it from the journal and, as an
+// experiment still in flight would, also reruns it under the resumed file.
+// All three match the plain run byte for byte.
+func TestCheckpointResumeParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	type spread struct{ parallel, shards int }
-	for _, tc := range []struct{ run, resume spread }{
-		{spread{4, 0}, spread{4, 0}}, {spread{1, 2}, spread{1, 2}}, {spread{4, 4}, spread{4, 4}},
-		{spread{4, 2}, spread{1, 1}}, {spread{1, 1}, spread{4, 2}},
-	} {
-		name := fmt.Sprintf("parallel=%d_shards=%d", tc.run.parallel, tc.run.shards)
+	for _, tc := range []struct{ run, resume int }{{4, 4}, {1, 1}, {4, 1}, {1, 4}} {
+		name := fmt.Sprintf("parallel=%d", tc.run)
 		if tc.resume != tc.run {
-			name += fmt.Sprintf("_resumed_at_parallel=%d_shards=%d", tc.resume.parallel, tc.resume.shards)
+			name += fmt.Sprintf("_resumed_at_parallel=%d", tc.resume)
 		}
 		t.Run(name, func(t *testing.T) {
-			at := func(s spread) Options {
+			at := func(parallel int) Options {
 				o := ckptOpts()
-				o.Parallelism, o.Shards = s.parallel, s.shards
+				o.Parallelism = parallel
 				return o
 			}
 			e, ok := Lookup("alltoall")

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"flowbender/internal/routing"
@@ -148,4 +150,36 @@ func TestDifferentialRepFlowSinglePathWithinOneRTT(t *testing.T) {
 		t.Errorf("RepFlow FCT %v vs unreplicated %v: differs by %v, more than one RTT (%v)",
 			rep, solo, diff, rtt)
 	}
+}
+
+// firstDiff reports the first line where two fingerprints disagree.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		wl, gl := "<eof>", "<eof>"
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i, wl, gl)
+		}
+	}
+	return "no diff"
+}
+
+// flowFingerprint renders every per-flow observable the harness collects, so
+// two runs with equal fingerprints are indistinguishable to every consumer.
+func flowFingerprint(out *runOutcome) string {
+	s := fmt.Sprintf("flows=%d incomplete=%d data=%d ooo=%d to=%d rtx=%d\n",
+		len(out.Flows), out.Incomplete, out.DataPackets, out.OutOfOrder,
+		out.Timeouts, out.Retransmits)
+	for _, f := range out.Flows {
+		s += fmt.Sprintf("id=%d %d->%d size=%d start=%d recv=%d send=%d ooo=%d data=%d to=%d rtx=%d\n",
+			f.ID, f.Src.ID(), f.Dst.ID(), f.Size, f.Start, f.RecvDone, f.SendDone,
+			f.OutOfOrder(), f.DataPackets(), f.Sender().Timeouts, f.Sender().Retransmits)
+	}
+	return s
 }

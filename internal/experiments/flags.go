@@ -50,13 +50,6 @@ func BindRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.IntVar(&o.FlowCount, "flows", 0, "override per-run flow count")
 	fs.IntVar(&o.JobCount, "jobs", 0, "override partition-aggregate job count")
 	fs.IntVar(&o.Parallelism, "parallel", 0, "max concurrent simulation points (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
-	var sharded []Scheme
-	for _, s := range AllSchemes {
-		if s.shardable() {
-			sharded = append(sharded, s)
-		}
-	}
-	fs.IntVar(&o.Shards, "shards", 0, "split each shardable simulation point ("+schemeList(sharded, "/")+", see fbsim -list-schemes) across this many engine shards (0/1 = serial; output is identical at any count)")
 	fs.IntVar(&o.SolverShards, "solver-shards", 0, "max parallel workers for the fluid engine's incremental rate solver (0/1 = serial; output is bit-identical at any count; -engine fluid only)")
 	fs.IntVar(&o.Seeds, "seeds", 0, "replicate each point over this many seeds and report mean ± stddev (read by table1, alltoall, partagg, sens-n and sens-t; the other experiments run one seed)")
 	fs.StringVar(&f.cdf, "cdf", "", "flow-size CDF file for the all-to-all and production workloads (lines of \"<bytes> <cumulative-prob>\")")

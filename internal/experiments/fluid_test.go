@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"flowbender/internal/workload"
 )
 
 // TestFidelityMatrixBounds is the fidelity-smoke assertion: at tiny scale
@@ -38,25 +36,14 @@ func TestFidelityMatrixBounds(t *testing.T) {
 	}
 }
 
-// TestFidelityMatrixShardBooks: at -shards 2 the fidelity matrix's ECMP
-// points shard, so its books carry the per-shard event split, and the
-// events its cells report add up to what the books hold. Sharding moves
-// only the packet event counts; every completion time is the serial one.
-func TestFidelityMatrixShardBooks(t *testing.T) {
-	serial := FidelityMatrix(Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Parallelism: 2})
-	o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Parallelism: 2, Shards: 2, Perf: &PerfStats{}}
+// TestFidelityMatrixBooks: the events the fidelity matrix's cells report
+// add up to what the books hold.
+func TestFidelityMatrixBooks(t *testing.T) {
+	o := Options{Seed: 1, Scale: ScaleTiny, FlowCount: 20, Parallelism: 2, Perf: &PerfStats{}}
 	res := FidelityMatrix(o)
-	if se := o.Perf.ShardEvents(); len(se) != 2 {
-		t.Errorf("ShardEvents() = %v, want two shards' counts", se)
-	}
 	var cells int64
-	for i, c := range res.Cells {
+	for _, c := range res.Cells {
 		cells += c.PktEvents + c.FlEvents
-		s := serial.Cells[i]
-		c.PktEvents, c.FlEvents, s.PktEvents, s.FlEvents = 0, 0, 0, 0
-		if c != s {
-			t.Errorf("%s/%s at -shards 2: %+v, serial %+v", c.Scale, c.Scheme, c, s)
-		}
 	}
 	if ev := o.Perf.Events.Load(); ev != cells {
 		t.Errorf("books hold %d events, the cells report %d", ev, cells)
@@ -75,36 +62,27 @@ func TestFidelityMatrixReadsLoad(t *testing.T) {
 // TestFluidEngineParallelismInvariance pins the fluid engine's experiment
 // output as byte-identical across Options.Parallelism values, exactly like
 // the packet engine's equivalent guarantee: every point is an isolated
-// engine, so the pool's scheduling must never leak into results. Options.Shards
-// must be equally invisible: a fluid point always runs on one engine.
+// engine, so the pool's scheduling must never leak into results.
 func TestFluidEngineParallelismInvariance(t *testing.T) {
-	render := func(parallel, shards int) string {
+	render := func(parallel int) string {
 		o := DefaultOptions()
 		o.Scale = ScaleTiny
 		o.Engine = EngineFluid
 		o.Parallelism = parallel
-		o.Shards = shards
 		var buf bytes.Buffer
 		AllToAll(o).Print(&buf)
 		Table1(o).Print(&buf)
 		ProductionMix(o).Print(&buf)
 		return buf.String()
 	}
-	ref := render(1, 1)
+	ref := render(1)
 	if ref == "" {
 		t.Fatal("empty render")
 	}
-	for _, tc := range []struct{ parallel, shards int }{{4, 1}, {8, 1}, {1, 4}, {4, 4}} {
-		if got := render(tc.parallel, tc.shards); got != ref {
-			t.Errorf("fluid output differs between -parallel 1 -shards 1 and -parallel %d -shards %d", tc.parallel, tc.shards)
+	for _, parallel := range []int{4, 8} {
+		if got := render(parallel); got != ref {
+			t.Errorf("fluid output differs between -parallel 1 and -parallel %d", parallel)
 		}
-	}
-	o := Options{Seed: 1, Scale: ScaleTiny, Engine: EngineFluid, Shards: 4}
-	if n := o.runAllToAll(allToAllSpec{scheme: ECMP, load: 0.4, flows: 50}).Engines; n != 1 {
-		t.Errorf("fluid all-to-all point with Shards=4 ran on %d engines, want 1", n)
-	}
-	if n := o.runProduction(ECMP, workload.WebSearchCDF(), 50).engines; n != 1 {
-		t.Errorf("fluid production point with Shards=4 ran on %d engines, want 1", n)
 	}
 }
 

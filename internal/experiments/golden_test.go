@@ -122,8 +122,7 @@ func TestGoldenTable1PrintMultiSeed(t *testing.T) {
 }
 
 // TestGoldenSchemes pins fbsim -list-schemes output: the full comparison
-// set, each scheme's sharded-vs-serial all-to-all path, the scheme whose
-// fluid model it runs, and its parameters.
+// set, the scheme whose fluid model each runs, and its parameters.
 func TestGoldenSchemes(t *testing.T) {
 	var buf bytes.Buffer
 	PrintSchemes(&buf)

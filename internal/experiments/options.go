@@ -149,14 +149,8 @@ type Options struct {
 	// GOMAXPROCS; 1 is fully sequential.
 	Parallelism int
 
-	// Shards splits each fat-tree simulation point across this many
-	// conservatively synchronized engine shards (bounded-lag windows, see
-	// sim.ShardSet). 0 or 1 runs serial. Results are byte-identical at any
-	// value: points that cannot shard safely run on one engine (shardPlan
-	// lists every reason; the schemes table marks which schemes shard). Shards
-	// composes with Parallelism: the shard workers borrow CPU tokens from
-	// the same pool that admits sibling points, so `-parallel N -shards M`
-	// never oversubscribes.
+	// Shards changes nothing: every point runs on one engine. It is kept for
+	// the repository benchmark (bench/), its one user, which still sets it.
 	Shards int
 
 	// SolverShards bounds how many workers the fluid engine's incremental
@@ -223,16 +217,9 @@ type Options struct {
 	sharedPool *runpool.Pool
 
 	// execPool is the pool whose slot the current simulation point is
-	// running under; a sharded point borrows extra worker tokens from
-	// it (see Pool.TryAcquire) so shard workers and sibling points share
-	// one CPU budget, and every point draws its engine arena from it (see
+	// running under; every point draws its engine arena from it (see
 	// arena). Set by runPoints, through which every experiment fans out.
 	execPool *runpool.Pool
-
-	// debugShardWindow (simdebug tripwire tests only) overrides the
-	// computed bounded-lag window and forces single-worker execution so
-	// the resulting lookahead violation panics on the caller's goroutine.
-	debugShardWindow sim.Time
 
 	// debugMaxWait (tests only) replaces the 10 s a run waits, in virtual
 	// time, for in-flight flows to drain after arrivals stop.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,35 +29,11 @@ type PerfStats struct {
 	// payload, across all simulated points of the experiments that report
 	// it (the production mix and the all-to-all family).
 	FlowsCompleted atomic.Int64
-
-	mu sync.Mutex
-	// shardEvents[i] accumulates events executed by shard i across all
-	// sharded points (empty when every point ran serial).
-	shardEvents []int64
 }
 
-// ShardEvents returns per-shard executed-event totals accumulated over every
-// sharded simulation point, or nil if no point ran sharded. The slice is a
-// copy.
-func (p *PerfStats) ShardEvents() []int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.shardEvents) == 0 {
-		return nil
-	}
-	out := make([]int64, len(p.shardEvents))
-	copy(out, p.shardEvents)
-	return out
-}
-
-func (p *PerfStats) addShard(shard int, events int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.shardEvents) <= shard {
-		p.shardEvents = append(p.shardEvents, 0)
-	}
-	p.shardEvents[shard] += events
-}
+// ShardEvents returns nil: every point runs on one engine. Its one caller is
+// the repository benchmark (bench/), whose shard event-skew figure it feeds.
+func (p *PerfStats) ShardEvents() []int64 { return nil }
 
 // FlowsPerSec returns completed flows per wall-clock second.
 func (p *PerfStats) FlowsPerSec(wall time.Duration) float64 {
@@ -94,24 +69,12 @@ func (o Options) recordFlows(n int64) {
 }
 
 // recordPerf folds one finished simulation point into the attached
-// PerfStats, if any: total events across its engines, the furthest virtual
-// time any of them reached, and — for a sharded point — the per-shard event
-// breakdown. Every experiment calls it right after its engines drain.
-func (o Options) recordPerf(engs ...*sim.Engine) {
+// PerfStats, if any: the events its engine executed and the virtual time it
+// reached. runPoint calls it right after the engine drains.
+func (o Options) recordPerf(eng *sim.Engine) {
 	if o.Perf == nil {
 		return
 	}
-	var total int64
-	var maxNow sim.Time
-	for i, eng := range engs {
-		total += int64(eng.Executed)
-		if eng.Now() > maxNow {
-			maxNow = eng.Now()
-		}
-		if len(engs) > 1 {
-			o.Perf.addShard(i, int64(eng.Executed))
-		}
-	}
-	o.Perf.Events.Add(total)
-	o.Perf.SimNanos.Add(int64(maxNow))
+	o.Perf.Events.Add(int64(eng.Executed))
+	o.Perf.SimNanos.Add(int64(eng.Now()))
 }

@@ -99,12 +99,9 @@ func (o Options) newMix(rng *sim.RNG, p topo.Params, cdf workload.CDF, flows int
 	return &singly{src: m}, makespan + makespan/2 + o.maxWait()
 }
 
-// mixOutcome aggregates one production point's measurements (or one shard's
-// share of them). Unlike runOutcome it holds no per-flow state: every field
-// is updated streamingly at completion instants, so memory stays flat at
-// million-flow counts. Rendering reads only counts and quantiles — both
-// order-independent given the same observation multiset — which is what
-// makes the shard-order fold bit-identical to the one-engine run.
+// mixOutcome aggregates one production point's measurements. Unlike
+// runOutcome it holds no per-flow state: every field is updated streamingly
+// at completion instants, so memory stays flat at million-flow counts.
 type mixOutcome struct {
 	flowTally
 
@@ -113,15 +110,11 @@ type mixOutcome struct {
 	completed int64 // receivers that got their full payload
 
 	kinds [3]int64 // completed flows by workload.PatternKind
-
-	engines int // engines the point ran on (1 = serial)
 }
 
 // record is the per-flow completion accounting. It runs at the completion
-// instant — the same virtual time on one engine and on several — so every
-// counter it reads has the identical value either way (counters can keep
-// moving after completion while retransmits drain, so end-of-run reads
-// would not be shard-stable).
+// instant: counters can keep moving after completion while retransmits
+// drain, and the goldens pin what they read then.
 func (m *mixOutcome) record(kind workload.PatternKind, f *tcp.Flow) {
 	m.kinds[kind]++
 	m.add(f)
@@ -133,36 +126,19 @@ func (m *mixOutcome) recordFluid(d fluid.Done) {
 	m.addFluid(d)
 }
 
-// fold merges a shard's outcome into the point total (called in shard-index
-// order, once per shard, after the run).
-func (m *mixOutcome) fold(o *mixOutcome) {
-	m.merge(&o.flowTally)
-	for k := range m.kinds {
-		m.kinds[k] += o.kinds[k]
-	}
-}
-
 // runProduction executes one (scheme) point of the production experiment.
-// Each flow records into its destination shard's private outcome
-// (completions on different shards run concurrently); the per-shard outcomes
-// fold in shard-index order after the run.
 func (o Options) runProduction(scheme Scheme, cdf workload.CDF, flows int) *mixOutcome {
-	outs := make([]mixOutcome, max(o.Shards, 1))
+	out := &mixOutcome{}
 	res := o.runPoint(point{
 		scheme: scheme,
 		flows:  flows,
 		workload: func(root *sim.RNG, p topo.Params) (workload.Schedule, sim.Time) {
 			return o.newMix(root.Fork("workload"), p, cdf, flows)
 		},
-		onDone:  func(shard int, kind workload.PatternKind, f *tcp.Flow) { outs[shard].record(kind, f) },
-		onFluid: func(d fluid.Done) { outs[0].recordFluid(d) },
+		onDone:  out.record,
+		onFluid: out.recordFluid,
 	})
-	out := &outs[0]
-	for i := 1; i < res.engines; i++ {
-		out.fold(&outs[i])
-	}
 	out.planned, out.started, out.completed = int64(flows), res.started, res.completed
-	out.engines = res.engines
 	o.recordFlows(out.completed)
 	return out
 }

@@ -54,24 +54,18 @@ func TestProductionSmoke(t *testing.T) {
 	}
 }
 
-// TestProductionDatamining covers the Poisson-arrival workload and pins
-// serial/sharded identity for it (the diurnal path is pinned by the
-// byte-identity goldens below).
+// TestProductionDatamining covers the Poisson-arrival workload (the diurnal
+// path is pinned by the byte-identity goldens below).
 func TestProductionDatamining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	o := Options{Seed: 5, Scale: ScaleTiny, FlowCount: 80,
 		Workload: "datamining", MixSchemes: []Scheme{ECMP}}
-	serial := renderProduction(o)
 	res := ProductionMix(o)
 	c := res.Cells[ECMP]
 	if c.Completed == 0 {
 		t.Fatal("datamining mix completed no flows")
-	}
-	o.Shards = 4
-	if got := renderProduction(o); got != serial {
-		t.Errorf("datamining output at -shards 4 differs from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", serial, got)
 	}
 }
 
@@ -95,23 +89,6 @@ func TestByteIdentityProduction(t *testing.T) {
 		o.FlowCount = 200
 		return renderProduction(o)
 	})
-}
-
-// TestByteIdentityShardedProduction pins the sharded production runner to
-// the same golden as serial execution at every shard count. Only ECMP of the
-// default scheme set shards; the others take the serial fallback, which must
-// be equally invisible.
-func TestByteIdentityShardedProduction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	o := byteIdentOpts()
-	o.FlowCount = 200
-	o.Parallelism = 1
-	for _, s := range []int{1, 2, 4, 8} {
-		o.Shards = s
-		checkGolden(t, "byteident_production", renderProduction(o))
-	}
 }
 
 // TestProductionPerfCounters checks the FlowsCompleted telemetry the cmd

@@ -36,7 +36,7 @@ func (o Options) Validate() error {
 		v    int
 	}{
 		{"flows", o.FlowCount}, {"jobs", o.JobCount}, {"seeds", o.Seeds},
-		{"parallel", o.Parallelism}, {"shards", o.Shards}, {"solver-shards", o.SolverShards},
+		{"parallel", o.Parallelism}, {"solver-shards", o.SolverShards},
 	} {
 		if c.v < 0 {
 			return flagError(c.flag, c.v, "must not be negative")
@@ -100,9 +100,10 @@ func (e RegistryEntry) CheckScale(o Options) error {
 // Descriptor pins every one of them, so a checkpoint resumes only under the
 // values that wrote it. notIdentityFields are the rest: the determinism
 // contract makes output independent of how the work is spread (Parallelism,
-// Shards, SolverShards) or watched (Watchdog, Log, Perf), and Ckpt is the
-// checkpoint itself, so a run may be resumed with any of them changed. Every exported
-// field is in exactly one list (TestOptionsFieldsClassified).
+// SolverShards) or watched (Watchdog, Log, Perf), Ckpt is the checkpoint
+// itself, and Shards changes nothing, so a run may be resumed with any of
+// them changed. Every exported field is in exactly one list
+// (TestOptionsFieldsClassified).
 var (
 	identityFields = []string{"Seed", "Scale", "Engine", "FlowCount", "JobCount", "Repeats",
 		"Seeds", "CDF", "FaultScenarios", "Workload", "Load", "MixSchemes"}

@@ -181,7 +181,6 @@ func TestRunFlagsResolve(t *testing.T) {
 		{"-flows 9", with(func(o *Options) { o.FlowCount = 9 })},
 		{"-jobs 3", with(func(o *Options) { o.JobCount = 3 })},
 		{"-parallel 2", with(func(o *Options) { o.Parallelism = 2 })},
-		{"-shards 4", with(func(o *Options) { o.Shards = 4 })},
 		{"-solver-shards 2", with(func(o *Options) { o.SolverShards = 2 })},
 		{"-seeds 3", with(func(o *Options) { o.Seeds = 3 })},
 		{"-cdf " + cdfPath, with(func(o *Options) {
@@ -225,7 +224,6 @@ func TestRunFlagsRefuse(t *testing.T) {
 		{"-jobs -1", "-jobs -1: must not be negative"},
 		{"-seeds -2", "-seeds -2: must not be negative"},
 		{"-parallel -3", "-parallel -3: must not be negative"},
-		{"-shards -1", "-shards -1: must not be negative"},
 		{"-solver-shards -4", "-solver-shards -4: must not be negative"},
 		{"-watchdog -1s", "-watchdog -1s: must not be negative"},
 		{"-load NaN", "-load NaN: must be a finite"},

@@ -53,39 +53,27 @@ var AllSchemes = []Scheme{ECMP, FlowBender, RPS, DeTail, Flowlet, FlowDyn, RepFl
 
 // schemes is the one table of load-balancing schemes, indexed by Scheme:
 // the name -schemes accepts, the mechanism and default parameters
-// -list-schemes prints, whether an all-to-all point of the scheme may split
-// across engine shards, and the scheme whose fluid model it runs. The fluid
+// -list-schemes prints, and the scheme whose fluid model it runs. The fluid
 // model is the scheme's own unless the model lacks what sets the scheme
 // apart: it has no packet gaps for Flowlet and FlowDyn to switch on (they
 // run ECMP's) and no PFC for DeTail (it runs RPS's spraying).
-//
-// A scheme shards when its selector is a deterministic function of
-// switch-local state — the flow hash, the per-switch flowlet table, egress
-// queue depths and the switch's own clock — since the sharded schedule
-// replays every switch's packet-arrival sequence exactly. FlowBender, RPS
-// and DiffFlow draw from one shared RNG stream at packet-send or selection
-// time (splitting its consumers across shards would reorder the draws),
-// RepFlow plans replica sub-flows at the host (the sharded planner pre-plans
-// exactly one flow per arrival), and DeTail needs PFC, whose synchronous
-// back-pressure leaves no cross-shard lookahead; shardPlan runs them serial.
 var schemes = [...]struct {
 	name, desc, params string
-	shardable          bool
 	fluid              Scheme
 }{
-	ECMP: {"ECMP", "static per-flow hashing over equal-cost paths", "", true, ECMP},
+	ECMP: {"ECMP", "static per-flow hashing over equal-cost paths", "", ECMP},
 	FlowBender: {"FlowBender", "host reroutes congested/failed flows by re-drawing the hash field V",
-		fmt.Sprintf("T=%.0f%% N=%d stability-gap=%d epochs", core.DefaultT*100, core.DefaultN, StabilityGap), false, FlowBender},
-	RPS:    {"RPS", "random packet spraying: uniform random path per packet", "", false, RPS},
-	DeTail: {"DeTail", "per-packet least-queued adaptive routing on a lossless (PFC) fabric", "", false, RPS},
+		fmt.Sprintf("T=%.0f%% N=%d stability-gap=%d epochs", core.DefaultT*100, core.DefaultN, StabilityGap), FlowBender},
+	RPS:    {"RPS", "random packet spraying: uniform random path per packet", "", RPS},
+	DeTail: {"DeTail", "per-packet least-queued adaptive routing on a lossless (PFC) fabric", "", RPS},
 	Flowlet: {"Flowlet", "flowlet switching: path redraw after a fixed idle gap",
-		fmt.Sprintf("gap=%dus (InfiniteGap degenerates to ECMP)", DefaultFlowletGap/sim.Microsecond), true, ECMP},
+		fmt.Sprintf("gap=%dus (InfiniteGap degenerates to ECMP)", DefaultFlowletGap/sim.Microsecond), ECMP},
 	FlowDyn: {"FlowDyn", "flowlet switching with a dynamic per-port gap from tracked drain times",
-		"gap=[20us,1ms] mult=2.0 ewma-gain=0.25", true, ECMP},
+		"gap=[20us,1ms] mult=2.0 ewma-gain=0.25", ECMP},
 	RepFlow: {"RepFlow", "short flows replicated on two ECMP paths; first finisher wins",
-		fmt.Sprintf("cutoff=%dKB replication-factor=2", RepFlowCutoff/1024), false, RepFlow},
+		fmt.Sprintf("cutoff=%dKB replication-factor=2", RepFlowCutoff/1024), RepFlow},
 	DiffFlow: {"DiffFlow", "short flows sprayed per packet, long flows pinned per flow",
-		fmt.Sprintf("cutoff=%dKB (0 degenerates to ECMP, unbounded to RPS)", DiffFlowCutoff/1024), false, DiffFlow},
+		fmt.Sprintf("cutoff=%dKB (0 degenerates to ECMP, unbounded to RPS)", DiffFlowCutoff/1024), DiffFlow},
 }
 
 func (s Scheme) String() string {
@@ -118,17 +106,13 @@ func schemeList(ss []Scheme, sep string) string {
 // PrintSchemes renders the scheme table (fbsim -list-schemes).
 func PrintSchemes(w io.Writer) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\talltoall path\tfluid model\tdescription\tparameters")
+	fmt.Fprintln(tw, "scheme\tfluid model\tdescription\tparameters")
 	for _, row := range schemes {
-		path := "serial"
-		if row.shardable {
-			path = "sharded"
-		}
 		params := row.params
 		if params == "" {
 			params = "-"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", row.name, path, row.fluid, row.desc, params)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", row.name, row.fluid, row.desc, params)
 	}
 	tw.Flush()
 }
@@ -253,8 +237,3 @@ func fluidConfig(p topo.Params, scheme Scheme, fb core.Config, raw bool, rng *si
 	}
 	return cfg
 }
-
-// shardable reports whether an all-to-all point of this scheme may split
-// across conservatively synchronized engine shards and stay bit-identical
-// to the serial run (the schemes table says which, and why).
-func (s Scheme) shardable() bool { return schemes[s].shardable }

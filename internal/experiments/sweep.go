@@ -34,8 +34,7 @@ func pointTasks[P any](o Options, exp string, reps int, points []P, label func(P
 // runPoints is the one way an experiment runs its simulation points: every
 // point reps times, at seedAt(0..reps-1), on the experiment's worker pool.
 // Each run gets its own Options copy with its seed and the pool whose slot
-// it runs under — a sharded run borrows its extra workers' tokens there, and
-// every run draws its engine arena from it.
+// it runs under, from which it draws its engine arena.
 // The outcomes come back in task order (see pointTasks) whatever the
 // parallelism; a run that panicked or tripped the watchdog carries its
 // labelled error in its slot, and every other run still completes.

@@ -50,14 +50,14 @@ func TestWarmFabricPointAllocations(t *testing.T) {
 	// The take alone, every setup after every other.
 	ar := o.takeArena()
 	defer o.releaseArena(ar)
-	eng, p := ar.engine(0), o.params()
+	p := o.params()
 	sets := make([]schemeSetup, len(AllSchemes))
 	for i, s := range AllSchemes {
 		sets[i] = s.setup(sim.NewRNG(1), core.Config{}, false)
 	}
 	i := 0
 	if got := testing.AllocsPerRun(3*len(sets), func() {
-		ar.fatTree(sets[i%len(sets)], eng, p)
+		ar.fatTree(sets[i%len(sets)], p)
 		i++
 	}); got != 0 {
 		t.Errorf("taking a warm fabric allocates %.2f times a take, want 0", got)

@@ -97,7 +97,7 @@ func hostilePoint(o Options, scheme Scheme, testbed bool) string {
 			ft.Hosts[1].Register(9999, discard{})
 			return nil, nil
 		},
-		onDone: func(int, workload.PatternKind, *tcp.Flow) {
+		onDone: func(workload.PatternKind, *tcp.Flow) {
 			if done++; done == 3 {
 				panic(errInjected)
 			}
@@ -218,7 +218,7 @@ func historyJobs(rng *sim.RNG, n int) []historyJob {
 						}
 						return &bs, sim.Second
 					},
-					onDone: func(int, workload.PatternKind, *tcp.Flow) {
+					onDone: func(workload.PatternKind, *tcp.Flow) {
 						if done++; done == 3 {
 							panic(errInjected)
 						}

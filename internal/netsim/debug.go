@@ -79,41 +79,6 @@ func (s *Switch) debugCheckSelect(pkt *Packet, eligible []int32, cached int32) {
 	}
 }
 
-// debugCheckCross validates one cross-shard arrival at merge time:
-//
-//  1. Lookahead: the arrival's scheduled effect (forward at +FwdDelay,
-//     deliver at +HostDelay) must land at or after the window boundary. A
-//     violation means the bounded-lag window was wider than the fabric's true
-//     minimum cross-shard delay — the consuming shard's clock has already
-//     passed the effect time, and release builds would corrupt causality.
-//  2. Merge order: the mailbox contents must arrive in strictly increasing
-//     (time, destination, port) key order; a violation means a mailbox was
-//     mutated outside the barrier protocol or the sort was bypassed, either
-//     of which silently breaks bit-identity with serial execution.
-func debugCheckCross(msgs []CrossMsg, i int, windowEnd sim.Time) {
-	if !sim.Debug {
-		return
-	}
-	m := &msgs[i]
-	effect := m.At
-	switch d := m.Dst.(type) {
-	case *Switch:
-		effect += d.cfg.FwdDelay
-	case *Host:
-		effect += d.Delay
-	}
-	if effect < windowEnd {
-		panic(fmt.Sprintf(
-			"netsim: shard lookahead violated: cross-shard arrival at %d has effect at %d before window end %d (dst %d port %d)",
-			m.At, effect, windowEnd, m.Dst.ID(), m.InPort))
-	}
-	if i > 0 && !crossKeyLess(msgs[i-1], *m) {
-		panic(fmt.Sprintf(
-			"netsim: cross-shard mailbox out of merge order at index %d (dst %d port %d at %d)",
-			i, m.Dst.ID(), m.InPort, m.At))
-	}
-}
-
 // debugCheckBook panics when the transmission on the wire is booked before
 // its end: the counters, the free transmitter and the next record's bytes
 // leaving the queue would be visible to the simulation earlier than the

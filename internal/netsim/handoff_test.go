@@ -415,8 +415,8 @@ func (f *hoFabric) run(sc *hoScenario) []string {
 	}
 	f.eng.RunUntilIdle()
 	f.sample()
-	// Arrival counters are booked early by a hand-off (and late by the
-	// sharded merge), so they are compared only once nothing is in flight.
+	// Arrival counters are booked early by a hand-off, so they are compared
+	// only once nothing is in flight.
 	for _, h := range f.hosts {
 		f.log = append(f.log, fmt.Sprintf("end host=%d rx=%d bytes=%d unclaimed=%d", h.ID(), h.RxPackets, h.RxBytes, h.Unclaimed))
 	}

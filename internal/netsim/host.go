@@ -151,6 +151,26 @@ func (h *Host) Receive(pkt *Packet, _ int) {
 	}
 }
 
+// receiveAt is Receive for an arrival its upstream port handed off when it
+// timed the transmission (Port.handOff): the counters now, the delivery
+// step at the arrival `at` plus the host delay, keyed as Receive would have
+// keyed it at `at`.
+func (h *Host) receiveAt(pkt *Packet, at sim.Time) {
+	pkt.debugCheckLive("Host.receiveAt")
+	h.RxPackets++
+	h.RxBytes += int64(pkt.Size)
+	pkt.scheduleStepAt(h.eng, at+h.Delay, at, stepDeliver, h, 0)
+}
+
+// unreceive takes back receiveAt's counters for a recalled hand-off.
+func (h *Host) unreceive(pkt *Packet) {
+	h.RxPackets--
+	h.RxBytes -= int64(pkt.Size)
+}
+
+// Engine returns the engine this host executes on.
+func (h *Host) Engine() *sim.Engine { return h.eng }
+
 // deliver hands the packet to its flow's handler and then recycles it: the
 // host is every packet's terminal point on the success path.
 func (h *Host) deliver(pkt *Packet) {

@@ -168,18 +168,18 @@ const tagKindTx = stepEnqueue + 1
 // class, device, port — as a sim ordering tag (3+9+4 bits). Two fabric
 // events with equal due time and insertion instant are ordered by this
 // identity rather than by engine insertion sequence, which is what makes the
-// schedule a property of the simulated network: a sharded run files cross-
-// boundary arrivals under the same tag a serial run would, so same-instant
-// queue contention resolves identically at any shard count.
+// schedule a property of the simulated network: a step filed ahead of its
+// arrival (Port.handOff) or after it (Host.resend) gets the tag it would
+// have had if filed at the arrival, so same-instant queue contention
+// resolves the same either way.
 //
 // The identity is unique per (at, ins): a given input port has exactly one
 // upstream transmitter whose serialization spacing forbids two same-instant
 // arrivals, a port finishes at most one transmission per instant, and the
-// residual collisions (e.g. a host's ingress-vs-egress pipeline events) are
-// always shard-local on both sides, where insertion order is already
-// reproducible. Oversized identities (fabrics beyond 512 nodes or 16 ports,
-// which the shard partitioner refuses) degrade to TagNone, i.e. to plain
-// insertion order.
+// residual collisions (e.g. a host's ingress-vs-egress pipeline events) keep
+// insertion order, which is reproducible. Oversized identities (fabrics
+// beyond 512 nodes or 16 ports) degrade to TagNone, i.e. to plain insertion
+// order.
 func orderTag(kind uint8, dev NodeID, port int) uint16 {
 	if dev < 0 || dev >= 1<<9 || port < 0 || port >= 1<<4 {
 		return sim.TagNone
@@ -191,11 +191,10 @@ func orderTag(kind uint8, dev NodeID, port int) uint16 {
 // invoked per step. The event is keyed by the instant `stamp` it is filed at
 // and the (step, device, port) tag. A stage that follows an arrival now
 // passes now and now plus its delay. One that does not, passes the arrival:
-// a packet injected across a shard boundary arrived at a past instant of the
-// producing shard's clock, and a packet a port hands off early
-// (Port.handOff) arrives at the future instant its serialization ends;
-// either way the effect must land at arrival-time-plus-delay and tie-break
-// against same-due-time events exactly as if filed at the arrival.
+// a packet a port hands off early (Port.handOff) arrives at the future
+// instant its serialization ends, and the effect must land at
+// arrival-time-plus-delay and tie-break against same-due-time events
+// exactly as if filed at the arrival.
 // Host.resend files the egress step a Send skipped the same way, after the
 // fact: due when the packet reaches the NIC, stamped when it was sent.
 func (p *Packet) scheduleStepAt(eng *sim.Engine, at, stamp sim.Time, step uint8, dev Device, port int) {

@@ -290,6 +290,31 @@ func (s *Switch) Receive(pkt *Packet, inPort int) {
 	}
 }
 
+// receiveAt is Receive for an arrival its upstream port handed off when it
+// timed the transmission (Port.handOff): the packet arrives at `at`, which
+// is still to come. The arrival's immediate effects are commutative
+// counters, applied now instead of at the arrival instant, and the
+// forwarding step is filed at the arrival plus the forwarding delay under
+// the key Receive would have given it at `at`.
+func (s *Switch) receiveAt(pkt *Packet, inPort int, at sim.Time) {
+	pkt.debugCheckLive("Switch.receiveAt")
+	if s.cfg.PFC != nil {
+		// PFC pause state is read synchronously by upstream ports, so it
+		// cannot be applied ahead of the arrival. Port.handOff keeps the
+		// completion event toward a PFC receiver, so this is unreachable.
+		panic("netsim: arrival at a PFC-enabled switch applied ahead of its instant (port hand-off)")
+	}
+	s.RxPackets++
+	pkt.Hops++
+	pkt.scheduleStepAt(s.eng, at+s.cfg.FwdDelay, at, stepForward, s, inPort)
+}
+
+// unreceive takes back receiveAt's counters for a recalled hand-off.
+func (s *Switch) unreceive(pkt *Packet) {
+	s.RxPackets--
+	pkt.Hops--
+}
+
 func (s *Switch) forward(pkt *Packet) {
 	if int(pkt.Dst) >= len(s.table) {
 		panic(fmt.Sprintf("netsim: switch %d has no table entry for dst %d", s.id, pkt.Dst))

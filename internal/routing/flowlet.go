@@ -36,9 +36,8 @@ type flowletEntry struct {
 }
 
 // flowletState is the per-switch scratch a flowlet selector stores through
-// Switch.SetSelectorScratch. It is created lazily on the switch's own
-// engine goroutine, so sharded runs never share one across shards, and kept
-// by the switch for the next flowlet install, which empties it first.
+// Switch.SetSelectorScratch. It is created lazily and kept by the switch for
+// the next flowlet install, which empties it first.
 type flowletState struct {
 	table      map[flowletKey]*flowletEntry
 	head, tail *flowletEntry // LRU: head = most recently seen

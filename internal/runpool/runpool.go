@@ -31,7 +31,7 @@ type PanicError struct {
 	// Stack is the panicking goroutine's stack trace.
 	Stack []byte
 	// Point identifies the task when it was submitted through a named API
-	// (experiment/scheme/seed/shard), so a FAILED line alone is enough to
+	// (experiment/scheme/seed), so a FAILED line alone is enough to
 	// reproduce the crashing simulation point.
 	Point string
 }
@@ -87,34 +87,6 @@ func New(parallelism int) *Pool {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{sem: make(chan struct{}, parallelism)}
-}
-
-// TryAcquire grabs up to n of the pool's CPU tokens without blocking and
-// returns how many it got (possibly zero). A running task that wants to go
-// multi-threaded internally — the sharded simulation engine spreading one
-// point over several worker goroutines — borrows the extra workers' tokens
-// from the same budget that bounds sibling tasks, so `-parallel N` times
-// `-shards M` can never oversubscribe the pool's bound: the point already
-// holds one token for itself and only parallelizes as far as idle capacity
-// allows. Every acquired token must be returned with Release.
-func (p *Pool) TryAcquire(n int) int {
-	got := 0
-	for got < n {
-		select {
-		case p.sem <- struct{}{}:
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-// Release returns n tokens previously obtained with TryAcquire.
-func (p *Pool) Release(n int) {
-	for i := 0; i < n; i++ {
-		<-p.sem
-	}
 }
 
 // TakeScratch hands the caller one value a finished task left with

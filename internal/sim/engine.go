@@ -115,9 +115,10 @@ func (f callback) Fire() { f() }
 // scheduled through At/Schedule, seq order already implies ins order (the
 // clock never moves backwards between insertions), so the middle field
 // changes nothing for them; it exists so AtTagged can file an event as if
-// it had been inserted at an earlier instant, which is how the sharded
-// runtime makes deferred cross-shard deliveries land in the same relative
-// position they would have occupied serially.
+// it had been inserted at an earlier instant, which is how a packet a port
+// hands off ahead of its arrival (and a host's egress step filed after the
+// fact) lands in the position the event filed at the arrival would have
+// occupied.
 //
 // `seq` packs a 16-bit ordering tag above a 48-bit insertion counter (see
 // AtTagged), so the effective total order is (at, ins, tag, counter).
@@ -315,14 +316,13 @@ const seqCounterBits = 48
 // chosen intrinsic priority within that instant. At(t, fn) is
 // AtTagged(t, Now(), TagNone, fn).
 //
-// The tagged form exists for conservative-parallel execution. Events that
-// can cross shard boundaries (fabric packet hops) are keyed by stable
+// Fabric packet hops use the tagged form: they are keyed by stable
 // identity — arrival instant, receiving device, input port — instead of by
-// the engine-local insertion counter, so their position among same-instant
-// rivals is a property of the simulated network, not of which shard
-// inserted them first. Serial runs use the identical keys and therefore
-// execute in the identical order, which is what makes sharded execution
-// bit-identical to serial.
+// the insertion counter, so their position among same-instant rivals is a
+// property of the simulated network, not of the order the fabric happened
+// to file them in. That is what lets a port file a packet's next step
+// before the packet arrives (netsim's port hand-off) without moving it in
+// the schedule, and the byte-identity goldens pin the resulting order.
 func (e *Engine) AtTagged(t, stamp Time, tag uint16, fn func()) *Event {
 	ev := e.alloc()
 	e.file(ev, t, stamp, tag, callback(fn))

@@ -253,3 +253,30 @@ func TestEventAccessors(t *testing.T) {
 		}
 	}
 }
+
+// NextAt peeks at the next live event's due time and runs nothing.
+func TestNextAtPeeksWithoutRunning(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on empty engine reported an event")
+	}
+	e.Schedule(30, func() {})
+	h := e.Schedule(10, func() {})
+	e.Schedule(20, func() {})
+	if at, ok := e.NextAt(); !ok || at != 10 {
+		t.Fatalf("NextAt = %v,%v; want 10,true", at, ok)
+	}
+	if e.Now() != 0 || e.Executed != 0 {
+		t.Fatalf("NextAt advanced the engine: now=%v executed=%d", e.Now(), e.Executed)
+	}
+	// Cancelling the root must make NextAt discard it and report the next
+	// live event, exactly as Run would.
+	e.Cancel(h)
+	if at, ok := e.NextAt(); !ok || at != 20 {
+		t.Fatalf("NextAt after cancel = %v,%v; want 20,true", at, ok)
+	}
+	e.RunUntilIdle()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on drained engine reported an event")
+	}
+}

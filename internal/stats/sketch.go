@@ -64,11 +64,10 @@ const SketchMaxValue = 1e300
 // Merge determinism is pinned the same way byteident pins events: the
 // collapsed state is a pure function of the recorded multiset (integer
 // bucket counts admit no floating-point reassociation), so merging
-// shard-local sketches in any grouping or order yields bit-identical
-// quantiles. In the exact regime the stored slice follows merge order, so
-// order-sensitive last-ulp effects are confined to Mean/Stddev; quantiles
-// sort first and are order-independent there too. Shard runners merge in
-// shard-index order regardless, mirroring how they merge event streams.
+// sketches in any grouping or order yields bit-identical quantiles. In the
+// exact regime the stored slice follows merge order, so order-sensitive
+// last-ulp effects are confined to Mean/Stddev; quantiles sort first and are
+// order-independent there too.
 //
 // The zero value is ready to use. NaN and ±Inf observations are dropped —
 // they would otherwise poison the sort order or the bucket index — and N

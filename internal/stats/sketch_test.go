@@ -245,8 +245,8 @@ func splitMerge(xs []float64, k int, exactCap int) *Sketch {
 	return out
 }
 
-// TestSketchMergeDeterministic: any shard count and any merge grouping must
-// render bit-identical quantiles — the property the sharded runners lean on.
+// TestSketchMergeDeterministic: any merge grouping must render bit-identical
+// quantiles.
 func TestSketchMergeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{50, 5000, 30000} {

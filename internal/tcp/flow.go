@@ -77,7 +77,7 @@ func (f *Flow) FlowBenderStats() core.Stats {
 // bytes and begins transmitting immediately. Port numbers are derived from
 // the flow ID to give the ECMP hash its 5-tuple entropy. The eng parameter
 // is retained for API stability; each endpoint runs on its own host's
-// engine, which in serial builds is the same engine.
+// engine, which is the fabric's one engine.
 //
 // When cfg.Replicate is set and the flow qualifies (Size < Cutoff), the
 // returned Flow is a replicated parent: it owns two live sub-flows on
@@ -88,16 +88,16 @@ func StartFlow(eng *sim.Engine, cfg Config, id netsim.FlowID, src, dst *netsim.H
 	if rc := cfg.Replicate; rc != nil && size < rc.Cutoff {
 		return startReplicated(cfg, id, src, dst, size)
 	}
-	pf := PlanFlow(cfg, id, src, dst, size)
-	pf.StartReceiver()
-	pf.StartSender()
-	return pf.Flow()
+	pf := planFlow(cfg, id, src, dst, size)
+	pf.startReceiver()
+	pf.startSender()
+	return pf.f
 }
 
 // replicaIDBit distinguishes a replica sub-flow's ID from its primary's in
 // the hosts' dispatch tables. Bit 62 keeps IDs positive and far above any
 // workload allocator's range; the distinct ID also yields a distinct source
-// port (PlanFlow derives ports from the ID), which is exactly what gives
+// port (planFlow derives ports from the ID), which is exactly what gives
 // the replica an independent ECMP path draw.
 const replicaIDBit netsim.FlowID = 1 << 62
 
@@ -117,12 +117,12 @@ func startReplicated(cfg Config, id netsim.FlowID, src, dst *netsim.Host, size i
 	}
 	sub := cfg
 	sub.Replicate = nil // sub-flows must not recurse
-	pend := [ReplicationFactor]*PendingFlow{
-		PlanFlow(sub, id, src, dst, size),
-		PlanFlow(sub, ReplicaID(id), src, dst, size),
+	pend := [ReplicationFactor]*pendingFlow{
+		planFlow(sub, id, src, dst, size),
+		planFlow(sub, ReplicaID(id), src, dst, size),
 	}
 	for i, pf := range pend {
-		f := pf.Flow()
+		f := pf.f
 		f.OnComplete = parent.subDone
 		parent.rep.subs[i] = f
 	}
@@ -130,10 +130,10 @@ func startReplicated(cfg Config, id netsim.FlowID, src, dst *netsim.Host, size i
 	// receivers first: no sender may emit before every dispatch slot of the
 	// pair is claimed.
 	for _, pf := range pend {
-		pf.StartReceiver()
+		pf.startReceiver()
 	}
 	for _, pf := range pend {
-		pf.StartSender()
+		pf.startSender()
 	}
 	parent.Start = parent.rep.subs[0].Start
 	parent.sender = parent.rep.subs[0].sender
@@ -189,27 +189,24 @@ func (f *Flow) Winner() *Flow {
 	return f.rep.subs[f.rep.winner]
 }
 
-// PendingFlow is a planned but not yet started flow. It decouples flow
-// creation from endpoint activation so the sharded runner can plan every
-// flow up front and then start each endpoint as a time-ordered event on its
-// own shard's engine: StartReceiver must run on the destination host's
-// engine and StartSender on the source host's, at the same virtual instant,
-// receiver first when both share a shard (mirroring StartFlow's order).
-type PendingFlow struct {
+// pendingFlow is a planned but not yet started flow: StartFlow starts its
+// receiver, then its sender; a RepFlow pair starts both receivers before
+// either sender.
+type pendingFlow struct {
 	f                *Flow
 	cfg              Config
 	srcPort, dstPort uint16
 }
 
-// PlanFlow allocates the flow record without touching either host.
-// Flow.Start stays unset until StartSender runs.
-func PlanFlow(cfg Config, id netsim.FlowID, src, dst *netsim.Host, size int64) *PendingFlow {
+// planFlow allocates the flow record without touching either host.
+// Flow.Start stays unset until startSender runs.
+func planFlow(cfg Config, id netsim.FlowID, src, dst *netsim.Host, size int64) *pendingFlow {
 	f := &Flow{
 		ID: id, Src: src, Dst: dst, Size: size,
 		Start: -1, RecvDone: -1, SendDone: -1,
 	}
 	srcPort, dstPort := PortsFor(id)
-	return &PendingFlow{
+	return &pendingFlow{
 		f:       f,
 		cfg:     cfg,
 		srcPort: srcPort,
@@ -225,21 +222,18 @@ func PortsFor(id netsim.FlowID) (srcPort, dstPort uint16) {
 	return uint16(10000 + (uint64(id)*2654435761)%50000), 5001
 }
 
-// Flow returns the planned flow record.
-func (pf *PendingFlow) Flow() *Flow { return pf.f }
-
-// StartReceiver creates the receiver endpoint and claims the destination
+// startReceiver creates the receiver endpoint and claims the destination
 // host's dispatch slot. No events are scheduled; the receiver only reacts
 // to arriving packets.
-func (pf *PendingFlow) StartReceiver() {
+func (pf *pendingFlow) startReceiver() {
 	pf.f.receiver = newReceiver(pf.f.Dst.Engine(), pf.cfg, pf.f, pf.dstPort, pf.srcPort)
 	pf.f.Dst.Register(pf.f.ID, pf.f.receiver)
 }
 
-// StartSender creates the sender endpoint, claims the source host's dispatch
+// startSender creates the sender endpoint, claims the source host's dispatch
 // slot, stamps Flow.Start with the source engine's clock, and begins
 // transmitting.
-func (pf *PendingFlow) StartSender() {
+func (pf *pendingFlow) startSender() {
 	eng := pf.f.Src.Engine()
 	pf.f.Start = eng.Now()
 	pf.f.sender = newSender(eng, pf.cfg, pf.f, pf.srcPort, pf.dstPort)

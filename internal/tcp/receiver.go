@@ -88,23 +88,9 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 		if r.flow.OnComplete != nil {
 			r.flow.OnComplete(r.flow)
 		}
-		if r.flow.Src.Engine() != r.flow.Dst.Engine() {
-			// Cross-shard flow: the sender's teardown cannot release this
-			// host's dispatch slot from another engine, so the receiver
-			// schedules its own — same 2x RTOMax quiet period, same
-			// stray-traffic argument as Sender.scheduleTeardown.
-			r.eng.Schedule(2*RTOMax, r.teardown)
-		}
 	}
 
 	r.sendAck(pkt, dup, reorderDist)
-}
-
-// teardown releases the receiver's dispatch slot on its own shard; used
-// only for cross-shard flows (same-shard flows are torn down by the sender
-// for both endpoints, preserving the serial unregister order).
-func (r *Receiver) teardown() {
-	r.flow.Dst.Unregister(r.flow.ID)
 }
 
 // sendAck emits the cumulative acknowledgment for pkt, echoing its CE bit

@@ -314,14 +314,10 @@ func (s *Sender) Abort() {
 // Aborted reports whether Abort has silenced this sender.
 func (s *Sender) Aborted() bool { return s.aborted }
 
+// teardown releases both endpoints' dispatch slots.
 func (s *Sender) teardown() {
 	s.flow.Src.Unregister(s.flow.ID)
-	if s.flow.Src.Engine() == s.flow.Dst.Engine() {
-		s.flow.Dst.Unregister(s.flow.ID)
-	}
-	// Cross-shard flows release the destination slot from the receiver's
-	// own teardown (see Receiver.Deliver), keeping every handler-table
-	// mutation on its owning shard.
+	s.flow.Dst.Unregister(s.flow.ID)
 }
 
 func (s *Sender) onNewAck(ack int64, _ bool) {

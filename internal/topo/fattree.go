@@ -53,20 +53,42 @@ type FatTree struct {
 // Building is allocating the devices, wiring and routing them — what p's
 // Shape decides, done once — and then Reset(p), which owns everything else.
 func NewFatTree(eng *sim.Engine, p Params) *FatTree {
-	ft := newFatTree(p, engineMap{
-		host: func(int) *sim.Engine { return eng },
-		tor:  func(int, int) *sim.Engine { return eng },
-		agg:  func(int, int) *sim.Engine { return eng },
-		core: func(int) *sim.Engine { return eng },
-	})
-	ft.Eng = eng
-	ft.Pool = netsim.NewPacketPool()
-	for _, h := range ft.Hosts {
-		h.UsePool(ft.Pool)
+	validate(p)
+	ft := &FatTree{P: p, Eng: eng, Pool: netsim.NewPacketPool()}
+	n := p.NumHosts()
+
+	// Hosts.
+	ft.Hosts = make([]*netsim.Host, n)
+	for i := range ft.Hosts {
+		ft.Hosts[i] = netsim.NewHost(eng, netsim.NodeID(i), p.LinkRateBps, p.HostDelay)
+		ft.Hosts[i].UsePool(ft.Pool)
 	}
-	for _, s := range ft.switches {
+
+	// Switches. Switch NodeIDs live above the host ID space.
+	ft.switches = make([]*netsim.Switch, 0, p.Pods*(p.TorsPerPod+p.AggsPerPod)+p.NumCores())
+	newSwitch := func(ports int) *netsim.Switch {
+		s := netsim.NewSwitch(eng, netsim.NodeID(n+len(ft.switches)), ports, p.LinkRateBps, p.switchConfig())
 		s.UsePool(ft.Pool)
+		ft.switches = append(ft.switches, s)
+		return s
 	}
+	for pod := 0; pod < p.Pods; pod++ {
+		ft.Tors = append(ft.Tors, nil)
+		ft.Aggs = append(ft.Aggs, nil)
+		for t := 0; t < p.TorsPerPod; t++ {
+			ft.Tors[pod] = append(ft.Tors[pod], newSwitch(p.ServersPerTor+p.AggsPerPod))
+		}
+		for a := 0; a < p.AggsPerPod; a++ {
+			ft.Aggs[pod] = append(ft.Aggs[pod], newSwitch(p.TorsPerPod+p.CoreUplinksPerAgg))
+		}
+	}
+	ft.Cores = make([]*netsim.Switch, p.NumCores())
+	for c := range ft.Cores {
+		ft.Cores[c] = newSwitch(p.Pods)
+	}
+
+	ft.wire()
+	ft.installRoutes()
 	ft.Reset(p)
 	return ft
 }
@@ -113,58 +135,6 @@ func setDelay(links []*netsim.Duplex, d sim.Time) {
 		l.AtoB.Link.Delay = d
 		l.BtoA.Link.Delay = d
 	}
-}
-
-// engineMap assigns an engine (execution shard) to every device of a
-// fat-tree under construction. Serial builds map everything to one engine;
-// sharded builds map each device to its partition's engine.
-type engineMap struct {
-	host func(h int) *sim.Engine
-	tor  func(pod, t int) *sim.Engine
-	agg  func(pod, a int) *sim.Engine
-	core func(c int) *sim.Engine
-}
-
-// newFatTree is the engine-agnostic first half of the serial and sharded
-// constructors: devices, cables, routes. Construction schedules no events, so
-// device creation order — and with it every NodeID — is identical regardless
-// of the engine mapping. The caller installs the pools and calls Reset(p).
-func newFatTree(p Params, em engineMap) *FatTree {
-	validate(p)
-	ft := &FatTree{P: p}
-	n := p.NumHosts()
-
-	// Hosts.
-	ft.Hosts = make([]*netsim.Host, n)
-	for i := range ft.Hosts {
-		ft.Hosts[i] = netsim.NewHost(em.host(i), netsim.NodeID(i), p.LinkRateBps, p.HostDelay)
-	}
-
-	// Switches. Switch NodeIDs live above the host ID space.
-	ft.switches = make([]*netsim.Switch, 0, p.Pods*(p.TorsPerPod+p.AggsPerPod)+p.NumCores())
-	newSwitch := func(eng *sim.Engine, ports int) *netsim.Switch {
-		s := netsim.NewSwitch(eng, netsim.NodeID(n+len(ft.switches)), ports, p.LinkRateBps, p.switchConfig())
-		ft.switches = append(ft.switches, s)
-		return s
-	}
-	for pod := 0; pod < p.Pods; pod++ {
-		ft.Tors = append(ft.Tors, nil)
-		ft.Aggs = append(ft.Aggs, nil)
-		for t := 0; t < p.TorsPerPod; t++ {
-			ft.Tors[pod] = append(ft.Tors[pod], newSwitch(em.tor(pod, t), p.ServersPerTor+p.AggsPerPod))
-		}
-		for a := 0; a < p.AggsPerPod; a++ {
-			ft.Aggs[pod] = append(ft.Aggs[pod], newSwitch(em.agg(pod, a), p.TorsPerPod+p.CoreUplinksPerAgg))
-		}
-	}
-	ft.Cores = make([]*netsim.Switch, p.NumCores())
-	for c := range ft.Cores {
-		ft.Cores[c] = newSwitch(em.core(c), p.Pods)
-	}
-
-	ft.wire()
-	ft.installRoutes()
-	return ft
 }
 
 // validate panics on Params no fat-tree is built for: see Params for the

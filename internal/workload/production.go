@@ -53,7 +53,7 @@ func WorkloadNames() []string { return []string{"websearch", "datamining"} }
 // ArrivalProcess generates the gaps between batch arrivals of an open-loop
 // workload. Implementations must draw from rng in a fixed order that
 // depends only on (call sequence, now) — the determinism contract that
-// lets the sharded runner pre-draw the identical schedule.
+// lets a schedule be pre-drawn up front identically.
 type ArrivalProcess interface {
 	// Next returns the gap from the arrival at now to the following one.
 	Next(rng *sim.RNG, now sim.Time) sim.Time
@@ -161,8 +161,8 @@ type FlowSpec struct {
 // pattern selector, then the pattern's own draws (sizes before endpoints),
 // then the gap to the next batch. The whole schedule is therefore a pure
 // function of (seed, configuration), independent of whether batches are
-// consumed one at a time during a live run or pre-drawn up front for the
-// sharded runner; MaxFlows truncation drops trailing flows of the final
+// consumed one at a time during a live run or pre-drawn up front;
+// MaxFlows truncation drops trailing flows of the final
 // batch after its draws are consumed, so the cut cannot shift the stream.
 type Mix struct {
 	RNG   *sim.RNG

@@ -193,7 +193,7 @@ func (m *Mix) PredrawFlows() []FlowSpec {
 
 // TestMixPredrawDeterminism: the same seed must yield the identical spec
 // sequence whether batches are consumed lazily one at a time or pre-drawn
-// flat up front — the property the sharded runner depends on.
+// flat up front.
 func TestMixPredrawDeterminism(t *testing.T) {
 	hosts := fakeHosts(16)
 	flat := testMix(99, hosts, 5000).PredrawFlows()

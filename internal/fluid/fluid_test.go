@@ -374,13 +374,14 @@ func TestFluidDeterminismSpray(t *testing.T) {
 	}
 }
 
-// TestFoldStampWraparound takes the sprayed scenario across MaxUint32 on all
-// three generation counters a sprayed commit leans on — the solver's commit
-// and round generations (ageStamps) and the engine's per-transfer fold stamp
-// — a third of the way in, when transfers, sessions and links are live and
-// every one of them carries a stamp the new cycle reuses at once; then again
-// on the same Sim after a Reset. A stale stamp read as current would skip a
-// fold, a staging or a link's set-up, and move the digest.
+// TestFoldStampWraparound takes the sprayed scenario across MaxUint32 on both
+// generation counters a sprayed commit leans on — the solver's commit
+// generation (ageStamps, which also leaves a stale workspace index on every
+// link) and the engine's per-transfer fold stamp — a third of the way in,
+// when transfers, sessions and links are live and every one of them carries
+// a stamp the new cycle reuses at once; then again on the same Sim after a
+// Reset. A stale stamp read as current would skip a fold, a staging or a
+// link's gathering, and move the digest.
 func TestFoldStampWraparound(t *testing.T) {
 	cfg := sprayScenarioCfg(100_000, 0)
 	s := NewSim(sim.NewEngine(), cfg)
@@ -395,8 +396,8 @@ func TestFoldStampWraparound(t *testing.T) {
 		if got := scenarioDigest(t, s, age); got != fluidSprayShortDigest {
 			t.Fatalf("%s Sim: digest %#x != pinned %#x", run, got, fluidSprayShortDigest)
 		}
-		if s.foldGen > 1<<20 || s.inc.gen > 1<<20 || s.inc.roundGen > 1<<20 {
-			t.Fatalf("%s Sim: generations %d / %d / %d never wrapped", run, s.foldGen, s.inc.gen, s.inc.roundGen)
+		if s.foldGen > 1<<20 || s.inc.gen > 1<<20 {
+			t.Fatalf("%s Sim: generations %d / %d never wrapped", run, s.foldGen, s.inc.gen)
 		}
 		s.Reset(sim.NewEngine(), cfg)
 	}

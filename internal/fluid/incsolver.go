@@ -37,12 +37,12 @@ const hugeCap = 1e30
 // bottleneck-connected component reachable from the touched links instead
 // of the whole fabric.
 //
-// Layout. Everything the solver knows about a link is one 64-byte linkRec —
-// capacity, load, intrusive session list, commit stamps and round scratch side
-// by side, one cache line — so a pass that visits a link touches one record,
-// not one fabric-sized array per field. Sessions are slot-allocated
-// structure-of-arrays records (most passes read two or three session fields
-// and skip the rest), grown all together by doubling; each link's list
+// Layout. What persists about a link is one 32-byte linkRec — capacity, load,
+// intrusive session list, standing-queue count, commit stamp and workspace
+// index — so a pass that visits a link touches one record. A session's rate,
+// cap and commit stamps are one sessRec, so the join scan's outsider test reads
+// one record; the rest of a session is slot-allocated structure-of-arrays
+// (sN, sMark, ...), grown all together by doubling, and each link's list
 // threads through the session entries crossing it.
 //
 // Mutations (Add/Remove/SetCap/SetLinks) are staged: they seed a dirty set
@@ -65,45 +65,52 @@ const hugeCap = 1e30
 //     undisturbed, which is exactly why the incremental answer equals a
 //     from-scratch Waterfill (the property and fuzz tests pin this).
 //
-// Every round takes one path, a lone session's as much as a sprayed
-// transfer's, and walks A's (session, link) pairs three times, a pair costing
-// one link record each time:
+// Workspace. The rounds of one commit run on a dense copy of A (workspace):
+// a member's cap, holding and path are gathered once, by the set-up walk of
+// the first round it is in, and the links its path crosses are renumbered
+// densely in first-seen order (a link's loc). A only grows within a commit,
+// so every round walks A in the same order, meets the dense links in index
+// order, and, past the gathering, touches neither the link records nor the
+// session arrays until it writes each link's load back once at its end.
 //
-//   - splitComps, in A order, opens every link it meets for the first time
-//     this round (residual = capacity net of load), folds each member's
-//     current holding back into its links' residuals and counts it active
-//     there — the component solves against capacity net of outsiders only —
-//     and unions the members that share a link. A link lies in exactly one
-//     component, so the holdings reach each link in the order a
-//     per-component pass would add them. When the union-find ends in one
-//     component (every sprayed commit) A is the member list and the
-//     first-seen links are the link list as they stand; otherwise both are
-//     bucketed by component, numbered by first appearance, at exact size.
+// Every round takes one path, a lone session's as much as a sprayed
+// transfer's, and walks A's (member, dense link) pairs three times:
+//
+//   - splitComps, in A order, gathers the members new to A, opens every
+//     dense link on first sight (residual = capacity net of load), folds
+//     each member's current holding back into its links' residuals and
+//     counts it active there — the component solves against capacity net of
+//     outsiders only — and unions the members that share a link. A link lies in exactly one component, so
+//     the holdings reach each link in the order a per-component pass would add
+//     them. When the union-find ends in one component (every sprayed commit)
+//     A and the dense links are the member and link lists as they stand;
+//     otherwise both are bucketed by component, numbered by first appearance,
+//     at exact size.
 //   - solveComp progressive-fills each component over live sets: the members
 //     still unfrozen and the links that still carry one, compacted in place
 //     and in order after every bottleneck iteration, each live link's share
-//     divided out once per iteration into its record (wShare). An iteration
-//     decides who freezes before it touches a link: a member freezes at its
-//     cap, or at the level when one of its links' wShare is within eps of
-//     it. So the iteration that freezes every live member — most of them —
-//     ends the solve without the residual updates nobody would read. A
-//     linkless session, a component of its own, just takes its cap (0 when
-//     uncapped). Components are link-disjoint, so solving them on parallel
-//     workers performs the identical floating-point arithmetic as solving
-//     them in sequence: results are bit-identical at any shard count, which
-//     the solver-shards digest test pins the way byteident pins the packet
+//     divided out once per iteration (wsLink.share). An iteration decides who
+//     freezes before it touches a link: a member freezes at its cap, or at
+//     the level when one of its links' share is within eps of it. So the
+//     iteration that freezes every live member — most of them — ends the
+//     solve without the residual updates nobody would read. A linkless
+//     session, a component of its own, just takes its cap (0 when uncapped).
+//     Components are link-disjoint, so solving them on parallel workers
+//     performs the identical floating-point arithmetic as solving them in
+//     sequence: results are bit-identical at any shard count, which the
+//     solver-shards digest test pins the way byteident pins the packet
 //     engine.
-//   - applyRates moves the loads and leaves each link's largest new A-rate
-//     for the join scan in the record's wRem, which the solve has finished
-//     with (wAct = -1 marks it written); a link carries an A-session exactly
-//     when this round opened it.
+//   - applyRates moves the loads, writes each one back to its link record,
+//     and leaves each dense link's largest new A-rate for the join scan in
+//     its rem, which the solve has finished with. Every dense link carries an
+//     A-session, so a link carries one exactly when its loc is set.
 //
 // The rates are bit for bit those of the set-up-pass, rescan-everything loop
 // this replaced, which the oracle in incsolver_oracle_test.go keeps running
 // on scratch of its own.
 //
 // The steady-state Commit path performs zero heap allocations: all
-// link/session/scratch state lives in reusable arenas that only grow on
+// link/session/workspace state lives in reusable arenas that only grow on
 // first use. (The parallel dispatch path, when a large multi-component
 // affected set engages it, spends a few allocations on goroutine bring-up.)
 type IncSolver struct {
@@ -111,31 +118,30 @@ type IncSolver struct {
 	marking []bool // link can hold a visible standing queue; nil = none
 
 	// Session state (slot-allocated; sLink holds sessBlock entries each).
-	sCap   []float64
-	sRate  []float64
+	sess   []sessRec
 	sN     []int8
 	sAlive []bool
 	sMark  []int32  // current standing-queue link, -1 when none
-	sStamp []uint32 // session staged into A this commit
-	mStamp []uint32 // mark-pass dedup this commit
 	lStamp []uint32 // session's link set changed this commit
 	sLink  []int32
 	eNext  []int32
 	ePrev  []int32
 	freeS  []int32
 
-	// Commit workspace.
+	// Commit staging: the links touched this commit in first-touch order,
+	// beside the saturation each one had at its first touch, before any
+	// mutation, and the affected sessions in staging/join order.
 	gen        uint32
-	roundGen   uint32
 	pending    bool
 	considered []int32
-	inA        []int32 // affected sessions, in staging/join order
-	aRate      []float64
+	satB       []bool // strictly saturated
+	qSatB      []bool // standing-queue-saturated (satMark)
+	inA        []int32
 
-	// Round scratch, all of it scaling with the affected set, not the fabric.
-	// seenLink lists the round's links in first-seen order; the comp* arrays
-	// bucket A positions and links by component when there is more than one.
-	seenLink []int32
+	ws workspace
+
+	// Round scratch, all of it scaling with the affected set, not the fabric:
+	// the comp* arrays list A positions and dense links by component.
 	ufParent []int32
 	posComp  []int32
 	rootComp []int32
@@ -149,35 +155,60 @@ type IncSolver struct {
 	parThresh int // test override for parThreshDefault; 0 = default
 }
 
-// linkRec is one link's whole state in 64 bytes, one cache line. The stamps
-// make the scratch fields self-invalidating: a field group is live only while
-// its stamp equals the current commit (gen) or round (roundGen) generation.
-// Nothing the record can derive is stored: a link's list is empty exactly
-// when head < 0, and an A-session crossed it this round exactly when this
-// round opened it (round == roundGen).
+// linkRec is what persists about one link, in 32 bytes. Nothing the record
+// can derive is stored: a link's list is empty exactly when head < 0.
 type linkRec struct {
 	cap  float64 // sanitized capacity: 0 <= cap <= hugeCap
 	load float64 // sum of session rates crossing the link
 
-	// Round scratch, live while round == roundGen; wShare only while the link
-	// is live in the current bottleneck iteration. The solve leaves wRem and
-	// wAct dead, so applyRates reuses them: its first write on a link sets
-	// wAct to -1 (no count is negative) and wRem to the new A-rate, and later
-	// writes keep the largest, which is what joinScan reads.
-	wRem   float64 // capacity left to the component's unfrozen members
-	wShare float64 // wRem / wAct as of the current bottleneck iteration
-	wAct   int32   // unfrozen member entries on the link
-	first  int32   // A position of the first member that crossed it
-	round  uint32  // == roundGen: opened by this round's splitComps
-
 	head int32 // first intrusive-list entry, -1 when empty
 	qCnt int32 // sessions whose standing-queue mark is this link
 
-	// Commit stamp, and the saturation it captured at first touch, before
-	// any mutation (live while tStamp == gen).
 	tStamp uint32 // == gen: touched (considered) this commit
-	satB   bool   // strictly saturated
-	qSatB  bool   // standing-queue-saturated (satMark)
+	// The link's index in this commit's workspace, -1 when no A member
+	// crosses it; live while tStamp == gen (touchLink sets -1).
+	loc int32
+}
+
+// sessRec is a session's rate, cap and commit stamps.
+type sessRec struct {
+	rate   float64
+	cap    float64
+	stamp  uint32 // == gen: staged into A this commit
+	mStamp uint32 // == gen: remarked this commit
+}
+
+// workspace is one commit's dense copy of the affected set. mem[i] is A
+// member i (inA[i]); its path is path[mem[i].off : mem[i].off+mem[i].n], as
+// indices into link, whose entries are the links those paths cross in
+// first-seen order. It grows by append and is kept across commits and
+// Resets.
+type workspace struct {
+	mem  []wsMember
+	path []int32
+	link []wsLink
+}
+
+// wsMember is an A member as gathered when it entered A.
+type wsMember struct {
+	cap  float64 // session cap
+	rate float64 // holding: the rate its links' loads include
+	next float64 // the round's new rate; -1 while live in the fill
+	off  int32
+	n    int32
+}
+
+// wsLink is a dense link of the workspace. rem and share are the round's
+// fill scratch; after applyRates, rem holds the link's largest new A-rate,
+// which is what joinScan reads.
+type wsLink struct {
+	cap   float64
+	load  float64 // the record's load, written back every round
+	rem   float64 // capacity left to the component's unfrozen members
+	share float64 // rem / act as of the current bottleneck iteration
+	act   int32   // unfrozen member entries on the link
+	first int32   // A position of the first member that crossed it
+	id    int32   // index into IncSolver.links
 }
 
 // Reset initializes the solver for the given link capacities, dropping any
@@ -194,20 +225,16 @@ func (is *IncSolver) Reset(capacity []float64, marking []bool) {
 		}
 		is.links[i] = linkRec{cap: c, head: -1}
 	}
-	is.sCap = is.sCap[:0]
-	is.sRate = is.sRate[:0]
+	is.sess = is.sess[:0]
 	is.sN = is.sN[:0]
 	is.sAlive = is.sAlive[:0]
 	is.sMark = is.sMark[:0]
-	is.sStamp = is.sStamp[:0]
-	is.mStamp = is.mStamp[:0]
 	is.lStamp = is.lStamp[:0]
 	is.sLink = is.sLink[:0]
 	is.eNext = is.eNext[:0]
 	is.ePrev = is.ePrev[:0]
 	is.freeS = is.freeS[:0]
 	is.gen = 0
-	is.roundGen = 0
 	is.pending = false
 	if is.shards == 0 {
 		is.shards = 1
@@ -228,7 +255,7 @@ func (is *IncSolver) SetShards(n int) {
 func (is *IncSolver) Pending() bool { return is.pending }
 
 // Rate returns session s's rate as of the last Commit.
-func (is *IncSolver) Rate(s int32) float64 { return is.sRate[s] }
+func (is *IncSolver) Rate(s int32) float64 { return is.sess[s].rate }
 
 // Queued reports whether link l holds a standing queue as of the last
 // Commit: at least one session's first saturated link is l and l is a
@@ -252,37 +279,44 @@ func (is *IncSolver) stage() {
 		for i := range is.links {
 			is.links[i].tStamp = 0
 		}
-		for i := range is.sStamp {
-			is.sStamp[i] = 0
-			is.mStamp[i] = 0
+		for i := range is.sess {
+			is.sess[i].stamp = 0
+			is.sess[i].mStamp = 0
 			is.lStamp[i] = 0
 		}
 		is.gen = 1
 	}
 	is.considered = is.considered[:0]
+	is.satB = is.satB[:0]
+	is.qSatB = is.qSatB[:0]
 	is.inA = is.inA[:0]
+	is.ws.mem = is.ws.mem[:0]
+	is.ws.path = is.ws.path[:0]
+	is.ws.link = is.ws.link[:0]
 }
 
 // touchLink marks l considered this commit, capturing its pre-event
-// saturation state the first time. Loads only ever change on touched links,
-// so a first touch always observes the pre-commit load.
+// saturation state and clearing its workspace index the first time. Loads
+// only ever change on touched links, so a first touch always observes the
+// pre-commit load.
 func (is *IncSolver) touchLink(l int32) {
 	lk := &is.links[l]
 	if lk.tStamp == is.gen {
 		return
 	}
 	lk.tStamp = is.gen
-	lk.satB = lk.strictSat()
-	lk.qSatB = lk.satMark()
+	lk.loc = -1
 	is.considered = append(is.considered, l)
+	is.satB = append(is.satB, lk.strictSat())
+	is.qSatB = append(is.qSatB, lk.satMark())
 }
 
 // stageSession puts session s into the affected set (once per commit).
 func (is *IncSolver) stageSession(s int32) {
-	if is.sStamp[s] == is.gen {
+	if is.sess[s].stamp == is.gen {
 		return
 	}
-	is.sStamp[s] = is.gen
+	is.sess[s].stamp = is.gen
 	is.inA = append(is.inA, s)
 }
 
@@ -311,8 +345,8 @@ func (is *IncSolver) Add(links []int32, cap float64) int32 {
 	if cap <= 0 || math.IsNaN(cap) || math.IsInf(cap, 1) {
 		cap = hugeCap
 	}
-	is.sCap[s] = cap
-	is.sRate[s] = 0
+	is.sess[s].cap = cap
+	is.sess[s].rate = 0
 	is.sAlive[s] = true
 	is.sMark[s] = -1
 	is.sN[s] = 0
@@ -352,7 +386,7 @@ func (is *IncSolver) linkAll(s int32, links []int32) {
 func (is *IncSolver) unlinkAll(s int32) {
 	is.lStamp[s] = is.gen
 	base := int32(s) * sessBlock
-	r := is.sRate[s]
+	r := is.sess[s].rate
 	for j := int8(0); j < is.sN[s]; j++ {
 		e := base + int32(j)
 		l := is.sLink[e]
@@ -385,7 +419,7 @@ func (is *IncSolver) Remove(s int32) {
 		is.sMark[s] = -1
 	}
 	is.sAlive[s] = false
-	is.sRate[s] = 0
+	is.sess[s].rate = 0
 	is.freeS = append(is.freeS, s)
 }
 
@@ -394,11 +428,11 @@ func (is *IncSolver) SetCap(s int32, cap float64) {
 	if cap <= 0 || math.IsNaN(cap) || math.IsInf(cap, 1) {
 		cap = hugeCap
 	}
-	if cap == is.sCap[s] {
+	if cap == is.sess[s].cap {
 		return
 	}
 	is.stage()
-	is.sCap[s] = cap
+	is.sess[s].cap = cap
 	base := int32(s) * sessBlock
 	for j := int8(0); j < is.sN[s]; j++ {
 		is.touchLink(is.sLink[base+int32(j)])
@@ -412,7 +446,7 @@ func (is *IncSolver) SetCap(s int32, cap float64) {
 func (is *IncSolver) SetLinks(s int32, links []int32) {
 	is.stage()
 	is.unlinkAll(s)
-	is.sRate[s] = 0
+	is.sess[s].rate = 0
 	is.linkAll(s, links)
 	if is.sN[s] == 0 && is.sMark[s] >= 0 {
 		// No surviving in-range links: the mark pass will never visit the
@@ -440,7 +474,6 @@ func (is *IncSolver) Commit() {
 	is.inA = is.inA[:w]
 
 	for {
-		is.bumpRound()
 		if len(is.inA) > 0 {
 			is.solveRound()
 		}
@@ -452,20 +485,9 @@ func (is *IncSolver) Commit() {
 	is.pending = false
 }
 
-// bumpRound advances the per-round link-scratch generation.
-func (is *IncSolver) bumpRound() {
-	is.roundGen++
-	if is.roundGen == 0 { // uint32 wrap: invalidate every round stamp
-		for i := range is.links {
-			is.links[i].round = 0
-		}
-		is.roundGen = 1
-	}
-}
-
 // solveRound re-waterfills the current affected set: split into connected
 // components, solve each against the outsiders' residual capacity, then
-// apply the new rates to the shared load/lmax state.
+// apply the new rates to the loads.
 func (is *IncSolver) solveRound() {
 	n := len(is.inA)
 
@@ -477,7 +499,7 @@ func (is *IncSolver) solveRound() {
 		thresh = parThreshDefault
 	}
 	if ncomp := is.splitComps(); ncomp == 1 {
-		is.solveComp(is.compSess[:n], is.seenLink)
+		is.solveComp(is.compSess[:n], is.compLink[:len(is.ws.link)])
 	} else if is.shards > 1 && n >= thresh {
 		is.solveCompsParallel(ncomp)
 	} else {
@@ -489,47 +511,72 @@ func (is *IncSolver) solveRound() {
 	is.applyRates()
 }
 
-// splitComps is the round's one set-up walk over the affected set, in A
-// order: it opens each link on first sight, folds every member's current
-// holding back into its links' residuals (the components solve against
-// capacity net of outsiders only), and union-finds the members into
-// link-connected components. It returns the component count. With one
-// component, compSess[:n] and seenLink are its members (A positions) and
-// links; with more, solveCompAt(c) slices
-// component c's out of the bucketed arenas, components numbered by first
-// appearance in A order and every list in the order the walk met it.
+// splitComps is the round's one set-up walk over A, in A order: it opens each
+// dense link on first sight, folds every member's current holding back into
+// its links' residuals (the components solve against capacity net of
+// outsiders only), and union-finds the members into link-connected
+// components. It returns the component count. With one component,
+// compSess[:n] and compLink[:nl] are its members (A positions) and dense
+// links; with more, solveCompAt(c) slices component c's out of the bucketed
+// arenas, components numbered by first appearance in A order and every list
+// in the order the walk met it.
+//
+// The walk also gathers each member that entered A since the last round —
+// staged, or pulled in by the join scan — into the workspace: cap, holding
+// and path, each link numbered densely the first time a member crosses it.
+// Every link of an A member has been touched this commit, and its first touch
+// cleared its loc, so a set loc is this commit's number. The links are thus
+// numbered in this walk's order, and every round's walk meets them in index
+// order: a link is new to the round exactly when its index is the count
+// opened so far. Gathering happens only here, so during the join scan a set
+// loc still means "an A-session crossed this link in the round just solved".
 func (is *IncSolver) splitComps() int {
 	n := len(is.inA)
-	rg := is.roundGen
+	mem, path, link := is.ws.mem, is.ws.path, is.ws.link
 
-	is.aRate = grown(is.aRate, n)
 	is.compSess = grown(is.compSess, n)
 	is.ufParent = grown(is.ufParent, n)
 	for i := 0; i < n; i++ {
 		is.ufParent[i] = int32(i)
 	}
-	seen := grown(is.seenLink, n*sessBlock)
-	nl := 0
+	open := int32(0)
 	ncomp := n
-	for i := 0; i < n; i++ {
-		s := is.inA[i]
-		r := is.sRate[s]
-		base := int32(s) * sessBlock
-		for j := int8(0); j < is.sN[s]; j++ {
-			l := is.sLink[base+int32(j)]
-			lk := &is.links[l]
-			if lk.round != rg {
-				lk.round = rg
-				lk.first = int32(i)
-				lk.wRem = lk.cap - lk.load + r
-				lk.wAct = 1
-				seen[nl] = l
-				nl++
+	for i := int32(0); int(i) < n; i++ {
+		if int(i) == len(mem) {
+			// A member that entered A since the last round: gather it.
+			s := is.inA[i]
+			off := int32(len(path))
+			base := s * sessBlock
+			for _, l := range is.sLink[base : base+int32(is.sN[s])] {
+				lk := &is.links[l]
+				if lk.loc < 0 {
+					lk.loc = int32(len(link))
+					// Appended zero and filled in place: a composite literal
+					// is built on the stack, and copying it out stalls.
+					link = append(link, wsLink{})
+					k := &link[lk.loc]
+					k.cap, k.load, k.id = lk.cap, lk.load, l
+				}
+				path = append(path, lk.loc)
+			}
+			mem = append(mem, wsMember{})
+			m := &mem[i]
+			m.cap, m.rate, m.off, m.n = is.sess[s].cap, is.sess[s].rate, off, int32(len(path))-off
+		}
+		m := &mem[i]
+		r := m.rate
+		for _, d := range path[m.off : m.off+m.n] {
+			k := &link[d]
+			if d == open {
+				open++
+				k.first = i
+				k.rem = k.cap - k.load + r
+				k.act = 1
 				continue
 			}
-			lk.wRem += r
-			lk.wAct++
-			ra, rb := ufFind(is.ufParent, int32(i)), ufFind(is.ufParent, lk.first)
+			k.rem += r
+			k.act++
+			ra, rb := ufFind(is.ufParent, i), ufFind(is.ufParent, k.first)
 			if ra != rb {
 				if ra < rb {
 					is.ufParent[rb] = ra
@@ -540,12 +587,16 @@ func (is *IncSolver) splitComps() int {
 			}
 		}
 	}
-	seen = seen[:nl]
-	is.seenLink = seen
+	is.ws.mem, is.ws.path, is.ws.link = mem, path, link
+	nl := len(link)
+	is.compLink = grown(is.compLink, nl)
 
 	if ncomp == 1 {
 		for i := 0; i < n; i++ {
 			is.compSess[i] = int32(i)
+		}
+		for d := 0; d < nl; d++ {
+			is.compLink[d] = int32(d)
 		}
 		return 1
 	}
@@ -566,20 +617,19 @@ func (is *IncSolver) splitComps() int {
 		is.posComp[i] = is.rootComp[r]
 	}
 
-	// Bucket A positions and first-seen links by component, each at its exact
+	// Bucket A positions and dense links by component, each at its exact
 	// size: count, prefix-sum, fill with compCnt as the cursor.
 	is.compOffs = grown(is.compOffs, ncomp+1)
 	is.compLOff = grown(is.compLOff, ncomp+1)
 	is.compCnt = grown(is.compCnt, ncomp)
-	is.compLink = grown(is.compLink, nl)
 	for c := 0; c <= ncomp; c++ {
 		is.compOffs[c], is.compLOff[c] = 0, 0
 	}
 	for i := 0; i < n; i++ {
 		is.compOffs[is.posComp[i]+1]++
 	}
-	for _, l := range seen {
-		is.compLOff[is.posComp[is.links[l].first]+1]++
+	for d := range link {
+		is.compLOff[is.posComp[link[d].first]+1]++
 	}
 	for c := 0; c < ncomp; c++ {
 		is.compOffs[c+1] += is.compOffs[c]
@@ -592,38 +642,41 @@ func (is *IncSolver) splitComps() int {
 		is.compCnt[c]++
 	}
 	copy(is.compCnt, is.compLOff[:ncomp])
-	for _, l := range seen {
-		c := is.posComp[is.links[l].first]
-		is.compLink[is.compCnt[c]] = l
+	for d := range link {
+		c := is.posComp[link[d].first]
+		is.compLink[is.compCnt[c]] = int32(d)
 		is.compCnt[c]++
 	}
 	return ncomp
 }
 
-// applyRates folds the round's new rates into the shared link loads and
-// leaves the largest new A-rate on each of the round's links in its wRem,
-// dead since the solve, for the join scan; wAct = -1 marks it written.
+// applyRates folds the round's new rates into the dense loads, writes each
+// load back to its link record, and leaves the largest new A-rate on each
+// dense link in its rem, dead since the solve, for the join scan.
 func (is *IncSolver) applyRates() {
-	n := len(is.inA)
-	for i := 0; i < n; i++ {
-		s := is.inA[i]
-		nr := is.aRate[i]
-		or := is.sRate[s]
-		base := int32(s) * sessBlock
-		for j := int8(0); j < is.sN[s]; j++ {
-			lk := &is.links[is.sLink[base+int32(j)]]
-			lk.load += nr - or
-			if lk.load < 0 {
-				lk.load = 0
+	mem, path, link := is.ws.mem, is.ws.path, is.ws.link
+	seen := int32(0) // as in splitComps, the walk meets the links in index order
+	for i := range mem {
+		m := &mem[i]
+		nr, or := m.next, m.rate
+		for _, d := range path[m.off : m.off+m.n] {
+			k := &link[d]
+			k.load += nr - or
+			if k.load < 0 {
+				k.load = 0
 			}
-			if lk.wAct >= 0 {
-				lk.wAct = -1
-				lk.wRem = nr
-			} else if nr > lk.wRem {
-				lk.wRem = nr
+			if d == seen {
+				seen++
+				k.rem = nr
+			} else if nr > k.rem {
+				k.rem = nr
 			}
 		}
-		is.sRate[s] = nr
+		m.rate = nr
+		is.sess[is.inA[i]].rate = nr
+	}
+	for d := range link {
+		is.links[link[d].id].load = link[d].load
 	}
 }
 
@@ -671,45 +724,45 @@ func (is *IncSolver) solveCompAt(c int) {
 }
 
 // solveComp progressive-fills one affected component against the residual
-// capacity splitComps left on its links. Level construction, epsilon policy
-// and numerical backstop are waterfiller.solve's, so the incremental solver
-// inherits the reference solver's arithmetic.
+// capacity splitComps left on its dense links. Level construction, epsilon
+// policy and numerical backstop are waterfiller.solve's, so the incremental
+// solver inherits the reference solver's arithmetic.
 //
-// sess (A positions) and links are the live sets of the type comment.
+// sess (A positions) and links (dense) are the live sets of the type comment.
 // Compaction keeps their order because sessions must freeze in A order: only
-// then does every wRem -= freezeAt land in the order a full rescan applies
+// then does every rem -= freezeAt land in the order a full rescan applies
 // it, and two members freezing in one iteration on caps that tie within eps,
 // not exactly, make that order visible in the result bits.
 func (is *IncSolver) solveComp(sess, links []int32) {
+	mem, path, link := is.ws.mem, is.ws.path, is.ws.link
 	if len(links) == 0 {
 		// Only a linkless session, always a component of its own, has no
 		// links: it gets its cap, and an uncapped one gets 0.
-		ai := sess[0]
-		cp := is.sCap[is.inA[ai]]
-		if cp >= hugeCap {
-			cp = 0
+		m := &mem[sess[0]]
+		m.next = m.cap
+		if m.cap >= hugeCap {
+			m.next = 0
 		}
-		is.aRate[ai] = cp
 		return
 	}
 	for {
 		level := math.Inf(1)
 		// One pass drops the links whose last member froze, stores each
-		// survivor's fair share in its record, and takes the minimum.
+		// survivor's fair share, and takes the minimum.
 		w := 0
-		for _, l := range links {
-			if lk := &is.links[l]; lk.wAct > 0 {
-				lk.wShare = lk.wRem / float64(lk.wAct)
-				links[w] = l
+		for _, d := range links {
+			if k := &link[d]; k.act > 0 {
+				k.share = k.rem / float64(k.act)
+				links[w] = d
 				w++
-				if lk.wShare < level {
-					level = lk.wShare
+				if k.share < level {
+					level = k.share
 				}
 			}
 		}
 		links = links[:w]
 		for _, ai := range sess {
-			if cp := is.sCap[is.inA[ai]]; cp < level {
+			if cp := mem[ai].cap; cp < level {
 				level = cp
 			}
 		}
@@ -717,26 +770,25 @@ func (is *IncSolver) solveComp(sess, links []int32) {
 			level = 0
 		}
 		eps := level*1e-9 + 1e-15
-		// Decide every live member's fate before touching a link: aRate takes
+		// Decide every live member's fate before touching a link: next takes
 		// the freezing rate, or -1 (no rate is negative) to stay live. A live
-		// member's links are all live, so each wShare it reads is this
+		// member's links are all live, so each share it reads is this
 		// iteration's.
 		frozen := 0
 		for _, ai := range sess {
-			s := is.inA[ai]
+			m := &mem[ai]
 			freezeAt := -1.0
-			if cp := is.sCap[s]; cp <= level+eps {
-				freezeAt = cp
+			if m.cap <= level+eps {
+				freezeAt = m.cap
 			} else {
-				base := int32(s) * sessBlock
-				for j := int8(0); j < is.sN[s]; j++ {
-					if is.links[is.sLink[base+int32(j)]].wShare <= level+eps {
+				for _, d := range path[m.off : m.off+m.n] {
+					if link[d].share <= level+eps {
 						freezeAt = level
 						break
 					}
 				}
 			}
-			is.aRate[ai] = freezeAt
+			m.next = freezeAt
 			if freezeAt >= 0 {
 				frozen++
 			}
@@ -748,27 +800,25 @@ func (is *IncSolver) solveComp(sess, links []int32) {
 		if frozen == 0 {
 			// Numerical backstop, as in the reference solver.
 			for _, ai := range sess {
-				is.aRate[ai] = level
+				mem[ai].next = level
 			}
 			return
 		}
 		w = 0
 		for _, ai := range sess {
-			freezeAt := is.aRate[ai]
-			if freezeAt < 0 {
+			m := &mem[ai]
+			if m.next < 0 {
 				sess[w] = ai
 				w++
 				continue
 			}
-			s := is.inA[ai]
-			base := int32(s) * sessBlock
-			for j := int8(0); j < is.sN[s]; j++ {
-				lk := &is.links[is.sLink[base+int32(j)]]
-				lk.wRem -= freezeAt
-				if lk.wRem < 0 {
-					lk.wRem = 0
+			for _, d := range path[m.off : m.off+m.n] {
+				k := &link[d]
+				k.rem -= m.next
+				if k.rem < 0 {
+					k.rem = 0
 				}
-				lk.wAct--
+				k.act--
 			}
 		}
 		sess = sess[:w]
@@ -778,28 +828,32 @@ func (is *IncSolver) solveComp(sess, links []int32) {
 // joinScan applies the J1/J2 rules over every considered link, pulling
 // outsiders whose bottleneck certificate the round disturbed into the
 // affected set. Returns whether anything joined (another round is needed).
+// A joiner's links are touched here and gathered by the next round's set-up.
 func (is *IncSolver) joinScan() bool {
-	rg := is.roundGen
 	joined := false
-	for _, l := range is.considered {
+	for k, l := range is.considered {
 		lk := &is.links[l]
 		satA := lk.strictSat()
-		satB := lk.satB
+		satB := is.satB[k]
 		if !satA && !satB {
 			continue // link constrains nobody, before or after
 		}
-		hasA := lk.round == rg // an A-session crosses it: applyRates left lm
-		lm := lk.wRem
+		hasA := lk.loc >= 0 // an A-session crosses it: applyRates left lm
+		var lm float64
+		if hasA {
+			lm = is.ws.link[lk.loc].rem
+		}
 		for e := lk.head; e >= 0; e = is.eNext[e] {
 			s := e / sessBlock
-			if is.sStamp[s] == is.gen {
+			sr := &is.sess[s]
+			if sr.stamp == is.gen {
 				continue // already affected
 			}
-			r := is.sRate[s]
+			r := sr.rate
 			join := false
 			if hasA && satA && r > lm+rateEps(r) {
 				join = true // J1: outsider holds more than the new fair share
-			} else if satB && r < is.sCap[s]-rateEps(is.sCap[s]) &&
+			} else if satB && r < sr.cap-rateEps(sr.cap) &&
 				(!satA || (hasA && lm > r+rateEps(r))) {
 				join = true // J2: capacity freed (or share grew) under the outsider
 			}
@@ -807,7 +861,7 @@ func (is *IncSolver) joinScan() bool {
 				continue
 			}
 			is.stageSession(s)
-			base := int32(s) * sessBlock
+			base := s * sessBlock
 			for j := int8(0); j < is.sN[s]; j++ {
 				is.touchLink(is.sLink[base+int32(j)])
 			}
@@ -833,12 +887,11 @@ func (is *IncSolver) markPass() {
 			is.remark(s)
 		}
 	}
-	for _, l := range is.considered {
-		lk := &is.links[l]
-		if lk.satMark() == lk.qSatB {
+	for k, l := range is.considered {
+		if is.links[l].satMark() == is.qSatB[k] {
 			continue
 		}
-		for e := lk.head; e >= 0; e = is.eNext[e] {
+		for e := is.links[l].head; e >= 0; e = is.eNext[e] {
 			is.remark(e / sessBlock)
 		}
 	}
@@ -846,10 +899,10 @@ func (is *IncSolver) markPass() {
 
 // remark recomputes one session's standing-queue mark (once per commit).
 func (is *IncSolver) remark(s int32) {
-	if is.mStamp[s] == is.gen {
+	if is.sess[s].mStamp == is.gen {
 		return
 	}
-	is.mStamp[s] = is.gen
+	is.sess[s].mStamp = is.gen
 	m := is.firstSatMark(s)
 	if m != is.sMark[s] {
 		if is.sMark[s] >= 0 {
@@ -882,7 +935,7 @@ func (is *IncSolver) firstSatMark(s int32) int32 {
 }
 
 // allocSession returns a free session slot, growing the arenas on demand:
-// all eleven slot arrays together, each by one grown step, so n sessions
+// all eight slot arrays together, each by one grown step, so n sessions
 // cost O(log n) allocations. A slot past the length may hold a previous
 // run's values (see Reset); Add sets every field but the stamps, zeroed here.
 func (is *IncSolver) allocSession() int32 {
@@ -891,20 +944,17 @@ func (is *IncSolver) allocSession() int32 {
 		is.freeS = is.freeS[:n-1]
 		return s
 	}
-	s := int32(len(is.sCap))
+	s := int32(len(is.sess))
 	n := int(s) + 1
-	is.sCap = grown(is.sCap, n)
-	is.sRate = grown(is.sRate, n)
+	is.sess = grown(is.sess, n)
 	is.sN = grown(is.sN, n)
 	is.sAlive = grown(is.sAlive, n)
 	is.sMark = grown(is.sMark, n)
-	is.sStamp = grown(is.sStamp, n)
-	is.mStamp = grown(is.mStamp, n)
 	is.lStamp = grown(is.lStamp, n)
 	is.sLink = grown(is.sLink, n*sessBlock)
 	is.eNext = grown(is.eNext, n*sessBlock)
 	is.ePrev = grown(is.ePrev, n*sessBlock)
-	is.sStamp[s], is.mStamp[s], is.lStamp[s] = 0, 0, 0
+	is.sess[s].stamp, is.sess[s].mStamp, is.lStamp[s] = 0, 0, 0
 	return s
 }
 

@@ -19,9 +19,12 @@ import (
 // solver it embeds, and nothing of the round's arithmetic: the residuals,
 // active counts, bottleneck tags, first-seen stamps and component arenas
 // below are its own, stamped by its own 64-bit round counter (which never
-// wraps). The one thing it writes into the link records is what the shared
-// code reads there: each link its round opens gets the round stamp (joinScan's
-// "an A-session crosses it") and a zero wAct (applyRates' "not yet written").
+// wraps). It fills only the workspace fields the shared code reads, and
+// rebuilds them every round from the session arrays rather than gathering a
+// member once: each link its round meets gets a dense index (loc, joinScan's
+// "an A-session crosses it"), its id and load, and each member its holding
+// and path — what applyRates moves the loads with. The new rates it writes
+// into each member's next.
 type oracleSolver struct {
 	IncSolver
 
@@ -94,7 +97,6 @@ func (o *oracleSolver) Commit() {
 	}
 	is.inA = is.inA[:w]
 	for {
-		is.bumpRound()
 		o.round++
 		if len(is.inA) > 0 {
 			ncomp := o.splitComps()
@@ -114,8 +116,10 @@ func (o *oracleSolver) Commit() {
 // splitComps is the splitComps this package shipped before the fused walk,
 // on the oracle's arrays: union-find over shared links, components numbered by
 // first appearance in A order, regions of sessBlock link slots per member.
+// The same walk refills the shared workspace from scratch.
 func (o *oracleSolver) splitComps() int {
 	is := &o.IncSolver
+	ws := &is.ws
 	n := len(is.inA)
 	rg := o.round
 
@@ -124,18 +128,23 @@ func (o *oracleSolver) splitComps() int {
 		o.ufParent[i] = int32(i)
 	}
 	o.firstSeen = o.firstSeen[:0]
+	ws.mem, ws.path, ws.link = ws.mem[:0], ws.path[:0], ws.link[:0]
 	for i := 0; i < n; i++ {
 		s := is.inA[i]
 		base := int32(s) * sessBlock
+		ws.mem = append(ws.mem, wsMember{rate: is.sess[s].rate, off: int32(len(ws.path)), n: int32(is.sN[s])})
 		for j := int8(0); j < is.sN[s]; j++ {
 			l := is.sLink[base+int32(j)]
 			if o.compS[l] != rg {
 				o.compS[l] = rg
 				o.compOf[l] = int32(i)
-				is.links[l].round, is.links[l].wAct = is.roundGen, 0
+				is.links[l].loc = int32(len(ws.link))
+				ws.link = append(ws.link, wsLink{load: is.links[l].load, id: l})
+				ws.path = append(ws.path, is.links[l].loc)
 				o.firstSeen = append(o.firstSeen, l)
 				continue
 			}
+			ws.path = append(ws.path, is.links[l].loc)
 			ra, rb := ufFind(o.ufParent, int32(i)), ufFind(o.ufParent, o.compOf[l])
 			if ra != rb {
 				if ra < rb {
@@ -185,7 +194,6 @@ func (o *oracleSolver) splitComps() int {
 		o.compSess[o.compCnt[c]] = int32(i)
 		o.compCnt[c]++
 	}
-	is.aRate = grown(is.aRate, n)
 	o.aFrozen = grown(o.aFrozen, n)
 
 	switch {
@@ -215,6 +223,7 @@ func (o *oracleSolver) splitComps() int {
 // what is already frozen, and update the residuals of everything they freeze.
 func (o *oracleSolver) solveCompRescan(c int) {
 	is := &o.IncSolver
+	mem := is.ws.mem
 	rg := o.round
 	sess := o.compSess[o.compOffs[c]:o.compOffs[c+1]]
 	links := o.compLink[o.compLOff[c]:o.compLOff[c]:o.compLOff[c+1]]
@@ -224,15 +233,15 @@ func (o *oracleSolver) solveCompRescan(c int) {
 		s := is.inA[ai]
 		if is.sN[s] == 0 {
 			o.aFrozen[ai] = true
-			if is.sCap[s] >= hugeCap {
-				is.aRate[ai] = 0
+			if is.sess[s].cap >= hugeCap {
+				mem[ai].next = 0
 			} else {
-				is.aRate[ai] = is.sCap[s]
+				mem[ai].next = is.sess[s].cap
 			}
 			continue
 		}
 		o.aFrozen[ai] = false
-		is.aRate[ai] = 0
+		mem[ai].next = 0
 		unfrozen++
 		base := int32(is.inA[ai]) * sessBlock
 		for j := int8(0); j < is.sN[s]; j++ {
@@ -243,7 +252,7 @@ func (o *oracleSolver) solveCompRescan(c int) {
 				o.wAct[l] = 0
 				links = append(links, l)
 			}
-			o.wRem[l] += is.sRate[s]
+			o.wRem[l] += is.sess[s].rate
 			o.wAct[l]++
 		}
 	}
@@ -260,8 +269,8 @@ func (o *oracleSolver) solveCompRescan(c int) {
 			}
 		}
 		for _, ai := range sess {
-			if !o.aFrozen[ai] && is.sCap[is.inA[ai]] < level {
-				level = is.sCap[is.inA[ai]]
+			if !o.aFrozen[ai] && is.sess[is.inA[ai]].cap < level {
+				level = is.sess[is.inA[ai]].cap
 			}
 		}
 		if level < 0 {
@@ -281,8 +290,8 @@ func (o *oracleSolver) solveCompRescan(c int) {
 			s := is.inA[ai]
 			base := int32(s) * sessBlock
 			freezeAt := -1.0
-			if is.sCap[s] <= level+eps {
-				freezeAt = is.sCap[s]
+			if is.sess[s].cap <= level+eps {
+				freezeAt = is.sess[s].cap
 			} else {
 				for j := int8(0); j < is.sN[s]; j++ {
 					if o.wBneck[is.sLink[base+int32(j)]] == tag {
@@ -295,7 +304,7 @@ func (o *oracleSolver) solveCompRescan(c int) {
 				continue
 			}
 			o.aFrozen[ai] = true
-			is.aRate[ai] = freezeAt
+			mem[ai].next = freezeAt
 			froze++
 			for j := int8(0); j < is.sN[s]; j++ {
 				l := is.sLink[base+int32(j)]
@@ -312,7 +321,7 @@ func (o *oracleSolver) solveCompRescan(c int) {
 			for _, ai := range sess {
 				if !o.aFrozen[ai] {
 					o.aFrozen[ai] = true
-					is.aRate[ai] = level
+					mem[ai].next = level
 				}
 			}
 			return
@@ -601,13 +610,14 @@ func shapesHistory(t *testing.T, shards ...int) {
 }
 
 // departureHistory is a directed history for the join scan's "an A-session
-// crosses this link" stamp. A thin session (cap 1e-7) arrives on a saturated
-// link and pulls its two residents in (J1); when it leaves, the link stays
-// saturated — its rate is below the saturation slack — and the departure must
-// pull nobody in: no round at all. The link's record still holds its last
-// A-rate from the arrival, the fat resident's, above the 2e8 resident's rate,
-// so a join scan that takes that stale rate for this round's pulls the 2e8
-// resident in (J2) and then the fat one (J1).
+// crosses this link" test (loc >= 0). A thin session (cap 1e-7) arrives on a
+// saturated link and pulls its two residents in (J1); when it leaves, the link
+// stays saturated — its rate is below the saturation slack — and the
+// departure must pull nobody in: no round at all. The link's record still
+// holds the workspace index the arrival's commit gave it, whose last A-rate
+// was the fat resident's, above the 2e8 resident's rate; a join scan that
+// took that stale index for this commit's would read a rate this commit never
+// wrote, or none at all.
 func departureHistory(t *testing.T, shards ...int) {
 	caps := []float64{1e9, 2e8}
 	ls := newLockstep(t, caps, shards...)
@@ -622,6 +632,96 @@ func departureHistory(t *testing.T, shards ...int) {
 	ls.remove(thin)
 	ls.commitShaped("thin departure", roundShapes{})
 	check()
+}
+
+// TestJoinChainGathersAcrossRounds is a directed history for the commit
+// workspace: one commit of four rounds, each of whose joiners brings a link
+// no earlier member crossed and crosses one an earlier member brought. Two
+// copies of a chain sit on disjoint links, caps scaled by 2.5, so every round
+// has two components and the four-shard solver dispatches them in parallel.
+// Per chain, links a, b, c, d carry X1 over (a, b), X2 over (b, c) and X3
+// over (c, d) at 0.5, 0.5 and 1 Gb/s. N arrives on a: it takes what is left
+// of a, less than X1 holds (J1 pulls X1 in, bringing b); X1 falls to split a,
+// which frees b under X2 (J2, bringing c); X2 settles at what X3 leaves of c,
+// below X3's rate there (J1, bringing d). Every commit is checked bit for bit
+// against the rescan oracle and against Waterfill at solver shards 1 and 4,
+// and the four-round commit's workspace is checked member by member.
+func TestJoinChainGathersAcrossRounds(t *testing.T) {
+	chain := []float64{0.8e9, 1e9, 1.5e9, 1e9}
+	var caps []float64
+	for _, scale := range []float64{1, 2.5} {
+		for _, c := range chain {
+			caps = append(caps, c*scale)
+		}
+	}
+	ls := newLockstep(t, caps, 1, 4)
+	check := func() {
+		for _, is := range ls.subj {
+			checkAgainstWaterfill(t, is, caps, ls.live)
+		}
+	}
+	for _, a := range []int32{0, 4} {
+		ls.add([]int32{a, a + 1}, 0)
+		ls.add([]int32{a + 1, a + 2}, 0)
+		ls.add([]int32{a + 2, a + 3}, 0)
+	}
+	ls.commitShaped("residents", roundShapes{multiComp: 1, allFreeze: 2, partial: 2})
+	check()
+	ls.add([]int32{0}, 0)
+	ls.add([]int32{4}, 0)
+	before := ls.oracle.shapes
+	ls.commit()
+	if got := ls.oracle.shapes.minus(before); got.multiComp != 4 || got.lone+got.oneComp != 0 {
+		t.Fatalf("arrival commit had shapes %+v, want four rounds of two components", got)
+	}
+	check()
+	for _, is := range ls.subj {
+		checkWorkspace(t, is, 2)
+	}
+}
+
+// checkWorkspace requires is's last commit workspace to hold A in order,
+// every member's path the dense indices of its links numbered in first-seen
+// order over A, each dense link's id and loc agreeing, and every member from
+// A position staged on (the joiners) to bring a link new to the workspace
+// and to cross one an earlier member brought.
+func checkWorkspace(t *testing.T, is *IncSolver, staged int) {
+	t.Helper()
+	ws := &is.ws
+	if len(ws.mem) != len(is.inA) {
+		t.Fatalf("shards=%d: workspace holds %d members, A has %d", is.shards, len(ws.mem), len(is.inA))
+	}
+	seen := int32(0)
+	for i := range ws.mem {
+		s := is.inA[i]
+		m := &ws.mem[i]
+		path := ws.path[m.off : m.off+m.n]
+		if len(path) != int(is.sN[s]) {
+			t.Fatalf("shards=%d member %d: %d dense links, session has %d", is.shards, i, len(path), is.sN[s])
+		}
+		before, crossed := seen, false
+		for j, d := range path {
+			switch {
+			case d > seen:
+				t.Fatalf("shards=%d member %d: dense link %d before %d was numbered", is.shards, i, d, seen)
+			case d == seen:
+				seen++
+			case d < before:
+				crossed = true
+			}
+			l := is.sLink[s*sessBlock+int32(j)]
+			if ws.link[d].id != l || is.links[l].loc != d {
+				t.Fatalf("shards=%d member %d: dense link %d is link %d (loc %d), path says link %d",
+					is.shards, i, d, ws.link[d].id, is.links[l].loc, l)
+			}
+		}
+		if i >= staged && (!crossed || seen == before) {
+			t.Fatalf("shards=%d joiner %d: path %v, links 0..%d numbered before it", is.shards, i, path, before-1)
+		}
+	}
+	if int(seen) != len(ws.link) {
+		t.Fatalf("shards=%d: %d dense links, paths number %d", is.shards, len(ws.link), seen)
+	}
 }
 
 // TestLiveSetMatchesRescanBitExact is the contract of the shipped round —
@@ -662,22 +762,24 @@ func TestLiveSetMatchesRescanBitExact(t *testing.T) {
 }
 
 // ageStamps puts a solver between commits where four billion of them would
-// have left it: both generations one step from wrapping, and every stamp
+// have left it: the commit generation one step from wrapping, every stamp
 // holding a small value from the cycle that is ending — exactly the values
-// the new cycle's first commits are about to hand out again.
+// the new cycle's first commits are about to hand out again — and every link
+// holding a small workspace index, live-looking to a reader that skipped the
+// first touch's reset.
 func ageStamps(is *IncSolver) {
 	for i := range is.links {
-		lk, old := &is.links[i], uint32(1+i%2)
-		lk.tStamp, lk.round = old, old
+		lk := &is.links[i]
+		lk.tStamp, lk.loc = uint32(1+i%2), int32(i%3)
 	}
-	for s := range is.sStamp {
+	for s := range is.sess {
 		old := uint32(1 + s%2)
-		is.sStamp[s], is.mStamp[s], is.lStamp[s] = old, old, old
+		is.sess[s].stamp, is.sess[s].mStamp, is.lStamp[s] = old, old, old
 	}
-	is.gen, is.roundGen = math.MaxUint32, math.MaxUint32
+	is.gen = math.MaxUint32
 }
 
-// TestStampWraparound drives the solver's commit and round generations
+// TestStampWraparound drives the solver's commit generation
 // across MaxUint32 in the middle of a spray-shaped history, with every
 // session and link still carrying a stamp the new cycle reuses at once: one
 // read as current would skip a staging, a join, a remark or a link's set-up.
@@ -695,8 +797,8 @@ func TestStampWraparound(t *testing.T) {
 	}
 	sprayHistory(rng, f, ls, 30, check)
 	for _, is := range ls.subj {
-		if is.gen > 1000 || is.roundGen > 1000 {
-			t.Fatalf("shards=%d: generations %d / %d never wrapped", is.shards, is.gen, is.roundGen)
+		if is.gen > 1000 {
+			t.Fatalf("shards=%d: generation %d never wrapped", is.shards, is.gen)
 		}
 	}
 }
@@ -719,8 +821,8 @@ func TestLiveSetBackstopMatchesRescan(t *testing.T) {
 	b := ls.add([]int32{0}, 0)
 	c := ls.add([]int32{0, 2}, 1e8)
 	poison := func(is *IncSolver) {
-		is.sCap[ls.live[a].id] = math.NaN()
-		is.sCap[ls.live[b].id] = math.NaN()
+		is.sess[ls.live[a].id].cap = math.NaN()
+		is.sess[ls.live[b].id].cap = math.NaN()
 		is.links[0].load = math.NaN()
 	}
 	poison(&ls.oracle.IncSolver)

@@ -90,7 +90,7 @@ type Link struct {
 // Which ports keep a ledger follows from what the port can observe, packet
 // by packet (handOff): no onSent hook (PFC and shared-buffer switches need
 // the completion instant), an up, non-gray link, both ends keyed, the peer a
-// Switch without PFC or a Host on the same engine, a transmission longer
+// Switch without PFC or a Host, a transmission longer
 // than zero nanoseconds, and — once something waits in the real queue or an
 // armed completion owns the wire — not until the queue has drained through
 // completion events. Every other port runs the reference path untouched.
@@ -474,8 +474,8 @@ func (t *portTx) Fire() { (*Port)(t).finishTx() }
 // commutative counters plus one event that can be filed now under the key it
 // would get at the end — a keyed Switch or Host (its pipeline event is later
 // than the arrival and carries a real tag, so its place in the schedule does
-// not depend on when it was inserted) on this engine, with no PFC accounting
-// to do at the arrival instant. A transmission of zero duration keeps its
+// not depend on when it was inserted), with no PFC accounting to do at the
+// arrival instant. A fabric is built on one engine, so the peer's is p's. A transmission of zero duration keeps its
 // event: it starts and ends on one nanosecond, where done's rule (a strictly
 // earlier start) has nothing to compare. It reports whether it handed the
 // packet off, its own event filed for the peer.
@@ -486,7 +486,7 @@ func (p *Port) handOff(pkt *Packet, start, end sim.Time) bool {
 	}
 	switch d := l.To.(type) {
 	case *Switch:
-		if d.eng != p.eng || d.cfg.PFC != nil || !d.keyed {
+		if d.cfg.PFC != nil || !d.keyed {
 			return false
 		}
 		if l.Delay == 0 {
@@ -494,7 +494,7 @@ func (p *Port) handOff(pkt *Packet, start, end sim.Time) bool {
 			return true
 		}
 	case *Host:
-		if d.eng != p.eng || !d.keyed {
+		if !d.keyed {
 			return false
 		}
 		if l.Delay == 0 {
